@@ -5,6 +5,7 @@
 #ifndef GSI_PERFBENCH_BENCH_H_
 #define GSI_PERFBENCH_BENCH_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,20 @@
 #include "util/status.h"
 
 namespace gsi::perfbench {
+
+/// Largest intermediate table (rows) of an admitted benchmark query. Under
+/// the default cap (4M rows) a query that overflows fails only after the
+/// join has computed the whole oversized step, which at enron x6 costs
+/// 11-27 s and 2-5 GB of host memory per query; at this cap the screen
+/// rejects such a shape within about half a second.
+constexpr size_t kServingRowCap = 65536;
+
+/// Result-size classes of a pass: a shape belongs to the first class whose
+/// bound (result rows, inclusive) holds its answer.
+constexpr size_t kNumClasses = 4;
+constexpr std::array<size_t, kNumClasses> kClassRows = {256, 4096, 16384,
+                                                        kServingRowCap};
+using ClassMix = std::array<size_t, kNumClasses>;
 
 /// One benchmark workload: the data graph, the service configuration and
 /// the shape of the query stream. See README.md for why each exists.
@@ -32,16 +47,11 @@ struct Workload {
   size_t page_budget_bytes = 0;
   size_t filter_cache_bytes = 64ull << 20;
   uint64_t halo_budget_bytes = 0;
-  /// The filter cache holds the whole pass: warm-up fills it, and every
-  /// timed lookup hits.
-  bool hot = false;
-  /// Distinct shapes the timed loop cycles through, pass after pass.
-  size_t pass_shapes = 40;
-  /// The pass is a systematic sample, by cost, of this many times as many
-  /// admitted shapes (see Screen in service_bench.cc).
-  size_t sample_stride = 1;
+  /// Distinct shapes the timed loop cycles through, pass after pass: how
+  /// many of each result-size class (kClassRows).
+  ClassMix pass_mix{};
   /// Disjoint shapes run through the service before timing.
-  size_t warmup_shapes = 0;
+  ClassMix warmup_mix{};
   /// QueryService constructions per run; setup_s is their median.
   int setup_repeats = 3;
   /// Admitted shapes the traced run replays through the stage calls.
@@ -51,13 +61,6 @@ struct Workload {
 /// Builds the named workload at full or toy scale; nullptr for an unknown
 /// name.
 std::unique_ptr<Workload> MakeWorkload(const std::string& name, bool toy);
-
-/// Largest intermediate table (rows) of an admitted benchmark query. Under
-/// the default cap (4M rows) a query that overflows fails only after the
-/// join has computed the whole oversized step, which at enron x6 costs
-/// 11-27 s and 2-5 GB of host memory per query; the screen finds those
-/// shapes at this cap in well under a second each.
-constexpr size_t kServingRowCap = 4096;
 
 /// GsiOptOptions() with the join's row cap lowered to kServingRowCap: what
 /// the screen and the layer replay run with.
@@ -69,7 +72,12 @@ GsiOptions ScreenGsiOptions();
 /// without keeping either in memory.
 class Digest {
  public:
+  Digest() = default;
+  /// Resumes from a state read back with a() and b().
+  Digest(uint64_t a, uint64_t b) : a_(a), b_(b) {}
   void Update(const VertexId* words, size_t n);
+  uint64_t a() const { return a_; }
+  uint64_t b() const { return b_; }
   bool operator==(const Digest&) const = default;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,11 +54,33 @@ struct Replay {
   double replicated_host_ms = 0;
 };
 
-/// Re-runs the first replay_queries stream queries through the public
-/// stage calls the service composes, timing each call on the host, then
-/// times the join of the screen's rejected shapes (their failure path).
+/// `n` indices of the pass spread over its result sizes: the smallest
+/// answer, the largest, and evenly spaced ranks between.
+std::vector<size_t> SizeSpread(const std::vector<ResultSummary>& reference,
+                               size_t n) {
+  std::vector<size_t> order(reference.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return reference[a].rows < reference[b].rows;
+  });
+  if (n >= order.size() || n < 2) {
+    order.resize(std::min(n, order.size()));
+    return order;
+  }
+  std::vector<size_t> pick;
+  for (size_t k = 0; k < n; ++k) {
+    pick.push_back(order[k * (order.size() - 1) / (n - 1)]);
+  }
+  return pick;
+}
+
+/// Re-runs replay_queries shapes of the pass, spread over its result
+/// sizes, through the public stage calls the service composes, timing each
+/// call on the host, then times the join of the screen's rejected shapes
+/// (their failure path at the screen's row cap).
 Replay RunReplay(const Workload& w, const Graph& data,
                  const std::vector<Graph>& stream,
+                 const std::vector<ResultSummary>& reference,
                  const std::vector<Graph>& rejected) {
   Replay r;
   GsiOptions go = ScreenGsiOptions();
@@ -108,8 +131,7 @@ Replay RunReplay(const Workload& w, const Graph& data,
 
   gpusim::Device* one_dev[] = {&dev_a};
   gpusim::Device* two_devs[] = {&dev_a, &dev_b};
-  const size_t n = std::min(w.replay_queries, stream.size());
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i : SizeSpread(reference, w.replay_queries)) {
     const Graph& q = stream[i];
     QueryStats stats;
     double parallel_ms = 0;
@@ -158,8 +180,9 @@ Replay RunReplay(const Workload& w, const Graph& data,
     {
       FilterResult hit2 = materialize(dev_a);
       t0 = NowMs();
-      (void)RunJoinStageShardedPaged(two_devs, data, *store, go, ShardOptions(), q,
-                                     std::move(hit2), stats);
+      (void)RunJoinStageShardedPaged(two_devs, data, *store, go,
+                                     ShardOptions(), q, std::move(hit2),
+                                     stats);
       r.sharded_host_ms += NowMs() - t0;
     }
     if (rg) {
@@ -246,7 +269,8 @@ std::vector<Metric> PerLayerMetrics(const TracedRun& run) {
               outcomes.size(), ok, service_spans, bench_spans, hit_spans,
               filter_spans);
 
-  const Replay rp = RunReplay(w, *run.data, *run.stream, *run.rejected);
+  const Replay rp =
+      RunReplay(w, *run.data, *run.stream, *run.reference, *run.rejected);
   std::printf("# layer replay: %zu admitted and %zu rejected shapes "
               "through the stage calls\n",
               rp.queries, run.rejected->size());

@@ -20,6 +20,8 @@ struct TracedRun {
   const Workload* workload = nullptr;
   const Graph* data = nullptr;
   const std::vector<Graph>* stream = nullptr;
+  /// The output check's reference of each stream shape.
+  const std::vector<ResultSummary>* reference = nullptr;
   /// Shapes the population screen rejected (their joins overflow the
   /// serving row cap).
   const std::vector<Graph>* rejected = nullptr;

@@ -3,7 +3,7 @@
 
 One workload per call, from the root of a checkout:
 
-  python3 perfbench/run.py --workload hot_paged --seed 1 --seconds 15 --trace 0
+  python3 perfbench/run.py --workload cold_fanout --seed 1 --seconds 15 --trace 0
 
 The benchmark package (CMakeLists.txt here) compiles the library sources
 under src/ into $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench)

@@ -7,12 +7,16 @@
 // human-readable report. README.md in this directory documents the
 // workloads, the metrics and the layer each one belongs to.
 //
-//   gsi_perfbench --workload hot_paged --seed 1 --seconds 15 --trace 0
+//   gsi_perfbench --workload cold_fanout --seed 1 --seconds 15 --trace 0
 
+#include <malloc.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -20,6 +24,8 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -27,6 +33,7 @@
 
 #include "bench.h"
 #include "graph/datasets.h"
+#include "graph/graph_io.h"
 #include "graph/query_generator.h"
 #include "gsi/query_engine.h"
 #include "layers.h"
@@ -49,26 +56,15 @@ constexpr int kScreenThreads = 4;
 std::unique_ptr<Workload> MakeWorkload(const std::string& name, bool toy) {
   auto w = std::make_unique<Workload>();
   w->name = name;
-  if (name == "hot_paged") {
-    w->dataset = "enron";
-    w->scale = toy ? 0.5 : 6.0;
-    w->num_devices = 4;
-    w->page_budget_bytes = 4096;
-    w->hot = true;
-    w->pass_shapes = toy ? 6 : 60;
-    w->sample_stride = 3;
-    w->setup_repeats = toy ? 1 : 5;
-    w->replay_queries = toy ? 2 : 8;
-  } else if (name == "cold_fanout") {
+  if (name == "cold_fanout") {
     w->dataset = "gowalla";
     w->scale = toy ? 0.3 : 2.0;
     w->num_devices = kWorkers * 2 + kClients;
     w->max_shards_per_query = 2;
     w->shard_min_candidates = 32;
     w->filter_cache_bytes = toy ? (16u << 10) : (512u << 10);
-    w->pass_shapes = toy ? 8 : 160;
-    w->sample_stride = 2;
-    w->warmup_shapes = toy ? 2 : 8;
+    w->pass_mix = toy ? ClassMix{6, 2, 0, 0} : ClassMix{276, 32, 8, 4};
+    w->warmup_mix = {toy ? 2u : 8u, 0, 0, 0};
     w->setup_repeats = toy ? 1 : 5;
     w->replay_queries = toy ? 2 : 12;
   } else if (name == "partitioned_halo") {
@@ -79,9 +75,9 @@ std::unique_ptr<Workload> MakeWorkload(const std::string& name, bool toy) {
     w->replicas = 2;
     w->filter_cache_bytes = toy ? (16u << 10) : (1u << 20);
     w->halo_budget_bytes = toy ? (4u << 10) : (32u << 10);
-    w->pass_shapes = toy ? 8 : 100;
-    w->sample_stride = 2;
-    w->warmup_shapes = toy ? 2 : 24;
+    w->page_budget_bytes = 4096;
+    w->pass_mix = toy ? ClassMix{6, 2, 0, 0} : ClassMix{156, 26, 10, 8};
+    w->warmup_mix = {toy ? 2u : 24u, 0, 0, 0};
     w->setup_repeats = toy ? 1 : 3;
     w->replay_queries = toy ? 2 : 8;
   } else {
@@ -177,14 +173,13 @@ ResultSummary Summarize(const Result<QueryResult>& r) {
 /// admitted query never reaches either row cap, so its table is the one
 /// Execute returns under GsiOptOptions().
 ///
-/// Per-shape cost is heavy-tailed, so a plain sample of a few dozen shapes
-/// makes throughput swing from seed to seed with the count of expensive
-/// shapes drawn. The screen therefore admits `stride` times the shapes
-/// needed, orders them by simulated cost, and keeps the middle shape of
-/// each consecutive group of `stride`: each run's shapes come from its
-/// seed, but span the cost distribution the same way. The cost is the
-/// join's alone when `join_cost` is set (cache hits skip the filter scan),
-/// the whole query's otherwise.
+/// Result sizes are heavy-tailed: a 16K-64K-row answer costs the service
+/// tens of times a small one (join, page-out, memory), and how many of
+/// them a seed draws varies by a factor of two or more. So the pass is a
+/// fixed mix: the screen admits shapes until each result-size class
+/// (kClassRows) holds its quota and skips the surplus. The shapes still
+/// come from the seed, and the mix follows the measured shares of the
+/// workload's dataset (README.md).
 struct Population {
   std::vector<Graph> queries;
   std::vector<ResultSummary> reference;
@@ -192,24 +187,25 @@ struct Population {
   /// their failure path).
   std::vector<Graph> rejected;
   size_t generated = 0;
+  size_t admitted = 0;
 };
 
-Population Screen(const Graph& data, size_t count, size_t stride,
-                  bool join_cost, uint64_t seed,
+Population Screen(const Graph& data, const ClassMix& mix, uint64_t seed,
                   std::unordered_set<std::string>& taken) {
   const QueryEngine engine(data, ScreenGsiOptions());
   QueryGenConfig qc;
   qc.num_vertices = kQueryVertices;
-  const size_t wanted = count * stride;
-  Population all;
-  std::vector<double> cost;
-  for (uint64_t round = 0; all.queries.size() < wanted && round < 32;
+  ClassMix need = mix;
+  size_t wanted = 0;
+  for (size_t n : mix) wanted += n;
+  Population pop;
+  for (uint64_t round = 0; pop.queries.size() < wanted && round < 64;
        ++round) {
     // Shapes in generation order, minus repeats of an earlier shape.
     std::vector<Graph> batch;
-    for (Graph& q :
-         GenerateQuerySet(data, qc, wanted - all.queries.size() + 4,
-                          seed * 1000003ull + round * 7919ull)) {
+    for (Graph& q : GenerateQuerySet(
+             data, qc, std::max<size_t>(wanted - pop.queries.size(), 64),
+             seed * 1000003ull + round * 7919ull)) {
       if (taken.insert(FilterCache::KeyOf(q)).second) {
         batch.push_back(std::move(q));
       }
@@ -230,38 +226,153 @@ Population Screen(const Graph& data, size_t count, size_t stride,
       });
     }
     for (std::thread& t : threads) t.join();
-    for (size_t i = 0; i < batch.size() && all.queries.size() < wanted;
+    for (size_t i = 0; i < batch.size() && pop.queries.size() < wanted;
          ++i) {
-      ++all.generated;
-      if (results[i].ok()) {
-        const QueryStats& st = results[i]->stats;
-        cost.push_back(join_cost ? st.join_ms : st.total_ms);
-        all.queries.push_back(std::move(batch[i]));
-        all.reference.push_back(Summarize(results[i]));
-      } else if (all.rejected.size() < 2) {
-        all.rejected.push_back(std::move(batch[i]));
+      ++pop.generated;
+      if (!results[i].ok()) {
+        if (pop.rejected.size() < 2) {
+          pop.rejected.push_back(std::move(batch[i]));
+        }
+        continue;
       }
+      ++pop.admitted;
+      size_t c = 0;
+      while (results[i]->table.rows() > kClassRows[c]) ++c;
+      if (need[c] == 0) continue;
+      --need[c];
+      pop.queries.push_back(std::move(batch[i]));
+      pop.reference.push_back(Summarize(results[i]));
     }
   }
-  if (stride <= 1) return all;
-
-  std::vector<size_t> by_cost(all.queries.size());
-  for (size_t i = 0; i < by_cost.size(); ++i) by_cost[i] = i;
-  std::stable_sort(by_cost.begin(), by_cost.end(),
-                   [&](size_t a, size_t b) { return cost[a] < cost[b]; });
-  std::vector<size_t> keep;
-  for (size_t k = stride / 2; k < by_cost.size(); k += stride) {
-    keep.push_back(by_cost[k]);
-  }
-  std::sort(keep.begin(), keep.end());  // back to generation order
-  Population pop;
-  pop.rejected = std::move(all.rejected);
-  pop.generated = all.generated;
-  for (size_t i : keep) {
-    pop.queries.push_back(std::move(all.queries[i]));
-    pop.reference.push_back(std::move(all.reference[i]));
+  // Rare classes fill last; interleave them over the pass.
+  std::mt19937_64 rng(seed);
+  for (size_t i = pop.queries.size(); i > 1; --i) {
+    const size_t j = rng() % i;
+    std::swap(pop.queries[i - 1], pop.queries[j]);
+    std::swap(pop.reference[i - 1], pop.reference[j]);
   }
   return pop;
+}
+
+/// Text form of a population, as the screening child sends it back: a
+/// `g <generated> <admitted> <queries> <rejected>` line; per query its
+/// graph (GraphToText) and an `r <code> <rows> <cols> <digest a> <digest b>
+/// <column_to_query...>` line; then each rejected graph.
+std::string PopulationToText(const Population& p) {
+  std::ostringstream out;
+  out << "g " << p.generated << " " << p.admitted << " " << p.queries.size()
+      << " " << p.rejected.size() << "\n";
+  for (size_t i = 0; i < p.queries.size(); ++i) {
+    const ResultSummary& r = p.reference[i];
+    out << GraphToText(p.queries[i]) << "r " << static_cast<int>(r.code)
+        << " " << r.rows << " " << r.cols << " " << r.digest.a() << " "
+        << r.digest.b();
+    for (VertexId v : r.column_to_query) out << " " << v;
+    out << "\n";
+  }
+  for (const Graph& g : p.rejected) out << GraphToText(g);
+  return out.str();
+}
+
+/// Reads one GraphToText block: its `t <n> <m>` header and n + m lines.
+bool ReadGraph(std::istream& in, Graph& g) {
+  std::string line;
+  if (!std::getline(in, line)) return false;
+  std::istringstream header(line);
+  std::string tag;
+  size_t n = 0;
+  size_t m = 0;
+  if (!(header >> tag >> n >> m) || tag != "t") return false;
+  std::string text = line + "\n";
+  for (size_t i = 0; i < n + m; ++i) {
+    if (!std::getline(in, line)) return false;
+    text += line + "\n";
+  }
+  Result<Graph> parsed = ParseGraphText(text);
+  if (!parsed.ok()) return false;
+  g = std::move(parsed.value());
+  return true;
+}
+
+bool PopulationFromText(std::istream& in, Population& p) {
+  std::string tag;
+  size_t queries = 0;
+  size_t rejected = 0;
+  if (!(in >> tag >> p.generated >> p.admitted >> queries >> rejected) ||
+      tag != "g") {
+    return false;
+  }
+  in.ignore(1);
+  for (size_t i = 0; i < queries; ++i) {
+    Graph g;
+    ResultSummary r;
+    int code = 0;
+    uint64_t a = 0;
+    uint64_t b = 0;
+    if (!ReadGraph(in, g) ||
+        !(in >> tag >> code >> r.rows >> r.cols >> a >> b) || tag != "r") {
+      return false;
+    }
+    r.code = static_cast<StatusCode>(code);
+    r.digest = Digest(a, b);
+    r.column_to_query.resize(r.cols);
+    for (VertexId& v : r.column_to_query) in >> v;
+    in.ignore(1);
+    p.queries.push_back(std::move(g));
+    p.reference.push_back(std::move(r));
+  }
+  for (size_t i = 0; i < rejected; ++i) {
+    Graph g;
+    if (!ReadGraph(in, g)) return false;
+    p.rejected.push_back(std::move(g));
+  }
+  return static_cast<bool>(in);
+}
+
+/// Runs both screens (pass, then warm-up) in a child process and reads
+/// the populations back. The screen's joins leave allocator state behind
+/// that malloc_trim cannot return: 0-22 MB of RSS depending on the seed,
+/// which would sit under every peak_rss_mb reading. Sets the child's peak
+/// RSS in `child_peak_mb`.
+bool ScreenInChild(const Graph& data, const Workload& w, uint64_t seed,
+                   Population& pop, Population& warmup,
+                   double& child_peak_mb) {
+  int fds[2];
+  if (pipe(fds) != 0) return false;
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid < 0) return false;
+  if (pid == 0) {
+    close(fds[0]);
+    std::unordered_set<std::string> taken;
+    const std::string text =
+        PopulationToText(Screen(data, w.pass_mix, seed, taken)) +
+        PopulationToText(
+            Screen(data, w.warmup_mix, seed ^ 0x5eed5eedull, taken));
+    for (size_t off = 0; off < text.size();) {
+      const ssize_t n = write(fds[1], text.data() + off, text.size() - off);
+      if (n <= 0) _exit(1);
+      off += static_cast<size_t>(n);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  std::string text;
+  char buf[1 << 16];
+  for (ssize_t n; (n = read(fds[0], buf, sizeof(buf))) != 0;) {
+    if (n > 0) text.append(buf, static_cast<size_t>(n));
+    if (n < 0 && errno != EINTR) break;
+  }
+  close(fds[0]);
+  int status = 0;
+  struct rusage ru {};
+  if (wait4(pid, &status, 0, &ru) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return false;
+  }
+  child_peak_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB
+  std::istringstream in(text);
+  return PopulationFromText(in, pop) && PopulationFromText(in, warmup);
 }
 
 /// Bytes of candidate lists the filter cache holds for `queries` (its
@@ -301,6 +412,27 @@ ServiceOptions ServiceOptionsFor(const Workload& w) {
   return so;
 }
 
+/// Resets the process's RSS high-water mark to its current RSS. Returns
+/// false when the kernel refused the reset.
+bool ResetPeakRss() {
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << "5";
+  clear.close();
+  return !clear.fail();
+}
+
+/// Peak RSS (MB) since the last ResetPeakRss: VmHWM of /proc/self/status.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+    }
+  }
+  return 0;
+}
+
 struct LoopOptions {
   /// > 0: cycle the queries until this many seconds pass, then finish the
   /// pass in progress; 0: serve each query once.
@@ -311,6 +443,9 @@ struct LoopOptions {
   const obs::Clock* bench_clock = nullptr;
   /// Traced runs: sampled after every first page (cursor residency).
   std::atomic<size_t>* peak_cursor_bytes = nullptr;
+  /// When set, the RSS high-water mark is reset as each pass starts, and
+  /// each pass's peak RSS (MB) is appended here.
+  std::vector<double>* pass_peak_rss_mb = nullptr;
 };
 
 struct LoopResult {
@@ -416,6 +551,11 @@ LoopResult RunLoop(QueryService& service, const std::vector<Graph>& queries,
     if (stop == SIZE_MAX && NowMs() >= deadline) {
       stop = (next + queries.size() - 1) / queries.size() * queries.size();
     }
+    if (opt.pass_peak_rss_mb != nullptr && next < stop &&
+        next % queries.size() == 0) {
+      if (next > 0) opt.pass_peak_rss_mb->push_back(PeakRssMb());
+      ResetPeakRss();
+    }
     return next < stop ? next++ : SIZE_MAX;
   };
   std::vector<std::vector<Outcome>> per_client(kClients);
@@ -431,6 +571,9 @@ LoopResult RunLoop(QueryService& service, const std::vector<Graph>& queries,
   }
   for (std::thread& t : clients) t.join();
   out.elapsed_s = (NowMs() - start) / 1000.0;
+  if (opt.pass_peak_rss_mb != nullptr) {
+    opt.pass_peak_rss_mb->push_back(PeakRssMb());
+  }
   for (std::vector<Outcome>& v : per_client) {
     for (Outcome& o : v) out.outcomes.push_back(std::move(o));
   }
@@ -472,12 +615,21 @@ Snapshot TakeSnapshot(QueryService& service) {
   return s;
 }
 
+/// Process CPU seconds (user + system) since the process started.
+double CpuSeconds() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
 /// One timed window and the counters around it.
 struct Window {
   LoopResult loop;
   Snapshot before;
   Snapshot after;
   size_t ok = 0;
+  double cpu_s = 0;  ///< process CPU time spent during the window
 
   double Delta(const std::string& family) const {
     return after.Sum(family) - before.Sum(family);
@@ -491,7 +643,9 @@ Window TimedWindow(QueryService& service, const std::vector<Graph>& stream,
                    const LoopOptions& opt) {
   Window win;
   win.before = TakeSnapshot(service);
+  const double cpu0 = CpuSeconds();
   win.loop = RunLoop(service, stream, opt);
+  win.cpu_s = CpuSeconds() - cpu0;
   win.after = TakeSnapshot(service);
   for (const Outcome& o : win.loop.outcomes) {
     if (o.result.code == StatusCode::kOk) ++win.ok;
@@ -519,35 +673,44 @@ size_t CheckOutcomes(const std::vector<Outcome>& outcomes,
   return bad;
 }
 
-double PeakRssMb() {
-  struct rusage ru {};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
-}
-
+/// The gated end-to-end metrics (BENCHMARK.json): set-up time, simulated
+/// time, outcomes and memory. Host time of the timed window is in
+/// HostMetrics: it follows the shared machine's speed too far to be gated.
 std::vector<Metric> EndToEndMetrics(const Window& win, double setup_s,
                                     double peak_rss_mb, double clock_ghz) {
-  std::vector<double> latency;
-  for (const Outcome& o : win.loop.outcomes) {
-    if (o.result.code == StatusCode::kOk) latency.push_back(o.latency_ms);
-  }
   const ServiceStats& s = win.after.stats;
   const double ok = static_cast<double>(win.ok);
   const double attempted = static_cast<double>(win.loop.outcomes.size());
   const double device_ms =
       win.Delta("gsi_device_simulated_cycles_total") / (clock_ghz * 1e6);
-  const size_t n = latency.size();
   std::vector<Metric> m;
   m.push_back({"setup_s", setup_s, "s", 0});
-  m.push_back({"qps", win.Qps(), "1/s", 0});
-  m.push_back({"latency_ms.p50", Percentile(latency, 0.5), "ms", n});
-  m.push_back({"latency_ms.p75", Percentile(latency, 0.75), "ms", n});
   m.push_back({"sim_latency_ms.p50", s.p50_simulated_ms, "ms",
                std::min<size_t>(s.completed_ok, 4096)});
   m.push_back(
       {"sim_device_ms_per_query", ok > 0 ? device_ms / ok : 0, "ms", 0});
   m.push_back({"ok_rate", attempted > 0 ? ok / attempted : 0, "ratio", 0});
   m.push_back({"peak_rss_mb", peak_rss_mb, "MB", 0});
+  return m;
+}
+
+/// Host time of the timed window: wall-clock throughput and latency (from
+/// the Submit call until the FetchPage that returns done, OK queries
+/// only), and process CPU time per completed query.
+std::vector<Metric> HostMetrics(const Window& win) {
+  std::vector<double> latency;
+  for (const Outcome& o : win.loop.outcomes) {
+    if (o.result.code == StatusCode::kOk) latency.push_back(o.latency_ms);
+  }
+  const size_t n = latency.size();
+  std::vector<Metric> m;
+  m.push_back({"e2e.qps", win.Qps(), "1/s", 0});
+  m.push_back({"e2e.latency_ms.p50", Percentile(latency, 0.5), "ms", n});
+  m.push_back({"e2e.latency_ms.p75", Percentile(latency, 0.75), "ms", n});
+  m.push_back({"e2e.cpu_ms_per_query",
+               win.ok > 0 ? win.cpu_s * 1000.0 / static_cast<double>(win.ok)
+                          : 0,
+               "ms", 0});
   return m;
 }
 
@@ -558,14 +721,18 @@ std::string FormatNumber(double v) {
   return buf;
 }
 
-void PrintResult(const std::vector<Metric>& metrics, bool correct,
-                 size_t attempted, size_t failed) {
+void PrintLines(const std::vector<Metric>& metrics) {
   for (const Metric& m : metrics) {
     std::printf("# %-46s %16.6f %-6s", m.name.c_str(), m.value,
                 m.unit.c_str());
     if (m.samples > 0) std::printf(" (n=%zu)", m.samples);
     std::printf("\n");
   }
+}
+
+void PrintResult(const std::vector<Metric>& metrics, bool correct,
+                 size_t attempted, size_t failed) {
+  PrintLines(metrics);
   std::string json = "{\"correct\": ";
   json += correct ? "true" : "false";
   json += ", \"attempted\": " + std::to_string(attempted);
@@ -600,19 +767,37 @@ int Run(const Args& args) {
               w.scale, data.Summary().c_str());
 
   // Inputs from the seed (not part of setup_s).
-  std::unordered_set<std::string> taken;
-  const Population pop = Screen(data, w.pass_shapes, w.sample_stride, w.hot,
-                                args.seed, taken);
-  const Population warmup = Screen(data, w.warmup_shapes, 1, w.hot,
-                                   args.seed ^ 0x5eed5eedull, taken);
+  Population pop;
+  Population warmup;
+  double screen_peak_mb = 0;
+  if (!ScreenInChild(data, w, args.seed, pop, warmup, screen_peak_mb)) {
+    std::fprintf(stderr, "the screening process failed\n");
+    return 2;
+  }
   if (pop.queries.empty()) {
     std::fprintf(stderr, "no query passed the screen\n");
     return 2;
   }
-  std::printf("# population: %zu shapes sampled from %zu generated (serving "
-              "row cap %zu, stride %zu), %zu warm-up shapes\n",
-              pop.queries.size(), pop.generated, kServingRowCap,
-              w.sample_stride, warmup.queries.size());
+  size_t wanted = 0;
+  for (size_t n : w.pass_mix) wanted += n;
+  if (pop.queries.size() < wanted) {
+    std::printf("# warning: the screen filled only %zu of the pass's %zu "
+                "slots\n",
+                pop.queries.size(), wanted);
+  }
+  const size_t generated = pop.generated + warmup.generated;
+  const size_t rejected = generated - pop.admitted - warmup.admitted;
+  std::printf("# population: a pass of %zu shapes (%zu/%zu/%zu/%zu with up "
+              "to %zu/%zu/%zu/%zu result rows), %zu warm-up shapes; the "
+              "screen at %zu rows rejected %zu of %zu generated shapes "
+              "(%.1f%%)\n",
+              pop.queries.size(), w.pass_mix[0], w.pass_mix[1],
+              w.pass_mix[2], w.pass_mix[3], kClassRows[0], kClassRows[1],
+              kClassRows[2], kClassRows[3], warmup.queries.size(),
+              kServingRowCap, rejected, generated,
+              100.0 * static_cast<double>(rejected) /
+                  static_cast<double>(generated));
+  ResetPeakRss();
 
   // Set-up: QueryService construction, several times; the last one serves.
   const GsiOptions go = GsiOptOptions();
@@ -632,23 +817,20 @@ int Run(const Args& args) {
   }
   const double setup_s = Percentile(setup_times, 0.5);
 
-  // Warm-ups, outside every window: hot_paged's cache (a miss pass, then a
-  // hit pass); the disjoint warm-up shapes otherwise (allocators, halo).
-  if (w.hot) {
-    RunLoop(*service, pop.queries, LoopOptions{});
-    RunLoop(*service, pop.queries, LoopOptions{});
-  }
+  // Warm-up, outside every window: disjoint shapes (allocators, halo).
   if (!warmup.queries.empty()) {
     RunLoop(*service, warmup.queries, LoopOptions{});
   }
-  const ServiceStats warm = service->stats();
+  const double setup_peak_mb = PeakRssMb();
+  const Snapshot warm = TakeSnapshot(*service);
   std::printf("# budgets: filter cache %zu B, halo cache %llu B/device, "
               "page %zu B; after warm-up the filter cache holds %zu B in %zu "
-              "entries, halo hits so far %llu\n",
+              "entries, the halo caches %.0f B over all devices\n",
               w.filter_cache_bytes,
               static_cast<unsigned long long>(w.halo_budget_bytes),
-              w.page_budget_bytes, warm.cache.bytes, warm.cache.entries,
-              static_cast<unsigned long long>(warm.halo_cache_hits));
+              w.page_budget_bytes, warm.stats.cache.bytes,
+              warm.stats.cache.entries,
+              warm.Sum("gsi_halo_cache_resident_bytes"));
 
   // Timed window(s).
   obs::SteadyClockSource bench_clock;
@@ -657,8 +839,19 @@ int Run(const Args& args) {
   LoopOptions plain;
   plain.seconds = args.seconds;
   plain.corrupt_page = args.corrupt_page;
+  malloc_trim(0);
+  const bool rss_reset = ResetPeakRss();
+  std::vector<double> pass_peaks;
+  plain.pass_peak_rss_mb = &pass_peaks;
   const Window untraced = TimedWindow(*service, pop.queries, plain);
-  const double peak_rss_mb = PeakRssMb();
+  plain.pass_peak_rss_mb = nullptr;
+  std::printf("# peak RSS: screen %.1f MB, set-up and warm-up %.1f MB, timed "
+              "passes",
+              screen_peak_mb, setup_peak_mb);
+  for (double mb : pass_peaks) std::printf(" %.1f", mb);
+  std::printf(" MB%s\n",
+              rss_reset ? "" : " (reset refused: process lifetime peaks)");
+  const double peak_rss_mb = Percentile(pass_peaks, 0.5);
   Window traced;
   if (args.trace) {
     LoopOptions opt = plain;
@@ -680,6 +873,8 @@ int Run(const Args& args) {
 
   std::vector<Metric> metrics;
   if (!args.trace) {
+    std::printf("# host time of the timed window (not gated):\n");
+    PrintLines(HostMetrics(untraced));
     metrics = EndToEndMetrics(untraced, setup_s, peak_rss_mb,
                               go.device.clock_ghz);
   } else {
@@ -691,6 +886,7 @@ int Run(const Args& args) {
     in.workload = &w;
     in.data = &data;
     in.stream = &pop.queries;
+    in.reference = &pop.reference;
     in.rejected = &pop.rejected;
     in.outcomes = &traced.loop.outcomes;
     in.untraced_qps = untraced.Qps();
@@ -707,7 +903,9 @@ int Run(const Args& args) {
     in.kernels = traced.Delta("gsi_device_kernel_launches_total");
     in.peak_cursor_bytes = peak_cursor_bytes.load();
     in.bench_tracer = &bench_tracer;
-    metrics = PerLayerMetrics(in);
+    metrics = HostMetrics(untraced);
+    const std::vector<Metric> layers = PerLayerMetrics(in);
+    metrics.insert(metrics.end(), layers.begin(), layers.end());
     if (!args.trace_dir.empty()) {
       const std::string path = args.trace_dir + "/" + w.name + "_seed" +
                                std::to_string(args.seed) + "_client.json";
