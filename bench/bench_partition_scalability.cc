@@ -110,10 +110,8 @@ const Graph& HeavyQuery() {
 }
 
 /// Baseline: the same execution path at K=1 — identical structures (the
-/// one share IS the replica) and the same fused scan kernels, just no
-/// partitioning — so "vs replicated" isolates cross-partition overhead
-/// instead of conflating it with the fused filter's constant advantage
-/// over GsiMatcher's per-vertex scan kernels (~1.4x by itself).
+/// one share IS the replica), just no partitioning — so "vs replicated"
+/// isolates cross-partition overhead (gather, remote probes, merge).
 double ReplicatedMs() {
   static const double ms = [] {
     gpusim::Device dev(Engine().options().device);

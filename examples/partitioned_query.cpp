@@ -63,9 +63,8 @@ int main() {
   GSI_CHECK_MSG(heavy != nullptr, "no query executed successfully");
   Result<QueryResult> single = engine.Run(*heavy);
   GSI_CHECK(single.ok());
-  // Note: this reference uses GsiMatcher-style per-vertex filter kernels;
-  // the K=1 rows below are the like-for-like replicated baseline (same
-  // fused kernels, one share = the replica).
+  // The K=1 rows below are the like-for-like replicated baseline: the same
+  // execution path with one share = the replica.
   std::printf("heavy query: %s -> %zu matches, %.2f ms single-device\n\n",
               heavy->Summary().c_str(), single->num_matches(), single_ms);
 

@@ -1,6 +1,7 @@
 #include "gsi/filter.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "gpusim/launch.h"
@@ -42,64 +43,78 @@ FilterContext::FilterContext(gpusim::Device& dev, const Graph& data,
   }
 }
 
-void FilterContext::SignatureScanWarp(gpusim::Warp& w, const Signature& qsig,
-                                      VertexId v0, size_t lanes,
-                                      std::vector<VertexId>& out) const {
-  const int words = signatures_.words_per_sig();
-  uint32_t vals[kWarpSize];
-  bool alive[kWarpSize];
-
-  // First iteration: read the first 32 bits (the raw vertex label) and
-  // compare exactly (Section VII-B).
-  signatures_.WarpReadWord(w, v0, lanes, 0, vals);
-  w.Alu(lanes);
-  bool any = false;
-  for (size_t k = 0; k < lanes; ++k) {
-    alive[k] = (vals[k] == qsig.word(0));
-    any |= alive[k];
-  }
-  // Remaining words: bitwise AND domination test; the whole warp issues
-  // the reads as long as any lane is alive (SIMD).
-  for (int word = 1; word < words && any; ++word) {
-    signatures_.WarpReadWord(w, v0, lanes, word, vals);
-    w.Alu(lanes);
-    any = false;
-    for (size_t k = 0; k < lanes; ++k) {
-      alive[k] = alive[k] &&
-                 ((vals[k] & qsig.word(word)) == qsig.word(word));
-      any |= alive[k];
-    }
-  }
-  // Warp-aggregated survivor write: one coalesced store per warp.
-  uint32_t survivors = 0;
-  for (size_t k = 0; k < lanes; ++k) {
-    if (alive[k]) {
-      out.push_back(v0 + static_cast<VertexId>(k));
-      ++survivors;
-    }
-  }
-  if (survivors > 0) {
-    w.Alu(1);  // warp-aggregated atomic offset claim
-    w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
-        0, survivors * sizeof(VertexId)));
-  }
-}
-
-std::vector<VertexId> FilterContext::SignatureCandidates(gpusim::Device& dev,
-                                                         const Graph& query,
-                                                         VertexId u,
-                                                         VertexId v_begin,
-                                                         VertexId v_end) const {
-  Signature qsig = Signature::Encode(query, u, options_.signature_bits);
-  std::vector<VertexId> out;
-  const size_t n = v_end;
-  size_t num_warps = (n - v_begin + kWarpSize - 1) / kWarpSize;
+std::vector<std::vector<VertexId>> ScanSignatures(
+    gpusim::Device& dev, const SignatureTable& table,
+    std::span<const Signature> qsigs, size_t row_begin, size_t row_end,
+    std::span<const VertexId> row_ids) {
+  const size_t nu = qsigs.size();
+  std::vector<std::vector<VertexId>> out(nu);
+  if (nu == 0 || row_begin >= row_end) return out;
+  const int words = table.words_per_sig();
+  // Every warp pays for staging all query words into shared memory: an
+  // upper bound on its share of the block's cooperative copy that keeps a
+  // warp's cost a function of its own rows.
+  const uint64_t stage_accesses =
+      (nu * static_cast<size_t>(words) + kWarpSize - 1) / kWarpSize;
+  // Per-warp state, reused: warps of one launch run one after another.
+  std::vector<uint32_t> alive(nu);  // lane k of query vertex u: bit k
+  std::vector<size_t> live;         // query vertices with a live lane
+  live.reserve(nu);
+  const size_t num_warps = (row_end - row_begin + kWarpSize - 1) / kWarpSize;
   gpusim::Launch(dev, num_warps, [&](gpusim::Warp& w) {
-    VertexId v0 =
-        v_begin + static_cast<VertexId>(w.global_id() * kWarpSize);
-    if (v0 >= n) return;
-    size_t lanes = std::min<size_t>(kWarpSize, n - v0);
-    SignatureScanWarp(w, qsig, v0, lanes, out);
+    const size_t r0 = row_begin + w.global_id() * kWarpSize;
+    const size_t lanes = std::min<size_t>(kWarpSize, row_end - r0);
+    const VertexId v0 = static_cast<VertexId>(r0);
+    uint32_t vals[kWarpSize];
+    w.SharedAccess(stage_accesses);
+
+    // Word 0 is the raw vertex label (Section VII-B): one read serves every
+    // query vertex's exact comparison.
+    table.WarpReadWord(w, v0, lanes, 0, vals);
+    live.clear();
+    for (size_t u = 0; u < nu; ++u) {
+      const uint32_t q = qsigs[u].word(0);
+      w.SharedAccess(1);
+      w.Alu(lanes);
+      alive[u] = 0;
+      for (size_t k = 0; k < lanes; ++k) {
+        alive[u] |= static_cast<uint32_t>(vals[k] == q) << k;
+      }
+      if (alive[u] != 0) live.push_back(u);
+    }
+    // Remaining words: bitwise AND domination, read only for the query
+    // vertices that still have a live lane and a nonzero word here.
+    for (int word = 1; word < words && !live.empty(); ++word) {
+      bool loaded = false;
+      w.Alu(1);  // uniform loop test over the live set
+      for (size_t u : live) {
+        const uint32_t q = qsigs[u].word(word);
+        w.SharedAccess(1);
+        if (q == 0) continue;
+        if (!loaded) {
+          table.WarpReadWord(w, v0, lanes, word, vals);
+          loaded = true;
+        }
+        w.Alu(lanes);
+        for (size_t k = 0; k < lanes; ++k) {
+          if ((vals[k] & q) != q) alive[u] &= ~(1u << k);
+        }
+      }
+      std::erase_if(live, [&](size_t u) { return alive[u] == 0; });
+    }
+    // Warp-aggregated survivor write per query vertex: one coalesced store.
+    for (size_t u = 0; u < nu; ++u) {
+      if (alive[u] == 0) continue;
+      for (uint32_t m = alive[u]; m != 0; m &= m - 1) {
+        const size_t r = r0 + static_cast<size_t>(std::countr_zero(m));
+        out[u].push_back(row_ids.empty() ? static_cast<VertexId>(r)
+                                         : row_ids[r]);
+      }
+      w.Alu(1);  // warp-aggregated atomic offset claim
+      w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
+          0, static_cast<uint64_t>(std::popcount(alive[u])) *
+                 sizeof(VertexId)));
+    }
   });
   return out;
 }
@@ -159,19 +174,16 @@ void FilterContext::LabelDegreeScanWarp(
 }
 
 std::vector<VertexId> FilterContext::LabelDegreeCandidates(
-    gpusim::Device& dev, const Graph& query, VertexId u, bool check_neighbors,
-    VertexId v_begin, VertexId v_end) const {
+    gpusim::Device& dev, const Graph& query, VertexId u,
+    bool check_neighbors) const {
   const Label ulabel = query.vertex_label(u);
   const uint32_t udeg = static_cast<uint32_t>(query.degree(u));
   auto requirements = LabelDegreeRequirements(query, u);
 
   std::vector<VertexId> out;
-  const size_t n = v_end;
-  size_t num_warps = (n - v_begin + kWarpSize - 1) / kWarpSize;
-  gpusim::Launch(dev, num_warps, [&](gpusim::Warp& w) {
-    VertexId v0 =
-        v_begin + static_cast<VertexId>(w.global_id() * kWarpSize);
-    if (v0 >= n) return;
+  const size_t n = data_->num_vertices();
+  gpusim::Launch(dev, (n + kWarpSize - 1) / kWarpSize, [&](gpusim::Warp& w) {
+    VertexId v0 = static_cast<VertexId>(w.global_id() * kWarpSize);
     size_t lanes = std::min<size_t>(kWarpSize, n - v0);
     LabelDegreeScanWarp(w, ulabel, udeg, requirements, check_neighbors, v0,
                         lanes, out);
@@ -183,49 +195,38 @@ std::vector<std::vector<VertexId>> FilterContext::CandidateLists(
     gpusim::Device& dev, const Graph& query, VertexId v_begin,
     VertexId v_end) const {
   const size_t nu = query.num_vertices();
-  std::vector<std::vector<VertexId>> out(nu);
   v_end = std::min<VertexId>(v_end,
                              static_cast<VertexId>(data_->num_vertices()));
+  if (has_signatures_) {
+    return ScanSignatures(dev, signatures_,
+                          Signature::EncodeAll(query, options_.signature_bits),
+                          v_begin, v_end);
+  }
+  std::vector<std::vector<VertexId>> out(nu);
   if (nu == 0 || v_begin >= v_end) return out;
   const size_t n = v_end;
   const size_t warps_per_u = (n - v_begin + kWarpSize - 1) / kWarpSize;
-
-  // Per-vertex scan parameters, precomputed host-side like the per-u
-  // kernels do.
-  std::vector<Signature> qsigs;
   std::vector<Label> ulabels(nu);
   std::vector<uint32_t> udegs(nu);
   std::vector<std::unordered_map<Label, uint32_t>> requirements(nu);
-  const bool sig = options_.strategy == FilterStrategy::kSignature;
   for (VertexId u = 0; u < nu; ++u) {
-    if (sig) {
-      qsigs.push_back(Signature::Encode(query, u, options_.signature_bits));
-    } else {
-      ulabels[u] = query.vertex_label(u);
-      udegs[u] = static_cast<uint32_t>(query.degree(u));
-      requirements[u] = LabelDegreeRequirements(query, u);
-    }
+    ulabels[u] = query.vertex_label(u);
+    udegs[u] = static_cast<uint32_t>(query.degree(u));
+    requirements[u] = LabelDegreeRequirements(query, u);
   }
-
   // One fused kernel: warp w scans 32 vertices for query vertex
-  // w / warps_per_u. Identical per-warp work (and transactions) to the
-  // per-vertex kernels, but one launch packs all blocks onto the SMs —
-  // the sharded filter calls this once per device-range so a 1/K range
-  // costs ~1/K the makespan instead of |V(Q)| under-filled launches.
+  // w / warps_per_u — the per-vertex kernels' warps in a single launch, so
+  // a 1/K range costs ~1/K the makespan instead of |V(Q)| under-filled
+  // launches.
   gpusim::Launch(dev, nu * warps_per_u, [&](gpusim::Warp& w) {
     const VertexId u = static_cast<VertexId>(w.global_id() / warps_per_u);
     VertexId v0 = v_begin + static_cast<VertexId>(
                                 (w.global_id() % warps_per_u) * kWarpSize);
-    if (v0 >= n) return;
     size_t lanes = std::min<size_t>(kWarpSize, n - v0);
-    if (sig) {
-      SignatureScanWarp(w, qsigs[u], v0, lanes, out[u]);
-    } else {
-      LabelDegreeScanWarp(
-          w, ulabels[u], udegs[u], requirements[u],
-          options_.strategy == FilterStrategy::kLabelDegreeNeighbor, v0,
-          lanes, out[u]);
-    }
+    LabelDegreeScanWarp(
+        w, ulabels[u], udegs[u], requirements[u],
+        options_.strategy == FilterStrategy::kLabelDegreeNeighbor, v0, lanes,
+        out[u]);
   });
   return out;
 }
@@ -238,40 +239,28 @@ size_t FilterContext::num_data_vertices() const {
   return data_->num_vertices();
 }
 
-std::vector<VertexId> FilterContext::CandidateList(gpusim::Device& dev,
-                                                   const Graph& query,
-                                                   VertexId u,
-                                                   VertexId v_begin,
-                                                   VertexId v_end) const {
-  v_end = std::min<VertexId>(
-      v_end, static_cast<VertexId>(data_->num_vertices()));
-  if (v_begin >= v_end) return {};
-  switch (options_.strategy) {
-    case FilterStrategy::kSignature:
-      return SignatureCandidates(dev, query, u, v_begin, v_end);
-    case FilterStrategy::kLabelDegreeNeighbor:
-      return LabelDegreeCandidates(dev, query, u, /*check_neighbors=*/true,
-                                   v_begin, v_end);
-    case FilterStrategy::kLabelDegree:
-      return LabelDegreeCandidates(dev, query, u, /*check_neighbors=*/false,
-                                   v_begin, v_end);
-  }
-  return {};
-}
-
 Result<FilterResult> FilterContext::Filter(gpusim::Device& dev,
                                            const Graph& query) const {
+  std::vector<std::vector<VertexId>> lists;
+  if (has_signatures_) {
+    lists = CandidateLists(dev, query);
+  } else {
+    const bool check_neighbors =
+        options_.strategy == FilterStrategy::kLabelDegreeNeighbor;
+    for (VertexId u = 0; u < query.num_vertices(); ++u) {
+      lists.push_back(LabelDegreeCandidates(dev, query, u, check_neighbors));
+    }
+  }
   FilterResult result;
   result.candidates.resize(query.num_vertices());
   result.min_candidate_size = SIZE_MAX;
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
-    std::vector<VertexId> cand = CandidateList(dev, query, u);
-    if (cand.size() < result.min_candidate_size) {
-      result.min_candidate_size = cand.size();
+    if (lists[u].size() < result.min_candidate_size) {
+      result.min_candidate_size = lists[u].size();
       result.min_candidate_vertex = u;
     }
     result.candidates[u] =
-        CandidateSet::Create(dev, u, std::move(cand),
+        CandidateSet::Create(dev, u, std::move(lists[u]),
                              data_->num_vertices(), options_.build_bitmaps);
   }
   return result;

@@ -1,12 +1,14 @@
 #ifndef GSI_GSI_FILTER_H_
 #define GSI_GSI_FILTER_H_
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "gpusim/device.h"
 #include "graph/graph.h"
 #include "gsi/candidates.h"
+#include "storage/signature.h"
 #include "storage/signature_table.h"
 #include "util/status.h"
 
@@ -51,6 +53,25 @@ struct FilterResult {
   }
 };
 
+/// GSI's signature filter (Section III-A, Fig. 8) over rows
+/// [row_begin, row_end) of `table`, for every query signature at once: one
+/// kernel, one warp per 32 rows, the query signatures staged in shared
+/// memory. Word 0 (the raw vertex label) is read once per warp and compared
+/// with every query vertex's label. Word i > 0 is read only if some query
+/// vertex with a live lane in the warp has a nonzero word i — a zero query
+/// word constrains nothing ((x & 0) == 0) — and is AND-tested against
+/// exactly those vertices. Survivors leave in one warp-aggregated store per
+/// query vertex, so list u is ascending. A warp's cost depends only on its
+/// 32 rows and the query.
+///
+/// Returns one list per query signature. Row r is reported as vertex r, or
+/// as row_ids[r] when row_ids is given (a partition's subset table, whose
+/// row i holds owned vertex row_ids[i]).
+std::vector<std::vector<VertexId>> ScanSignatures(
+    gpusim::Device& dev, const SignatureTable& table,
+    std::span<const Signature> qsigs, size_t row_begin, size_t row_end,
+    std::span<const VertexId> row_ids = {});
+
 /// Precomputed device-side filtering context for a data graph ("we offline
 /// compute all vertex signatures in G and record them in a signature
 /// table"). Reused across queries.
@@ -59,9 +80,10 @@ class FilterContext {
   FilterContext(gpusim::Device& dev, const Graph& data,
                 const FilterOptions& options);
 
-  /// Runs the filtering phase for `query` (massively parallel signature
-  /// comparison kernel, one warp per 32 data vertices), producing candidate
-  /// sets. Costs are charged to the context's build device.
+  /// Runs the filtering phase for `query`, producing candidate sets: one
+  /// ScanSignatures pass over all of |V(G)| (the label/degree strategies
+  /// launch one kernel per query vertex instead, as GpSM and GunrockSM
+  /// do). Costs are charged to the context's build device.
   Result<FilterResult> Filter(const Graph& query) const;
 
   /// Same, but charges all device work (and allocates candidate buffers)
@@ -69,22 +91,14 @@ class FilterContext {
   /// are only read, so concurrent calls with distinct devices are safe.
   Result<FilterResult> Filter(gpusim::Device& dev, const Graph& query) const;
 
-  /// Candidate list of one query vertex over the data-vertex range
-  /// [v_begin, v_end) — the unit the sharded filter stage fans out across
-  /// devices (each vertex's scan of each range is independent). With the
-  /// full range this is exactly the list Filter materializes for `u`;
-  /// partial ranges concatenated in order are identical, and a 32-aligned
-  /// v_begin keeps even the warp/transaction layout identical to the
-  /// corresponding stretch of a whole scan. v_end is clamped to |V(G)|.
-  std::vector<VertexId> CandidateList(gpusim::Device& dev, const Graph& query,
-                                      VertexId u, VertexId v_begin = 0,
-                                      VertexId v_end = kInvalidVertex) const;
-
-  /// Candidate lists of every query vertex over [v_begin, v_end), as one
-  /// fused kernel: per-warp work and memory transactions are identical to
-  /// |V(Q)| CandidateList calls, but a single launch packs all blocks onto
-  /// the SMs — on a 1/K device range the makespan is ~1/K of a full scan
-  /// instead of |V(Q)| under-filled launches. Used by the sharded filter.
+  /// Candidate lists of every query vertex over the data-vertex range
+  /// [v_begin, v_end), as one kernel — the unit the sharded filter stage
+  /// fans out across devices. v_end is clamped to |V(G)|. Lists are
+  /// ascending, so range results concatenated in order equal the whole
+  /// range's; with a 32-aligned v_begin each range issues exactly the warps
+  /// of the matching stretch of a whole scan, so counters sum to it too.
+  /// The signature strategy runs ScanSignatures; the label/degree
+  /// strategies run one fused kernel over (query vertex, 32 rows) warps.
   std::vector<std::vector<VertexId>> CandidateLists(
       gpusim::Device& dev, const Graph& query, VertexId v_begin = 0,
       VertexId v_end = kInvalidVertex) const;
@@ -98,22 +112,14 @@ class FilterContext {
   }
 
  private:
-  void SignatureScanWarp(gpusim::Warp& w, const Signature& qsig, VertexId v0,
-                         size_t lanes, std::vector<VertexId>& out) const;
   void LabelDegreeScanWarp(
       gpusim::Warp& w, Label ulabel, uint32_t udeg,
       const std::unordered_map<Label, uint32_t>& requirements,
       bool check_neighbors, VertexId v0, size_t lanes,
       std::vector<VertexId>& out) const;
-  std::vector<VertexId> SignatureCandidates(gpusim::Device& dev,
-                                            const Graph& query, VertexId u,
-                                            VertexId v_begin,
-                                            VertexId v_end) const;
   std::vector<VertexId> LabelDegreeCandidates(gpusim::Device& dev,
                                               const Graph& query, VertexId u,
-                                              bool check_neighbors,
-                                              VertexId v_begin,
-                                              VertexId v_end) const;
+                                              bool check_neighbors) const;
 
   gpusim::Device* dev_;
   const Graph* data_;

@@ -20,7 +20,6 @@ namespace gsi {
 namespace {
 
 using gpusim::kTransactionBytes;
-using gpusim::kWarpSize;
 using gpusim::Warp;
 
 uint64_t SplitMix64(uint64_t x) {
@@ -31,61 +30,6 @@ uint64_t SplitMix64(uint64_t x) {
 }
 
 }  // namespace
-
-// See partition_internal.h for the contract.
-std::vector<std::vector<VertexId>> internal::ScanOwnedSignatures(
-    gpusim::Device& dev, const SignatureTable& table,
-    std::span<const VertexId> owned, std::span<const Signature> qsigs) {
-  const size_t nu = qsigs.size();
-  std::vector<std::vector<VertexId>> out(nu);
-  if (owned.empty() || nu == 0) return out;
-  const size_t rows = owned.size();
-  const size_t warps_per_u = (rows + kWarpSize - 1) / kWarpSize;
-  const int words = table.words_per_sig();
-
-  gpusim::Launch(dev, nu * warps_per_u, [&](Warp& w) {
-    const size_t u = w.global_id() / warps_per_u;
-    const size_t s0 = (w.global_id() % warps_per_u) * kWarpSize;
-    if (s0 >= rows) return;
-    const size_t lanes = std::min<size_t>(kWarpSize, rows - s0);
-    const Signature& qsig = qsigs[u];
-    uint32_t vals[kWarpSize];
-    bool alive[kWarpSize];
-
-    // First word: exact vertex-label comparison.
-    table.WarpReadWord(w, static_cast<VertexId>(s0), lanes, 0, vals);
-    w.Alu(lanes);
-    bool any = false;
-    for (size_t k = 0; k < lanes; ++k) {
-      alive[k] = (vals[k] == qsig.word(0));
-      any |= alive[k];
-    }
-    // Remaining words: AND-domination while any lane survives (SIMD).
-    for (int word = 1; word < words && any; ++word) {
-      table.WarpReadWord(w, static_cast<VertexId>(s0), lanes, word, vals);
-      w.Alu(lanes);
-      any = false;
-      for (size_t k = 0; k < lanes; ++k) {
-        alive[k] = alive[k] &&
-                   ((vals[k] & qsig.word(word)) == qsig.word(word));
-        any |= alive[k];
-      }
-    }
-    uint32_t survivors = 0;
-    for (size_t k = 0; k < lanes; ++k) {
-      if (alive[k]) {
-        out[u].push_back(owned[s0 + k]);
-        ++survivors;
-      }
-    }
-    if (survivors > 0) {
-      w.Alu(1);  // warp-aggregated atomic offset claim
-      w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
-          0, survivors * sizeof(VertexId)));
-    }
-  });
-  return out;
-}
 
 MatchTable internal::SeedOwned(gpusim::Device& dev,
                                const std::vector<VertexId>& column) {
@@ -346,14 +290,11 @@ Result<FilterResult> RunFilterStagePartitioned(const PartitionedGraph& pg,
   const size_t n = pg.data().num_vertices();
   const int nbits = pg.options().filter.signature_bits;
 
-  std::vector<Signature> qsigs;
-  qsigs.reserve(nu);
-  for (VertexId u = 0; u < nu; ++u) {
-    qsigs.push_back(Signature::Encode(query, u, nbits));
-  }
+  const std::vector<Signature> qsigs = Signature::EncodeAll(query, nbits);
 
   // --- Scan phase: partition p scans its owned vertices on its device (one
-  // fused kernel per partition). A barrier, like the sharded filter's scan.
+  // ScanSignatures kernel per partition). A barrier, like the sharded
+  // filter's scan.
   const obs::DeviceCycleClock primary_clock(pg.device(0));
   obs::ScopedSpan filter_span(trace, "filter", primary_clock, 0);
   std::vector<std::vector<std::vector<VertexId>>> partial(k);  // [p][u]

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "gpusim/device.h"
+#include "gsi/filter.h"
 #include "gsi/halo_cache.h"
 #include "gsi/match_table.h"
 #include "gsi/partition.h"
@@ -23,15 +24,17 @@
 
 namespace gsi::internal {
 
-/// Signature scan of one partition's owned vertices: the same fused layout
-/// as FilterContext::CandidateLists (warp w handles 32 consecutive rows of
-/// query vertex w / warps_per_u) and the same survivor math as
-/// SignatureScanWarp, over the *local* subset table — so surviving
-/// candidate values match the replicated scan exactly; only the row space
-/// (owned vertices instead of all of |V|) and the billing device differ.
-std::vector<std::vector<VertexId>> ScanOwnedSignatures(
+/// Signature scan of one partition's owned vertices: ScanSignatures over
+/// every row of the partition's subset table, reporting local row i as
+/// owned[i]. Subset rows hold the same signatures as the replicated table,
+/// so each list is the ascending subsequence of the replicated scan's list
+/// that the partition owns; only the row space (owned vertices instead of
+/// all of |V|) and the billing device differ.
+inline std::vector<std::vector<VertexId>> ScanOwnedSignatures(
     gpusim::Device& dev, const SignatureTable& table,
-    std::span<const VertexId> owned, std::span<const Signature> qsigs);
+    std::span<const VertexId> owned, std::span<const Signature> qsigs) {
+  return ScanSignatures(dev, table, qsigs, 0, owned.size(), owned);
+}
 
 /// Seeds a partition's table from its owned subsequence of C(order[0]):
 /// upload (host-mediated, uncharged by convention) plus the same streaming

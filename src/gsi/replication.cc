@@ -297,15 +297,11 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
   const size_t n = rg.data().num_vertices();
   const int nbits = rg.options().filter.signature_bits;
 
-  std::vector<Signature> qsigs;
-  qsigs.reserve(nu);
-  for (VertexId u = 0; u < nu; ++u) {
-    qsigs.push_back(Signature::Encode(query, u, nbits));
-  }
+  const std::vector<Signature> qsigs = Signature::EncodeAll(query, nbits);
 
   // --- Scan phase: each selected device scans the signature shares of its
-  // partitions back-to-back (one fused kernel per partition — a lane's
-  // partitions serialize on its device, lanes run concurrently).
+  // partitions back-to-back (one ScanSignatures kernel per partition — a
+  // lane's partitions serialize on its device, lanes run concurrently).
   const Lanes lanes = LanesOf(rg, sel);
   gpusim::Device& primary = rg.device(lanes.devices[0]);
   const obs::DeviceCycleClock primary_clock(primary);

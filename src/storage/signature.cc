@@ -42,6 +42,15 @@ Signature Signature::Encode(const Graph& g, VertexId v, int nbits) {
   return s;
 }
 
+std::vector<Signature> Signature::EncodeAll(const Graph& g, int nbits) {
+  std::vector<Signature> sigs;
+  sigs.reserve(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    sigs.push_back(Encode(g, v, nbits));
+  }
+  return sigs;
+}
+
 bool Signature::Covers(const Signature& query) const {
   if (words_[0] != query.words_[0]) return false;
   for (int i = 1; i < kSignatureWords; ++i) {

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.h"
 #include "util/common.h"
@@ -32,6 +33,8 @@ class Signature {
   /// Encodes vertex v of g using an nbits-wide signature (32 < nbits <= 512,
   /// divisible by 32).
   static Signature Encode(const Graph& g, VertexId v, int nbits);
+  /// Encodes every vertex of g (a query's signatures, indexed by vertex id).
+  static std::vector<Signature> EncodeAll(const Graph& g, int nbits);
 
   /// True iff this (data-vertex) signature is compatible with the query
   /// signature: equal vertex label and two-bit groups that dominate the

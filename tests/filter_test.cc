@@ -1,17 +1,27 @@
 // Filtering-phase tests: soundness of every strategy (no true match is
-// pruned), relative pruning power, and the layout/width cost claims.
+// pruned), relative pruning power, the layout/width cost claims, and the
+// one-pass signature scan against a host oracle in every execution form.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
+
 #include "baselines/oracle.h"
+#include "graph/graph_builder.h"
 #include "gsi/filter.h"
+#include "gsi/matcher.h"
+#include "gsi/partition.h"
+#include "gsi/partition_internal.h"
 #include "test_util.h"
 
 namespace gsi {
 namespace {
 
 using ::gsi::testing::RandomGraph;
+using ::gsi::testing::RandomHubGraph;
 using ::gsi::testing::RandomQuery;
+using ::gsi::testing::RandomQuerySet;
 
 class FilterStrategySuite : public ::testing::TestWithParam<FilterStrategy> {
 };
@@ -128,6 +138,211 @@ TEST(FilterResultApi, TracksMinimumCandidateSet) {
   for (const auto& c : r->candidates) min_size = std::min(min_size, c.size());
   EXPECT_EQ(r->min_candidate_size, min_size);
   EXPECT_EQ(r->candidates[r->min_candidate_vertex].size(), min_size);
+}
+
+// ------------------------------------------------ one-pass signature scan
+
+Graph OneVertexQuery(Label label) {
+  GraphBuilder b;
+  b.AddVertex(label);
+  return std::move(b).Build().value();
+}
+
+bool HasRepeatedLabel(const Graph& q) {
+  for (VertexId a = 0; a < q.num_vertices(); ++a) {
+    for (VertexId b = a + 1; b < q.num_vertices(); ++b) {
+      if (q.vertex_label(a) == q.vertex_label(b)) return true;
+    }
+  }
+  return false;
+}
+
+struct ScanInput {
+  Graph data;
+  std::vector<Graph> queries;
+};
+
+/// Seeded scan inputs: a scale-free and a hub graph, neither a multiple of
+/// 32 vertices (the last warp is partial). Each gets random 5-vertex
+/// queries — on the 2-label graph every one repeats a label — and a
+/// one-vertex query.
+std::vector<ScanInput> ScanInputs() {
+  std::vector<ScanInput> inputs;
+  inputs.push_back({RandomGraph(1000, 3, 2, 3, 21), {}});
+  inputs.push_back({RandomHubGraph(700, 3, 3, 4, 22, 2, 0.2), {}});
+  for (ScanInput& in : inputs) {
+    in.queries = RandomQuerySet(in.data, 5, 3, 23);
+    in.queries.push_back(OneVertexQuery(in.data.vertex_label(0)));
+  }
+  return inputs;
+}
+
+/// Host oracle: the data vertices whose signatures cover u's, ascending.
+std::vector<VertexId> CoveringVertices(const Graph& data, const Graph& query,
+                                       VertexId u, int nbits) {
+  const Signature qsig = Signature::Encode(query, u, nbits);
+  std::vector<VertexId> out;
+  for (VertexId v = 0; v < data.num_vertices(); ++v) {
+    if (Signature::Encode(data, v, nbits).Covers(qsig)) out.push_back(v);
+  }
+  return out;
+}
+
+std::vector<VertexId> HostList(const CandidateSet& c) {
+  return {c.list().data(), c.list().data() + c.size()};
+}
+
+class SignatureScanSuite
+    : public ::testing::TestWithParam<std::tuple<int, SignatureTable::Layout>> {
+ protected:
+  int nbits() const { return std::get<0>(GetParam()); }
+  SignatureTable::Layout layout() const { return std::get<1>(GetParam()); }
+  FilterOptions Options() const {
+    FilterOptions fo;
+    fo.signature_bits = nbits();
+    fo.layout = layout();
+    fo.build_bitmaps = false;
+    return fo;
+  }
+};
+
+TEST_P(SignatureScanSuite, ListsEqualHostCoversOracle) {
+  size_t repeated = 0;
+  for (const ScanInput& in : ScanInputs()) {
+    gpusim::Device dev;
+    FilterContext ctx(dev, in.data, Options());
+    for (const Graph& q : in.queries) {
+      repeated += HasRepeatedLabel(q);
+      Result<FilterResult> r = ctx.Filter(q);
+      ASSERT_TRUE(r.ok());
+      for (VertexId u = 0; u < q.num_vertices(); ++u) {
+        EXPECT_EQ(HostList(r->candidates[u]),
+                  CoveringVertices(in.data, q, u, nbits()))
+            << q.Summary() << " u=" << u;
+      }
+    }
+  }
+  EXPECT_GE(repeated, 3u);
+}
+
+TEST_P(SignatureScanSuite, AlignedSlicesSumToTheWholeScan) {
+  for (const ScanInput& in : ScanInputs()) {
+    gpusim::Device build_dev;
+    FilterContext ctx(build_dev, in.data, Options());
+    const size_t n = in.data.num_vertices();
+    for (const Graph& q : in.queries) {
+      gpusim::Device whole_dev;
+      Result<FilterResult> whole = ctx.Filter(whole_dev, q);
+      ASSERT_TRUE(whole.ok());
+      EXPECT_EQ(whole_dev.stats().kernel_launches, 1u);
+      for (size_t slice : {32, 96, 320}) {
+        gpusim::Device slice_dev;
+        std::vector<std::vector<VertexId>> cat(q.num_vertices());
+        for (size_t b = 0; b < n; b += slice) {
+          std::vector<std::vector<VertexId>> part = ctx.CandidateLists(
+              slice_dev, q, static_cast<VertexId>(b),
+              static_cast<VertexId>(b + slice));
+          for (VertexId u = 0; u < q.num_vertices(); ++u) {
+            cat[u].insert(cat[u].end(), part[u].begin(), part[u].end());
+          }
+        }
+        const gpusim::MemStats& whole_mem = whole_dev.stats();
+        const gpusim::MemStats& slice_mem = slice_dev.stats();
+        EXPECT_EQ(slice_mem.gld, whole_mem.gld) << "slice " << slice;
+        EXPECT_EQ(slice_mem.gst, whole_mem.gst) << "slice " << slice;
+        EXPECT_EQ(slice_mem.alu_ops, whole_mem.alu_ops) << "slice " << slice;
+        EXPECT_EQ(slice_mem.shared_accesses, whole_mem.shared_accesses)
+            << "slice " << slice;
+        for (VertexId u = 0; u < q.num_vertices(); ++u) {
+          EXPECT_EQ(cat[u], HostList(whole->candidates[u]))
+              << "slice " << slice << " u=" << u;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SignatureScanSuite, OwnedScansMergeToTheWholeLists) {
+  GsiOptions options = GsiOptOptions();
+  options.filter.signature_bits = nbits();
+  options.filter.layout = layout();
+  for (const ScanInput& in : ScanInputs()) {
+    std::vector<std::unique_ptr<gpusim::Device>> owned_devs;
+    std::vector<gpusim::Device*> devs;
+    for (int i = 0; i < 3; ++i) {
+      owned_devs.push_back(std::make_unique<gpusim::Device>());
+      devs.push_back(owned_devs.back().get());
+    }
+    Result<PartitionedGraph> pg = PartitionedGraph::Build(
+        devs, in.data, options, HashVertexPartitioner());
+    ASSERT_TRUE(pg.ok());
+    for (const Graph& q : in.queries) {
+      const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
+      std::vector<std::vector<std::vector<VertexId>>> partial;
+      for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
+        partial.push_back(internal::ScanOwnedSignatures(
+            pg->device(p), pg->signatures(p), pg->owned(p), qsigs));
+      }
+      for (VertexId u = 0; u < q.num_vertices(); ++u) {
+        std::vector<const std::vector<VertexId>*> lists;
+        for (const auto& lists_of_p : partial) lists.push_back(&lists_of_p[u]);
+        EXPECT_EQ(internal::MergeAscendingDisjoint(lists),
+                  CoveringVertices(in.data, q, u, nbits()))
+            << q.Summary() << " u=" << u;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WidthsAndLayouts, SignatureScanSuite,
+    ::testing::Combine(::testing::Values(64, 128, 256, 512),
+                       ::testing::Values(SignatureTable::Layout::kColumnMajor,
+                                         SignatureTable::Layout::kRowMajor)),
+    [](const auto& param_info) {
+      std::string name = std::to_string(std::get<0>(param_info.param));
+      name += std::get<1>(param_info.param) ==
+                      SignatureTable::Layout::kColumnMajor
+                  ? "bits_ColumnMajor"
+                  : "bits_RowMajor";
+      return name;
+    });
+
+TEST(SignatureScanCost, OneVertexQueryLoadsOneTransactionPerWarp) {
+  // A one-vertex query has no neighbours, so its words 1.. are zero and
+  // constrain nothing: each warp reads only word 0, one 128B line of 32
+  // column-major labels.
+  for (size_t n : {1000, 1024}) {
+    Graph data = RandomGraph(n, 3, 4, 3, 31);
+    for (int nbits : {64, 128, 256, 512}) {
+      gpusim::Device dev;
+      FilterOptions fo;
+      fo.signature_bits = nbits;
+      fo.build_bitmaps = false;
+      FilterContext ctx(dev, data, fo);
+      const gpusim::MemStats before = dev.stats();
+      ASSERT_TRUE(ctx.Filter(OneVertexQuery(data.vertex_label(0))).ok());
+      const gpusim::MemStats used = dev.stats() - before;
+      EXPECT_EQ(used.gld, (n + 31) / 32) << "n=" << n << " N=" << nbits;
+      EXPECT_EQ(used.kernel_launches, 1u);
+    }
+  }
+}
+
+TEST(SignatureScanCost, ReadsEachColumnAtMostOncePerWarp) {
+  // 1024 rows: every column starts on a 128B line, so a warp's read of one
+  // word is one transaction, and no query size can make it read more than
+  // all 16 words once.
+  Graph data = RandomGraph(1024, 4, 2, 2, 33);
+  gpusim::Device dev;
+  FilterOptions fo;
+  fo.build_bitmaps = false;
+  FilterContext ctx(dev, data, fo);
+  for (const Graph& q : RandomQuerySet(data, 8, 4, 34)) {
+    const gpusim::MemStats before = dev.stats();
+    ASSERT_TRUE(ctx.Filter(q).ok());
+    EXPECT_LE((dev.stats() - before).gld, 32u * kSignatureWords);
+  }
 }
 
 TEST(CandidateSetTest, BitsetAndListAgree) {

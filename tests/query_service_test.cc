@@ -488,11 +488,15 @@ TEST(QueryService, TracedTicketExposesTheSpanTree) {
   Graph query = testing::RandomQuery(data, 5, 3111);
   SubmitOptions traced;
   traced.trace = true;
+  // The traced ticket finishes before the untraced one is submitted: with
+  // both in flight, the traced one could lease device 1, and its spans carry
+  // the leased device's ordinal. Alone, it gets device 0 (the pool leases
+  // low indices first).
   Result<QueryTicket> on = service.Submit(query, traced);
-  Result<QueryTicket> off = service.Submit(query);
   ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(off.ok());
   ASSERT_TRUE(service.Wait(*on).ok());
+  Result<QueryTicket> off = service.Submit(query);
+  ASSERT_TRUE(off.ok());
   ASSERT_TRUE(service.Wait(*off).ok());
 
   // Untraced tickets carry no tracer — tracing is strictly opt-in.
@@ -505,12 +509,13 @@ TEST(QueryService, TracedTicketExposesTheSpanTree) {
   EXPECT_EQ(CountNamedSpans(*trace, "query"), 1u);
   EXPECT_GE(CountNamedSpans(*trace, "filter"), 1u);
   EXPECT_GE(CountNamedSpans(*trace, "join_step"), 1u);
-  // The service phases sit on the host track; execution spans on device 0.
+  // The service phases sit on the host track; execution spans on device 0,
+  // the one device the query leased.
   for (const obs::TraceSpan& s : trace->Snapshot()) {
     if (s.name == "queue_wait" || s.name == "query") {
       EXPECT_EQ(s.device, obs::kHostDevice) << s.name;
     }
-    if (s.name == "join_step") {
+    if (s.name == "filter" || s.name == "join_step") {
       EXPECT_EQ(s.device, 0) << s.name;
     }
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "baselines/oracle.h"
 #include "gpusim/launch.h"
@@ -37,8 +38,12 @@ std::vector<VertexId> HostNeighbors(const Graph& g, VertexId v, Label l) {
   return out;
 }
 
+// gtest prints the raw bytes of this parameter into each test's name, so
+// every byte is a named member: padding would be left uninitialised and make
+// the names differ from build to build.
 struct StoreCase {
   StorageKind kind;
+  uint32_t reserved = 0;
   const char* name;
 };
 
@@ -118,10 +123,11 @@ TEST_P(NeighborStoreSuite, UpperBoundDominatesActualCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStores, NeighborStoreSuite,
-    ::testing::Values(StoreCase{StorageKind::kCsr, "csr"},
-                      StoreCase{StorageKind::kPcsr, "pcsr"},
-                      StoreCase{StorageKind::kBasicRep, "br"},
-                      StoreCase{StorageKind::kCompressedRep, "cr"}),
+    ::testing::Values(StoreCase{.kind = StorageKind::kCsr, .name = "csr"},
+                      StoreCase{.kind = StorageKind::kPcsr, .name = "pcsr"},
+                      StoreCase{.kind = StorageKind::kBasicRep, .name = "br"},
+                      StoreCase{.kind = StorageKind::kCompressedRep,
+                                .name = "cr"}),
     [](const auto& suite_info) { return std::string(suite_info.param.name); });
 
 // ---------------------------------------------------------------- PCSR ---
