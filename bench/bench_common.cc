@@ -96,12 +96,20 @@ Aggregate RunGsiBatch(const Graph& g, const GsiOptions& options,
   QueryEngine engine(g, options);
   if (!queries.empty()) {
     MaybeTraceQuery("gsi_batch", [&](const obs::TraceContext& ctx) {
-      (void)engine.Run(queries.front(), ctx);
+      (void)engine.Execute({.query = &queries.front(), .trace = ctx});
     });
   }
   BatchOptions bo;
   bo.num_threads = static_cast<int>(Env().threads);
   return AggregateBatch(engine.RunBatch(queries, bo));
+}
+
+QueryResult ExecuteCompact(const ReplicatedGraph& rg, const Graph& query) {
+  Result<PagedQueryResult> paged =
+      ExecuteQueryReplicatedPaged(rg, CompactSelection(rg), query);
+  GSI_CHECK_MSG(paged.ok(), paged.status().ToString().c_str());
+  gpusim::Device scratch(rg.options().device);
+  return ToQueryResult(std::move(paged.value()), scratch);
 }
 
 TableCollector::TableCollector(std::string title,

@@ -110,6 +110,12 @@ Aggregate RunGsi(const std::string& dataset_name, const GsiOptions& options,
 Aggregate RunGsiBatch(const Graph& g, const GsiOptions& options,
                       const std::vector<Graph>& queries);
 
+/// One-shot execution against a partitioned data graph under its compact
+/// replica selection — ExecuteQueryReplicatedPaged plus ToQueryResult, for
+/// graphs built with options no QueryEngine of the bench shares (the
+/// halo-budget legs). Aborts on failure.
+QueryResult ExecuteCompact(const ReplicatedGraph& rg, const Graph& query);
+
 /// One machine-readable measurement record. Benches push these via
 /// RecordJson; when the binary is invoked with `--json <path>` (or
 /// `--json=<path>`), BenchMain writes the collected records to that file as

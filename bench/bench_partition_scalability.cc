@@ -1,12 +1,13 @@
 // Partitioned data-graph execution (the memory-capacity half of Section
 // VIII): the PCSR + signature table split across K device memories instead
-// of replicated, with cross-partition probes charged at the interconnect
-// premium. Sweeps K and reports, per sweep point, the per-device resident
-// footprint against the replicated one (the reduction partitioning buys)
-// and the cross-partition overhead it costs (remote probes, halo volume,
-// slowdown vs the replicated single-device run). The partitioned match
-// table is checked bit-identical against GsiMatcher-equivalent execution
-// on every sweep point.
+// of replicated (a ReplicatedGraph with one replica per partition), with
+// cross-partition probes charged at the interconnect premium. Sweeps K and
+// reports, per sweep point, the per-device resident footprint against the
+// replicated one (the reduction partitioning buys) and the cross-partition
+// overhead it costs (remote probes, halo volume, slowdown vs the
+// replicated single-device run). The partitioned match table is checked
+// bit-identical against GsiMatcher-equivalent execution on every sweep
+// point.
 //
 // Knobs: GSI_BENCH_PARTITIONS="1 2 4 8" (partition counts),
 // GSI_BENCH_PARTITIONER=hash|greedy, GSI_BENCH_HALO_BUDGET=<bytes> (per-
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -26,6 +28,7 @@
 
 #include "bench_common.h"
 #include "gsi/partition.h"
+#include "gsi/replication.h"
 #include "util/check.h"
 
 namespace gsi::bench {
@@ -94,7 +97,7 @@ const Graph& HeavyQuery() {
     const Graph* heaviest = nullptr;
     double worst_ms = -1;
     for (const Graph& q : all) {
-      Result<QueryResult> r = Engine().Run(q);
+      Result<QueryResult> r = Engine().Execute({.query = &q});
       if (!r.ok()) continue;
       if (r->stats.total_ms > worst_ms) {
         worst_ms = r->stats.total_ms;
@@ -109,6 +112,24 @@ const Graph& HeavyQuery() {
   return query;
 }
 
+/// One partition per device, one replica each: the 1/K-per-device layout.
+Result<ReplicatedGraph> BuildPartitioned(std::span<gpusim::Device* const> devs,
+                                         const GsiOptions& options) {
+  return ReplicatedGraph::Build(devs, GetDataset("enron").graph, options,
+                                Partitioner(), /*partitions=*/devs.size(),
+                                /*replicas=*/1);
+}
+
+/// Runs the heavy query against `pg` through the engine.
+Result<QueryResult> ExecuteHeavy(const ReplicatedGraph& pg,
+                                 const obs::TraceContext& trace = {}) {
+  const ReplicaSelection sel = CompactSelection(pg);
+  return Engine().Execute({.query = &HeavyQuery(),
+                           .replicated = &pg,
+                           .selection = &sel,
+                           .trace = trace});
+}
+
 /// Baseline: the same execution path at K=1 — identical structures (the
 /// one share IS the replica), just no partitioning — so "vs replicated"
 /// isolates cross-partition overhead (gather, remote probes, merge).
@@ -116,11 +137,11 @@ double ReplicatedMs() {
   static const double ms = [] {
     gpusim::Device dev(Engine().options().device);
     gpusim::Device* devp = &dev;
-    Result<PartitionedGraph> pg = PartitionedGraph::Build(
+    Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
         {&devp, 1}, GetDataset("enron").graph, Engine().options(),
-        HashVertexPartitioner());
+        HashVertexPartitioner(), /*partitions=*/1, /*replicas=*/1);
     GSI_CHECK(pg.ok());
-    Result<QueryResult> r = Engine().RunPartitioned(HeavyQuery(), *pg);
+    Result<QueryResult> r = ExecuteHeavy(*pg);
     GSI_CHECK(r.ok());
     return r->stats.total_ms;
   }();
@@ -137,29 +158,28 @@ void BM_Partition(benchmark::State& state, size_t num_partitions) {
         std::make_unique<gpusim::Device>(Engine().options().device));
     devs.push_back(devices.back().get());
   }
-  Result<PartitionedGraph> pg = PartitionedGraph::Build(
-      devs, GetDataset("enron").graph, Engine().options(), Partitioner());
+  Result<ReplicatedGraph> pg = BuildPartitioned(devs, Engine().options());
   GSI_CHECK_MSG(pg.ok(), pg.status().ToString().c_str());
 
   MaybeTraceQuery("partitioned", [&](const obs::TraceContext& ctx) {
-    (void)Engine().RunPartitioned(HeavyQuery(), *pg, ctx);
+    (void)ExecuteHeavy(*pg, ctx);
   });
 
   QueryStats stats;
   for (auto _ : state) {
-    Result<QueryResult> part = Engine().RunPartitioned(HeavyQuery(), *pg);
+    Result<QueryResult> part = ExecuteHeavy(*pg);
     GSI_CHECK(part.ok());
     stats = part->stats;
     state.SetIterationTime(std::max(1e-9, stats.total_ms / 1000.0));
 
     // The merged table must be bit-identical to the replicated run.
-    Result<QueryResult> single = Engine().Run(HeavyQuery());
+    Result<QueryResult> single = Engine().Execute({.query = &HeavyQuery()});
     GSI_CHECK(single.ok());
     GSI_CHECK_MSG(part->TableEquals(*single),
                   "partitioned result diverged from replicated run");
   }
 
-  const PartitionBuildStats& bs = pg->build_stats();
+  const ReplicationBuildStats& bs = pg->build_stats();
   const double resident_mb = static_cast<double>(bs.max_resident_bytes()) / kMb;
   const double replicated_mb = static_cast<double>(bs.replicated_bytes) / kMb;
   const double halo_mb = static_cast<double>(stats.halo_bytes) / kMb;
@@ -201,33 +221,30 @@ void BM_Partition(benchmark::State& state, size_t num_partitions) {
           std::make_unique<gpusim::Device>(budgeted.device));
       cache_devs.push_back(cache_devices.back().get());
     }
-    Result<PartitionedGraph> cached = PartitionedGraph::Build(
-        cache_devs, GetDataset("enron").graph, budgeted, Partitioner());
+    Result<ReplicatedGraph> cached = BuildPartitioned(cache_devs, budgeted);
     GSI_CHECK_MSG(cached.ok(), cached.status().ToString().c_str());
-    Result<QueryResult> cold = ExecuteQueryPartitioned(*cached, HeavyQuery());
-    GSI_CHECK(cold.ok());
-    Result<QueryResult> warm = ExecuteQueryPartitioned(*cached, HeavyQuery());
-    GSI_CHECK(warm.ok());
-    Result<QueryResult> single = Engine().Run(HeavyQuery());
+    const QueryResult cold = ExecuteCompact(*cached, HeavyQuery());
+    const QueryResult warm = ExecuteCompact(*cached, HeavyQuery());
+    Result<QueryResult> single = Engine().Execute({.query = &HeavyQuery()});
     GSI_CHECK(single.ok());
     const bool identical =
-        cold->TableEquals(*single) && warm->TableEquals(*single);
+        cold.TableEquals(*single) && warm.TableEquals(*single);
     GSI_CHECK_MSG(identical, "halo-cached result diverged from replicated");
 
     const uint64_t baseline_tx = stats.filter.remote_transactions +
                                  stats.join.remote_transactions;
-    const uint64_t warm_tx = warm->stats.filter.remote_transactions +
-                             warm->stats.join.remote_transactions;
+    const uint64_t warm_tx = warm.stats.filter.remote_transactions +
+                             warm.stats.join.remote_transactions;
     const double hit_rate =
-        warm->stats.halo_cache_hits + warm->stats.remote_probes > 0
-            ? static_cast<double>(warm->stats.halo_cache_hits) /
-                  static_cast<double>(warm->stats.halo_cache_hits +
-                                      warm->stats.remote_probes)
+        warm.stats.halo_cache_hits + warm.stats.remote_probes > 0
+            ? static_cast<double>(warm.stats.halo_cache_hits) /
+                  static_cast<double>(warm.stats.halo_cache_hits +
+                                      warm.stats.remote_probes)
             : 0;
     uint64_t cache_bytes = 0;
-    for (PartitionId p = 0; p < cached->num_partitions(); ++p) {
+    for (size_t d = 0; d < cached->num_devices(); ++d) {
       cache_bytes = std::max(cache_bytes,
-                             cached->halo_cache(p)->resident_bytes());
+                             cached->halo_cache(d)->resident_bytes());
     }
     extras.push_back({"halo_cache_hit_rate", hit_rate});
     extras.push_back({"saved_remote_transactions",

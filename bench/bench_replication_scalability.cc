@@ -108,7 +108,7 @@ const Graph& HeavyQuery() {
     const Graph* heaviest = nullptr;
     double worst_ms = -1;
     for (const Graph& q : all) {
-      Result<QueryResult> r = Engine().Run(q);
+      Result<QueryResult> r = Engine().Execute({.query = &q});
       if (!r.ok()) continue;
       if (r->stats.total_ms > worst_ms) {
         worst_ms = r->stats.total_ms;
@@ -148,12 +148,16 @@ void BM_Replication(benchmark::State& state, size_t replicas) {
                              /*partitions=*/k, replicas);
   GSI_CHECK_MSG(rg.ok(), rg.status().ToString().c_str());
 
-  Result<QueryResult> single = Engine().Run(HeavyQuery());
+  Result<QueryResult> single = Engine().Execute({.query = &HeavyQuery()});
   GSI_CHECK(single.ok());
 
   const ReplicaSelection packed = CompactSelection(*rg);
+  const QueryEngine::ExecRequest packed_req{
+      .query = &HeavyQuery(), .replicated = &*rg, .selection = &packed};
   MaybeTraceQuery("replicated", [&](const obs::TraceContext& ctx) {
-    (void)Engine().RunPartitioned(HeavyQuery(), *rg, packed, ctx);
+    QueryEngine::ExecRequest traced = packed_req;
+    traced.trace = ctx;
+    (void)Engine().Execute(traced);
   });
   size_t lane_width = 0;
   {
@@ -171,8 +175,7 @@ void BM_Replication(benchmark::State& state, size_t replicas) {
   for (auto _ : state) {
     // One packed-selection execution: the per-query simulated latency and
     // traffic of a lane.
-    Result<QueryResult> repl =
-        Engine().RunPartitioned(HeavyQuery(), *rg, packed);
+    Result<QueryResult> repl = Engine().Execute(packed_req);
     GSI_CHECK(repl.ok());
     stats = repl->stats;
     state.SetIterationTime(std::max(1e-9, stats.total_ms / 1000.0));
@@ -181,15 +184,17 @@ void BM_Replication(benchmark::State& state, size_t replicas) {
     // which replica serves each partition.
     GSI_CHECK_MSG(repl->TableEquals(*single),
                   "packed replica selection diverged from replicated run");
-    Result<QueryResult> rotated = Engine().RunPartitioned(
-        HeavyQuery(), *rg, UniformSelection(*rg, replicas - 1));
+    const ReplicaSelection rotation = UniformSelection(*rg, replicas - 1);
+    Result<QueryResult> rotated = Engine().Execute(
+        {.query = &HeavyQuery(), .replicated = &*rg, .selection = &rotation});
     GSI_CHECK(rotated.ok());
     GSI_CHECK_MSG(rotated->TableEquals(*single),
                   "rotated replica selection diverged from replicated run");
 
     // Measured concurrency: a saturated QueryService over a K-device pool
-    // with R-way replicated partitions (R == 1 serializes on AcquireAll —
-    // the baseline the lanes are bought against).
+    // with R-way replicated partitions (R == 1 leases the whole pool per
+    // query, so queries serialize — the baseline the lanes are bought
+    // against).
     ServiceOptions so;
     so.num_workers = static_cast<int>(k);
     so.num_devices = static_cast<int>(k);
@@ -268,26 +273,21 @@ void BM_Replication(benchmark::State& state, size_t replicas) {
         cache_devs, GetDataset("enron").graph, budgeted,
         HashVertexPartitioner(), /*partitions=*/k, replicas);
     GSI_CHECK_MSG(cached.ok(), cached.status().ToString().c_str());
-    const ReplicaSelection cached_packed = CompactSelection(*cached);
-    Result<QueryResult> cold =
-        ExecuteQueryReplicated(*cached, cached_packed, HeavyQuery());
-    GSI_CHECK(cold.ok());
-    Result<QueryResult> warm =
-        ExecuteQueryReplicated(*cached, cached_packed, HeavyQuery());
-    GSI_CHECK(warm.ok());
+    const QueryResult cold = ExecuteCompact(*cached, HeavyQuery());
+    const QueryResult warm = ExecuteCompact(*cached, HeavyQuery());
     const bool identical =
-        cold->TableEquals(*single) && warm->TableEquals(*single);
+        cold.TableEquals(*single) && warm.TableEquals(*single);
     GSI_CHECK_MSG(identical, "halo-cached result diverged from replicated");
 
     const uint64_t baseline_tx = stats.filter.remote_transactions +
                                  stats.join.remote_transactions;
-    const uint64_t warm_tx = warm->stats.filter.remote_transactions +
-                             warm->stats.join.remote_transactions;
+    const uint64_t warm_tx = warm.stats.filter.remote_transactions +
+                             warm.stats.join.remote_transactions;
     const double hit_rate =
-        warm->stats.halo_cache_hits + warm->stats.remote_probes > 0
-            ? static_cast<double>(warm->stats.halo_cache_hits) /
-                  static_cast<double>(warm->stats.halo_cache_hits +
-                                      warm->stats.remote_probes)
+        warm.stats.halo_cache_hits + warm.stats.remote_probes > 0
+            ? static_cast<double>(warm.stats.halo_cache_hits) /
+                  static_cast<double>(warm.stats.halo_cache_hits +
+                                      warm.stats.remote_probes)
             : 0;
     uint64_t cache_bytes = 0;
     for (size_t d = 0; d < cache_devs.size(); ++d) {

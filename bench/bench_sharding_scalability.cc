@@ -59,7 +59,7 @@ const Graph& HeavyQuery() {
     const Graph* heaviest = nullptr;
     double worst_ms = -1;
     for (const Graph& q : all) {
-      Result<QueryResult> r = Engine().Run(q);
+      Result<QueryResult> r = Engine().Execute({.query = &q});
       if (!r.ok()) continue;
       if (r->stats.total_ms > worst_ms) {
         worst_ms = r->stats.total_ms;
@@ -76,7 +76,7 @@ const Graph& HeavyQuery() {
 
 double SingleDeviceMs() {
   static const double ms = [] {
-    Result<QueryResult> r = Engine().Run(HeavyQuery());
+    Result<QueryResult> r = Engine().Execute({.query = &HeavyQuery()});
     GSI_CHECK(r.ok());
     return r->stats.total_ms;
   }();
@@ -87,22 +87,23 @@ void BM_Sharding(benchmark::State& state, size_t num_devices) {
   QueryStats stats;
   for (auto _ : state) {
     DevicePool pool(num_devices, Engine().options().device);
-    std::vector<DevicePool::Lease> leases =
-        pool.AcquireUpTo(num_devices).value();
+    std::vector<DevicePool::Lease> leases = pool.AcquireAll().value();
     std::vector<gpusim::Device*> devs;
     for (DevicePool::Lease& l : leases) devs.push_back(l.get());
 
     MaybeTraceQuery("sharded", [&](const obs::TraceContext& ctx) {
-      (void)Engine().RunSharded(HeavyQuery(), devs, ShardOptions(), ctx);
+      (void)Engine().Execute(
+          {.query = &HeavyQuery(), .devices = devs, .trace = ctx});
     });
 
-    Result<QueryResult> sharded = Engine().RunSharded(HeavyQuery(), devs);
+    Result<QueryResult> sharded =
+        Engine().Execute({.query = &HeavyQuery(), .devices = devs});
     GSI_CHECK(sharded.ok());
     stats = sharded->stats;
     state.SetIterationTime(std::max(1e-9, stats.total_ms / 1000.0));
 
     // The merged table must be bit-identical to the single-device run.
-    Result<QueryResult> single = Engine().Run(HeavyQuery());
+    Result<QueryResult> single = Engine().Execute({.query = &HeavyQuery()});
     GSI_CHECK(single.ok());
     GSI_CHECK_MSG(sharded->TableEquals(*single),
                   "sharded result diverged from single-device run");

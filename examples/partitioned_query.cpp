@@ -1,7 +1,8 @@
 // Partitioned data-graph execution: the PCSR + signature table split
-// across K simulated device memories (instead of replicated), queries
-// answered with halo exchange / remote probes — and the match table still
-// bit-identical to the single-device run at every K.
+// across K simulated device memories (a ReplicatedGraph with one replica
+// per partition) instead of replicated, queries answered with halo
+// exchange / remote probes — and the match table still bit-identical to
+// the single-device run at every K.
 //
 //   ./build/examples/partitioned_query
 //
@@ -17,6 +18,7 @@
 #include "graph/query_generator.h"
 #include "gsi/partition.h"
 #include "gsi/query_engine.h"
+#include "gsi/replication.h"
 #include "util/check.h"
 #include "util/table_printer.h"
 
@@ -54,14 +56,14 @@ int main() {
   const Graph* heavy = nullptr;
   double single_ms = -1;
   for (const Graph& q : queries) {
-    Result<QueryResult> r = engine.Run(q);
+    Result<QueryResult> r = engine.Execute({.query = &q});
     if (r.ok() && r->stats.total_ms > single_ms) {
       single_ms = r->stats.total_ms;
       heavy = &q;
     }
   }
   GSI_CHECK_MSG(heavy != nullptr, "no query executed successfully");
-  Result<QueryResult> single = engine.Run(*heavy);
+  Result<QueryResult> single = engine.Execute({.query = heavy});
   GSI_CHECK(single.ok());
   // The K=1 rows below are the like-for-like replicated baseline: the same
   // execution path with one share = the replica.
@@ -85,17 +87,20 @@ int main() {
             std::make_unique<gpusim::Device>(engine.options().device));
         devs.push_back(devices.back().get());
       }
-      Result<PartitionedGraph> pg =
-          PartitionedGraph::Build(devs, g, engine.options(), *partitioner);
+      Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
+          devs, g, engine.options(), *partitioner, /*partitions=*/k,
+          /*replicas=*/1);
       GSI_CHECK_MSG(pg.ok(), pg.status().ToString().c_str());
 
-      Result<QueryResult> part = engine.RunPartitioned(*heavy, *pg);
+      const ReplicaSelection sel = CompactSelection(*pg);
+      Result<QueryResult> part = engine.Execute(
+          {.query = heavy, .replicated = &*pg, .selection = &sel});
       GSI_CHECK(part.ok());
       GSI_CHECK_MSG(part->TableEquals(*single),
                     "partitioned result diverged from replicated run");
 
       const QueryStats& s = part->stats;
-      const PartitionBuildStats& bs = pg->build_stats();
+      const ReplicationBuildStats& bs = pg->build_stats();
       table.AddRow(
           {std::to_string(k),
            TablePrinter::FormatMs(

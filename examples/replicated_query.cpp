@@ -90,14 +90,14 @@ int main(int argc, char** argv) {
   const Graph* heavy = nullptr;
   double single_ms = -1;
   for (const Graph& q : queries) {
-    Result<QueryResult> r = engine.Run(q);
+    Result<QueryResult> r = engine.Execute({.query = &q});
     if (r.ok() && r->stats.total_ms > single_ms) {
       single_ms = r->stats.total_ms;
       heavy = &q;
     }
   }
   GSI_CHECK_MSG(heavy != nullptr, "no query executed successfully");
-  Result<QueryResult> single = engine.Run(*heavy);
+  Result<QueryResult> single = engine.Execute({.query = heavy});
   GSI_CHECK(single.ok());
   std::printf("heavy query: %s -> %zu matches, %.2f ms single-device\n\n",
               heavy->Summary().c_str(), single->num_matches(), single_ms);
@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
     GSI_CHECK_MSG(rg.ok(), rg.status().ToString().c_str());
 
     const ReplicaSelection packed = CompactSelection(*rg);
-    Result<QueryResult> repl = engine.RunPartitioned(*heavy, *rg, packed);
+    Result<QueryResult> repl = engine.Execute(
+        {.query = heavy, .replicated = &*rg, .selection = &packed});
     GSI_CHECK(repl.ok());
     GSI_CHECK_MSG(repl->TableEquals(*single),
                   "replicated result diverged from single-device run");
@@ -191,22 +192,22 @@ int main(int argc, char** argv) {
   ServiceStats stats = service.stats();
   std::printf("service burst: %zu/%zu ok over a %zu-device pool, R=%zu\n", ok,
               burst, kPartitions, service_replicas);
-  std::printf("  replicated queries: %llu, avg devices held per query: %.1f "
-              "(vs %zu under AcquireAll)\n",
-              static_cast<unsigned long long>(stats.replicated_queries),
+  std::printf("  partitioned queries: %llu, avg devices held per query: "
+              "%.1f (vs %zu at R=1)\n",
+              static_cast<unsigned long long>(stats.partitioned_queries),
               stats.avg_replica_lanes, kPartitions);
-  std::printf("  co-located probes:  %llu served without the interconnect\n",
+  std::printf("  co-located probes:   %llu served without the interconnect\n",
               static_cast<unsigned long long>(stats.co_located_probes));
-  std::printf("  replica pick skew:  %.2fx (1.0 = perfectly even)\n",
+  std::printf("  replica pick skew:   %.2fx (1.0 = perfectly even)\n",
               stats.replica_pick_skew);
-  std::printf("  pool peak in use:   %zu of %zu devices\n",
+  std::printf("  pool peak in use:    %zu of %zu devices\n",
               stats.pool.peak_in_use, kPartitions);
   if (kill_device) {
     GSI_CHECK_MSG(stats.device_failures >= 1,
                   "armed fault never tripped during the burst");
     GSI_CHECK_MSG(stats.quarantined_devices == 1,
                   "dead device was not quarantined");
-    std::printf("  fault tolerance:    device %zu died mid-burst; %llu "
+    std::printf("  fault tolerance:     device %zu died mid-burst; %llu "
                 "failed attempt(s), %llu retr%s (%llu failover%s), "
                 "%zu device quarantined — 0 queries lost\n",
                 victim,
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
                 stats.failovers == 1 ? "" : "s",
                 stats.quarantined_devices);
     GSI_CHECK(service.RepairDevice(victim));
-    std::printf("  repair:             device %zu re-admitted (%zu "
+    std::printf("  repair:              device %zu re-admitted (%zu "
                 "quarantined now)\n",
                 victim, service.stats().quarantined_devices);
   }

@@ -55,14 +55,14 @@ int main() {
   const Graph* heavy = nullptr;
   double single_ms = -1;
   for (const Graph& q : queries) {
-    Result<QueryResult> r = engine.Run(q);
+    Result<QueryResult> r = engine.Execute({.query = &q});
     if (r.ok() && r->stats.total_ms > single_ms) {
       single_ms = r->stats.total_ms;
       heavy = &q;
     }
   }
   GSI_CHECK_MSG(heavy != nullptr, "no query executed successfully");
-  Result<QueryResult> single = engine.Run(*heavy);
+  Result<QueryResult> single = engine.Execute({.query = heavy});
   GSI_CHECK(single.ok());
   std::printf("heavy query: %s -> %zu matches, %.2f ms on one device\n\n",
               heavy->Summary().c_str(), single->num_matches(), single_ms);
@@ -72,12 +72,12 @@ int main() {
   for (size_t num_devices = 1; num_devices <= max_devices;
        num_devices *= 2) {
     DevicePool pool(num_devices, engine.options().device);
-    std::vector<DevicePool::Lease> leases =
-        pool.AcquireUpTo(num_devices).value();
+    std::vector<DevicePool::Lease> leases = pool.AcquireAll().value();
     std::vector<gpusim::Device*> devs;
     for (DevicePool::Lease& l : leases) devs.push_back(l.get());
 
-    Result<QueryResult> sharded = engine.RunSharded(*heavy, devs);
+    Result<QueryResult> sharded =
+        engine.Execute({.query = heavy, .devices = devs});
     GSI_CHECK(sharded.ok());
 
     // The merged table must be bit-identical to the single-device table.

@@ -22,10 +22,10 @@ struct GsiOptions {
   JoinOptions join;
   gpusim::DeviceConfig device;
   /// Per-device byte budget for the halo cache over remote N(v, l) lists
-  /// (gsi/halo_cache.h). 0 disables caching; the partitioned and replicated
-  /// build paths otherwise attach one cache per device and count its bytes
-  /// against resident memory. Never affects match tables — only when
-  /// interconnect transactions are charged.
+  /// (gsi/halo_cache.h). 0 disables caching; the partitioned build
+  /// (gsi/replication.h) otherwise attaches one cache per device and counts
+  /// its bytes against resident memory. Never affects match tables — only
+  /// when interconnect transactions are charged.
   uint64_t halo_budget_bytes = 0;
 
   friend bool operator==(const GsiOptions&, const GsiOptions&) = default;
@@ -65,10 +65,9 @@ struct QueryStats {
   size_t shards_used = 1;   ///< devices the join phase actually ran on
   double shard_skew = 0;    ///< max / mean per-device distributed-join time
 
-  // --- Partitioned data-graph execution (gsi/partition.h and
-  // gsi/replication.h); zeros on the full-replica paths. Counters sum
-  // every partition's devices; join_ms is the parallel makespan (slowest
-  // partition/lane plus the merge).
+  // --- Partitioned data-graph execution (gsi/replication.h); zeros on the
+  // full-replica paths. Counters sum every partition's devices; join_ms is
+  // the parallel makespan (slowest lane plus the merge).
   size_t partitions_used = 0;  ///< partitions that executed join work
   uint64_t remote_probes = 0;  ///< N(v, l) lookups served by a peer device
   uint64_t halo_bytes = 0;     ///< bytes that crossed the interconnect
@@ -78,9 +77,9 @@ struct QueryStats {
   uint64_t halo_cache_hits = 0;
   uint64_t halo_cache_bytes = 0;  ///< bytes those hits served locally
 
-  // --- Replicated partitioned execution (gsi/replication.h); zeros
-  // elsewhere. A replicated query maps its K partitions onto the devices of
-  // one replica selection (several partitions may share a device), so
+  // --- Replica lanes of partitioned execution; zeros elsewhere. A
+  // partitioned query maps its K partitions onto the devices of one replica
+  // selection (with R > 1 several partitions may share a device), so
   // `replica_lanes` < partitions_used means the query left devices idle for
   // concurrent queries — the R-lane effect.
   size_t replica_lanes = 0;         ///< distinct devices the selection used

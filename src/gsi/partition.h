@@ -2,31 +2,22 @@
 #define GSI_GSI_PARTITION_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "gpusim/device.h"
 #include "graph/graph.h"
-#include "gsi/filter.h"
-#include "gsi/halo_cache.h"
-#include "gsi/matcher.h"
-#include "gsi/result_manifest.h"
-#include "storage/pcsr.h"
-#include "storage/signature_table.h"
-#include "util/status.h"
 
 namespace gsi {
 
 using PartitionId = uint32_t;
 
-/// Pluggable vertex-ownership policy for the partitioned data graph: maps
-/// every data vertex to the device partition that will store its adjacency
-/// rows and its signature. Assignments must be deterministic functions of
-/// (g, k) — ownership decides which probes are remote and in which order
-/// partial tables merge, so a nondeterministic policy would break the
-/// bit-identical guarantee of ExecuteQueryPartitioned.
+/// Pluggable vertex-ownership policy for the partitioned data graph
+/// (ReplicatedGraph, gsi/replication.h): maps every data vertex to the
+/// partition that will store its adjacency rows and its signature.
+/// Assignments must be deterministic functions of (g, k) — ownership decides
+/// which probes are remote and in which order partial tables merge, so a
+/// nondeterministic policy would break the bit-identical guarantee of
+/// partitioned execution.
 class GraphPartitioner {
  public:
   virtual ~GraphPartitioner() = default;
@@ -66,165 +57,6 @@ class GreedyEdgeCutPartitioner final : public GraphPartitioner {
  private:
   double balance_slack_;
 };
-
-/// Build-time shape of a PartitionedGraph (how well the policy did).
-struct PartitionBuildStats {
-  std::vector<size_t> vertices;         ///< owned vertices per partition
-  std::vector<size_t> directed_edges;   ///< adjacency entries per partition
-  /// Simulated device memory per partition: its PCSR share plus its
-  /// signature-table share.
-  std::vector<uint64_t> resident_bytes;
-  /// Undirected edges whose endpoints live on different partitions (each
-  /// parallel edge counted once, like Graph::num_edges).
-  size_t cut_edges = 0;
-  /// max / mean of directed_edges (1.0 = perfectly balanced storage).
-  double edge_balance = 0;
-  /// Footprint one device pays without partitioning (PCSR + signature
-  /// table for the whole graph). The per-partition shares sum to exactly
-  /// this value: group counts and column indices split without overlap.
-  uint64_t replicated_bytes = 0;
-
-  uint64_t max_resident_bytes() const;
-};
-
-/// The data graph partitioned across K simulated device memories: device p
-/// holds only the adjacency rows (PCSR) and signatures of the vertices it
-/// owns, ~1/K of the replicated footprint — the memory-capacity half of the
-/// paper's Section VIII scaling discussion (the sharded engine covers the
-/// compute half but leaves every device with a full replica).
-///
-///   std::vector<gpusim::Device*> devs = ...;      // K devices
-///   auto pg = PartitionedGraph::Build(devs, data, GsiOptOptions(),
-///                                     HashVertexPartitioner());
-///   Result<QueryResult> r = ExecuteQueryPartitioned(*pg, query);
-///
-/// Requires PCSR storage and the signature filter strategy (the paper's
-/// defaults); other configurations fail with InvalidArgument at Build.
-/// Immutable after Build and safe to share between threads, but the
-/// execution functions below charge work to the partition devices, so at
-/// most one query may execute against a given PartitionedGraph at a time
-/// (QueryService serializes via DevicePool::AcquireAll). The data graph and
-/// the devices must outlive the instance; devices are borrowed, not owned.
-class PartitionedGraph {
- public:
-  static Result<PartitionedGraph> Build(std::span<gpusim::Device* const> devs,
-                                        const Graph& data,
-                                        const GsiOptions& options,
-                                        const GraphPartitioner& partitioner);
-
-  size_t num_partitions() const { return owned_.size(); }
-  PartitionId OwnerOf(VertexId v) const { return owner_[v]; }
-  /// The full ownership map, indexed by vertex id.
-  std::span<const PartitionId> owners() const { return owner_; }
-
-  gpusim::Device& device(PartitionId p) const { return *devs_[p]; }
-  /// Partition p's PCSR share (rows of owned vertices only).
-  const PcsrStore& store(PartitionId p) const { return *stores_[p]; }
-  /// Partition p's signature rows; row i is the signature of owned(p)[i].
-  const SignatureTable& signatures(PartitionId p) const {
-    return signatures_[p];
-  }
-  /// Vertices owned by partition p, ascending.
-  std::span<const VertexId> owned(PartitionId p) const { return owned_[p]; }
-
-  /// Partition p's device-side halo cache over remote N(v, l) lists, or
-  /// null when options().halo_budget_bytes == 0. Mutable from const like
-  /// device(p): the cache, like the device's counters, is execution state
-  /// the immutable graph merely hosts.
-  HaloCache* halo_cache(PartitionId p) const { return halo_[p].get(); }
-
-  const Graph& data() const { return *data_; }
-  const GsiOptions& options() const { return options_; }
-  const std::string& partitioner_name() const { return partitioner_name_; }
-  const PartitionBuildStats& build_stats() const { return build_stats_; }
-
- private:
-  PartitionedGraph() = default;
-
-  const Graph* data_ = nullptr;
-  GsiOptions options_;
-  std::string partitioner_name_;
-  std::vector<gpusim::Device*> devs_;
-  std::vector<PartitionId> owner_;            // indexed by vertex id
-  std::vector<std::vector<VertexId>> owned_;  // indexed by partition
-  std::vector<std::unique_ptr<PcsrStore>> stores_;
-  std::vector<SignatureTable> signatures_;
-  std::vector<std::unique_ptr<HaloCache>> halo_;  // indexed by partition
-  PartitionBuildStats build_stats_;
-};
-
-/// Filtering phase over the partitioned signature table: partition p scans
-/// only its owned vertices on its own device (same signature math as
-/// FilterContext::Filter, so the surviving candidate values are identical),
-/// then the per-partition lists all-gather to the primary — charged as halo
-/// traffic (stats.halo_bytes, Device::ChargeRemoteTransfer) — where the
-/// global candidate sets are materialized. `stats.filter` sums every
-/// device's counters; `parallel_ms` (when non-null) receives the phase
-/// makespan: slowest partition scan + the primary's gather/materialize.
-Result<FilterResult> RunFilterStagePartitioned(const PartitionedGraph& pg,
-                                               const Graph& query,
-                                               QueryStats& stats,
-                                               double* parallel_ms,
-                                               const obs::TraceContext& trace =
-                                                   {});
-
-/// Joining phase over the partitioned data graph. The seed list C(order[0])
-/// is split by ownership: partition p seeds from its owned candidates and
-/// runs *all* join steps locally on its device. Probes N(v', l) of vertices
-/// it does not own are remote probes: served from the owner's PCSR share,
-/// charged to the prober at the interconnect premium
-/// (DeviceConfig::remote_transaction_extra_cycles) and counted in
-/// stats.remote_probes / stats.halo_bytes.
-///
-/// The merged result is bit-identical to single-device RunJoinStage: the
-/// final table of a join is grouped by its seed binding (column 0 holds
-/// order[0]'s match, descendants of one seed stay contiguous and seeds stay
-/// in candidate-list order), ownership splits the seed list into disjoint
-/// subsequences, and each partition's partial table preserves its
-/// subsequence's order — so merging partial tables by ascending column-0
-/// runs on the primary reconstructs the whole table row for row. The merge
-/// movement of non-primary rows is charged as halo traffic.
-///
-/// Stats roll-up mirrors the sharded engine: `stats.join` sums every
-/// partition's counters (total work), join_ms is the parallel makespan
-/// (slowest partition + the merge), partition_skew is max/mean over
-/// partitions that owned seeds. Each partition's intermediate table is
-/// bounded by options.join.max_rows separately. Wall-clock thread
-/// interleaving never leaks into simulated numbers: partition work is a
-/// deterministic function of the partition, not of scheduling.
-Result<QueryResult> RunJoinStagePartitioned(const PartitionedGraph& pg,
-                                            const Graph& query,
-                                            FilterResult filtered,
-                                            QueryStats stats,
-                                            const obs::TraceContext& trace =
-                                                {});
-
-/// The paged core RunJoinStagePartitioned wraps: identical execution and
-/// identical stats (the merge's interconnect traffic is charged at plan
-/// time), but the per-partition partial tables stay on their devices and
-/// the merge is returned as a ResultManifest of ascending-seed-run segments
-/// instead of one concatenated table. Materializing the manifest — all at
-/// once (ToQueryResult) or page by page — is bit-identical to the eager
-/// merge.
-Result<PagedQueryResult> RunJoinStagePartitionedPaged(
-    const PartitionedGraph& pg, const Graph& query, FilterResult filtered,
-    QueryStats stats, const obs::TraceContext& trace = {});
-
-/// Full partitioned execution: RunFilterStagePartitioned then
-/// RunJoinStagePartitioned. With one partition this degenerates to
-/// replicated single-device execution (no remote traffic). The returned
-/// match table is bit-identical to GsiMatcher::Find whenever both succeed.
-Result<QueryResult> ExecuteQueryPartitioned(const PartitionedGraph& pg,
-                                            const Graph& query,
-                                            const obs::TraceContext& trace =
-                                                {});
-
-/// Full partitioned execution in manifest form (the paged join stage above
-/// behind the same filter stage); ExecuteQueryPartitioned is this plus
-/// ToQueryResult on the primary.
-Result<PagedQueryResult> ExecuteQueryPartitionedPaged(
-    const PartitionedGraph& pg, const Graph& query,
-    const obs::TraceContext& trace = {});
 
 }  // namespace gsi
 

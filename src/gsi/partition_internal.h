@@ -18,9 +18,9 @@
 #include "storage/signature.h"
 #include "storage/signature_table.h"
 
-// Execution building blocks shared by the partitioned (gsi/partition.h) and
-// replicated (gsi/replication.h) data-graph paths. Implementation detail —
-// include only from gsi/*.cc.
+// Execution building blocks of the partitioned data-graph path
+// (gsi/replication.h; the partitioners live in gsi/partition.h).
+// Implementation detail — include only from gsi/*.cc.
 
 namespace gsi::internal {
 
@@ -49,24 +49,17 @@ MatchTable SeedOwned(gpusim::Device& dev, const std::vector<VertexId>& column);
 std::vector<VertexId> MergeAscendingDisjoint(
     std::span<const std::vector<VertexId>* const> lists);
 
-/// Merges per-partition partial join tables into the replicated final
-/// table: the final table of any join is grouped by its column-0 (seed)
-/// binding, runs appear in candidate-list (ascending) order, and ownership
-/// split the seed list into disjoint subsequences — so repeatedly taking
-/// the run with the smallest column-0 head reconstructs the whole table
-/// row for row. `rows_from[p]` receives the rows partition p contributed
-/// (the caller charges interconnect traffic for partitions that are not
-/// resident on the merging device).
-MatchTable MergeBySeedRuns(gpusim::Device& primary,
-                           std::span<const MatchTable* const> parts,
-                           size_t cols_out, std::vector<size_t>& rows_from);
-
-/// The planning half of MergeBySeedRuns: the same smallest-column-0-head run
-/// walk, but emitting the ordered run list (part, begin, count) instead of
-/// copying rows — a pure host computation over the partial tables. The paged
-/// join paths store this list in a ResultManifest; MergeBySeedRuns is
-/// exactly this plan followed by bulk row copies. `rows_from[p]` receives
-/// the rows part p contributed, as before.
+/// Plans the merge of per-partition partial join tables into the replicated
+/// final table: the final table of any join is grouped by its column-0
+/// (seed) binding, runs appear in candidate-list (ascending) order, and
+/// ownership split the seed list into disjoint subsequences — so repeatedly
+/// taking the run with the smallest column-0 head reconstructs the whole
+/// table row for row. A pure host computation over the partial tables: it
+/// emits the ordered run list (part, begin, count) the replicated join
+/// stores in a ResultManifest, and ResultManifest::Materialize's bulk row
+/// copies of those runs are the merged table. `rows_from[p]` receives the
+/// rows part p contributed (the caller charges interconnect traffic for
+/// parts that are not resident on the merging device).
 std::vector<ManifestSegment> PlanSeedRunMerge(
     std::span<const MatchTable* const> parts, std::vector<size_t>& rows_from);
 
@@ -78,18 +71,18 @@ std::vector<ManifestSegment> PlanSeedRunMerge(
 /// lane of one query execution — the traffic counters are per-query
 /// observations, harvested after the join.
 ///
-/// The partitioned path marks exactly the lane's own partition local; the
-/// replicated path additionally marks every partition with a co-resident
-/// replica, which is how replication converts remote probes into local
-/// reads (counted in Traffic::co_located_probes).
+/// Every partition with a share on the lane's device is marked local — at
+/// R = 1 that is exactly the lane's own partitions; with R > 1 it includes
+/// co-resident replicas, which is how replication converts remote probes
+/// into local reads (counted in Traffic::co_located_probes).
 ///
 /// With a HaloCache attached (`halo` non-null), remote probes first try the
 /// lane device's cache — a hit is a local read (Traffic::halo_hits, no
 /// interconnect premium) returning byte-identical data — and remote probes
 /// that do run feed the cache their free byproducts (gsi/halo_cache.h).
 /// Local and co-located probes never touch the cache: only partitions with
-/// no resident share are cached, which on the replicated path is exactly
-/// "skip admission where a co-resident replica exists".
+/// no resident share are cached, which is exactly "skip admission where a
+/// co-resident replica exists".
 class RoutedStoreView final : public NeighborStore {
  public:
   struct Traffic {

@@ -15,7 +15,7 @@ namespace gsi {
 QueryEngine::QueryEngine(const Graph& data, GsiOptions options)
     : data_(&data), options_(options) {
   init_status_ = ValidateGsiOptions(options);
-  if (!init_status_.ok()) return;  // Run/RunBatch report the error.
+  if (!init_status_.ok()) return;  // Execute/RunBatch report the error.
   build_dev_ = std::make_unique<gpusim::Device>(options.device);
   store_ =
       BuildStore(*build_dev_, data, options.join.storage, options.join.gpn);
@@ -27,13 +27,10 @@ Status QueryEngine::ValidateRequest(const ExecRequest& req) const {
   if (req.query == nullptr) {
     return Status::InvalidArgument("ExecRequest.query must be set");
   }
-  const int targets = (req.devices.empty() ? 0 : 1) +
-                      (req.partitioned != nullptr ? 1 : 0) +
-                      (req.replicated != nullptr ? 1 : 0);
-  if (targets > 1) {
+  if (!req.devices.empty() && req.replicated != nullptr) {
     return Status::InvalidArgument(
         "ExecRequest names more than one execution target (set at most one "
-        "of devices / partitioned / replicated)");
+        "of devices / replicated)");
   }
   if (req.replicated != nullptr && req.selection == nullptr) {
     return Status::InvalidArgument(
@@ -43,26 +40,15 @@ Status QueryEngine::ValidateRequest(const ExecRequest& req) const {
     return Status::InvalidArgument(
         "ExecRequest.selection is set but no replicated target is");
   }
-  if (req.partitioned != nullptr) {
-    if (&req.partitioned->data() != data_) {
-      return Status::InvalidArgument(
-          "PartitionedGraph was built over a different data graph");
-    }
-    if (!(req.partitioned->options() == options_)) {
-      // Divergent tuning (signature width, join order inputs, chunking...)
-      // would execute fine but silently break the documented bit-identical
-      // parity across targets, so reject it up front.
-      return Status::InvalidArgument(
-          "PartitionedGraph was built with different GsiOptions than this "
-          "engine");
-    }
-  }
   if (req.replicated != nullptr) {
     if (&req.replicated->data() != data_) {
       return Status::InvalidArgument(
           "ReplicatedGraph was built over a different data graph");
     }
     if (!(req.replicated->options() == options_)) {
+      // Divergent tuning (signature width, join order inputs, chunking...)
+      // would execute fine but silently break the documented bit-identical
+      // parity across targets, so reject it up front.
       return Status::InvalidArgument(
           "ReplicatedGraph was built with different GsiOptions than this "
           "engine");
@@ -72,21 +58,12 @@ Status QueryEngine::ValidateRequest(const ExecRequest& req) const {
 }
 
 Result<QueryResult> QueryEngine::Execute(const ExecRequest& req) const {
-  if (Status v = ValidateRequest(req); !v.ok()) return v;
-  if (req.replicated != nullptr) {
-    return ExecuteQueryReplicated(*req.replicated, *req.selection, *req.query,
-                                  req.trace);
-  }
-  if (req.partitioned != nullptr) {
-    return ExecuteQueryPartitioned(*req.partitioned, *req.query, req.trace);
-  }
-  if (!req.devices.empty()) {
-    return ExecuteQuerySharded(req.devices, *data_, *store_, *filter_,
-                               options_, req.shard, *req.query, req.trace);
-  }
-  gpusim::Device dev(options_.device);
-  return ExecuteQuery(dev, *data_, *store_, *filter_, options_, *req.query,
-                      req.trace);
+  Result<PagedQueryResult> paged = ExecutePaged(req);
+  if (!paged.ok()) return paged.status();
+  // Materializing is host-mediated row movement (uncharged), so the device
+  // the table lands on changes no counter.
+  gpusim::Device scratch(options_.device);
+  return ToQueryResult(std::move(paged.value()), scratch);
 }
 
 Result<PagedQueryResult> QueryEngine::ExecutePaged(
@@ -95,10 +72,6 @@ Result<PagedQueryResult> QueryEngine::ExecutePaged(
   if (req.replicated != nullptr) {
     return ExecuteQueryReplicatedPaged(*req.replicated, *req.selection,
                                        *req.query, req.trace);
-  }
-  if (req.partitioned != nullptr) {
-    return ExecuteQueryPartitionedPaged(*req.partitioned, *req.query,
-                                        req.trace);
   }
   if (!req.devices.empty()) {
     return ExecuteQueryShardedPaged(req.devices, *data_, *store_, *filter_,
@@ -114,52 +87,6 @@ Result<PagedQueryResult> QueryEngine::ExecutePaged(
   if (!out.ok()) return out.status();
   return ToPagedResult(std::move(out.value()), /*device_ordinal=*/-1,
                        /*fault_epoch=*/0);
-}
-
-Result<QueryResult> QueryEngine::Run(const Graph& query,
-                                     const obs::TraceContext& trace) const {
-  ExecRequest req;
-  req.query = &query;
-  req.trace = trace;
-  return Execute(req);
-}
-
-Result<QueryResult> QueryEngine::RunSharded(
-    const Graph& query, std::span<gpusim::Device* const> devs,
-    const ShardOptions& shard_options, const obs::TraceContext& trace) const {
-  if (!init_status_.ok()) return init_status_;
-  if (devs.empty()) {
-    // Execute treats "no devices" as the private-device target; this shim
-    // keeps the historical contract that RunSharded requires a lease.
-    return Status::InvalidArgument("RunSharded needs at least one device");
-  }
-  ExecRequest req;
-  req.query = &query;
-  req.devices = devs;
-  req.shard = shard_options;
-  req.trace = trace;
-  return Execute(req);
-}
-
-Result<QueryResult> QueryEngine::RunPartitioned(
-    const Graph& query, const PartitionedGraph& pg,
-    const obs::TraceContext& trace) const {
-  ExecRequest req;
-  req.query = &query;
-  req.partitioned = &pg;
-  req.trace = trace;
-  return Execute(req);
-}
-
-Result<QueryResult> QueryEngine::RunPartitioned(
-    const Graph& query, const ReplicatedGraph& rg,
-    const ReplicaSelection& sel, const obs::TraceContext& trace) const {
-  ExecRequest req;
-  req.query = &query;
-  req.replicated = &rg;
-  req.selection = &sel;
-  req.trace = trace;
-  return Execute(req);
 }
 
 BatchResult QueryEngine::RunBatch(std::span<const Graph> queries,

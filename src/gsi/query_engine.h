@@ -9,7 +9,6 @@
 #include "graph/graph.h"
 #include "gsi/filter.h"
 #include "gsi/matcher.h"
-#include "gsi/partition.h"
 #include "gsi/replication.h"
 #include "gsi/sharded_engine.h"
 #include "storage/neighbor_store.h"
@@ -51,6 +50,7 @@ struct BatchResult {
 /// signature table) once, then serves many queries over them in parallel.
 ///
 ///   QueryEngine engine(data, GsiOptOptions());
+///   Result<QueryResult> one = engine.Execute({.query = &query});
 ///   BatchOptions bo;
 ///   bo.num_threads = 4;
 ///   BatchResult batch = engine.RunBatch(queries, bo);
@@ -62,10 +62,10 @@ struct BatchResult {
 /// bit-identical to sequential GsiMatcher::Find. The data graph must
 /// outlive the engine.
 ///
-/// Thread-safety: Run/RunBatch are safe to call concurrently from any
-/// number of threads (they only read the shared structures). RunSharded
-/// and RunPartitioned are safe as long as the devices they are handed
-/// belong to exactly one call at a time (lease them from a DevicePool).
+/// Thread-safety: Execute/RunBatch are safe to call concurrently from any
+/// number of threads (they only read the shared structures) as long as the
+/// devices an ExecRequest names belong to exactly one call at a time (lease
+/// them from a DevicePool).
 ///
 /// Ownership: every returned QueryResult owns its MatchTable outright —
 /// results outlive the engine, the devices that produced them, and each
@@ -80,36 +80,34 @@ class QueryEngine {
                        GsiOptions options = DefaultGsiOptions());
 
   /// One query execution request: the query, at most one execution target,
-  /// and an optional trace sink — the single entry point that used to be
-  /// spread over the Run/RunSharded/RunPartitioned overload families (each
-  /// with its own trailing TraceContext parameter). Targets:
+  /// and an optional trace sink (obs/trace.h) that collects the execution's
+  /// span tree. Targets:
   ///
   ///   - nothing set: a fresh private device per call (thread-safe).
   ///   - `devices`: intra-query sharding across leased devices
   ///     (sharded_engine.h); `shard` tunes the fan-out.
-  ///   - `partitioned`: a 1/K-per-device partitioned data graph
-  ///     (gsi/partition.h); one query at a time against it.
-  ///   - `replicated` + `selection`: an R-way replicated partitioned graph
-  ///     (gsi/replication.h); concurrent calls need disjoint selections.
+  ///   - `replicated` + `selection`: a partitioned data graph, each of its
+  ///     K partitions on R devices (gsi/replication.h; R = 1 is plain
+  ///     partitioning); concurrent calls need disjoint selections.
   ///
-  /// Setting more than one target, a replicated target without a
-  /// selection, or a selection without a replicated target is
-  /// InvalidArgument. Partitioned/replicated targets must have been built
-  /// over this engine's data graph and GsiOptions (also checked). Every
-  /// target's result is bit-identical to GsiMatcher::Find.
+  /// Setting both targets, a replicated target without a selection, or a
+  /// selection without a replicated target is InvalidArgument. A
+  /// replicated target must have been built over this engine's data graph
+  /// and GsiOptions (also checked). Every target's result is bit-identical
+  /// to GsiMatcher::Find.
   struct ExecRequest {
     const Graph* query = nullptr;
     std::span<gpusim::Device* const> devices = {};
     /// Tuning for the `devices` target; ignored otherwise.
-    ShardOptions shard;
-    const PartitionedGraph* partitioned = nullptr;
+    ShardOptions shard = {};
     const ReplicatedGraph* replicated = nullptr;
     const ReplicaSelection* selection = nullptr;
-    obs::TraceContext trace;
+    obs::TraceContext trace = {};
   };
 
   /// Runs one query as described by `req` (see ExecRequest for targets,
-  /// validation and the bit-identity contract).
+  /// validation and the bit-identity contract): ExecutePaged plus
+  /// ToQueryResult. The returned table is owned outright.
   Result<QueryResult> Execute(const ExecRequest& req) const;
 
   /// Execute in manifest form: the result's partial tables stay on the
@@ -121,55 +119,13 @@ class QueryEngine {
   /// lease to reacquire).
   Result<PagedQueryResult> ExecutePaged(const ExecRequest& req) const;
 
-  /// Deprecated: use Execute with no target set. Runs one query on a fresh
-  /// private device (thread-safe). `trace` (optional, obs/trace.h) collects
-  /// the execution's span tree.
-  Result<QueryResult> Run(const Graph& query,
-                          const obs::TraceContext& trace = {}) const;
-
-  /// Deprecated: use Execute with `devices` (and `shard`) set. Runs one
-  /// query sharded across the caller's devices (thread-safe as long as
-  /// each device belongs to one call at a time — lease them from a
-  /// DevicePool). Results are bit-identical to Run / GsiMatcher::Find; see
-  /// sharded_engine.h for the partition/merge scheme and stats roll-up.
-  Result<QueryResult> RunSharded(
-      const Graph& query, std::span<gpusim::Device* const> devs,
-      const ShardOptions& shard_options = ShardOptions(),
-      const obs::TraceContext& trace = {}) const;
-
-  /// Deprecated: use Execute with `partitioned` set. Runs one query
-  /// against a *partitioned* data graph (each device holds 1/K of the
-  /// PCSR + signature table instead of this engine's replica; see
-  /// gsi/partition.h). `pg` must have been built over the same data
-  /// graph and GsiOptions as this engine; results are then bit-identical to
-  /// Run / GsiMatcher::Find. Thread-safe as long as only one query executes
-  /// against `pg` (and its devices) at a time.
-  Result<QueryResult> RunPartitioned(const Graph& query,
-                                     const PartitionedGraph& pg,
-                                     const obs::TraceContext& trace = {})
-      const;
-
-  /// Deprecated: use Execute with `replicated` + `selection` set. Runs one
-  /// query against an R-way *replicated* partitioned data graph
-  /// (see gsi/replication.h), serving each partition from the replica `sel`
-  /// picks. Same contract as the PartitionedGraph overload — `rg` must
-  /// match this engine's data graph and GsiOptions, results are
-  /// bit-identical to Run for every selection — but concurrent calls are
-  /// safe as long as their selections use disjoint devices (lease them via
-  /// DevicePool::AcquireOneOfEach).
-  Result<QueryResult> RunPartitioned(const Graph& query,
-                                     const ReplicatedGraph& rg,
-                                     const ReplicaSelection& sel,
-                                     const obs::TraceContext& trace = {})
-      const;
-
   /// Runs every query, spreading them over options.num_threads workers.
   /// Always returns one entry per query, in input order.
   BatchResult RunBatch(std::span<const Graph> queries,
                        const BatchOptions& options = BatchOptions()) const;
 
   /// Not Ok when the constructor rejected the options (see
-  /// ValidateGsiOptions); Run and RunBatch report it per query.
+  /// ValidateGsiOptions); Execute and RunBatch report it per query.
   const Status& init_status() const { return init_status_; }
 
   const GsiOptions& options() const { return options_; }

@@ -229,6 +229,11 @@ Result<ReplicatedGraph> ReplicatedGraph::Build(
       bs.resident_bytes[d] += options.halo_budget_bytes;
     }
   }
+  for (VertexId v = 0; v < data.num_vertices(); ++v) {
+    for (const Neighbor& nb : data.neighbors(v)) {
+      if (nb.v > v && rg.owner_[v] != rg.owner_[nb.v]) ++bs.cut_edges;
+    }
+  }
   return rg;
 }
 
@@ -560,7 +565,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     for (double ms : lane_ms) max_lane_ms = std::max(max_lane_ms, ms);
 
     // --- Merge planning on the primary, in global seed order (see
-    // MergeBySeedRuns for why this reconstructs the replicated table row
+    // PlanSeedRunMerge for why this reconstructs the replicated table row
     // for row). The partial tables stay on their lane devices; only the
     // ordered run list is computed here, but the movement of rows from
     // partitions not resident on the primary is still charged now, so
@@ -629,23 +634,6 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   return out;
 }
 
-Result<QueryResult> RunJoinStageReplicated(const ReplicatedGraph& rg,
-                                           const ReplicaSelection& sel,
-                                           const Graph& query,
-                                           FilterResult filtered,
-                                           QueryStats stats,
-                                           const obs::TraceContext& trace) {
-  Result<PagedQueryResult> paged = RunJoinStageReplicatedPaged(
-      rg, sel, query, std::move(filtered), std::move(stats), trace);
-  if (!paged.ok()) return paged.status();
-  // Materializing is host-mediated row movement (uncharged); the merge's
-  // interconnect cost was already charged at plan time, so this wrapper is
-  // counter- and table-bit-identical to the historical eager merge.
-  const Lanes lanes = LanesOf(rg, sel);
-  return ToQueryResult(std::move(paged.value()),
-                       rg.device(lanes.devices[0]));
-}
-
 Result<PagedQueryResult> ExecuteQueryReplicatedPaged(
     const ReplicatedGraph& rg, const ReplicaSelection& sel, const Graph& query,
     const obs::TraceContext& trace) {
@@ -674,18 +662,6 @@ Result<PagedQueryResult> ExecuteQueryReplicatedPaged(
     out->stats.wall_ms = wall.ElapsedMs();
   }
   return out;
-}
-
-Result<QueryResult> ExecuteQueryReplicated(const ReplicatedGraph& rg,
-                                           const ReplicaSelection& sel,
-                                           const Graph& query,
-                                           const obs::TraceContext& trace) {
-  Result<PagedQueryResult> paged =
-      ExecuteQueryReplicatedPaged(rg, sel, query, trace);
-  if (!paged.ok()) return paged.status();
-  const Lanes lanes = LanesOf(rg, sel);
-  return ToQueryResult(std::move(paged.value()),
-                       rg.device(lanes.devices[0]));
 }
 
 }  // namespace gsi

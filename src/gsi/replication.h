@@ -13,6 +13,7 @@
 #include "gsi/halo_cache.h"
 #include "gsi/matcher.h"
 #include "gsi/partition.h"
+#include "gsi/result_manifest.h"
 #include "storage/pcsr.h"
 #include "storage/signature_table.h"
 #include "util/status.h"
@@ -56,10 +57,11 @@ Result<ReplicaPlacement> MakeStaggeredPlacement(size_t num_devices,
                                                 size_t partitions,
                                                 size_t replicas);
 
-/// Build-time shape of a ReplicatedGraph.
+/// Build-time shape of a ReplicatedGraph (and of how well the partitioner
+/// did).
 struct ReplicationBuildStats {
   /// Simulated memory resident on each pool device (its shares' PCSR +
-  /// signature bytes).
+  /// signature bytes, plus the halo-cache budget when one is set).
   std::vector<uint64_t> resident_bytes;
   /// Footprint one device pays without partitioning (PCSR + signature
   /// table for the whole graph, one copy).
@@ -67,6 +69,9 @@ struct ReplicationBuildStats {
   /// Sum over devices (== replicas * replicated_bytes: every partition is
   /// stored replicas times).
   uint64_t total_bytes = 0;
+  /// Undirected edges whose endpoints live on different partitions (each
+  /// parallel edge counted once, like Graph::num_edges).
+  size_t cut_edges = 0;
 
   uint64_t max_resident_bytes() const;
 };
@@ -82,29 +87,36 @@ struct ReplicaSelection {
   }
 };
 
-/// The data graph partitioned K ways with every partition stored on R
-/// devices — the replication/partitioning trade: queries no longer need the
-/// whole pool (one replica of each partition suffices), so up to R
-/// partitioned queries run concurrently, at an ~R/K-of-replica resident
-/// cost per device instead of 1/K.
+/// The data graph partitioned K ways across device memories, with every
+/// partition stored on R devices — the memory-capacity half of the paper's
+/// Section VIII scaling discussion plus the replication/concurrency trade.
+/// At R = 1 (one partition per device) each device holds ~1/K of the
+/// replicated footprint and a query needs every device; at R > 1 a query
+/// needs just one replica of each partition, so up to R partitioned queries
+/// run concurrently, at an ~R/K-of-replica resident cost per device.
 ///
 ///   std::vector<gpusim::Device*> devs = ...;        // N devices
 ///   auto rg = ReplicatedGraph::Build(devs, data, GsiOptOptions(),
 ///                                    HashVertexPartitioner(),
 ///                                    /*partitions=*/devs.size(),
-///                                    /*replicas=*/2);
+///                                    /*replicas=*/1);
 ///   ReplicaSelection sel = CompactSelection(*rg);
-///   Result<QueryResult> r = ExecuteQueryReplicated(*rg, sel, query);
+///   QueryEngine engine(data, GsiOptOptions());
+///   Result<QueryResult> r = engine.Execute(
+///       {.query = &query, .replicated = &*rg, .selection = &sel});
 ///
-/// Same storage requirements as PartitionedGraph (PCSR + signature filter).
+/// Requires PCSR storage and the signature filter strategy (the paper's
+/// defaults); other configurations fail with InvalidArgument at Build.
 /// Immutable after Build and safe to share between threads; concurrent
 /// queries are safe as long as their selections map onto disjoint device
 /// sets — exactly what DevicePool::AcquireOneOfEach guarantees the serving
-/// layer. The match table is bit-identical to GsiMatcher::Find for *every*
-/// selection: replicas of a partition hold identical shares, each
-/// partition's join is a deterministic function of its seed subsequence
-/// (not of the device that runs it), and the merge reassembles partial
-/// tables in global seed order (see docs/ARCHITECTURE.md).
+/// layer. The data graph and the devices must outlive the instance; devices
+/// are borrowed, not owned. The match table is bit-identical to
+/// GsiMatcher::Find for *every* selection: replicas of a partition hold
+/// identical shares, each partition's join is a deterministic function of
+/// its seed subsequence (not of the device that runs it), and the merge
+/// reassembles partial tables in global seed order (see
+/// docs/ARCHITECTURE.md).
 class ReplicatedGraph {
  public:
   /// `partitions` == 0 means one partition per device. `replicas` must be
@@ -203,42 +215,32 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
 /// holds one (a local read — counted in stats.co_located_probes; this is
 /// the traffic replication saves) and otherwise by the selected replica of
 /// the owner, charged at the interconnect premium (stats.remote_probes /
-/// halo_bytes). Partial tables merge on the primary by ascending seed runs
-/// — bit-identical to single-device RunJoinStage for every selection.
-/// join_ms is the makespan: the slowest device's partition sequence plus
-/// the merge; stats.replica_lanes counts the distinct devices used.
-Result<QueryResult> RunJoinStageReplicated(const ReplicatedGraph& rg,
-                                           const ReplicaSelection& sel,
-                                           const Graph& query,
-                                           FilterResult filtered,
-                                           QueryStats stats,
-                                           const obs::TraceContext& trace =
-                                               {});
-
-/// The paged core RunJoinStageReplicated wraps: identical execution and
-/// identical stats (the merge's interconnect traffic is charged at plan
-/// time), but partial tables stay on their lane devices and the merge is
-/// returned as a ResultManifest of ascending-seed-run segments. See
-/// RunJoinStagePartitionedPaged (gsi/partition.h).
+/// halo_bytes). The per-partition partial tables stay on their lane devices
+/// and are returned as a ResultManifest of ascending-seed-run segments
+/// (internal::PlanSeedRunMerge); the merge's interconnect traffic is
+/// charged at plan time, so materializing the manifest — all at once
+/// (ToQueryResult) or page by page — is bit-identical to single-device
+/// RunJoinStage for every selection and leaves every counter unchanged.
+///
+/// Stats roll-up: `stats.join` sums every device's counters (total work);
+/// join_ms is the makespan — the slowest device's partition sequence plus
+/// the merge; partition_skew is max/mean over partitions that owned seeds;
+/// stats.replica_lanes counts the distinct devices used. Each partition's
+/// intermediate table is bounded by options.join.max_rows separately.
+/// Wall-clock thread interleaving never leaks into simulated numbers:
+/// partition work is a deterministic function of the partition, not of
+/// scheduling.
 Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     const ReplicatedGraph& rg, const ReplicaSelection& sel, const Graph& query,
     FilterResult filtered, QueryStats stats,
     const obs::TraceContext& trace = {});
 
 /// Full execution against one replica selection: RunFilterStageReplicated
-/// then RunJoinStageReplicated. With replicas == 1 and one partition per
-/// device this degenerates to partitioned execution; the returned match
-/// table is bit-identical to GsiMatcher::Find whenever both succeed,
-/// regardless of the selection.
-Result<QueryResult> ExecuteQueryReplicated(const ReplicatedGraph& rg,
-                                           const ReplicaSelection& sel,
-                                           const Graph& query,
-                                           const obs::TraceContext& trace =
-                                               {});
-
-/// Full replicated execution in manifest form (the paged join stage above
-/// behind the same filter stage); ExecuteQueryReplicated is this plus
-/// ToQueryResult on the selection's primary device.
+/// then RunJoinStageReplicatedPaged, in manifest form. With one partition
+/// this degenerates to single-device execution (no remote traffic); the
+/// materialized match table is bit-identical to GsiMatcher::Find whenever
+/// both succeed, regardless of the selection. QueryEngine::Execute is this
+/// plus ToQueryResult.
 Result<PagedQueryResult> ExecuteQueryReplicatedPaged(
     const ReplicatedGraph& rg, const ReplicaSelection& sel, const Graph& query,
     const obs::TraceContext& trace = {});

@@ -25,12 +25,12 @@ struct ManifestSegment {
 /// (on their owning devices), and the segment list says which runs of which
 /// part, in which order, reproduce the merged table row for row.
 ///
-/// The segment orders are exactly the deterministic merge orders the eager
-/// paths used: slice order for the sharded engine (every distributed step
-/// emits output rows in input-row order), ascending column-0 seed runs for
-/// the partitioned/replicated engines (see internal::MergeBySeedRuns). So
-/// `Materialize` — and any page-at-a-time walk of `segments()` — is
-/// bit-identical to the table the one-shot API returned.
+/// The segment orders are the deterministic merge orders of the
+/// multi-device engines: slice order for the sharded engine (every
+/// distributed step emits output rows in input-row order), ascending
+/// column-0 seed runs for the partitioned engine (see
+/// internal::PlanSeedRunMerge). So `Materialize` — and any page-at-a-time
+/// walk of `segments()` — is bit-identical to single-device execution.
 ///
 /// Each part remembers the pool ordinal and fault epoch of the device that
 /// produced it. A consumer that charges reads against that device (the
@@ -98,9 +98,9 @@ class ResultManifest {
   void CopyChunk(const ManifestSegment& chunk, VertexId* dst) const;
 
   /// Concatenates every segment into one table allocated on `dev`
-  /// (host-mediated bulk row copies, uncharged — exactly what the eager
-  /// ConcatRows/MergeBySeedRuns movement cost). A manifest whose single
-  /// segment spans its single whole part moves the table out without
+  /// (host-mediated bulk row copies, uncharged — the interconnect cost of
+  /// the merge was charged when the manifest was planned). A manifest whose
+  /// single segment spans its single whole part moves the table out without
   /// copying. Consumes the manifest.
   MatchTable Materialize(gpusim::Device& dev) &&;
 
@@ -111,11 +111,10 @@ class ResultManifest {
   size_t total_rows_ = 0;
 };
 
-/// Result of one query in manifest form: what the paged execution paths
-/// return instead of QueryResult. `stats` is finalized exactly as the
-/// one-shot path finalizes it (the merge's interconnect cost is charged at
-/// join time either way), so legacy and paged consumers observe identical
-/// counters.
+/// Result of one query in manifest form: what every multi-device execution
+/// path returns. `stats` is final (the merge's interconnect cost is charged
+/// at join time), so one-shot (ToQueryResult) and paged consumers observe
+/// identical counters.
 struct PagedQueryResult {
   ResultManifest manifest;
   std::vector<VertexId> column_to_query;
@@ -134,8 +133,9 @@ inline PagedQueryResult ToPagedResult(QueryResult result,
                        owner.fault_epoch());
 }
 
-/// Materializes a paged result into the legacy one-shot form on `dev`
-/// (uncharged, like the eager merge's row movement).
+/// Materializes a paged result into the one-shot form on `dev` — the single
+/// materializer of every execution path (uncharged host-mediated row
+/// movement; see ResultManifest::Materialize).
 QueryResult ToQueryResult(PagedQueryResult result, gpusim::Device& dev);
 
 }  // namespace gsi

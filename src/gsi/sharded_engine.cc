@@ -333,7 +333,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     shards_used = std::max(shards_used, workers);
     // Which device pulls which slice is wall-clock scheduling, so the
     // slice spans' device attribution is NOT deterministic on this path
-    // (unlike the partitioned/replicated paths, where work is pinned).
+    // (unlike the partitioned path, where work is pinned).
     obs::ScopedSpan step_span(join_span.context(), "join_step_distributed",
                               primary_clock);
     step_span.AddAttr("step", static_cast<uint64_t>(k));
@@ -503,25 +503,6 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   return out;
 }
 
-Result<QueryResult> RunJoinStageSharded(std::span<gpusim::Device* const> devs,
-                                        const Graph& data,
-                                        const NeighborStore& store,
-                                        const GsiOptions& options,
-                                        const ShardOptions& shard_options,
-                                        const Graph& query,
-                                        FilterResult filtered,
-                                        QueryStats stats,
-                                        const obs::TraceContext& trace) {
-  Result<PagedQueryResult> paged = RunJoinStageShardedPaged(
-      devs, data, store, options, shard_options, query, std::move(filtered),
-      std::move(stats), trace);
-  if (!paged.ok()) return paged.status();
-  // Materializing is host-mediated row concatenation (uncharged, exactly
-  // the movement the historical eager gather performed), so this wrapper is
-  // counter- and table-bit-identical to it.
-  return ToQueryResult(std::move(paged.value()), *devs[0]);
-}
-
 Result<PagedQueryResult> ExecuteQueryShardedPaged(
     std::span<gpusim::Device* const> devs, const Graph& data,
     const NeighborStore& store, const FilterContext& filter,
@@ -549,20 +530,6 @@ Result<PagedQueryResult> ExecuteQueryShardedPaged(
     out->stats.wall_ms = wall.ElapsedMs();
   }
   return out;
-}
-
-Result<QueryResult> ExecuteQuerySharded(std::span<gpusim::Device* const> devs,
-                                        const Graph& data,
-                                        const NeighborStore& store,
-                                        const FilterContext& filter,
-                                        const GsiOptions& options,
-                                        const ShardOptions& shard_options,
-                                        const Graph& query,
-                                        const obs::TraceContext& trace) {
-  Result<PagedQueryResult> paged = ExecuteQueryShardedPaged(
-      devs, data, store, filter, options, shard_options, query, trace);
-  if (!paged.ok()) return paged.status();
-  return ToQueryResult(std::move(paged.value()), *devs[0]);
 }
 
 }  // namespace gsi

@@ -73,28 +73,18 @@ Result<FilterResult> RunFilterStageSharded(
 /// device, or steps that never clear the volume floor) run entirely on
 /// devs[0].
 ///
+/// Result form: when the FINAL join step distributes, its partial tables
+/// stay on the devices that ran the slices and are returned as a
+/// ResultManifest whose segments record the deterministic slice order
+/// (intermediate steps still gather — the next step consumes the whole
+/// table). A serial final step returns the degenerate one-part manifest on
+/// devs[0]. Materializing the manifest (ToQueryResult) is host-mediated
+/// concatenation, uncharged, so it changes no counter.
+///
 /// Note: each slice's intermediate table is bounded by
 /// options.join.max_rows separately, so a query near the single-device row
 /// budget can succeed sharded; the final match set is identical whenever
 /// both runs succeed.
-Result<QueryResult> RunJoinStageSharded(std::span<gpusim::Device* const> devs,
-                                        const Graph& data,
-                                        const NeighborStore& store,
-                                        const GsiOptions& options,
-                                        const ShardOptions& shard_options,
-                                        const Graph& query,
-                                        FilterResult filtered,
-                                        QueryStats stats,
-                                        const obs::TraceContext& trace = {});
-
-/// The paged core RunJoinStageSharded wraps: identical execution, counters
-/// and makespan, but when the FINAL join step distributes, its partial
-/// tables stay on the devices that ran the slices and are returned as a
-/// ResultManifest whose segments record the deterministic slice order
-/// (intermediate steps still gather — the next step consumes the whole
-/// table). A serial final step returns the degenerate one-part manifest on
-/// devs[0]. Materializing the manifest is bit-identical to the eager
-/// gather.
 Result<PagedQueryResult> RunJoinStageShardedPaged(
     std::span<gpusim::Device* const> devs, const Graph& data,
     const NeighborStore& store, const GsiOptions& options,
@@ -102,25 +92,13 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     FilterResult filtered, QueryStats stats,
     const obs::TraceContext& trace = {});
 
-/// Full sharded execution: RunFilterStageSharded then RunJoinStageSharded
-/// across the same devices. With devs.size() == 1 this is exactly
-/// ExecuteQuery. Each device must be used by one call at a time (lease them
-/// from a DevicePool). The returned QueryResult owns its merged MatchTable
-/// (no aliasing of device or engine state), and both the table and every
+/// Full sharded execution in manifest form: RunFilterStageSharded then
+/// RunJoinStageShardedPaged across the same devices. With devs.size() == 1
+/// this is exactly ExecuteQuery. Each device must be used by one call at a
+/// time (lease them from a DevicePool). The materialized table and every
 /// simulated counter are deterministic for a fixed (data, options, devices
 /// count, query) — host thread scheduling cannot perturb them.
-Result<QueryResult> ExecuteQuerySharded(std::span<gpusim::Device* const> devs,
-                                        const Graph& data,
-                                        const NeighborStore& store,
-                                        const FilterContext& filter,
-                                        const GsiOptions& options,
-                                        const ShardOptions& shard_options,
-                                        const Graph& query,
-                                        const obs::TraceContext& trace = {});
-
-/// Full sharded execution in manifest form (the paged join stage above
-/// behind the same filter stage); ExecuteQuerySharded is this plus
-/// ToQueryResult on devs[0].
+/// QueryEngine::Execute is this plus ToQueryResult.
 Result<PagedQueryResult> ExecuteQueryShardedPaged(
     std::span<gpusim::Device* const> devs, const Graph& data,
     const NeighborStore& store, const FilterContext& filter,

@@ -147,7 +147,7 @@ Result<std::vector<DevicePool::Lease>> DevicePool::AcquireAll() {
       const std::string msg =
           "AcquireAll needs device " + std::to_string(i) +
           ", which is quarantined (" + devices_[i]->fault_message() +
-          "); repair it to run partitioned queries";
+          "); repair it before leasing the whole pool";
       return counted_blocked ? Status::Aborted(msg) : Status::Unavailable(msg);
     }
     if (is_free_[i] == 0 && !counted_blocked) {
@@ -160,25 +160,10 @@ Result<std::vector<DevicePool::Lease>> DevicePool::AcquireAll() {
           "device " + std::to_string(i) +
           " was quarantined while AcquireAll waited for it (" +
           devices_[i]->fault_message() +
-          "); repair it to run partitioned queries");
+          "); repair it before leasing the whole pool");
     }
     TakeDeviceLocked(i);
     leases.push_back(Lease(this, i));
-  }
-  return leases;
-}
-
-Result<std::vector<DevicePool::Lease>> DevicePool::AcquireUpTo(
-    size_t max_devices) {
-  max_devices = std::max<size_t>(1, max_devices);
-  std::vector<Lease> leases;
-  Result<Lease> first = Acquire();
-  if (!first.ok()) return first.status();
-  leases.push_back(std::move(first.value()));
-  while (leases.size() < max_devices) {
-    std::optional<Lease> extra = TryAcquire();
-    if (!extra) break;
-    leases.push_back(std::move(*extra));
   }
   return leases;
 }

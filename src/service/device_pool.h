@@ -37,7 +37,7 @@ class DevicePool {
  public:
   /// Pool health counters (a snapshot; see stats()).
   struct Stats {
-    uint64_t acquired = 0;      ///< leases handed out (incl. AcquireUpTo)
+    uint64_t acquired = 0;      ///< leases handed out, by every variant
     uint64_t try_failed = 0;    ///< TryAcquire calls that found no idle device
     uint64_t blocked = 0;       ///< Acquire calls that had to wait
     size_t in_use = 0;          ///< currently leased devices
@@ -116,21 +116,13 @@ class DevicePool {
   /// holds nothing, so no cycle can form.
   Result<Lease> AcquireDevice(size_t index) GSI_EXCLUDES(mu_);
 
-  /// One blocking lease plus up to `max_devices - 1` more without blocking:
-  /// the fan-out primitive — a heavy query takes whatever is idle right
-  /// now, never waits for peers to finish. Returns between 1 and
-  /// max_devices leases (max_devices == 0 is treated as 1); fails exactly
-  /// when Acquire does.
-  Result<std::vector<Lease>> AcquireUpTo(size_t max_devices)
-      GSI_EXCLUDES(mu_);
-
   /// Blocks until every device has been leased, acquiring them in index
-  /// order (devices_[0] first) — the primitive of the partitioned data
-  /// graph, where a query must run on exactly the devices that hold the
-  /// partitions, so queries serialize on the whole set. Acquiring in a
-  /// fixed order keeps concurrent AcquireAll callers deadlock-free (they
-  /// all contend on index 0 first), and Acquire/TryAcquire holders never
-  /// wait on anyone, so no cycle can form. Returned leases are in index
+  /// order (devices_[0] first) — what the serving layer uses to build the
+  /// partitioned data graph's shares on every pool device (queries then
+  /// lease per execution via AcquireOneOfEach). Acquiring in a fixed order
+  /// keeps concurrent AcquireAll callers deadlock-free (they all contend on
+  /// index 0 first), and Acquire/TryAcquire holders never wait on anyone,
+  /// so no cycle can form. Returned leases are in index
   /// order: leases[p] is device p. Needs *every* device, so any quarantined
   /// device fails it: kUnavailable at call time, kAborted mid-wait
   /// (partially acquired leases are released).
@@ -153,9 +145,9 @@ class DevicePool {
   };
 
   /// Blocks until one device of *every* group can be leased, then takes
-  /// them atomically — the lease primitive of the replicated partitioned
-  /// data graph (gsi/replication.h), where group g lists the devices
-  /// holding a replica of partition g and a query needs one of each.
+  /// them atomically — the lease primitive of the partitioned data graph
+  /// (gsi/replication.h), where group g lists the devices holding a replica
+  /// of partition g and a query needs one of each.
   ///
   /// Deadlock-free by construction: the whole selection is taken in one
   /// critical section once every group has an idle member, so a waiting

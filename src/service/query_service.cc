@@ -21,7 +21,7 @@ using Clock = std::chrono::steady_clock;  // NOLINT(determinism:nondeterministic
 namespace {
 
 // The halo budget is a serving-layer knob (ServiceOptions), but the caches
-// are built by PartitionedGraph/ReplicatedGraph::Build from GsiOptions.
+// are built by ReplicatedGraph::Build from GsiOptions.
 // Inject before the engine is constructed so the engine's options() — the
 // value every Build below reads — carries the budget exactly once.
 GsiOptions WithHaloBudget(GsiOptions go, const ServiceOptions& so) {
@@ -107,16 +107,6 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
         "engine execution already stores a full replica per device)");
     return;
   }
-  if (options_.partition_replicas > 1 && options_.max_shards_per_query > 1) {
-    // Unreachable today (partition_data_graph already excludes sharding),
-    // but keep the combination check self-contained in case the gate above
-    // is ever relaxed.
-    init_status_ = Status::InvalidArgument(
-        "partition_replicas > 1 is incompatible with max_shards_per_query > "
-        "1 (a query's shards would contend with its replica lanes for the "
-        "same pool)");
-    return;
-  }
   devices_ =
       std::make_unique<DevicePool>(num_devices, engine_.options().device);
   devices_->RegisterMetrics(metrics_);
@@ -137,25 +127,15 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
     const GraphPartitioner& partitioner = options_.partitioner
                                               ? *options_.partitioner
                                               : default_partitioner;
-    if (options_.partition_replicas > 1) {
-      Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
-          devs, data, engine_.options(), partitioner,
-          /*partitions=*/devs.size(),
-          static_cast<size_t>(options_.partition_replicas));
-      if (!rg.ok()) {
-        init_status_ = rg.status();
-        return;
-      }
-      replicated_ = std::make_unique<ReplicatedGraph>(std::move(rg.value()));
-    } else {
-      Result<PartitionedGraph> pg = PartitionedGraph::Build(
-          devs, data, engine_.options(), partitioner);
-      if (!pg.ok()) {
-        init_status_ = pg.status();
-        return;
-      }
-      partitioned_ = std::make_unique<PartitionedGraph>(std::move(pg.value()));
+    Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
+        devs, data, engine_.options(), partitioner,
+        /*partitions=*/devs.size(),
+        static_cast<size_t>(options_.partition_replicas));
+    if (!rg.ok()) {
+      init_status_ = rg.status();
+      return;
     }
+    replicated_ = std::make_unique<ReplicatedGraph>(std::move(rg.value()));
   }
   pool_ = std::make_unique<ThreadPool>(workers);
   for (size_t i = 0; i < workers; ++i) {
@@ -246,7 +226,7 @@ std::optional<Result<QueryResult>> QueryService::Poll(
   }
   if (!paged->ok()) return Result<QueryResult>(paged->status());
   // Materialize outside the lock: every copy is host-mediated (uncharged),
-  // so the table and stats stay bit-identical to the eager merge.
+  // so the table and stats stay bit-identical to QueryEngine::Execute.
   gpusim::Device tmp(engine_.options().device);
   return Result<QueryResult>(ToQueryResult(std::move(paged->value()), tmp));
 }
@@ -293,9 +273,9 @@ Status QueryService::CopyPageChunks(const PagedQueryResult& paged,
             " was lost to a device fault; the query must be recomputed");
       }
       manifest.CopyChunk(seg, out);
-      // The page-out is the device->host movement the eager merge never
-      // paid per page; charge it (honoring armed fault triggers) on the
-      // owner.
+      // The page-out is the device->host movement a one-shot
+      // materialization never pays per page; charge it (honoring armed
+      // fault triggers) on the owner.
       dev.ChargeRemoteTransfer(seg.count * cols * sizeof(VertexId));
       if (!dev.healthy()) {
         return Status::Unavailable(
@@ -543,11 +523,8 @@ void QueryService::RegisterServiceMetrics() {
     sink.AddCounter("gsi_service_partitioned_queries_total",
                     "Completed-ok queries on the partitioned data graph",
                     static_cast<double>(s.partitioned_queries));
-    sink.AddCounter("gsi_service_replicated_queries_total",
-                    "Completed-ok queries via a replica selection",
-                    static_cast<double>(s.replicated_queries));
     sink.AddCounter("gsi_service_replica_lanes_total",
-                    "Distinct devices held, summed over replicated queries",
+                    "Distinct devices held, summed over partitioned queries",
                     static_cast<double>(s.replica_lanes_total));
     sink.AddCounter("gsi_service_remote_probes_total",
                     "Cross-partition neighbor probes",
@@ -612,11 +589,6 @@ void QueryService::RegisterServiceMetrics() {
       total.resident_bytes += s.resident_bytes;
       any = true;
     };
-    if (partitioned_) {
-      for (size_t p = 0; p < partitioned_->num_partitions(); ++p) {
-        fold(partitioned_->halo_cache(static_cast<PartitionId>(p)));
-      }
-    }
     if (replicated_) {
       for (size_t d = 0; d < replicated_->num_devices(); ++d) {
         fold(replicated_->halo_cache(d));
@@ -658,9 +630,9 @@ ServiceStats QueryService::stats() const {
   out.p99_simulated_ms = PercentileOfSorted(latencies, 0.99);
   if (cache_) out.cache = cache_->stats();
   if (devices_) out.pool = devices_->stats();
-  if (out.replicated_queries > 0) {
+  if (out.partitioned_queries > 0) {
     out.avg_replica_lanes = static_cast<double>(out.replica_lanes_total) /
-                            static_cast<double>(out.replicated_queries);
+                            static_cast<double>(out.partitioned_queries);
   }
   out.replica_pick_skew = out.pool.replica_pick_skew();
   out.quarantined_devices = out.pool.quarantined_now;
@@ -695,9 +667,6 @@ void QueryService::FinishLocked(const TicketPtr& ticket,
       stats_.halo_cache_bytes += result->stats.halo_cache_bytes;
       stats_.max_partition_skew =
           std::max(stats_.max_partition_skew, result->stats.partition_skew);
-    }
-    if (result->stats.replica_lanes > 0) {
-      ++stats_.replicated_queries;
       stats_.replica_lanes_total += result->stats.replica_lanes;
       stats_.co_located_probes += result->stats.co_located_probes;
     }
@@ -728,7 +697,7 @@ void QueryService::FinishLocked(const TicketPtr& ticket,
 void QueryService::WorkerLoop() {
   // Devices come from the shared pool per query (RunOne), reused across
   // queries without resets: per-query stats are deltas
-  // (RunFilterStage/RunJoinStageSharded), so isolation matches
+  // (RunFilterStage/RunJoinStageShardedPaged), so isolation matches
   // QueryEngine::RunBatch.
   for (;;) {
     TicketPtr ticket;
@@ -806,39 +775,6 @@ Result<FilterResult> QueryService::FilterViaCache(
   return fresh;
 }
 
-Result<PagedQueryResult> QueryService::RunPartitionedFlow(
-    const Graph& query, gpusim::Device& primary,
-    const obs::TraceContext& trace,
-    const std::function<Result<FilterResult>(QueryStats&, double*)>&
-        fresh_filter,
-    const std::function<Result<PagedQueryResult>(FilterResult, QueryStats)>&
-        join) {
-  WallTimer wall;
-  QueryStats stats;
-  double filter_parallel_ms = 0;
-  bool cache_hit = false;
-  Result<FilterResult> filtered =
-      FilterViaCache(query, primary, stats, &cache_hit, trace, [&] {
-        return fresh_filter(stats, &filter_parallel_ms);
-      });
-  if (!filtered.ok()) return filtered.status();
-  if (cache_hit) {
-    // The memoized lists are already global: the per-partition scans (and
-    // their halo gather) were skipped and the phase ran on the primary.
-    filter_parallel_ms = stats.filter.SimulatedMs(primary.config());
-  }
-  Result<PagedQueryResult> out = join(std::move(filtered.value()), stats);
-  if (out.ok()) {
-    // The join stage derives filter_ms from the summed counters; restore
-    // the fanned-out filter's makespan so total_ms reflects wall-parallel
-    // partitions, not serialized work.
-    out->stats.filter_ms = filter_parallel_ms;
-    out->stats.total_ms = out->stats.filter_ms + out->stats.join_ms;
-    out->stats.wall_ms = wall.ElapsedMs();
-  }
-  return out;
-}
-
 Result<PagedQueryResult> QueryService::RunOne(const Graph& query,
                                               int max_attempts,
                                               const obs::TraceContext& trace) {
@@ -901,11 +837,12 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
     const Graph& query, const obs::TraceContext& trace) {
   const GsiOptions& go = engine_.options();
   if (replicated_) {
-    // R-way replicated partitions: lease one replica of each (packed onto
-    // as few devices as possible, so other lanes stay free for concurrent
-    // queries), then serve every partition from its leased replica. The
-    // primary (gather/merge/materialize device) is the lowest-indexed
-    // leased device — the same device RunFilterStageReplicated picks.
+    // Lease one replica of each partition (packed onto as few devices as
+    // possible, so other lanes stay free for concurrent queries; at R = 1
+    // every group is a single device, so this takes the whole pool), then
+    // serve every partition from its leased replica. The primary
+    // (gather/merge/materialize device) is the lowest-indexed leased
+    // device — the same device RunFilterStageReplicated picks.
     const ReplicatedGraph& rg = *replicated_;
     Result<DevicePool::GroupLeases> leases_or =
         devices_->AcquireOneOfEach(rg.placement().lease_groups());
@@ -914,35 +851,34 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
     Result<ReplicaSelection> sel =
         SelectionFromDevices(rg, leases.device_of_group);
     if (!sel.ok()) return sel.status();
-    return RunPartitionedFlow(
-        query, *leases.leases.front().get(), trace,
-        [&](QueryStats& stats, double* parallel_ms) {
+    gpusim::Device& primary = *leases.leases.front().get();
+
+    WallTimer wall;
+    QueryStats stats;
+    double filter_parallel_ms = 0;
+    bool cache_hit = false;
+    Result<FilterResult> filtered =
+        FilterViaCache(query, primary, stats, &cache_hit, trace, [&] {
           return RunFilterStageReplicated(rg, *sel, query, stats,
-                                          parallel_ms, trace);
-        },
-        [&](FilterResult filtered, QueryStats stats) {
-          return RunJoinStageReplicatedPaged(rg, *sel, query,
-                                             std::move(filtered), stats,
-                                             trace);
+                                          &filter_parallel_ms, trace);
         });
-  }
-  if (partitioned_) {
-    // The partitions *are* the data: a query needs every pool device, so
-    // partitioned queries serialize on AcquireAll (workers just queue).
-    const PartitionedGraph& pg = *partitioned_;
-    Result<std::vector<DevicePool::Lease>> all_or = devices_->AcquireAll();
-    if (!all_or.ok()) return all_or.status();
-    std::vector<DevicePool::Lease> all = std::move(all_or.value());
-    return RunPartitionedFlow(
-        query, pg.device(0), trace,
-        [&](QueryStats& stats, double* parallel_ms) {
-          return RunFilterStagePartitioned(pg, query, stats, parallel_ms,
-                                           trace);
-        },
-        [&](FilterResult filtered, QueryStats stats) {
-          return RunJoinStagePartitionedPaged(pg, query, std::move(filtered),
-                                              stats, trace);
-        });
+    if (!filtered.ok()) return filtered.status();
+    if (cache_hit) {
+      // The memoized lists are already global: the per-partition scans (and
+      // their halo gather) were skipped and the phase ran on the primary.
+      filter_parallel_ms = stats.filter.SimulatedMs(primary.config());
+    }
+    Result<PagedQueryResult> out = RunJoinStageReplicatedPaged(
+        rg, *sel, query, std::move(filtered.value()), stats, trace);
+    if (out.ok()) {
+      // The join stage derives filter_ms from the summed counters; restore
+      // the fanned-out filter's makespan so total_ms reflects wall-parallel
+      // lanes, not serialized work.
+      out->stats.filter_ms = filter_parallel_ms;
+      out->stats.total_ms = out->stats.filter_ms + out->stats.join_ms;
+      out->stats.wall_ms = wall.ElapsedMs();
+    }
+    return out;
   }
   Result<DevicePool::Lease> primary_or = devices_->Acquire();
   if (!primary_or.ok()) return primary_or.status();

@@ -11,7 +11,6 @@
 
 #include "graph/graph.h"
 #include "gsi/matcher.h"
-#include "gsi/partition.h"
 #include "gsi/query_engine.h"
 #include "gsi/replication.h"
 #include "gsi/result_manifest.h"
@@ -70,34 +69,33 @@ struct ServiceOptions {
   size_t filter_cache_bytes = 64ull << 20;
 
   /// Partition the data graph across the device pool instead of replicating
-  /// it: each pool device holds 1/K of the PCSR + signature table
-  /// (K = pool size; see gsi/partition.h). Queries then need *all* devices
-  /// (the partitions are the data), so they serialize on the pool via
-  /// DevicePool::AcquireAll — the memory-capacity/concurrency trade
-  /// documented in docs/ARCHITECTURE.md. Incompatible with
-  /// max_shards_per_query > 1 (the sharded path assumes replicas); match
-  /// results stay bit-identical to GsiMatcher::Find. Requires PCSR storage
-  /// and the signature filter strategy.
+  /// it: the pool's K devices each hold one partition of the PCSR +
+  /// signature table (gsi/replication.h), ~1/K of the replica at
+  /// partition_replicas = 1. A query leases one replica of each partition
+  /// (DevicePool::AcquireOneOfEach) and runs the partitioned filter/join —
+  /// at R = 1 that is the whole pool, so partitioned queries serialize: the
+  /// memory-capacity/concurrency trade documented in docs/ARCHITECTURE.md.
+  /// Incompatible with max_shards_per_query > 1 (the sharded path assumes
+  /// replicas); match results stay bit-identical to GsiMatcher::Find.
+  /// Requires PCSR storage and the signature filter strategy.
   bool partition_data_graph = false;
   /// Ownership policy for partition_data_graph (null = HashVertexPartitioner).
   std::shared_ptr<const GraphPartitioner> partitioner;
   /// Replicas of each partition in partition_data_graph mode (R). With the
-  /// default 1, a query needs the whole pool (AcquireAll) and partitioned
-  /// queries serialize. With R > 1 every partition lives on R pool devices
-  /// (staggered placement; see gsi/replication.h), a query leases just one
-  /// replica of each (DevicePool::AcquireOneOfEach, least-loaded picks),
-  /// and up to R partitioned queries run concurrently — at R times the
-  /// per-device resident bytes. R should divide the pool size: a query's
-  /// lease packs onto ceil(pool/R) devices, so a non-divisor R buys only
-  /// floor(pool / ceil(pool/R)) concurrent lanes (R=3 on a 4-device pool
-  /// yields the 2 lanes of R=2 at 3x the memory — its only edge over R=2
-  /// is a few more co-resident replicas absorbing remote probes). Remote
-  /// probes are served by a co-resident
+  /// default 1, every partition lives on one device and a query needs the
+  /// whole pool. With R > 1 every partition lives on R pool devices
+  /// (staggered placement), a query's lease picks the least-loaded replica
+  /// of each and packs onto ~pool/R devices, and up to R partitioned queries
+  /// run concurrently — at R times the per-device resident bytes. R should
+  /// divide the pool size: a query's lease packs onto ceil(pool/R) devices,
+  /// so a non-divisor R buys only floor(pool / ceil(pool/R)) concurrent
+  /// lanes (R=3 on a 4-device pool yields the 2 lanes of R=2 at 3x the
+  /// memory — its only edge over R=2 is a few more co-resident replicas
+  /// absorbing remote probes). Remote probes are served by a co-resident
   /// replica when the probing device holds one, else routed to the replica
-  /// the query leased. Must be in [1, pool size]; needs
-  /// partition_data_graph and is incompatible with max_shards_per_query >
-  /// 1. Match results stay bit-identical to GsiMatcher::Find for every
-  /// replica choice.
+  /// the query leased. Must be in [1, pool size]; values above 1 need
+  /// partition_data_graph. Match results stay bit-identical to
+  /// GsiMatcher::Find for every replica choice.
   int partition_replicas = 1;
 
   /// Execution attempts per query when a simulated device fails mid-run
@@ -206,15 +204,12 @@ struct ServiceStats {
   /// halo_budget_bytes > 0).
   uint64_t halo_cache_hits = 0;
   uint64_t halo_cache_bytes = 0;     ///< list bytes those hits served
-  /// Replicated-placement activity (zeros unless partition_replicas > 1).
-  /// Partitioned queries then also count in the partitioned fields above.
-  uint64_t replicated_queries = 0;  ///< completed-ok via a replica selection
-  uint64_t replica_lanes_total = 0; ///< sum of per-query distinct devices
-  /// Lane occupancy: replica_lanes_total / replicated_queries — devices a
-  /// partitioned query actually held, vs the whole pool under AcquireAll.
+  uint64_t replica_lanes_total = 0;  ///< sum of per-query distinct devices
+  /// Lane occupancy: replica_lanes_total / partitioned_queries — devices a
+  /// partitioned query actually held (the whole pool at R = 1).
   double avg_replica_lanes = 0;
   /// Probes replication served from a co-resident replica instead of the
-  /// interconnect (the traffic R bought back).
+  /// interconnect (the traffic R bought back; zero at R = 1).
   uint64_t co_located_probes = 0;
   /// max/mean of per-device replica picks (AcquireOneOfEach), 1.0 = even.
   double replica_pick_skew = 0;
@@ -325,27 +320,28 @@ class QueryTicket {
 /// expire via per-query deadlines; running ones always finish.
 ///
 /// Execution reuses the staged core of matcher.h (RunFilterStage +
-/// RunJoinStageSharded). Workers lease devices from a shared DevicePool per
-/// query; with max_shards_per_query > 1, a heavy query (smallest candidate
-/// set >= shard_min_candidates) additionally grabs whatever devices are
-/// idle and fans its join out across them (sharded_engine.h). With the
-/// filter cache enabled, repeated query shapes skip the signature-scan
-/// kernels and rematerialize memoized candidate sets. Both paths keep match
-/// tables bit-identical to sequential GsiMatcher::Find — sharding and
-/// caching only change where the work runs and what it costs.
+/// RunJoinStageShardedPaged). Workers lease devices from a shared
+/// DevicePool per query; with max_shards_per_query > 1, a heavy query
+/// (smallest candidate set >= shard_min_candidates) additionally grabs
+/// whatever devices are idle and fans its join out across them
+/// (sharded_engine.h). With the filter cache enabled, repeated query shapes
+/// skip the signature-scan kernels and rematerialize memoized candidate
+/// sets. Both paths keep match tables bit-identical to sequential
+/// GsiMatcher::Find — sharding and caching only change where the work runs
+/// and what it costs.
 ///
-/// With partition_data_graph set, the pool's devices each hold 1/K of the
-/// data structures instead of sharing the engine's replica; queries then
-/// take the whole pool (DevicePool::AcquireAll) and run the partitioned
-/// filter/join of gsi/partition.h — still bit-identical, still
-/// cache-compatible (memoized candidate lists are global either way).
-/// Raising partition_replicas to R > 1 stores every partition on R pool
-/// devices (gsi/replication.h): a query leases one replica of each
-/// (DevicePool::AcquireOneOfEach) instead of the whole pool, so up to R
-/// partitioned queries run concurrently, remote probes are served by
-/// co-resident replicas when possible, and per-device residency grows to
-/// ~R/K of the replica — the replication/concurrency trade the ServiceStats
-/// replica counters observe.
+/// With partition_data_graph set, the pool's devices hold partitions of the
+/// data structures (gsi/replication.h) instead of sharing the engine's
+/// replica: a query leases one replica of each partition
+/// (DevicePool::AcquireOneOfEach) and runs the partitioned filter/join —
+/// still bit-identical, still cache-compatible (memoized candidate lists
+/// are global either way). At partition_replicas = 1 each device holds
+/// 1/K of the data and every query takes the whole pool; raising it to
+/// R > 1 stores every partition on R pool devices, so a query's lease
+/// packs onto ~K/R devices, up to R partitioned queries run concurrently,
+/// remote probes are served by co-resident replicas when possible, and
+/// per-device residency grows to ~R/K of the replica — the
+/// replication/concurrency trade the ServiceStats replica counters observe.
 ///
 /// Thread-safe. The data graph must outlive the service. Results handed
 /// out by Poll/Wait own their match tables; they stay valid after the
@@ -474,29 +470,17 @@ class QueryService {
   /// satisfies the filter phase (through the cache when enabled), and —
   /// when the query is heavy and devices are idle — fans the join out
   /// across up to max_shards_per_query devices. In partition_data_graph
-  /// mode it instead takes the whole pool (partition_replicas == 1) or one
-  /// replica of each partition (AcquireOneOfEach) and runs the
-  /// partitioned/replicated filter/join. `trace` (null tracer when
-  /// untraced) parents the execution-phase spans.
+  /// mode it instead leases one replica of each partition
+  /// (AcquireOneOfEach) and runs the replicated filter/join. `trace` (null
+  /// tracer when untraced) parents the execution-phase spans.
   Result<PagedQueryResult> RunOneAttempt(const Graph& query,
                                          const obs::TraceContext& trace);
-  /// The orchestration both partitioned-data paths share: cache-aware
-  /// filter on `primary` (falling back to `fresh_filter`, which reports
-  /// the phase's parallel makespan), then `join`, then the filter-makespan
-  /// and wall-time fixups. Devices must already be leased by the caller.
-  Result<PagedQueryResult> RunPartitionedFlow(
-      const Graph& query, gpusim::Device& primary,
-      const obs::TraceContext& trace,
-      const std::function<Result<FilterResult>(QueryStats&, double*)>&
-          fresh_filter,
-      const std::function<Result<PagedQueryResult>(FilterResult, QueryStats)>&
-          join);
   /// Satisfies the filter phase through the cache when enabled: a hit
   /// rematerializes the memoized lists on `materialize_dev` (recording the
   /// counter delta and min-candidate metric into `stats`); a miss runs
   /// `fresh_filter` and memoizes its candidate lists. Shared by the
-  /// replicated and partitioned execution paths — the memoized lists are
-  /// global either way. `hit` (when non-null) reports which path ran.
+  /// single-device and partitioned execution paths — the memoized lists
+  /// are global either way. `hit` (when non-null) reports which path ran.
   Result<FilterResult> FilterViaCache(
       const Graph& query, gpusim::Device& materialize_dev, QueryStats& stats,
       bool* hit, const obs::TraceContext& trace,
@@ -529,12 +513,9 @@ class QueryService {
   obs::Histogram* latency_hist_ = nullptr;
   std::unique_ptr<FilterCache> cache_;  // null when disabled
   std::unique_ptr<DevicePool> devices_;  // null when init failed
-  /// The 1/K-per-device data graph (partition_data_graph mode with
-  /// partition_replicas == 1); built over the pool's devices in index
-  /// order, null otherwise.
-  std::unique_ptr<PartitionedGraph> partitioned_;
-  /// The R-way replicated placement (partition_replicas > 1); K = pool
-  /// size partitions, each on R pool devices. Null otherwise.
+  /// The partitioned data graph (partition_data_graph mode): K = pool size
+  /// partitions, each on partition_replicas pool devices, built over the
+  /// pool's devices in index order. Null otherwise.
   std::unique_ptr<ReplicatedGraph> replicated_;
 
   mutable Mutex mu_;

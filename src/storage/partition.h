@@ -35,7 +35,7 @@ LabelPartition MakePartition(const Graph& g, Label l);
 
 /// Like MakePartition, but keeps only the rows of vertices v with
 /// keep[v] != 0: the unit from which a *device-partitioned* PCSR is built
-/// (gsi/partition.h). Neighbor ids stay global — only the row set shrinks,
+/// (gsi/replication.h). Neighbor ids stay global — only the row set shrinks,
 /// so each directed edge (u -> w) lands in exactly the partition that keeps
 /// u. `keep` must have one entry per vertex of g.
 LabelPartition MakePartitionForVertices(const Graph& g, Label l,

@@ -100,7 +100,7 @@ class PcsrStore final : public NeighborStore {
   /// per-device residency really is ~1/K. Lookups of non-kept vertices
   /// report "not found" (count 0) — the partitioned execution path never
   /// issues them locally; it routes them to the owner as remote probes
-  /// (gsi/partition.h). `keep` must have one entry per vertex of g.
+  /// (gsi/replication.h). `keep` must have one entry per vertex of g.
   static std::unique_ptr<PcsrStore> BuildForVertices(
       gpusim::Device& dev, const Graph& g, std::span<const uint8_t> keep,
       int gpn = 16);

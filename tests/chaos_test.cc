@@ -13,7 +13,7 @@
 
 #include "gpusim/device.h"
 #include "gsi/matcher.h"
-#include "gsi/partition.h"
+#include "gsi/replication.h"
 #include "service/query_service.h"
 #include "test_util.h"
 #include "util/status.h"
@@ -284,20 +284,20 @@ TEST(Chaos, HaloCacheInvalidatesOnceAcrossTripAndRepair) {
     owned.push_back(std::make_unique<gpusim::Device>(opt.device));
     devs.push_back(owned.back().get());
   }
-  Result<PartitionedGraph> pg =
-      PartitionedGraph::Build(devs, data, opt, HashVertexPartitioner());
+  Result<ReplicatedGraph> pg =
+      ReplicatedGraph::Build(devs, data, opt, HashVertexPartitioner(),
+                             /*partitions=*/2, /*replicas=*/1);
   ASSERT_TRUE(pg.ok());
-  Result<QueryResult> warm = ExecuteQueryPartitioned(*pg, query);
+  Result<QueryResult> warm = testing::ExecuteReplicated(*pg, query);
   ASSERT_TRUE(warm.ok());
   // Trip whichever lane actually cached remote lists (which one does is a
   // property of the workload, not of the cache).
-  const PartitionId victim =
-      pg->halo_cache(0)->stats().entries > 0 ? 0 : 1;
+  const size_t victim = pg->halo_cache(0)->stats().entries > 0 ? 0 : 1;
   ASSERT_GT(pg->halo_cache(victim)->stats().entries, 0u);
 
   devs[victim]->Trip("chaos");
   devs[victim]->Repair();
-  Result<QueryResult> after = ExecuteQueryPartitioned(*pg, query);
+  Result<QueryResult> after = testing::ExecuteReplicated(*pg, query);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->TableEquals(*baseline));
   EXPECT_EQ(pg->halo_cache(victim)->stats().invalidations, 1u);

@@ -70,18 +70,6 @@ TEST(DevicePool, LeaseMoveTransfersOwnership) {
   EXPECT_EQ(pool.idle(), 1u);
 }
 
-TEST(DevicePool, AcquireUpToTakesOnlyIdleDevices) {
-  DevicePool pool(4);
-  DevicePool::Lease held = pool.Acquire().value();
-  std::vector<DevicePool::Lease> batch = pool.AcquireUpTo(8).value();
-  EXPECT_EQ(batch.size(), 3u);  // 1 blocking + 2 extras; never waits
-  std::set<gpusim::Device*> distinct;
-  distinct.insert(held.get());
-  for (DevicePool::Lease& l : batch) distinct.insert(l.get());
-  EXPECT_EQ(distinct.size(), 4u);
-  EXPECT_EQ(pool.idle(), 0u);
-}
-
 TEST(DevicePool, StatsTrackUsage) {
   DevicePool pool(2);
   {
@@ -113,14 +101,15 @@ TEST(DevicePool, ContentionNeverDoubleLeases) {
     for (size_t t = 0; t < kThreads; ++t) {
       workers.Submit([&, t] {
         for (size_t i = 0; i < kItersPerThread; ++i) {
-          // Alternate single leases and fan-out batches.
-          std::vector<DevicePool::Lease> leases =
-              (t + i) % 2 == 0 ? pool.AcquireUpTo(2).value()
-                               : [&] {
-                                   std::vector<DevicePool::Lease> one;
-                                   one.push_back(pool.Acquire().value());
-                                   return one;
-                                 }();
+          // Alternate single leases and fan-out batches (one blocking
+          // lease plus an idle extra when there is one).
+          std::vector<DevicePool::Lease> leases;
+          leases.push_back(pool.Acquire().value());
+          if ((t + i) % 2 == 0) {
+            if (std::optional<DevicePool::Lease> extra = pool.TryAcquire()) {
+              leases.push_back(std::move(*extra));
+            }
+          }
           {
             std::lock_guard<std::mutex> lock(mu);
             for (DevicePool::Lease& l : leases) {
@@ -461,8 +450,6 @@ TEST(DevicePool, NoAcquireVariantHandsOutQuarantinedDevices) {
     EXPECT_EQ(l->get()->ordinal(), 1);
     EXPECT_FALSE(pool.TryAcquire().has_value());
   }
-  // AcquireUpTo caps at the live devices.
-  EXPECT_EQ(pool.AcquireUpTo(2).value().size(), 1u);
   // AcquireAll needs every device: unsatisfiable until a repair.
   Result<std::vector<DevicePool::Lease>> all = pool.AcquireAll();
   ASSERT_FALSE(all.ok());

@@ -11,7 +11,6 @@
 #include "gsi/fault.h"
 #include "gsi/matcher.h"
 #include "gsi/query_engine.h"
-#include "gsi/sharded_engine.h"
 #include "test_util.h"
 #include "util/status.h"
 
@@ -147,10 +146,8 @@ TEST(FaultInjection, ShardedExecutionDetectsAnyDeadDevice) {
     gpusim::FaultPlan plan;
     plan.fail_at_kernel_launch = 1;
     devs[victim]->InjectFault(plan);
-    ShardOptions shard;
-    Result<QueryResult> r =
-        ExecuteQuerySharded(devs, data, engine.store(), engine.filter(),
-                            engine.options(), shard, query);
+    const QueryEngine::ExecRequest req{.query = &query, .devices = devs};
+    Result<QueryResult> r = engine.Execute(req);
     ASSERT_FALSE(r.ok()) << "victim " << victim;
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
 
@@ -158,9 +155,7 @@ TEST(FaultInjection, ShardedExecutionDetectsAnyDeadDevice) {
     // single-device baseline (the sharded guarantee survives a fault).
     a.Repair();
     b.Repair();
-    Result<QueryResult> ok =
-        ExecuteQuerySharded(devs, data, engine.store(), engine.filter(),
-                            engine.options(), shard, query);
+    Result<QueryResult> ok = engine.Execute(req);
     ASSERT_TRUE(ok.ok());
     EXPECT_TRUE(ok->TableEquals(*baseline));
   }

@@ -11,7 +11,7 @@
 #include "graph/graph_builder.h"
 #include "gsi/filter.h"
 #include "gsi/matcher.h"
-#include "gsi/partition.h"
+#include "gsi/replication.h"
 #include "gsi/partition_internal.h"
 #include "test_util.h"
 
@@ -273,15 +273,16 @@ TEST_P(SignatureScanSuite, OwnedScansMergeToTheWholeLists) {
       owned_devs.push_back(std::make_unique<gpusim::Device>());
       devs.push_back(owned_devs.back().get());
     }
-    Result<PartitionedGraph> pg = PartitionedGraph::Build(
-        devs, in.data, options, HashVertexPartitioner());
+    Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
+        devs, in.data, options, HashVertexPartitioner(), /*partitions=*/3,
+        /*replicas=*/1);
     ASSERT_TRUE(pg.ok());
     for (const Graph& q : in.queries) {
       const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
       std::vector<std::vector<std::vector<VertexId>>> partial;
       for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
         partial.push_back(internal::ScanOwnedSignatures(
-            pg->device(p), pg->signatures(p), pg->owned(p), qsigs));
+            pg->device(p), pg->signatures(p, 0), pg->owned(p), qsigs));
       }
       for (VertexId u = 0; u < q.num_vertices(); ++u) {
         std::vector<const std::vector<VertexId>*> lists;

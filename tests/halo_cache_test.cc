@@ -1,6 +1,6 @@
 // The per-device halo cache (gsi/halo_cache.h): unit semantics of the
 // serve/record contract, LRU budget enforcement, fault-epoch invalidation,
-// and the property that matters — partitioned and replicated executions
+// and the property that matters — partitioned executions (R = 1 and R > 1)
 // with any budget return match tables byte-identical to GsiMatcher::Find
 // while nonzero budgets strictly remove interconnect transactions. Also the
 // lock contract: stats snapshots stay coherent while a lane thread churns.
@@ -246,6 +246,14 @@ void ExpectSameTable(const QueryResult& got, const QueryResult& want,
   ASSERT_TRUE(got.TableEquals(want)) << context;
 }
 
+/// Plain partitioning: one partition per device, one replica each.
+Result<ReplicatedGraph> BuildPartitioned(const DeviceSet& ds, const Graph& g,
+                                         const GsiOptions& options,
+                                         const GraphPartitioner& partitioner) {
+  return ReplicatedGraph::Build(ds.ptrs, g, options, partitioner,
+                                /*partitions=*/ds.ptrs.size(), /*replicas=*/1);
+}
+
 // Sweeps budget x partitioner x K on two graph shapes. For every cell the
 // match table must be byte-identical to the sequential matcher; at nonzero
 // budget a warmed cache must strictly reduce interconnect transactions
@@ -279,13 +287,13 @@ TEST(HaloCacheProperty, SweepBudgetsPartitionersAndPartitionCounts) {
                                 std::to_string(k);
         // Budget 0: no caches, the uncached remote-transaction baseline.
         DeviceSet ds0 = MakeDevices(k, base.device);
-        Result<PartitionedGraph> pg0 =
-            PartitionedGraph::Build(ds0.ptrs, g, base, *partitioner);
+        Result<ReplicatedGraph> pg0 =
+            BuildPartitioned(ds0, g, base, *partitioner);
         ASSERT_TRUE(pg0.ok()) << ctx;
-        for (PartitionId p = 0; p < k; ++p) {
-          EXPECT_EQ(pg0->halo_cache(p), nullptr) << ctx;
+        for (size_t d = 0; d < k; ++d) {
+          EXPECT_EQ(pg0->halo_cache(d), nullptr) << ctx;
         }
-        Result<QueryResult> r0 = ExecuteQueryPartitioned(*pg0, q);
+        Result<QueryResult> r0 = testing::ExecuteReplicated(*pg0, q);
         ASSERT_TRUE(r0.ok()) << ctx;
         ExpectSameTable(*r0, *want, ctx + " budget=0");
         ASSERT_GT(r0->stats.remote_probes, 0u)
@@ -296,23 +304,23 @@ TEST(HaloCacheProperty, SweepBudgetsPartitionersAndPartitionCounts) {
           GsiOptions opt = base;
           opt.halo_budget_bytes = budget;
           DeviceSet ds = MakeDevices(k, base.device);
-          Result<PartitionedGraph> pg =
-              PartitionedGraph::Build(ds.ptrs, g, opt, *partitioner);
+          Result<ReplicatedGraph> pg =
+              BuildPartitioned(ds, g, opt, *partitioner);
           ASSERT_TRUE(pg.ok()) << bctx;
           // The budget shows up in the build's residency accounting.
           for (uint64_t rb : pg->build_stats().resident_bytes) {
             EXPECT_GE(rb, budget) << bctx;
           }
-          Result<QueryResult> cold = ExecuteQueryPartitioned(*pg, q);
+          Result<QueryResult> cold = testing::ExecuteReplicated(*pg, q);
           ASSERT_TRUE(cold.ok()) << bctx;
           ExpectSameTable(*cold, *want, bctx + " cold");
-          Result<QueryResult> warm = ExecuteQueryPartitioned(*pg, q);
+          Result<QueryResult> warm = testing::ExecuteReplicated(*pg, q);
           ASSERT_TRUE(warm.ok()) << bctx;
           ExpectSameTable(*warm, *want, bctx + " warm");
 
           uint64_t evictions = 0;
-          for (PartitionId p = 0; p < k; ++p) {
-            const HaloCache* cache = pg->halo_cache(p);
+          for (size_t d = 0; d < k; ++d) {
+            const HaloCache* cache = pg->halo_cache(d);
             ASSERT_NE(cache, nullptr) << bctx;
             EXPECT_LE(cache->resident_bytes(), budget) << bctx;
             evictions += cache->stats().evictions;
@@ -347,8 +355,7 @@ TEST(HaloCacheProperty, ReplicatedLanesStayBitIdenticalAndSaveRemotes) {
       ReplicatedGraph::Build(ds0.ptrs, g, base, HashVertexPartitioner(),
                              /*partitions=*/devices, replicas);
   ASSERT_TRUE(rg0.ok());
-  const ReplicaSelection sel0 = CompactSelection(*rg0);
-  Result<QueryResult> r0 = ExecuteQueryReplicated(*rg0, sel0, q);
+  Result<QueryResult> r0 = testing::ExecuteReplicated(*rg0, q);
   ASSERT_TRUE(r0.ok());
   ExpectSameTable(*r0, *want, "replicated budget=0");
   ASSERT_GT(r0->stats.remote_probes, 0u);
@@ -360,11 +367,10 @@ TEST(HaloCacheProperty, ReplicatedLanesStayBitIdenticalAndSaveRemotes) {
       ReplicatedGraph::Build(ds.ptrs, g, opt, HashVertexPartitioner(),
                              /*partitions=*/devices, replicas);
   ASSERT_TRUE(rg.ok());
-  const ReplicaSelection sel = CompactSelection(*rg);
-  Result<QueryResult> cold = ExecuteQueryReplicated(*rg, sel, q);
+  Result<QueryResult> cold = testing::ExecuteReplicated(*rg, q);
   ASSERT_TRUE(cold.ok());
   ExpectSameTable(*cold, *want, "replicated cold");
-  Result<QueryResult> warm = ExecuteQueryReplicated(*rg, sel, q);
+  Result<QueryResult> warm = testing::ExecuteReplicated(*rg, q);
   ASSERT_TRUE(warm.ok());
   ExpectSameTable(*warm, *want, "replicated warm");
   EXPECT_GT(warm->stats.halo_cache_hits, 0u);
@@ -385,7 +391,7 @@ TEST(HaloCacheProperty, FullReplicationNeverTouchesTheCache) {
       ReplicatedGraph::Build(ds.ptrs, g, opt, HashVertexPartitioner(),
                              /*partitions=*/2, /*replicas=*/2);
   ASSERT_TRUE(rg.ok());
-  Result<QueryResult> r = ExecuteQueryReplicated(*rg, CompactSelection(*rg), q);
+  Result<QueryResult> r = testing::ExecuteReplicated(*rg, q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.remote_probes, 0u);
   for (size_t d = 0; d < rg->num_devices(); ++d) {
@@ -407,11 +413,11 @@ TEST(HaloCacheProperty, RepeatRunsAgainstEqualStateAreDeterministic) {
   opt.halo_budget_bytes = 4096;
   auto run_twice = [&](QueryStats& first, QueryStats& second) {
     DeviceSet ds = MakeDevices(3, opt.device);
-    Result<PartitionedGraph> pg = PartitionedGraph::Build(
-        ds.ptrs, g, opt, HashVertexPartitioner());
+    Result<ReplicatedGraph> pg =
+        BuildPartitioned(ds, g, opt, HashVertexPartitioner());
     ASSERT_TRUE(pg.ok());
-    Result<QueryResult> a = ExecuteQueryPartitioned(*pg, q);
-    Result<QueryResult> b = ExecuteQueryPartitioned(*pg, q);
+    Result<QueryResult> a = testing::ExecuteReplicated(*pg, q);
+    Result<QueryResult> b = testing::ExecuteReplicated(*pg, q);
     ASSERT_TRUE(a.ok() && b.ok());
     first = a->stats;
     second = b->stats;
@@ -441,8 +447,8 @@ TEST(HaloCacheLockContract, StatsSnapshotsStayCoherentUnderChurn) {
   GsiOptions opt = GsiOptOptions();
   opt.halo_budget_bytes = 4096;
   DeviceSet ds = MakeDevices(3, opt.device);
-  Result<PartitionedGraph> pg =
-      PartitionedGraph::Build(ds.ptrs, g, opt, HashVertexPartitioner());
+  Result<ReplicatedGraph> pg =
+      BuildPartitioned(ds, g, opt, HashVertexPartitioner());
   ASSERT_TRUE(pg.ok());
 
   std::atomic<bool> done{false};
@@ -451,8 +457,8 @@ TEST(HaloCacheLockContract, StatsSnapshotsStayCoherentUnderChurn) {
   for (int t = 0; t < 2; ++t) {
     observers.emplace_back([&] {
       while (!done.load(std::memory_order_relaxed)) {
-        for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
-          const HaloCache::Stats s = pg->halo_cache(p)->stats();
+        for (size_t d = 0; d < pg->num_devices(); ++d) {
+          const HaloCache::Stats s = pg->halo_cache(d)->stats();
           if (s.resident_bytes > opt.halo_budget_bytes ||
               s.evictions > s.insertions ||
               s.entries > s.insertions) {
@@ -463,7 +469,7 @@ TEST(HaloCacheLockContract, StatsSnapshotsStayCoherentUnderChurn) {
     });
   }
   for (int i = 0; i < 20; ++i) {
-    Result<QueryResult> r = ExecuteQueryPartitioned(*pg, q);
+    Result<QueryResult> r = testing::ExecuteReplicated(*pg, q);
     ASSERT_TRUE(r.ok());
   }
   done.store(true, std::memory_order_relaxed);

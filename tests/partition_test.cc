@@ -1,8 +1,9 @@
-// Partitioned data-graph execution: build invariants (every adjacency row
-// stored exactly once, on its owner; signature shares match ownership),
-// halo-exchange correctness (bit-identical match tables against
-// single-device GsiMatcher::Find on every integration-test graph), and
-// determinism of the remote-probe accounting.
+// Partitioned data-graph execution — a ReplicatedGraph with one replica per
+// partition (R = 1): the partitioners, build invariants (every adjacency
+// row stored exactly once, on its owner; signature shares match
+// ownership), and halo-exchange correctness (bit-identical match tables
+// against single-device GsiMatcher::Find). replication_test.cc sweeps the
+// same execution path across R, R = 1 included.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "gsi/matcher.h"
 #include "gsi/partition.h"
 #include "gsi/query_engine.h"
+#include "gsi/replication.h"
 #include "storage/signature.h"
 #include "test_util.h"
 
@@ -52,10 +54,14 @@ DeviceSet MakeDevices(size_t k, const gpusim::DeviceConfig& config) {
   return ds;
 }
 
-Result<PartitionedGraph> BuildPartitioned(const DeviceSet& ds, const Graph& g,
-                                          const GsiOptions& options) {
-  return PartitionedGraph::Build(ds.ptrs, g, options, HashVertexPartitioner());
+/// One partition per device, one replica each: the 1/K-per-device layout.
+Result<ReplicatedGraph> BuildPartitioned(
+    const DeviceSet& ds, const Graph& g, const GsiOptions& options,
+    const GraphPartitioner& partitioner = HashVertexPartitioner()) {
+  return ReplicatedGraph::Build(ds.ptrs, g, options, partitioner,
+                                /*partitions=*/ds.ptrs.size(), /*replicas=*/1);
 }
+
 
 // ------------------------------------------------------- partitioners ---
 
@@ -126,7 +132,7 @@ TEST(Partitioner, GreedyEdgeCutBeatsHashOnClusteredGraph) {
 TEST(PartitionedGraphBuild, EveryAdjacencyRowStoredExactlyOnce) {
   Graph g = testing::RandomGraph(400, 4, 3, 3, 23);
   DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
   ASSERT_TRUE(pg.ok()) << pg.status().ToString();
 
   // Each directed edge lands in exactly one share: the owner's PCSR has the
@@ -137,7 +143,7 @@ TEST(PartitionedGraphBuild, EveryAdjacencyRowStoredExactlyOnce) {
     for (Label l : g.edge_labels()) {
       const size_t expect = g.NeighborsWithLabel(v, l).size();
       for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
-        const PcsrPartition* part = pg->store(p).partition(l);
+        const PcsrPartition* part = pg->store(p, 0).partition(l);
         ASSERT_NE(part, nullptr);
         PcsrPartition::LookupInfo info = part->HostLookup(v);
         if (p == owner && expect > 0) {
@@ -151,8 +157,17 @@ TEST(PartitionedGraphBuild, EveryAdjacencyRowStoredExactlyOnce) {
     }
     directed_total += g.degree(v);
   }
+  // Summed over the shares, the stored rows are every adjacency entry.
   size_t stored = 0;
-  for (size_t e : pg->build_stats().directed_edges) stored += e;
+  for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
+    for (VertexId v : pg->owned(p)) {
+      for (Label l : g.edge_labels()) {
+        PcsrPartition::LookupInfo info =
+            pg->store(p, 0).partition(l)->HostLookup(v);
+        if (info.found) stored += info.count;
+      }
+    }
+  }
   EXPECT_EQ(stored, directed_total);
   EXPECT_EQ(directed_total, 2 * g.num_edges());
 }
@@ -160,14 +175,14 @@ TEST(PartitionedGraphBuild, EveryAdjacencyRowStoredExactlyOnce) {
 TEST(PartitionedGraphBuild, SignatureOwnershipMatchesVertexOwnership) {
   Graph g = testing::RandomGraph(300, 3, 4, 2, 29);
   DeviceSet ds = MakeDevices(3, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
   ASSERT_TRUE(pg.ok());
 
   size_t owned_total = 0;
   const int nbits = pg->options().filter.signature_bits;
   for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
     std::span<const VertexId> owned = pg->owned(p);
-    const SignatureTable& table = pg->signatures(p);
+    const SignatureTable& table = pg->signatures(p, 0);
     ASSERT_EQ(table.num_vertices(), owned.size());
     for (size_t i = 0; i < owned.size(); ++i) {
       EXPECT_EQ(pg->OwnerOf(owned[i]), p);
@@ -185,9 +200,9 @@ TEST(PartitionedGraphBuild, SignatureOwnershipMatchesVertexOwnership) {
 TEST(PartitionedGraphBuild, SharesSumToReplicatedFootprint) {
   Graph g = testing::RandomGraph(300, 4, 3, 3, 31);
   DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
   ASSERT_TRUE(pg.ok());
-  const PartitionBuildStats& bs = pg->build_stats();
+  const ReplicationBuildStats& bs = pg->build_stats();
 
   // The replicated footprint, built independently.
   gpusim::Device ref_dev;
@@ -203,61 +218,13 @@ TEST(PartitionedGraphBuild, SharesSumToReplicatedFootprint) {
   for (uint64_t b : bs.resident_bytes) sum += b;
   EXPECT_EQ(sum, replicated);
   EXPECT_EQ(bs.replicated_bytes, replicated);
+  EXPECT_EQ(bs.total_bytes, replicated);
   // Per-device residency really shrinks: the worst share is well under the
   // replica (hash-balanced 4 ways).
   EXPECT_LT(bs.max_resident_bytes(), replicated / 2);
 }
 
-TEST(PartitionedGraphBuild, RejectsUnsupportedConfigurations) {
-  Graph g = testing::RandomGraph(100, 2, 2, 2, 5);
-  DeviceSet ds = MakeDevices(2, gpusim::DeviceConfig());
-  GsiOptions csr = GsiOptOptions();
-  csr.join.storage = StorageKind::kCsr;
-  EXPECT_EQ(BuildPartitioned(ds, g, csr).status().code(),
-            StatusCode::kInvalidArgument);
-  GsiOptions label_degree = GsiOptOptions();
-  label_degree.filter.strategy = FilterStrategy::kLabelDegree;
-  EXPECT_EQ(BuildPartitioned(ds, g, label_degree).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(PartitionedGraph::Build({}, g, GsiOptOptions(),
-                                    HashVertexPartitioner())
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
 // ------------------------------------------------- halo-exchange paths ---
-
-TEST(PartitionedExecution, BitIdenticalToFindOnIntegrationGraphs) {
-  for (const char* name : {"enron", "gowalla", "watdiv"}) {
-    Result<Dataset> d = MakeDataset(name, /*scale=*/0.01);
-    ASSERT_TRUE(d.ok());
-    const Graph& g = d->graph;
-    QueryGenConfig qc;
-    qc.num_vertices = 5;
-    std::vector<Graph> queries = GenerateQuerySet(g, qc, 3, 77);
-    ASSERT_FALSE(queries.empty());
-
-    for (const GsiOptions& options : {DefaultGsiOptions(), GsiOptOptions()}) {
-      GsiMatcher sequential(g, options);
-      for (size_t k : {2, 3, 4}) {
-        DeviceSet ds = MakeDevices(k, options.device);
-        Result<PartitionedGraph> pg = BuildPartitioned(ds, g, options);
-        ASSERT_TRUE(pg.ok());
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          Result<QueryResult> single = sequential.Find(queries[qi]);
-          ASSERT_TRUE(single.ok());
-          Result<QueryResult> part =
-              ExecuteQueryPartitioned(*pg, queries[qi]);
-          ASSERT_TRUE(part.ok()) << part.status().ToString();
-          ExpectBitIdentical(*part, *single,
-                             std::string(name) + " query " + std::to_string(qi) +
-                                 " partitions " + std::to_string(k));
-        }
-      }
-    }
-  }
-}
 
 TEST(PartitionedExecution, EdgeCutPartitionerIsAlsoBitIdentical) {
   Graph g = testing::RandomGraph(300, 3, 3, 2, 41);
@@ -266,10 +233,17 @@ TEST(PartitionedExecution, EdgeCutPartitionerIsAlsoBitIdentical) {
   Result<QueryResult> single = sequential.Find(q);
   ASSERT_TRUE(single.ok());
   DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = PartitionedGraph::Build(
-      ds.ptrs, g, GsiOptOptions(), GreedyEdgeCutPartitioner());
+  Result<ReplicatedGraph> pg =
+      BuildPartitioned(ds, g, GsiOptOptions(), GreedyEdgeCutPartitioner());
   ASSERT_TRUE(pg.ok());
-  Result<QueryResult> part = ExecuteQueryPartitioned(*pg, q);
+  // cut_edges counts the undirected edges whose endpoints' owners differ.
+  size_t cut = 0;
+  for (const EdgeRecord& e : g.UndirectedEdges()) {
+    if (pg->OwnerOf(e.src) != pg->OwnerOf(e.dst)) ++cut;
+  }
+  EXPECT_GT(cut, 0u);
+  EXPECT_EQ(pg->build_stats().cut_edges, cut);
+  Result<QueryResult> part = testing::ExecuteReplicated(*pg, q);
   ASSERT_TRUE(part.ok());
   ExpectBitIdentical(*part, *single, "greedy edge cut");
 }
@@ -278,14 +252,16 @@ TEST(PartitionedExecution, ReportsRemoteTrafficAndSkew) {
   Graph g = testing::RandomGraph(400, 4, 2, 2, 7);
   Graph q = testing::RandomQuery(g, 4, 8);
   QueryEngine engine(g, GsiOptOptions());
-  Result<QueryResult> single = engine.Run(q);
+  Result<QueryResult> single = engine.Execute({.query = &q});
   ASSERT_TRUE(single.ok());
   ASSERT_GE(single->stats.min_candidate_size, 2u) << "workload too selective";
 
   DeviceSet ds = MakeDevices(4, engine.options().device);
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, engine.options());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, engine.options());
   ASSERT_TRUE(pg.ok());
-  Result<QueryResult> part = engine.RunPartitioned(q, *pg);
+  const ReplicaSelection sel = CompactSelection(*pg);
+  Result<QueryResult> part =
+      engine.Execute({.query = &q, .replicated = &*pg, .selection = &sel});
   ASSERT_TRUE(part.ok());
   ExpectBitIdentical(*part, *single, "remote traffic run");
 
@@ -295,9 +271,12 @@ TEST(PartitionedExecution, ReportsRemoteTrafficAndSkew) {
   EXPECT_GT(part->stats.remote_probes, 0u);
   EXPECT_GT(part->stats.halo_bytes, 0u);
   EXPECT_GE(part->stats.partition_skew, 1.0);
+  // One lane per partition, and no co-resident replica to absorb probes.
+  EXPECT_EQ(part->stats.replica_lanes, 4u);
+  EXPECT_EQ(part->stats.co_located_probes, 0u);
   // Counters appear in the device roll-up too.
   EXPECT_GT(part->stats.join.remote_transactions, 0u);
-  // Replicated runs keep the partition fields at zero.
+  // Runs on the engine's full replica keep the partition fields at zero.
   EXPECT_EQ(single->stats.partitions_used, 0u);
   EXPECT_EQ(single->stats.remote_probes, 0u);
 }
@@ -309,32 +288,15 @@ TEST(PartitionedExecution, SinglePartitionHasNoRemoteTraffic) {
   Result<QueryResult> single = sequential.Find(q);
   ASSERT_TRUE(single.ok());
   DeviceSet ds = MakeDevices(1, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
   ASSERT_TRUE(pg.ok());
-  Result<QueryResult> part = ExecuteQueryPartitioned(*pg, q);
+  EXPECT_EQ(pg->build_stats().cut_edges, 0u);
+  Result<QueryResult> part = testing::ExecuteReplicated(*pg, q);
   ASSERT_TRUE(part.ok());
   ExpectBitIdentical(*part, *single, "one partition");
   EXPECT_EQ(part->stats.remote_probes, 0u);
   EXPECT_EQ(part->stats.halo_bytes, 0u);
   EXPECT_EQ(part->stats.partitions_used, 1u);
-}
-
-TEST(PartitionedExecution, DeterministicAcrossRuns) {
-  Graph g = testing::RandomGraph(300, 3, 3, 2, 11);
-  Graph q = testing::RandomQuery(g, 5, 13);
-  DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
-  ASSERT_TRUE(pg.ok());
-  Result<QueryResult> a = ExecuteQueryPartitioned(*pg, q);
-  Result<QueryResult> b = ExecuteQueryPartitioned(*pg, q);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectBitIdentical(*a, *b, "repeat run");
-  // The accounting is deterministic too — thread interleaving never leaks
-  // into simulated numbers.
-  EXPECT_EQ(a->stats.remote_probes, b->stats.remote_probes);
-  EXPECT_EQ(a->stats.halo_bytes, b->stats.halo_bytes);
-  EXPECT_DOUBLE_EQ(a->stats.join_ms, b->stats.join_ms);
-  EXPECT_DOUBLE_EQ(a->stats.partition_skew, b->stats.partition_skew);
 }
 
 TEST(PartitionedExecution, HubGraphHaloCacheSavesRemotesBitIdentically) {
@@ -350,19 +312,18 @@ TEST(PartitionedExecution, HubGraphHaloCacheSavesRemotesBitIdentically) {
   ASSERT_TRUE(single.ok());
 
   DeviceSet cold_ds = MakeDevices(4, options.device);
-  Result<PartitionedGraph> cold = BuildPartitioned(cold_ds, g, options);
+  Result<ReplicatedGraph> cold = BuildPartitioned(cold_ds, g, options);
   ASSERT_TRUE(cold.ok());
-  Result<QueryResult> uncached = ExecuteQueryPartitioned(*cold, q);
+  Result<QueryResult> uncached = testing::ExecuteReplicated(*cold, q);
   ASSERT_TRUE(uncached.ok());
   ASSERT_GT(uncached->stats.remote_probes, 0u) << "workload never left home";
 
   GsiOptions budgeted = options;
   budgeted.halo_budget_bytes = 1 << 20;
   DeviceSet ds = MakeDevices(4, options.device);
-  Result<PartitionedGraph> pg = PartitionedGraph::Build(
-      ds.ptrs, g, budgeted, HashVertexPartitioner());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, budgeted);
   ASSERT_TRUE(pg.ok());
-  Result<QueryResult> cached = ExecuteQueryPartitioned(*pg, q);
+  Result<QueryResult> cached = testing::ExecuteReplicated(*pg, q);
   ASSERT_TRUE(cached.ok());
   ExpectBitIdentical(*cached, *single, "halo cache on hub graph");
   ExpectBitIdentical(*uncached, *single, "uncached baseline");
@@ -380,9 +341,9 @@ TEST(PartitionedExecution, NoMatchQueryYieldsFullWidthEmptyTable) {
   Result<Graph> q = Graph::Create(2, {Label{50}, Label{51}}, {{0, 1, 0}});
   ASSERT_TRUE(q.ok());
   DeviceSet ds = MakeDevices(2, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
   ASSERT_TRUE(pg.ok());
-  Result<QueryResult> part = ExecuteQueryPartitioned(*pg, *q);
+  Result<QueryResult> part = testing::ExecuteReplicated(*pg, *q);
   ASSERT_TRUE(part.ok());
   EXPECT_EQ(part->num_matches(), 0u);
   EXPECT_EQ(part->table.cols(), 2u);
@@ -391,28 +352,9 @@ TEST(PartitionedExecution, NoMatchQueryYieldsFullWidthEmptyTable) {
 TEST(PartitionedExecution, InvalidQueriesStillFail) {
   Graph g = testing::RandomGraph(100, 3, 2, 2, 5);
   DeviceSet ds = MakeDevices(2, gpusim::DeviceConfig());
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
   ASSERT_TRUE(pg.ok());
-  EXPECT_EQ(ExecuteQueryPartitioned(*pg, Graph()).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PartitionedExecution, RunPartitionedRejectsMismatchedOptions) {
-  Graph g = testing::RandomGraph(100, 3, 2, 2, 5);
-  Graph q = testing::RandomQuery(g, 3, 6);
-  DeviceSet ds = MakeDevices(2, gpusim::DeviceConfig());
-  // Built with GSI-opt tuning, offered to a default-tuned engine: the
-  // plans would diverge, so the documented bit-identical parity with Run
-  // cannot hold — the engine must reject instead of silently differing.
-  Result<PartitionedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
-  ASSERT_TRUE(pg.ok());
-  QueryEngine engine(g, DefaultGsiOptions());
-  EXPECT_EQ(engine.RunPartitioned(q, *pg).status().code(),
-            StatusCode::kInvalidArgument);
-  // A different data graph is rejected too.
-  Graph other = testing::RandomGraph(100, 3, 2, 2, 9);
-  QueryEngine other_engine(other, GsiOptOptions());
-  EXPECT_EQ(other_engine.RunPartitioned(q, *pg).status().code(),
+  EXPECT_EQ(testing::ExecuteReplicated(*pg, Graph()).status().code(),
             StatusCode::kInvalidArgument);
 }
 

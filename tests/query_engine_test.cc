@@ -182,53 +182,57 @@ TEST(QueryEngine, SingleRunMatchesSequential) {
   GsiMatcher sequential(w.data, GsiOptOptions());
   QueryEngine engine(w.data, GsiOptOptions());
   Result<QueryResult> expected = sequential.Find(w.queries[0]);
-  Result<QueryResult> got = engine.Run(w.queries[0]);
+  Result<QueryResult> got = engine.Execute({.query = &w.queries[0]});
   ASSERT_TRUE(expected.ok() && got.ok());
   EXPECT_EQ(got->AllMatchesSorted(), expected->AllMatchesSorted());
 }
 
 TEST(QueryEngine, ExecRequestMatchesDeprecatedOverloads) {
+  // Every execution target is one ExecRequest: on each, Execute must return
+  // Find's table, and ExecutePaged's manifest must materialize to the same
+  // table and stats.
   Workload w = std::move(MakeWorkloads()[2]);
   GsiMatcher sequential(w.data, GsiOptOptions());
   QueryEngine engine(w.data, GsiOptOptions());
+  gpusim::Device p0, p1;
+  std::vector<gpusim::Device*> part_devs{&p0, &p1};
+  Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
+      part_devs, w.data, engine.options(), HashVertexPartitioner(),
+      /*partitions=*/2, /*replicas=*/1);
+  ASSERT_TRUE(pg.ok());
+  const ReplicaSelection sel = CompactSelection(*pg);
   for (size_t q = 0; q < 3; ++q) {
     Result<QueryResult> expected = sequential.Find(w.queries[q]);
     ASSERT_TRUE(expected.ok());
 
-    // No target: a fresh private device per call, same table as Run.
-    QueryEngine::ExecRequest req;
-    req.query = &w.queries[q];
-    Result<QueryResult> via_execute = engine.Execute(req);
-    Result<QueryResult> via_run = engine.Run(w.queries[q]);
-    ASSERT_TRUE(via_execute.ok() && via_run.ok());
-    EXPECT_TRUE(via_execute->TableEquals(*expected));
-    EXPECT_TRUE(via_run->TableEquals(*expected));
-
-    // Sharded target: the shim and the struct route identically.
     gpusim::Device d0, d1;
     d0.set_ordinal(0);
     d1.set_ordinal(1);
     std::vector<gpusim::Device*> devs{&d0, &d1};
     ShardOptions shard;
     shard.min_rows_per_shard = 1;
-    QueryEngine::ExecRequest sharded;
-    sharded.query = &w.queries[q];
-    sharded.devices = devs;
-    sharded.shard = shard;
-    Result<QueryResult> via_sharded = engine.Execute(sharded);
-    Result<QueryResult> via_shim =
-        engine.RunSharded(w.queries[q], devs, shard);
-    ASSERT_TRUE(via_sharded.ok() && via_shim.ok());
-    EXPECT_TRUE(via_sharded->TableEquals(*expected));
-    EXPECT_TRUE(via_shim->TableEquals(*expected));
+    const QueryEngine::ExecRequest requests[] = {
+        // No target: a fresh private device per call.
+        {.query = &w.queries[q]},
+        // Sharded target.
+        {.query = &w.queries[q], .devices = devs, .shard = shard},
+        // Partitioned target (R = 1).
+        {.query = &w.queries[q], .replicated = &*pg, .selection = &sel},
+    };
+    for (const QueryEngine::ExecRequest& req : requests) {
+      Result<QueryResult> via_execute = engine.Execute(req);
+      ASSERT_TRUE(via_execute.ok());
+      EXPECT_TRUE(via_execute->TableEquals(*expected));
 
-    // Paged form: materializing the manifest reproduces the table.
-    Result<PagedQueryResult> paged = engine.ExecutePaged(sharded);
-    ASSERT_TRUE(paged.ok());
-    EXPECT_EQ(paged->num_matches(), expected->table.rows());
-    gpusim::Device scratch;
-    QueryResult merged = ToQueryResult(std::move(paged.value()), scratch);
-    EXPECT_TRUE(merged.TableEquals(*expected));
+      // Paged form: materializing the manifest reproduces the table.
+      Result<PagedQueryResult> paged = engine.ExecutePaged(req);
+      ASSERT_TRUE(paged.ok());
+      EXPECT_EQ(paged->num_matches(), expected->table.rows());
+      EXPECT_EQ(paged->stats.total_ms, via_execute->stats.total_ms);
+      gpusim::Device scratch;
+      QueryResult merged = ToQueryResult(std::move(paged.value()), scratch);
+      EXPECT_TRUE(merged.TableEquals(*expected));
+    }
   }
 }
 
@@ -253,25 +257,25 @@ TEST(QueryEngine, ExecRequestValidation) {
   std::vector<gpusim::Device*> devs{&dev};
   gpusim::Device build_dev;
   std::vector<gpusim::Device*> build_devs{&build_dev};
-  Result<PartitionedGraph> pg = PartitionedGraph::Build(
-      build_devs, w.data, engine.options(), HashVertexPartitioner());
+  Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
+      build_devs, w.data, engine.options(), HashVertexPartitioner(),
+      /*partitions=*/1, /*replicas=*/1);
   ASSERT_TRUE(pg.ok());
+  const ReplicaSelection compact = CompactSelection(*pg);
   QueryEngine::ExecRequest two_targets;
   two_targets.query = &w.queries[0];
   two_targets.devices = devs;
-  two_targets.partitioned = &pg.value();
+  two_targets.replicated = &pg.value();
+  two_targets.selection = &compact;
   EXPECT_EQ(engine.Execute(two_targets).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // The historical RunSharded contract survives the shim.
-  EXPECT_EQ(engine.RunSharded(w.queries[0], {}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(QueryEngine, RejectsInvalidQueries) {
   Workload w = std::move(MakeWorkloads()[4]);
   QueryEngine engine(w.data, DefaultGsiOptions());
-  Result<QueryResult> r = engine.Run(Graph());
+  const Graph empty;
+  Result<QueryResult> r = engine.Execute({.query = &empty});
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 

@@ -200,11 +200,18 @@ TEST(QueryService, PartitionedDataGraphStaysBitIdentical) {
       EXPECT_TRUE(got->TableEquals(*expected))
           << "query " << i << " cache=" << cache;
       EXPECT_GE(got->stats.partitions_used, 1u);
+      // One partition per device and no replicas: every query holds the
+      // whole pool, one lane per partition.
+      EXPECT_EQ(got->stats.replica_lanes, 4u);
     }
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.partitioned_queries, stats.completed_ok);
     EXPECT_GT(stats.halo_bytes, 0u);
     EXPECT_GT(stats.remote_probes, 0u);
+    EXPECT_DOUBLE_EQ(stats.avg_replica_lanes, 4.0);
+    // Queries lease through the group primitive, one single-device group
+    // per partition.
+    EXPECT_GE(stats.pool.group_acquires, stats.completed_ok);
   }
 }
 

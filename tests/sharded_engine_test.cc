@@ -37,15 +37,15 @@ void ExpectBitIdentical(const QueryResult& sharded, const QueryResult& single,
   EXPECT_TRUE(sharded.TableEquals(single)) << context;
 }
 
-Result<QueryResult> RunSharded(const QueryEngine& engine, const Graph& query,
-                               size_t num_devices) {
+Result<QueryResult> ExecuteSharded(const QueryEngine& engine,
+                                   const Graph& query, size_t num_devices) {
   DevicePool pool(num_devices, engine.options().device);
-  std::vector<DevicePool::Lease> leases = pool.AcquireUpTo(num_devices).value();
+  std::vector<DevicePool::Lease> leases = pool.AcquireAll().value();
   std::vector<gpusim::Device*> devs;
   for (DevicePool::Lease& l : leases) devs.push_back(l.get());
   ShardOptions so;
   so.min_rows_per_shard = 1;  // shard even tiny test tables
-  return engine.RunSharded(query, devs, so);
+  return engine.Execute({.query = &query, .devices = devs, .shard = so});
 }
 
 TEST(ShardedEngine, BitIdenticalToSingleDeviceOnIntegrationGraphs) {
@@ -66,7 +66,7 @@ TEST(ShardedEngine, BitIdenticalToSingleDeviceOnIntegrationGraphs) {
         ASSERT_TRUE(single.ok());
         for (size_t devices : {2, 3, 4}) {
           Result<QueryResult> sharded =
-              RunSharded(engine, queries[qi], devices);
+              ExecuteSharded(engine, queries[qi], devices);
           ASSERT_TRUE(sharded.ok());
           ExpectBitIdentical(
               *sharded, *single,
@@ -86,7 +86,7 @@ TEST(ShardedEngine, BitIdenticalOnRandomGraphs) {
     QueryEngine engine(g, GsiOptOptions());
     Result<QueryResult> single = sequential.Find(q);
     ASSERT_TRUE(single.ok());
-    Result<QueryResult> sharded = RunSharded(engine, q, 4);
+    Result<QueryResult> sharded = ExecuteSharded(engine, q, 4);
     ASSERT_TRUE(sharded.ok());
     ExpectBitIdentical(*sharded, *single, "seed " + std::to_string(seed));
   }
@@ -96,8 +96,8 @@ TEST(ShardedEngine, SingleDeviceSpanIsPlainExecution) {
   Graph g = testing::RandomGraph(200, 3, 3, 2, 42);
   Graph q = testing::RandomQuery(g, 4, 43);
   QueryEngine engine(g, GsiOptOptions());
-  Result<QueryResult> single = engine.Run(q);
-  Result<QueryResult> sharded = RunSharded(engine, q, 1);
+  Result<QueryResult> single = engine.Execute({.query = &q});
+  Result<QueryResult> sharded = ExecuteSharded(engine, q, 1);
   ASSERT_TRUE(single.ok() && sharded.ok());
   ExpectBitIdentical(*sharded, *single, "one device");
   EXPECT_EQ(sharded->stats.shards_used, 1u);
@@ -108,11 +108,11 @@ TEST(ShardedEngine, ShardStatsRollUp) {
   Graph g = testing::RandomGraph(400, 4, 2, 2, 7);
   Graph q = testing::RandomQuery(g, 4, 8);
   QueryEngine engine(g, GsiOptOptions());
-  Result<QueryResult> single = engine.Run(q);
+  Result<QueryResult> single = engine.Execute({.query = &q});
   ASSERT_TRUE(single.ok());
   ASSERT_GE(single->stats.min_candidate_size, 2u) << "workload too selective";
 
-  Result<QueryResult> sharded = RunSharded(engine, q, 4);
+  Result<QueryResult> sharded = ExecuteSharded(engine, q, 4);
   ASSERT_TRUE(sharded.ok());
   EXPECT_GE(sharded->stats.shards_used, 2u);
   EXPECT_LE(sharded->stats.shards_used, 4u);
@@ -128,13 +128,8 @@ TEST(ShardedEngine, ShardStatsRollUp) {
 TEST(ShardedEngine, InvalidQueriesStillFail) {
   Graph g = testing::RandomGraph(100, 3, 2, 2, 5);
   QueryEngine engine(g, DefaultGsiOptions());
-  Result<QueryResult> r = RunSharded(engine, Graph(), 2);
+  Result<QueryResult> r = ExecuteSharded(engine, Graph(), 2);
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  DevicePool pool(1);
-  EXPECT_EQ(engine.RunSharded(testing::RandomQuery(g, 3, 6), {})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------ workload partitioner ---

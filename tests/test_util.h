@@ -1,14 +1,18 @@
 #ifndef GSI_TESTS_TEST_UTIL_H_
 #define GSI_TESTS_TEST_UTIL_H_
 
+#include <utility>
 #include <vector>
 
+#include "gpusim/device.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/labeler.h"
 #include "graph/query_generator.h"
+#include "gsi/replication.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace gsi::testing {
 
@@ -69,6 +73,27 @@ inline std::vector<Graph> RandomQuerySet(const Graph& data,
   std::vector<Graph> qs = GenerateQuerySet(data, qc, count, seed);
   GSI_CHECK(!qs.empty());
   return qs;
+}
+
+/// One-shot execution against a partitioned data graph (any R) under
+/// `sel`: ExecuteQueryReplicatedPaged materialized by ToQueryResult on a
+/// scratch device (host-mediated row movement, so no counter moves) — what
+/// QueryEngine::Execute returns for a replicated target, without an engine
+/// built over the graph's exact options.
+inline Result<QueryResult> ExecuteReplicated(const ReplicatedGraph& rg,
+                                             const ReplicaSelection& sel,
+                                             const Graph& query) {
+  Result<PagedQueryResult> paged = ExecuteQueryReplicatedPaged(rg, sel, query);
+  if (!paged.ok()) return paged.status();
+  gpusim::Device scratch;
+  return ToQueryResult(std::move(paged.value()), scratch);
+}
+
+/// The same under the compact (packed) selection — the only one R = 1
+/// admits.
+inline Result<QueryResult> ExecuteReplicated(const ReplicatedGraph& rg,
+                                             const Graph& query) {
+  return ExecuteReplicated(rg, CompactSelection(rg), query);
 }
 
 }  // namespace gsi::testing

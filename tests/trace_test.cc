@@ -156,37 +156,16 @@ struct Fixture {
         query(testing::RandomQuery(data, 5, 7)) {}
 };
 
-/// One traced partitioned execution over fresh devices; returns the
-/// exported JSON. With a halo budget, an untraced warm-up run fills the
-/// caches first so the traced run exercises the hit path.
+/// One traced execution against a partitioned data graph (one partition
+/// per device, `replicas` copies of each) over fresh devices under the
+/// compact selection; returns the exported JSON. With a halo budget, an
+/// untraced warm-up run fills the caches first so the traced run exercises
+/// the hit path.
 std::string TracePartitionedRun(const Fixture& f, size_t partitions,
-                                uint64_t halo_budget = 0) {
+                                size_t replicas, uint64_t halo_budget = 0) {
   GsiOptions options = GsiOptOptions();
   options.halo_budget_bytes = halo_budget;
   QueryEngine engine(f.data, options);
-  std::vector<std::unique_ptr<gpusim::Device>> owned;
-  std::vector<gpusim::Device*> devs;
-  for (size_t i = 0; i < partitions; ++i) {
-    owned.push_back(
-        std::make_unique<gpusim::Device>(engine.options().device));
-    devs.push_back(owned.back().get());
-  }
-  Result<PartitionedGraph> pg = PartitionedGraph::Build(
-      devs, f.data, engine.options(), HashVertexPartitioner());
-  GSI_CHECK(pg.ok());
-  if (halo_budget > 0) GSI_CHECK(engine.RunPartitioned(f.query, *pg).ok());
-  Tracer tracer;
-  Result<QueryResult> r = engine.RunPartitioned(
-      f.query, *pg, TraceContext{&tracer, -1, kHostDevice});
-  GSI_CHECK(r.ok());
-  return tracer.ToChromeJson();
-}
-
-/// One traced replicated execution over fresh devices; returns the
-/// exported JSON.
-std::string TraceReplicatedRun(const Fixture& f, size_t partitions,
-                               size_t replicas) {
-  QueryEngine engine(f.data, GsiOptOptions());
   std::vector<std::unique_ptr<gpusim::Device>> owned;
   std::vector<gpusim::Device*> devs;
   for (size_t i = 0; i < partitions; ++i) {
@@ -198,32 +177,39 @@ std::string TraceReplicatedRun(const Fixture& f, size_t partitions,
       ReplicatedGraph::Build(devs, f.data, engine.options(),
                              HashVertexPartitioner(), partitions, replicas);
   GSI_CHECK(rg.ok());
+  const ReplicaSelection sel = CompactSelection(*rg);
+  QueryEngine::ExecRequest req{
+      .query = &f.query, .replicated = &*rg, .selection = &sel};
+  if (halo_budget > 0) GSI_CHECK(engine.Execute(req).ok());
   Tracer tracer;
-  Result<QueryResult> r = engine.RunPartitioned(
-      f.query, *rg, CompactSelection(*rg),
-      TraceContext{&tracer, -1, kHostDevice});
+  req.trace = TraceContext{&tracer, -1, kHostDevice};
+  Result<QueryResult> r = engine.Execute(req);
   GSI_CHECK(r.ok());
   return tracer.ToChromeJson();
 }
 
 TEST(TraceDeterminism, PartitionedTraceIsByteIdenticalAcrossRuns) {
   Fixture f;
-  const std::string first = TracePartitionedRun(f, 4);
-  const std::string second = TracePartitionedRun(f, 4);
+  const std::string first = TracePartitionedRun(f, 4, /*replicas=*/1);
+  const std::string second = TracePartitionedRun(f, 4, /*replicas=*/1);
   // Every span on this path is timed by a device cycle clock, and the
   // exporters sort by (device, start_ns, seq) before emitting — so the
   // whole export is a pure function of the work, even though partition
   // workers append to the tracer concurrently.
   EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("execute_partitioned"), std::string::npos);
+  EXPECT_NE(first.find("execute_replicated"), std::string::npos);
   EXPECT_NE(first.find("partition_join"), std::string::npos);
   EXPECT_NE(first.find("result_merge"), std::string::npos);
+  // R = 1 emits the same span tree as any R: one lane per device, with
+  // lane_scan on the filter side.
+  EXPECT_NE(first.find("\"lane\""), std::string::npos);
+  EXPECT_NE(first.find("lane_scan"), std::string::npos);
 }
 
 TEST(TraceDeterminism, ReplicatedTraceIsByteIdenticalAcrossRuns) {
   Fixture f;
-  const std::string first = TraceReplicatedRun(f, 4, 2);
-  const std::string second = TraceReplicatedRun(f, 4, 2);
+  const std::string first = TracePartitionedRun(f, 4, /*replicas=*/2);
+  const std::string second = TracePartitionedRun(f, 4, /*replicas=*/2);
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("execute_replicated"), std::string::npos);
   // The acceptance-criterion spans: one lane per distinct device of the
@@ -237,13 +223,16 @@ TEST(TraceDeterminism, HaloProbeSpanAppearsAndStaysByteIdentical) {
   // At a fixed budget the whole export — including the halo_probe spans and
   // their hit/byte attributes — is a pure function of the work: two
   // identically-built warm runs serialize byte for byte.
-  const std::string first = TracePartitionedRun(f, 4, /*halo_budget=*/1 << 20);
-  const std::string second = TracePartitionedRun(f, 4, /*halo_budget=*/1 << 20);
+  const std::string first =
+      TracePartitionedRun(f, 4, /*replicas=*/1, /*halo_budget=*/1 << 20);
+  const std::string second =
+      TracePartitionedRun(f, 4, /*replicas=*/1, /*halo_budget=*/1 << 20);
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("halo_probe"), std::string::npos);
   EXPECT_NE(first.find("\"hits\""), std::string::npos);
   // Without a budget the span never exists.
-  EXPECT_EQ(TracePartitionedRun(f, 4).find("halo_probe"), std::string::npos);
+  EXPECT_EQ(TracePartitionedRun(f, 4, /*replicas=*/1).find("halo_probe"),
+            std::string::npos);
 }
 
 TEST(TraceDeterminism, PartitionedTraceCoversEveryPartitionAndJoinStep) {
@@ -256,17 +245,25 @@ TEST(TraceDeterminism, PartitionedTraceCoversEveryPartitionAndJoinStep) {
         std::make_unique<gpusim::Device>(engine.options().device));
     devs.push_back(owned.back().get());
   }
-  Result<PartitionedGraph> pg = PartitionedGraph::Build(
-      devs, f.data, engine.options(), HashVertexPartitioner());
+  Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
+      devs, f.data, engine.options(), HashVertexPartitioner(),
+      /*partitions=*/4, /*replicas=*/1);
   ASSERT_TRUE(pg.ok());
+  const ReplicaSelection sel = CompactSelection(*pg);
   Tracer tracer;
-  Result<QueryResult> r = engine.RunPartitioned(
-      f.query, *pg, TraceContext{&tracer, -1, kHostDevice});
+  Result<QueryResult> r = engine.Execute(
+      {.query = &f.query,
+       .replicated = &*pg,
+       .selection = &sel,
+       .trace = TraceContext{&tracer, -1, kHostDevice}});
   ASSERT_TRUE(r.ok());
   std::vector<TraceSpan> spans = tracer.Snapshot();
   // One partition_join per partition, each carrying at least one join_step
-  // child (the query has >= 2 vertices, so the join iterates).
+  // child (the query has >= 2 vertices, so the join iterates), and at
+  // R = 1 one lane (and one lane_scan) per partition device.
   EXPECT_EQ(CountSpans(spans, "partition_join"), 4u);
+  EXPECT_EQ(CountSpans(spans, "lane"), 4u);
+  EXPECT_EQ(CountSpans(spans, "lane_scan"), 4u);
   EXPECT_GE(CountSpans(spans, "join_step"), 4u);
   EXPECT_EQ(CountSpans(spans, "result_merge"), 1u);
   // Partition spans are attributed to their partition's device track.
@@ -285,9 +282,9 @@ TEST(TraceDeterminism, DisabledTracerLeavesResultsUntouched) {
   Fixture f;
   QueryEngine engine(f.data, GsiOptOptions());
   Tracer tracer;
-  Result<QueryResult> traced =
-      engine.Run(f.query, TraceContext{&tracer, -1, kHostDevice});
-  Result<QueryResult> plain = engine.Run(f.query);
+  Result<QueryResult> traced = engine.Execute(
+      {.query = &f.query, .trace = TraceContext{&tracer, -1, kHostDevice}});
+  Result<QueryResult> plain = engine.Execute({.query = &f.query});
   ASSERT_TRUE(traced.ok());
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(traced->TableEquals(*plain));
