@@ -2,8 +2,9 @@
 // partition (R = 1): the partitioners, build invariants (every adjacency
 // row stored exactly once, on its owner; signature shares match
 // ownership), and halo-exchange correctness (bit-identical match tables
-// against single-device GsiMatcher::Find). replication_test.cc sweeps the
-// same execution path across R, R = 1 included.
+// against single-device GsiMatcher::Find), and determinism of the
+// remote-probe accounting. replication_test.cc drives the same execution
+// path with more replicas per partition.
 
 #include <gtest/gtest.h>
 
@@ -61,7 +62,6 @@ Result<ReplicatedGraph> BuildPartitioned(
   return ReplicatedGraph::Build(ds.ptrs, g, options, partitioner,
                                 /*partitions=*/ds.ptrs.size(), /*replicas=*/1);
 }
-
 
 // ------------------------------------------------------- partitioners ---
 
@@ -224,7 +224,57 @@ TEST(PartitionedGraphBuild, SharesSumToReplicatedFootprint) {
   EXPECT_LT(bs.max_resident_bytes(), replicated / 2);
 }
 
+TEST(PartitionedGraphBuild, RejectsUnsupportedConfigurations) {
+  Graph g = testing::RandomGraph(100, 2, 2, 2, 5);
+  DeviceSet ds = MakeDevices(2, gpusim::DeviceConfig());
+  GsiOptions csr = GsiOptOptions();
+  csr.join.storage = StorageKind::kCsr;
+  EXPECT_EQ(BuildPartitioned(ds, g, csr).status().code(),
+            StatusCode::kInvalidArgument);
+  GsiOptions label_degree = GsiOptOptions();
+  label_degree.filter.strategy = FilterStrategy::kLabelDegree;
+  EXPECT_EQ(BuildPartitioned(ds, g, label_degree).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReplicatedGraph::Build({}, g, GsiOptOptions(),
+                                   HashVertexPartitioner(), /*partitions=*/2,
+                                   /*replicas=*/1)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------------- halo-exchange paths ---
+
+TEST(PartitionedExecution, BitIdenticalToFindOnIntegrationGraphs) {
+  for (const char* name : {"enron", "gowalla", "watdiv"}) {
+    Result<Dataset> d = MakeDataset(name, /*scale=*/0.01);
+    ASSERT_TRUE(d.ok());
+    const Graph& g = d->graph;
+    QueryGenConfig qc;
+    qc.num_vertices = 5;
+    std::vector<Graph> queries = GenerateQuerySet(g, qc, 3, 77);
+    ASSERT_FALSE(queries.empty());
+
+    for (const GsiOptions& options : {DefaultGsiOptions(), GsiOptOptions()}) {
+      GsiMatcher sequential(g, options);
+      for (size_t k : {2, 3, 4}) {
+        DeviceSet ds = MakeDevices(k, options.device);
+        Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, options);
+        ASSERT_TRUE(pg.ok());
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          Result<QueryResult> single = sequential.Find(queries[qi]);
+          ASSERT_TRUE(single.ok());
+          Result<QueryResult> part =
+              testing::ExecuteReplicated(*pg, queries[qi]);
+          ASSERT_TRUE(part.ok()) << part.status().ToString();
+          ExpectBitIdentical(*part, *single,
+                             std::string(name) + " query " + std::to_string(qi) +
+                                 " partitions " + std::to_string(k));
+        }
+      }
+    }
+  }
+}
 
 TEST(PartitionedExecution, EdgeCutPartitionerIsAlsoBitIdentical) {
   Graph g = testing::RandomGraph(300, 3, 3, 2, 41);
@@ -299,6 +349,24 @@ TEST(PartitionedExecution, SinglePartitionHasNoRemoteTraffic) {
   EXPECT_EQ(part->stats.partitions_used, 1u);
 }
 
+TEST(PartitionedExecution, DeterministicAcrossRuns) {
+  Graph g = testing::RandomGraph(300, 3, 3, 2, 11);
+  Graph q = testing::RandomQuery(g, 5, 13);
+  DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  ASSERT_TRUE(pg.ok());
+  Result<QueryResult> a = testing::ExecuteReplicated(*pg, q);
+  Result<QueryResult> b = testing::ExecuteReplicated(*pg, q);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ExpectBitIdentical(*a, *b, "repeat run");
+  // The accounting is deterministic too — thread interleaving never leaks
+  // into simulated numbers.
+  EXPECT_EQ(a->stats.remote_probes, b->stats.remote_probes);
+  EXPECT_EQ(a->stats.halo_bytes, b->stats.halo_bytes);
+  EXPECT_DOUBLE_EQ(a->stats.join_ms, b->stats.join_ms);
+  EXPECT_DOUBLE_EQ(a->stats.partition_skew, b->stats.partition_skew);
+}
+
 TEST(PartitionedExecution, HubGraphHaloCacheSavesRemotesBitIdentically) {
   // Planted super-hubs concentrate probes on a few remote rows — the shape
   // the halo cache exists for. Same table as the sequential matcher, fewer
@@ -355,6 +423,29 @@ TEST(PartitionedExecution, InvalidQueriesStillFail) {
   Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
   ASSERT_TRUE(pg.ok());
   EXPECT_EQ(testing::ExecuteReplicated(*pg, Graph()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(PartitionedExecution, RunPartitionedRejectsMismatchedOptions) {
+  Graph g = testing::RandomGraph(100, 3, 2, 2, 5);
+  Graph q = testing::RandomQuery(g, 3, 6);
+  DeviceSet ds = MakeDevices(2, gpusim::DeviceConfig());
+  // Built with GSI-opt tuning, offered to a default-tuned engine: the
+  // plans would diverge, so the documented bit-identical parity with the
+  // engine's own runs cannot hold — the engine must reject instead of
+  // silently differing.
+  Result<ReplicatedGraph> pg = BuildPartitioned(ds, g, GsiOptOptions());
+  ASSERT_TRUE(pg.ok());
+  const ReplicaSelection sel = CompactSelection(*pg);
+  const QueryEngine::ExecRequest req{
+      .query = &q, .replicated = &*pg, .selection = &sel};
+  QueryEngine engine(g, DefaultGsiOptions());
+  EXPECT_EQ(engine.Execute(req).status().code(),
+            StatusCode::kInvalidArgument);
+  // A different data graph is rejected too.
+  Graph other = testing::RandomGraph(100, 3, 2, 2, 9);
+  QueryEngine other_engine(other, GsiOptOptions());
+  EXPECT_EQ(other_engine.Execute(req).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -1,11 +1,10 @@
-// R-way replicated partitions (R = 1 is plain partitioning; the
-// partition-only invariants live in partition_test.cc): placement
-// invariants (R distinct devices per partition, staggered lanes, resident
-// bytes ~R/K of the replica), bit-identical match tables for *every*
-// replica selection (the guarantee that lets the serving layer route each
-// partition to any live replica), co-location accounting (replication
-// converts remote probes into local reads), and the QueryService wiring
-// over AcquireOneOfEach.
+// R-way replicated partitions (R = 1 is plain partitioning, tested in
+// partition_test.cc): placement invariants (R distinct devices per
+// partition, staggered lanes, resident bytes ~R/K of the replica),
+// bit-identical match tables for *every* replica selection (the guarantee
+// that lets the serving layer route each partition to any live replica),
+// co-location accounting (replication converts remote probes into local
+// reads), and the QueryService wiring over AcquireOneOfEach.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/datasets.h"
@@ -181,10 +179,6 @@ TEST(ReplicatedGraphBuild, RejectsUnsupportedConfigurations) {
   csr.join.storage = StorageKind::kCsr;
   EXPECT_EQ(BuildReplicated(ds, g, csr, 1).status().code(),
             StatusCode::kInvalidArgument);
-  GsiOptions label_degree = GsiOptOptions();
-  label_degree.filter.strategy = FilterStrategy::kLabelDegree;
-  EXPECT_EQ(BuildReplicated(ds, g, label_degree, 1).status().code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(BuildReplicated(ds, g, GsiOptOptions(), 3).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ReplicatedGraph::Build({}, g, GsiOptOptions(),
@@ -266,37 +260,29 @@ TEST(ReplicatedExecution, BitIdenticalForEverySelection) {
 }
 
 TEST(ReplicatedExecution, BitIdenticalOnIntegrationGraphs) {
-  // (devices, replicas): plain partitioning (R = 1) at every width K, then
-  // R = 2 and full replication on a 4-device pool.
-  const std::vector<std::pair<size_t, size_t>> layouts = {
-      {2, 1}, {3, 1}, {4, 1}, {4, 2}, {4, 4}};
-  for (const char* name : {"enron", "gowalla", "watdiv"}) {
+  for (const char* name : {"enron", "gowalla"}) {
     Result<Dataset> d = MakeDataset(name, /*scale=*/0.01);
     ASSERT_TRUE(d.ok());
     const Graph& g = d->graph;
     QueryGenConfig qc;
     qc.num_vertices = 5;
-    std::vector<Graph> queries = GenerateQuerySet(g, qc, 3, 77);
+    std::vector<Graph> queries = GenerateQuerySet(g, qc, 2, 77);
     ASSERT_FALSE(queries.empty());
-    for (const GsiOptions& options : {DefaultGsiOptions(), GsiOptOptions()}) {
-      GsiMatcher sequential(g, options);
-      for (const auto& [n, r] : layouts) {
-        DeviceSet ds = MakeDevices(n, options.device);
-        Result<ReplicatedGraph> rg = BuildReplicated(ds, g, options, r);
-        ASSERT_TRUE(rg.ok());
-        const ReplicaSelection sel = CompactSelection(*rg);
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          Result<QueryResult> single = sequential.Find(queries[qi]);
-          ASSERT_TRUE(single.ok());
-          Result<QueryResult> got =
-              testing::ExecuteReplicated(*rg, sel, queries[qi]);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectBitIdentical(*got, *single,
-                             std::string(name) + " query " +
-                                 std::to_string(qi) + " K=" +
-                                 std::to_string(n) + " R=" +
-                                 std::to_string(r));
-        }
+    GsiMatcher sequential(g, GsiOptOptions());
+    for (size_t r : {2, 4}) {
+      DeviceSet ds = MakeDevices(4, GsiOptOptions().device);
+      Result<ReplicatedGraph> rg = BuildReplicated(ds, g, GsiOptOptions(), r);
+      ASSERT_TRUE(rg.ok());
+      const ReplicaSelection sel = CompactSelection(*rg);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        Result<QueryResult> single = sequential.Find(queries[qi]);
+        ASSERT_TRUE(single.ok());
+        Result<QueryResult> got =
+            testing::ExecuteReplicated(*rg, sel, queries[qi]);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectBitIdentical(*got, *single,
+                           std::string(name) + " query " + std::to_string(qi) + " R=" +
+                               std::to_string(r));
       }
     }
   }
@@ -360,26 +346,18 @@ TEST(ReplicatedExecution, CoLocationShrinksRemoteTraffic) {
 TEST(ReplicatedExecution, DeterministicAcrossRuns) {
   Graph g = testing::RandomGraph(300, 3, 3, 2, 11);
   Graph q = testing::RandomQuery(g, 5, 13);
-  for (size_t r : {1, 2}) {
-    DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
-    Result<ReplicatedGraph> rg = BuildReplicated(ds, g, GsiOptOptions(), r);
-    ASSERT_TRUE(rg.ok());
-    const ReplicaSelection sel = CompactSelection(*rg);
-    Result<QueryResult> a = testing::ExecuteReplicated(*rg, sel, q);
-    Result<QueryResult> b = testing::ExecuteReplicated(*rg, sel, q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    const std::string context = "repeat run R=" + std::to_string(r);
-    ExpectBitIdentical(*a, *b, context);
-    // The accounting is deterministic too — thread interleaving never leaks
-    // into simulated numbers.
-    EXPECT_EQ(a->stats.remote_probes, b->stats.remote_probes) << context;
-    EXPECT_EQ(a->stats.co_located_probes, b->stats.co_located_probes)
-        << context;
-    EXPECT_EQ(a->stats.halo_bytes, b->stats.halo_bytes) << context;
-    EXPECT_DOUBLE_EQ(a->stats.join_ms, b->stats.join_ms) << context;
-    EXPECT_DOUBLE_EQ(a->stats.partition_skew, b->stats.partition_skew)
-        << context;
-  }
+  DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
+  Result<ReplicatedGraph> rg = BuildReplicated(ds, g, GsiOptOptions(), 2);
+  ASSERT_TRUE(rg.ok());
+  const ReplicaSelection sel = CompactSelection(*rg);
+  Result<QueryResult> a = testing::ExecuteReplicated(*rg, sel, q);
+  Result<QueryResult> b = testing::ExecuteReplicated(*rg, sel, q);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ExpectBitIdentical(*a, *b, "repeat run");
+  EXPECT_EQ(a->stats.remote_probes, b->stats.remote_probes);
+  EXPECT_EQ(a->stats.co_located_probes, b->stats.co_located_probes);
+  EXPECT_EQ(a->stats.halo_bytes, b->stats.halo_bytes);
+  EXPECT_DOUBLE_EQ(a->stats.join_ms, b->stats.join_ms);
 }
 
 TEST(ReplicatedExecution, RejectsBadSelectionsAndMismatchedOptions) {
@@ -398,26 +376,13 @@ TEST(ReplicatedExecution, RejectsBadSelectionsAndMismatchedOptions) {
   EXPECT_EQ(
       testing::ExecuteReplicated(*rg, out_of_range, q).status().code(),
       StatusCode::kInvalidArgument);
-  // Built with GSI-opt tuning, offered to a default-tuned engine: the plans
-  // would diverge, so the documented bit-identical parity with the engine's
-  // own runs cannot hold — the engine must reject instead of silently
-  // differing. Plain partitioning (R = 1) follows the same rule.
-  DeviceSet one_ds = MakeDevices(4, gpusim::DeviceConfig());
-  Result<ReplicatedGraph> r1 = BuildReplicated(one_ds, g, GsiOptOptions(), 1);
-  ASSERT_TRUE(r1.ok());
-  for (const ReplicatedGraph* target : {&rg.value(), &r1.value()}) {
-    const ReplicaSelection sel = CompactSelection(*target);
-    const QueryEngine::ExecRequest req{
-        .query = &q, .replicated = target, .selection = &sel};
-    QueryEngine other(g, DefaultGsiOptions());
-    EXPECT_EQ(other.Execute(req).status().code(),
-              StatusCode::kInvalidArgument);
-    // A different data graph is rejected too.
-    Graph other_data = testing::RandomGraph(100, 3, 2, 2, 9);
-    QueryEngine other_graph(other_data, GsiOptOptions());
-    EXPECT_EQ(other_graph.Execute(req).status().code(),
-              StatusCode::kInvalidArgument);
-  }
+  const ReplicaSelection sel = CompactSelection(*rg);
+  QueryEngine other(g, DefaultGsiOptions());
+  EXPECT_EQ(
+      other.Execute({.query = &q, .replicated = &*rg, .selection = &sel})
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------ service ---
