@@ -1,6 +1,7 @@
 #ifndef GSI_GSI_CANDIDATES_H_
 #define GSI_GSI_CANDIDATES_H_
 
+#include <span>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -12,18 +13,22 @@ namespace gsi {
 /// Candidate set C(u) for one query vertex: the filtered data vertices that
 /// may match u (Section III). Kept in two device forms:
 ///  - a sorted list (the join's "large" granularity input), and
-///  - a bitset over |V(G)| for O(1) membership checks ("we first transform
-///    it into a bitset, then use exactly one memory transaction to check if
-///    vertex v belongs to C(u)", Section V).
+///  - a bitset over |V(G)| for membership checks ("we first transform it
+///    into a bitset, then use exactly one memory transaction to check if
+///    vertex v belongs to C(u)", Section V); a warp checks up to 32
+///    vertices per gather, one lane each.
 class CandidateSet {
  public:
   CandidateSet() = default;
 
-  /// Uploads the sorted candidate list; optionally materializes the bitset
-  /// (a device kernel, charged to `dev`).
-  static CandidateSet Create(gpusim::Device& dev, VertexId query_vertex,
-                             std::vector<VertexId> sorted_candidates,
-                             size_t num_data_vertices, bool build_bitmap);
+  /// Uploads every candidate list of a query (C(u) = lists[u], each
+  /// sorted) and, when `build_bitmaps` is set, materializes all of their
+  /// bitsets in one kernel charged to `dev`: one warp per 32 candidates of
+  /// one list loads its tile and scatters the tile's bitmap words, so the
+  /// transactions are the distinct 128B lines each tile touches.
+  static std::vector<CandidateSet> Create(
+      gpusim::Device& dev, std::vector<std::vector<VertexId>> lists,
+      size_t num_data_vertices, bool build_bitmaps);
 
   VertexId query_vertex() const { return query_vertex_; }
   size_t size() const { return list_.size(); }
@@ -35,10 +40,14 @@ class CandidateSet {
   /// Host-side membership check (tests / reference paths).
   bool ContainsHost(VertexId v) const;
 
-  /// Warp membership probe. Bitset form: exactly one transaction. List
-  /// form: binary search, one transaction per probe (the naive set-op
-  /// baseline of Section V).
-  bool ContainsBitset(gpusim::Warp& w, VertexId v) const;
+  /// Warp-wide bitset probe: lane k checks vs[k] (at most 32 vertices).
+  /// One Warp::Gather of the bitmap words, so the cost is the distinct
+  /// 128B lines touched — one transaction for vertices within a 1024-id
+  /// span. Bit k of the result is set iff vs[k] is in C(u).
+  uint32_t ProbeBitset(gpusim::Warp& w, std::span<const VertexId> vs) const;
+
+  /// Binary search on the sorted list, one transaction per probe (the
+  /// naive set-op baseline of Section V).
   bool ContainsBinarySearch(gpusim::Warp& w, VertexId v) const;
 
  private:

@@ -251,18 +251,23 @@ Result<FilterResult> FilterContext::Filter(gpusim::Device& dev,
       lists.push_back(LabelDegreeCandidates(dev, query, u, check_neighbors));
     }
   }
+  return MakeFilterResult(dev, std::move(lists), data_->num_vertices(),
+                          options_.build_bitmaps);
+}
+
+FilterResult MakeFilterResult(gpusim::Device& dev,
+                              std::vector<std::vector<VertexId>> lists,
+                              size_t num_data_vertices, bool build_bitmaps) {
   FilterResult result;
-  result.candidates.resize(query.num_vertices());
   result.min_candidate_size = SIZE_MAX;
-  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+  for (VertexId u = 0; u < lists.size(); ++u) {
     if (lists[u].size() < result.min_candidate_size) {
       result.min_candidate_size = lists[u].size();
       result.min_candidate_vertex = u;
     }
-    result.candidates[u] =
-        CandidateSet::Create(dev, u, std::move(lists[u]),
-                             data_->num_vertices(), options_.build_bitmaps);
   }
+  result.candidates = CandidateSet::Create(dev, std::move(lists),
+                                           num_data_vertices, build_bitmaps);
   return result;
 }
 

@@ -53,6 +53,13 @@ struct FilterResult {
   }
 };
 
+/// Materializes a query's candidate lists (C(u) = lists[u], each sorted) on
+/// `dev`: one CandidateSet::Create call, and the smallest set (the first
+/// such u on ties).
+FilterResult MakeFilterResult(gpusim::Device& dev,
+                              std::vector<std::vector<VertexId>> lists,
+                              size_t num_data_vertices, bool build_bitmaps);
+
 /// GSI's signature filter (Section III-A, Fig. 8) over rows
 /// [row_begin, row_end) of `table`, for every query signature at once: one
 /// kernel, one warp per 32 rows, the query signatures staged in shared
@@ -83,7 +90,8 @@ class FilterContext {
   /// Runs the filtering phase for `query`, producing candidate sets: one
   /// ScanSignatures pass over all of |V(G)| (the label/degree strategies
   /// launch one kernel per query vertex instead, as GpSM and GunrockSM
-  /// do). Costs are charged to the context's build device.
+  /// do), then MakeFilterResult. Costs are charged to the context's build
+  /// device.
   Result<FilterResult> Filter(const Graph& query) const;
 
   /// Same, but charges all device work (and allocates candidate buffers)
@@ -105,7 +113,7 @@ class FilterContext {
 
   const FilterOptions& options() const { return options_; }
   /// |V(G)| of the data graph the context was built for (the bitset width
-  /// CandidateSet::Create needs when materializing lists elsewhere).
+  /// MakeFilterResult needs when materializing lists elsewhere).
   size_t num_data_vertices() const;
   const SignatureTable* signature_table() const {
     return has_signatures_ ? &signatures_ : nullptr;

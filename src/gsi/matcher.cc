@@ -48,6 +48,12 @@ Status ValidateGsiOptions(const GsiOptions& options) {
           std::to_string(bits));
     }
   }
+  if (!options.filter.build_bitmaps && j.set_op == SetOpKind::kWarpFriendly) {
+    // The GPU-friendly set op probes the candidate bitsets; only the naive
+    // one (binary search on the sorted lists) runs without them.
+    return Status::InvalidArgument(
+        "join.set_op = kWarpFriendly requires filter.build_bitmaps");
+  }
   if (j.storage == StorageKind::kPcsr && (j.gpn < 2 || j.gpn > 16)) {
     return Status::InvalidArgument("join.gpn must be in [2, 16], got " +
                                    std::to_string(j.gpn));

@@ -360,9 +360,7 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
   obs::ScopedSpan gather_span(filter_span.context(), "candidate_gather",
                               primary_clock);
   uint64_t halo = 0;
-  FilterResult result;
-  result.candidates.resize(nu);
-  std::vector<size_t> sizes(nu, 0);
+  std::vector<std::vector<VertexId>> merged(nu);
   for (VertexId u = 0; u < nu; ++u) {
     std::vector<const std::vector<VertexId>*> lists(k);
     for (PartitionId p = 0; p < k; ++p) {
@@ -371,25 +369,16 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
         halo += partial[p][u].size() * sizeof(VertexId);
       }
     }
-    std::vector<VertexId> merged = internal::MergeAscendingDisjoint(lists);
-    sizes[u] = merged.size();
-    result.candidates[u] = CandidateSet::Create(
-        primary, u, std::move(merged), n, rg.options().filter.build_bitmaps);
+    merged[u] = internal::MergeAscendingDisjoint(lists);
   }
+  FilterResult result = MakeFilterResult(primary, std::move(merged), n,
+                                         rg.options().filter.build_bitmaps);
   primary.ChargeRemoteTransfer(halo);
   gather_span.AddAttr("halo_bytes", halo);
   if (Status h = CheckDeviceHealthy(primary, "candidate_gather"); !h.ok()) {
     return h;
   }
   const gpusim::MemStats gather_mem = primary.stats() - before_gather;
-
-  result.min_candidate_size = SIZE_MAX;
-  for (VertexId u = 0; u < nu; ++u) {
-    if (sizes[u] < result.min_candidate_size) {
-      result.min_candidate_size = sizes[u];
-      result.min_candidate_vertex = u;
-    }
-  }
 
   gpusim::MemStats total;
   for (PartitionId p = 0; p < k; ++p) total += scan_mem[p];

@@ -37,14 +37,29 @@ size_t FilterFirstEdge(gpusim::Warp& w, std::span<const VertexId> input,
   // subtraction; the neighbor slice (medium list) is consumed batch-wise.
   if (!flags.naive) w.SharedAccess(row.size() + input.size());
   w.Alu(input.size() * (row.size() + 1));
+  // Candidate membership check "on the fly" after the subtraction: the
+  // naive baseline binary-searches per element; the GPU-friendly mode
+  // probes the bitset with the subtraction's survivors 32 lanes at a time,
+  // in input order.
+  VertexId lanes[gpusim::kWarpSize];
+  size_t pending = 0;
+  auto probe = [&] {
+    const uint32_t hits = cand.ProbeBitset(w, {lanes, pending});
+    for (size_t k = 0; k < pending; ++k) {
+      if ((hits >> k) & 1u) result.push_back(lanes[k]);
+    }
+    pending = 0;
+  };
   for (VertexId x : input) {
-    bool in_row = std::find(row.begin(), row.end(), x) != row.end();
-    if (in_row) continue;
-    // Candidate membership check "on the fly" after the subtraction.
-    bool member = flags.naive ? cand.ContainsBinarySearch(w, x)
-                              : cand.ContainsBitset(w, x);
-    if (member) result.push_back(x);
+    if (std::find(row.begin(), row.end(), x) != row.end()) continue;
+    if (flags.naive) {
+      if (cand.ContainsBinarySearch(w, x)) result.push_back(x);
+      continue;
+    }
+    lanes[pending++] = x;
+    if (pending == gpusim::kWarpSize) probe();
   }
+  if (pending > 0) probe();
   if (gba != nullptr) {
     WriteToGba(w, result, flags.write_cache && !flags.naive, *gba,
                gba_begin);

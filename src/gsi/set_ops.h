@@ -17,8 +17,9 @@ namespace gsi {
 struct SetOpFlags {
   /// Naive baseline: candidate membership via binary search on the sorted
   /// candidate list (log2 |C(u)| loads per probe) and a fresh kernel per
-  /// set operation. GPU-friendly mode uses the candidate bitset (exactly
-  /// one transaction per probe) and batches in shared memory.
+  /// set operation. GPU-friendly mode probes the candidate bitset 32
+  /// vertices per warp gather (one transaction per distinct 128B line of
+  /// bitmap words) and batches in shared memory.
   bool naive = false;
   /// 128B per-warp write cache: survivors are buffered in shared memory and
   /// flushed one transaction per 32 values instead of one per value.
@@ -27,7 +28,8 @@ struct SetOpFlags {
 
 /// First-edge operation of Algorithm 3 (Lines 10-11, fused): filters the
 /// extracted neighbor slice `input` by (a) subtraction of the partial match
-/// `row` and (b) membership in C(u), appending survivors to `result`.
+/// `row` and (b) membership in C(u), appending survivors to `result` in
+/// input order.
 /// If `gba` is non-null the survivors are also written to
 /// gba[gba_begin ...] with the configured write policy; a null `gba` is the
 /// count-only pass of the two-step output scheme.

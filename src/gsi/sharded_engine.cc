@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -73,30 +71,27 @@ Result<FilterResult> RunFilterStageSharded(
   obs::ScopedSpan filter_span(trace, "filter", primary_clock, 0);
   std::vector<std::vector<std::vector<VertexId>>> partial(num_devs);
   std::vector<gpusim::MemStats> scan_mem(num_devs);
-  std::vector<gpusim::MemStats> create_mem(num_devs);
-  ThreadPool pool(num_devs);  // reused across both phases
-  {
-    for (size_t d = 0; d < num_devs; ++d) {
-      pool.Submit([&, d] {
-        gpusim::Device& dev = *devs[d];
-        const obs::DeviceCycleClock clock(dev);
-        obs::ScopedSpan span(filter_span.context(), "shard_scan", clock,
-                             static_cast<int32_t>(d));
-        const gpusim::MemStats before = dev.stats();
-        const size_t begin = std::min(n, d * chunk);
-        const size_t end = std::min(n, begin + chunk);
-        if (begin < end) {
-          partial[d] = filter.CandidateLists(dev, query,
-                                             static_cast<VertexId>(begin),
-                                             static_cast<VertexId>(end));
-        } else {
-          partial[d].resize(nu);
-        }
-        scan_mem[d] = dev.stats() - before;
-      });
-    }
-    pool.Wait();
+  ThreadPool pool(num_devs);
+  for (size_t d = 0; d < num_devs; ++d) {
+    pool.Submit([&, d] {
+      gpusim::Device& dev = *devs[d];
+      const obs::DeviceCycleClock clock(dev);
+      obs::ScopedSpan span(filter_span.context(), "shard_scan", clock,
+                           static_cast<int32_t>(d));
+      const gpusim::MemStats before = dev.stats();
+      const size_t begin = std::min(n, d * chunk);
+      const size_t end = std::min(n, begin + chunk);
+      if (begin < end) {
+        partial[d] = filter.CandidateLists(dev, query,
+                                           static_cast<VertexId>(begin),
+                                           static_cast<VertexId>(end));
+      } else {
+        partial[d].resize(nu);
+      }
+      scan_mem[d] = dev.stats() - before;
+    });
   }
+  pool.Wait();
   // Phase barrier: a shard device that tripped mid-scan invalidates its
   // slice of every candidate list, so the whole phase fails over.
   for (size_t d = 0; d < num_devs; ++d) {
@@ -105,69 +100,37 @@ Result<FilterResult> RunFilterStageSharded(
     }
   }
 
-  // --- Create phase: per-vertex candidate buffers (upload + bitset
-  // kernel) from the range-concatenated lists (ascending ranges of
-  // ascending ids: already sorted), round-robin across devices. The
-  // buffers are valid on any device — the join charges its own reads.
-  FilterResult result;
-  result.candidates.resize(nu);
-  std::vector<size_t> sizes(nu, 0);
-  {
-    for (size_t d = 0; d < std::min(num_devs, nu); ++d) {
-      pool.Submit([&, d] {
-        gpusim::Device& dev = *devs[d];
-        const obs::DeviceCycleClock clock(dev);
-        obs::ScopedSpan span(filter_span.context(), "shard_create", clock,
-                             static_cast<int32_t>(d));
-        const gpusim::MemStats before = dev.stats();
-        for (VertexId u = static_cast<VertexId>(d); u < nu;
-             u += static_cast<VertexId>(std::min(num_devs, nu))) {
-          std::vector<VertexId> cand;
-          for (size_t p = 0; p < num_devs; ++p) {
-            cand.insert(cand.end(), partial[p][u].begin(),
-                        partial[p][u].end());
-          }
-          sizes[u] = cand.size();
-          result.candidates[u] = CandidateSet::Create(
-              dev, u, std::move(cand), n, filter.options().build_bitmaps);
-        }
-        create_mem[d] = dev.stats() - before;
-      });
-    }
-    pool.Wait();
-  }
-  for (size_t d = 0; d < std::min(num_devs, nu); ++d) {
-    if (Status h = CheckDeviceHealthy(*devs[d], "shard_create"); !h.ok()) {
-      return h;
-    }
-  }
-
-  // Min-candidate bookkeeping in Filter's vertex order, so the tie-break
-  // matches the single-device stage.
-  result.min_candidate_size = SIZE_MAX;
+  // --- Build phase: the range-concatenated lists (ascending ranges of
+  // ascending ids: already sorted) become the query's candidate sets on
+  // the primary, in one bitset kernel. The buffers are valid on any
+  // device — the join charges its own reads.
+  std::vector<std::vector<VertexId>> lists(nu);
   for (VertexId u = 0; u < nu; ++u) {
-    if (sizes[u] < result.min_candidate_size) {
-      result.min_candidate_size = sizes[u];
-      result.min_candidate_vertex = u;
+    for (size_t d = 0; d < num_devs; ++d) {
+      lists[u].insert(lists[u].end(), partial[d][u].begin(),
+                      partial[d][u].end());
     }
   }
+  const gpusim::MemStats before_build = primary.stats();
+  FilterResult result = MakeFilterResult(primary, std::move(lists), n,
+                                         filter.options().build_bitmaps);
+  const gpusim::MemStats build_mem = primary.stats() - before_build;
+  if (Status h = CheckDeviceHealthy(primary, "filter"); !h.ok()) return h;
 
-  gpusim::MemStats total;
+  gpusim::MemStats total = build_mem;
   double max_scan_ms = 0;
-  double max_create_ms = 0;
   for (size_t d = 0; d < num_devs; ++d) {
     total += scan_mem[d];
-    total += create_mem[d];
     max_scan_ms =
         std::max(max_scan_ms, scan_mem[d].SimulatedMs(devs[d]->config()));
-    max_create_ms =
-        std::max(max_create_ms, create_mem[d].SimulatedMs(devs[d]->config()));
   }
   stats.filter = total;
   stats.min_candidate_size = result.min_candidate_size;
-  // The two phases are barriers: the makespan is slowest-scan +
-  // slowest-create.
-  if (parallel_ms != nullptr) *parallel_ms = max_scan_ms + max_create_ms;
+  // The scan is a barrier: the makespan is the slowest scan plus the
+  // build.
+  if (parallel_ms != nullptr) {
+    *parallel_ms = max_scan_ms + build_mem.SimulatedMs(primary.config());
+  }
   return result;
 }
 
@@ -216,9 +179,6 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   std::vector<double> device_loads(devs.size(), 0);  // modeled, see below
   double makespan_ms = 0;
   size_t shards_used = 1;
-  // Read once under the thread-safe static initializer: getenv from
-  // concurrent sharded joins would be an MT-unsafe call per query.
-  static const bool debug = std::getenv("GSI_SHARD_DEBUG") != nullptr;
   ThreadPool pool(devs.size());  // reused by every fan-out below
 
   /// Per-row workload estimate for step `k` over the current table: the
@@ -311,11 +271,6 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
         distributed = slices.size() >= 2;
       }
     }
-    if (debug) {
-      std::fprintf(stderr, "[shard] step=%zu rows=%zu %s (%zu slices)\n", k,
-                   m.rows(), distributed ? "distributed" : "serial",
-                   slices.size());
-    }
     mark = primary.stats();
     if (!distributed) {
       Result<MatchTable> next = serial_engine.RunSteps(
@@ -398,11 +353,6 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
       device_loads[d] += loads[d];
     }
     makespan_ms += step_makespan;
-    if (debug) {
-      std::fprintf(stderr, "[shard]   step=%zu makespan=%.3f sum=%.3f\n", k,
-                   step_makespan,
-                   std::accumulate(slice_ms.begin(), slice_ms.end(), 0.0));
-    }
     detail.iterations += 1;
 
     if (k + 1 == plan.steps.size()) {
@@ -479,10 +429,6 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   out.stats.filter_ms = out.stats.filter.SimulatedMs(primary.config());
   out.stats.join_ms =
       serial_total.SimulatedMs(primary.config()) + makespan_ms;
-  if (debug) {
-    std::fprintf(stderr, "[shard] serial=%.3f parallel=%.3f\n",
-                 serial_total.SimulatedMs(primary.config()), makespan_ms);
-  }
   out.stats.total_ms = out.stats.filter_ms + out.stats.join_ms;
   out.stats.num_matches = out.manifest.rows();
   out.stats.shards_used = shards_used;

@@ -33,12 +33,14 @@ struct ShardOptions {
   size_t slices_per_device = 1;
 };
 
-/// Filtering phase fanned out over `devs`: each query vertex's candidate
-/// scan (and its buffer upload + bitset kernel) is independent, so devices
-/// take vertices round-robin. The FilterResult is identical to
+/// Filtering phase fanned out over `devs`: device d scans the d-th
+/// 32-aligned slice of the data-vertex range for every query vertex, then
+/// the primary (devs[0]) builds all candidate sets from the concatenated
+/// lists in one MakeFilterResult call. The FilterResult is identical to
 /// single-device RunFilterStage — only the devices footing the bill
 /// differ; `stats.filter` sums all devices' counters and `parallel_ms`
-/// (when non-null) receives the phase makespan (the slowest device).
+/// (when non-null) receives the phase makespan (the slowest scan plus the
+/// build).
 Result<FilterResult> RunFilterStageSharded(
     std::span<gpusim::Device* const> devs, const FilterContext& filter,
     const Graph& query, QueryStats& stats, double* parallel_ms,

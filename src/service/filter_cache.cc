@@ -54,16 +54,8 @@ std::shared_ptr<const FilterCache::Entry> FilterCache::MakeEntry(
 FilterResult FilterCache::Materialize(gpusim::Device& dev, const Entry& entry,
                                       size_t num_data_vertices,
                                       bool build_bitmaps) {
-  FilterResult out;
-  out.candidates.resize(entry.candidates.size());
-  for (VertexId u = 0; u < entry.candidates.size(); ++u) {
-    out.candidates[u] =
-        CandidateSet::Create(dev, u, entry.candidates[u], num_data_vertices,
-                             build_bitmaps);
-  }
-  out.min_candidate_size = entry.min_candidate_size;
-  out.min_candidate_vertex = entry.min_candidate_vertex;
-  return out;
+  return MakeFilterResult(dev, entry.candidates, num_data_vertices,
+                          build_bitmaps);
 }
 
 std::shared_ptr<const FilterCache::Entry> FilterCache::Lookup(

@@ -27,11 +27,11 @@ namespace gsi {
 /// produce identical candidate sets, so a cache instance must be private to
 /// one (data graph, GsiOptions) pair — QueryService owns exactly one.
 ///
-/// Values are host-side candidate lists. A hit skips the O(|V(Q)| * |V(G)|)
-/// signature-scan kernels and only pays re-upload plus the bitset kernel,
-/// O(sum |C(u)|) — identical candidate sets in, identical match tables out,
-/// just a cheaper filter phase. Entries are evicted LRU-first to stay under
-/// a byte budget. All methods are thread-safe.
+/// Values are host-side candidate lists. A hit skips the signature scan
+/// over all of V(G) and only pays re-upload plus the one bitset kernel,
+/// O(sum |C(u)|) — identical candidate sets in, identical match tables
+/// out, just a cheaper filter phase. Entries are evicted LRU-first to stay
+/// under a byte budget. All methods are thread-safe.
 ///
 /// Ownership: entries are shared_ptr<const Entry> — a looked-up entry
 /// stays valid after eviction or Clear, and Materialize builds a fresh
@@ -86,8 +86,8 @@ class FilterCache {
   /// shareable entry.
   static std::shared_ptr<const Entry> MakeEntry(const FilterResult& filtered);
 
-  /// Rebuilds a FilterResult on `dev`, charging the upload and bitset
-  /// kernels to it (the cache-hit fast path of the filter stage).
+  /// Rebuilds a FilterResult on `dev` with MakeFilterResult, charging the
+  /// one bitset kernel to it (the cache-hit fast path of the filter stage).
   static FilterResult Materialize(gpusim::Device& dev, const Entry& entry,
                                   size_t num_data_vertices,
                                   bool build_bitmaps);

@@ -27,9 +27,20 @@ void WithWarp(gpusim::Device& dev, Fn&& fn) {
 
 // ------------------------------------------------------------- set ops ---
 
+/// Sorted random list of `n` values drawn from [0, range).
+std::vector<VertexId> SortedRandom(size_t n, uint32_t range, uint64_t seed) {
+  Rng rng(seed);
+  std::set<VertexId> vals;
+  while (vals.size() < n) {
+    vals.insert(static_cast<VertexId>(rng.NextBounded(range)));
+  }
+  return std::vector<VertexId>(vals.begin(), vals.end());
+}
+
 TEST(SetOps, FirstEdgeSubtractsRowAndFiltersCandidates) {
   gpusim::Device dev;
-  CandidateSet cand = CandidateSet::Create(dev, 0, {2, 4, 6, 8}, 100, true);
+  CandidateSet cand =
+      std::move(CandidateSet::Create(dev, {{2, 4, 6, 8}}, 100, true)[0]);
   std::vector<VertexId> input = {1, 2, 3, 4, 5, 6};
   std::vector<VertexId> row = {4, 9};
   auto gba = dev.Alloc<VertexId>(16);
@@ -47,7 +58,7 @@ TEST(SetOps, FirstEdgeSubtractsRowAndFiltersCandidates) {
 TEST(SetOps, FirstEdgeNaiveMatchesBitsetSemantics) {
   gpusim::Device dev;
   CandidateSet cand =
-      CandidateSet::Create(dev, 0, {1, 5, 7, 11, 13}, 64, true);
+      std::move(CandidateSet::Create(dev, {{1, 5, 7, 11, 13}}, 64, true)[0]);
   std::vector<VertexId> input = {1, 2, 5, 7, 8, 11, 13};
   std::vector<VertexId> row = {7};
   std::vector<VertexId> fast;
@@ -60,6 +71,32 @@ TEST(SetOps, FirstEdgeNaiveMatchesBitsetSemantics) {
   });
   EXPECT_EQ(fast, naive);
   EXPECT_EQ(fast, (std::vector<VertexId>{1, 5, 11, 13}));
+
+  // Slices longer than a warp probe the bitset 32 survivors at a time;
+  // the survivors still come out in input order.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    input = SortedRandom(100 + 7 * seed, 3000, seed);
+    row = {input[3], input[40], 2999};
+    CandidateSet big = std::move(CandidateSet::Create(
+        dev, {SortedRandom(1500, 3000, seed + 10)}, 3000, true)[0]);
+    std::vector<VertexId> expected;
+    for (VertexId x : input) {
+      if (std::find(row.begin(), row.end(), x) == row.end() &&
+          big.ContainsHost(x)) {
+        expected.push_back(x);
+      }
+    }
+    fast.clear();
+    naive.clear();
+    WithWarp(dev, [&](gpusim::Warp& w) {
+      SetOpFlags f;
+      FilterFirstEdge(w, input, row, big, f, nullptr, 0, fast);
+      f.naive = true;
+      FilterFirstEdge(w, input, row, big, f, nullptr, 0, naive);
+    });
+    EXPECT_EQ(fast, expected) << "seed " << seed;
+    EXPECT_EQ(naive, expected) << "seed " << seed;
+  }
 }
 
 TEST(SetOps, IntersectSortedKeepsCommonElements) {
@@ -82,16 +119,6 @@ TEST(SetOps, IntersectWithEmptyIsEmpty) {
     EXPECT_EQ(IntersectSorted(w, current, {}, f, nullptr, 0), 0u);
   });
   EXPECT_TRUE(current.empty());
-}
-
-/// Sorted random list of `n` values drawn from [0, range).
-std::vector<VertexId> SortedRandom(size_t n, uint32_t range, uint64_t seed) {
-  Rng rng(seed);
-  std::set<VertexId> vals;
-  while (vals.size() < n) {
-    vals.insert(static_cast<VertexId>(rng.NextBounded(range)));
-  }
-  return std::vector<VertexId>(vals.begin(), vals.end());
 }
 
 TEST(SetOps, GallopingMatchesMergeOnRandomInputs) {

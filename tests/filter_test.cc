@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <tuple>
 
 #include "baselines/oracle.h"
@@ -22,6 +23,7 @@ using ::gsi::testing::RandomGraph;
 using ::gsi::testing::RandomHubGraph;
 using ::gsi::testing::RandomQuery;
 using ::gsi::testing::RandomQuerySet;
+using gpusim::kWarpSize;
 
 class FilterStrategySuite : public ::testing::TestWithParam<FilterStrategy> {
 };
@@ -346,30 +348,141 @@ TEST(SignatureScanCost, ReadsEachColumnAtMostOncePerWarp) {
   }
 }
 
+TEST(SignatureScanCost, BitmapsOnFilterLaunchesTwoKernels) {
+  // The scan is one kernel and the bitsets of every query vertex are one
+  // more, whatever the query size.
+  Graph data = RandomGraph(1000, 3, 4, 3, 35);
+  gpusim::Device dev;
+  FilterContext ctx(dev, data, FilterOptions());
+  std::vector<Graph> queries = {OneVertexQuery(data.vertex_label(0))};
+  for (size_t nv : {2, 4, 8}) {
+    for (Graph& q : RandomQuerySet(data, nv, 2, 36 + nv)) {
+      queries.push_back(std::move(q));
+    }
+  }
+  for (const Graph& q : queries) {
+    const gpusim::MemStats before = dev.stats();
+    ASSERT_TRUE(ctx.Filter(q).ok());
+    EXPECT_EQ((dev.stats() - before).kernel_launches, 2u)
+        << "|V(Q)|=" << q.num_vertices();
+  }
+}
+
+/// Probes every vertex of [0, n) against `c`, 32 lanes at a time, and
+/// checks each answer against the sorted list.
+void ExpectBitsetMatchesList(gpusim::Device& dev, const CandidateSet& c,
+                             size_t n) {
+  gpusim::Launch(dev, 1, [&](gpusim::Warp& w) {
+    for (size_t v0 = 0; v0 < n; v0 += kWarpSize) {
+      VertexId vs[kWarpSize];
+      const size_t lanes = std::min<size_t>(kWarpSize, n - v0);
+      for (size_t k = 0; k < lanes; ++k) {
+        vs[k] = static_cast<VertexId>(v0 + k);
+      }
+      const uint32_t hits = c.ProbeBitset(w, {vs, lanes});
+      for (size_t k = 0; k < lanes; ++k) {
+        ASSERT_EQ(((hits >> k) & 1u) != 0, c.ContainsHost(vs[k]))
+            << "u=" << c.query_vertex() << " v=" << vs[k];
+      }
+      if (lanes < kWarpSize) {
+        EXPECT_EQ(hits >> lanes, 0u);
+      }
+    }
+  });
+}
+
+TEST(CandidateSetTest, OneKernelBuildsEveryBitset) {
+  Rng rng(41);
+  for (size_t n : {1, 31, 1000, 3001, 5000}) {
+    // An empty list, a full one, dense runs across 32- and 1024-id
+    // boundaries, and random subsets.
+    std::vector<std::vector<VertexId>> lists(6);
+    for (VertexId v = 0; v < n; ++v) lists[1].push_back(v);
+    for (VertexId v = 1000; v < std::min<size_t>(n, 1100); ++v) {
+      lists[2].push_back(v);
+    }
+    for (VertexId v = 20; v < std::min<size_t>(n, 45); ++v) {
+      lists[3].push_back(v);
+    }
+    for (size_t i = 4; i < lists.size(); ++i) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (rng.NextBounded(4) == 0) lists[i].push_back(v);
+      }
+    }
+    // The build loads each 32-candidate tile (one 128B line) and stores
+    // the distinct bitmap lines its words fall in.
+    uint64_t tiles = 0;
+    uint64_t lines_stored = 0;
+    for (const std::vector<VertexId>& list : lists) {
+      for (size_t t = 0; t < list.size(); t += kWarpSize) {
+        std::set<VertexId> lines;
+        for (size_t k = t; k < std::min(list.size(), t + kWarpSize); ++k) {
+          lines.insert(list[k] / 1024);
+        }
+        ++tiles;
+        lines_stored += lines.size();
+      }
+    }
+    gpusim::Device dev;
+    std::vector<CandidateSet> sets = CandidateSet::Create(dev, lists, n, true);
+    const gpusim::MemStats build = dev.stats();
+    EXPECT_EQ(build.kernel_launches, 1u) << "n=" << n;
+    EXPECT_EQ(build.gld, tiles) << "n=" << n;
+    EXPECT_EQ(build.gst, lines_stored) << "n=" << n;
+    ASSERT_EQ(sets.size(), lists.size());
+    for (VertexId u = 0; u < sets.size(); ++u) {
+      EXPECT_EQ(sets[u].query_vertex(), u);
+      EXPECT_TRUE(std::equal(lists[u].begin(), lists[u].end(),
+                             sets[u].list().data(),
+                             sets[u].list().data() + sets[u].size()));
+      ExpectBitsetMatchesList(dev, sets[u], n);
+    }
+  }
+}
+
 TEST(CandidateSetTest, BitsetAndListAgree) {
   Graph data = RandomGraph(200, 3, 3, 3, 16);
   gpusim::Device dev;
   std::vector<VertexId> list = {3, 17, 60, 61, 199};
-  CandidateSet c = CandidateSet::Create(dev, 0, list, data.num_vertices(),
-                                        /*build_bitmap=*/true);
+  CandidateSet c = std::move(CandidateSet::Create(
+      dev, {list}, data.num_vertices(), /*build_bitmaps=*/true)[0]);
+  ExpectBitsetMatchesList(dev, c, data.num_vertices());
   gpusim::Launch(dev, 1, [&](gpusim::Warp& w) {
     for (VertexId v = 0; v < 200; ++v) {
       bool expect = std::binary_search(list.begin(), list.end(), v);
-      EXPECT_EQ(c.ContainsBitset(w, v), expect);
       EXPECT_EQ(c.ContainsBinarySearch(w, v), expect);
       EXPECT_EQ(c.ContainsHost(v), expect);
     }
   });
 }
 
-TEST(CandidateSetTest, BitsetProbeIsOneTransaction) {
+/// gld of one warp probing `vs` against a one-candidate bitset over
+/// |V| = 100000.
+uint64_t ProbeGld(std::span<const VertexId> vs) {
   gpusim::Device dev;
-  std::vector<VertexId> list = {5};
-  CandidateSet c = CandidateSet::Create(dev, 0, list, 100000, true);
+  CandidateSet c =
+      std::move(CandidateSet::Create(dev, {{5}}, 100000, true)[0]);
   dev.ResetStats();
-  gpusim::Launch(dev, 1,
-                 [&](gpusim::Warp& w) { c.ContainsBitset(w, 99999); });
-  EXPECT_EQ(dev.stats().gld, 1u);  // "exactly one memory transaction"
+  gpusim::Launch(dev, 1, [&](gpusim::Warp& w) { c.ProbeBitset(w, vs); });
+  return dev.stats().gld;
+}
+
+TEST(CandidateSetTest, BitsetProbeIsOneTransaction) {
+  // "Exactly one memory transaction", even for a lone lane.
+  const VertexId v = 99999;
+  EXPECT_EQ(ProbeGld({&v, 1}), 1u);
+}
+
+TEST(CandidateSetTest, WarpProbeCostsDistinctLines) {
+  // One 128B line holds the words of 1024 consecutive ids.
+  VertexId near[kWarpSize];
+  VertexId far[kWarpSize];
+  for (size_t k = 0; k < kWarpSize; ++k) {
+    near[k] = static_cast<VertexId>(2048 + 31 * k);
+    far[k] = static_cast<VertexId>(1024 * k + 7);
+  }
+  EXPECT_EQ(ProbeGld(near), 1u);
+  EXPECT_EQ(ProbeGld(far), 32u);
 }
 
 }  // namespace

@@ -13,13 +13,14 @@ namespace {
 std::vector<CandidateSet> FakeCandidates(gpusim::Device& dev,
                                          const Graph& query, size_t n,
                                          const std::vector<size_t>& sizes) {
-  std::vector<CandidateSet> out;
+  std::vector<std::vector<VertexId>> lists(query.num_vertices());
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
-    std::vector<VertexId> list(sizes[u]);
-    for (size_t i = 0; i < sizes[u]; ++i) list[i] = static_cast<VertexId>(i);
-    out.push_back(CandidateSet::Create(dev, u, std::move(list), n, false));
+    lists[u].resize(sizes[u]);
+    for (size_t i = 0; i < sizes[u]; ++i) {
+      lists[u][i] = static_cast<VertexId>(i);
+    }
   }
-  return out;
+  return CandidateSet::Create(dev, std::move(lists), n, false);
 }
 
 TEST(PlanOrder, StartsAtMinScoreVertex) {

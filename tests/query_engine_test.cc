@@ -346,5 +346,33 @@ TEST(OptionsValidation, BadGpnAndMaxRowsAreInvalidArgument) {
   EXPECT_TRUE(ValidateGsiOptions(GsiMinusOptions()).ok());
 }
 
+TEST(OptionsValidation, WarpFriendlySetOpWithoutBitmapsIsInvalidArgument) {
+  // The GPU-friendly set op probes the candidate bitsets, so skipping them
+  // used to abort in the first join.
+  Workload w = std::move(MakeWorkloads()[0]);
+  GsiOptions bad = GsiOptOptions();
+  bad.filter.build_bitmaps = false;
+  GsiMatcher matcher(w.data, bad);
+  EXPECT_EQ(matcher.init_status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(matcher.Find(w.queries[0]).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(QueryEngine(w.data, bad).init_status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The naive set op binary-searches the sorted lists and never reads a
+  // bitset.
+  GsiOptions naive = GsiMinusOptions();
+  naive.filter.build_bitmaps = false;
+  GsiMatcher naive_matcher(w.data, naive);
+  ASSERT_TRUE(naive_matcher.init_status().ok());
+  EXPECT_TRUE(QueryEngine(w.data, naive).init_status().ok());
+  Result<QueryResult> got = naive_matcher.Find(w.queries[0]);
+  ASSERT_TRUE(got.ok());
+  Result<QueryResult> want = GsiMatcher(w.data, GsiMinusOptions())
+                                 .Find(w.queries[0]);
+  ASSERT_TRUE(want.ok());
+  EXPECT_TRUE(got->TableEquals(*want));
+}
+
 }  // namespace
 }  // namespace gsi
