@@ -23,7 +23,6 @@ mkdir -p "$ARTIFACTS_DIR"
 ALL_SMOKES=(
   example-query-service
   example-sharded
-  example-partitioned
   example-replicated
   example-replicated-chaos
   example-trace
@@ -80,12 +79,8 @@ run_smoke() {
       GSI_SHARD_EXAMPLE_SCALE=1 GSI_SHARD_EXAMPLE_DEVICES=4 \
         "$BUILD_DIR/examples/sharded_query"
       ;;
-    # Halo-exchange execution over the 1/K-per-device data graph.
-    example-partitioned)
-      GSI_PARTITION_EXAMPLE_SCALE=1 GSI_PARTITION_EXAMPLE_PARTITIONS=4 \
-        "$BUILD_DIR/examples/partitioned_query"
-      ;;
-    # R-way replicated partitions: concurrent lanes + replica routing.
+    # Partitioned data graph: the K sweep at R=1 (hash vs greedy
+    # ownership), then R-way replicas (concurrent lanes + replica routing).
     example-replicated)
       GSI_REPL_EXAMPLE_SCALE=1 GSI_REPL_EXAMPLE_REPLICAS=2 \
         "$BUILD_DIR/examples/replicated_query"

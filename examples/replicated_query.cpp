@@ -1,11 +1,19 @@
-// R-way replicated partitions: each of K partitions stored on R of K
-// simulated devices (staggered placement), so a partitioned query leases
-// one replica of each — K/R devices, leaving R concurrent lanes — and
-// probes of peer partitions are served by co-resident replicas instead of
-// the interconnect. Sweeps R for one heavy query, then runs a concurrent
-// burst through QueryService to show the lanes working (AcquireOneOfEach,
-// least-loaded replica picks). Match tables stay bit-identical to the
-// single-device run at every R and for every replica selection.
+// Partitioned data-graph execution: the PCSR + signature table split into
+// K shares over K simulated device memories, each share stored on R of them
+// (staggered placement), queries answered with remote probes. Three parts:
+//
+//  1. K sweep at R = 1, hash vs greedy ownership: resident memory per
+//     device falls ~1/K, and the cut edges a policy leaves decide how much
+//     of the join's probing goes remote.
+//  2. R sweep at K = 4: a partitioned query leases one replica of each
+//     partition — K/R devices, leaving R concurrent lanes — and probes of
+//     peer partitions are served by co-resident replicas instead of the
+//     interconnect.
+//  3. A concurrent burst through QueryService shows the lanes working
+//     (AcquireOneOfEach, least-loaded replica picks).
+//
+// Match tables stay bit-identical to the single-device run at every K and
+// R and for every replica selection.
 //
 //   ./build/examples/replicated_query [--kill-device[=N]]
 //
@@ -29,6 +37,7 @@
 #include "gpusim/device.h"
 #include "graph/datasets.h"
 #include "graph/query_generator.h"
+#include "gsi/partition.h"
 #include "gsi/query_engine.h"
 #include "gsi/replication.h"
 #include "service/query_service.h"
@@ -76,8 +85,7 @@ int main(int argc, char** argv) {
   Result<Dataset> dataset = MakeDataset("enron", scale);
   GSI_CHECK(dataset.ok());
   const Graph& g = dataset->graph;
-  std::printf("data graph: %s, partitioned %zu ways\n", g.Summary().c_str(),
-              kPartitions);
+  std::printf("data graph: %s\n", g.Summary().c_str());
 
   QueryGenConfig qc;
   qc.num_vertices = 8;
@@ -102,42 +110,80 @@ int main(int argc, char** argv) {
   std::printf("heavy query: %s -> %zu matches, %.2f ms single-device\n\n",
               heavy->Summary().c_str(), single->num_matches(), single_ms);
 
-  // --- R sweep: one packed-selection execution per R. Lanes = concurrent
-  // queries the pool now admits; co-located probes = interconnect traffic
-  // the replicas absorbed.
-  TablePrinter table({"Replicas", "Lanes", "Resident/dev MB", "Remote probes",
-                      "Co-located", "Halo MB", "Total ms"});
-  for (size_t r = 1; r <= max_replicas; r *= 2) {
+  // Runs the heavy query against a fresh K-device ReplicatedGraph (K
+  // partitions, R replicas each) under the packed selection, checks it
+  // bit-identical and hands its stats to `add_row`.
+  auto run = [&](const GraphPartitioner& partitioner, size_t k, size_t r,
+                 auto&& add_row) {
     std::vector<std::unique_ptr<gpusim::Device>> devices;
     std::vector<gpusim::Device*> devs;
-    for (size_t i = 0; i < kPartitions; ++i) {
+    for (size_t i = 0; i < k; ++i) {
       devices.push_back(
           std::make_unique<gpusim::Device>(engine.options().device));
       devs.push_back(devices.back().get());
     }
     Result<ReplicatedGraph> rg =
-        ReplicatedGraph::Build(devs, g, engine.options(),
-                               HashVertexPartitioner(), kPartitions, r);
+        ReplicatedGraph::Build(devs, g, engine.options(), partitioner, k, r);
     GSI_CHECK_MSG(rg.ok(), rg.status().ToString().c_str());
-
     const ReplicaSelection packed = CompactSelection(*rg);
-    Result<QueryResult> repl = engine.Execute(
+    Result<QueryResult> res = engine.Execute(
         {.query = heavy, .replicated = &*rg, .selection = &packed});
-    GSI_CHECK(repl.ok());
-    GSI_CHECK_MSG(repl->TableEquals(*single),
-                  "replicated result diverged from single-device run");
+    GSI_CHECK(res.ok());
+    GSI_CHECK_MSG(res->TableEquals(*single),
+                  "partitioned result diverged from single-device run");
+    add_row(res->stats, rg->build_stats());
+  };
 
-    const QueryStats& s = repl->stats;
-    const ReplicationBuildStats& bs = rg->build_stats();
-    table.AddRow(
-        {std::to_string(r),
-         std::to_string(kPartitions / std::max<size_t>(1, s.replica_lanes)),
-         TablePrinter::FormatMs(
-             static_cast<double>(bs.max_resident_bytes()) / kMb),
-         TablePrinter::FormatCount(s.remote_probes),
-         TablePrinter::FormatCount(s.co_located_probes),
-         TablePrinter::FormatMs(static_cast<double>(s.halo_bytes) / kMb),
-         TablePrinter::FormatMs(s.total_ms)});
+  // --- K sweep at R = 1: hash ownership vs the greedy edge cut, side by
+  // side. The K=1 rows are the like-for-like baseline: the same execution
+  // path with one share = the whole graph.
+  const HashVertexPartitioner hash;
+  const GreedyEdgeCutPartitioner greedy;
+  for (const GraphPartitioner* partitioner :
+       {static_cast<const GraphPartitioner*>(&hash),
+        static_cast<const GraphPartitioner*>(&greedy)}) {
+    TablePrinter table({"Partitions", "Resident/dev MB", "Cut edges",
+                        "Remote probes", "Halo MB", "Skew", "Total ms"});
+    for (size_t k = 1; k <= kPartitions; k *= 2) {
+      run(*partitioner, k, 1,
+          [&](const QueryStats& s, const ReplicationBuildStats& bs) {
+            table.AddRow(
+                {std::to_string(k),
+                 TablePrinter::FormatMs(
+                     static_cast<double>(bs.max_resident_bytes()) / kMb),
+                 TablePrinter::FormatCount(bs.cut_edges),
+                 TablePrinter::FormatCount(s.remote_probes),
+                 TablePrinter::FormatMs(static_cast<double>(s.halo_bytes) /
+                                        kMb),
+                 TablePrinter::FormatSpeedup(s.partition_skew),
+                 TablePrinter::FormatMs(s.total_ms)});
+          });
+    }
+    table.Print("Partitioned execution at R=1, " + partitioner->name() +
+                " ownership (bit-identical at every K)");
+    std::printf("\n");
+  }
+
+  // --- R sweep at K = 4: one packed-selection execution per R. Lanes =
+  // concurrent queries the pool now admits; co-located probes =
+  // interconnect traffic the replicas absorbed.
+  TablePrinter table({"Replicas", "Lanes", "Resident/dev MB", "Remote probes",
+                      "Co-located", "Halo MB", "Total ms"});
+  for (size_t r = 1; r <= max_replicas; r *= 2) {
+    run(hash, kPartitions, r,
+        [&](const QueryStats& s, const ReplicationBuildStats& bs) {
+          table.AddRow(
+              {std::to_string(r),
+               std::to_string(kPartitions /
+                              std::max<size_t>(1, s.replica_lanes)),
+               TablePrinter::FormatMs(
+                   static_cast<double>(bs.max_resident_bytes()) / kMb),
+               TablePrinter::FormatCount(s.remote_probes),
+               TablePrinter::FormatCount(s.co_located_probes),
+               TablePrinter::FormatMs(static_cast<double>(s.halo_bytes) /
+                                      kMb),
+               TablePrinter::FormatMs(s.total_ms)});
+        });
   }
   table.Print("Replicated execution, packed selection (bit-identical at "
               "every R)");

@@ -72,16 +72,11 @@ void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk, const MatchTable& m,
   chunk.count = static_cast<uint32_t>(result.size());
 }
 
-Result<MatchTable> JoinEngine::StepPrealloc(const MatchTable& m,
-                                            const JoinStep& step,
-                                            const CandidateSet& cand) {
+gpusim::DeviceBuffer<uint32_t> JoinEngine::FirstEdgeBounds(
+    const MatchTable& m, const JoinStep& step) {
   const size_t rows = m.rows();
   const size_t cols = m.cols();
   const LinkEdge& e0 = step.links[0];
-  const size_t wpb = static_cast<size_t>(dev_->config().warps_per_block);
-
-  // --- Algorithm 4: per-row upper bounds |N(v'_i, l0)| and their prefix
-  // sum give the GBA offsets.
   auto bounds = dev_->Alloc<uint32_t>(rows);
   gpusim::Launch(*dev_, (rows + kWarpSize - 1) / kWarpSize, [&](Warp& w) {
     size_t r0 = w.global_id() * kWarpSize;
@@ -102,7 +97,18 @@ Result<MatchTable> JoinEngine::StepPrealloc(const MatchTable& m,
     w.StoreRange(bounds, r0,
                  std::span<const uint32_t>(bounds.data() + r0, lanes));
   });
+  return bounds;
+}
 
+Result<MatchTable> JoinEngine::StepPrealloc(
+    const MatchTable& m, const JoinStep& step, const CandidateSet& cand,
+    const gpusim::DeviceBuffer<uint32_t>& bounds) {
+  const size_t rows = m.rows();
+  const size_t cols = m.cols();
+  const size_t wpb = static_cast<size_t>(dev_->config().warps_per_block);
+
+  // --- Algorithm 4: the per-row upper bounds |N(v'_i, l0)| and their
+  // prefix sum give the GBA offsets.
   auto gba_offsets = dev_->Alloc<uint64_t>(rows + 1);
   uint64_t gba_size = gpusim::ExclusiveScan(*dev_, bounds, gba_offsets);
   auto gba = dev_->Alloc<VertexId>(gba_size);
@@ -290,7 +296,9 @@ MatchTable JoinEngine::SeedTable(const JoinPlan& plan,
 
 Result<MatchTable> JoinEngine::RunSteps(
     const JoinPlan& plan, const std::vector<CandidateSet>& candidates,
-    MatchTable m, size_t first_step, size_t last_step) {
+    MatchTable m, size_t first_step, size_t last_step,
+    std::optional<gpusim::DeviceBuffer<uint32_t>> first_bounds) {
+  GSI_CHECK(!first_bounds || first_bounds->size() == m.rows());
   last_step = std::min(last_step, plan.steps.size());
   stats_.peak_rows = std::max(stats_.peak_rows, m.rows());
   // Fail fast on a device that already tripped (e.g. during seeding or an
@@ -306,7 +314,10 @@ Result<MatchTable> JoinEngine::RunSteps(
     span.AddAttr("rows_in", static_cast<uint64_t>(m.rows()));
     Result<MatchTable> next =
         options_.output_scheme == OutputScheme::kPreallocCombine
-            ? StepPrealloc(m, step, candidates[step.u])
+            ? StepPrealloc(m, step, candidates[step.u],
+                           s == first_step && first_bounds
+                               ? std::move(*first_bounds)
+                               : FirstEdgeBounds(m, step))
             : StepTwoStep(m, step, candidates[step.u]);
     if (!next.ok()) return next.status();
     // Step boundary: a fault that tripped inside this step's kernels is

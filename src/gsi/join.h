@@ -2,6 +2,7 @@
 #define GSI_GSI_JOIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -91,15 +92,26 @@ class JoinEngine {
 
   /// Runs join iterations [first_step, last_step) of the plan on `m`
   /// (which must bind plan.order[0 .. first_step]), accumulating into the
-  /// engine's stats. Exposed so the sharded engine can run a serial prefix
-  /// on one device and fan the remaining steps out over row slices of the
-  /// intermediate table: step output rows are emitted in input-row order,
-  /// so running any contiguous row slice yields exactly that slice's
-  /// portion of the whole run, in order.
-  Result<MatchTable> RunSteps(const JoinPlan& plan,
-                              const std::vector<CandidateSet>& candidates,
-                              MatchTable m, size_t first_step,
-                              size_t last_step);
+  /// engine's stats. Exposed so the sharded engine can run one step at a
+  /// time, on one device or over row slices of the intermediate table:
+  /// step output rows are emitted in input-row order, so running any
+  /// contiguous row slice yields exactly that slice's portion of the whole
+  /// run, in order. `first_bounds`, when set, is
+  /// FirstEdgeBounds(m, plan.steps[first_step]) on this engine's device;
+  /// Prealloc-Combine sizes that step's GBA from it instead of running the
+  /// bounds kernel again (kTwoStep ignores it).
+  Result<MatchTable> RunSteps(
+      const JoinPlan& plan, const std::vector<CandidateSet>& candidates,
+      MatchTable m, size_t first_step, size_t last_step,
+      std::optional<gpusim::DeviceBuffer<uint32_t>> first_bounds = {});
+
+  /// Algorithm 4's bounds kernel: the first-edge upper bound |N(v'_i, l0)|
+  /// of every row of `m` for `step` (one warp gathers the e0 column of 32
+  /// rows), stored on this engine's device. Their prefix sum gives the GBA
+  /// offsets; the sharded engine also decides and balances its fan-out by
+  /// them.
+  gpusim::DeviceBuffer<uint32_t> FirstEdgeBounds(const MatchTable& m,
+                                                 const JoinStep& step);
 
   const JoinStats& stats() const { return stats_; }
 
@@ -111,7 +123,8 @@ class JoinEngine {
 
  private:
   Result<MatchTable> StepPrealloc(const MatchTable& m, const JoinStep& step,
-                                  const CandidateSet& cand);
+                                  const CandidateSet& cand,
+                                  const gpusim::DeviceBuffer<uint32_t>& bounds);
   Result<MatchTable> StepTwoStep(const MatchTable& m, const JoinStep& step,
                                  const CandidateSet& cand);
 

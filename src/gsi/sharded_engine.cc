@@ -1,12 +1,11 @@
 #include "gsi/sharded_engine.h"
 
 #include <algorithm>
-#include <atomic>
+#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "gpusim/launch.h"
 #include "gsi/fault.h"
 #include "gsi/join.h"
 #include "gsi/plan.h"
@@ -15,24 +14,8 @@
 #include "util/timer.h"
 
 namespace gsi {
-namespace {
 
 using gpusim::kWarpSize;
-using gpusim::Warp;
-
-/// Deterministic greedy list schedule of per-slice costs onto `devices`:
-/// each slice goes to the least-loaded device, in slice order (the model of
-/// "a device pulls the next slice when free"). Returns per-device loads.
-std::vector<double> ListSchedule(std::span<const double> slice_ms,
-                                 size_t devices) {
-  std::vector<double> load(devices, 0);
-  for (double ms : slice_ms) {
-    *std::min_element(load.begin(), load.end()) += ms;
-  }
-  return load;
-}
-
-}  // namespace
 
 Result<FilterResult> RunFilterStageSharded(
     std::span<gpusim::Device* const> devs, const FilterContext& filter,
@@ -68,7 +51,8 @@ Result<FilterResult> RunFilterStageSharded(
   const size_t chunk =
       ((n + num_devs - 1) / num_devs + kWarpSize - 1) / kWarpSize * kWarpSize;
   const obs::DeviceCycleClock primary_clock(primary);
-  obs::ScopedSpan filter_span(trace, "filter", primary_clock, 0);
+  obs::ScopedSpan filter_span(trace, "filter", primary_clock,
+                              primary.ordinal());
   std::vector<std::vector<std::vector<VertexId>>> partial(num_devs);
   std::vector<gpusim::MemStats> scan_mem(num_devs);
   ThreadPool pool(num_devs);
@@ -77,7 +61,7 @@ Result<FilterResult> RunFilterStageSharded(
       gpusim::Device& dev = *devs[d];
       const obs::DeviceCycleClock clock(dev);
       obs::ScopedSpan span(filter_span.context(), "shard_scan", clock,
-                           static_cast<int32_t>(d));
+                           dev.ordinal());
       const gpusim::MemStats before = dev.stats();
       const size_t begin = std::min(n, d * chunk);
       const size_t end = std::min(n, begin + chunk);
@@ -141,8 +125,6 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     FilterResult filtered, QueryStats stats, const obs::TraceContext& trace) {
   GSI_CHECK_MSG(!devs.empty(), "sharded join needs at least one device");
   const size_t min_work = std::max<size_t>(1, shard_options.min_rows_per_shard);
-  const size_t oversubscribe =
-      std::max<size_t>(1, shard_options.slices_per_device);
 
   // Degenerate shapes take the single-device path; RunJoinStage recomputes
   // the plan, which is deterministic.
@@ -156,139 +138,64 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
 
   gpusim::Device& primary = *devs[0];
   const obs::DeviceCycleClock primary_clock(primary);
-  obs::ScopedSpan join_span(trace, "join", primary_clock, 0);
+  obs::ScopedSpan join_span(trace, "join", primary_clock, primary.ordinal());
   const JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
-  // A step distributes only when its predicted volume fills every slice.
-  const uint64_t volume_floor =
-      static_cast<uint64_t>(devs.size()) * oversubscribe * min_work;
+  // A step distributes only when its predicted volume fills every device.
+  const uint64_t volume_floor = static_cast<uint64_t>(devs.size()) * min_work;
 
-  // --- Step-at-a-time distributed join. Each iteration either runs the
-  // step on the primary device (narrow / cheap steps, where scatter and
-  // gather would cost more than they parallelize) or distributes it:
-  // partition the table's rows into contiguous weight-balanced slices,
-  // scatter each slice to a pulled device, run the one step there, stream
-  // the partial result back, and gather in slice order. The gathered table
-  // is bit-identical to a whole-table step (output rows are emitted in
-  // input-row order), so the loop invariant — `m` equals the single-device
-  // intermediate table — holds at every boundary.
+  // --- Step-at-a-time distributed join. Each iteration computes the step's
+  // first-edge bounds on the primary, then either runs the step there
+  // (narrow / cheap steps, where scatter and gather would cost more than
+  // they parallelize) or distributes it: partition the table's rows into
+  // contiguous weight-balanced slices, run slice i on devs[i], and gather
+  // in slice order. The gathered table is bit-identical to a whole-table
+  // step (output rows are emitted in input-row order), so the loop
+  // invariant — `m` equals the single-device intermediate table — holds at
+  // every boundary.
   JoinEngine serial_engine(&primary, &store, options.join);
   serial_engine.set_trace(join_span.context());
-  gpusim::MemStats serial_total;    // seed and serial steps (primary only)
+  gpusim::MemStats serial_total;    // seed, bounds and serial steps
   gpusim::MemStats join_counters;   // everything, summed across devices
   JoinStats detail;
-  std::vector<double> device_loads(devs.size(), 0);  // modeled, see below
-  double makespan_ms = 0;
+  std::vector<double> device_loads(devs.size(), 0);  // slice i on device i
+  double makespan_ms = 0;  // of the distributed steps
   size_t shards_used = 1;
   ThreadPool pool(devs.size());  // reused by every fan-out below
-
-  /// Per-row workload estimate for step `k` over the current table: the
-  /// first-edge upper bound |N(v'_i, l0)| — the value PlanChunks balances
-  /// chunks by (Algorithm 4). The probes are row-parallel, so wide tables
-  /// fan the sizing kernel itself across the devices; the cost lands in
-  /// join_counters and the makespan (max over devices) in makespan_ms.
-  auto parallel_bounds = [&](const MatchTable& m,
-                             size_t k) -> std::vector<uint64_t> {
-    const size_t rows = m.rows();
-    const size_t cols = m.cols();
-    const LinkEdge& e0 = plan.steps[k].links[0];
-    std::vector<uint64_t> weights(rows);
-    const size_t workers = rows >= 4 * kWarpSize ? devs.size() : 1;
-    const size_t chunk =
-        ((rows + workers - 1) / workers + kWarpSize - 1) / kWarpSize *
-        kWarpSize;
-    std::vector<gpusim::MemStats> deltas(workers);
-    auto scan_range = [&](gpusim::Device& dev, size_t begin, size_t end) {
-      if (begin >= end) return;
-      gpusim::Launch(dev, (end - begin + kWarpSize - 1) / kWarpSize,
-                     [&](Warp& w) {
-                       size_t r0 = begin + w.global_id() * kWarpSize;
-                       if (r0 >= end) return;
-                       size_t lanes = std::min<size_t>(kWarpSize, end - r0);
-                       uint64_t idx[kWarpSize];
-                       VertexId vs[kWarpSize];
-                       for (size_t k2 = 0; k2 < lanes; ++k2) {
-                         idx[k2] = (r0 + k2) * cols + e0.prev_column;
-                       }
-                       w.Gather(m.data(),
-                                std::span<const uint64_t>(idx, lanes),
-                                std::span<VertexId>(vs, lanes));
-                       for (size_t k2 = 0; k2 < lanes; ++k2) {
-                         weights[r0 + k2] = store.NeighborCountUpperBound(
-                             w, vs[k2], e0.label);
-                       }
-                     });
-    };
-    {
-      for (size_t d = 0; d < workers; ++d) {
-        pool.Submit([&, d] {
-          gpusim::Device& dev = *devs[d];
-          const gpusim::MemStats before = dev.stats();
-          scan_range(dev, std::min(rows, d * chunk),
-                     std::min(rows, (d + 1) * chunk));
-          deltas[d] = dev.stats() - before;
-        });
-      }
-      pool.Wait();
-    }
-    double max_ms = 0;
-    for (size_t d = 0; d < workers; ++d) {
-      join_counters += deltas[d];
-      max_ms = std::max(max_ms, deltas[d].SimulatedMs(devs[d]->config()));
-    }
-    makespan_ms += max_ms;
-    return weights;
-  };
 
   gpusim::MemStats mark = primary.stats();
   ResultManifest manifest;  // filled by the final step
   bool paged_final = false;  // final step was distributed: partials kept
   MatchTable m = serial_engine.SeedTable(plan, filtered.candidates);
   for (size_t k = 0; k < plan.steps.size() && m.rows() > 0; ++k) {
-    // Close the current primary-serial segment before any parallel work.
-    serial_total += primary.stats() - mark;
-
-    bool distributed = false;
+    // Algorithm 4's per-row bounds |N(v'_i, l0)|, once per step: the
+    // fan-out decision, the slice balance and every slice's GBA offsets
+    // read this one buffer (a serial step hands it to its Prealloc step).
+    gpusim::DeviceBuffer<uint32_t> bounds =
+        serial_engine.FirstEdgeBounds(m, plan.steps[k]);
+    const std::vector<uint64_t> weights(bounds.data(),
+                                        bounds.data() + bounds.size());
+    const uint64_t predicted =
+        std::accumulate(weights.begin(), weights.end(), uint64_t{0});
+    // Distribute when the step's predicted volume fills every slice AND
+    // dwarfs the table being scattered (per-step fan-out has fixed costs:
+    // under-filled kernels, the lost cross-slice extraction sharing).
     std::vector<ShardRange> slices;
-    if (m.rows() >= 2) {
-      std::vector<uint64_t> weights = parallel_bounds(m, k);
-      // The sizing kernels fanned out over the devices; a trip there must
-      // surface even when the step then runs serially on the primary.
-      for (gpusim::Device* d : devs) {
-        if (Status h = CheckDeviceHealthy(*d, "shard_sizing"); !h.ok()) {
-          return h;
-        }
-      }
-      uint64_t predicted = 0;
-      for (uint64_t b : weights) predicted += b;
-      // Distribute when the step's predicted volume fills every slice AND
-      // dwarfs the table being scattered (per-step fan-out has fixed
-      // costs: sizing, under-filled kernels, the lost cross-slice
-      // extraction sharing).
-      if (predicted >= volume_floor &&
-          predicted >= 4 * static_cast<uint64_t>(m.rows()) * m.cols()) {
-        slices = PartitionByWorkload(
-            weights, std::min(devs.size() * oversubscribe, m.rows()));
-        distributed = slices.size() >= 2;
-      }
+    if (predicted >= volume_floor &&
+        predicted >= 4 * static_cast<uint64_t>(m.rows()) * m.cols()) {
+      slices = PartitionByWorkload(weights, std::min(devs.size(), m.rows()));
     }
-    mark = primary.stats();
-    if (!distributed) {
-      Result<MatchTable> next = serial_engine.RunSteps(
-          plan, filtered.candidates, std::move(m), k, k + 1);
+    if (slices.size() < 2) {
+      Result<MatchTable> next =
+          serial_engine.RunSteps(plan, filtered.candidates, std::move(m), k,
+                                 k + 1, std::move(bounds));
       if (!next.ok()) return next.status();
       m = std::move(next.value());
       continue;
     }
 
-    // Fan-out: device threads pull slices until none remain. A slice's
-    // simulated cost depends only on the (identical) device config, never
-    // on which device pulled it, so the wall-clock assignment cannot
-    // perturb results; the modeled schedule below is deterministic.
-    const size_t workers = std::min(devs.size(), slices.size());
-    shards_used = std::max(shards_used, workers);
-    // Which device pulls which slice is wall-clock scheduling, so the
-    // slice spans' device attribution is NOT deterministic on this path
-    // (unlike the partitioned path, where work is pinned).
+    // Close the primary-serial segment: the fan-out is billed per slice.
+    serial_total += primary.stats() - mark;
+    shards_used = std::max(shards_used, slices.size());
     obs::ScopedSpan step_span(join_span.context(), "join_step_distributed",
                               primary_clock);
     step_span.AddAttr("step", static_cast<uint64_t>(k));
@@ -296,85 +203,71 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     std::vector<std::optional<Result<MatchTable>>> tables(slices.size());
     std::vector<gpusim::MemStats> slice_mem(slices.size());
     std::vector<JoinStats> slice_join(slices.size());
-    std::vector<gpusim::Device*> slice_dev(slices.size(), nullptr);
-    std::atomic<size_t> next_slice{0};
-    {
-      for (size_t d = 0; d < workers; ++d) {
-        pool.Submit([&, d] {
-          gpusim::Device& dev = *devs[d];
-          const obs::DeviceCycleClock clock(dev);
-          for (size_t i = next_slice.fetch_add(1); i < slices.size();
-               i = next_slice.fetch_add(1)) {
-            slice_dev[i] = &dev;
-            obs::ScopedSpan slice_span(step_span.context(), "shard_slice",
-                                       clock, static_cast<int32_t>(d));
-            slice_span.AddAttr("slice", static_cast<uint64_t>(i));
-            slice_span.AddAttr(
-                "rows_in",
-                static_cast<uint64_t>(slices[i].end - slices[i].begin));
-            const gpusim::MemStats before = dev.stats();
-            // Scatter in (host-mediated, uncharged like any upload), one
-            // step on this device, partial table back via the gather
-            // below.
-            MatchTable part = MatchTable::CopySlice(
-                dev, m, slices[i].begin, slices[i].end - slices[i].begin);
-            JoinEngine join(&dev, &store, options.join);
-            tables[i] = join.RunSteps(plan, filtered.candidates,
-                                      std::move(part), k, k + 1);
-            slice_join[i] = join.stats();
-            slice_mem[i] = dev.stats() - before;
-          }
-        });
-      }
-      pool.Wait();
+    for (size_t i = 0; i < slices.size(); ++i) {
+      pool.Submit([&, i] {
+        gpusim::Device& dev = *devs[i];
+        const ShardRange& slice = slices[i];
+        const obs::DeviceCycleClock clock(dev);
+        obs::ScopedSpan slice_span(step_span.context(), "shard_slice", clock,
+                                   dev.ordinal());
+        slice_span.AddAttr("slice", static_cast<uint64_t>(i));
+        slice_span.AddAttr("rows_in",
+                           static_cast<uint64_t>(slice.end - slice.begin));
+        const gpusim::MemStats before = dev.stats();
+        // Scatter the slice's rows and bounds in (host-mediated, uncharged
+        // like any upload), run the one step on this device; the partial
+        // table comes back via the gather below.
+        MatchTable part = MatchTable::CopySlice(dev, m, slice.begin,
+                                                slice.end - slice.begin);
+        gpusim::DeviceBuffer<uint32_t> part_bounds =
+            dev.Upload(std::vector<uint32_t>(bounds.data() + slice.begin,
+                                             bounds.data() + slice.end));
+        JoinEngine join(&dev, &store, options.join);
+        tables[i] = join.RunSteps(plan, filtered.candidates, std::move(part),
+                                  k, k + 1, std::move(part_bounds));
+        slice_join[i] = join.stats();
+        slice_mem[i] = dev.stats() - before;
+      });
     }
+    pool.Wait();
     for (size_t i = 0; i < slices.size(); ++i) {
       if (!tables[i]->ok()) return tables[i]->status();
     }
 
-    // Deterministic greedy list schedule of the slice costs onto the
-    // devices — the same modeling ScheduleBlocks applies to blocks on SMs;
-    // wall-clock thread interleaving never leaks into simulated time.
-    std::vector<double> slice_ms(slices.size());
+    // The slices run concurrently, one per device: the step's makespan is
+    // the slowest slice, and slice i's cost is device i's load.
+    double step_makespan = 0;
     size_t step_peak_rows = 0;  // slices are concurrently resident
     for (size_t i = 0; i < slices.size(); ++i) {
+      const double slice_ms = slice_mem[i].SimulatedMs(devs[i]->config());
+      step_makespan = std::max(step_makespan, slice_ms);
+      device_loads[i] += slice_ms;
       join_counters += slice_mem[i];
-      slice_ms[i] = slice_mem[i].SimulatedMs(primary.config());
       step_peak_rows += slice_join[i].peak_rows;
       detail.total_chunks += slice_join[i].total_chunks;
       detail.dup_cache_hits += slice_join[i].dup_cache_hits;
       detail.dup_cache_misses += slice_join[i].dup_cache_misses;
     }
     detail.peak_rows = std::max(detail.peak_rows, step_peak_rows);
-    const std::vector<double> loads = ListSchedule(slice_ms, workers);
-    double step_makespan = 0;
-    for (size_t d = 0; d < loads.size(); ++d) {
-      step_makespan = std::max(step_makespan, loads[d]);
-      device_loads[d] += loads[d];
-    }
     makespan_ms += step_makespan;
     detail.iterations += 1;
+    mark = primary.stats();
 
     if (k + 1 == plan.steps.size()) {
       // Final step: nothing downstream needs the whole table on one
       // device, so the partial tables stay where the slices ran and the
       // gather degenerates to recording the slice order in the manifest.
-      // (Which device owns a part follows the wall-clock slice pulls —
-      // like the slice spans' attribution — but the segment order, and
-      // hence every page, is the deterministic slice order.)
       manifest.set_cols(plan.order.size());
       for (size_t i = 0; i < tables.size(); ++i) {
         MatchTable part_table = std::move(tables[i]->value());
         const size_t part_rows = part_table.rows();
         if (part_rows == 0) continue;
-        const size_t part =
-            manifest.AddPart(std::move(part_table), *slice_dev[i]);
+        const size_t part = manifest.AddPart(std::move(part_table), *devs[i]);
         manifest.AddSegment(part, 0, part_rows);
       }
       detail.peak_rows = std::max(detail.peak_rows, manifest.rows());
       paged_final = true;
       m = MatchTable();
-      mark = primary.stats();
       break;
     }
 
@@ -386,13 +279,13 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     for (auto& t : tables) parts.push_back(&t->value());
     m = MatchTable::ConcatRows(primary, parts);
     detail.peak_rows = std::max<size_t>(detail.peak_rows, m.rows());
-    mark = primary.stats();
   }
   serial_total += primary.stats() - mark;
-  // Final boundary: the gather/concat ran on the primary after the last
-  // per-slice check.
-  if (Status h = CheckDeviceHealthy(primary, "join_gather"); !h.ok()) {
-    return h;
+  // Final boundary, on every device: the gather ran on the primary after
+  // the last per-slice check, and a device leased for a fan-out that never
+  // came must still fail the attempt if it tripped.
+  for (gpusim::Device* d : devs) {
+    if (Status h = CheckDeviceHealthy(*d, "join_gather"); !h.ok()) return h;
   }
 
   if (!paged_final) {
@@ -408,8 +301,8 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   }
 
   // --- Roll-up: counters sum total work across devices; the time is the
-  // parallel makespan (serial segments on the primary + the modeled slice
-  // schedules + the gathers).
+  // parallel makespan (serial segments on the primary + the slowest slice
+  // of every distributed step).
   const JoinStats serial_detail = serial_engine.stats();
   detail.iterations += serial_detail.iterations;
   detail.peak_rows = std::max(detail.peak_rows, serial_detail.peak_rows);
@@ -457,7 +350,8 @@ Result<PagedQueryResult> ExecuteQueryShardedPaged(
   GSI_CHECK_MSG(!devs.empty(), "sharded execution needs at least one device");
   WallTimer wall;
   const obs::DeviceCycleClock primary_clock(*devs[0]);
-  obs::ScopedSpan span(trace, "execute_sharded", primary_clock, 0);
+  obs::ScopedSpan span(trace, "execute_sharded", primary_clock,
+                       devs[0]->ordinal());
   span.AddAttr("devices", static_cast<uint64_t>(devs.size()));
   QueryStats stats;
   double filter_parallel_ms = 0;

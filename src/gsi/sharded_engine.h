@@ -19,18 +19,11 @@ namespace gsi {
 /// and merges partial match tables).
 struct ShardOptions {
   /// Volume knob: a join step distributes across devices only when its
-  /// predicted workload reaches min_rows_per_shard units per slice (i.e.
-  /// devices x slices_per_device x min_rows_per_shard in total); smaller
-  /// steps run on one device, where they are cheap by construction. Lower
-  /// it to force sharding on tiny test workloads.
+  /// predicted workload reaches min_rows_per_shard units per device (i.e.
+  /// devices x min_rows_per_shard in total); smaller steps run on one
+  /// device, where they are cheap by construction. Lower it to force
+  /// sharding on tiny test workloads.
   size_t min_rows_per_shard = 64;
-  /// Row slices cut per device per distributed step. 1 (default) = one
-  /// weight-balanced slice per device: the lowest per-slice kernel
-  /// overhead, and per-step rebalancing keeps the weights accurate. Raise
-  /// it for dynamic rebalancing — devices pull many smaller slices on
-  /// demand, so a mis-estimated hot slice costs one slice rather than a
-  /// device's whole share — at the price of per-slice fixed costs.
-  size_t slices_per_device = 1;
 };
 
 /// Filtering phase fanned out over `devs`: device d scans the d-th
@@ -48,14 +41,14 @@ Result<FilterResult> RunFilterStageSharded(
 
 /// Joining phase fanned out over `devs` (Section VIII): the query's
 /// candidate space — the intermediate match table, starting from the seed
-/// list C(order[0]) — is processed step by step. Before each step, a
-/// fanned-out sizing kernel estimates every row's workload via the
-/// first-edge upper bound |N(v, l0)| (the same estimate PlanChunks
-/// balances chunks by). A step whose predicted volume fills every slice
-/// and dwarfs the table itself is distributed: the rows are partitioned
-/// into contiguous weight-balanced slices, device threads pull slices,
-/// run the step, and the partial tables are concatenated back in slice
-/// order; narrow or cheap steps run on devs[0], where deferring costs
+/// list C(order[0]) — is processed step by step. Each step first runs
+/// Algorithm 4's bounds kernel on devs[0], giving every row's workload as
+/// its first-edge upper bound |N(v, l0)|. A step whose predicted volume
+/// fills every device and dwarfs the table itself is distributed: the rows
+/// are partitioned into contiguous weight-balanced slices, slice i runs
+/// the step on devs[i] with its share of the bounds as GBA offsets, and
+/// the partial tables are concatenated back in slice order. Narrow or
+/// cheap steps run on devs[0] from the same bounds, where deferring costs
 /// little by construction. Rebalancing at every distributed boundary
 /// means a hot row's descendants spread across slices the moment they
 /// exist, instead of pinning one device.
@@ -63,25 +56,25 @@ Result<FilterResult> RunFilterStageSharded(
 /// The result is bit-identical to a single-device RunJoinStage: every
 /// step emits output rows in input-row order, so concatenating contiguous
 /// row slices reproduces the whole-table step row for row at each
-/// boundary, and a slice's cost does not depend on which device ran it.
+/// boundary. A join whose steps all stay on devs[0] costs exactly what
+/// one device's join does.
 ///
 /// Stats roll-up: `stats.join` sums every device's counters (total work).
-/// join_ms is the parallel makespan: the primary-serial segments plus,
-/// per distributed step, a deterministic greedy list schedule of the
-/// slice costs onto the devices (the same modeling ScheduleBlocks applies
-/// to blocks on SMs — wall-clock thread interleaving never leaks into
-/// simulated time). shards_used and shard_skew describe the fan-out.
-/// Degenerate queries (one vertex, an empty candidate set, a single
-/// device, or steps that never clear the volume floor) run entirely on
-/// devs[0].
+/// join_ms is the parallel makespan: the primary-serial segments (seed,
+/// bounds, serial steps) plus, per distributed step, its slowest slice.
+/// Slice i's cost is device i's load in shard_skew; shards_used is the
+/// widest fan-out. Degenerate queries (one vertex, an empty candidate set,
+/// a single device, or steps that never clear the volume floor) run
+/// entirely on devs[0]. Every device is health-checked at the end, so a
+/// device that tripped fails the attempt even if no step used it.
 ///
 /// Result form: when the FINAL join step distributes, its partial tables
 /// stay on the devices that ran the slices and are returned as a
-/// ResultManifest whose segments record the deterministic slice order
-/// (intermediate steps still gather — the next step consumes the whole
-/// table). A serial final step returns the degenerate one-part manifest on
-/// devs[0]. Materializing the manifest (ToQueryResult) is host-mediated
-/// concatenation, uncharged, so it changes no counter.
+/// ResultManifest whose part i lives on devs[i] (intermediate steps still
+/// gather — the next step consumes the whole table). A serial final step
+/// returns the degenerate one-part manifest on devs[0]. Materializing the
+/// manifest (ToQueryResult) is host-mediated concatenation, uncharged, so
+/// it changes no counter. Spans are attributed to each device's ordinal().
 ///
 /// Note: each slice's intermediate table is bounded by
 /// options.join.max_rows separately, so a query near the single-device row
@@ -97,9 +90,9 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
 /// Full sharded execution in manifest form: RunFilterStageSharded then
 /// RunJoinStageShardedPaged across the same devices. With devs.size() == 1
 /// this is exactly ExecuteQuery. Each device must be used by one call at a
-/// time (lease them from a DevicePool). The materialized table and every
-/// simulated counter are deterministic for a fixed (data, options, devices
-/// count, query) — host thread scheduling cannot perturb them.
+/// time (lease them from a DevicePool). The materialized table, every
+/// simulated counter and the trace are deterministic for a fixed (data,
+/// options, devices, query) — host thread scheduling cannot perturb them.
 /// QueryEngine::Execute is this plus ToQueryResult.
 Result<PagedQueryResult> ExecuteQueryShardedPaged(
     std::span<gpusim::Device* const> devs, const Graph& data,

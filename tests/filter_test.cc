@@ -238,18 +238,18 @@ TEST_P(SignatureScanSuite, AlignedSlicesSumToTheWholeScan) {
       ASSERT_TRUE(whole.ok());
       EXPECT_EQ(whole_dev.stats().kernel_launches, 1u);
       for (size_t slice : {32, 96, 320}) {
-        gpusim::Device slice_dev;
+        gpusim::Device sliced_dev;
         std::vector<std::vector<VertexId>> cat(q.num_vertices());
         for (size_t b = 0; b < n; b += slice) {
           std::vector<std::vector<VertexId>> part = ctx.CandidateLists(
-              slice_dev, q, static_cast<VertexId>(b),
+              sliced_dev, q, static_cast<VertexId>(b),
               static_cast<VertexId>(b + slice));
           for (VertexId u = 0; u < q.num_vertices(); ++u) {
             cat[u].insert(cat[u].end(), part[u].begin(), part[u].end());
           }
         }
         const gpusim::MemStats& whole_mem = whole_dev.stats();
-        const gpusim::MemStats& slice_mem = slice_dev.stats();
+        const gpusim::MemStats& slice_mem = sliced_dev.stats();
         EXPECT_EQ(slice_mem.gld, whole_mem.gld) << "slice " << slice;
         EXPECT_EQ(slice_mem.gst, whole_mem.gst) << "slice " << slice;
         EXPECT_EQ(slice_mem.alu_ops, whole_mem.alu_ops) << "slice " << slice;

@@ -58,7 +58,10 @@ TEST(ShardedEngine, BitIdenticalToSingleDeviceOnIntegrationGraphs) {
     std::vector<Graph> queries = GenerateQuerySet(g, qc, 3, 77);
     ASSERT_FALSE(queries.empty());
 
-    for (const GsiOptions& options : {DefaultGsiOptions(), GsiOptOptions()}) {
+    // GsiMinusOptions is the two-step output scheme, which ignores the
+    // per-step bounds the sharded join still computes for its fan-out.
+    for (const GsiOptions& options :
+         {DefaultGsiOptions(), GsiOptOptions(), GsiMinusOptions()}) {
       GsiMatcher sequential(g, options);
       QueryEngine engine(g, options);
       for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -123,6 +126,37 @@ TEST(ShardedEngine, ShardStatsRollUp) {
   EXPECT_LE(sharded->stats.join_ms,
             sharded->stats.join.SimulatedMs(engine.options().device) + 1e-9);
   EXPECT_EQ(sharded->stats.num_matches, single->stats.num_matches);
+}
+
+TEST(ShardedEngine, SerialStepsCostExactlyOneDevice) {
+  // Under the default volume floor no step of this query distributes, so
+  // the extra device runs nothing: the join does exactly one device's
+  // kernels (the per-step bounds feed the fan-out decision AND the
+  // primary's step), and the makespan is one device's join time.
+  Graph g = testing::RandomGraph(300, 3, 3, 2, 11);
+  Graph q = testing::RandomQuery(g, 5, 13);
+  QueryEngine engine(g, GsiOptOptions());
+  Result<QueryResult> single = engine.Execute({.query = &q});
+  ASSERT_TRUE(single.ok());
+  DevicePool pool(2, engine.options().device);
+  std::vector<DevicePool::Lease> leases = pool.AcquireAll().value();
+  std::vector<gpusim::Device*> devs;
+  for (DevicePool::Lease& l : leases) devs.push_back(l.get());
+  Result<QueryResult> sharded =
+      engine.Execute({.query = &q, .devices = devs, .shard = ShardOptions()});
+  ASSERT_TRUE(sharded.ok());
+  ExpectBitIdentical(*sharded, *single, "serial steps");
+  EXPECT_EQ(sharded->stats.shards_used, 1u);
+  const gpusim::MemStats& a = sharded->stats.join;
+  const gpusim::MemStats& b = single->stats.join;
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
+  EXPECT_EQ(a.gld, b.gld);
+  EXPECT_EQ(a.gst, b.gst);
+  EXPECT_EQ(a.shared_accesses, b.shared_accesses);
+  EXPECT_EQ(a.alu_ops, b.alu_ops);
+  EXPECT_EQ(a.remote_transactions, b.remote_transactions);
+  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+  EXPECT_EQ(sharded->stats.join_ms, single->stats.join_ms);
 }
 
 TEST(ShardedEngine, InvalidQueriesStillFail) {

@@ -1,7 +1,7 @@
 // obs::Tracer / obs::Clock: span-tree mechanics (nesting, attribution,
 // seq assignment, branch-on-null when disabled), the Chrome trace_event
 // export's structure, and the headline determinism contract — traces
-// captured on the partitioned and replicated execution paths are
+// captured on the sharded, partitioned and replicated execution paths are
 // byte-identical across runs because every execution-path span is timed
 // by the simulated cycle clock.
 
@@ -14,6 +14,7 @@
 #include "gsi/partition.h"
 #include "gsi/query_engine.h"
 #include "gsi/replication.h"
+#include "gsi/sharded_engine.h"
 #include "obs/clock.h"
 #include "obs/trace.h"
 #include "test_util.h"
@@ -233,6 +234,60 @@ TEST(TraceDeterminism, HaloProbeSpanAppearsAndStaysByteIdentical) {
   // Without a budget the span never exists.
   EXPECT_EQ(TracePartitionedRun(f, 4, /*replicas=*/1).find("halo_probe"),
             std::string::npos);
+}
+
+/// One traced sharded execution over four fresh devices with the pool
+/// ordinals 4-7, every step allowed to distribute. Returns the exported
+/// JSON; `part_ordinals` receives the owning ordinal of each manifest part.
+std::string TraceShardedRun(const Graph& data, const Graph& query,
+                            std::vector<int>& part_ordinals) {
+  QueryEngine engine(data, GsiOptOptions());
+  std::vector<std::unique_ptr<gpusim::Device>> owned;
+  std::vector<gpusim::Device*> devs;
+  for (int i = 0; i < 4; ++i) {
+    owned.push_back(
+        std::make_unique<gpusim::Device>(engine.options().device));
+    owned.back()->set_ordinal(4 + i);
+    devs.push_back(owned.back().get());
+  }
+  ShardOptions so;
+  so.min_rows_per_shard = 1;
+  Tracer tracer;
+  Result<PagedQueryResult> r =
+      engine.ExecutePaged({.query = &query,
+                           .devices = devs,
+                           .shard = so,
+                           .trace = TraceContext{&tracer, -1, kHostDevice}});
+  GSI_CHECK(r.ok());
+  part_ordinals.clear();
+  for (size_t i = 0; i < r->manifest.num_parts(); ++i) {
+    part_ordinals.push_back(r->manifest.part(i).device_ordinal);
+  }
+  for (const TraceSpan& s : tracer.Snapshot()) {
+    // Every span lands on one of the devices' own ordinal tracks.
+    EXPECT_GE(s.device, 4) << s.name;
+    EXPECT_LE(s.device, 7) << s.name;
+  }
+  return tracer.ToChromeJson();
+}
+
+TEST(TraceDeterminism, ShardedTraceIsByteIdenticalAcrossRuns) {
+  Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  Graph query = testing::RandomQuery(data, 3, 102);
+  std::vector<int> parts;
+  const std::string first = TraceShardedRun(data, query, parts);
+  EXPECT_NE(first.find("join_step_distributed"), std::string::npos);
+  EXPECT_NE(first.find("shard_slice"), std::string::npos);
+  // The final step distributes into four parts, and part i stays on the
+  // device that ran slice i.
+  EXPECT_EQ(parts, (std::vector<int>{4, 5, 6, 7}));
+  // Slice i always runs on device i, so neither the spans nor the part
+  // owners follow host thread scheduling.
+  for (int run = 1; run < 10; ++run) {
+    std::vector<int> again;
+    EXPECT_EQ(TraceShardedRun(data, query, again), first) << "run " << run;
+    EXPECT_EQ(again, parts) << "run " << run;
+  }
 }
 
 TEST(TraceDeterminism, PartitionedTraceCoversEveryPartitionAndJoinStep) {
