@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <sstream>
 #include <thread>
 
 #include "util/check.h"
@@ -104,12 +105,47 @@ Aggregate RunGsiBatch(const Graph& g, const GsiOptions& options,
   return AggregateBatch(engine.RunBatch(queries, bo));
 }
 
-QueryResult ExecuteCompact(const ReplicatedGraph& rg, const Graph& query) {
-  Result<PagedQueryResult> paged =
-      ExecuteQueryReplicatedPaged(rg, CompactSelection(rg), query);
-  GSI_CHECK_MSG(paged.ok(), paged.status().ToString().c_str());
-  gpusim::Device scratch(rg.options().device);
-  return ToQueryResult(std::move(paged.value()), scratch);
+std::vector<size_t> EnvCounts(const char* name, const char* def) {
+  auto parse = [](const char* text) {
+    std::vector<size_t> out;
+    std::stringstream ss(text);
+    size_t v = 0;
+    while (ss >> v) {
+      if (v > 0) out.push_back(v);
+    }
+    return out;
+  };
+  const char* env = std::getenv(name);
+  std::vector<size_t> counts = parse(env != nullptr ? env : def);
+  return counts.empty() ? parse(def) : counts;
+}
+
+const QueryEngine& EnronEngine() {
+  static auto& engine =
+      *new QueryEngine(GetDataset("enron").graph, GsiOptOptions());
+  return engine;
+}
+
+const Graph& HeavyQuery() {
+  static auto& query = *new Graph([] {
+    const std::vector<Graph>& all =
+        GetQueries("enron", Env().query_vertices, 0, Env().queries);
+    const Graph* heaviest = nullptr;
+    double worst_ms = -1;
+    for (const Graph& q : all) {
+      Result<QueryResult> r = EnronEngine().Execute({.query = &q});
+      if (!r.ok()) continue;
+      if (r->stats.total_ms > worst_ms) {
+        worst_ms = r->stats.total_ms;
+        heaviest = &q;
+      }
+    }
+    GSI_CHECK_MSG(heaviest != nullptr, "no query executed successfully");
+    std::fprintf(stderr, "[bench] heavy query: %s, %.2f ms single-device\n",
+                 heaviest->Summary().c_str(), worst_ms);
+    return *heaviest;
+  }());
+  return query;
 }
 
 TableCollector::TableCollector(std::string title,

@@ -110,11 +110,19 @@ Aggregate RunGsi(const std::string& dataset_name, const GsiOptions& options,
 Aggregate RunGsiBatch(const Graph& g, const GsiOptions& options,
                       const std::vector<Graph>& queries);
 
-/// One-shot execution against a partitioned data graph under its compact
-/// replica selection — ExecuteQueryReplicatedPaged plus ToQueryResult, for
-/// graphs built with options no QueryEngine of the bench shares (the
-/// halo-budget legs). Aborts on failure.
-QueryResult ExecuteCompact(const ReplicatedGraph& rg, const Graph& query);
+/// Whitespace-separated positive counts from environment variable `name`
+/// (e.g. GSI_BENCH_PARTITIONS="1 2 4 8"); the counts in `def` when it is
+/// unset or holds none.
+std::vector<size_t> EnvCounts(const char* name, const char* def);
+
+/// The GSI-opt QueryEngine over the enron dataset that the multi-device
+/// benches (sharding, partitioning) run against.
+const QueryEngine& EnronEngine();
+
+/// The heaviest of the generated enron queries (max single-device
+/// simulated time on EnronEngine()): multi-device costs and gains show
+/// clearest where the join does real work.
+const Graph& HeavyQuery();
 
 /// One machine-readable measurement record. Benches push these via
 /// RecordJson; when the binary is invoked with `--json <path>` (or

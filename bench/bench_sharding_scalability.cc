@@ -7,8 +7,7 @@
 // Knobs: GSI_BENCH_DEVICES="1 2 4 8" (device counts), plus the usual
 // GSI_BENCH_SCALE / GSI_BENCH_QUERIES / GSI_BENCH_QSIZE.
 
-#include <cstdlib>
-#include <sstream>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -29,54 +28,9 @@ TableCollector& Table() {
   return t;
 }
 
-std::vector<size_t> DeviceCounts() {
-  static auto& counts = *new std::vector<size_t>([] {
-    std::vector<size_t> out;
-    const char* env = std::getenv("GSI_BENCH_DEVICES");
-    std::stringstream ss(env != nullptr ? env : "1 2 4 8");
-    size_t v = 0;
-    while (ss >> v) {
-      if (v > 0) out.push_back(v);
-    }
-    if (out.empty()) out = {1, 2, 4, 8};
-    return out;
-  }());
-  return counts;
-}
-
-const QueryEngine& Engine() {
-  static auto& engine =
-      *new QueryEngine(GetDataset("enron").graph, GsiOptOptions());
-  return engine;
-}
-
-/// The heaviest query of the generated workload (max single-device
-/// simulated time) — the shape intra-query sharding exists for.
-const Graph& HeavyQuery() {
-  static auto& query = *new Graph([] {
-    const std::vector<Graph>& all =
-        GetQueries("enron", Env().query_vertices, 0, Env().queries);
-    const Graph* heaviest = nullptr;
-    double worst_ms = -1;
-    for (const Graph& q : all) {
-      Result<QueryResult> r = Engine().Execute({.query = &q});
-      if (!r.ok()) continue;
-      if (r->stats.total_ms > worst_ms) {
-        worst_ms = r->stats.total_ms;
-        heaviest = &q;
-      }
-    }
-    GSI_CHECK_MSG(heaviest != nullptr, "no query executed successfully");
-    std::fprintf(stderr, "[bench] heavy query: %s, %.2f ms single-device\n",
-                 heaviest->Summary().c_str(), worst_ms);
-    return *heaviest;
-  }());
-  return query;
-}
-
 double SingleDeviceMs() {
   static const double ms = [] {
-    Result<QueryResult> r = Engine().Execute({.query = &HeavyQuery()});
+    Result<QueryResult> r = EnronEngine().Execute({.query = &HeavyQuery()});
     GSI_CHECK(r.ok());
     return r->stats.total_ms;
   }();
@@ -86,24 +40,25 @@ double SingleDeviceMs() {
 void BM_Sharding(benchmark::State& state, size_t num_devices) {
   QueryStats stats;
   for (auto _ : state) {
-    DevicePool pool(num_devices, Engine().options().device);
+    DevicePool pool(num_devices, EnronEngine().options().device);
     std::vector<DevicePool::Lease> leases = pool.AcquireAll().value();
     std::vector<gpusim::Device*> devs;
     for (DevicePool::Lease& l : leases) devs.push_back(l.get());
 
     MaybeTraceQuery("sharded", [&](const obs::TraceContext& ctx) {
-      (void)Engine().Execute(
+      (void)EnronEngine().Execute(
           {.query = &HeavyQuery(), .devices = devs, .trace = ctx});
     });
 
     Result<QueryResult> sharded =
-        Engine().Execute({.query = &HeavyQuery(), .devices = devs});
+        EnronEngine().Execute({.query = &HeavyQuery(), .devices = devs});
     GSI_CHECK(sharded.ok());
     stats = sharded->stats;
     state.SetIterationTime(std::max(1e-9, stats.total_ms / 1000.0));
 
     // The merged table must be bit-identical to the single-device run.
-    Result<QueryResult> single = Engine().Execute({.query = &HeavyQuery()});
+    Result<QueryResult> single =
+        EnronEngine().Execute({.query = &HeavyQuery()});
     GSI_CHECK(single.ok());
     GSI_CHECK_MSG(sharded->TableEquals(*single),
                   "sharded result diverged from single-device run");
@@ -131,7 +86,7 @@ void BM_Sharding(benchmark::State& state, size_t num_devices) {
 }
 
 void RegisterAll() {
-  for (size_t devices : DeviceCounts()) {
+  for (size_t devices : EnvCounts("GSI_BENCH_DEVICES", "1 2 4 8")) {
     benchmark::RegisterBenchmark(
         ("sharding/devices=" + std::to_string(devices)).c_str(),
         [devices](benchmark::State& s) { BM_Sharding(s, devices); })

@@ -32,8 +32,6 @@ ALL_SMOKES=(
   bench-service-paged
   bench-sharding
   bench-partition
-  bench-replication
-  bench-halo
 )
 
 # The sanitizer subset now carries every bench smoke (ROADMAP: bench smokes
@@ -50,8 +48,6 @@ SANITIZER_SMOKES=(
   bench-service-paged
   bench-sharding
   bench-partition
-  bench-replication
-  bench-halo
 )
 
 run_bench() {
@@ -178,42 +174,35 @@ PYEOF
       run_bench bench_sharding_scalability bench_sharding.json \
         GSI_BENCH_DEVICES="1 2"
       ;;
-    # K=2 exercises the halo-exchange path and the memory-per-device
-    # reduction accounting.
+    # The partitioned (K, R) grid in one run: K = 1, 2, 4 at R = 1
+    # exercises the halo exchange and the memory-per-device accounting,
+    # R = 2 at K = 4 the AcquireOneOfEach lanes, replica routing and the
+    # service burst. The per-device halo budget is deliberately tiny (small
+    # enough to force LRU evictions at smoke scale). The bench itself
+    # GSI_CHECKs every table bit-identical; the JSON assertion pins the
+    # cache engaging on every record of a point that ran the cached leg:
+    # hit rate > 0, remote transactions saved, residency within budget.
     bench-partition)
       run_bench bench_partition_scalability bench_partition.json \
-        GSI_BENCH_PARTITIONS="1 2"
-      ;;
-    # R=2 at K=4 exercises AcquireOneOfEach lanes, replica routing and the
-    # bit-identical check against single-device execution.
-    bench-replication)
-      run_bench bench_replication_scalability bench_replication.json \
-        GSI_BENCH_REPLICAS="1 2" GSI_BENCH_REPL_QUERIES=4
-      ;;
-    # Halo-cache leg: K=4 partitioned bench with a deliberately tiny
-    # per-device budget (small enough to force LRU evictions at smoke
-    # scale). The bench itself GSI_CHECKs the cached tables bit-identical;
-    # the JSON assertion pins the cache actually engaging — hit rate > 0,
-    # remote transactions saved, residency within budget.
-    bench-halo)
-      run_bench bench_partition_scalability bench_halo.json \
-        GSI_BENCH_PARTITIONS="4" GSI_BENCH_HALO_BUDGET=4096
-      python3 - "$ARTIFACTS_DIR/bench_halo.json" <<'PYEOF'
+        GSI_BENCH_PARTITIONS="1 2 4" GSI_BENCH_REPLICAS="1 2" \
+        GSI_BENCH_HALO_BUDGET=4096
+      python3 - "$ARTIFACTS_DIR/bench_partition.json" <<'PYEOF'
 import json, sys
 recs = [r for r in json.load(open(sys.argv[1]))
         if "halo_cache_hit_rate" in r]
 assert recs, "no halo-cache leg in --json output"
-r = recs[0]
-assert r["halo_bit_identical"] == 1.0, "cached table diverged: %s" % r
-assert r["halo_cache_hit_rate"] > 0, "halo cache never hit: %s" % r
-assert r["saved_remote_transactions"] > 0, \
-    "warm run saved no remote transactions: %s" % r
-assert r["halo_cache_mb_per_device"] * 1024 * 1024 <= 4096, \
-    "halo cache exceeded its budget: %s" % r
-print("halo smoke ok: hit rate %.2f, %d remote transactions saved, "
-      "%.1f KB resident"
-      % (r["halo_cache_hit_rate"], int(r["saved_remote_transactions"]),
-         r["halo_cache_mb_per_device"] * 1024))
+for r in recs:
+    assert r["halo_bit_identical"] == 1.0, "cached table diverged: %s" % r
+    assert r["halo_cache_hit_rate"] > 0, "halo cache never hit: %s" % r
+    assert r["saved_remote_transactions"] > 0, \
+        "warm run saved no remote transactions: %s" % r
+    assert r["halo_cache_mb_per_device"] * 1024 * 1024 <= 4096, \
+        "halo cache exceeded its budget: %s" % r
+    print("halo smoke ok: %s / %s: hit rate %.2f, %d remote transactions "
+          "saved, %.1f KB resident"
+          % (r["bench"], r["config"], r["halo_cache_hit_rate"],
+             int(r["saved_remote_transactions"]),
+             r["halo_cache_mb_per_device"] * 1024))
 PYEOF
       ;;
     *)

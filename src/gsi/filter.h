@@ -115,9 +115,6 @@ class FilterContext {
   /// |V(G)| of the data graph the context was built for (the bitset width
   /// MakeFilterResult needs when materializing lists elsewhere).
   size_t num_data_vertices() const;
-  const SignatureTable* signature_table() const {
-    return has_signatures_ ? &signatures_ : nullptr;
-  }
 
  private:
   void LabelDegreeScanWarp(

@@ -270,22 +270,19 @@ Result<MatchTable> JoinEngine::StepTwoStep(const MatchTable& m,
 }
 
 MatchTable JoinEngine::SeedTable(const JoinPlan& plan,
-                                 const std::vector<CandidateSet>& candidates,
-                                 size_t seed_begin, size_t seed_end) {
+                                 const std::vector<CandidateSet>& candidates) {
   stats_ = JoinStats();
   GSI_CHECK(!plan.order.empty());
   const CandidateSet& seed = candidates[plan.order[0]];
-  seed_end = std::min(seed_end, seed.size());
-  GSI_CHECK(seed_begin <= seed_end);
-  std::vector<VertexId> column(seed.list().data() + seed_begin,
-                               seed.list().data() + seed_end);
+  std::vector<VertexId> column(seed.list().data(),
+                               seed.list().data() + seed.size());
   MatchTable m = MatchTable::FromColumn(*dev_, column);
   gpusim::Launch(*dev_, std::max<size_t>(1, (column.size() + 1023) / 1024),
                  [&](Warp& w) {
                    size_t begin = w.global_id() * 1024;
                    if (begin >= column.size()) return;
                    size_t len = std::min<size_t>(1024, column.size() - begin);
-                   w.LoadRange(seed.list(), seed_begin + begin, len);
+                   w.LoadRange(seed.list(), begin, len);
                    w.StoreRange(m.data(), begin,
                                 std::span<const VertexId>(
                                     m.data().data() + begin, len));
@@ -338,9 +335,8 @@ Result<MatchTable> JoinEngine::RunSteps(
 }
 
 Result<MatchTable> JoinEngine::Run(
-    const JoinPlan& plan, const std::vector<CandidateSet>& candidates,
-    size_t seed_begin, size_t seed_end) {
-  MatchTable m = SeedTable(plan, candidates, seed_begin, seed_end);
+    const JoinPlan& plan, const std::vector<CandidateSet>& candidates) {
+  MatchTable m = SeedTable(plan, candidates);
   return RunSteps(plan, candidates, std::move(m), 0, plan.steps.size());
 }
 

@@ -76,19 +76,15 @@ class JoinEngine {
       : dev_(dev), store_(store), options_(options) {}
 
   /// Runs the whole join; returns the final match table whose column j
-  /// holds the binding of plan.order[j]. `seed_begin`/`seed_end` restrict
-  /// the seeding of M to that slice of C(order[0]) (end is clamped to the
-  /// candidate count). Equivalent to SeedTable + RunSteps over every step.
+  /// holds the binding of plan.order[j]. Equivalent to SeedTable + RunSteps
+  /// over every step.
   Result<MatchTable> Run(const JoinPlan& plan,
-                         const std::vector<CandidateSet>& candidates,
-                         size_t seed_begin = 0,
-                         size_t seed_end = SIZE_MAX);
+                         const std::vector<CandidateSet>& candidates);
 
-  /// Seeds M = C(order[0])[seed_begin, seed_end) (Algorithm 2, Line 7; one
-  /// streaming copy kernel) and resets the engine's stats.
+  /// Seeds M = C(order[0]) (Algorithm 2, Line 7; one streaming copy
+  /// kernel) and resets the engine's stats.
   MatchTable SeedTable(const JoinPlan& plan,
-                       const std::vector<CandidateSet>& candidates,
-                       size_t seed_begin = 0, size_t seed_end = SIZE_MAX);
+                       const std::vector<CandidateSet>& candidates);
 
   /// Runs join iterations [first_step, last_step) of the plan on `m`
   /// (which must bind plan.order[0 .. first_step]), accumulating into the

@@ -42,8 +42,6 @@ struct BatchStats {
 struct BatchResult {
   std::vector<Result<QueryResult>> per_query;
   BatchStats stats;
-
-  size_t num_ok() const { return stats.ok; }
 };
 
 /// Concurrent batch query engine: builds the data-graph structures (PCSR /

@@ -40,12 +40,6 @@ struct ReplicaPlacement {
 
   /// True when device d holds some replica of partition p.
   bool Hosts(size_t d, PartitionId p) const;
-
-  /// The lease groups AcquireOneOfEach expects: group p lists the devices
-  /// holding a replica of partition p (an alias of device_of).
-  const std::vector<std::vector<size_t>>& lease_groups() const {
-    return device_of;
-  }
 };
 
 /// Builds the staggered placement. Requires 1 <= replicas <= num_devices

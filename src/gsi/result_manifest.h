@@ -30,7 +30,7 @@ struct ManifestSegment {
 /// distributed step emits output rows in input-row order), ascending
 /// column-0 seed runs for the partitioned engine (see
 /// internal::PlanSeedRunMerge). So `Materialize` — and any page-at-a-time
-/// walk of `segments()` — is bit-identical to single-device execution.
+/// walk by `Slice` — is bit-identical to single-device execution.
 ///
 /// Each part remembers the pool ordinal and fault epoch of the device that
 /// produced it. A consumer that charges reads against that device (the
@@ -79,7 +79,6 @@ class ResultManifest {
   size_t cols() const { return cols_; }
   size_t num_parts() const { return parts_.size(); }
   const Part& part(size_t i) const { return parts_[i]; }
-  std::span<const ManifestSegment> segments() const { return segments_; }
 
   /// Bytes of partial match tables this manifest keeps resident on their
   /// owning devices (what an open cursor pins; exported as the

@@ -845,7 +845,7 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
     // device — the same device RunFilterStageReplicated picks.
     const ReplicatedGraph& rg = *replicated_;
     Result<DevicePool::GroupLeases> leases_or =
-        devices_->AcquireOneOfEach(rg.placement().lease_groups());
+        devices_->AcquireOneOfEach(rg.placement().device_of);
     if (!leases_or.ok()) return leases_or.status();
     DevicePool::GroupLeases leases = std::move(leases_or.value());
     Result<ReplicaSelection> sel =

@@ -23,7 +23,9 @@ no meaningful ratio against zero.
 Usage:
   tools/bench_diff.py <baseline> <current> [options]
       <baseline>/<current>: a .json report or a directory searched
-      recursively for *.json (a downloaded bench-json-<sha> artifact).
+      recursively for bench_*.json (a downloaded bench-json-<sha>
+      artifact; other JSON there, such as the example trace export, is
+      skipped).
   tools/bench_diff.py --self-test
       Runs the embedded scenarios (registered with ctest as
       bench_diff_selftest).
@@ -37,28 +39,36 @@ import os
 import sys
 
 
+class InputError(Exception):
+    """A report file that cannot be read as records (exit code 2)."""
+
+
 def load_records(path):
-    """{(bench, config): record} from a report file or a directory tree.
-    Later files win on duplicate keys (should not happen in one artifact)."""
+    """{(bench, config): record} from a report file, or from every
+    bench_*.json in a directory tree. Later files win on duplicate keys
+    (should not happen in one artifact)."""
     files = []
     if os.path.isfile(path):
         files = [path]
     else:
         for dirpath, _, names in sorted(os.walk(path)):
             for name in sorted(names):
-                if name.endswith(".json"):
+                if name.startswith("bench_") and name.endswith(".json"):
                     files.append(os.path.join(dirpath, name))
     records = {}
     for f in files:
-        with open(f, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(f, encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise SystemExit("bench_diff: %s is not valid JSON: %s" %
-                                 (f, e))
+        except (OSError, ValueError) as e:
+            raise InputError("%s is not readable JSON: %s" % (f, e))
         if not isinstance(data, list):
-            raise SystemExit("bench_diff: %s is not a JSON array" % f)
+            raise InputError("%s is not a JSON array" % f)
         for rec in data:
+            if not (isinstance(rec, dict) and "bench" in rec and
+                    "config" in rec):
+                raise InputError("%s holds a record without bench/config" %
+                                 f)
             records[(rec["bench"], rec["config"])] = rec
     return records
 
@@ -113,8 +123,8 @@ def self_test():
             new_dir = os.path.join(tmp, "new")
             os.makedirs(old_dir)
             os.makedirs(new_dir)
-            write(old_dir, "a.json", base_recs)
-            write(new_dir, "a.json", cur_recs)
+            write(old_dir, "bench_a.json", base_recs)
+            write(new_dir, "bench_a.json", cur_recs)
             return diff(load_records(old_dir), load_records(new_dir),
                         kwargs.get("max_qps_drop", 0.15),
                         kwargs.get("max_p50_growth", 0.10),
@@ -153,6 +163,19 @@ def self_test():
     f, _, _ = run([rec], [dict(rec, qps=200.0, p50=5.0)])
     check(f == [], "improvements pass")
 
+    with tempfile.TemporaryDirectory() as tmp:
+        write(tmp, "bench_a.json", [rec])
+        write(tmp, "trace_query.json", {"traceEvents": []})
+        check(load_records(tmp) == {("b", "c"): rec} and
+              main([tmp, tmp]) == 0,
+              "a trace export beside the records is skipped")
+        write(tmp, "bench_a.json", {"bench": "b", "config": "c"})
+        check(main([tmp, tmp]) == 2, "a non-array bench_*.json exits 2")
+        with open(os.path.join(tmp, "bench_a.json"), "w",
+                  encoding="utf-8") as f:
+            f.write("[{")
+        check(main([tmp, tmp]) == 2, "an unparsable bench_*.json exits 2")
+
     if failures:
         print("\n%d check(s) failed" % len(failures))
         return 1
@@ -186,8 +209,12 @@ def main(argv):
             print("bench_diff: %s does not exist" % p, file=sys.stderr)
             return 2
 
-    baseline = load_records(args.baseline)
-    current = load_records(args.current)
+    try:
+        baseline = load_records(args.baseline)
+        current = load_records(args.current)
+    except InputError as e:
+        print("bench_diff: %s" % e, file=sys.stderr)
+        return 2
     if not baseline:
         print("bench_diff: baseline has no records — nothing to gate")
         return 0
