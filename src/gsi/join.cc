@@ -30,7 +30,7 @@ std::vector<VertexId> ReadRow(Warp& w, const MatchTable& m, size_t r) {
 void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk, const MatchTable& m,
                               const JoinStep& step, const CandidateSet& cand,
                               gpusim::DeviceBuffer<VertexId>* gba,
-                              BlockExtractionCache& cache,
+                              uint64_t gba_base, BlockExtractionCache& cache,
                               std::vector<VertexId>& result) {
   result.clear();
   chunk.count = 0;
@@ -39,6 +39,7 @@ void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk, const MatchTable& m,
   SetOpFlags flags;
   flags.naive = options_.set_op == SetOpKind::kNaive;
   flags.write_cache = options_.write_cache;
+  const uint64_t gba_at = chunk.gba_begin - gba_base;
 
   std::vector<VertexId> row = ReadRow(w, m, chunk.row);
 
@@ -49,7 +50,7 @@ void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk, const MatchTable& m,
   const std::vector<VertexId>& input =
       cache.GetSlice(w, *store_, v0, e0.label, chunk.pos_begin,
                      chunk.pos_end);
-  FilterFirstEdge(w, input, row, cand, flags, gba, chunk.gba_begin, result);
+  FilterFirstEdge(w, input, row, cand, flags, gba, gba_at, result);
 
   // --- Subsequent linking edges (Line 13).
   for (size_t e = 1; e < step.links.size() && !result.empty(); ++e) {
@@ -60,158 +61,231 @@ void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk, const MatchTable& m,
       // Whole-list read (batch-by-batch in the GPU-friendly mode).
       const std::vector<VertexId>& other = cache.GetSlice(
           w, *store_, ve, link.label, 0, std::numeric_limits<uint32_t>::max());
-      IntersectSorted(w, result, other, flags, gba, chunk.gba_begin);
+      IntersectSorted(w, result, other, flags, gba, gba_at);
     } else {
       // Chunked rows use bounded reads so parallelizing a heavy row does
       // not re-stream whole lists.
       const std::vector<VertexId>& other = cache.GetValueRange(
           w, *store_, ve, link.label, result.front(), result.back());
-      IntersectSorted(w, result, other, flags, gba, chunk.gba_begin);
+      IntersectSorted(w, result, other, flags, gba, gba_at);
     }
   }
   chunk.count = static_cast<uint32_t>(result.size());
 }
 
-gpusim::DeviceBuffer<uint32_t> JoinEngine::FirstEdgeBounds(
-    const MatchTable& m, const JoinStep& step) {
-  const size_t rows = m.rows();
-  const size_t cols = m.cols();
-  const LinkEdge& e0 = step.links[0];
-  auto bounds = dev_->Alloc<uint32_t>(rows);
-  gpusim::Launch(*dev_, (rows + kWarpSize - 1) / kWarpSize, [&](Warp& w) {
-    size_t r0 = w.global_id() * kWarpSize;
-    if (r0 >= rows) return;
-    size_t lanes = std::min<size_t>(kWarpSize, rows - r0);
-    // Gather the e0 column of 32 consecutive rows (strided by cols).
-    uint64_t idx[kWarpSize];
-    VertexId vs[kWarpSize];
-    for (size_t k = 0; k < lanes; ++k) {
-      idx[k] = (r0 + k) * cols + e0.prev_column;
+JoinEngine::StepBounds JoinEngine::SizeStep(size_t rows, const JoinStep& step,
+                                            const RowFetch& fetch) {
+  const Label l0 = step.links[0].label;
+  const size_t block_rows =
+      static_cast<size_t>(dev_->config().warps_per_block) * kWarpSize;
+  const size_t num_blocks = (rows + block_rows - 1) / block_rows;
+  StepBounds out{dev_->Alloc<uint32_t>(rows), dev_->Alloc<uint64_t>(rows + 1),
+                 0};
+  gpusim::LookbackScan scan(*dev_, num_blocks);
+  gpusim::LaunchBlocks(*dev_, num_blocks, [&](Block& block) {
+    const size_t first = block.id() * block_rows;
+    const size_t n = std::min(block_rows, rows - first);
+    // The block's bounds stay in shared memory for the scan.
+    std::span<uint32_t> vals = block.shared().Alloc<uint32_t>(n);
+    std::span<uint64_t> prefix = block.shared().Alloc<uint64_t>(n);
+    for (size_t i = 0; i * kWarpSize < n; ++i) {
+      Warp& w = block.warp(i);
+      const size_t r0 = first + i * kWarpSize;
+      const size_t lanes = std::min<size_t>(kWarpSize, rows - r0);
+      VertexId vs[kWarpSize] = {};
+      fetch(w, r0, lanes, vs);
+      for (size_t k = 0; k < lanes; ++k) {
+        vals[i * kWarpSize + k] = static_cast<uint32_t>(
+            store_->NeighborCountUpperBound(w, vs[k], l0));
+      }
+      w.StoreRange(out.bounds, r0, std::span<const uint32_t>(
+                                       vals.data() + i * kWarpSize, lanes));
     }
-    w.Gather(m.data(), std::span<const uint64_t>(idx, lanes),
-             std::span<VertexId>(vs, lanes));
-    for (size_t k = 0; k < lanes; ++k) {
-      bounds[r0 + k] = static_cast<uint32_t>(
-          store_->NeighborCountUpperBound(w, vs[k], e0.label));
+    scan.ScanBlock(block, vals, prefix);
+    for (size_t i = 0; i * kWarpSize < n; ++i) {
+      const size_t r0 = first + i * kWarpSize;
+      const size_t lanes = std::min<size_t>(kWarpSize, rows - r0);
+      std::copy_n(prefix.begin() + i * kWarpSize, lanes,
+                  out.offsets.data() + r0);
+      // The warp holding the last row also stores the end of the GBA.
+      const bool last = r0 + lanes == rows;
+      if (last) out.offsets[rows] = scan.total();
+      block.warp(i).StoreRange(
+          out.offsets, r0,
+          std::span<const uint64_t>(out.offsets.data() + r0,
+                                    lanes + (last ? 1 : 0)));
     }
-    w.StoreRange(bounds, r0,
-                 std::span<const uint32_t>(bounds.data() + r0, lanes));
   });
-  return bounds;
+  return out;
 }
 
-Result<MatchTable> JoinEngine::StepPrealloc(
-    const MatchTable& m, const JoinStep& step, const CandidateSet& cand,
-    const gpusim::DeviceBuffer<uint32_t>& bounds) {
+JoinEngine::StepBounds JoinEngine::FirstEdgeBounds(const MatchTable& m,
+                                                   const JoinStep& step) {
+  const size_t cols = m.cols();
+  const size_t col = step.links[0].prev_column;
+  return SizeStep(m.rows(), step,
+                  [&](Warp& w, size_t r0, size_t lanes, VertexId* vs) {
+                    // Gather the e0 column of 32 consecutive rows (strided
+                    // by cols).
+                    uint64_t idx[kWarpSize] = {};
+                    for (size_t k = 0; k < lanes; ++k) {
+                      idx[k] = (r0 + k) * cols + col;
+                    }
+                    w.Gather(m.data(), std::span<const uint64_t>(idx, lanes),
+                             std::span<VertexId>(vs, lanes));
+                  });
+}
+
+Result<MatchTable> JoinEngine::StepPrealloc(const MatchTable& m,
+                                            const JoinStep& step,
+                                            const CandidateSet& cand,
+                                            const StepBounds& sizing) {
   const size_t rows = m.rows();
   const size_t cols = m.cols();
   const size_t wpb = static_cast<size_t>(dev_->config().warps_per_block);
+  GSI_CHECK(sizing.bounds.size() == rows && sizing.offsets.size() == rows + 1);
 
-  // --- Algorithm 4: the per-row upper bounds |N(v'_i, l0)| and their
-  // prefix sum give the GBA offsets.
-  auto gba_offsets = dev_->Alloc<uint64_t>(rows + 1);
-  uint64_t gba_size = gpusim::ExclusiveScan(*dev_, bounds, gba_offsets);
-  auto gba = dev_->Alloc<VertexId>(gba_size);
+  // --- Algorithm 4: the GBA holds every row's first-edge upper bound. The
+  // host reads one scalar of the sizing, the GBA's size.
+  auto gba = dev_->Alloc<VertexId>(sizing.offsets[rows] - sizing.base);
 
   // --- Chunk placement: the 4-layer load-balance scheme or 1 chunk/row.
   ChunkPlan plan = PlanChunks(
-      std::span<const uint32_t>(bounds.data(), rows),
-      std::span<const uint64_t>(gba_offsets.data(), rows + 1),
+      std::span<const uint32_t>(sizing.bounds.data(), rows),
+      std::span<const uint64_t>(sizing.offsets.data(), rows + 1),
       options_.load_balance, options_.w1,
       static_cast<uint32_t>(wpb) * kWarpSize, options_.w3);
+  const size_t num_chunks = plan.total_chunks();
+  stats_.total_chunks += num_chunks;
 
-  // --- Pass A: set operations into GBA (Algorithm 3, Lines 2-13).
+  // --- Pass A: set operations into GBA (Algorithm 3, Lines 2-13). Each
+  // block stages its chunks' survivor counts in shared memory, stores them
+  // to their slots in coalesced 32-wide scatters, and adds their sum to the
+  // step's survivor counter (one atomic add, charged as one store).
+  auto counts = dev_->Alloc<uint32_t>(num_chunks);
+  auto survivors = dev_->Alloc<uint64_t>(1);
   std::vector<VertexId> scratch;
   auto run_block = [&](Block& block, std::span<Chunk* const> chunks) {
     BlockExtractionCache cache(options_.duplicate_removal);
+    uint64_t sum = 0;
     for (size_t i = 0; i < chunks.size(); ++i) {
       Warp& w = block.warp(i % block.num_warps());
-      ProcessChunk(w, *chunks[i], m, step, cand, &gba, cache, scratch);
+      ProcessChunk(w, *chunks[i], m, step, cand, &gba, sizing.base, cache,
+                   scratch);
+      w.SharedAccess(1);
+      sum += chunks[i]->count;
     }
     stats_.dup_cache_hits += cache.hits();
     stats_.dup_cache_misses += cache.misses();
+    Warp& w = block.warp(0);
+    for (size_t b = 0; b < chunks.size(); b += kWarpSize) {
+      const size_t lanes = std::min<size_t>(kWarpSize, chunks.size() - b);
+      uint64_t idx[kWarpSize] = {};
+      uint32_t vals[kWarpSize] = {};
+      for (size_t k = 0; k < lanes; ++k) {
+        idx[k] = chunks[b + k]->slot;
+        vals[k] = chunks[b + k]->count;
+      }
+      w.SharedAccess(lanes);
+      w.Scatter(counts, std::span<const uint64_t>(idx, lanes),
+                std::span<const uint32_t>(vals, lanes));
+    }
+    w.Alu(chunks.size());
+    w.Store(survivors, 0, survivors[0] + sum);
   };
-
-  if (!plan.pooled.empty()) {
-    // Layers 3/4: pooled chunks, 32 per block.
+  auto pointers = [](std::vector<Chunk>& row_chunks) {
     std::vector<Chunk*> ptrs;
-    ptrs.reserve(plan.pooled.size());
-    for (Chunk& c : plan.pooled) ptrs.push_back(&c);
-    size_t num_blocks = (ptrs.size() + wpb - 1) / wpb;
-    gpusim::LaunchBlocks(*dev_, num_blocks, [&](Block& block) {
-      size_t begin = block.id() * wpb;
-      size_t count = std::min(wpb, ptrs.size() - begin);
-      run_block(block,
-                std::span<Chunk* const>(ptrs.data() + begin, count));
-    });
-  }
-  if (!plan.per_block.empty()) {
-    // Layer 2: one block per heavy row.
-    gpusim::LaunchBlocks(*dev_, plan.per_block.size(), [&](Block& block) {
-      auto& row_chunks = plan.per_block[block.id()];
-      std::vector<Chunk*> ptrs;
-      ptrs.reserve(row_chunks.size());
-      for (Chunk& c : row_chunks) ptrs.push_back(&c);
-      run_block(block, ptrs);
-    });
+    ptrs.reserve(row_chunks.size());
+    for (Chunk& c : row_chunks) ptrs.push_back(&c);
+    return ptrs;
+  };
+  // Layers 2-4 in one launch: the pooled chunks of Layers 3/4, 32 per
+  // block, then one block per heavy Layer-2 row.
+  const std::vector<Chunk*> pooled = pointers(plan.pooled);
+  const size_t pooled_blocks = (pooled.size() + wpb - 1) / wpb;
+  if (pooled_blocks + plan.per_block.size() > 0) {
+    gpusim::LaunchBlocks(
+        *dev_, pooled_blocks + plan.per_block.size(), [&](Block& block) {
+          if (block.id() < pooled_blocks) {
+            const size_t begin = block.id() * wpb;
+            run_block(block,
+                      std::span<Chunk* const>(
+                          pooled.data() + begin,
+                          std::min(wpb, pooled.size() - begin)));
+          } else {
+            run_block(block,
+                      pointers(plan.per_block[block.id() - pooled_blocks]));
+          }
+        });
   }
   for (auto& row_chunks : plan.huge) {
     // Layer 1: a dedicated kernel per extreme row (this is what makes a
     // too-small W1 expensive — kernel-launch overhead, Table IX).
-    std::vector<Chunk*> ptrs;
-    ptrs.reserve(row_chunks.size());
-    for (Chunk& c : row_chunks) ptrs.push_back(&c);
-    size_t num_blocks = (ptrs.size() + wpb - 1) / wpb;
-    gpusim::LaunchBlocks(*dev_, num_blocks, [&](Block& block) {
-      size_t begin = block.id() * wpb;
-      size_t count = std::min(wpb, ptrs.size() - begin);
-      run_block(block,
-                std::span<Chunk* const>(ptrs.data() + begin, count));
-    });
+    const std::vector<Chunk*> ptrs = pointers(row_chunks);
+    gpusim::LaunchBlocks(*dev_, (ptrs.size() + wpb - 1) / wpb,
+                         [&](Block& block) {
+                           const size_t begin = block.id() * wpb;
+                           run_block(block,
+                                     std::span<Chunk* const>(
+                                         ptrs.data() + begin,
+                                         std::min(wpb, ptrs.size() - begin)));
+                         });
   }
 
-  // --- Lines 14-15: prefix sum over chunk result counts sizes M'.
-  // Output offsets are assigned in (row, position) order rather than the
-  // pass-A layer order, so the output row order depends only on the input
-  // rows, not on which load-balance layer each row landed in. The sharded
-  // engine relies on this: a run over any contiguous seed slice produces
-  // exactly the rows (and order) of that slice's portion of a whole run.
-  std::vector<Chunk*> all = plan.AllChunks();
-  std::sort(all.begin(), all.end(), [](const Chunk* a, const Chunk* b) {
-    return a->row != b->row ? a->row < b->row : a->pos_begin < b->pos_begin;
-  });
-  stats_.total_chunks += all.size();
-  auto chunk_counts = dev_->Alloc<uint32_t>(all.size());
-  for (size_t i = 0; i < all.size(); ++i) chunk_counts[i] = all[i]->count;
-  auto out_offsets = dev_->Alloc<uint64_t>(all.size() + 1);
-  uint64_t new_rows =
-      gpusim::ExclusiveScan(*dev_, chunk_counts, out_offsets);
+  // --- Lines 14-15: the survivor total sizes M' (the host's second and
+  // last scalar read of the step).
+  const uint64_t new_rows = survivors[0];
   if (new_rows > options_.max_rows) {
     return Status::ResourceExhausted(
         "intermediate table exceeds max_rows: " + std::to_string(new_rows));
   }
 
-  // --- Lines 16-21: link M and the buffers into M'.
+  // --- Lines 16-21: link M and the buffers into M', one warp per chunk.
+  // Output rows are assigned in (row, position) order rather than the
+  // Pass A layer order, so the output row order depends only on the input
+  // rows, not on which load-balance layer each row landed in. The sharded
+  // engine relies on this: a run over any contiguous seed slice produces
+  // exactly the rows (and order) of that slice's portion of a whole run.
+  // Warp 0 of each block stages the block's 32 counts in one coalesced
+  // read; the block scans them and chains to the blocks before it, which
+  // gives every chunk its first output row.
+  std::vector<const Chunk*> linked(num_chunks);
+  for (const Chunk* c : plan.AllChunks()) linked[c->slot] = c;
   MatchTable next = MatchTable::Alloc(*dev_, new_rows, cols + 1);
-  gpusim::Launch(*dev_, std::max<size_t>(1, all.size()), [&](Warp& w) {
-    size_t i = w.global_id();
-    if (i >= all.size()) return;
-    const Chunk& c = *all[i];
-    if (c.count == 0) return;
-    std::vector<VertexId> row = ReadRow(w, m, c.row);
-    std::span<const VertexId> buf = w.LoadRange(gba, c.gba_begin, c.count);
-    uint64_t out = out_offsets[i];
-    for (size_t k = 0; k < c.count; ++k) {
-      for (size_t j = 0; j < cols; ++j) next.Set(out + k, j, row[j]);
-      next.Set(out + k, cols, buf[k]);
+  const size_t link_blocks = (num_chunks + wpb - 1) / wpb;
+  gpusim::LookbackScan scan(*dev_, link_blocks);
+  gpusim::LaunchBlocks(*dev_, link_blocks, [&](Block& block) {
+    const size_t begin = block.id() * wpb;
+    const size_t n = std::min(wpb, num_chunks - begin);
+    std::span<uint32_t> staged = block.shared().Alloc<uint32_t>(n);
+    std::span<uint64_t> first_row = block.shared().Alloc<uint64_t>(n);
+    std::span<const uint32_t> loaded =
+        block.warp(0).LoadRange(counts, begin, n);
+    std::copy(loaded.begin(), loaded.end(), staged.begin());
+    scan.ScanBlock(block, staged, first_row);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t count = staged[i];
+      if (count == 0) continue;
+      Warp& w = block.warp(i);
+      const Chunk& c = *linked[begin + i];
+      w.SharedAccess(1);
+      std::vector<VertexId> row = ReadRow(w, m, c.row);
+      std::span<const VertexId> buf =
+          w.LoadRange(gba, c.gba_begin - sizing.base, count);
+      const uint64_t out = first_row[i];
+      for (size_t k = 0; k < count; ++k) {
+        for (size_t j = 0; j < cols; ++j) next.Set(out + k, j, row[j]);
+        next.Set(out + k, cols, buf[k]);
+      }
+      // The chunk's output region is contiguous: one coalesced streaming
+      // store for count * (cols+1) ids.
+      w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
+          next.data().AddressOf(out * (cols + 1)),
+          static_cast<uint64_t>(count) * (cols + 1) * sizeof(VertexId)));
+      w.SharedAccess(static_cast<uint64_t>(count) * (cols + 1));
     }
-    // The chunk's output region is contiguous: one coalesced streaming
-    // store for count * (cols+1) ids.
-    w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
-        next.data().AddressOf(out * (cols + 1)),
-        static_cast<uint64_t>(c.count) * (cols + 1) * sizeof(VertexId)));
-    w.SharedAccess(static_cast<uint64_t>(c.count) * (cols + 1));
   });
+  GSI_CHECK(scan.total() == new_rows);
   return next;
 }
 
@@ -224,7 +298,7 @@ Result<MatchTable> JoinEngine::StepTwoStep(const MatchTable& m,
   auto counts = dev_->Alloc<uint32_t>(rows);
   std::vector<Chunk> chunks(rows);
   for (uint32_t i = 0; i < rows; ++i) {
-    chunks[i] = Chunk{i, 0, std::numeric_limits<uint32_t>::max(), 0, 0};
+    chunks[i] = Chunk{i, 0, std::numeric_limits<uint32_t>::max(), 0, 0, i};
   }
 
   // --- Step 1: count valid join results (the join runs in full, results
@@ -234,7 +308,7 @@ Result<MatchTable> JoinEngine::StepTwoStep(const MatchTable& m,
   gpusim::Launch(*dev_, std::max<size_t>(1, rows), [&](Warp& w) {
     size_t i = w.global_id();
     if (i >= rows) return;
-    ProcessChunk(w, chunks[i], m, step, cand, /*gba=*/nullptr, no_cache,
+    ProcessChunk(w, chunks[i], m, step, cand, /*gba=*/nullptr, 0, no_cache,
                  scratch);
     w.Store(counts, i, chunks[i].count);
   });
@@ -252,7 +326,7 @@ Result<MatchTable> JoinEngine::StepTwoStep(const MatchTable& m,
   gpusim::Launch(*dev_, std::max<size_t>(1, rows), [&](Warp& w) {
     size_t i = w.global_id();
     if (i >= rows) return;
-    ProcessChunk(w, chunks[i], m, step, cand, /*gba=*/nullptr, no_cache,
+    ProcessChunk(w, chunks[i], m, step, cand, /*gba=*/nullptr, 0, no_cache,
                  scratch);
     if (scratch.empty()) return;
     std::vector<VertexId> row = ReadRow(w, m, i);
@@ -269,33 +343,43 @@ Result<MatchTable> JoinEngine::StepTwoStep(const MatchTable& m,
   return next;
 }
 
-MatchTable JoinEngine::SeedTable(const JoinPlan& plan,
-                                 const std::vector<CandidateSet>& candidates) {
+JoinEngine::Seeded JoinEngine::Seed(
+    const JoinPlan& plan, const gpusim::DeviceBuffer<VertexId>& seed) {
   stats_ = JoinStats();
   GSI_CHECK(!plan.order.empty());
-  const CandidateSet& seed = candidates[plan.order[0]];
-  std::vector<VertexId> column(seed.list().data(),
-                               seed.list().data() + seed.size());
-  MatchTable m = MatchTable::FromColumn(*dev_, column);
-  gpusim::Launch(*dev_, std::max<size_t>(1, (column.size() + 1023) / 1024),
-                 [&](Warp& w) {
-                   size_t begin = w.global_id() * 1024;
-                   if (begin >= column.size()) return;
-                   size_t len = std::min<size_t>(1024, column.size() - begin);
-                   w.LoadRange(seed.list(), begin, len);
-                   w.StoreRange(m.data(), begin,
-                                std::span<const VertexId>(
-                                    m.data().data() + begin, len));
-                 });
+  MatchTable m = MatchTable::FromColumn(
+      *dev_, std::vector<VertexId>(seed.data(), seed.data() + seed.size()));
   stats_.peak_rows = m.rows();
-  return m;
+  if (options_.output_scheme == OutputScheme::kPreallocCombine &&
+      !plan.steps.empty()) {
+    // Step 0's bounds kernel seeds M on the way: each warp streams its 32
+    // seed candidates into the one-column table, and they are the rows' e0
+    // bindings.
+    GSI_CHECK(plan.steps[0].links[0].prev_column == 0);
+    StepBounds first = SizeStep(
+        m.rows(), plan.steps[0],
+        [&](Warp& w, size_t r0, size_t lanes, VertexId* vs) {
+          std::span<const VertexId> vals = w.LoadRange(seed, r0, lanes);
+          w.StoreRange(m.data(), r0, vals);
+          std::copy(vals.begin(), vals.end(), vs);
+        });
+    return Seeded{std::move(m), std::move(first)};
+  }
+  const size_t n = m.rows();
+  gpusim::Launch(*dev_, std::max<size_t>(1, (n + 1023) / 1024), [&](Warp& w) {
+    size_t begin = w.global_id() * 1024;
+    if (begin >= n) return;
+    size_t len = std::min<size_t>(1024, n - begin);
+    w.StoreRange(m.data(), begin, w.LoadRange(seed, begin, len));
+  });
+  return Seeded{std::move(m), std::nullopt};
 }
 
 Result<MatchTable> JoinEngine::RunSteps(
     const JoinPlan& plan, const std::vector<CandidateSet>& candidates,
     MatchTable m, size_t first_step, size_t last_step,
-    std::optional<gpusim::DeviceBuffer<uint32_t>> first_bounds) {
-  GSI_CHECK(!first_bounds || first_bounds->size() == m.rows());
+    std::optional<StepBounds> first_bounds) {
+  GSI_CHECK(!first_bounds || first_bounds->bounds.size() == m.rows());
   last_step = std::min(last_step, plan.steps.size());
   stats_.peak_rows = std::max(stats_.peak_rows, m.rows());
   // Fail fast on a device that already tripped (e.g. during seeding or an
@@ -334,10 +418,12 @@ Result<MatchTable> JoinEngine::RunSteps(
   return m;
 }
 
-Result<MatchTable> JoinEngine::Run(
-    const JoinPlan& plan, const std::vector<CandidateSet>& candidates) {
-  MatchTable m = SeedTable(plan, candidates);
-  return RunSteps(plan, candidates, std::move(m), 0, plan.steps.size());
+Result<MatchTable> JoinEngine::Run(const JoinPlan& plan,
+                                   const std::vector<CandidateSet>& candidates,
+                                   const gpusim::DeviceBuffer<VertexId>& seed) {
+  Seeded seeded = Seed(plan, seed);
+  return RunSteps(plan, candidates, std::move(seeded.table), 0,
+                  plan.steps.size(), std::move(seeded.first_bounds));
 }
 
 }  // namespace gsi

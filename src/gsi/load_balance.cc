@@ -21,18 +21,19 @@ std::vector<Chunk*> ChunkPlan::AllChunks() {
 
 namespace {
 
+// Splits one row into chunks, numbering them from `slot` on.
 std::vector<Chunk> SplitRow(uint32_t row, uint32_t bound, uint64_t gba_begin,
-                            uint32_t chunk_elems) {
+                            uint32_t chunk_elems, uint32_t& slot) {
   std::vector<Chunk> out;
   if (bound == 0) {
     // Zero-workload rows still need one chunk so the row is considered
     // (its set-op result is empty, but the accounting pass must see it).
-    out.push_back(Chunk{row, 0, 0, gba_begin, 0});
+    out.push_back(Chunk{row, 0, 0, gba_begin, 0, slot++});
     return out;
   }
   for (uint32_t b = 0; b < bound; b += chunk_elems) {
     uint32_t e = std::min(bound, b + chunk_elems);
-    out.push_back(Chunk{row, b, e, gba_begin + b, 0});
+    out.push_back(Chunk{row, b, e, gba_begin + b, 0, slot++});
   }
   return out;
 }
@@ -50,23 +51,24 @@ ChunkPlan PlanChunks(std::span<const uint32_t> upper_bounds,
     plan.pooled.reserve(rows);
     for (uint32_t i = 0; i < rows; ++i) {
       plan.pooled.push_back(
-          Chunk{i, 0, upper_bounds[i], gba_offsets[i], 0});
+          Chunk{i, 0, upper_bounds[i], gba_offsets[i], 0, i});
     }
     return plan;
   }
   GSI_CHECK_MSG(w1 > w2 && w2 > w3 && w3 >= 32, "require W1 > W2 > W3 >= 32");
+  uint32_t slot = 0;
   for (uint32_t i = 0; i < rows; ++i) {
     uint32_t bound = upper_bounds[i];
     uint64_t base = gba_offsets[i];
     if (bound > w1) {
-      plan.huge.push_back(SplitRow(i, bound, base, w3));
+      plan.huge.push_back(SplitRow(i, bound, base, w3, slot));
     } else if (bound > w2) {
-      plan.per_block.push_back(SplitRow(i, bound, base, w3));
+      plan.per_block.push_back(SplitRow(i, bound, base, w3, slot));
     } else if (bound > w3) {
-      std::vector<Chunk> cs = SplitRow(i, bound, base, w3);
+      std::vector<Chunk> cs = SplitRow(i, bound, base, w3, slot);
       plan.pooled.insert(plan.pooled.end(), cs.begin(), cs.end());
     } else {
-      plan.pooled.push_back(Chunk{i, 0, bound, base, 0});
+      plan.pooled.push_back(Chunk{i, 0, bound, base, 0, slot++});
     }
   }
   return plan;

@@ -17,6 +17,9 @@ struct Chunk {
   uint32_t pos_end = 0;
   uint64_t gba_begin = 0;  ///< output offset in the combined GBA buffer
   uint32_t count = 0;      ///< survivors after set ops (filled by the pass)
+  /// Index in (row, position) order over all of the step's chunks: where
+  /// Pass A stores the count and where the link kernel scans it.
+  uint32_t slot = 0;
 };
 
 /// Placement of chunks according to the 4-layer balance scheme:
@@ -46,7 +49,8 @@ struct ChunkPlan {
 /// workload estimate |N(v'_i, l0)| of row i; `gba_offsets[i]` its buffer
 /// offset (exclusive prefix sum of the bounds). With `load_balance` false,
 /// one chunk per row. W2 is the block size in threads (1024); chunking
-/// granularity within blocks is W3 *elements* per warp.
+/// granularity within blocks is W3 *elements* per warp. Chunks are numbered
+/// (Chunk::slot) in (row, position) order, whatever layer they land in.
 ChunkPlan PlanChunks(std::span<const uint32_t> upper_bounds,
                      std::span<const uint64_t> gba_offsets, bool load_balance,
                      uint32_t w1, uint32_t w2, uint32_t w3);

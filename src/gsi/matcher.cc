@@ -187,7 +187,8 @@ Result<QueryResult> RunJoinStage(gpusim::Device& dev, const Graph& data,
     gpusim::MemStats before = dev.stats();
     JoinEngine join(&dev, &store, options.join);
     join.set_trace(span.context());
-    Result<MatchTable> table = join.Run(plan, filtered.candidates);
+    Result<MatchTable> table = join.Run(
+        plan, filtered.candidates, filtered.candidates[plan.order[0]].list());
     if (!table.ok()) return table.status();
     out.stats.join = dev.stats() - before;
     out.stats.join_detail = join.stats();

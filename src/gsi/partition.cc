@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <vector>
 
-#include "gpusim/launch.h"
 #include "gsi/partition_internal.h"
 #include "util/check.h"
 
 namespace gsi {
 namespace {
-
-using gpusim::Warp;
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
@@ -20,23 +17,6 @@ uint64_t SplitMix64(uint64_t x) {
 }
 
 }  // namespace
-
-MatchTable internal::SeedOwned(gpusim::Device& dev,
-                               const std::vector<VertexId>& column) {
-  gpusim::DeviceBuffer<VertexId> list = dev.Upload(column);
-  MatchTable m = MatchTable::FromColumn(dev, column);
-  gpusim::Launch(dev, std::max<size_t>(1, (column.size() + 1023) / 1024),
-                 [&](Warp& w) {
-                   size_t begin = w.global_id() * 1024;
-                   if (begin >= column.size()) return;
-                   size_t len = std::min<size_t>(1024, column.size() - begin);
-                   w.LoadRange(list, begin, len);
-                   w.StoreRange(m.data(), begin,
-                                std::span<const VertexId>(
-                                    m.data().data() + begin, len));
-                 });
-  return m;
-}
 
 std::vector<VertexId> internal::MergeAscendingDisjoint(
     std::span<const std::vector<VertexId>* const> lists) {

@@ -36,12 +36,6 @@ inline std::vector<std::vector<VertexId>> ScanOwnedSignatures(
   return ScanSignatures(dev, table, qsigs, 0, owned.size(), owned);
 }
 
-/// Seeds a partition's table from its owned subsequence of C(order[0]):
-/// upload (host-mediated, uncharged by convention) plus the same streaming
-/// copy kernel JoinEngine::SeedTable charges, so the partitions together
-/// pay what the replicated seed pays.
-MatchTable SeedOwned(gpusim::Device& dev, const std::vector<VertexId>& column);
-
 /// K-way merge of per-partition survivor lists for one query vertex (each
 /// ascending, value sets disjoint because partitions own disjoint vertex
 /// sets) back into one globally ascending candidate list — reproducing the

@@ -471,14 +471,16 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
             if (seed_cols[p].empty()) {
               parts[p] = MatchTable::Alloc(dev, 0, plan.order.size());
             } else {
-              MatchTable m = internal::SeedOwned(dev, seed_cols[p]);
               internal::RoutedStoreView view(rg.owners(), serving, local, p,
                                              rg.halo_cache(d));
               JoinEngine join(&dev, &view, options.join);
               join.set_trace(part_span.context());
               const uint64_t probes_start = clock.NowNanos();
-              parts[p] = join.RunSteps(plan, filtered.candidates,
-                                       std::move(m), 0, plan.steps.size());
+              // The owned seed share is uploaded (host-mediated, uncharged)
+              // and seeded by the join's own seed entry, so the partitions
+              // together pay what the replicated seed pays.
+              parts[p] = join.Run(plan, filtered.candidates,
+                                  dev.Upload(seed_cols[p]));
               part_join[p] = join.stats();
               traffic[p] = view.traffic();
               // One batch span covering the remote probes this partition's

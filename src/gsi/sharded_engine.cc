@@ -1,7 +1,6 @@
 #include "gsi/sharded_engine.h"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -144,14 +143,14 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   const uint64_t volume_floor = static_cast<uint64_t>(devs.size()) * min_work;
 
   // --- Step-at-a-time distributed join. Each iteration computes the step's
-  // first-edge bounds on the primary, then either runs the step there
-  // (narrow / cheap steps, where scatter and gather would cost more than
-  // they parallelize) or distributes it: partition the table's rows into
-  // contiguous weight-balanced slices, run slice i on devs[i], and gather
-  // in slice order. The gathered table is bit-identical to a whole-table
-  // step (output rows are emitted in input-row order), so the loop
-  // invariant — `m` equals the single-device intermediate table — holds at
-  // every boundary.
+  // first-edge bounds and GBA offsets on the primary, then either runs the
+  // step there (narrow / cheap steps, where scatter and gather would cost
+  // more than they parallelize) or distributes it: partition the table's
+  // rows into contiguous weight-balanced slices, run slice i on devs[i],
+  // and gather in slice order. The gathered table is bit-identical to a
+  // whole-table step (output rows are emitted in input-row order), so the
+  // loop invariant — `m` equals the single-device intermediate table —
+  // holds at every boundary.
   JoinEngine serial_engine(&primary, &store, options.join);
   serial_engine.set_trace(join_span.context());
   gpusim::MemStats serial_total;    // seed, bounds and serial steps
@@ -165,17 +164,22 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   gpusim::MemStats mark = primary.stats();
   ResultManifest manifest;  // filled by the final step
   bool paged_final = false;  // final step was distributed: partials kept
-  MatchTable m = serial_engine.SeedTable(plan, filtered.candidates);
+  JoinEngine::Seeded seeded = serial_engine.Seed(
+      plan, filtered.candidates[plan.order[0]].list());
+  MatchTable m = std::move(seeded.table);
   for (size_t k = 0; k < plan.steps.size() && m.rows() > 0; ++k) {
-    // Algorithm 4's per-row bounds |N(v'_i, l0)|, once per step: the
-    // fan-out decision, the slice balance and every slice's GBA offsets
-    // read this one buffer (a serial step hands it to its Prealloc step).
-    gpusim::DeviceBuffer<uint32_t> bounds =
-        serial_engine.FirstEdgeBounds(m, plan.steps[k]);
-    const std::vector<uint64_t> weights(bounds.data(),
-                                        bounds.data() + bounds.size());
-    const uint64_t predicted =
-        std::accumulate(weights.begin(), weights.end(), uint64_t{0});
+    // Algorithm 4's per-row bounds |N(v'_i, l0)| and GBA offsets, once per
+    // step on the primary (step 0's came with the seed under
+    // Prealloc-Combine): the fan-out decision, the slice balance and every
+    // slice's share read this one sizing (a serial step hands it to its
+    // Prealloc step).
+    JoinEngine::StepBounds sizing =
+        k == 0 && seeded.first_bounds
+            ? std::move(*seeded.first_bounds)
+            : serial_engine.FirstEdgeBounds(m, plan.steps[k]);
+    const std::vector<uint64_t> weights(
+        sizing.bounds.data(), sizing.bounds.data() + sizing.bounds.size());
+    const uint64_t predicted = sizing.offsets[m.rows()];
     // Distribute when the step's predicted volume fills every slice AND
     // dwarfs the table being scattered (per-step fan-out has fixed costs:
     // under-filled kernels, the lost cross-slice extraction sharing).
@@ -187,7 +191,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     if (slices.size() < 2) {
       Result<MatchTable> next =
           serial_engine.RunSteps(plan, filtered.candidates, std::move(m), k,
-                                 k + 1, std::move(bounds));
+                                 k + 1, std::move(sizing));
       if (!next.ok()) return next.status();
       m = std::move(next.value());
       continue;
@@ -214,17 +218,25 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
         slice_span.AddAttr("rows_in",
                            static_cast<uint64_t>(slice.end - slice.begin));
         const gpusim::MemStats before = dev.stats();
-        // Scatter the slice's rows and bounds in (host-mediated, uncharged
-        // like any upload), run the one step on this device; the partial
-        // table comes back via the gather below.
+        // Scatter the slice's rows, bounds and GBA offsets in
+        // (host-mediated, uncharged like any upload). The offsets keep the
+        // whole table's values; the slice's first one is the base its Pass A
+        // and link subtract. Under Prealloc-Combine the step then launches
+        // only Pass A and link here; the partial table comes back via the
+        // gather below.
         MatchTable part = MatchTable::CopySlice(dev, m, slice.begin,
                                                 slice.end - slice.begin);
-        gpusim::DeviceBuffer<uint32_t> part_bounds =
-            dev.Upload(std::vector<uint32_t>(bounds.data() + slice.begin,
-                                             bounds.data() + slice.end));
+        JoinEngine::StepBounds part_sizing{
+            dev.Upload(std::vector<uint32_t>(
+                sizing.bounds.data() + slice.begin,
+                sizing.bounds.data() + slice.end)),
+            dev.Upload(std::vector<uint64_t>(
+                sizing.offsets.data() + slice.begin,
+                sizing.offsets.data() + slice.end + 1)),
+            sizing.offsets[slice.begin]};
         JoinEngine join(&dev, &store, options.join);
         tables[i] = join.RunSteps(plan, filtered.candidates, std::move(part),
-                                  k, k + 1, std::move(part_bounds));
+                                  k, k + 1, std::move(part_sizing));
         slice_join[i] = join.stats();
         slice_mem[i] = dev.stats() - before;
       });

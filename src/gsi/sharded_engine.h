@@ -42,12 +42,14 @@ Result<FilterResult> RunFilterStageSharded(
 /// Joining phase fanned out over `devs` (Section VIII): the query's
 /// candidate space — the intermediate match table, starting from the seed
 /// list C(order[0]) — is processed step by step. Each step first runs
-/// Algorithm 4's bounds kernel on devs[0], giving every row's workload as
-/// its first-edge upper bound |N(v, l0)|. A step whose predicted volume
+/// Algorithm 4's bounds-and-offsets kernel on devs[0] (step 0's is the
+/// seeding kernel), giving every row's workload as its first-edge upper
+/// bound |N(v, l0)| and its GBA offset. A step whose predicted volume
 /// fills every device and dwarfs the table itself is distributed: the rows
 /// are partitioned into contiguous weight-balanced slices, slice i runs
-/// the step on devs[i] with its share of the bounds as GBA offsets, and
-/// the partial tables are concatenated back in slice order. Narrow or
+/// the step's Pass A and link kernels on devs[i] with its share of the
+/// bounds and GBA offsets, and the partial tables are concatenated back in
+/// slice order. Narrow or
 /// cheap steps run on devs[0] from the same bounds, where deferring costs
 /// little by construction. Rebalancing at every distributed boundary
 /// means a hot row's descendants spread across slices the moment they

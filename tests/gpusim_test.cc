@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "gpusim/device.h"
@@ -183,6 +184,92 @@ TEST(ScanTest, EmptyInput) {
   auto out = dev.Alloc<uint64_t>(1);
   EXPECT_EQ(ExclusiveScan(dev, values, out), 0u);
   EXPECT_EQ(out[0], 0u);
+}
+
+// Scans `values` in one block-cooperative kernel, 1024 values per block
+// (32 per warp), the way a producing kernel uses LookbackScan. `per_block`
+// receives each block's own counter delta around its ScanBlock call.
+struct SinglePassRun {
+  std::vector<uint64_t> prefix;
+  uint64_t total = 0;
+  std::vector<MemStats> per_block;
+};
+
+SinglePassRun RunSinglePass(Device& dev, const std::vector<uint32_t>& values) {
+  const size_t n = values.size();
+  const size_t per_block =
+      static_cast<size_t>(dev.config().warps_per_block) * kWarpSize;
+  const size_t blocks = (n + per_block - 1) / per_block;
+  SinglePassRun run;
+  run.prefix.resize(n);
+  LookbackScan scan(dev, blocks);
+  LaunchBlocks(dev, blocks, [&](Block& block) {
+    const size_t first = block.id() * per_block;
+    const size_t len = std::min(per_block, n - first);
+    std::span<uint32_t> vals = block.shared().Alloc<uint32_t>(len);
+    std::span<uint64_t> out = block.shared().Alloc<uint64_t>(len);
+    std::copy_n(values.begin() + first, len, vals.begin());
+    const MemStats before = dev.stats();
+    scan.ScanBlock(block, vals, out);
+    run.per_block.push_back(dev.stats() - before);
+    std::copy_n(out.begin(), len, run.prefix.begin() + first);
+  });
+  run.total = scan.total();
+  return run;
+}
+
+std::vector<uint32_t> ScanInput(size_t n) {
+  std::vector<uint32_t> v(n);
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<uint32_t>((i * 2654435761u) % 1000);
+  }
+  return v;
+}
+
+TEST(LookbackScanTest, MatchesStdExclusiveScan) {
+  for (size_t n : {0u, 1u, 31u, 32u, 33u, 1023u, 1024u, 1025u, 40000u}) {
+    Device dev;
+    const std::vector<uint32_t> values = ScanInput(n);
+    std::vector<uint64_t> want(n);
+    std::exclusive_scan(values.begin(), values.end(), want.begin(),
+                        uint64_t{0});
+    const SinglePassRun run = RunSinglePass(dev, values);
+    EXPECT_EQ(run.prefix, want) << "n=" << n;
+    EXPECT_EQ(run.total,
+              std::accumulate(values.begin(), values.end(), uint64_t{0}))
+        << "n=" << n;
+  }
+}
+
+TEST(LookbackScanTest, AddsNoLaunchOfItsOwn) {
+  for (size_t n : {0u, 33u, 40000u}) {
+    Device dev;
+    RunSinglePass(dev, ScanInput(n));
+    // The producing kernel's one launch, nothing else.
+    EXPECT_EQ(dev.stats().kernel_launches, 1u) << "n=" << n;
+  }
+}
+
+TEST(LookbackScanTest, ChargesWhatItsHeaderDocumentsPerBlock) {
+  Device dev;
+  const size_t n = 40000;  // 40 blocks; the last holds 64 values
+  const SinglePassRun run = RunSinglePass(dev, ScanInput(n));
+  ASSERT_EQ(run.per_block.size(), 40u);
+  for (size_t b = 0; b < run.per_block.size(); ++b) {
+    const MemStats& s = run.per_block[b];
+    // Look-back: block 0 publishes its inclusive prefix; every later block
+    // publishes its aggregate, reads its predecessor, then publishes.
+    EXPECT_EQ(s.gld, b == 0 ? 0u : 1u) << "block " << b;
+    EXPECT_EQ(s.gst, b == 0 ? 1u : 2u) << "block " << b;
+    // Block-local scan: 2 shared accesses and 2 ALU ops per value, and the
+    // same per 32-value tile to chain the tiles.
+    const uint64_t values = std::min<size_t>(1024, n - b * 1024);
+    const uint64_t tiles = (values + 31) / 32;
+    EXPECT_EQ(s.shared_accesses, 2 * values + 2 * tiles) << "block " << b;
+    EXPECT_EQ(s.alu_ops, 2 * values + 2 * tiles) << "block " << b;
+  }
+  EXPECT_EQ(dev.stats().gld, 39u);
+  EXPECT_EQ(dev.stats().gst, 2u * 40 - 1);
 }
 
 TEST(KernelLaunch, ChargesFixedOverhead) {

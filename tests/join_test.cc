@@ -15,6 +15,7 @@ namespace {
 
 using ::gsi::testing::RandomGraph;
 using ::gsi::testing::RandomQuery;
+using ::gsi::testing::RandomQuerySet;
 
 std::vector<std::vector<VertexId>> RunGsi(const Graph& data,
                                           const Graph& query,
@@ -256,6 +257,155 @@ TEST(JoinProperties, ResultsAreValidEmbeddings) {
         ASSERT_EQ(data.vertex_label(m[u]), query.vertex_label(u));
         for (const Neighbor& n : query.neighbors(u)) {
           ASSERT_TRUE(data.HasEdge(m[u], m[n.v], n.elabel));
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------- launch structure ---
+
+uint64_t LaunchesOf(const QueryResult& r) {
+  return r.stats.filter.kernel_launches + r.stats.join.kernel_launches;
+}
+
+// A Prealloc-Combine step launches bounds-and-offsets, Pass A and link, and
+// step 0's bounds kernel also seeds the table; the filter launches its scan
+// and the candidate-bitset build. Rows of these degrees all stay in Layers
+// 3/4, so a query launches 2 + 3 (|V(Q)| - 1) = 3 |V(Q)| - 1 kernels.
+TEST(JoinLaunches, ThreePerStepWithoutHeavyRows) {
+  Graph data = RandomGraph(300, 3, 3, 2, 41);
+  for (size_t nq : {2u, 3u, 5u, 8u}) {
+    Graph query = RandomQuery(data, nq, 40 + nq);
+    GsiMatcher matcher(data, GsiOptOptions());
+    Result<QueryResult> r = matcher.Find(query);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_GE(r->num_matches(), 1u);  // every step ran
+    EXPECT_EQ(r->stats.join_detail.iterations, nq - 1);
+    EXPECT_EQ(LaunchesOf(*r), 3 * nq - 1) << "nq=" << nq;
+  }
+}
+
+// Hubs of 1100, 1500 and 2000 leaves, plus one light hub: the 2-vertex
+// query's seed rows are the hubs, and their first-edge bounds are the leaf
+// counts. At W1 = 4096 the heavy hubs are Layer-2 rows, which share the
+// Layers 2-4 launch; every W1 below a hub's bound moves it to Layer 1, one
+// launch of its own.
+TEST(JoinLaunches, OnePerLayerOneRowAndNoneForLayerTwo) {
+  GraphBuilder b;
+  for (size_t leaves : {1100u, 1500u, 2000u, 10u}) {
+    VertexId hub = b.AddVertex(0);
+    VertexId first = b.AddVertices(leaves, 1);
+    for (size_t i = 0; i < leaves; ++i) {
+      b.AddEdge(hub, first + static_cast<VertexId>(i), 0);
+    }
+  }
+  Graph data = std::move(b).Build().value();
+  GraphBuilder qb;
+  VertexId u0 = qb.AddVertex(0);
+  VertexId u1 = qb.AddVertex(1);
+  qb.AddEdge(u0, u1, 0);
+  Graph query = std::move(qb).Build().value();
+
+  const std::pair<uint32_t, uint64_t> w1_to_layer1_rows[] = {
+      {4096, 0}, {1600, 1}, {1200, 2}, {1025, 3}};
+  for (const auto& [w1, layer1_rows] : w1_to_layer1_rows) {
+    GsiOptions options = GsiOptOptions();
+    options.join.w1 = w1;
+    GsiMatcher matcher(data, options);
+    Result<QueryResult> r = matcher.Find(query);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->num_matches(), 4610u);
+    EXPECT_EQ(LaunchesOf(*r), 3 * 2 - 1 + layer1_rows) << "w1=" << w1;
+  }
+}
+
+// ------------------------------------------------------- row order ---
+
+// A scale-free graph over labels 0/1 plus three label-2 hubs adjacent to
+// 1100, 1500 and 40 of its vertices (one edge label), and queries seeded
+// at a hub: their step-0 rows have first-edge bounds 1100, 1500 and 40, so
+// at W1 = 1200 they land in Layer 2, Layer 1 and Layers 3/4. Pass A runs
+// the light last row first, so an output order that followed the layers
+// would permute the table. A random walk over the scale-free part joins
+// alongside.
+struct HubCase {
+  Graph data;
+  std::vector<Graph> queries;
+};
+
+HubCase MakeHubCase() {
+  Graph base = RandomGraph(2000, 2, 2, 1, 61);
+  GraphBuilder b;
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    b.AddVertex(base.vertex_label(v));
+  }
+  for (VertexId v = 0; v < base.num_vertices(); ++v) {
+    for (const Neighbor& n : base.neighbors(v)) {
+      if (v < n.v) b.AddEdge(v, n.v, n.elabel);
+    }
+  }
+  const VertexId hub_a = b.AddVertex(2);
+  const VertexId hub_b = b.AddVertex(2);
+  const VertexId hub_c = b.AddVertex(2);
+  for (VertexId v = 0; v < 1100; ++v) b.AddEdge(hub_a, v, 0);
+  for (VertexId v = 500; v < 2000; ++v) b.AddEdge(hub_b, v, 0);
+  for (VertexId v = 1900; v < 1940; ++v) b.AddEdge(hub_c, v, 0);
+  HubCase c{std::move(b).Build().value(), {}};
+
+  GraphBuilder path;  // hub - label 0 - label 1
+  path.AddVertices(1, 2);
+  path.AddVertex(0);
+  path.AddVertex(1);
+  path.AddEdge(0, 1, 0);
+  path.AddEdge(1, 2, 0);
+  c.queries.push_back(std::move(path).Build().value());
+  GraphBuilder triangle;  // hub - label 0 - label 1 - hub
+  triangle.AddVertices(1, 2);
+  triangle.AddVertex(0);
+  triangle.AddVertex(1);
+  triangle.AddEdge(0, 1, 0);
+  triangle.AddEdge(1, 2, 0);
+  triangle.AddEdge(2, 0, 0);
+  c.queries.push_back(std::move(triangle).Build().value());
+  for (Graph& q : RandomQuerySet(base, 4, 1, 63)) {
+    c.queries.push_back(std::move(q));
+  }
+  return c;
+}
+
+// Prealloc-Combine places each chunk's survivors at a scanned offset; a
+// wrong offset permutes rows without changing the match set, which the
+// sorted oracle comparisons above cannot see. kTwoStep writes row i's
+// results at the prefix sum of the counts before it, so its table is the
+// row order to match, for every storage kind and load-balance /
+// duplicate-removal setting.
+TEST(JoinRowOrder, PreallocCombineTableEqualsTwoStepRowForRow) {
+  const HubCase hub = MakeHubCase();
+  for (StorageKind storage :
+       {StorageKind::kCsr, StorageKind::kPcsr, StorageKind::kBasicRep,
+        StorageKind::kCompressedRep}) {
+    GsiOptions two_step;
+    two_step.join.storage = storage;
+    two_step.join.output_scheme = OutputScheme::kTwoStep;
+    GsiMatcher reference(hub.data, two_step);
+    for (bool lb : {false, true}) {
+      for (bool dr : {false, true}) {
+        GsiOptions options;
+        options.join.storage = storage;
+        options.join.load_balance = lb;
+        options.join.duplicate_removal = dr;
+        options.join.w1 = 1200;
+        options.join.w3 = 32;
+        GsiMatcher matcher(hub.data, options);
+        for (size_t q = 0; q < hub.queries.size(); ++q) {
+          Result<QueryResult> want = reference.Find(hub.queries[q]);
+          Result<QueryResult> got = matcher.Find(hub.queries[q]);
+          ASSERT_TRUE(want.ok() && got.ok());
+          ASSERT_GE(want->num_matches(), 1u);
+          EXPECT_TRUE(got->TableEquals(*want))
+              << "storage=" << static_cast<int>(storage) << " lb=" << lb
+              << " dr=" << dr << " query=" << q;
         }
       }
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "gsi/matcher.h"
 #include "gsi/query_engine.h"
 #include "gsi/sharded_engine.h"
+#include "obs/trace.h"
 #include "service/device_pool.h"
 #include "test_util.h"
 
@@ -157,6 +159,46 @@ TEST(ShardedEngine, SerialStepsCostExactlyOneDevice) {
   EXPECT_EQ(a.remote_transactions, b.remote_transactions);
   EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
   EXPECT_EQ(sharded->stats.join_ms, single->stats.join_ms);
+}
+
+TEST(ShardedEngine, DistributedSliceLaunchesOnlyPassAAndLink) {
+  // The primary filters and sizes every step (bounds and GBA offsets in
+  // one kernel) and hands each slice its share, so a slice's step is
+  // Pass A and link: 2 launches (no row of this graph reaches Layer 1).
+  // Devices 1-3 run nothing but slices.
+  Graph g = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  Graph q = testing::RandomQuery(g, 3, 102);
+  QueryEngine engine(g, GsiOptOptions());
+  std::vector<std::unique_ptr<gpusim::Device>> owned;
+  std::vector<gpusim::Device*> devs;
+  for (int i = 0; i < 4; ++i) {
+    owned.push_back(
+        std::make_unique<gpusim::Device>(engine.options().device));
+    owned.back()->set_ordinal(i);
+    devs.push_back(owned.back().get());
+  }
+  ShardOptions so;
+  so.min_rows_per_shard = 1;
+  QueryStats stats;
+  Result<FilterResult> filtered =
+      RunFilterStage(*devs[0], engine.filter(), q, stats);
+  ASSERT_TRUE(filtered.ok());
+  obs::Tracer tracer;
+  Result<PagedQueryResult> r = RunJoinStageShardedPaged(
+      devs, g, engine.store(), engine.options(), so, q,
+      std::move(filtered.value()), stats,
+      obs::TraceContext{&tracer, -1, obs::kHostDevice});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->stats.shards_used, 4u);
+  std::vector<uint64_t> slices(devs.size(), 0);
+  for (const obs::TraceSpan& s : tracer.Snapshot()) {
+    if (s.name == "shard_slice") ++slices[static_cast<size_t>(s.device)];
+  }
+  for (size_t d = 1; d < devs.size(); ++d) {
+    EXPECT_GE(slices[d], 1u) << "device " << d;
+    EXPECT_EQ(devs[d]->stats().kernel_launches, 2 * slices[d])
+        << "device " << d;
+  }
 }
 
 TEST(ShardedEngine, InvalidQueriesStillFail) {
