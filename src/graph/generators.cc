@@ -92,7 +92,9 @@ std::vector<RawEdge> GenerateScaleFree(size_t n, size_t edges_per_vertex,
   }
 
   // Super-hubs: a few vertices adjacent to a constant fraction of the
-  // graph, reproducing the real datasets' extreme max degrees.
+  // graph, reproducing the real datasets' extreme max degrees. Targets are
+  // drawn with replacement and repeats dropped, so a hub reaches about
+  // (1 - e^-hub_fraction) of the graph.
   size_t hub_targets = static_cast<size_t>(hub_fraction *
                                            static_cast<double>(n));
   for (size_t h = 0; h < num_hubs && hub_targets > 0; ++h) {

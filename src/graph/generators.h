@@ -24,10 +24,12 @@ std::vector<RawEdge> GenerateErdosRenyi(size_t n, size_t m, Rng& rng);
 /// degree. Produces the heavy-tailed degree distribution of the paper's
 /// "rs"-type datasets (enron, gowalla, DBpedia, WatDiv).
 ///
-/// `num_hubs` / `hub_fraction` optionally add super-hubs each adjacent to a
-/// `hub_fraction` share of all vertices. The paper's real graphs have such
-/// hubs (gowalla max degree is 15% of |V|, DBpedia 10%); they are what
-/// makes the load-balance scheme matter.
+/// `num_hubs` / `hub_fraction` optionally add super-hubs. Each hub draws
+/// hub_fraction * n targets uniformly with replacement and drops repeats,
+/// so it reaches about (1 - e^-hub_fraction) of all vertices: 18% at 0.2,
+/// 59% at 0.9. The paper's real graphs have such hubs (gowalla max degree
+/// is 15% of |V|, DBpedia 10%); they are what makes the load-balance
+/// scheme matter.
 ///
 /// `triad_probability` adds triangle closure (Holme-Kim triad formation):
 /// after attaching to a target, the new vertex also connects to one of the

@@ -81,6 +81,10 @@ class Graph {
   size_t EdgeLabelFrequency(Label l) const;
   /// Number of vertices carrying label l.
   size_t VertexLabelFrequency(Label l) const;
+  /// Distinct vertex labels with their vertex counts, ascending by label.
+  std::span<const std::pair<Label, uint32_t>> vertex_label_counts() const {
+    return vertex_label_freq_;
+  }
 
   /// Distinct edge labels, ascending.
   std::span<const Label> edge_labels() const { return edge_labels_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <unordered_map>
+#include <utility>
 
 #include "gpusim/launch.h"
 #include "storage/signature.h"
@@ -43,47 +44,68 @@ FilterContext::FilterContext(gpusim::Device& dev, const Graph& data,
   }
 }
 
-std::vector<std::vector<VertexId>> ScanSignatures(
-    gpusim::Device& dev, const SignatureTable& table,
-    std::span<const Signature> qsigs, size_t row_begin, size_t row_end,
-    std::span<const VertexId> row_ids) {
+std::vector<ScanTile> ScanTiles(const SignatureTable& table,
+                                std::span<const Signature> qsigs) {
+  std::vector<Label> labels;
+  for (const Signature& q : qsigs) labels.push_back(q.vertex_label());
+  // Buckets are stored in label order, so ascending labels give ascending
+  // rows.
+  std::ranges::sort(labels);
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  std::vector<ScanTile> tiles;
+  for (Label l : labels) {
+    const SignatureTable::RowRange rows = table.LabelRows(l);
+    for (size_t r = rows.begin; r < rows.end;) {
+      const size_t cell_end = (r / kWarpSize + 1) * kWarpSize;
+      const size_t end = std::min(rows.end, cell_end);
+      tiles.push_back({r, end, l});
+      r = end;
+    }
+  }
+  return tiles;
+}
+
+CandidateScan ScanSignatures(gpusim::Device& dev, const SignatureTable& table,
+                             std::span<const Signature> qsigs,
+                             std::span<const ScanTile> tiles) {
   const size_t nu = qsigs.size();
-  std::vector<std::vector<VertexId>> out(nu);
-  if (nu == 0 || row_begin >= row_end) return out;
+  CandidateScan out;
+  out.lists.resize(nu);
+  if (nu == 0 || tiles.empty()) return out;
+  for (const ScanTile& t : tiles) out.rows_scanned += t.row_end - t.row_begin;
   const int words = table.words_per_sig();
   // Every warp pays for staging all query words into shared memory: an
   // upper bound on its share of the block's cooperative copy that keeps a
-  // warp's cost a function of its own rows.
+  // warp's cost a function of its own tile.
   const uint64_t stage_accesses =
       (nu * static_cast<size_t>(words) + kWarpSize - 1) / kWarpSize;
+  // Query vertices grouped by label: the set a tile of that label tests.
+  std::vector<std::pair<Label, size_t>> by_label;
+  for (size_t u = 0; u < nu; ++u) {
+    by_label.emplace_back(qsigs[u].vertex_label(), u);
+  }
+  std::ranges::sort(by_label);
   // Per-warp state, reused: warps of one launch run one after another.
   std::vector<uint32_t> alive(nu);  // lane k of query vertex u: bit k
-  std::vector<size_t> live;         // query vertices with a live lane
-  live.reserve(nu);
-  const size_t num_warps = (row_end - row_begin + kWarpSize - 1) / kWarpSize;
-  gpusim::Launch(dev, num_warps, [&](gpusim::Warp& w) {
-    const size_t r0 = row_begin + w.global_id() * kWarpSize;
-    const size_t lanes = std::min<size_t>(kWarpSize, row_end - r0);
-    const VertexId v0 = static_cast<VertexId>(r0);
-    uint32_t vals[kWarpSize];
+  std::vector<size_t> live;         // the tile label's query vertices
+  live.reserve(nu);                 // that still have a live lane
+  gpusim::Launch(dev, tiles.size(), [&](gpusim::Warp& w) {
+    const ScanTile& t = tiles[w.global_id()];
+    const size_t lanes = t.row_end - t.row_begin;
     w.SharedAccess(stage_accesses);
-
-    // Word 0 is the raw vertex label (Section VII-B): one read serves every
-    // query vertex's exact comparison.
-    table.WarpReadWord(w, v0, lanes, 0, vals);
+    // The tile's label group, read from the staged query.
+    w.SharedAccess(1);
     live.clear();
-    for (size_t u = 0; u < nu; ++u) {
-      const uint32_t q = qsigs[u].word(0);
-      w.SharedAccess(1);
-      w.Alu(lanes);
-      alive[u] = 0;
-      for (size_t k = 0; k < lanes; ++k) {
-        alive[u] |= static_cast<uint32_t>(vals[k] == q) << k;
-      }
-      if (alive[u] != 0) live.push_back(u);
+    for (auto it = std::ranges::lower_bound(
+             by_label, std::pair<Label, size_t>{t.label, 0});
+         it != by_label.end() && it->first == t.label; ++it) {
+      live.push_back(it->second);
+      alive[it->second] = lanes == kWarpSize ? ~0u : (1u << lanes) - 1;
     }
-    // Remaining words: bitwise AND domination, read only for the query
-    // vertices that still have a live lane and a nonzero word here.
+    uint32_t vals[kWarpSize];
+    // Word 0 is the bucket's label: equal for every lane and every vertex
+    // of the group. Remaining words: bitwise AND domination, read only
+    // for the vertices that still have a live lane and a nonzero word.
     for (int word = 1; word < words && !live.empty(); ++word) {
       bool loaded = false;
       w.Alu(1);  // uniform loop test over the live set
@@ -92,7 +114,7 @@ std::vector<std::vector<VertexId>> ScanSignatures(
         w.SharedAccess(1);
         if (q == 0) continue;
         if (!loaded) {
-          table.WarpReadWord(w, v0, lanes, word, vals);
+          table.WarpReadWord(w, t.row_begin, lanes, word, vals);
           loaded = true;
         }
         w.Alu(lanes);
@@ -102,13 +124,14 @@ std::vector<std::vector<VertexId>> ScanSignatures(
       }
       std::erase_if(live, [&](size_t u) { return alive[u] == 0; });
     }
-    // Warp-aggregated survivor write per query vertex: one coalesced store.
-    for (size_t u = 0; u < nu; ++u) {
-      if (alive[u] == 0) continue;
+    if (live.empty()) return;
+    // Survivor ids from the row map, then a warp-aggregated store per
+    // query vertex: one coalesced store each.
+    VertexId ids[kWarpSize];
+    table.WarpReadVertices(w, t.row_begin, lanes, ids);
+    for (size_t u : live) {
       for (uint32_t m = alive[u]; m != 0; m &= m - 1) {
-        const size_t r = r0 + static_cast<size_t>(std::countr_zero(m));
-        out[u].push_back(row_ids.empty() ? static_cast<VertexId>(r)
-                                         : row_ids[r]);
+        out.lists[u].push_back(ids[std::countr_zero(m)]);
       }
       w.Alu(1);  // warp-aggregated atomic offset claim
       w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
@@ -191,21 +214,32 @@ std::vector<VertexId> FilterContext::LabelDegreeCandidates(
   return out;
 }
 
-std::vector<std::vector<VertexId>> FilterContext::CandidateLists(
-    gpusim::Device& dev, const Graph& query, VertexId v_begin,
-    VertexId v_end) const {
+CandidateScan FilterContext::CandidateLists(gpusim::Device& dev,
+                                            const Graph& query, size_t slice,
+                                            size_t num_slices) const {
+  GSI_CHECK(slice < num_slices);
   const size_t nu = query.num_vertices();
-  v_end = std::min<VertexId>(v_end,
-                             static_cast<VertexId>(data_->num_vertices()));
   if (has_signatures_) {
-    return ScanSignatures(dev, signatures_,
-                          Signature::EncodeAll(query, options_.signature_bits),
-                          v_begin, v_end);
+    const std::vector<Signature> qsigs =
+        Signature::EncodeAll(query, options_.signature_bits);
+    const std::vector<ScanTile> tiles = ScanTiles(signatures_, qsigs);
+    const size_t per = (tiles.size() + num_slices - 1) / num_slices;
+    const size_t begin = std::min(tiles.size(), slice * per);
+    const size_t end = std::min(tiles.size(), begin + per);
+    return ScanSignatures(
+        dev, signatures_, qsigs,
+        std::span<const ScanTile>(tiles).subspan(begin, end - begin));
   }
-  std::vector<std::vector<VertexId>> out(nu);
+  CandidateScan out;
+  out.lists.resize(nu);
+  const size_t n = data_->num_vertices();
+  const size_t chunk =
+      ((n + num_slices - 1) / num_slices + kWarpSize - 1) / kWarpSize *
+      kWarpSize;
+  const size_t v_begin = std::min(n, slice * chunk);
+  const size_t v_end = std::min(n, v_begin + chunk);
   if (nu == 0 || v_begin >= v_end) return out;
-  const size_t n = v_end;
-  const size_t warps_per_u = (n - v_begin + kWarpSize - 1) / kWarpSize;
+  const size_t warps_per_u = (v_end - v_begin + kWarpSize - 1) / kWarpSize;
   std::vector<Label> ulabels(nu);
   std::vector<uint32_t> udegs(nu);
   std::vector<std::unordered_map<Label, uint32_t>> requirements(nu);
@@ -220,13 +254,13 @@ std::vector<std::vector<VertexId>> FilterContext::CandidateLists(
   // launches.
   gpusim::Launch(dev, nu * warps_per_u, [&](gpusim::Warp& w) {
     const VertexId u = static_cast<VertexId>(w.global_id() / warps_per_u);
-    VertexId v0 = v_begin + static_cast<VertexId>(
-                                (w.global_id() % warps_per_u) * kWarpSize);
-    size_t lanes = std::min<size_t>(kWarpSize, n - v0);
+    const VertexId v0 = static_cast<VertexId>(
+        v_begin + (w.global_id() % warps_per_u) * kWarpSize);
+    const size_t lanes = std::min<size_t>(kWarpSize, v_end - v0);
     LabelDegreeScanWarp(
         w, ulabels[u], udegs[u], requirements[u],
         options_.strategy == FilterStrategy::kLabelDegreeNeighbor, v0, lanes,
-        out[u]);
+        out.lists[u]);
   });
   return out;
 }
@@ -241,15 +275,19 @@ size_t FilterContext::num_data_vertices() const {
 
 Result<FilterResult> FilterContext::Filter(gpusim::Device& dev,
                                            const Graph& query) const {
-  std::vector<std::vector<VertexId>> lists;
   if (has_signatures_) {
-    lists = CandidateLists(dev, query);
-  } else {
-    const bool check_neighbors =
-        options_.strategy == FilterStrategy::kLabelDegreeNeighbor;
-    for (VertexId u = 0; u < query.num_vertices(); ++u) {
-      lists.push_back(LabelDegreeCandidates(dev, query, u, check_neighbors));
-    }
+    CandidateScan scan = CandidateLists(dev, query);
+    FilterResult result =
+        MakeFilterResult(dev, std::move(scan.lists), data_->num_vertices(),
+                         options_.build_bitmaps);
+    result.rows_scanned = scan.rows_scanned;
+    return result;
+  }
+  std::vector<std::vector<VertexId>> lists;
+  const bool check_neighbors =
+      options_.strategy == FilterStrategy::kLabelDegreeNeighbor;
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    lists.push_back(LabelDegreeCandidates(dev, query, u, check_neighbors));
   }
   return MakeFilterResult(dev, std::move(lists), data_->num_vertices(),
                           options_.build_bitmaps);

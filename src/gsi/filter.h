@@ -44,6 +44,9 @@ struct FilterResult {
   /// joining phase always begins from the minimum candidate set").
   size_t min_candidate_size = 0;
   VertexId min_candidate_vertex = kInvalidVertex;
+  /// Signature-table rows the scan read: the rows of the query labels'
+  /// buckets (0 under the label/degree strategies and on a cache hit).
+  uint64_t rows_scanned = 0;
 
   bool AnyEmpty() const {
     for (const CandidateSet& c : candidates) {
@@ -60,24 +63,41 @@ FilterResult MakeFilterResult(gpusim::Device& dev,
                               std::vector<std::vector<VertexId>> lists,
                               size_t num_data_vertices, bool build_bitmaps);
 
-/// GSI's signature filter (Section III-A, Fig. 8) over rows
-/// [row_begin, row_end) of `table`, for every query signature at once: one
-/// kernel, one warp per 32 rows, the query signatures staged in shared
-/// memory. Word 0 (the raw vertex label) is read once per warp and compared
-/// with every query vertex's label. Word i > 0 is read only if some query
-/// vertex with a live lane in the warp has a nonzero word i — a zero query
-/// word constrains nothing ((x & 0) == 0) — and is AND-tested against
-/// exactly those vertices. Survivors leave in one warp-aggregated store per
-/// query vertex, so list u is ascending. A warp's cost depends only on its
-/// 32 rows and the query.
-///
-/// Returns one list per query signature. Row r is reported as vertex r, or
-/// as row_ids[r] when row_ids is given (a partition's subset table, whose
-/// row i holds owned vertex row_ids[i]).
-std::vector<std::vector<VertexId>> ScanSignatures(
-    gpusim::Device& dev, const SignatureTable& table,
-    std::span<const Signature> qsigs, size_t row_begin, size_t row_end,
-    std::span<const VertexId> row_ids = {});
+/// One warp of the signature scan: rows [row_begin, row_end) of the
+/// bucket of `label`, inside one 32-row grid cell of the table.
+struct ScanTile {
+  size_t row_begin = 0;
+  size_t row_end = 0;
+  Label label = 0;
+};
+
+/// The scan's tiles for `qsigs`: each distinct query label's bucket cut at
+/// the table's 32-row grid lines, ascending by row. A label with no bucket
+/// contributes none.
+std::vector<ScanTile> ScanTiles(const SignatureTable& table,
+                                std::span<const Signature> qsigs);
+
+/// Output of one signature scan.
+struct CandidateScan {
+  /// One list per query signature, ascending.
+  std::vector<std::vector<VertexId>> lists;
+  /// Rows the scan's tiles cover.
+  uint64_t rows_scanned = 0;
+};
+
+/// GSI's signature filter (Section III-A, Fig. 8) over `tiles` of `table`,
+/// for every query signature at once: one kernel, one warp per tile, the
+/// query signatures staged in shared memory. The tile's label already
+/// settles the exact label test, so a warp tests only the query vertices
+/// of that label and never reads word 0. Word i > 0 is read only if one of
+/// them still has a live lane and a nonzero word i — a zero query word
+/// constrains nothing ((x & 0) == 0). A warp with a survivor reads its
+/// rows' vertex ids from the row map in one coalesced load, and survivors
+/// leave in one warp-aggregated store per query vertex. A warp's cost
+/// depends only on its tile and the query. No tiles, no launch.
+CandidateScan ScanSignatures(gpusim::Device& dev, const SignatureTable& table,
+                             std::span<const Signature> qsigs,
+                             std::span<const ScanTile> tiles);
 
 /// Precomputed device-side filtering context for a data graph ("we offline
 /// compute all vertex signatures in G and record them in a signature
@@ -88,10 +108,10 @@ class FilterContext {
                 const FilterOptions& options);
 
   /// Runs the filtering phase for `query`, producing candidate sets: one
-  /// ScanSignatures pass over all of |V(G)| (the label/degree strategies
-  /// launch one kernel per query vertex instead, as GpSM and GunrockSM
-  /// do), then MakeFilterResult. Costs are charged to the context's build
-  /// device.
+  /// ScanSignatures pass over the query labels' buckets (the label/degree
+  /// strategies launch one kernel per query vertex over all of |V(G)|
+  /// instead, as GpSM and GunrockSM do), then MakeFilterResult. Costs are
+  /// charged to the context's build device.
   Result<FilterResult> Filter(const Graph& query) const;
 
   /// Same, but charges all device work (and allocates candidate buffers)
@@ -99,17 +119,17 @@ class FilterContext {
   /// are only read, so concurrent calls with distinct devices are safe.
   Result<FilterResult> Filter(gpusim::Device& dev, const Graph& query) const;
 
-  /// Candidate lists of every query vertex over the data-vertex range
-  /// [v_begin, v_end), as one kernel — the unit the sharded filter stage
-  /// fans out across devices. v_end is clamped to |V(G)|. Lists are
-  /// ascending, so range results concatenated in order equal the whole
-  /// range's; with a 32-aligned v_begin each range issues exactly the warps
-  /// of the matching stretch of a whole scan, so counters sum to it too.
-  /// The signature strategy runs ScanSignatures; the label/degree
-  /// strategies run one fused kernel over (query vertex, 32 rows) warps.
-  std::vector<std::vector<VertexId>> CandidateLists(
-      gpusim::Device& dev, const Graph& query, VertexId v_begin = 0,
-      VertexId v_end = kInvalidVertex) const;
+  /// Candidate lists of every query vertex from share `slice` of
+  /// `num_slices` contiguous shares of the scan, as one kernel — the unit
+  /// the sharded filter stage fans out across devices. The signature
+  /// strategy splits the query's ScanTiles list; the label/degree
+  /// strategies split |V(G)| into 32-aligned ranges and run one fused
+  /// kernel over (query vertex, 32 rows) warps. Either way each share
+  /// issues exactly its warps of the whole scan, so share lists
+  /// concatenated in order equal the whole scan's lists and counters sum
+  /// to it. An empty share launches nothing.
+  CandidateScan CandidateLists(gpusim::Device& dev, const Graph& query,
+                               size_t slice = 0, size_t num_slices = 1) const;
 
   const FilterOptions& options() const { return options_; }
   /// |V(G)| of the data graph the context was built for (the bitset width

@@ -157,6 +157,7 @@ Result<FilterResult> RunFilterStage(gpusim::Device& dev,
   stats.min_candidate_size = filtered->min_candidate_size;
   span.AddAttr("min_candidate_size",
                static_cast<uint64_t>(filtered->min_candidate_size));
+  span.AddAttr("rows_scanned", filtered->rows_scanned);
   return filtered;
 }
 

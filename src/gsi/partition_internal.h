@@ -9,32 +9,17 @@
 #include <vector>
 
 #include "gpusim/device.h"
-#include "gsi/filter.h"
 #include "gsi/halo_cache.h"
 #include "gsi/match_table.h"
 #include "gsi/partition.h"
 #include "gsi/result_manifest.h"
 #include "storage/pcsr.h"
-#include "storage/signature.h"
-#include "storage/signature_table.h"
 
 // Execution building blocks of the partitioned data-graph path
 // (gsi/replication.h; the partitioners live in gsi/partition.h).
 // Implementation detail — include only from gsi/*.cc.
 
 namespace gsi::internal {
-
-/// Signature scan of one partition's owned vertices: ScanSignatures over
-/// every row of the partition's subset table, reporting local row i as
-/// owned[i]. Subset rows hold the same signatures as the replicated table,
-/// so each list is the ascending subsequence of the replicated scan's list
-/// that the partition owns; only the row space (owned vertices instead of
-/// all of |V|) and the billing device differ.
-inline std::vector<std::vector<VertexId>> ScanOwnedSignatures(
-    gpusim::Device& dev, const SignatureTable& table,
-    std::span<const VertexId> owned, std::span<const Signature> qsigs) {
-  return ScanSignatures(dev, table, qsigs, 0, owned.size(), owned);
-}
 
 /// K-way merge of per-partition survivor lists for one query vertex (each
 /// ascending, value sets disjoint because partitions own disjoint vertex

@@ -9,6 +9,7 @@
 
 #include "gpusim/launch.h"
 #include "gsi/fault.h"
+#include "gsi/filter.h"
 #include "gsi/join.h"
 #include "gsi/partition_internal.h"
 #include "gsi/plan.h"
@@ -305,14 +306,16 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
   const std::vector<Signature> qsigs = Signature::EncodeAll(query, nbits);
 
   // --- Scan phase: each selected device scans the signature shares of its
-  // partitions back-to-back (one ScanSignatures kernel per partition — a
-  // lane's partitions serialize on its device, lanes run concurrently).
+  // partitions back-to-back (one ScanSignatures kernel per partition over
+  // the share's buckets of the query labels — a lane's partitions
+  // serialize on its device, lanes run concurrently). A share's row map
+  // holds global vertex ids, so its lists need no translation.
   const Lanes lanes = LanesOf(rg, sel);
   gpusim::Device& primary = rg.device(lanes.devices[0]);
   const obs::DeviceCycleClock primary_clock(primary);
   obs::ScopedSpan filter_span(trace, "filter", primary_clock,
                               static_cast<int32_t>(lanes.devices[0]));
-  std::vector<std::vector<std::vector<VertexId>>> partial(k);  // [p][u]
+  std::vector<CandidateScan> partial(k);
   std::vector<double> lane_scan_ms(lanes.devices.size(), 0);
   std::vector<gpusim::MemStats> scan_mem(k);
   {
@@ -329,10 +332,12 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
           obs::ScopedSpan span(lane_span.context(), "partition_scan", clock);
           span.AddAttr("partition", static_cast<uint64_t>(p));
           span.AddAttr("vertices", static_cast<uint64_t>(rg.owned(p).size()));
+          const SignatureTable& table = rg.signatures(p, sel.choice[p]);
           const gpusim::MemStats before = dev.stats();
-          partial[p] = internal::ScanOwnedSignatures(
-              dev, rg.signatures(p, sel.choice[p]), rg.owned(p), qsigs);
+          partial[p] =
+              ScanSignatures(dev, table, qsigs, ScanTiles(table, qsigs));
           scan_mem[p] = dev.stats() - before;
+          span.AddAttr("rows_scanned", partial[p].rows_scanned);
           lane_scan_ms[lane] += scan_mem[p].SimulatedMs(dev.config());
         }
       });
@@ -364,15 +369,19 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
   for (VertexId u = 0; u < nu; ++u) {
     std::vector<const std::vector<VertexId>*> lists(k);
     for (PartitionId p = 0; p < k; ++p) {
-      lists[p] = &partial[p][u];
+      lists[p] = &partial[p].lists[u];
       if (lanes.devices[lanes.lane_of[p]] != lanes.devices[0]) {
-        halo += partial[p][u].size() * sizeof(VertexId);
+        halo += partial[p].lists[u].size() * sizeof(VertexId);
       }
     }
     merged[u] = internal::MergeAscendingDisjoint(lists);
   }
   FilterResult result = MakeFilterResult(primary, std::move(merged), n,
                                          rg.options().filter.build_bitmaps);
+  for (const CandidateScan& scan : partial) {
+    result.rows_scanned += scan.rows_scanned;
+  }
+  filter_span.AddAttr("rows_scanned", result.rows_scanned);
   primary.ChargeRemoteTransfer(halo);
   gather_span.AddAttr("halo_bytes", halo);
   if (Status h = CheckDeviceHealthy(primary, "candidate_gather"); !h.ok()) {

@@ -14,8 +14,6 @@
 
 namespace gsi {
 
-using gpusim::kWarpSize;
-
 Result<FilterResult> RunFilterStageSharded(
     std::span<gpusim::Device* const> devs, const FilterContext& filter,
     const Graph& query, QueryStats& stats, double* parallel_ms,
@@ -38,21 +36,17 @@ Result<FilterResult> RunFilterStageSharded(
         "query must be connected (run components separately)");
   }
 
-  // --- Scan phase: device d scans the d-th slice of the data-vertex range
-  // for every query vertex (the signature table is shared and read-only).
-  // Slice boundaries are 32-aligned, so each range scan issues exactly the
-  // warps the corresponding stretch of a whole scan would — candidate
-  // values AND summed transaction counters match the single-device stage;
-  // only the devices footing the bill differ.
+  // --- Scan phase: device d scans the d-th contiguous share of the query's
+  // scan (FilterContext::CandidateLists; the signature table is shared and
+  // read-only). Each share issues exactly its warps of a whole scan, so
+  // candidate values AND summed transaction counters match the
+  // single-device stage; only the devices footing the bill differ.
   const size_t nu = query.num_vertices();
   const size_t num_devs = devs.size();
-  const size_t n = filter.num_data_vertices();
-  const size_t chunk =
-      ((n + num_devs - 1) / num_devs + kWarpSize - 1) / kWarpSize * kWarpSize;
   const obs::DeviceCycleClock primary_clock(primary);
   obs::ScopedSpan filter_span(trace, "filter", primary_clock,
                               primary.ordinal());
-  std::vector<std::vector<std::vector<VertexId>>> partial(num_devs);
+  std::vector<CandidateScan> partial(num_devs);
   std::vector<gpusim::MemStats> scan_mem(num_devs);
   ThreadPool pool(num_devs);
   for (size_t d = 0; d < num_devs; ++d) {
@@ -62,16 +56,9 @@ Result<FilterResult> RunFilterStageSharded(
       obs::ScopedSpan span(filter_span.context(), "shard_scan", clock,
                            dev.ordinal());
       const gpusim::MemStats before = dev.stats();
-      const size_t begin = std::min(n, d * chunk);
-      const size_t end = std::min(n, begin + chunk);
-      if (begin < end) {
-        partial[d] = filter.CandidateLists(dev, query,
-                                           static_cast<VertexId>(begin),
-                                           static_cast<VertexId>(end));
-      } else {
-        partial[d].resize(nu);
-      }
+      partial[d] = filter.CandidateLists(dev, query, d, num_devs);
       scan_mem[d] = dev.stats() - before;
+      span.AddAttr("rows_scanned", partial[d].rows_scanned);
     });
   }
   pool.Wait();
@@ -83,20 +70,25 @@ Result<FilterResult> RunFilterStageSharded(
     }
   }
 
-  // --- Build phase: the range-concatenated lists (ascending ranges of
-  // ascending ids: already sorted) become the query's candidate sets on
-  // the primary, in one bitset kernel. The buffers are valid on any
-  // device — the join charges its own reads.
+  // --- Build phase: the share-concatenated lists (each u's share lists
+  // follow one another in row order: already sorted) become the query's
+  // candidate sets on the primary, in one bitset kernel. The buffers are
+  // valid on any device — the join charges its own reads.
   std::vector<std::vector<VertexId>> lists(nu);
-  for (VertexId u = 0; u < nu; ++u) {
-    for (size_t d = 0; d < num_devs; ++d) {
-      lists[u].insert(lists[u].end(), partial[d][u].begin(),
-                      partial[d][u].end());
+  uint64_t rows_scanned = 0;
+  for (const CandidateScan& scan : partial) {
+    for (VertexId u = 0; u < nu; ++u) {
+      lists[u].insert(lists[u].end(), scan.lists[u].begin(),
+                      scan.lists[u].end());
     }
+    rows_scanned += scan.rows_scanned;
   }
+  filter_span.AddAttr("rows_scanned", rows_scanned);
   const gpusim::MemStats before_build = primary.stats();
-  FilterResult result = MakeFilterResult(primary, std::move(lists), n,
-                                         filter.options().build_bitmaps);
+  FilterResult result =
+      MakeFilterResult(primary, std::move(lists), filter.num_data_vertices(),
+                       filter.options().build_bitmaps);
+  result.rows_scanned = rows_scanned;
   const gpusim::MemStats build_mem = primary.stats() - before_build;
   if (Status h = CheckDeviceHealthy(primary, "filter"); !h.ok()) return h;
 

@@ -27,8 +27,9 @@ struct ShardOptions {
 };
 
 /// Filtering phase fanned out over `devs`: device d scans the d-th
-/// 32-aligned slice of the data-vertex range for every query vertex, then
-/// the primary (devs[0]) builds all candidate sets from the concatenated
+/// contiguous share of the query's scan (FilterContext::CandidateLists:
+/// the query labels' signature tiles) for every query vertex, then the
+/// primary (devs[0]) builds all candidate sets from the concatenated
 /// lists in one MakeFilterResult call. The FilterResult is identical to
 /// single-device RunFilterStage — only the devices footing the bill
 /// differ; `stats.filter` sums all devices' counters and `parallel_ms`

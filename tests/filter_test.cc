@@ -9,7 +9,9 @@
 #include <tuple>
 
 #include "baselines/oracle.h"
+#include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "graph/labeler.h"
 #include "gsi/filter.h"
 #include "gsi/matcher.h"
 #include "gsi/replication.h"
@@ -164,14 +166,30 @@ struct ScanInput {
   std::vector<Graph> queries;
 };
 
-/// Seeded scan inputs: a scale-free and a hub graph, neither a multiple of
-/// 32 vertices (the last warp is partial). Each gets random 5-vertex
-/// queries — on the 2-label graph every one repeats a label — and a
-/// one-vertex query.
+/// A scale-free graph whose vertex labels follow a steep power law
+/// (Zipf exponent `alpha`): one bucket holds most rows, the rarest hold a
+/// handful, and bucket edges fall anywhere inside the 32-row grid.
+Graph LabelSkewedGraph(size_t n, size_t num_vlabels, double alpha,
+                       uint64_t seed) {
+  Rng rng(seed);
+  std::vector<RawEdge> edges = GenerateScaleFree(n, 3, rng);
+  LabelConfig lc;
+  lc.num_vertex_labels = num_vlabels;
+  lc.num_edge_labels = 3;
+  lc.alpha = alpha;
+  lc.seed = seed + 1;
+  return AssignLabels(n, edges, lc).value();
+}
+
+/// Seeded scan inputs: a scale-free, a hub and two label-skewed graphs,
+/// none a multiple of 32 vertices. Each gets random 5-vertex queries — on
+/// the 2-label graph every one repeats a label — and a one-vertex query.
 std::vector<ScanInput> ScanInputs() {
   std::vector<ScanInput> inputs;
   inputs.push_back({RandomGraph(1000, 3, 2, 3, 21), {}});
   inputs.push_back({RandomHubGraph(700, 3, 3, 4, 22, 2, 0.2), {}});
+  inputs.push_back({LabelSkewedGraph(900, 6, 2.0, 24), {}});
+  inputs.push_back({LabelSkewedGraph(1100, 12, 1.5, 25), {}});
   for (ScanInput& in : inputs) {
     in.queries = RandomQuerySet(in.data, 5, 3, 23);
     in.queries.push_back(OneVertexQuery(in.data.vertex_label(0)));
@@ -231,33 +249,35 @@ TEST_P(SignatureScanSuite, AlignedSlicesSumToTheWholeScan) {
   for (const ScanInput& in : ScanInputs()) {
     gpusim::Device build_dev;
     FilterContext ctx(build_dev, in.data, Options());
-    const size_t n = in.data.num_vertices();
     for (const Graph& q : in.queries) {
       gpusim::Device whole_dev;
       Result<FilterResult> whole = ctx.Filter(whole_dev, q);
       ASSERT_TRUE(whole.ok());
       EXPECT_EQ(whole_dev.stats().kernel_launches, 1u);
-      for (size_t slice : {32, 96, 320}) {
+      // Contiguous shares of the query's tile list, down to one tile each.
+      for (size_t slices : {2, 3, 7, 1000}) {
         gpusim::Device sliced_dev;
         std::vector<std::vector<VertexId>> cat(q.num_vertices());
-        for (size_t b = 0; b < n; b += slice) {
-          std::vector<std::vector<VertexId>> part = ctx.CandidateLists(
-              sliced_dev, q, static_cast<VertexId>(b),
-              static_cast<VertexId>(b + slice));
+        uint64_t rows = 0;
+        for (size_t s = 0; s < slices; ++s) {
+          CandidateScan part = ctx.CandidateLists(sliced_dev, q, s, slices);
           for (VertexId u = 0; u < q.num_vertices(); ++u) {
-            cat[u].insert(cat[u].end(), part[u].begin(), part[u].end());
+            cat[u].insert(cat[u].end(), part.lists[u].begin(),
+                          part.lists[u].end());
           }
+          rows += part.rows_scanned;
         }
         const gpusim::MemStats& whole_mem = whole_dev.stats();
         const gpusim::MemStats& slice_mem = sliced_dev.stats();
-        EXPECT_EQ(slice_mem.gld, whole_mem.gld) << "slice " << slice;
-        EXPECT_EQ(slice_mem.gst, whole_mem.gst) << "slice " << slice;
-        EXPECT_EQ(slice_mem.alu_ops, whole_mem.alu_ops) << "slice " << slice;
+        EXPECT_EQ(slice_mem.gld, whole_mem.gld) << "slices " << slices;
+        EXPECT_EQ(slice_mem.gst, whole_mem.gst) << "slices " << slices;
+        EXPECT_EQ(slice_mem.alu_ops, whole_mem.alu_ops) << "slices " << slices;
         EXPECT_EQ(slice_mem.shared_accesses, whole_mem.shared_accesses)
-            << "slice " << slice;
+            << "slices " << slices;
+        EXPECT_EQ(rows, whole->rows_scanned) << "slices " << slices;
         for (VertexId u = 0; u < q.num_vertices(); ++u) {
           EXPECT_EQ(cat[u], HostList(whole->candidates[u]))
-              << "slice " << slice << " u=" << u;
+              << "slices " << slices << " u=" << u;
         }
       }
     }
@@ -283,8 +303,10 @@ TEST_P(SignatureScanSuite, OwnedScansMergeToTheWholeLists) {
       const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
       std::vector<std::vector<std::vector<VertexId>>> partial;
       for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
-        partial.push_back(internal::ScanOwnedSignatures(
-            pg->device(p), pg->signatures(p, 0), pg->owned(p), qsigs));
+        const SignatureTable& share = pg->signatures(p, 0);
+        partial.push_back(ScanSignatures(pg->device(p), share, qsigs,
+                                         ScanTiles(share, qsigs))
+                              .lists);
       }
       for (VertexId u = 0; u < q.num_vertices(); ++u) {
         std::vector<const std::vector<VertexId>*> lists;
@@ -311,40 +333,91 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// Counters of a bitmaps-off filter of `query` on a fresh context over
+/// `data`.
+gpusim::MemStats FilterCost(const Graph& data, const Graph& query,
+                            int nbits) {
+  gpusim::Device dev;
+  FilterOptions fo;
+  fo.signature_bits = nbits;
+  fo.build_bitmaps = false;
+  FilterContext ctx(dev, data, fo);
+  const gpusim::MemStats before = dev.stats();
+  EXPECT_TRUE(ctx.Filter(query).ok());
+  return dev.stats() - before;
+}
+
 TEST(SignatureScanCost, OneVertexQueryLoadsOneTransactionPerWarp) {
-  // A one-vertex query has no neighbours, so its words 1.. are zero and
-  // constrain nothing: each warp reads only word 0, one 128B line of 32
-  // column-major labels.
+  // A one-label query issues exactly its bucket's grid tiles. A one-vertex
+  // query has no neighbours, so its words 1.. are zero and constrain
+  // nothing: every row of its label's bucket survives. Each tile is one
+  // warp that reads only its slice of the row map (one 128B line: a tile
+  // never crosses a 32-row grid cell) and stores its survivors — a word-0
+  // read would add one more line per tile.
   for (size_t n : {1000, 1024}) {
     Graph data = RandomGraph(n, 3, 4, 3, 31);
+    gpusim::Device dev;
     for (int nbits : {64, 128, 256, 512}) {
-      gpusim::Device dev;
-      FilterOptions fo;
-      fo.signature_bits = nbits;
-      fo.build_bitmaps = false;
-      FilterContext ctx(dev, data, fo);
-      const gpusim::MemStats before = dev.stats();
-      ASSERT_TRUE(ctx.Filter(OneVertexQuery(data.vertex_label(0))).ok());
-      const gpusim::MemStats used = dev.stats() - before;
-      EXPECT_EQ(used.gld, (n + 31) / 32) << "n=" << n << " N=" << nbits;
-      EXPECT_EQ(used.kernel_launches, 1u);
+      SignatureTable table = SignatureTable::Build(dev, data, nbits);
+      for (Label l = 0; l < 4; ++l) {
+        const Graph q = OneVertexQuery(l);
+        const std::vector<ScanTile> tiles =
+            ScanTiles(table, Signature::EncodeAll(q, nbits));
+        // The bucket's rows, cut at every multiple of 32 and nowhere else.
+        const SignatureTable::RowRange rows = table.LabelRows(l);
+        ASSERT_EQ(rows.size(), data.VertexLabelFrequency(l));
+        size_t expect_begin = rows.begin;
+        for (const ScanTile& t : tiles) {
+          EXPECT_EQ(t.label, l);
+          EXPECT_EQ(t.row_begin, expect_begin);
+          EXPECT_EQ(t.row_begin / kWarpSize, (t.row_end - 1) / kWarpSize);
+          EXPECT_TRUE(t.row_end == rows.end || t.row_end % kWarpSize == 0);
+          expect_begin = t.row_end;
+        }
+        EXPECT_EQ(expect_begin, rows.end);
+
+        const gpusim::MemStats used = FilterCost(data, q, nbits);
+        EXPECT_EQ(used.kernel_launches, 1u);
+        EXPECT_EQ(used.gld, tiles.size()) << "n=" << n << " N=" << nbits;
+        EXPECT_EQ(used.gst, tiles.size()) << "n=" << n << " N=" << nbits;
+      }
     }
   }
 }
 
+TEST(SignatureScanCost, AbsentQueryLabelGivesEmptyListAndOneLaunch) {
+  // No bucket, no tile: the scan launches nothing and the one launch is
+  // the bitset kernel over the empty list.
+  Graph data = RandomGraph(1000, 3, 4, 3, 32);
+  gpusim::Device dev;
+  FilterContext ctx(dev, data, FilterOptions());
+  const gpusim::MemStats before = dev.stats();
+  Result<FilterResult> r = ctx.Filter(OneVertexQuery(4));
+  ASSERT_TRUE(r.ok());
+  const gpusim::MemStats used = dev.stats() - before;
+  EXPECT_TRUE(r->candidates[0].empty());
+  EXPECT_EQ(r->rows_scanned, 0u);
+  EXPECT_EQ(used.kernel_launches, 1u);
+  EXPECT_EQ(used.gld, 0u);
+}
+
 TEST(SignatureScanCost, ReadsEachColumnAtMostOncePerWarp) {
-  // 1024 rows: every column starts on a 128B line, so a warp's read of one
-  // word is one transaction, and no query size can make it read more than
-  // all 16 words once.
+  // A tile lies inside one 32-row grid cell; with 1024 rows every column
+  // starts on a 128B line, so a warp's read of one word or of the row map
+  // is one transaction, and no query size can make a tile read more than
+  // words 1..15 and the row map once each.
   Graph data = RandomGraph(1024, 4, 2, 2, 33);
   gpusim::Device dev;
   FilterOptions fo;
   fo.build_bitmaps = false;
   FilterContext ctx(dev, data, fo);
+  SignatureTable table = SignatureTable::Build(dev, data, kMaxSignatureBits);
   for (const Graph& q : RandomQuerySet(data, 8, 4, 34)) {
+    const size_t tiles =
+        ScanTiles(table, Signature::EncodeAll(q, kMaxSignatureBits)).size();
     const gpusim::MemStats before = dev.stats();
     ASSERT_TRUE(ctx.Filter(q).ok());
-    EXPECT_LE((dev.stats() - before).gld, 32u * kSignatureWords);
+    EXPECT_LE((dev.stats() - before).gld, tiles * kSignatureWords);
   }
 }
 

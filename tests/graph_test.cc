@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <utility>
 #include <unordered_set>
 
 #include "graph/datasets.h"
@@ -240,6 +242,22 @@ TEST(Generators, SuperHubsRaiseMaxDegree) {
   size_t hub_max = *std::max_element(hub_deg.begin(), hub_deg.end());
   EXPECT_GE(hub_max, 800u);  // ~5% of 20000 minus collisions
   EXPECT_GT(hub_max, 2 * plain_max);
+}
+
+TEST(Generators, HubReachesOneMinusExpOfItsFraction) {
+  // A hub draws hub_fraction * n targets with replacement and drops
+  // repeats, so it reaches about (1 - e^-f) * n vertices, not f * n: 890,
+  // not 1350, at n = 1500 and f = 0.9.
+  for (const auto& [n, f] : {std::pair<size_t, double>{1500, 0.9},
+                             std::pair<size_t, double>{4000, 0.6}}) {
+    Graph g = testing::RandomHubGraph(n, 2, 3, 1, 61, 2, f);
+    const double reach = (1.0 - std::exp(-f)) * static_cast<double>(n);
+    EXPECT_NEAR(static_cast<double>(g.max_degree()), reach, 0.03 * reach)
+        << "n=" << n << " f=" << f;
+    EXPECT_LT(static_cast<double>(g.max_degree()),
+              0.8 * f * static_cast<double>(n))
+        << "n=" << n << " f=" << f;
+  }
 }
 
 TEST(Generators, TriadFormationAddsTriangles) {

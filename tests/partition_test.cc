@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,14 +185,21 @@ TEST(PartitionedGraphBuild, SignatureOwnershipMatchesVertexOwnership) {
     std::span<const VertexId> owned = pg->owned(p);
     const SignatureTable& table = pg->signatures(p, 0);
     ASSERT_EQ(table.num_vertices(), owned.size());
-    for (size_t i = 0; i < owned.size(); ++i) {
-      EXPECT_EQ(pg->OwnerOf(owned[i]), p);
-      const Signature expect = Signature::Encode(g, owned[i], nbits);
+    // The row map reaches every owned vertex exactly once, and each row
+    // holds its vertex's signature.
+    std::vector<VertexId> rows_of;
+    for (size_t r = 0; r < table.num_vertices(); ++r) {
+      const VertexId v = table.VertexAt(r);
+      rows_of.push_back(v);
+      EXPECT_EQ(pg->OwnerOf(v), p);
+      const Signature expect = Signature::Encode(g, v, nbits);
       for (int w = 0; w < table.words_per_sig(); ++w) {
-        ASSERT_EQ(table.WordAt(static_cast<VertexId>(i), w), expect.word(w))
-            << "partition " << p << " vertex " << owned[i] << " word " << w;
+        ASSERT_EQ(table.WordAt(r, w), expect.word(w))
+            << "partition " << p << " vertex " << v << " word " << w;
       }
     }
+    std::ranges::sort(rows_of);
+    EXPECT_TRUE(std::ranges::equal(rows_of, owned)) << "partition " << p;
     owned_total += owned.size();
   }
   EXPECT_EQ(owned_total, g.num_vertices());

@@ -158,10 +158,14 @@ TEST(ReplicatedGraphBuild, ShareContentIsIdenticalAcrossReplicas) {
     const SignatureTable& b = rg->signatures(p, 1);
     ASSERT_EQ(a.num_vertices(), b.num_vertices());
     ASSERT_EQ(a.num_vertices(), rg->owned(p).size());
-    for (VertexId i = 0; i < a.num_vertices(); ++i) {
+    for (size_t r = 0; r < a.num_vertices(); ++r) {
+      ASSERT_EQ(a.VertexAt(r), b.VertexAt(r))
+          << "partition " << p << " row " << r;
+      EXPECT_EQ(rg->OwnerOf(a.VertexAt(r)), p);
       for (int w = 0; w < a.words_per_sig(); ++w) {
-        ASSERT_EQ(a.WordAt(i, w), b.WordAt(i, w))
-            << "partition " << p << " row " << i << " word " << w;
+        ASSERT_EQ(a.WordAt(r, w), b.WordAt(r, w))
+            << "partition " << p << " vertex " << a.VertexAt(r) << " word "
+            << w;
       }
     }
     // StoreOn resolves each placement entry to its resident share.

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <utility>
 
 #include "baselines/oracle.h"
 #include "gpusim/launch.h"
@@ -293,6 +295,57 @@ TEST(SignatureTable, LayoutsHoldSameData) {
   for (VertexId v = 0; v < g.num_vertices(); v += 7) {
     for (int w = 0; w < 16; ++w) {
       EXPECT_EQ(row.WordAt(v, w), col.WordAt(v, w));
+    }
+  }
+}
+
+/// Checks `t`'s bucketed layout over `vertices` (ascending): rows grouped
+/// by label in ascending label order, ids ascending inside a bucket, each
+/// LabelRows range exactly its label's rows, word 0 each row's label, and
+/// the row map a permutation of `vertices`.
+void ExpectBucketedRows(const Graph& g, const SignatureTable& t,
+                        const std::vector<VertexId>& vertices) {
+  ASSERT_EQ(t.num_vertices(), vertices.size());
+  std::vector<VertexId> mapped;
+  for (size_t r = 0; r < t.num_vertices(); ++r) {
+    const VertexId v = t.VertexAt(r);
+    mapped.push_back(v);
+    EXPECT_EQ(t.WordAt(r, 0), g.vertex_label(v)) << "row " << r;
+    if (r > 0) {
+      const VertexId prev = t.VertexAt(r - 1);
+      EXPECT_LT(std::pair(g.vertex_label(prev), prev),
+                std::pair(g.vertex_label(v), v))
+          << "row " << r;
+    }
+  }
+  std::ranges::sort(mapped);
+  EXPECT_EQ(mapped, vertices);
+  size_t covered = 0;
+  for (const auto& [label, count] : g.vertex_label_counts()) {
+    const SignatureTable::RowRange rows = t.LabelRows(label);
+    for (size_t r = rows.begin; r < rows.end; ++r) {
+      EXPECT_EQ(g.vertex_label(t.VertexAt(r)), label) << "row " << r;
+    }
+    covered += rows.size();
+  }
+  EXPECT_EQ(covered, t.num_vertices());
+  EXPECT_EQ(t.LabelRows(1000).size(), 0u);  // no such label
+}
+
+TEST(SignatureTable, RowsAreBucketedByLabelWithIdsAscending) {
+  Graph g = RandomGraph(500, 3, 7, 3, 86);
+  gpusim::Device dev;
+  for (SignatureTable::Layout layout : {SignatureTable::Layout::kColumnMajor,
+                                        SignatureTable::Layout::kRowMajor}) {
+    std::vector<VertexId> all(g.num_vertices());
+    std::iota(all.begin(), all.end(), VertexId{0});
+    ExpectBucketedRows(g, SignatureTable::Build(dev, g, 512, layout), all);
+    // Three shares, each with its own buckets and row map.
+    for (VertexId p = 0; p < 3; ++p) {
+      std::vector<VertexId> share;
+      for (VertexId v = p; v < g.num_vertices(); v += 3) share.push_back(v);
+      ExpectBucketedRows(
+          g, SignatureTable::BuildSubset(dev, g, share, 512, layout), share);
     }
   }
 }

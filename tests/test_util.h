@@ -32,7 +32,8 @@ inline Graph RandomGraph(size_t n, size_t edges_per_vertex,
 }
 
 /// Random labeled power-law graph with planted super-hubs: `num_hubs`
-/// vertices each adjacent to a `hub_fraction` share of the graph. Hubs are
+/// vertices, each adjacent to about (1 - e^-hub_fraction) of the graph
+/// (GenerateScaleFree draws hub targets with replacement). Hubs are
 /// what make remote-probe caching matter — every partition's join walks the
 /// same few high-degree rows over and over — so halo-cache property tests
 /// sweep this shape alongside the plain scale-free one. Deterministic in

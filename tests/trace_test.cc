@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -331,6 +332,101 @@ TEST(TraceDeterminism, PartitionedTraceCoversEveryPartitionAndJoinStep) {
     }
   }
   for (size_t p = 0; p < 4; ++p) EXPECT_TRUE(seen[p]) << "partition " << p;
+}
+
+/// The value of `span`'s attribute `key` ("" when absent).
+std::string AttrOf(const TraceSpan& span, const std::string& key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+/// Sum of attribute `key` over every span named `name`.
+uint64_t SumAttr(const std::vector<TraceSpan>& spans, const std::string& name,
+                 const std::string& key) {
+  uint64_t sum = 0;
+  for (const TraceSpan& s : spans) {
+    if (s.name == name) sum += std::stoull(AttrOf(s, key));
+  }
+  return sum;
+}
+
+TEST(TraceAttrs, FilterRowsScannedAreTheQueryLabelBuckets) {
+  Fixture f;
+  std::set<Label> labels(f.query.vertex_labels().begin(),
+                         f.query.vertex_labels().end());
+  uint64_t bucket_rows = 0;
+  for (Label l : labels) bucket_rows += f.data.VertexLabelFrequency(l);
+  ASSERT_LT(bucket_rows, f.data.num_vertices());
+  QueryEngine engine(f.data, GsiOptOptions());
+
+  // Single device: the one scan reads exactly the query labels' buckets.
+  {
+    Tracer tracer;
+    ASSERT_TRUE(engine
+                    .Execute({.query = &f.query,
+                              .trace = TraceContext{&tracer, -1, kHostDevice}})
+                    .ok());
+    const std::vector<TraceSpan> spans = tracer.Snapshot();
+    ASSERT_NE(FindSpan(spans, "filter"), nullptr);
+    EXPECT_EQ(AttrOf(*FindSpan(spans, "filter"), "rows_scanned"),
+              std::to_string(bucket_rows));
+  }
+  // Partitioned at R = 1 and R = 2: the shares' buckets partition the
+  // query labels' rows, so the partition scans sum to the same count.
+  for (size_t replicas : {1, 2}) {
+    std::vector<std::unique_ptr<gpusim::Device>> owned;
+    std::vector<gpusim::Device*> devs;
+    for (size_t i = 0; i < 4; ++i) {
+      owned.push_back(
+          std::make_unique<gpusim::Device>(engine.options().device));
+      devs.push_back(owned.back().get());
+    }
+    Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
+        devs, f.data, engine.options(), HashVertexPartitioner(),
+        /*partitions=*/4, replicas);
+    ASSERT_TRUE(rg.ok());
+    const ReplicaSelection sel = CompactSelection(*rg);
+    Tracer tracer;
+    ASSERT_TRUE(engine
+                    .Execute({.query = &f.query,
+                              .replicated = &*rg,
+                              .selection = &sel,
+                              .trace = TraceContext{&tracer, -1, kHostDevice}})
+                    .ok());
+    const std::vector<TraceSpan> spans = tracer.Snapshot();
+    ASSERT_NE(FindSpan(spans, "filter"), nullptr);
+    EXPECT_EQ(AttrOf(*FindSpan(spans, "filter"), "rows_scanned"),
+              std::to_string(bucket_rows))
+        << "R=" << replicas;
+    EXPECT_EQ(CountSpans(spans, "partition_scan"), 4u) << "R=" << replicas;
+    EXPECT_EQ(SumAttr(spans, "partition_scan", "rows_scanned"), bucket_rows)
+        << "R=" << replicas;
+  }
+  // Sharded: the devices' shares of the tile list sum to the same count.
+  {
+    std::vector<std::unique_ptr<gpusim::Device>> owned;
+    std::vector<gpusim::Device*> devs;
+    for (int i = 0; i < 3; ++i) {
+      owned.push_back(
+          std::make_unique<gpusim::Device>(engine.options().device));
+      devs.push_back(owned.back().get());
+    }
+    Tracer tracer;
+    ASSERT_TRUE(engine
+                    .ExecutePaged(
+                        {.query = &f.query,
+                         .devices = devs,
+                         .trace = TraceContext{&tracer, -1, kHostDevice}})
+                    .ok());
+    const std::vector<TraceSpan> spans = tracer.Snapshot();
+    ASSERT_NE(FindSpan(spans, "filter"), nullptr);
+    EXPECT_EQ(AttrOf(*FindSpan(spans, "filter"), "rows_scanned"),
+              std::to_string(bucket_rows));
+    EXPECT_EQ(CountSpans(spans, "shard_scan"), 3u);
+    EXPECT_EQ(SumAttr(spans, "shard_scan", "rows_scanned"), bucket_rows);
+  }
 }
 
 TEST(TraceDeterminism, DisabledTracerLeavesResultsUntouched) {
