@@ -50,6 +50,17 @@ LookbackScan::LookbackScan(Device& dev, size_t num_blocks)
 
 void LookbackScan::ScanBlock(Block& block, std::span<const uint32_t> vals,
                              std::span<uint64_t> prefix) {
+  Scan(block, vals, prefix);
+}
+
+void LookbackScan::ScanBlock(Block& block, std::span<const uint64_t> vals,
+                             std::span<uint64_t> prefix) {
+  Scan(block, vals, prefix);
+}
+
+template <typename T>
+void LookbackScan::Scan(Block& block, std::span<const T> vals,
+                        std::span<uint64_t> prefix) {
   const size_t b = block.id();
   GSI_CHECK_MSG(b == next_block_ && b < descriptors_.size(),
                 "LookbackScan blocks must scan once each, in block order");

@@ -25,7 +25,9 @@ uint64_t ExclusiveScan(Device& dev, const DeviceBuffer<uint32_t>& values,
 ///
 /// Each block stages its values in shared memory and calls ScanBlock once,
 /// in block order. The scan keeps one 8-byte descriptor per block in
-/// device memory: a status flag and a running sum.
+/// device memory: a status flag and a running sum. Values are 32-bit
+/// counts or 64-bit sums (a block's sum of first-edge bounds can pass
+/// 2^32); both are charged alike.
 ///
 /// Charges, per block (and no kernel launch):
 ///  - block-local scan: the warp owning values [32t, 32t + 32) (warp t)
@@ -47,12 +49,17 @@ class LookbackScan {
   /// prefix[i] = every value of the earlier blocks plus vals[0..i).
   void ScanBlock(Block& block, std::span<const uint32_t> vals,
                  std::span<uint64_t> prefix);
+  void ScanBlock(Block& block, std::span<const uint64_t> vals,
+                 std::span<uint64_t> prefix);
 
   /// Sum of every value scanned so far; the kernel's total once the last
   /// block has scanned.
   uint64_t total() const { return total_; }
 
  private:
+  template <typename T>
+  void Scan(Block& block, std::span<const T> vals, std::span<uint64_t> prefix);
+
   DeviceBuffer<uint64_t> descriptors_;
   size_t next_block_ = 0;
   uint64_t total_ = 0;

@@ -73,73 +73,9 @@ void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk, const MatchTable& m,
   chunk.count = static_cast<uint32_t>(result.size());
 }
 
-JoinEngine::StepBounds JoinEngine::SizeStep(size_t rows, const JoinStep& step,
-                                            const RowFetch& fetch) {
-  const Label l0 = step.links[0].label;
-  const size_t block_rows =
-      static_cast<size_t>(dev_->config().warps_per_block) * kWarpSize;
-  const size_t num_blocks = (rows + block_rows - 1) / block_rows;
-  StepBounds out{dev_->Alloc<uint32_t>(rows), dev_->Alloc<uint64_t>(rows + 1),
-                 0};
-  gpusim::LookbackScan scan(*dev_, num_blocks);
-  gpusim::LaunchBlocks(*dev_, num_blocks, [&](Block& block) {
-    const size_t first = block.id() * block_rows;
-    const size_t n = std::min(block_rows, rows - first);
-    // The block's bounds stay in shared memory for the scan.
-    std::span<uint32_t> vals = block.shared().Alloc<uint32_t>(n);
-    std::span<uint64_t> prefix = block.shared().Alloc<uint64_t>(n);
-    for (size_t i = 0; i * kWarpSize < n; ++i) {
-      Warp& w = block.warp(i);
-      const size_t r0 = first + i * kWarpSize;
-      const size_t lanes = std::min<size_t>(kWarpSize, rows - r0);
-      VertexId vs[kWarpSize] = {};
-      fetch(w, r0, lanes, vs);
-      for (size_t k = 0; k < lanes; ++k) {
-        vals[i * kWarpSize + k] = static_cast<uint32_t>(
-            store_->NeighborCountUpperBound(w, vs[k], l0));
-      }
-      w.StoreRange(out.bounds, r0, std::span<const uint32_t>(
-                                       vals.data() + i * kWarpSize, lanes));
-    }
-    scan.ScanBlock(block, vals, prefix);
-    for (size_t i = 0; i * kWarpSize < n; ++i) {
-      const size_t r0 = first + i * kWarpSize;
-      const size_t lanes = std::min<size_t>(kWarpSize, rows - r0);
-      std::copy_n(prefix.begin() + i * kWarpSize, lanes,
-                  out.offsets.data() + r0);
-      // The warp holding the last row also stores the end of the GBA.
-      const bool last = r0 + lanes == rows;
-      if (last) out.offsets[rows] = scan.total();
-      block.warp(i).StoreRange(
-          out.offsets, r0,
-          std::span<const uint64_t>(out.offsets.data() + r0,
-                                    lanes + (last ? 1 : 0)));
-    }
-  });
-  return out;
-}
-
-JoinEngine::StepBounds JoinEngine::FirstEdgeBounds(const MatchTable& m,
-                                                   const JoinStep& step) {
-  const size_t cols = m.cols();
-  const size_t col = step.links[0].prev_column;
-  return SizeStep(m.rows(), step,
-                  [&](Warp& w, size_t r0, size_t lanes, VertexId* vs) {
-                    // Gather the e0 column of 32 consecutive rows (strided
-                    // by cols).
-                    uint64_t idx[kWarpSize] = {};
-                    for (size_t k = 0; k < lanes; ++k) {
-                      idx[k] = (r0 + k) * cols + col;
-                    }
-                    w.Gather(m.data(), std::span<const uint64_t>(idx, lanes),
-                             std::span<VertexId>(vs, lanes));
-                  });
-}
-
-Result<MatchTable> JoinEngine::StepPrealloc(const MatchTable& m,
-                                            const JoinStep& step,
-                                            const CandidateSet& cand,
-                                            const StepBounds& sizing) {
+Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
+    const MatchTable& m, const JoinStep& step, const JoinStep* next,
+    const CandidateSet& cand, const StepBounds& sizing) {
   const size_t rows = m.rows();
   const size_t cols = m.cols();
   const size_t wpb = static_cast<size_t>(dev_->config().warps_per_block);
@@ -249,11 +185,28 @@ Result<MatchTable> JoinEngine::StepPrealloc(const MatchTable& m,
   // Warp 0 of each block stages the block's 32 counts in one coalesced
   // read; the block scans them and chains to the blocks before it, which
   // gives every chunk its first output row.
+  //
+  // With a next step, the kernel also sizes M' for it (Algorithm 4). A
+  // warp looks up its rows' next first-edge bounds |N(v, l0')| as it
+  // writes them: once per chunk when e0' binds an older column, which
+  // every row of the chunk shares, and once per row when it binds the new
+  // one. The block stages its chunks' 64-bit bound sums and chains them to
+  // the blocks before it by a second look-back, which gives every chunk
+  // its first GBA offset; the warp then stores its rows' offsets.
   std::vector<const Chunk*> linked(num_chunks);
   for (const Chunk* c : plan.AllChunks()) linked[c->slot] = c;
-  MatchTable next = MatchTable::Alloc(*dev_, new_rows, cols + 1);
+  MatchTable table = MatchTable::Alloc(*dev_, new_rows, cols + 1);
+  StepBounds next_sizing;  // stays empty without a next step
+  if (next != nullptr) {
+    next_sizing = StepBounds{dev_->Alloc<uint32_t>(new_rows),
+                             dev_->Alloc<uint64_t>(new_rows + 1), 0};
+  }
+  // Whether every row of a chunk shares its e0' binding.
+  const bool shared_binding =
+      next != nullptr && next->links[0].prev_column < cols;
   const size_t link_blocks = (num_chunks + wpb - 1) / wpb;
-  gpusim::LookbackScan scan(*dev_, link_blocks);
+  gpusim::LookbackScan row_scan(*dev_, link_blocks);
+  gpusim::LookbackScan gba_scan(*dev_, next != nullptr ? link_blocks : 0);
   gpusim::LaunchBlocks(*dev_, link_blocks, [&](Block& block) {
     const size_t begin = block.id() * wpb;
     const size_t n = std::min(wpb, num_chunks - begin);
@@ -262,7 +215,14 @@ Result<MatchTable> JoinEngine::StepPrealloc(const MatchTable& m,
     std::span<const uint32_t> loaded =
         block.warp(0).LoadRange(counts, begin, n);
     std::copy(loaded.begin(), loaded.end(), staged.begin());
-    scan.ScanBlock(block, staged, first_row);
+    row_scan.ScanBlock(block, staged, first_row);
+    // With a next step: each chunk's bound sum, then its first GBA offset.
+    std::span<uint64_t> sums;
+    std::span<uint64_t> first_offset;
+    if (next != nullptr) {
+      sums = block.shared().Alloc<uint64_t>(n);
+      first_offset = block.shared().Alloc<uint64_t>(n);
+    }
     for (size_t i = 0; i < n; ++i) {
       const uint32_t count = staged[i];
       if (count == 0) continue;
@@ -272,26 +232,77 @@ Result<MatchTable> JoinEngine::StepPrealloc(const MatchTable& m,
       std::vector<VertexId> row = ReadRow(w, m, c.row);
       std::span<const VertexId> buf =
           w.LoadRange(gba, c.gba_begin - sizing.base, count);
-      const uint64_t out = first_row[i];
+      const uint64_t first = first_row[i];
       for (size_t k = 0; k < count; ++k) {
-        for (size_t j = 0; j < cols; ++j) next.Set(out + k, j, row[j]);
-        next.Set(out + k, cols, buf[k]);
+        for (size_t j = 0; j < cols; ++j) table.Set(first + k, j, row[j]);
+        table.Set(first + k, cols, buf[k]);
       }
       // The chunk's output region is contiguous: one coalesced streaming
       // store for count * (cols+1) ids.
       w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
-          next.data().AddressOf(out * (cols + 1)),
+          table.data().AddressOf(first * (cols + 1)),
           static_cast<uint64_t>(count) * (cols + 1) * sizeof(VertexId)));
       w.SharedAccess(static_cast<uint64_t>(count) * (cols + 1));
+      if (next == nullptr) continue;
+
+      const LinkEdge& e0 = next->links[0];
+      std::span<uint32_t> bounds(next_sizing.bounds.data() + first, count);
+      if (shared_binding) {
+        const uint32_t bound = static_cast<uint32_t>(
+            store_->NeighborCountUpperBound(w, row[e0.prev_column], e0.label));
+        std::fill(bounds.begin(), bounds.end(), bound);
+        sums[i] = uint64_t{bound} * count;
+        w.Alu(1);
+      } else {
+        sums[i] = 0;
+        for (size_t k = 0; k < count; ++k) {
+          bounds[k] = static_cast<uint32_t>(
+              store_->NeighborCountUpperBound(w, buf[k], e0.label));
+          sums[i] += bounds[k];
+        }
+      }
+      w.StoreRange(next_sizing.bounds, first,
+                   std::span<const uint32_t>(bounds));
+      w.SharedAccess(1);
+    }
+    if (next == nullptr) return;
+
+    gba_scan.ScanBlock(block, sums, first_offset);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t count = staged[i];
+      if (count == 0) continue;
+      Warp& w = block.warp(i);
+      const uint64_t first = first_row[i];
+      const uint32_t* bounds = next_sizing.bounds.data() + first;
+      uint64_t* offsets = next_sizing.offsets.data() + first;
+      uint64_t at = first_offset[i];
+      for (size_t k = 0; k < count; ++k) {
+        offsets[k] = at;
+        at += bounds[k];
+      }
+      if (shared_binding) {
+        w.Alu(count);  // first offset + k * the chunk's one bound
+      } else {
+        // The warp scans its rows' bounds, staged in shared memory across
+        // the block's look-back: LookbackScan's per-value charge.
+        w.SharedAccess(2 * static_cast<uint64_t>(count));
+        w.Alu(2 * static_cast<uint64_t>(count));
+      }
+      // The warp holding M''s last row also stores the end of the GBA.
+      const bool last = first + count == new_rows;
+      if (last) offsets[count] = at;
+      w.StoreRange(next_sizing.offsets, first,
+                   std::span<const uint64_t>(offsets, count + (last ? 1 : 0)));
     }
   });
-  GSI_CHECK(scan.total() == new_rows);
-  return next;
+  GSI_CHECK(row_scan.total() == new_rows);
+  if (next == nullptr) return SizedTable{std::move(table), std::nullopt};
+  GSI_CHECK(gba_scan.total() == next_sizing.offsets[new_rows]);
+  return SizedTable{std::move(table), std::move(next_sizing)};
 }
 
-Result<MatchTable> JoinEngine::StepTwoStep(const MatchTable& m,
-                                           const JoinStep& step,
-                                           const CandidateSet& cand) {
+Result<JoinEngine::SizedTable> JoinEngine::StepTwoStep(
+    const MatchTable& m, const JoinStep& step, const CandidateSet& cand) {
   const size_t rows = m.rows();
   const size_t cols = m.cols();
 
@@ -340,48 +351,88 @@ Result<MatchTable> JoinEngine::StepTwoStep(const MatchTable& m,
         scratch.size() * (cols + 1) * sizeof(VertexId)));
   });
   stats_.total_chunks += rows;
-  return next;
+  return SizedTable{std::move(next), std::nullopt};
 }
 
-JoinEngine::Seeded JoinEngine::Seed(
+JoinEngine::SizedTable JoinEngine::Seed(
     const JoinPlan& plan, const gpusim::DeviceBuffer<VertexId>& seed) {
   stats_ = JoinStats();
   GSI_CHECK(!plan.order.empty());
   MatchTable m = MatchTable::FromColumn(
       *dev_, std::vector<VertexId>(seed.data(), seed.data() + seed.size()));
-  stats_.peak_rows = m.rows();
-  if (options_.output_scheme == OutputScheme::kPreallocCombine &&
-      !plan.steps.empty()) {
-    // Step 0's bounds kernel seeds M on the way: each warp streams its 32
-    // seed candidates into the one-column table, and they are the rows' e0
-    // bindings.
-    GSI_CHECK(plan.steps[0].links[0].prev_column == 0);
-    StepBounds first = SizeStep(
-        m.rows(), plan.steps[0],
-        [&](Warp& w, size_t r0, size_t lanes, VertexId* vs) {
-          std::span<const VertexId> vals = w.LoadRange(seed, r0, lanes);
-          w.StoreRange(m.data(), r0, vals);
-          std::copy(vals.begin(), vals.end(), vs);
-        });
-    return Seeded{std::move(m), std::move(first)};
-  }
   const size_t n = m.rows();
-  gpusim::Launch(*dev_, std::max<size_t>(1, (n + 1023) / 1024), [&](Warp& w) {
-    size_t begin = w.global_id() * 1024;
-    if (begin >= n) return;
-    size_t len = std::min<size_t>(1024, n - begin);
-    w.StoreRange(m.data(), begin, w.LoadRange(seed, begin, len));
+  stats_.peak_rows = n;
+  if (options_.output_scheme != OutputScheme::kPreallocCombine ||
+      plan.steps.empty()) {
+    gpusim::Launch(*dev_, std::max<size_t>(1, (n + 1023) / 1024),
+                   [&](Warp& w) {
+                     size_t begin = w.global_id() * 1024;
+                     if (begin >= n) return;
+                     size_t len = std::min<size_t>(1024, n - begin);
+                     w.StoreRange(m.data(), begin,
+                                  w.LoadRange(seed, begin, len));
+                   });
+    return SizedTable{std::move(m), std::nullopt};
+  }
+
+  // Step 0's bounds-and-offsets kernel, one warp per 32 rows, seeds M on
+  // the way: each warp streams its 32 seed candidates into the one-column
+  // table, and they are the rows' e0 bindings. Each block stages its 1024
+  // bounds in shared memory, scans them and chains to the blocks before it
+  // by decoupled look-back.
+  const JoinStep& step = plan.steps[0];
+  GSI_CHECK(step.links[0].prev_column == 0);
+  const Label l0 = step.links[0].label;
+  const size_t block_rows =
+      static_cast<size_t>(dev_->config().warps_per_block) * kWarpSize;
+  const size_t num_blocks = (n + block_rows - 1) / block_rows;
+  StepBounds sizing{dev_->Alloc<uint32_t>(n), dev_->Alloc<uint64_t>(n + 1),
+                    0};
+  gpusim::LookbackScan scan(*dev_, num_blocks);
+  gpusim::LaunchBlocks(*dev_, num_blocks, [&](Block& block) {
+    const size_t first = block.id() * block_rows;
+    const size_t rows = std::min(block_rows, n - first);
+    std::span<uint32_t> vals = block.shared().Alloc<uint32_t>(rows);
+    std::span<uint64_t> prefix = block.shared().Alloc<uint64_t>(rows);
+    for (size_t i = 0; i * kWarpSize < rows; ++i) {
+      Warp& w = block.warp(i);
+      const size_t r0 = first + i * kWarpSize;
+      const size_t lanes = std::min<size_t>(kWarpSize, n - r0);
+      std::span<const VertexId> vs = w.LoadRange(seed, r0, lanes);
+      w.StoreRange(m.data(), r0, vs);
+      for (size_t k = 0; k < lanes; ++k) {
+        vals[i * kWarpSize + k] = static_cast<uint32_t>(
+            store_->NeighborCountUpperBound(w, vs[k], l0));
+      }
+      w.StoreRange(sizing.bounds, r0,
+                   std::span<const uint32_t>(vals.data() + i * kWarpSize,
+                                             lanes));
+    }
+    scan.ScanBlock(block, vals, prefix);
+    for (size_t i = 0; i * kWarpSize < rows; ++i) {
+      const size_t r0 = first + i * kWarpSize;
+      const size_t lanes = std::min<size_t>(kWarpSize, n - r0);
+      std::copy_n(prefix.begin() + i * kWarpSize, lanes,
+                  sizing.offsets.data() + r0);
+      // The warp holding the last row also stores the end of the GBA.
+      const bool last = r0 + lanes == n;
+      if (last) sizing.offsets[n] = scan.total();
+      block.warp(i).StoreRange(
+          sizing.offsets, r0,
+          std::span<const uint64_t>(sizing.offsets.data() + r0,
+                                    lanes + (last ? 1 : 0)));
+    }
   });
-  return Seeded{std::move(m), std::nullopt};
+  return SizedTable{std::move(m), std::move(sizing)};
 }
 
-Result<MatchTable> JoinEngine::RunSteps(
+Result<JoinEngine::SizedTable> JoinEngine::RunSteps(
     const JoinPlan& plan, const std::vector<CandidateSet>& candidates,
-    MatchTable m, size_t first_step, size_t last_step,
-    std::optional<StepBounds> first_bounds) {
-  GSI_CHECK(!first_bounds || first_bounds->bounds.size() == m.rows());
+    SizedTable m, size_t first_step, size_t last_step) {
+  const bool prealloc =
+      options_.output_scheme == OutputScheme::kPreallocCombine;
   last_step = std::min(last_step, plan.steps.size());
-  stats_.peak_rows = std::max(stats_.peak_rows, m.rows());
+  stats_.peak_rows = std::max(stats_.peak_rows, m.table.rows());
   // Fail fast on a device that already tripped (e.g. during seeding or an
   // earlier stage) — the table built so far is considered lost.
   if (Status h = CheckDeviceHealthy(*dev_, "join"); !h.ok()) return h;
@@ -389,41 +440,49 @@ Result<MatchTable> JoinEngine::RunSteps(
   for (size_t s = first_step; s < last_step; ++s) {
     const JoinStep& step = plan.steps[s];
     GSI_CHECK_MSG(!step.links.empty(), "join step without linking edges");
+    const size_t rows = m.table.rows();
+    const StepBounds* sizing = m.sizing ? &*m.sizing : nullptr;
     obs::ScopedSpan span(trace_, "join_step", clock);
     span.AddAttr("step", static_cast<uint64_t>(s));
     span.AddAttr("query_vertex", static_cast<uint64_t>(step.u));
-    span.AddAttr("rows_in", static_cast<uint64_t>(m.rows()));
-    Result<MatchTable> next =
-        options_.output_scheme == OutputScheme::kPreallocCombine
-            ? StepPrealloc(m, step, candidates[step.u],
-                           s == first_step && first_bounds
-                               ? std::move(*first_bounds)
-                               : FirstEdgeBounds(m, step))
-            : StepTwoStep(m, step, candidates[step.u]);
+    span.AddAttr("rows_in", static_cast<uint64_t>(rows));
+    if (prealloc) {
+      GSI_CHECK_MSG(sizing != nullptr && sizing->bounds.size() == rows,
+                    "a Prealloc-Combine step needs its table's sizing");
+      span.AddAttr("gba_entries", sizing->offsets[rows] - sizing->base);
+    }
+    const JoinStep* following =
+        s + 1 < plan.steps.size() ? &plan.steps[s + 1] : nullptr;
+    Result<SizedTable> next =
+        prealloc ? StepPrealloc(m.table, step, following, candidates[step.u],
+                                *sizing)
+                 : StepTwoStep(m.table, step, candidates[step.u]);
     if (!next.ok()) return next.status();
     // Step boundary: a fault that tripped inside this step's kernels is
     // detected here and the partial table discarded (fail-stop model).
     if (Status h = CheckDeviceHealthy(*dev_, "join_step"); !h.ok()) return h;
     m = std::move(next.value());
-    span.AddAttr("rows_out", static_cast<uint64_t>(m.rows()));
+    span.AddAttr("rows_out", static_cast<uint64_t>(m.table.rows()));
     ++stats_.iterations;
-    stats_.peak_rows = std::max(stats_.peak_rows, m.rows());
-    if (m.rows() == 0) {
+    stats_.peak_rows = std::max(stats_.peak_rows, m.table.rows());
+    if (m.table.rows() == 0) {
       // No partial matches survive; the final answer is empty, but the
       // table must still have one column per query vertex.
-      return MatchTable::Alloc(*dev_, 0, plan.order.size());
+      return SizedTable{MatchTable::Alloc(*dev_, 0, plan.order.size()),
+                        std::nullopt};
     }
   }
-  stats_.final_rows = m.rows();
+  stats_.final_rows = m.table.rows();
   return m;
 }
 
 Result<MatchTable> JoinEngine::Run(const JoinPlan& plan,
                                    const std::vector<CandidateSet>& candidates,
                                    const gpusim::DeviceBuffer<VertexId>& seed) {
-  Seeded seeded = Seed(plan, seed);
-  return RunSteps(plan, candidates, std::move(seeded.table), 0,
-                  plan.steps.size(), std::move(seeded.first_bounds));
+  Result<SizedTable> out =
+      RunSteps(plan, candidates, Seed(plan, seed), 0, plan.steps.size());
+  if (!out.ok()) return out.status();
+  return std::move(out->table);
 }
 
 }  // namespace gsi

@@ -2,7 +2,6 @@
 #define GSI_GSI_JOIN_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -71,11 +70,15 @@ struct JoinStats {
 /// intermediate table with one candidate set per iteration on the simulated
 /// device.
 ///
-/// A Prealloc-Combine step launches three kernels: bounds and offsets
-/// (FirstEdgeBounds), Pass A (one launch for Layers 2-4, plus one per
-/// Layer-1 row) and link. Step 0's bounds kernel also writes the seed
-/// column (Seed). kTwoStep runs the GpSM scheme's count, scan and write
-/// kernels, after a separate seed copy.
+/// A Prealloc-Combine step launches two kernels: Pass A (one launch for
+/// Layers 2-4, plus one per Layer-1 row) and link. The link kernel that
+/// writes M' also writes the next step's sizing (Algorithm 4: every new
+/// row's first-edge bound and GBA offset), so no step after the first
+/// launches a sizing kernel; step 0's sizing comes from the seed kernel,
+/// which also writes the seed column (Seed). A query of |V(Q)| vertices
+/// therefore launches 2|V(Q)| - 1 join kernels plus one per Layer-1 row.
+/// kTwoStep runs the GpSM scheme's count, scan and write kernels, after a
+/// separate seed copy.
 class JoinEngine {
  public:
   /// Algorithm 4's sizing of one Prealloc-Combine step.
@@ -91,11 +94,13 @@ class JoinEngine {
     uint64_t base = 0;
   };
 
-  /// A seeded table and, under Prealloc-Combine, step 0's sizing, which
-  /// the seeding kernel computed on the way.
-  struct Seeded {
+  /// A match table and, under Prealloc-Combine when a step follows, that
+  /// step's sizing, which the kernel that wrote the table computed on the
+  /// way (the seed kernel for step 0, the previous step's link kernel
+  /// after it).
+  struct SizedTable {
     MatchTable table;
-    std::optional<StepBounds> first_bounds;
+    std::optional<StepBounds> sizing;
   };
 
   JoinEngine(gpusim::Device* dev, const NeighborStore* store,
@@ -113,34 +118,29 @@ class JoinEngine {
   /// The join's one seed entry (Algorithm 2, Line 7): M = `seed`, and
   /// resets the engine's stats. Under Prealloc-Combine (with at least one
   /// step) this is step 0's bounds-and-offsets kernel, which also writes
-  /// the seed column, and the sizing comes back in `first_bounds`.
+  /// the seed column, and step 0's sizing comes back with the table.
   /// Otherwise it is one streaming copy kernel.
-  Seeded Seed(const JoinPlan& plan,
-              const gpusim::DeviceBuffer<VertexId>& seed);
+  SizedTable Seed(const JoinPlan& plan,
+                  const gpusim::DeviceBuffer<VertexId>& seed);
 
   /// Runs join iterations [first_step, last_step) of the plan on `m`
-  /// (which must bind plan.order[0 .. first_step]), accumulating into the
-  /// engine's stats. Exposed so the sharded engine can run one step at a
-  /// time, on one device or over row slices of the intermediate table:
-  /// step output rows are emitted in input-row order, so running any
-  /// contiguous row slice yields exactly that slice's portion of the whole
-  /// run, in order. `first_bounds`, when set, is the sizing of `m` for
-  /// plan.steps[first_step] (FirstEdgeBounds, or a row slice of it);
-  /// Prealloc-Combine then launches only Pass A and link for that step
-  /// (kTwoStep ignores it).
-  Result<MatchTable> RunSteps(const JoinPlan& plan,
+  /// (whose table must bind plan.order[0 .. first_step]), accumulating
+  /// into the engine's stats. Exposed so the sharded engine can run one
+  /// step at a time, on one device or over row slices of the intermediate
+  /// table: step output rows are emitted in input-row order, so running
+  /// any contiguous row slice yields exactly that slice's portion of the
+  /// whole run, in order.
+  ///
+  /// Under Prealloc-Combine `m.sizing` must be the sizing of m's table for
+  /// plan.steps[first_step] (Seed's, a previous RunSteps', or a row slice
+  /// of one); each step's link kernel writes the next step's, and the
+  /// sizing for plan.steps[last_step] comes back with the table (none
+  /// after the plan's last step, or once the table is empty). kTwoStep
+  /// ignores and returns no sizing.
+  Result<SizedTable> RunSteps(const JoinPlan& plan,
                               const std::vector<CandidateSet>& candidates,
-                              MatchTable m, size_t first_step,
-                              size_t last_step,
-                              std::optional<StepBounds> first_bounds = {});
-
-  /// Algorithm 4 in one kernel: the first-edge upper bound of every row of
-  /// `m` for `step` (one warp gathers the e0 column of 32 rows) and their
-  /// exclusive prefix sum, the GBA offsets. Each block scans its 1024
-  /// bounds in shared memory and chains to the blocks before it by
-  /// decoupled look-back (gpusim::LookbackScan). The sharded engine also
-  /// decides and balances its fan-out by the bounds.
-  StepBounds FirstEdgeBounds(const MatchTable& m, const JoinStep& step);
+                              SizedTable m, size_t first_step,
+                              size_t last_step);
 
   const JoinStats& stats() const { return stats_; }
 
@@ -151,20 +151,13 @@ class JoinEngine {
   void set_trace(const obs::TraceContext& trace) { trace_ = trace; }
 
  private:
-  /// Reads the e0 bindings of rows [r0, r0 + lanes) into `vs`.
-  using RowFetch =
-      std::function<void(gpusim::Warp&, size_t r0, size_t lanes,
-                         VertexId* vs)>;
-
-  /// The bounds-and-offsets kernel over `rows` rows whose e0 bindings
-  /// `fetch` reads.
-  StepBounds SizeStep(size_t rows, const JoinStep& step,
-                      const RowFetch& fetch);
-
-  Result<MatchTable> StepPrealloc(const MatchTable& m, const JoinStep& step,
+  /// Pass A and link of one step. When `next` is set the link kernel also
+  /// writes the sizing of M' for `next`.
+  Result<SizedTable> StepPrealloc(const MatchTable& m, const JoinStep& step,
+                                  const JoinStep* next,
                                   const CandidateSet& cand,
                                   const StepBounds& sizing);
-  Result<MatchTable> StepTwoStep(const MatchTable& m, const JoinStep& step,
+  Result<SizedTable> StepTwoStep(const MatchTable& m, const JoinStep& step,
                                  const CandidateSet& cand);
 
   /// Executes the set operations of Algorithm 3 (Lines 5-13) for one chunk.

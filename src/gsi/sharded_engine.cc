@@ -109,6 +109,32 @@ Result<FilterResult> RunFilterStageSharded(
   return result;
 }
 
+namespace {
+
+/// The next step's sizing of a gathered table: the slices' sizings in slice
+/// order, each slice's offsets shifted by the bound totals of the slices
+/// before it. Host-mediated and uncharged, like MatchTable::ConcatRows. A
+/// slice whose step left no rows has no sizing and adds nothing.
+JoinEngine::StepBounds ConcatSizings(
+    gpusim::Device& dev, std::span<const JoinEngine::SizedTable* const> parts) {
+  std::vector<uint32_t> bounds;
+  std::vector<uint64_t> offsets;
+  uint64_t shift = 0;
+  for (const JoinEngine::SizedTable* part : parts) {
+    if (!part->sizing) continue;
+    const JoinEngine::StepBounds& s = *part->sizing;
+    const size_t rows = s.bounds.size();
+    bounds.insert(bounds.end(), s.bounds.data(), s.bounds.data() + rows);
+    for (size_t r = 0; r < rows; ++r) offsets.push_back(shift + s.offsets[r]);
+    shift += s.offsets[rows];
+  }
+  offsets.push_back(shift);
+  return JoinEngine::StepBounds{dev.Upload(std::move(bounds)),
+                                dev.Upload(std::move(offsets)), 0};
+}
+
+}  // namespace
+
 Result<PagedQueryResult> RunJoinStageShardedPaged(
     std::span<gpusim::Device* const> devs, const Graph& data,
     const NeighborStore& store, const GsiOptions& options,
@@ -118,8 +144,11 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   const size_t min_work = std::max<size_t>(1, shard_options.min_rows_per_shard);
 
   // Degenerate shapes take the single-device path; RunJoinStage recomputes
-  // the plan, which is deterministic.
-  if (devs.size() < 2 || query.num_vertices() < 2 || filtered.AnyEmpty()) {
+  // the plan, which is deterministic. So does the two-step scheme (the
+  // GpSM baseline): the fan-out sizes slices by Prealloc-Combine's
+  // first-edge bounds, which it never computes.
+  if (devs.size() < 2 || query.num_vertices() < 2 || filtered.AnyEmpty() ||
+      options.join.output_scheme != OutputScheme::kPreallocCombine) {
     Result<QueryResult> one = RunJoinStage(*devs[0], data, store, options,
                                            query, std::move(filtered), stats,
                                            trace);
@@ -134,18 +163,19 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   // A step distributes only when its predicted volume fills every device.
   const uint64_t volume_floor = static_cast<uint64_t>(devs.size()) * min_work;
 
-  // --- Step-at-a-time distributed join. Each iteration computes the step's
-  // first-edge bounds and GBA offsets on the primary, then either runs the
-  // step there (narrow / cheap steps, where scatter and gather would cost
-  // more than they parallelize) or distributes it: partition the table's
-  // rows into contiguous weight-balanced slices, run slice i on devs[i],
-  // and gather in slice order. The gathered table is bit-identical to a
-  // whole-table step (output rows are emitted in input-row order), so the
-  // loop invariant — `m` equals the single-device intermediate table —
-  // holds at every boundary.
+  // --- Step-at-a-time distributed join. Each iteration reads the step's
+  // first-edge bounds and GBA offsets that came with the table, then either
+  // runs the step on the primary (narrow / cheap steps, where scatter and
+  // gather would cost more than they parallelize) or distributes it:
+  // partition the table's rows into contiguous weight-balanced slices, run
+  // slice i on devs[i], and gather in slice order. The gathered table is
+  // bit-identical to a whole-table step (output rows are emitted in
+  // input-row order), and so is its concatenated sizing, so the loop
+  // invariant — `m` equals the single-device intermediate table and its
+  // sizing — holds at every boundary.
   JoinEngine serial_engine(&primary, &store, options.join);
   serial_engine.set_trace(join_span.context());
-  gpusim::MemStats serial_total;    // seed, bounds and serial steps
+  gpusim::MemStats serial_total;    // seed and serial steps
   gpusim::MemStats join_counters;   // everything, summed across devices
   JoinStats detail;
   std::vector<double> device_loads(devs.size(), 0);  // slice i on device i
@@ -156,34 +186,32 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   gpusim::MemStats mark = primary.stats();
   ResultManifest manifest;  // filled by the final step
   bool paged_final = false;  // final step was distributed: partials kept
-  JoinEngine::Seeded seeded = serial_engine.Seed(
+  JoinEngine::SizedTable m = serial_engine.Seed(
       plan, filtered.candidates[plan.order[0]].list());
-  MatchTable m = std::move(seeded.table);
-  for (size_t k = 0; k < plan.steps.size() && m.rows() > 0; ++k) {
-    // Algorithm 4's per-row bounds |N(v'_i, l0)| and GBA offsets, once per
-    // step on the primary (step 0's came with the seed under
-    // Prealloc-Combine): the fan-out decision, the slice balance and every
-    // slice's share read this one sizing (a serial step hands it to its
-    // Prealloc step).
-    JoinEngine::StepBounds sizing =
-        k == 0 && seeded.first_bounds
-            ? std::move(*seeded.first_bounds)
-            : serial_engine.FirstEdgeBounds(m, plan.steps[k]);
-    const std::vector<uint64_t> weights(
-        sizing.bounds.data(), sizing.bounds.data() + sizing.bounds.size());
-    const uint64_t predicted = sizing.offsets[m.rows()];
+  for (size_t k = 0; k < plan.steps.size() && m.table.rows() > 0; ++k) {
+    // Algorithm 4's per-row bounds |N(v'_i, l0)| and GBA offsets for this
+    // step came with the table: from the seed kernel for step 0, after it
+    // from the link kernels that wrote the table (the primary's, or the
+    // slices' concatenated at the gather). The fan-out decision, the slice
+    // balance and every slice's share read this one sizing; a serial step
+    // hands it to its Prealloc step.
+    const size_t rows = m.table.rows();
+    const JoinEngine::StepBounds* sizing = m.sizing ? &*m.sizing : nullptr;
+    GSI_CHECK(sizing != nullptr);
+    const std::vector<uint64_t> weights(sizing->bounds.data(),
+                                        sizing->bounds.data() + rows);
+    const uint64_t predicted = sizing->offsets[rows];
     // Distribute when the step's predicted volume fills every slice AND
     // dwarfs the table being scattered (per-step fan-out has fixed costs:
     // under-filled kernels, the lost cross-slice extraction sharing).
     std::vector<ShardRange> slices;
     if (predicted >= volume_floor &&
-        predicted >= 4 * static_cast<uint64_t>(m.rows()) * m.cols()) {
-      slices = PartitionByWorkload(weights, std::min(devs.size(), m.rows()));
+        predicted >= 4 * static_cast<uint64_t>(rows) * m.table.cols()) {
+      slices = PartitionByWorkload(weights, std::min(devs.size(), rows));
     }
     if (slices.size() < 2) {
-      Result<MatchTable> next =
-          serial_engine.RunSteps(plan, filtered.candidates, std::move(m), k,
-                                 k + 1, std::move(sizing));
+      Result<JoinEngine::SizedTable> next = serial_engine.RunSteps(
+          plan, filtered.candidates, std::move(m), k, k + 1);
       if (!next.ok()) return next.status();
       m = std::move(next.value());
       continue;
@@ -196,7 +224,10 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
                               primary_clock);
     step_span.AddAttr("step", static_cast<uint64_t>(k));
     step_span.AddAttr("slices", static_cast<uint64_t>(slices.size()));
-    std::vector<std::optional<Result<MatchTable>>> tables(slices.size());
+    step_span.AddAttr("rows_in", static_cast<uint64_t>(rows));
+    step_span.AddAttr("gba_entries", predicted);
+    std::vector<std::optional<Result<JoinEngine::SizedTable>>> tables(
+        slices.size());
     std::vector<gpusim::MemStats> slice_mem(slices.size());
     std::vector<JoinStats> slice_join(slices.size());
     for (size_t i = 0; i < slices.size(); ++i) {
@@ -213,30 +244,35 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
         // Scatter the slice's rows, bounds and GBA offsets in
         // (host-mediated, uncharged like any upload). The offsets keep the
         // whole table's values; the slice's first one is the base its Pass A
-        // and link subtract. Under Prealloc-Combine the step then launches
-        // only Pass A and link here; the partial table comes back via the
+        // and link subtract. The step then launches only Pass A and link
+        // here, and the link kernel also sizes the slice's rows for the
+        // next step; the partial table and that sizing come back via the
         // gather below.
-        MatchTable part = MatchTable::CopySlice(dev, m, slice.begin,
-                                                slice.end - slice.begin);
-        JoinEngine::StepBounds part_sizing{
-            dev.Upload(std::vector<uint32_t>(
-                sizing.bounds.data() + slice.begin,
-                sizing.bounds.data() + slice.end)),
-            dev.Upload(std::vector<uint64_t>(
-                sizing.offsets.data() + slice.begin,
-                sizing.offsets.data() + slice.end + 1)),
-            sizing.offsets[slice.begin]};
+        JoinEngine::SizedTable part{
+            MatchTable::CopySlice(dev, m.table, slice.begin,
+                                  slice.end - slice.begin),
+            JoinEngine::StepBounds{
+                dev.Upload(std::vector<uint32_t>(
+                    sizing->bounds.data() + slice.begin,
+                    sizing->bounds.data() + slice.end)),
+                dev.Upload(std::vector<uint64_t>(
+                    sizing->offsets.data() + slice.begin,
+                    sizing->offsets.data() + slice.end + 1)),
+                sizing->offsets[slice.begin]}};
         JoinEngine join(&dev, &store, options.join);
         tables[i] = join.RunSteps(plan, filtered.candidates, std::move(part),
-                                  k, k + 1, std::move(part_sizing));
+                                  k, k + 1);
         slice_join[i] = join.stats();
         slice_mem[i] = dev.stats() - before;
       });
     }
     pool.Wait();
+    uint64_t rows_out = 0;
     for (size_t i = 0; i < slices.size(); ++i) {
       if (!tables[i]->ok()) return tables[i]->status();
+      rows_out += tables[i]->value().table.rows();
     }
+    step_span.AddAttr("rows_out", rows_out);
 
     // The slices run concurrently, one per device: the step's makespan is
     // the slowest slice, and slice i's cost is device i's load.
@@ -263,7 +299,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
       // gather degenerates to recording the slice order in the manifest.
       manifest.set_cols(plan.order.size());
       for (size_t i = 0; i < tables.size(); ++i) {
-        MatchTable part_table = std::move(tables[i]->value());
+        MatchTable part_table = std::move(tables[i]->value().table);
         const size_t part_rows = part_table.rows();
         if (part_rows == 0) continue;
         const size_t part = manifest.AddPart(std::move(part_table), *devs[i]);
@@ -271,18 +307,27 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
       }
       detail.peak_rows = std::max(detail.peak_rows, manifest.rows());
       paged_final = true;
-      m = MatchTable();
+      m = JoinEngine::SizedTable();
       break;
     }
 
     // Gather in slice order on the primary's address space (bulk
     // host-mediated concatenation) — the next step consumes the whole
-    // table.
+    // table and its sizing, so the primary launches nothing before that
+    // step's Pass A.
+    std::vector<const JoinEngine::SizedTable*> sized;
     std::vector<const MatchTable*> parts;
+    sized.reserve(slices.size());
     parts.reserve(slices.size());
-    for (auto& t : tables) parts.push_back(&t->value());
-    m = MatchTable::ConcatRows(primary, parts);
-    detail.peak_rows = std::max<size_t>(detail.peak_rows, m.rows());
+    for (auto& t : tables) {
+      sized.push_back(&t->value());
+      parts.push_back(&t->value().table);
+    }
+    MatchTable gathered = MatchTable::ConcatRows(primary, parts);
+    JoinEngine::StepBounds gathered_sizing = ConcatSizings(primary, sized);
+    GSI_CHECK(gathered_sizing.bounds.size() == gathered.rows());
+    detail.peak_rows = std::max<size_t>(detail.peak_rows, gathered.rows());
+    m = JoinEngine::SizedTable{std::move(gathered), std::move(gathered_sizing)};
   }
   serial_total += primary.stats() - mark;
   // Final boundary, on every device: the gather ran on the primary after
@@ -293,15 +338,15 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   }
 
   if (!paged_final) {
-    if (m.rows() == 0 && m.cols() != plan.order.size()) {
+    if (m.table.rows() == 0 && m.table.cols() != plan.order.size()) {
       // A distributed step emptied the table mid-join: the final answer is
       // empty but must still be full-width, exactly like RunSteps' early
       // exit.
-      m = MatchTable::Alloc(primary, 0, plan.order.size());
+      m.table = MatchTable::Alloc(primary, 0, plan.order.size());
     }
     // The final step ran serially: the whole table already lives on the
     // primary; the manifest is the degenerate one-part form.
-    manifest = ResultManifest::FromWholeTable(std::move(m), primary);
+    manifest = ResultManifest::FromWholeTable(std::move(m.table), primary);
   }
 
   // --- Roll-up: counters sum total work across devices; the time is the

@@ -42,19 +42,23 @@ Result<FilterResult> RunFilterStageSharded(
 
 /// Joining phase fanned out over `devs` (Section VIII): the query's
 /// candidate space — the intermediate match table, starting from the seed
-/// list C(order[0]) — is processed step by step. Each step first runs
-/// Algorithm 4's bounds-and-offsets kernel on devs[0] (step 0's is the
-/// seeding kernel), giving every row's workload as its first-edge upper
-/// bound |N(v, l0)| and its GBA offset. A step whose predicted volume
-/// fills every device and dwarfs the table itself is distributed: the rows
-/// are partitioned into contiguous weight-balanced slices, slice i runs
-/// the step's Pass A and link kernels on devs[i] with its share of the
-/// bounds and GBA offsets, and the partial tables are concatenated back in
-/// slice order. Narrow or
-/// cheap steps run on devs[0] from the same bounds, where deferring costs
-/// little by construction. Rebalancing at every distributed boundary
-/// means a hot row's descendants spread across slices the moment they
-/// exist, instead of pinning one device.
+/// list C(order[0]) — is processed step by step. Each step's table comes
+/// with Algorithm 4's sizing, written by the kernel that wrote the table
+/// (the seeding kernel for step 0, the previous step's link kernels after
+/// it): every row's workload as its first-edge upper bound |N(v, l0)|,
+/// and its GBA offset. A step whose predicted volume fills every device
+/// and dwarfs the table itself is distributed: the rows are partitioned
+/// into contiguous weight-balanced slices, slice i runs the step's Pass A
+/// and link kernels on devs[i] with its share of the bounds and GBA
+/// offsets, and its link kernel sizes its rows for the next step. The
+/// partial tables and their sizings are concatenated back in slice order,
+/// each slice's offsets shifted by the bound totals of the slices before
+/// it (host-mediated, like the tables), so the primary launches nothing
+/// between a gather and the next step's Pass A. Narrow or cheap steps run
+/// on devs[0] from the same sizing, where deferring costs little by
+/// construction. Rebalancing at every distributed boundary means a hot
+/// row's descendants spread across slices the moment they exist, instead
+/// of pinning one device.
 ///
 /// The result is bit-identical to a single-device RunJoinStage: every
 /// step emits output rows in input-row order, so concatenating contiguous
@@ -64,12 +68,14 @@ Result<FilterResult> RunFilterStageSharded(
 ///
 /// Stats roll-up: `stats.join` sums every device's counters (total work).
 /// join_ms is the parallel makespan: the primary-serial segments (seed,
-/// bounds, serial steps) plus, per distributed step, its slowest slice.
-/// Slice i's cost is device i's load in shard_skew; shards_used is the
-/// widest fan-out. Degenerate queries (one vertex, an empty candidate set,
-/// a single device, or steps that never clear the volume floor) run
-/// entirely on devs[0]. Every device is health-checked at the end, so a
-/// device that tripped fails the attempt even if no step used it.
+/// serial steps) plus, per distributed step, its slowest slice. Slice i's
+/// cost is device i's load in shard_skew; shards_used is the widest
+/// fan-out. Degenerate queries (one vertex, an empty candidate set, a
+/// single device, or steps that never clear the volume floor) and the
+/// two-step output scheme, which computes no first-edge bounds to size a
+/// fan-out by, run entirely on devs[0]. Every device is health-checked at
+/// the end of a stepped join, so a device that tripped fails the attempt
+/// even if no step used it.
 ///
 /// Result form: when the FINAL join step distributes, its partial tables
 /// stay on the devices that ran the slices and are returned as a

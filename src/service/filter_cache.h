@@ -28,9 +28,10 @@ namespace gsi {
 /// one (data graph, GsiOptions) pair — QueryService owns exactly one.
 ///
 /// Values are host-side candidate lists. A hit skips the signature scan
-/// over all of V(G) and only pays re-upload plus the one bitset kernel,
-/// O(sum |C(u)|) — identical candidate sets in, identical match tables
-/// out, just a cheaper filter phase. Entries are evicted LRU-first to stay
+/// over the query labels' buckets of the signature table and only pays
+/// re-upload plus the one bitset kernel, O(sum |C(u)|) — identical
+/// candidate sets in, identical match tables out, just a cheaper filter
+/// phase. Entries are evicted LRU-first to stay
 /// under a byte budget. All methods are thread-safe.
 ///
 /// Ownership: entries are shared_ptr<const Entry> — a looked-up entry

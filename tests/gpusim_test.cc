@@ -195,7 +195,8 @@ struct SinglePassRun {
   std::vector<MemStats> per_block;
 };
 
-SinglePassRun RunSinglePass(Device& dev, const std::vector<uint32_t>& values) {
+template <typename T>
+SinglePassRun RunSinglePass(Device& dev, const std::vector<T>& values) {
   const size_t n = values.size();
   const size_t per_block =
       static_cast<size_t>(dev.config().warps_per_block) * kWarpSize;
@@ -206,11 +207,11 @@ SinglePassRun RunSinglePass(Device& dev, const std::vector<uint32_t>& values) {
   LaunchBlocks(dev, blocks, [&](Block& block) {
     const size_t first = block.id() * per_block;
     const size_t len = std::min(per_block, n - first);
-    std::span<uint32_t> vals = block.shared().Alloc<uint32_t>(len);
+    std::span<T> vals = block.shared().Alloc<T>(len);
     std::span<uint64_t> out = block.shared().Alloc<uint64_t>(len);
     std::copy_n(values.begin() + first, len, vals.begin());
     const MemStats before = dev.stats();
-    scan.ScanBlock(block, vals, out);
+    scan.ScanBlock(block, std::span<const T>(vals), out);
     run.per_block.push_back(dev.stats() - before);
     std::copy_n(out.begin(), len, run.prefix.begin() + first);
   });
@@ -238,6 +239,40 @@ TEST(LookbackScanTest, MatchesStdExclusiveScan) {
     EXPECT_EQ(run.total,
               std::accumulate(values.begin(), values.end(), uint64_t{0}))
         << "n=" << n;
+  }
+}
+
+// 64-bit values, as the link kernel chains its chunks' first-edge bound
+// sums: single values and block sums past 2^32, a total past 2^40.
+TEST(LookbackScanTest, SixtyFourBitValuesMatchStdExclusiveScan) {
+  for (size_t n : {1u, 33u, 1024u, 1025u, 5000u}) {
+    Device dev;
+    std::vector<uint64_t> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      values[i] = (uint64_t{1} << 32) + (i * 2654435761u) % 1000003;
+    }
+    std::vector<uint64_t> want(n);
+    std::exclusive_scan(values.begin(), values.end(), want.begin(),
+                        uint64_t{0});
+    const SinglePassRun run = RunSinglePass(dev, values);
+    EXPECT_EQ(run.prefix, want) << "n=" << n;
+    const uint64_t total =
+        std::accumulate(values.begin(), values.end(), uint64_t{0});
+    EXPECT_EQ(run.total, total) << "n=" << n;
+    if (n == 5000) {
+      EXPECT_GT(total, uint64_t{1} << 40);
+    }
+    // Charged exactly as 32-bit values are.
+    const SinglePassRun narrow =
+        RunSinglePass(dev, std::vector<uint32_t>(n, 1));
+    ASSERT_EQ(run.per_block.size(), narrow.per_block.size());
+    for (size_t b = 0; b < run.per_block.size(); ++b) {
+      EXPECT_EQ(run.per_block[b].gld, narrow.per_block[b].gld);
+      EXPECT_EQ(run.per_block[b].gst, narrow.per_block[b].gst);
+      EXPECT_EQ(run.per_block[b].shared_accesses,
+                narrow.per_block[b].shared_accesses);
+      EXPECT_EQ(run.per_block[b].alu_ops, narrow.per_block[b].alu_ops);
+    }
   }
 }
 

@@ -7,7 +7,10 @@
 
 #include "baselines/oracle.h"
 #include "graph/graph_builder.h"
+#include "gsi/join.h"
 #include "gsi/matcher.h"
+#include "gsi/plan.h"
+#include "gsi/query_engine.h"
 #include "test_util.h"
 
 namespace gsi {
@@ -269,11 +272,12 @@ uint64_t LaunchesOf(const QueryResult& r) {
   return r.stats.filter.kernel_launches + r.stats.join.kernel_launches;
 }
 
-// A Prealloc-Combine step launches bounds-and-offsets, Pass A and link, and
-// step 0's bounds kernel also seeds the table; the filter launches its scan
-// and the candidate-bitset build. Rows of these degrees all stay in Layers
-// 3/4, so a query launches 2 + 3 (|V(Q)| - 1) = 3 |V(Q)| - 1 kernels.
-TEST(JoinLaunches, ThreePerStepWithoutHeavyRows) {
+// A Prealloc-Combine step launches Pass A and link, and the link kernel also
+// sizes the next step; step 0's sizing kernel seeds the table. The filter
+// launches its scan and the candidate-bitset build. Rows of these degrees
+// all stay in Layers 3/4, so a query launches 2 + 1 + 2 (|V(Q)| - 1) =
+// 2 |V(Q)| + 1 kernels.
+TEST(JoinLaunches, TwoPerStepWithoutHeavyRows) {
   Graph data = RandomGraph(300, 3, 3, 2, 41);
   for (size_t nq : {2u, 3u, 5u, 8u}) {
     Graph query = RandomQuery(data, nq, 40 + nq);
@@ -282,15 +286,15 @@ TEST(JoinLaunches, ThreePerStepWithoutHeavyRows) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_GE(r->num_matches(), 1u);  // every step ran
     EXPECT_EQ(r->stats.join_detail.iterations, nq - 1);
-    EXPECT_EQ(LaunchesOf(*r), 3 * nq - 1) << "nq=" << nq;
+    EXPECT_EQ(LaunchesOf(*r), 2 * nq + 1) << "nq=" << nq;
   }
 }
 
 // Hubs of 1100, 1500 and 2000 leaves, plus one light hub: the 2-vertex
 // query's seed rows are the hubs, and their first-edge bounds are the leaf
 // counts. At W1 = 4096 the heavy hubs are Layer-2 rows, which share the
-// Layers 2-4 launch; every W1 below a hub's bound moves it to Layer 1, one
-// launch of its own.
+// Layers 2-4 launch, so the query launches 2 |V(Q)| + 1 = 5 kernels; every
+// W1 below a hub's bound moves it to Layer 1, one launch of its own.
 TEST(JoinLaunches, OnePerLayerOneRowAndNoneForLayerTwo) {
   GraphBuilder b;
   for (size_t leaves : {1100u, 1500u, 2000u, 10u}) {
@@ -316,7 +320,7 @@ TEST(JoinLaunches, OnePerLayerOneRowAndNoneForLayerTwo) {
     Result<QueryResult> r = matcher.Find(query);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->num_matches(), 4610u);
-    EXPECT_EQ(LaunchesOf(*r), 3 * 2 - 1 + layer1_rows) << "w1=" << w1;
+    EXPECT_EQ(LaunchesOf(*r), 2 * 2 + 1 + layer1_rows) << "w1=" << w1;
   }
 }
 
@@ -410,6 +414,111 @@ TEST(JoinRowOrder, PreallocCombineTableEqualsTwoStepRowForRow) {
       }
     }
   }
+}
+
+// ------------------------------------------------------ step sizing ---
+
+// The sizing of `table` for `step`, recomputed on the host: every row's
+// first-edge bound |N(v, l0)| read from the Graph (CSR bounds by the full
+// degree), then the exclusive prefix with the end last.
+void ExpectSizingOf(const Graph& data, StorageKind storage,
+                    const MatchTable& table, const JoinStep& step,
+                    const JoinEngine::StepBounds& sizing,
+                    const std::string& context) {
+  const LinkEdge& e0 = step.links[0];
+  ASSERT_EQ(sizing.bounds.size(), table.rows()) << context;
+  ASSERT_EQ(sizing.offsets.size(), table.rows() + 1) << context;
+  EXPECT_EQ(sizing.base, 0u) << context;
+  uint64_t offset = 0;
+  for (size_t r = 0; r < table.rows(); ++r) {
+    const VertexId v = table.At(r, e0.prev_column);
+    const size_t bound = storage == StorageKind::kCsr
+                             ? data.degree(v)
+                             : data.NeighborsWithLabel(v, e0.label).size();
+    ASSERT_EQ(sizing.bounds[r], bound) << context << " row " << r;
+    ASSERT_EQ(sizing.offsets[r], offset) << context << " row " << r;
+    offset += bound;
+  }
+  EXPECT_EQ(sizing.offsets[table.rows()], offset) << context;
+}
+
+// Seed, then RunSteps one step at a time: every step's link kernel writes
+// the next step's sizing, which must equal the host recomputation from the
+// table it returns. MakeHubCase's hub-seeded queries put the link kernel's
+// input rows in Layers 1, 2 and 3/4 at W1 = 1200; a star at the hub makes
+// step 1's e0 bind the older hub column (one lookup per chunk), and the
+// path's binds the column step 0 wrote (one lookup per row).
+TEST(JoinSizing, LinkKernelWritesTheNextStepsSizing) {
+  HubCase hub = MakeHubCase();
+  GraphBuilder star;  // label 0 - hub - label 1
+  star.AddVertices(1, 2);
+  star.AddVertex(0);
+  star.AddVertex(1);
+  star.AddEdge(0, 1, 0);
+  star.AddEdge(0, 2, 0);
+  hub.queries.push_back(std::move(star).Build().value());
+
+  size_t new_column = 0;
+  size_t older_column = 0;
+  bool linked_layer[3] = {false, false, false};  // Layer 1, 2, 3/4
+  for (StorageKind storage :
+       {StorageKind::kCsr, StorageKind::kPcsr, StorageKind::kBasicRep,
+        StorageKind::kCompressedRep}) {
+    GsiOptions options = GsiOptOptions();
+    options.join.storage = storage;
+    options.join.w1 = 1200;
+    options.join.w3 = 32;
+    QueryEngine engine(hub.data, options);
+    for (size_t q = 0; q < hub.queries.size(); ++q) {
+      const Graph& query = hub.queries[q];
+      const std::string context = "storage=" +
+                                  std::to_string(static_cast<int>(storage)) +
+                                  " query=" + std::to_string(q);
+      gpusim::Device dev(options.device);
+      QueryStats stats;
+      Result<FilterResult> filtered =
+          RunFilterStage(dev, engine.filter(), query, stats);
+      ASSERT_TRUE(filtered.ok()) << context;
+      ASSERT_FALSE(filtered->AnyEmpty()) << context;
+      const JoinPlan plan =
+          MakeJoinPlan(query, hub.data, filtered->candidates);
+      JoinEngine join(&dev, &engine.store(), options.join);
+      JoinEngine::SizedTable m =
+          join.Seed(plan, filtered->candidates[plan.order[0]].list());
+      for (size_t k = 0; k < plan.steps.size(); ++k) {
+        const std::string at = context + " step=" + std::to_string(k);
+        ASSERT_TRUE(m.sizing.has_value()) << at;
+        ExpectSizingOf(hub.data, storage, m.table, plan.steps[k], *m.sizing,
+                       at);
+        if (k > 0) {
+          const bool on_new = plan.steps[k].links[0].prev_column == k;
+          (on_new ? new_column : older_column) += 1;
+        }
+        if (k + 1 < plan.steps.size()) {
+          for (size_t r = 0; r < m.table.rows(); ++r) {
+            const uint32_t bound = m.sizing->bounds[r];
+            linked_layer[bound > 1200 ? 0 : bound > 1024 ? 1 : 2] = true;
+          }
+        }
+        Result<JoinEngine::SizedTable> next =
+            join.RunSteps(plan, filtered->candidates, std::move(m), k, k + 1);
+        ASSERT_TRUE(next.ok()) << at;
+        m = std::move(next.value());
+        if (m.table.rows() == 0) break;
+      }
+      // No step follows the last one (or an emptied table): no sizing.
+      EXPECT_FALSE(m.sizing.has_value()) << context;
+      Result<QueryResult> want = GsiMatcher(hub.data, options).Find(query);
+      ASSERT_TRUE(want.ok()) << context;
+      EXPECT_EQ(m.table.rows(), want->table.rows()) << context;
+      for (size_t r = 0; r < want->table.rows(); ++r) {
+        ASSERT_EQ(m.table.Row(r), want->table.Row(r)) << context;
+      }
+    }
+  }
+  EXPECT_GE(new_column, 1u);
+  EXPECT_GE(older_column, 1u);
+  EXPECT_TRUE(linked_layer[0] && linked_layer[1] && linked_layer[2]);
 }
 
 // Bigger query sizes across optimization combos.

@@ -60,8 +60,8 @@ TEST(ShardedEngine, BitIdenticalToSingleDeviceOnIntegrationGraphs) {
     std::vector<Graph> queries = GenerateQuerySet(g, qc, 3, 77);
     ASSERT_FALSE(queries.empty());
 
-    // GsiMinusOptions is the two-step output scheme, which ignores the
-    // per-step bounds the sharded join still computes for its fan-out.
+    // GsiMinusOptions is the two-step output scheme, which computes no
+    // first-edge bounds to size a fan-out, so it runs on the primary.
     for (const GsiOptions& options :
          {DefaultGsiOptions(), GsiOptOptions(), GsiMinusOptions()}) {
       GsiMatcher sequential(g, options);
@@ -199,6 +199,65 @@ TEST(ShardedEngine, DistributedSliceLaunchesOnlyPassAAndLink) {
     EXPECT_EQ(devs[d]->stats().kernel_launches, 2 * slices[d])
         << "device " << d;
   }
+}
+
+TEST(ShardedEngine, PrimaryLaunchesNothingAfterAGather) {
+  // The slices' link kernels size their rows for the next step, and the
+  // primary concatenates those sizings with the gathered table, so after a
+  // distributed step the primary launches nothing before the next step's
+  // Pass A: its clock does not move between the distributed step's span
+  // and the next step's, and its join launches are the seed plus Pass A
+  // and link of each step it ran (no row of this graph reaches Layer 1).
+  Graph g = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  Graph q = testing::RandomQuery(g, 4, 102);
+  QueryEngine engine(g, GsiOptOptions());
+  std::vector<std::unique_ptr<gpusim::Device>> owned;
+  std::vector<gpusim::Device*> devs;
+  for (int i = 0; i < 4; ++i) {
+    owned.push_back(
+        std::make_unique<gpusim::Device>(engine.options().device));
+    owned.back()->set_ordinal(i);
+    devs.push_back(owned.back().get());
+  }
+  ShardOptions so;
+  so.min_rows_per_shard = 1;
+  QueryStats stats;
+  Result<FilterResult> filtered =
+      RunFilterStage(*devs[0], engine.filter(), q, stats);
+  ASSERT_TRUE(filtered.ok());
+  const uint64_t launches_before_join = devs[0]->stats().kernel_launches;
+  obs::Tracer tracer;
+  Result<PagedQueryResult> r = RunJoinStageShardedPaged(
+      devs, g, engine.store(), engine.options(), so, q,
+      std::move(filtered.value()), stats,
+      obs::TraceContext{&tracer, -1, obs::kHostDevice});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const std::vector<obs::TraceSpan> spans = tracer.Snapshot();
+  std::vector<const obs::TraceSpan*> steps;  // by step index
+  uint64_t primary_steps = 0;
+  for (const obs::TraceSpan& s : spans) {
+    const bool serial = s.name == "join_step";
+    if (serial || s.name == "join_step_distributed") {
+      const size_t step = std::stoull(s.attrs[0].second);
+      ASSERT_EQ(s.attrs[0].first, "step");
+      if (steps.size() <= step) steps.resize(step + 1, nullptr);
+      steps[step] = &s;
+    }
+    primary_steps += serial || (s.name == "shard_slice" && s.device == 0);
+  }
+  ASSERT_EQ(steps.size(), 3u);
+  size_t gathers = 0;
+  for (size_t k = 0; k + 1 < steps.size(); ++k) {
+    ASSERT_NE(steps[k], nullptr);
+    ASSERT_NE(steps[k + 1], nullptr);
+    if (steps[k]->name != "join_step_distributed") continue;
+    ++gathers;
+    EXPECT_EQ(steps[k + 1]->start_ns, steps[k]->end_ns) << "step " << k;
+  }
+  EXPECT_GE(gathers, 1u);
+  EXPECT_EQ(devs[0]->stats().kernel_launches - launches_before_join,
+            1 + 2 * primary_steps);
 }
 
 TEST(ShardedEngine, InvalidQueriesStillFail) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -427,6 +428,125 @@ TEST(TraceAttrs, FilterRowsScannedAreTheQueryLabelBuckets) {
     EXPECT_EQ(CountSpans(spans, "shard_scan"), 3u);
     EXPECT_EQ(SumAttr(spans, "shard_scan", "rows_scanned"), bucket_rows);
   }
+}
+
+/// Per-step attributes of a join: `rows_in`, `rows_out`, `gba_entries`.
+struct StepValues {
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+  uint64_t gba_entries = 0;
+  friend bool operator==(const StepValues&, const StepValues&) = default;
+};
+
+bool IsJoinStep(const TraceSpan& s) {
+  return s.name == "join_step" || s.name == "join_step_distributed";
+}
+
+/// Every join step span's output rows fit the GBA its first-edge bounds
+/// sized; returns how many spans were checked.
+size_t ExpectRowsWithinGba(const std::vector<TraceSpan>& spans,
+                           const std::string& context) {
+  size_t checked = 0;
+  for (const TraceSpan& s : spans) {
+    if (!IsJoinStep(s)) continue;
+    if (AttrOf(s, "rows_out").empty() || AttrOf(s, "gba_entries").empty()) {
+      ADD_FAILURE() << context << " " << s.name << " lacks an attribute";
+      continue;
+    }
+    EXPECT_LE(std::stoull(AttrOf(s, "rows_out")),
+              std::stoull(AttrOf(s, "gba_entries")))
+        << context << " " << s.name << " step " << AttrOf(s, "step");
+    ++checked;
+  }
+  return checked;
+}
+
+/// The join step spans of one whole-table join, by `step`.
+std::map<uint64_t, StepValues> StepsOf(const std::vector<TraceSpan>& spans) {
+  std::map<uint64_t, StepValues> steps;
+  for (const TraceSpan& s : spans) {
+    if (!IsJoinStep(s)) continue;
+    const uint64_t step = std::stoull(AttrOf(s, "step"));
+    EXPECT_EQ(steps.count(step), 0u) << "step " << step;
+    steps[step] = {std::stoull(AttrOf(s, "rows_in")),
+                   std::stoull(AttrOf(s, "rows_out")),
+                   std::stoull(AttrOf(s, "gba_entries"))};
+  }
+  return steps;
+}
+
+// The GBA a step fills is sized by its rows' first-edge bounds, so its
+// output never exceeds it, on every path; and a sharded run's steps, serial
+// or distributed, report what one device's do.
+TEST(TraceAttrs, JoinStepRowsStayWithinTheirGba) {
+  Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  Graph query = testing::RandomQuery(data, 4, 102);
+  QueryEngine engine(data, GsiOptOptions());
+
+  Tracer single_tracer;
+  ASSERT_TRUE(
+      engine
+          .Execute({.query = &query,
+                    .trace = TraceContext{&single_tracer, -1, kHostDevice}})
+          .ok());
+  const std::vector<TraceSpan> single = single_tracer.Snapshot();
+  EXPECT_EQ(ExpectRowsWithinGba(single, "single"), 3u);
+  const std::map<uint64_t, StepValues> want = StepsOf(single);
+  ASSERT_EQ(want.size(), 3u);
+
+  // Steps distribute at min_rows_per_shard = 1; the default volume floor
+  // keeps some on the primary.
+  size_t serial = 0;
+  size_t distributed = 0;
+  for (size_t min_rows : {1, 64}) {
+    std::vector<std::unique_ptr<gpusim::Device>> owned;
+    std::vector<gpusim::Device*> devs;
+    for (int i = 0; i < 4; ++i) {
+      owned.push_back(
+          std::make_unique<gpusim::Device>(engine.options().device));
+      devs.push_back(owned.back().get());
+    }
+    ShardOptions so;
+    so.min_rows_per_shard = min_rows;
+    Tracer tracer;
+    ASSERT_TRUE(engine
+                    .ExecutePaged(
+                        {.query = &query,
+                         .devices = devs,
+                         .shard = so,
+                         .trace = TraceContext{&tracer, -1, kHostDevice}})
+                    .ok());
+    const std::vector<TraceSpan> spans = tracer.Snapshot();
+    const std::string context = "sharded min_rows=" + std::to_string(min_rows);
+    EXPECT_EQ(ExpectRowsWithinGba(spans, context), 3u);
+    EXPECT_EQ(StepsOf(spans), want) << context;
+    serial += CountSpans(spans, "join_step");
+    distributed += CountSpans(spans, "join_step_distributed");
+  }
+  EXPECT_GE(serial, 1u);
+  EXPECT_GE(distributed, 1u);
+
+  // Partitioned at R = 1: each partition's join steps over its seed share.
+  std::vector<std::unique_ptr<gpusim::Device>> owned;
+  std::vector<gpusim::Device*> devs;
+  for (size_t i = 0; i < 4; ++i) {
+    owned.push_back(std::make_unique<gpusim::Device>(engine.options().device));
+    devs.push_back(owned.back().get());
+  }
+  Result<ReplicatedGraph> rg =
+      ReplicatedGraph::Build(devs, data, engine.options(),
+                             HashVertexPartitioner(), /*partitions=*/4,
+                             /*replicas=*/1);
+  ASSERT_TRUE(rg.ok());
+  const ReplicaSelection sel = CompactSelection(*rg);
+  Tracer tracer;
+  ASSERT_TRUE(engine
+                  .Execute({.query = &query,
+                            .replicated = &*rg,
+                            .selection = &sel,
+                            .trace = TraceContext{&tracer, -1, kHostDevice}})
+                  .ok());
+  EXPECT_GE(ExpectRowsWithinGba(tracer.Snapshot(), "partitioned"), 4u);
 }
 
 TEST(TraceDeterminism, DisabledTracerLeavesResultsUntouched) {
