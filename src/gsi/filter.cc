@@ -142,125 +142,67 @@ CandidateScan ScanSignatures(gpusim::Device& dev, const SignatureTable& table,
   return out;
 }
 
-void FilterContext::LabelDegreeScanWarp(
-    gpusim::Warp& w, Label ulabel, uint32_t udeg,
-    const std::unordered_map<Label, uint32_t>& requirements,
-    bool check_neighbors, VertexId v0, size_t lanes,
-    std::vector<VertexId>& out) const {
-  const Graph& g = *data_;
-  uint64_t idx[kWarpSize];
-  for (size_t k = 0; k < lanes; ++k) idx[k] = v0 + k;
-  Label lab[kWarpSize];
-  uint32_t deg[kWarpSize];
-  w.Gather(labels_, std::span<const uint64_t>(idx, lanes),
-           std::span<Label>(lab, lanes));
-  w.Gather(degrees_, std::span<const uint64_t>(idx, lanes),
-           std::span<uint32_t>(deg, lanes));
-  w.Alu(2 * lanes);
-
-  uint32_t survivors = 0;
-  for (size_t k = 0; k < lanes; ++k) {
-    VertexId v = v0 + static_cast<VertexId>(k);
-    if (lab[k] != ulabel || deg[k] < udeg) continue;
-    if (check_neighbors) {
-      // GpSM-style refinement: v must have at least |N(u, l)| l-labeled
-      // neighbors for every edge label l around u. Requires scanning v's
-      // adjacency — scattered loads, skewed workloads.
-      std::span<const Neighbor> nbrs = g.neighbors(v);
-      // Charge: stream the adjacency slice (ids + labels: two arrays).
-      w.ChargeLoadTransactions(2 * gpusim::Device::RangeTransactions(
-          0, nbrs.size() * sizeof(VertexId)));
-      w.Alu(nbrs.size());
-      std::unordered_map<Label, uint32_t> have;
-      for (const Neighbor& nb : nbrs) ++have[nb.elabel];
-      bool ok = true;
-      // Order-safe: a pure conjunction over all entries — the verdict (and
-      // the charged work, all outside the loop) is the same in any order.
-      // NOLINTNEXTLINE(determinism:unordered-iteration)
-      for (const auto& [l, need] : requirements) {
-        auto it = have.find(l);
-        if (it == have.end() || it->second < need) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-    }
-    out.push_back(v);
-    ++survivors;
-  }
-  if (survivors > 0) {
-    w.Alu(1);
-    w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
-        0, survivors * sizeof(VertexId)));
-  }
-}
-
 std::vector<VertexId> FilterContext::LabelDegreeCandidates(
-    gpusim::Device& dev, const Graph& query, VertexId u,
-    bool check_neighbors) const {
+    gpusim::Device& dev, const Graph& query, VertexId u) const {
+  const Graph& g = *data_;
   const Label ulabel = query.vertex_label(u);
   const uint32_t udeg = static_cast<uint32_t>(query.degree(u));
-  auto requirements = LabelDegreeRequirements(query, u);
+  const bool check_neighbors =
+      options_.strategy == FilterStrategy::kLabelDegreeNeighbor;
+  const auto requirements = LabelDegreeRequirements(query, u);
 
   std::vector<VertexId> out;
-  const size_t n = data_->num_vertices();
+  const size_t n = g.num_vertices();
   gpusim::Launch(dev, (n + kWarpSize - 1) / kWarpSize, [&](gpusim::Warp& w) {
-    VertexId v0 = static_cast<VertexId>(w.global_id() * kWarpSize);
-    size_t lanes = std::min<size_t>(kWarpSize, n - v0);
-    LabelDegreeScanWarp(w, ulabel, udeg, requirements, check_neighbors, v0,
-                        lanes, out);
-  });
-  return out;
-}
+    const VertexId v0 = static_cast<VertexId>(w.global_id() * kWarpSize);
+    const size_t lanes = std::min<size_t>(kWarpSize, n - v0);
+    uint64_t idx[kWarpSize];
+    for (size_t k = 0; k < lanes; ++k) idx[k] = v0 + k;
+    Label lab[kWarpSize];
+    uint32_t deg[kWarpSize];
+    w.Gather(labels_, std::span<const uint64_t>(idx, lanes),
+             std::span<Label>(lab, lanes));
+    w.Gather(degrees_, std::span<const uint64_t>(idx, lanes),
+             std::span<uint32_t>(deg, lanes));
+    w.Alu(2 * lanes);
 
-CandidateScan FilterContext::CandidateLists(gpusim::Device& dev,
-                                            const Graph& query, size_t slice,
-                                            size_t num_slices) const {
-  GSI_CHECK(slice < num_slices);
-  const size_t nu = query.num_vertices();
-  if (has_signatures_) {
-    const std::vector<Signature> qsigs =
-        Signature::EncodeAll(query, options_.signature_bits);
-    const std::vector<ScanTile> tiles = ScanTiles(signatures_, qsigs);
-    const size_t per = (tiles.size() + num_slices - 1) / num_slices;
-    const size_t begin = std::min(tiles.size(), slice * per);
-    const size_t end = std::min(tiles.size(), begin + per);
-    return ScanSignatures(
-        dev, signatures_, qsigs,
-        std::span<const ScanTile>(tiles).subspan(begin, end - begin));
-  }
-  CandidateScan out;
-  out.lists.resize(nu);
-  const size_t n = data_->num_vertices();
-  const size_t chunk =
-      ((n + num_slices - 1) / num_slices + kWarpSize - 1) / kWarpSize *
-      kWarpSize;
-  const size_t v_begin = std::min(n, slice * chunk);
-  const size_t v_end = std::min(n, v_begin + chunk);
-  if (nu == 0 || v_begin >= v_end) return out;
-  const size_t warps_per_u = (v_end - v_begin + kWarpSize - 1) / kWarpSize;
-  std::vector<Label> ulabels(nu);
-  std::vector<uint32_t> udegs(nu);
-  std::vector<std::unordered_map<Label, uint32_t>> requirements(nu);
-  for (VertexId u = 0; u < nu; ++u) {
-    ulabels[u] = query.vertex_label(u);
-    udegs[u] = static_cast<uint32_t>(query.degree(u));
-    requirements[u] = LabelDegreeRequirements(query, u);
-  }
-  // One fused kernel: warp w scans 32 vertices for query vertex
-  // w / warps_per_u — the per-vertex kernels' warps in a single launch, so
-  // a 1/K range costs ~1/K the makespan instead of |V(Q)| under-filled
-  // launches.
-  gpusim::Launch(dev, nu * warps_per_u, [&](gpusim::Warp& w) {
-    const VertexId u = static_cast<VertexId>(w.global_id() / warps_per_u);
-    const VertexId v0 = static_cast<VertexId>(
-        v_begin + (w.global_id() % warps_per_u) * kWarpSize);
-    const size_t lanes = std::min<size_t>(kWarpSize, v_end - v0);
-    LabelDegreeScanWarp(
-        w, ulabels[u], udegs[u], requirements[u],
-        options_.strategy == FilterStrategy::kLabelDegreeNeighbor, v0, lanes,
-        out.lists[u]);
+    uint32_t survivors = 0;
+    for (size_t k = 0; k < lanes; ++k) {
+      VertexId v = v0 + static_cast<VertexId>(k);
+      if (lab[k] != ulabel || deg[k] < udeg) continue;
+      if (check_neighbors) {
+        // GpSM-style refinement: v must have at least |N(u, l)| l-labeled
+        // neighbors for every edge label l around u. Requires scanning v's
+        // adjacency — scattered loads, skewed workloads.
+        std::span<const Neighbor> nbrs = g.neighbors(v);
+        // Charge: stream the adjacency slice (ids + labels: two arrays).
+        w.ChargeLoadTransactions(2 * gpusim::Device::RangeTransactions(
+            0, nbrs.size() * sizeof(VertexId)));
+        w.Alu(nbrs.size());
+        std::unordered_map<Label, uint32_t> have;
+        for (const Neighbor& nb : nbrs) ++have[nb.elabel];
+        bool ok = true;
+        // Order-safe: a pure conjunction over all entries — the verdict
+        // (and the charged work, all outside the loop) is the same in any
+        // order.
+        // NOLINTNEXTLINE(determinism:unordered-iteration)
+        for (const auto& [l, need] : requirements) {
+          auto it = have.find(l);
+          if (it == have.end() || it->second < need) {
+            ok = false;
+            break;
+          }
+        }
+        if (!ok) continue;
+      }
+      out.push_back(v);
+      ++survivors;
+    }
+    if (survivors > 0) {
+      w.Alu(1);
+      w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
+          0, survivors * sizeof(VertexId)));
+    }
   });
   return out;
 }
@@ -269,14 +211,13 @@ Result<FilterResult> FilterContext::Filter(const Graph& query) const {
   return Filter(*dev_, query);
 }
 
-size_t FilterContext::num_data_vertices() const {
-  return data_->num_vertices();
-}
-
 Result<FilterResult> FilterContext::Filter(gpusim::Device& dev,
                                            const Graph& query) const {
   if (has_signatures_) {
-    CandidateScan scan = CandidateLists(dev, query);
+    const std::vector<Signature> qsigs =
+        Signature::EncodeAll(query, options_.signature_bits);
+    CandidateScan scan =
+        ScanSignatures(dev, signatures_, qsigs, ScanTiles(signatures_, qsigs));
     FilterResult result =
         MakeFilterResult(dev, std::move(scan.lists), data_->num_vertices(),
                          options_.build_bitmaps);
@@ -284,10 +225,8 @@ Result<FilterResult> FilterContext::Filter(gpusim::Device& dev,
     return result;
   }
   std::vector<std::vector<VertexId>> lists;
-  const bool check_neighbors =
-      options_.strategy == FilterStrategy::kLabelDegreeNeighbor;
   for (VertexId u = 0; u < query.num_vertices(); ++u) {
-    lists.push_back(LabelDegreeCandidates(dev, query, u, check_neighbors));
+    lists.push_back(LabelDegreeCandidates(dev, query, u));
   }
   return MakeFilterResult(dev, std::move(lists), data_->num_vertices(),
                           options_.build_bitmaps);

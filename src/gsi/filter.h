@@ -2,7 +2,6 @@
 #define GSI_GSI_FILTER_H_
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -119,32 +118,10 @@ class FilterContext {
   /// are only read, so concurrent calls with distinct devices are safe.
   Result<FilterResult> Filter(gpusim::Device& dev, const Graph& query) const;
 
-  /// Candidate lists of every query vertex from share `slice` of
-  /// `num_slices` contiguous shares of the scan, as one kernel — the unit
-  /// the sharded filter stage fans out across devices. The signature
-  /// strategy splits the query's ScanTiles list; the label/degree
-  /// strategies split |V(G)| into 32-aligned ranges and run one fused
-  /// kernel over (query vertex, 32 rows) warps. Either way each share
-  /// issues exactly its warps of the whole scan, so share lists
-  /// concatenated in order equal the whole scan's lists and counters sum
-  /// to it. An empty share launches nothing.
-  CandidateScan CandidateLists(gpusim::Device& dev, const Graph& query,
-                               size_t slice = 0, size_t num_slices = 1) const;
-
-  const FilterOptions& options() const { return options_; }
-  /// |V(G)| of the data graph the context was built for (the bitset width
-  /// MakeFilterResult needs when materializing lists elsewhere).
-  size_t num_data_vertices() const;
-
  private:
-  void LabelDegreeScanWarp(
-      gpusim::Warp& w, Label ulabel, uint32_t udeg,
-      const std::unordered_map<Label, uint32_t>& requirements,
-      bool check_neighbors, VertexId v0, size_t lanes,
-      std::vector<VertexId>& out) const;
   std::vector<VertexId> LabelDegreeCandidates(gpusim::Device& dev,
-                                              const Graph& query, VertexId u,
-                                              bool check_neighbors) const;
+                                              const Graph& query,
+                                              VertexId u) const;
 
   gpusim::Device* dev_;
   const Graph* data_;

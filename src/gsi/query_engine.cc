@@ -4,6 +4,7 @@
 #include <atomic>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "util/percentile.h"
@@ -31,6 +32,18 @@ Status QueryEngine::ValidateRequest(const ExecRequest& req) const {
     return Status::InvalidArgument(
         "ExecRequest names more than one execution target (set at most one "
         "of devices / replicated)");
+  }
+  for (size_t i = 0; i < req.devices.size(); ++i) {
+    if (req.devices[i] == nullptr) {
+      return Status::InvalidArgument("ExecRequest.devices[" +
+                                     std::to_string(i) + "] is null");
+    }
+    if (std::find(req.devices.begin(), req.devices.begin() + i,
+                  req.devices[i]) != req.devices.begin() + i) {
+      return Status::InvalidArgument("ExecRequest.devices[" +
+                                     std::to_string(i) +
+                                     "] repeats an earlier device");
+    }
   }
   if (req.replicated != nullptr && req.selection == nullptr) {
     return Status::InvalidArgument(

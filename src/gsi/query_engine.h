@@ -88,13 +88,16 @@ class QueryEngine {
   ///     K partitions on R devices (gsi/replication.h; R = 1 is plain
   ///     partitioning); concurrent calls need disjoint selections.
   ///
-  /// Setting both targets, a replicated target without a selection, or a
-  /// selection without a replicated target is InvalidArgument. A
+  /// Setting both targets, a replicated target without a selection, a
+  /// selection without a replicated target, or a null or repeated entry in
+  /// `devices` is InvalidArgument, returned before any device is touched. A
   /// replicated target must have been built over this engine's data graph
   /// and GsiOptions (also checked). Every target's result is bit-identical
   /// to GsiMatcher::Find.
   struct ExecRequest {
     const Graph* query = nullptr;
+    /// Distinct, non-null devices; devices[0] is the primary, which runs
+    /// the filter and every step that does not fan out.
     std::span<gpusim::Device* const> devices = {};
     /// Tuning for the `devices` target; ignored otherwise.
     ShardOptions shard = {};

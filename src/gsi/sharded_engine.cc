@@ -14,101 +14,6 @@
 
 namespace gsi {
 
-Result<FilterResult> RunFilterStageSharded(
-    std::span<gpusim::Device* const> devs, const FilterContext& filter,
-    const Graph& query, QueryStats& stats, double* parallel_ms,
-    const obs::TraceContext& trace) {
-  GSI_CHECK_MSG(!devs.empty(), "sharded filter needs at least one device");
-  gpusim::Device& primary = *devs[0];
-  if (devs.size() == 1) {
-    Result<FilterResult> out =
-        RunFilterStage(primary, filter, query, stats, trace);
-    if (out.ok() && parallel_ms != nullptr) {
-      *parallel_ms = stats.filter.SimulatedMs(primary.config());
-    }
-    return out;
-  }
-  if (query.num_vertices() == 0) {
-    return Status::InvalidArgument("empty query");
-  }
-  if (!query.IsConnected()) {
-    return Status::InvalidArgument(
-        "query must be connected (run components separately)");
-  }
-
-  // --- Scan phase: device d scans the d-th contiguous share of the query's
-  // scan (FilterContext::CandidateLists; the signature table is shared and
-  // read-only). Each share issues exactly its warps of a whole scan, so
-  // candidate values AND summed transaction counters match the
-  // single-device stage; only the devices footing the bill differ.
-  const size_t nu = query.num_vertices();
-  const size_t num_devs = devs.size();
-  const obs::DeviceCycleClock primary_clock(primary);
-  obs::ScopedSpan filter_span(trace, "filter", primary_clock,
-                              primary.ordinal());
-  std::vector<CandidateScan> partial(num_devs);
-  std::vector<gpusim::MemStats> scan_mem(num_devs);
-  ThreadPool pool(num_devs);
-  for (size_t d = 0; d < num_devs; ++d) {
-    pool.Submit([&, d] {
-      gpusim::Device& dev = *devs[d];
-      const obs::DeviceCycleClock clock(dev);
-      obs::ScopedSpan span(filter_span.context(), "shard_scan", clock,
-                           dev.ordinal());
-      const gpusim::MemStats before = dev.stats();
-      partial[d] = filter.CandidateLists(dev, query, d, num_devs);
-      scan_mem[d] = dev.stats() - before;
-      span.AddAttr("rows_scanned", partial[d].rows_scanned);
-    });
-  }
-  pool.Wait();
-  // Phase barrier: a shard device that tripped mid-scan invalidates its
-  // slice of every candidate list, so the whole phase fails over.
-  for (size_t d = 0; d < num_devs; ++d) {
-    if (Status h = CheckDeviceHealthy(*devs[d], "shard_scan"); !h.ok()) {
-      return h;
-    }
-  }
-
-  // --- Build phase: the share-concatenated lists (each u's share lists
-  // follow one another in row order: already sorted) become the query's
-  // candidate sets on the primary, in one bitset kernel. The buffers are
-  // valid on any device — the join charges its own reads.
-  std::vector<std::vector<VertexId>> lists(nu);
-  uint64_t rows_scanned = 0;
-  for (const CandidateScan& scan : partial) {
-    for (VertexId u = 0; u < nu; ++u) {
-      lists[u].insert(lists[u].end(), scan.lists[u].begin(),
-                      scan.lists[u].end());
-    }
-    rows_scanned += scan.rows_scanned;
-  }
-  filter_span.AddAttr("rows_scanned", rows_scanned);
-  const gpusim::MemStats before_build = primary.stats();
-  FilterResult result =
-      MakeFilterResult(primary, std::move(lists), filter.num_data_vertices(),
-                       filter.options().build_bitmaps);
-  result.rows_scanned = rows_scanned;
-  const gpusim::MemStats build_mem = primary.stats() - before_build;
-  if (Status h = CheckDeviceHealthy(primary, "filter"); !h.ok()) return h;
-
-  gpusim::MemStats total = build_mem;
-  double max_scan_ms = 0;
-  for (size_t d = 0; d < num_devs; ++d) {
-    total += scan_mem[d];
-    max_scan_ms =
-        std::max(max_scan_ms, scan_mem[d].SimulatedMs(devs[d]->config()));
-  }
-  stats.filter = total;
-  stats.min_candidate_size = result.min_candidate_size;
-  // The scan is a barrier: the makespan is the slowest scan plus the
-  // build.
-  if (parallel_ms != nullptr) {
-    *parallel_ms = max_scan_ms + build_mem.SimulatedMs(primary.config());
-  }
-  return result;
-}
-
 namespace {
 
 /// The next step's sizing of a gathered table: the slices' sizings in slice
@@ -403,21 +308,13 @@ Result<PagedQueryResult> ExecuteQueryShardedPaged(
                        devs[0]->ordinal());
   span.AddAttr("devices", static_cast<uint64_t>(devs.size()));
   QueryStats stats;
-  double filter_parallel_ms = 0;
-  Result<FilterResult> filtered = RunFilterStageSharded(
-      devs, filter, query, stats, &filter_parallel_ms, span.context());
+  Result<FilterResult> filtered =
+      RunFilterStage(*devs[0], filter, query, stats, span.context());
   if (!filtered.ok()) return filtered.status();
   Result<PagedQueryResult> out = RunJoinStageShardedPaged(
       devs, data, store, options, shard_options, query,
       std::move(filtered.value()), stats, span.context());
-  if (out.ok()) {
-    // The join stage derives filter_ms from the summed counters; restore
-    // the fanned-out filter's makespan so total_ms reflects wall-parallel
-    // devices, not serialized work.
-    out->stats.filter_ms = filter_parallel_ms;
-    out->stats.total_ms = out->stats.filter_ms + out->stats.join_ms;
-    out->stats.wall_ms = wall.ElapsedMs();
-  }
+  if (out.ok()) out->stats.wall_ms = wall.ElapsedMs();
   return out;
 }
 

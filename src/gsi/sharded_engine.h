@@ -26,20 +26,6 @@ struct ShardOptions {
   size_t min_rows_per_shard = 64;
 };
 
-/// Filtering phase fanned out over `devs`: device d scans the d-th
-/// contiguous share of the query's scan (FilterContext::CandidateLists:
-/// the query labels' signature tiles) for every query vertex, then the
-/// primary (devs[0]) builds all candidate sets from the concatenated
-/// lists in one MakeFilterResult call. The FilterResult is identical to
-/// single-device RunFilterStage — only the devices footing the bill
-/// differ; `stats.filter` sums all devices' counters and `parallel_ms`
-/// (when non-null) receives the phase makespan (the slowest scan plus the
-/// build).
-Result<FilterResult> RunFilterStageSharded(
-    std::span<gpusim::Device* const> devs, const FilterContext& filter,
-    const Graph& query, QueryStats& stats, double* parallel_ms,
-    const obs::TraceContext& trace = {});
-
 /// Joining phase fanned out over `devs` (Section VIII): the query's
 /// candidate space — the intermediate match table, starting from the seed
 /// list C(order[0]) — is processed step by step. Each step's table comes
@@ -96,13 +82,15 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     FilterResult filtered, QueryStats stats,
     const obs::TraceContext& trace = {});
 
-/// Full sharded execution in manifest form: RunFilterStageSharded then
-/// RunJoinStageShardedPaged across the same devices. With devs.size() == 1
-/// this is exactly ExecuteQuery. Each device must be used by one call at a
-/// time (lease them from a DevicePool). The materialized table, every
-/// simulated counter and the trace are deterministic for a fixed (data,
-/// options, devices, query) — host thread scheduling cannot perturb them.
-/// QueryEngine::Execute is this plus ToQueryResult.
+/// Full sharded execution in manifest form, the flow QueryService runs:
+/// RunFilterStage on the primary (devs[0]), then RunJoinStageShardedPaged
+/// across `devs`. Only the join fans out, so the filter phase (candidate
+/// sets, `stats.filter`, filter_ms) is exactly one device's. With
+/// devs.size() == 1 this is exactly ExecuteQuery. Each device must be used
+/// by one call at a time (lease them from a DevicePool). The materialized
+/// table, every simulated counter and the trace are deterministic for a
+/// fixed (data, options, devices, query) — host thread scheduling cannot
+/// perturb them. QueryEngine::Execute is this plus ToQueryResult.
 Result<PagedQueryResult> ExecuteQueryShardedPaged(
     std::span<gpusim::Device* const> devs, const Graph& data,
     const NeighborStore& store, const FilterContext& filter,

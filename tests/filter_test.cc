@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
 #include <tuple>
 
 #include "baselines/oracle.h"
@@ -249,18 +251,27 @@ TEST_P(SignatureScanSuite, AlignedSlicesSumToTheWholeScan) {
   for (const ScanInput& in : ScanInputs()) {
     gpusim::Device build_dev;
     FilterContext ctx(build_dev, in.data, Options());
+    const SignatureTable table =
+        SignatureTable::Build(build_dev, in.data, nbits(), layout());
     for (const Graph& q : in.queries) {
       gpusim::Device whole_dev;
       Result<FilterResult> whole = ctx.Filter(whole_dev, q);
       ASSERT_TRUE(whole.ok());
       EXPECT_EQ(whole_dev.stats().kernel_launches, 1u);
+      const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
+      const std::vector<ScanTile> tiles = ScanTiles(table, qsigs);
       // Contiguous shares of the query's tile list, down to one tile each.
       for (size_t slices : {2, 3, 7, 1000}) {
         gpusim::Device sliced_dev;
         std::vector<std::vector<VertexId>> cat(q.num_vertices());
         uint64_t rows = 0;
+        const size_t per = (tiles.size() + slices - 1) / slices;
         for (size_t s = 0; s < slices; ++s) {
-          CandidateScan part = ctx.CandidateLists(sliced_dev, q, s, slices);
+          const size_t begin = std::min(tiles.size(), s * per);
+          const size_t end = std::min(tiles.size(), begin + per);
+          CandidateScan part = ScanSignatures(
+              sliced_dev, table, qsigs,
+              std::span<const ScanTile>(tiles).subspan(begin, end - begin));
           for (VertexId u = 0; u < q.num_vertices(); ++u) {
             cat[u].insert(cat[u].end(), part.lists[u].begin(),
                           part.lists[u].end());

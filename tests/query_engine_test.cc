@@ -269,6 +269,24 @@ TEST(QueryEngine, ExecRequestValidation) {
   two_targets.selection = &compact;
   EXPECT_EQ(engine.Execute(two_targets).status().code(),
             StatusCode::kInvalidArgument);
+
+  // A null device would crash and a repeated one would run two slices on
+  // one device at once: both are rejected before any device is touched.
+  gpusim::Device other;
+  const std::vector<std::vector<gpusim::Device*>> bad_devices = {
+      {nullptr}, {&dev, nullptr}, {&dev, &dev}, {&dev, &other, &dev}};
+  for (const std::vector<gpusim::Device*>& bad : bad_devices) {
+    const QueryEngine::ExecRequest req{.query = &w.queries[0],
+                                       .devices = bad};
+    EXPECT_EQ(engine.Execute(req).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad.size() << " devices";
+    EXPECT_EQ(engine.ExecutePaged(req).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad.size() << " devices";
+  }
+  EXPECT_EQ(dev.stats().kernel_launches, 0u);
+  EXPECT_EQ(other.stats().kernel_launches, 0u);
 }
 
 TEST(QueryEngine, RejectsInvalidQueries) {

@@ -39,6 +39,18 @@ void ExpectBitIdentical(const QueryResult& sharded, const QueryResult& single,
   EXPECT_TRUE(sharded.TableEquals(single)) << context;
 }
 
+/// Every simulated counter of one phase.
+void ExpectSameCounters(const gpusim::MemStats& a, const gpusim::MemStats& b,
+                        const std::string& context) {
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches) << context;
+  EXPECT_EQ(a.gld, b.gld) << context;
+  EXPECT_EQ(a.gst, b.gst) << context;
+  EXPECT_EQ(a.shared_accesses, b.shared_accesses) << context;
+  EXPECT_EQ(a.alu_ops, b.alu_ops) << context;
+  EXPECT_EQ(a.remote_transactions, b.remote_transactions) << context;
+  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles) << context;
+}
+
 Result<QueryResult> ExecuteSharded(const QueryEngine& engine,
                                    const Graph& query, size_t num_devices) {
   DevicePool pool(num_devices, engine.options().device);
@@ -62,8 +74,10 @@ TEST(ShardedEngine, BitIdenticalToSingleDeviceOnIntegrationGraphs) {
 
     // GsiMinusOptions is the two-step output scheme, which computes no
     // first-edge bounds to size a fan-out, so it runs on the primary.
-    for (const GsiOptions& options :
-         {DefaultGsiOptions(), GsiOptOptions(), GsiMinusOptions()}) {
+    GsiOptions label_degree = GsiOptOptions();
+    label_degree.filter.strategy = FilterStrategy::kLabelDegree;
+    for (const GsiOptions& options : {DefaultGsiOptions(), GsiOptOptions(),
+                                      GsiMinusOptions(), label_degree}) {
       GsiMatcher sequential(g, options);
       QueryEngine engine(g, options);
       for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -73,10 +87,16 @@ TEST(ShardedEngine, BitIdenticalToSingleDeviceOnIntegrationGraphs) {
           Result<QueryResult> sharded =
               ExecuteSharded(engine, queries[qi], devices);
           ASSERT_TRUE(sharded.ok());
-          ExpectBitIdentical(
-              *sharded, *single,
-              std::string(name) + " query " + std::to_string(qi) + " devices " +
-                  std::to_string(devices));
+          const std::string context = std::string(name) + " query " +
+                                      std::to_string(qi) + " devices " +
+                                      std::to_string(devices);
+          ExpectBitIdentical(*sharded, *single, context);
+          // Only the join fans out: the primary filters alone, so the
+          // phase costs exactly one device's.
+          ExpectSameCounters(sharded->stats.filter, single->stats.filter,
+                             context);
+          EXPECT_EQ(sharded->stats.filter_ms, single->stats.filter_ms)
+              << context;
         }
       }
     }
@@ -149,15 +169,7 @@ TEST(ShardedEngine, SerialStepsCostExactlyOneDevice) {
   ASSERT_TRUE(sharded.ok());
   ExpectBitIdentical(*sharded, *single, "serial steps");
   EXPECT_EQ(sharded->stats.shards_used, 1u);
-  const gpusim::MemStats& a = sharded->stats.join;
-  const gpusim::MemStats& b = single->stats.join;
-  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
-  EXPECT_EQ(a.gld, b.gld);
-  EXPECT_EQ(a.gst, b.gst);
-  EXPECT_EQ(a.shared_accesses, b.shared_accesses);
-  EXPECT_EQ(a.alu_ops, b.alu_ops);
-  EXPECT_EQ(a.remote_transactions, b.remote_transactions);
-  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+  ExpectSameCounters(sharded->stats.join, single->stats.join, "join");
   EXPECT_EQ(sharded->stats.join_ms, single->stats.join_ms);
 }
 
