@@ -123,9 +123,7 @@ std::vector<EdgeJoinMatcher::EdgeStep> EdgeJoinMatcher::PlanEdges(
 }
 
 Result<QueryResult> EdgeJoinMatcher::Find(const Graph& query) {
-  if (query.num_vertices() == 0 || !query.IsConnected()) {
-    return Status::InvalidArgument("query must be non-empty and connected");
-  }
+  if (Status v = ValidateQuery(query); !v.ok()) return v;
   WallTimer wall;
   QueryResult out;
   gpusim::MemStats start_stats = dev_->stats();

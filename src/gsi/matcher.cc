@@ -133,10 +133,7 @@ int32_t SpanDevice(const obs::TraceContext& trace) {
 
 }  // namespace
 
-Result<FilterResult> RunFilterStage(gpusim::Device& dev,
-                                    const FilterContext& filter,
-                                    const Graph& query, QueryStats& stats,
-                                    const obs::TraceContext& trace) {
+Status ValidateQuery(const Graph& query) {
   if (query.num_vertices() == 0) {
     return Status::InvalidArgument("empty query");
   }
@@ -144,6 +141,14 @@ Result<FilterResult> RunFilterStage(gpusim::Device& dev,
     return Status::InvalidArgument(
         "query must be connected (run components separately)");
   }
+  return Status::Ok();
+}
+
+Result<FilterResult> RunFilterStage(gpusim::Device& dev,
+                                    const FilterContext& filter,
+                                    const Graph& query, QueryStats& stats,
+                                    const obs::TraceContext& trace) {
+  if (Status v = ValidateQuery(query); !v.ok()) return v;
   if (Status h = CheckDeviceHealthy(dev, "filter"); !h.ok()) return h;
   const obs::DeviceCycleClock clock(dev);
   obs::ScopedSpan span(trace, "filter", clock, SpanDevice(trace));
@@ -154,6 +159,7 @@ Result<FilterResult> RunFilterStage(gpusim::Device& dev,
   // device that tripped mid-scan are discarded here.
   if (Status h = CheckDeviceHealthy(dev, "filter"); !h.ok()) return h;
   stats.filter = dev.stats() - before;
+  stats.filter_ms = stats.filter.SimulatedMs(dev.config());
   stats.min_candidate_size = filtered->min_candidate_size;
   span.AddAttr("min_candidate_size",
                static_cast<uint64_t>(filtered->min_candidate_size));
@@ -168,9 +174,36 @@ Result<QueryResult> RunJoinStage(gpusim::Device& dev, const Graph& data,
                                  const obs::TraceContext& trace) {
   const obs::DeviceCycleClock clock(dev);
   obs::ScopedSpan span(trace, "join", clock, SpanDevice(trace));
-  QueryResult out;
-  out.stats = stats;
+  std::optional<QueryResult> out =
+      internal::JoinWithoutEngine(dev, data, query, filtered, stats);
+  if (!out) {
+    // --- Joining phase.
+    JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
+    gpusim::MemStats before = dev.stats();
+    JoinEngine join(&dev, &store, options.join);
+    join.set_trace(span.context());
+    Result<MatchTable> table = join.Run(
+        plan, filtered.candidates, filtered.candidates[plan.order[0]].list());
+    if (!table.ok()) return table.status();
+    out = QueryResult{std::move(table.value()), plan.order, stats};
+    out->stats.join = dev.stats() - before;
+    out->stats.join_detail = join.stats();
+    out->stats.join_ms = out->stats.join.SimulatedMs(dev.config());
+    out->stats.total_ms = out->stats.filter_ms + out->stats.join_ms;
+    out->stats.num_matches = out->table.rows();
+  }
 
+  // The shortcut runs materialization kernels the join engine never sees —
+  // cover it with a final boundary check.
+  if (Status h = CheckDeviceHealthy(dev, "join"); !h.ok()) return h;
+  span.AddAttr("matches", static_cast<uint64_t>(out->stats.num_matches));
+  return std::move(*out);
+}
+
+std::optional<QueryResult> internal::JoinWithoutEngine(
+    gpusim::Device& dev, const Graph& data, const Graph& query,
+    const FilterResult& filtered, const QueryStats& stats) {
+  QueryResult out;
   if (query.num_vertices() == 1) {
     // Degenerate query: the candidate set is the answer.
     const CandidateSet& c = filtered.candidates[0];
@@ -180,31 +213,15 @@ Result<QueryResult> RunJoinStage(gpusim::Device& dev, const Graph& data,
   } else if (filtered.AnyEmpty()) {
     // Some query vertex has no candidates: zero matches, skip the join.
     out.table = MatchTable::Alloc(dev, 0, query.num_vertices());
-    JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
-    out.column_to_query = plan.order;
+    out.column_to_query =
+        MakeJoinPlan(query, data, filtered.candidates).order;
   } else {
-    // --- Joining phase.
-    JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
-    gpusim::MemStats before = dev.stats();
-    JoinEngine join(&dev, &store, options.join);
-    join.set_trace(span.context());
-    Result<MatchTable> table = join.Run(
-        plan, filtered.candidates, filtered.candidates[plan.order[0]].list());
-    if (!table.ok()) return table.status();
-    out.stats.join = dev.stats() - before;
-    out.stats.join_detail = join.stats();
-    out.table = std::move(table.value());
-    out.column_to_query = plan.order;
+    return std::nullopt;
   }
-
-  // The degenerate paths above run materialization kernels the join engine
-  // never sees — cover them with a final boundary check.
-  if (Status h = CheckDeviceHealthy(dev, "join"); !h.ok()) return h;
-  out.stats.filter_ms = out.stats.filter.SimulatedMs(dev.config());
-  out.stats.join_ms = out.stats.join.SimulatedMs(dev.config());
-  out.stats.total_ms = out.stats.filter_ms + out.stats.join_ms;
+  out.stats = stats;
+  out.stats.join_ms = 0;
+  out.stats.total_ms = out.stats.filter_ms;
   out.stats.num_matches = out.table.rows();
-  span.AddAttr("matches", static_cast<uint64_t>(out.stats.num_matches));
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define GSI_GSI_MATCHER_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -50,6 +51,11 @@ Status ValidateGsiOptions(const GsiOptions& options);
 struct QueryStats {
   gpusim::MemStats filter;  ///< counters of the filtering phase
   gpusim::MemStats join;    ///< counters of the joining phase
+  /// Written by the filter stage and kept by every join stage, which adds
+  /// join_ms (total_ms = filter_ms + join_ms, + backoff_ms on retries).
+  /// RunFilterStage prices `filter` on its device; RunFilterStageReplicated
+  /// takes the slowest lane's scans plus the primary's gather; a
+  /// QueryService cache hit prices its materialization on its device.
   double filter_ms = 0;
   double join_ms = 0;
   double total_ms = 0;
@@ -117,11 +123,16 @@ struct QueryResult {
   std::vector<std::vector<VertexId>> AllMatchesSorted() const;
 };
 
-/// Stage 1 of query execution: validates `query` (non-empty, connected) and
-/// runs the filtering phase on `dev`, recording the phase's device counters
-/// and the min-candidate metric into `stats`. Exposed separately so a
-/// serving layer can satisfy this stage from a cache of candidate sets and
-/// still run RunJoinStage below (QueryService does exactly that).
+/// The query checks every filter stage runs first: the query must be
+/// non-empty and connected. InvalidArgument otherwise.
+Status ValidateQuery(const Graph& query);
+
+/// Stage 1 of query execution: validates `query` (ValidateQuery) and runs
+/// the filtering phase on `dev`, recording the phase's device counters,
+/// their price (filter_ms) and the min-candidate metric into `stats`.
+/// Exposed separately so a serving layer can satisfy this stage from a
+/// cache of candidate sets and still run RunJoinStage below (QueryService
+/// does exactly that).
 ///
 /// `trace` (here and on every execution function below) is the optional
 /// span-tree collector (obs/trace.h): default-constructed means tracing is
@@ -134,14 +145,28 @@ Result<FilterResult> RunFilterStage(gpusim::Device& dev,
 
 /// Stage 2: joining phase over candidate sets produced by RunFilterStage
 /// (or rematerialized from a FilterCache). Consumes `filtered`; `stats`
-/// carries the filter-phase counters forward and is finalized (per-phase
-/// simulated times, match count) into the returned result. Host wall time
+/// carries the filter phase's counters and filter_ms forward, and the
+/// result adds join_ms, total_ms and the match count. Host wall time
 /// (`stats.wall_ms`) is the caller's responsibility.
 Result<QueryResult> RunJoinStage(gpusim::Device& dev, const Graph& data,
                                  const NeighborStore& store,
                                  const GsiOptions& options, const Graph& query,
                                  FilterResult filtered, QueryStats stats,
                                  const obs::TraceContext& trace = {});
+
+namespace internal {
+
+/// Every join stage's shortcut: a one-vertex query's candidate set is its
+/// answer, and a query with an empty candidate set has no match. Returns
+/// that table (on `dev`) with `stats` and join_ms = 0, or nullopt when the
+/// query needs the join engine. The caller health-checks `dev`.
+std::optional<QueryResult> JoinWithoutEngine(gpusim::Device& dev,
+                                             const Graph& data,
+                                             const Graph& query,
+                                             const FilterResult& filtered,
+                                             const QueryStats& stats);
+
+}  // namespace internal
 
 /// Runs one query against prebuilt shared structures, charging every device
 /// allocation and memory transaction to `dev` (filter + join contexts are

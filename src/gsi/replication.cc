@@ -288,15 +288,8 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
                                               QueryStats& stats,
                                               double* parallel_ms,
                                               const obs::TraceContext& trace) {
-  if (query.num_vertices() == 0) {
-    return Status::InvalidArgument("empty query");
-  }
-  if (!query.IsConnected()) {
-    return Status::InvalidArgument(
-        "query must be connected (run components separately)");
-  }
-  Status valid = ValidateSelection(rg, sel);
-  if (!valid.ok()) return valid;
+  if (Status v = ValidateQuery(query); !v.ok()) return v;
+  if (Status v = ValidateSelection(rg, sel); !v.ok()) return v;
 
   const size_t k = rg.num_partitions();
   const size_t nu = query.num_vertices();
@@ -395,19 +388,19 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
   double max_scan_ms = 0;
   for (double ms : lane_scan_ms) max_scan_ms = std::max(max_scan_ms, ms);
   stats.filter = total;
+  // The lanes scan concurrently: the phase costs the slowest lane's scans
+  // plus the primary's gather, not the summed counters.
+  stats.filter_ms = max_scan_ms + gather_mem.SimulatedMs(primary.config());
   stats.min_candidate_size = result.min_candidate_size;
   stats.halo_bytes += halo;
-  if (parallel_ms != nullptr) {
-    *parallel_ms = max_scan_ms + gather_mem.SimulatedMs(primary.config());
-  }
+  if (parallel_ms != nullptr) *parallel_ms = stats.filter_ms;
   return result;
 }
 
 Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     const ReplicatedGraph& rg, const ReplicaSelection& sel, const Graph& query,
     FilterResult filtered, QueryStats stats, const obs::TraceContext& trace) {
-  Status valid = ValidateSelection(rg, sel);
-  if (!valid.ok()) return valid;
+  if (Status v = ValidateSelection(rg, sel); !v.ok()) return v;
   const Graph& data = rg.data();
   const GsiOptions& options = rg.options();
   const size_t k = rg.num_partitions();
@@ -417,218 +410,202 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   obs::ScopedSpan join_span(trace, "join", primary_clock,
                             static_cast<int32_t>(lanes.devices[0]));
 
+  if (std::optional<QueryResult> trivial =
+          internal::JoinWithoutEngine(primary, data, query, filtered,
+                                      stats)) {
+    // Assembled on the primary, exactly like RunJoinStage.
+    if (Status h = CheckDeviceHealthy(primary, "join"); !h.ok()) return h;
+    PagedQueryResult out = ToPagedResult(std::move(*trivial), primary);
+    out.stats.replica_lanes = lanes.devices.size();
+    out.stats.partitions_used = 1;
+    return out;
+  }
+
   PagedQueryResult out;
   out.stats = stats;
   out.stats.replica_lanes = lanes.devices.size();
+  const JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
+  const CandidateSet& seed = filtered.candidates[plan.order[0]];
 
-  if (query.num_vertices() == 1) {
-    // Degenerate query: the candidate set is the answer (assembled on the
-    // primary, exactly like RunJoinStage).
-    const CandidateSet& c = filtered.candidates[0];
-    MatchTable table = MatchTable::Alloc(primary, c.size(), 1);
-    for (size_t i = 0; i < c.size(); ++i) table.Set(i, 0, c.list()[i]);
-    out.manifest = ResultManifest::FromWholeTable(std::move(table), primary);
-    out.column_to_query = {0};
-    out.stats.partitions_used = 1;
-  } else if (filtered.AnyEmpty()) {
-    // Some query vertex has no candidates: zero matches, skip the join.
-    out.manifest = ResultManifest::FromWholeTable(
-        MatchTable::Alloc(primary, 0, query.num_vertices()), primary);
-    JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
-    out.column_to_query = plan.order;
-    out.stats.partitions_used = 1;
-  } else {
-    const JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
-    const CandidateSet& seed = filtered.candidates[plan.order[0]];
+  // Split the seed list by ownership (host-mediated read, like any seed
+  // scatter): partition p joins the subsequence of C(order[0]) it owns,
+  // on whichever device the selection mapped it to.
+  std::vector<std::vector<VertexId>> seed_cols(k);
+  for (size_t i = 0; i < seed.size(); ++i) {
+    const VertexId v = seed.list()[i];
+    seed_cols[rg.OwnerOf(v)].push_back(v);
+  }
 
-    // Split the seed list by ownership (host-mediated read, like any seed
-    // scatter): partition p joins the subsequence of C(order[0]) it owns,
-    // on whichever device the selection mapped it to.
-    std::vector<std::vector<VertexId>> seed_cols(k);
-    for (size_t i = 0; i < seed.size(); ++i) {
-      const VertexId v = seed.list()[i];
-      seed_cols[rg.OwnerOf(v)].push_back(v);
-    }
-
-    std::vector<std::optional<Result<MatchTable>>> parts(k);
-    std::vector<gpusim::MemStats> deltas(k);
-    std::vector<JoinStats> part_join(k);
-    std::vector<internal::RoutedStoreView::Traffic> traffic(k);
-    {
-      ThreadPool pool(lanes.devices.size());
-      for (size_t lane = 0; lane < lanes.devices.size(); ++lane) {
-        pool.Submit([&, lane] {
-          const size_t d = lanes.devices[lane];
-          gpusim::Device& dev = rg.device(d);
-          const obs::DeviceCycleClock clock(dev);
-          // The replica lane: this device's partitions join back-to-back
-          // while the other lanes run concurrently.
-          obs::ScopedSpan lane_span(join_span.context(), "lane", clock,
-                                    static_cast<int32_t>(d));
-          lane_span.AddAttr("partitions",
-                            static_cast<uint64_t>(lanes.parts[lane].size()));
-          std::vector<const PcsrStore*> serving;
-          std::vector<uint8_t> local;
-          RouteForDevice(rg, sel, d, serving, local);
-          for (PartitionId p : lanes.parts[lane]) {
-            obs::ScopedSpan part_span(lane_span.context(), "partition_join",
-                                      clock);
-            part_span.AddAttr("partition", static_cast<uint64_t>(p));
-            part_span.AddAttr("seed_rows",
-                              static_cast<uint64_t>(seed_cols[p].size()));
-            const gpusim::MemStats before = dev.stats();
-            if (seed_cols[p].empty()) {
-              parts[p] = MatchTable::Alloc(dev, 0, plan.order.size());
-            } else {
-              internal::RoutedStoreView view(rg.owners(), serving, local, p,
-                                             rg.halo_cache(d));
-              JoinEngine join(&dev, &view, options.join);
-              join.set_trace(part_span.context());
-              const uint64_t probes_start = clock.NowNanos();
-              // The owned seed share is uploaded (host-mediated, uncharged)
-              // and seeded by the join's own seed entry, so the partitions
-              // together pay what the replicated seed pays.
-              parts[p] = join.Run(plan, filtered.candidates,
-                                  dev.Upload(seed_cols[p]));
-              part_join[p] = join.stats();
-              traffic[p] = view.traffic();
-              // One batch span covering the remote probes this partition's
-              // join steps sent across the interconnect.
-              const obs::TraceContext part_ctx = part_span.context();
-              if (part_ctx.tracer != nullptr && traffic[p].remote_probes > 0) {
-                const int32_t idx = part_ctx.tracer->RecordSpan(
-                    "remote_probes", static_cast<int32_t>(d), probes_start,
-                    clock.NowNanos(), part_ctx.parent);
-                part_ctx.tracer->AddAttr(
-                    idx, "probes", std::to_string(traffic[p].remote_probes));
-                part_ctx.tracer->AddAttr(
-                    idx, "lines", std::to_string(traffic[p].remote_lines));
-                part_ctx.tracer->AddAttr(
-                    idx, "co_located",
-                    std::to_string(traffic[p].co_located_probes));
-              }
-              // Halo-cache hits as their own span: remote lookups this
-              // lane answered locally (cycle-clock timed, so traced runs
-              // at a fixed budget stay byte-identical).
-              if (part_ctx.tracer != nullptr && traffic[p].halo_hits > 0) {
-                const int32_t idx = part_ctx.tracer->RecordSpan(
-                    "halo_probe", static_cast<int32_t>(d), probes_start,
-                    clock.NowNanos(), part_ctx.parent);
-                part_ctx.tracer->AddAttr(
-                    idx, "hits", std::to_string(traffic[p].halo_hits));
-                part_ctx.tracer->AddAttr(
-                    idx, "bytes", std::to_string(traffic[p].halo_hit_bytes));
-              }
+  std::vector<std::optional<Result<MatchTable>>> parts(k);
+  std::vector<gpusim::MemStats> deltas(k);
+  std::vector<JoinStats> part_join(k);
+  std::vector<internal::RoutedStoreView::Traffic> traffic(k);
+  {
+    ThreadPool pool(lanes.devices.size());
+    for (size_t lane = 0; lane < lanes.devices.size(); ++lane) {
+      pool.Submit([&, lane] {
+        const size_t d = lanes.devices[lane];
+        gpusim::Device& dev = rg.device(d);
+        const obs::DeviceCycleClock clock(dev);
+        // The replica lane: this device's partitions join back-to-back
+        // while the other lanes run concurrently.
+        obs::ScopedSpan lane_span(join_span.context(), "lane", clock,
+                                  static_cast<int32_t>(d));
+        lane_span.AddAttr("partitions",
+                          static_cast<uint64_t>(lanes.parts[lane].size()));
+        std::vector<const PcsrStore*> serving;
+        std::vector<uint8_t> local;
+        RouteForDevice(rg, sel, d, serving, local);
+        for (PartitionId p : lanes.parts[lane]) {
+          obs::ScopedSpan part_span(lane_span.context(), "partition_join",
+                                    clock);
+          part_span.AddAttr("partition", static_cast<uint64_t>(p));
+          part_span.AddAttr("seed_rows",
+                            static_cast<uint64_t>(seed_cols[p].size()));
+          const gpusim::MemStats before = dev.stats();
+          if (seed_cols[p].empty()) {
+            parts[p] = MatchTable::Alloc(dev, 0, plan.order.size());
+          } else {
+            internal::RoutedStoreView view(rg.owners(), serving, local, p,
+                                           rg.halo_cache(d));
+            JoinEngine join(&dev, &view, options.join);
+            join.set_trace(part_span.context());
+            const uint64_t probes_start = clock.NowNanos();
+            // The owned seed share is uploaded (host-mediated, uncharged)
+            // and seeded by the join's own seed entry, so the partitions
+            // together pay what the replicated seed pays.
+            parts[p] = join.Run(plan, filtered.candidates,
+                                dev.Upload(seed_cols[p]));
+            part_join[p] = join.stats();
+            traffic[p] = view.traffic();
+            // One batch span covering the remote probes this partition's
+            // join steps sent across the interconnect.
+            const obs::TraceContext part_ctx = part_span.context();
+            if (part_ctx.tracer != nullptr && traffic[p].remote_probes > 0) {
+              const int32_t idx = part_ctx.tracer->RecordSpan(
+                  "remote_probes", static_cast<int32_t>(d), probes_start,
+                  clock.NowNanos(), part_ctx.parent);
+              part_ctx.tracer->AddAttr(
+                  idx, "probes", std::to_string(traffic[p].remote_probes));
+              part_ctx.tracer->AddAttr(
+                  idx, "lines", std::to_string(traffic[p].remote_lines));
+              part_ctx.tracer->AddAttr(
+                  idx, "co_located",
+                  std::to_string(traffic[p].co_located_probes));
             }
-            deltas[p] = dev.stats() - before;
+            // Halo-cache hits as their own span: remote lookups this
+            // lane answered locally (cycle-clock timed, so traced runs
+            // at a fixed budget stay byte-identical).
+            if (part_ctx.tracer != nullptr && traffic[p].halo_hits > 0) {
+              const int32_t idx = part_ctx.tracer->RecordSpan(
+                  "halo_probe", static_cast<int32_t>(d), probes_start,
+                  clock.NowNanos(), part_ctx.parent);
+              part_ctx.tracer->AddAttr(
+                  idx, "hits", std::to_string(traffic[p].halo_hits));
+              part_ctx.tracer->AddAttr(
+                  idx, "bytes", std::to_string(traffic[p].halo_hit_bytes));
+            }
           }
-        });
-      }
-      pool.Wait();
+          deltas[p] = dev.stats() - before;
+        }
+      });
     }
-    for (PartitionId p = 0; p < k; ++p) {
-      if (!parts[p]->ok()) return parts[p]->status();
-    }
-
-    // --- Roll-up: counters sum total work; the time is the makespan of
-    // the concurrently-running lanes (each lane's partitions serialize on
-    // its device, and each partition's work is a deterministic function of
-    // its seed subsequence, not of the device that ran it) plus the merge.
-    gpusim::MemStats join_counters;
-    JoinStats detail;
-    std::vector<double> lane_ms(lanes.devices.size(), 0);
-    double sum_ms = 0;
-    double max_part_ms = 0;
-    size_t active = 0;
-    for (PartitionId p = 0; p < k; ++p) {
-      join_counters += deltas[p];
-      if (seed_cols[p].empty()) continue;
-      const double ms =
-          deltas[p].SimulatedMs(rg.device(lanes.devices[lanes.lane_of[p]])
-                                    .config());
-      lane_ms[lanes.lane_of[p]] += ms;
-      ++active;
-      sum_ms += ms;
-      max_part_ms = std::max(max_part_ms, ms);
-      detail.iterations = std::max(detail.iterations, part_join[p].iterations);
-      detail.peak_rows += part_join[p].peak_rows;  // concurrently resident
-      detail.total_chunks += part_join[p].total_chunks;
-      detail.dup_cache_hits += part_join[p].dup_cache_hits;
-      detail.dup_cache_misses += part_join[p].dup_cache_misses;
-      out.stats.remote_probes += traffic[p].remote_probes;
-      out.stats.halo_bytes += traffic[p].remote_lines * kTransactionBytes;
-      out.stats.co_located_probes += traffic[p].co_located_probes;
-      out.stats.halo_cache_hits += traffic[p].halo_hits;
-      out.stats.halo_cache_bytes += traffic[p].halo_hit_bytes;
-    }
-    double max_lane_ms = 0;
-    for (double ms : lane_ms) max_lane_ms = std::max(max_lane_ms, ms);
-
-    // --- Merge planning on the primary, in global seed order (see
-    // PlanSeedRunMerge for why this reconstructs the replicated table row
-    // for row). The partial tables stay on their lane devices; only the
-    // ordered run list is computed here, but the movement of rows from
-    // partitions not resident on the primary is still charged now, so
-    // one-shot and paged consumers observe identical counters.
-    const gpusim::MemStats before_merge = primary.stats();
-    obs::ScopedSpan merge_span(join_span.context(), "result_merge",
-                               primary_clock);
-    const size_t cols_out = plan.order.size();
-    std::vector<const MatchTable*> tabs(k);
-    for (PartitionId p = 0; p < k; ++p) tabs[p] = &parts[p]->value();
-    std::vector<size_t> rows_from;
-    const std::vector<ManifestSegment> runs =
-        internal::PlanSeedRunMerge(tabs, rows_from);
-    uint64_t remote_rows = 0;
-    for (PartitionId p = 0; p < k; ++p) {
-      if (lanes.devices[lanes.lane_of[p]] != lanes.devices[0]) {
-        remote_rows += rows_from[p];
-      }
-    }
-    const uint64_t merge_bytes = remote_rows * cols_out * sizeof(VertexId);
-    primary.ChargeRemoteTransfer(merge_bytes);
-    out.stats.halo_bytes += merge_bytes;
-    size_t total_rows = 0;
-    for (const MatchTable* t : tabs) total_rows += t->rows();
-    merge_span.AddAttr("rows", static_cast<uint64_t>(total_rows));
-    merge_span.AddAttr("halo_bytes", merge_bytes);
-    if (Status h = CheckDeviceHealthy(primary, "result_merge"); !h.ok()) {
-      return h;
-    }
-    const gpusim::MemStats merge_mem = primary.stats() - before_merge;
-    join_counters += merge_mem;
-
-    detail.final_rows = total_rows;
-    detail.peak_rows = std::max(detail.peak_rows, total_rows);
-    out.manifest.set_cols(cols_out);
-    std::vector<size_t> part_index(k, SIZE_MAX);
-    for (PartitionId p = 0; p < k; ++p) {
-      if (parts[p]->value().rows() == 0) continue;  // nothing to reference
-      part_index[p] = out.manifest.AddPart(
-          std::move(parts[p]->value()),
-          rg.device(lanes.devices[lanes.lane_of[p]]));
-    }
-    for (const ManifestSegment& r : runs) {
-      out.manifest.AddSegment(part_index[r.part], r.begin, r.count);
-    }
-    out.column_to_query = plan.order;
-    out.stats.join = join_counters;
-    out.stats.join_detail = detail;
-    out.stats.partitions_used = std::max<size_t>(1, active);
-    out.stats.partition_skew =
-        active > 0 && sum_ms > 0
-            ? max_part_ms / (sum_ms / static_cast<double>(active))
-            : 0;
-    out.stats.join_ms = max_lane_ms + merge_mem.SimulatedMs(primary.config());
+    pool.Wait();
+  }
+  for (PartitionId p = 0; p < k; ++p) {
+    if (!parts[p]->ok()) return parts[p]->status();
   }
 
-  // Covers the degenerate paths (single-vertex / empty-candidate), which
-  // materialize on the primary without entering the join engine.
-  if (Status h = CheckDeviceHealthy(primary, "join"); !h.ok()) return h;
-  out.stats.filter_ms = out.stats.filter.SimulatedMs(primary.config());
-  if (out.stats.join_ms == 0) {
-    out.stats.join_ms = out.stats.join.SimulatedMs(primary.config());
+  // --- Roll-up: counters sum total work; the time is the makespan of
+  // the concurrently-running lanes (each lane's partitions serialize on
+  // its device, and each partition's work is a deterministic function of
+  // its seed subsequence, not of the device that ran it) plus the merge.
+  gpusim::MemStats join_counters;
+  JoinStats detail;
+  std::vector<double> lane_ms(lanes.devices.size(), 0);
+  double sum_ms = 0;
+  double max_part_ms = 0;
+  size_t active = 0;
+  for (PartitionId p = 0; p < k; ++p) {
+    join_counters += deltas[p];
+    if (seed_cols[p].empty()) continue;
+    const double ms =
+        deltas[p].SimulatedMs(rg.device(lanes.devices[lanes.lane_of[p]])
+                                  .config());
+    lane_ms[lanes.lane_of[p]] += ms;
+    ++active;
+    sum_ms += ms;
+    max_part_ms = std::max(max_part_ms, ms);
+    detail.iterations = std::max(detail.iterations, part_join[p].iterations);
+    detail.peak_rows += part_join[p].peak_rows;  // concurrently resident
+    detail.total_chunks += part_join[p].total_chunks;
+    detail.dup_cache_hits += part_join[p].dup_cache_hits;
+    detail.dup_cache_misses += part_join[p].dup_cache_misses;
+    out.stats.remote_probes += traffic[p].remote_probes;
+    out.stats.halo_bytes += traffic[p].remote_lines * kTransactionBytes;
+    out.stats.co_located_probes += traffic[p].co_located_probes;
+    out.stats.halo_cache_hits += traffic[p].halo_hits;
+    out.stats.halo_cache_bytes += traffic[p].halo_hit_bytes;
   }
+  double max_lane_ms = 0;
+  for (double ms : lane_ms) max_lane_ms = std::max(max_lane_ms, ms);
+
+  // --- Merge planning on the primary, in global seed order (see
+  // PlanSeedRunMerge for why this reconstructs the replicated table row
+  // for row). The partial tables stay on their lane devices; only the
+  // ordered run list is computed here, but the movement of rows from
+  // partitions not resident on the primary is still charged now, so
+  // one-shot and paged consumers observe identical counters.
+  const gpusim::MemStats before_merge = primary.stats();
+  obs::ScopedSpan merge_span(join_span.context(), "result_merge",
+                             primary_clock);
+  const size_t cols_out = plan.order.size();
+  std::vector<const MatchTable*> tabs(k);
+  for (PartitionId p = 0; p < k; ++p) tabs[p] = &parts[p]->value();
+  std::vector<size_t> rows_from;
+  const std::vector<ManifestSegment> runs =
+      internal::PlanSeedRunMerge(tabs, rows_from);
+  uint64_t remote_rows = 0;
+  for (PartitionId p = 0; p < k; ++p) {
+    if (lanes.devices[lanes.lane_of[p]] != lanes.devices[0]) {
+      remote_rows += rows_from[p];
+    }
+  }
+  const uint64_t merge_bytes = remote_rows * cols_out * sizeof(VertexId);
+  primary.ChargeRemoteTransfer(merge_bytes);
+  out.stats.halo_bytes += merge_bytes;
+  size_t total_rows = 0;
+  for (const MatchTable* t : tabs) total_rows += t->rows();
+  merge_span.AddAttr("rows", static_cast<uint64_t>(total_rows));
+  merge_span.AddAttr("halo_bytes", merge_bytes);
+  if (Status h = CheckDeviceHealthy(primary, "result_merge"); !h.ok()) {
+    return h;
+  }
+  const gpusim::MemStats merge_mem = primary.stats() - before_merge;
+  join_counters += merge_mem;
+
+  detail.final_rows = total_rows;
+  detail.peak_rows = std::max(detail.peak_rows, total_rows);
+  out.manifest.set_cols(cols_out);
+  std::vector<size_t> part_index(k, SIZE_MAX);
+  for (PartitionId p = 0; p < k; ++p) {
+    if (parts[p]->value().rows() == 0) continue;  // nothing to reference
+    part_index[p] = out.manifest.AddPart(
+        std::move(parts[p]->value()),
+        rg.device(lanes.devices[lanes.lane_of[p]]));
+  }
+  for (const ManifestSegment& r : runs) {
+    out.manifest.AddSegment(part_index[r.part], r.begin, r.count);
+  }
+  out.column_to_query = plan.order;
+  out.stats.join = join_counters;
+  out.stats.join_detail = detail;
+  out.stats.partitions_used = std::max<size_t>(1, active);
+  out.stats.partition_skew =
+      active > 0 && sum_ms > 0
+          ? max_part_ms / (sum_ms / static_cast<double>(active))
+          : 0;
+  out.stats.join_ms = max_lane_ms + merge_mem.SimulatedMs(primary.config());
   out.stats.total_ms = out.stats.filter_ms + out.stats.join_ms;
   out.stats.num_matches = out.manifest.rows();
   return out;
@@ -638,8 +615,7 @@ Result<PagedQueryResult> ExecuteQueryReplicatedPaged(
     const ReplicatedGraph& rg, const ReplicaSelection& sel, const Graph& query,
     const obs::TraceContext& trace) {
   WallTimer wall;
-  Status valid = ValidateSelection(rg, sel);
-  if (!valid.ok()) return valid;
+  if (Status v = ValidateSelection(rg, sel); !v.ok()) return v;
   const Lanes lanes = LanesOf(rg, sel);
   const obs::DeviceCycleClock primary_clock(rg.device(lanes.devices[0]));
   obs::ScopedSpan span(trace, "execute_replicated", primary_clock,
@@ -647,20 +623,12 @@ Result<PagedQueryResult> ExecuteQueryReplicatedPaged(
   span.AddAttr("partitions", static_cast<uint64_t>(rg.num_partitions()));
   span.AddAttr("lanes", static_cast<uint64_t>(lanes.devices.size()));
   QueryStats stats;
-  double filter_parallel_ms = 0;
   Result<FilterResult> filtered = RunFilterStageReplicated(
-      rg, sel, query, stats, &filter_parallel_ms, span.context());
+      rg, sel, query, stats, /*parallel_ms=*/nullptr, span.context());
   if (!filtered.ok()) return filtered.status();
   Result<PagedQueryResult> out = RunJoinStageReplicatedPaged(
       rg, sel, query, std::move(filtered.value()), stats, span.context());
-  if (out.ok()) {
-    // The join stage derives filter_ms from the summed counters; restore
-    // the fanned-out filter's makespan so total_ms reflects wall-parallel
-    // lanes, not serialized work.
-    out->stats.filter_ms = filter_parallel_ms;
-    out->stats.total_ms = out->stats.filter_ms + out->stats.join_ms;
-    out->stats.wall_ms = wall.ElapsedMs();
-  }
+  if (out.ok()) out->stats.wall_ms = wall.ElapsedMs();
   return out;
 }
 

@@ -192,8 +192,10 @@ Result<ReplicaSelection> SelectionFromDevices(
 /// lowest selected device) — lists from partitions co-resident with the
 /// primary stay local; the rest are charged as halo traffic. Candidate
 /// values are identical to the replicated scan for every selection.
-/// `parallel_ms` (when non-null) receives the phase makespan: the slowest
-/// device's scans plus the primary's gather/materialize.
+/// `stats.filter` sums every device's counters; `stats.filter_ms` is the
+/// phase makespan: the slowest device's scans plus the primary's
+/// gather/materialize. `parallel_ms` (when non-null) receives the same
+/// value as `stats.filter_ms`.
 Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
                                               const ReplicaSelection& sel,
                                               const Graph& query,
@@ -216,9 +218,11 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
 /// (ToQueryResult) or page by page — is bit-identical to single-device
 /// RunJoinStage for every selection and leaves every counter unchanged.
 ///
-/// Stats roll-up: `stats.join` sums every device's counters (total work);
-/// join_ms is the makespan — the slowest device's partition sequence plus
-/// the merge; partition_skew is max/mean over partitions that owned seeds;
+/// Stats roll-up: filter_ms is kept from `stats` (the filter stage's
+/// price); `stats.join` sums every device's counters (total work); join_ms
+/// is the makespan — the slowest device's partition sequence plus the
+/// merge; total_ms is their sum; partition_skew is max/mean over
+/// partitions that owned seeds;
 /// stats.replica_lanes counts the distinct devices used. Each partition's
 /// intermediate table is bounded by options.join.max_rows separately.
 /// Wall-clock thread interleaving never leaks into simulated numbers:

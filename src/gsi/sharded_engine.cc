@@ -86,7 +86,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   std::vector<double> device_loads(devs.size(), 0);  // slice i on device i
   double makespan_ms = 0;  // of the distributed steps
   size_t shards_used = 1;
-  ThreadPool pool(devs.size());  // reused by every fan-out below
+  std::optional<ThreadPool> pool;  // built by the first step that fans out
 
   gpusim::MemStats mark = primary.stats();
   ResultManifest manifest;  // filled by the final step
@@ -135,8 +135,9 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
         slices.size());
     std::vector<gpusim::MemStats> slice_mem(slices.size());
     std::vector<JoinStats> slice_join(slices.size());
+    if (!pool) pool.emplace(devs.size());
     for (size_t i = 0; i < slices.size(); ++i) {
-      pool.Submit([&, i] {
+      pool->Submit([&, i] {
         gpusim::Device& dev = *devs[i];
         const ShardRange& slice = slices[i];
         const obs::DeviceCycleClock clock(dev);
@@ -171,7 +172,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
         slice_mem[i] = dev.stats() - before;
       });
     }
-    pool.Wait();
+    pool->Wait();
     uint64_t rows_out = 0;
     for (size_t i = 0; i < slices.size(); ++i) {
       if (!tables[i]->ok()) return tables[i]->status();
@@ -273,7 +274,6 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   out.column_to_query = plan.order;
   out.stats.join = join_counters;
   out.stats.join_detail = detail;
-  out.stats.filter_ms = out.stats.filter.SimulatedMs(primary.config());
   out.stats.join_ms =
       serial_total.SimulatedMs(primary.config()) + makespan_ms;
   out.stats.total_ms = out.stats.filter_ms + out.stats.join_ms;

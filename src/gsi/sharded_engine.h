@@ -50,9 +50,10 @@ struct ShardOptions {
 /// step emits output rows in input-row order, so concatenating contiguous
 /// row slices reproduces the whole-table step row for row at each
 /// boundary. A join whose steps all stay on devs[0] costs exactly what
-/// one device's join does.
+/// one device's join does and starts no host thread.
 ///
-/// Stats roll-up: `stats.join` sums every device's counters (total work).
+/// Stats roll-up: filter_ms is kept from `stats` (the filter stage's
+/// price). `stats.join` sums every device's counters (total work).
 /// join_ms is the parallel makespan: the primary-serial segments (seed,
 /// serial steps) plus, per distributed step, its slowest slice. Slice i's
 /// cost is device i's load in shard_skew; shards_used is the widest

@@ -20,14 +20,9 @@ using Clock = std::chrono::steady_clock;  // NOLINT(determinism:nondeterministic
 
 namespace {
 
-// The halo budget is a serving-layer knob (ServiceOptions), but the caches
-// are built by ReplicatedGraph::Build from GsiOptions.
-// Inject before the engine is constructed so the engine's options() — the
-// value every Build below reads — carries the budget exactly once.
-GsiOptions WithHaloBudget(GsiOptions go, const ServiceOptions& so) {
-  if (so.partition_data_graph) go.halo_budget_bytes = so.halo_budget_bytes;
-  return go;
-}
+// Simulated backoff before retry k >= 2: min(cap, base * 2^(k-2)) ms.
+constexpr double kRetryBackoffBaseMs = 1.0;
+constexpr double kRetryBackoffCapMs = 8.0;
 
 // Uniform double-consume status for every observer path (Poll, Wait,
 // FetchPage): kNotFound with an actionable message, not an internal error —
@@ -50,9 +45,9 @@ Status CursorClosed(uint64_t id) {
 QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
                            ServiceOptions options)
     : data_(&data),
-      options_(options),
-      engine_(data, WithHaloBudget(std::move(gsi_options), options)) {
-  init_status_ = engine_.init_status();
+      options_(std::move(options)),
+      gsi_options_(std::move(gsi_options)) {
+  init_status_ = ValidateGsiOptions(gsi_options_);
   if (init_status_.ok() && options_.max_queue_depth == 0) {
     // Depth 0 would reject every Submit under kReject and deadlock every
     // Submit under kBlock (the space predicate could never hold).
@@ -107,8 +102,7 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
         "engine execution already stores a full replica per device)");
     return;
   }
-  devices_ =
-      std::make_unique<DevicePool>(num_devices, engine_.options().device);
+  devices_ = std::make_unique<DevicePool>(num_devices, gsi_options_.device);
   devices_->RegisterMetrics(metrics_);
   if (options_.partition_data_graph) {
     // Workers have not started, so the pool is idle: take every device (in
@@ -127,15 +121,20 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
     const GraphPartitioner& partitioner = options_.partitioner
                                               ? *options_.partitioner
                                               : default_partitioner;
+    // The halo budget is a serving-layer knob; the caches it sizes are
+    // built from the GsiOptions the shares are built with.
+    GsiOptions go = gsi_options_;
+    go.halo_budget_bytes = options_.halo_budget_bytes;
     Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
-        devs, data, engine_.options(), partitioner,
-        /*partitions=*/devs.size(),
+        devs, data, go, partitioner, /*partitions=*/devs.size(),
         static_cast<size_t>(options_.partition_replicas));
     if (!rg.ok()) {
       init_status_ = rg.status();
       return;
     }
     replicated_ = std::make_unique<ReplicatedGraph>(std::move(rg.value()));
+  } else {
+    engine_ = std::make_unique<QueryEngine>(data, gsi_options_);
   }
   pool_ = std::make_unique<ThreadPool>(workers);
   for (size_t i = 0; i < workers; ++i) {
@@ -227,7 +226,7 @@ std::optional<Result<QueryResult>> QueryService::Poll(
   if (!paged->ok()) return Result<QueryResult>(paged->status());
   // Materialize outside the lock: every copy is host-mediated (uncharged),
   // so the table and stats stay bit-identical to QueryEngine::Execute.
-  gpusim::Device tmp(engine_.options().device);
+  gpusim::Device tmp(gsi_options_.device);
   return Result<QueryResult>(ToQueryResult(std::move(paged->value()), tmp));
 }
 
@@ -243,7 +242,7 @@ Result<QueryResult> QueryService::Wait(const QueryTicket& ticket) {
     paged = std::move(*t.result);
   }
   if (!paged->ok()) return paged->status();
-  gpusim::Device tmp(engine_.options().device);
+  gpusim::Device tmp(gsi_options_.device);
   return ToQueryResult(std::move(paged->value()), tmp);
 }
 
@@ -745,9 +744,8 @@ void QueryService::WorkerLoop() {
 
 Result<FilterResult> QueryService::FilterViaCache(
     const Graph& query, gpusim::Device& materialize_dev, QueryStats& stats,
-    bool* hit, const obs::TraceContext& trace,
+    const obs::TraceContext& trace,
     const std::function<Result<FilterResult>()>& fresh_filter) {
-  if (hit != nullptr) *hit = false;
   if (!cache_) return fresh_filter();
   const std::string key = FilterCache::KeyOf(query);
   if (std::shared_ptr<const FilterCache::Entry> entry = cache_->Lookup(key)) {
@@ -762,12 +760,12 @@ Result<FilterResult> QueryService::FilterViaCache(
     const gpusim::MemStats before = materialize_dev.stats();
     FilterResult filtered = FilterCache::Materialize(
         materialize_dev, *entry, data_->num_vertices(),
-        engine_.options().filter.build_bitmaps);
+        gsi_options_.filter.build_bitmaps);
     stats.filter = materialize_dev.stats() - before;
+    stats.filter_ms = stats.filter.SimulatedMs(materialize_dev.config());
     stats.min_candidate_size = entry->min_candidate_size;
     span.AddAttr("min_candidate_size",
                  static_cast<uint64_t>(entry->min_candidate_size));
-    if (hit != nullptr) *hit = true;
     return filtered;
   }
   Result<FilterResult> fresh = fresh_filter();
@@ -813,9 +811,9 @@ Result<PagedQueryResult> QueryService::RunOne(const Graph& query,
       if (failover) ++stats_.failovers;
     }
     const double step =
-        options_.retry_backoff_base_ms *
+        kRetryBackoffBaseMs *
         static_cast<double>(uint64_t{1} << std::min(attempt - 1, 30));
-    backoff_ms += std::min(options_.retry_backoff_cap_ms, step);
+    backoff_ms += std::min(kRetryBackoffCapMs, step);
     if (trace.tracer != nullptr) {
       // Zero-width host markers: the failure is a point event (the attempt
       // span under it already shows the lost work).
@@ -835,7 +833,6 @@ Result<PagedQueryResult> QueryService::RunOne(const Graph& query,
 
 Result<PagedQueryResult> QueryService::RunOneAttempt(
     const Graph& query, const obs::TraceContext& trace) {
-  const GsiOptions& go = engine_.options();
   if (replicated_) {
     // Lease one replica of each partition (packed onto as few devices as
     // possible, so other lanes stay free for concurrent queries; at R = 1
@@ -855,29 +852,17 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
 
     WallTimer wall;
     QueryStats stats;
-    double filter_parallel_ms = 0;
-    bool cache_hit = false;
+    // A hit materializes the memoized (already global) lists on the
+    // primary, skipping the per-partition scans and their gather.
     Result<FilterResult> filtered =
-        FilterViaCache(query, primary, stats, &cache_hit, trace, [&] {
+        FilterViaCache(query, primary, stats, trace, [&] {
           return RunFilterStageReplicated(rg, *sel, query, stats,
-                                          &filter_parallel_ms, trace);
+                                          /*parallel_ms=*/nullptr, trace);
         });
     if (!filtered.ok()) return filtered.status();
-    if (cache_hit) {
-      // The memoized lists are already global: the per-partition scans (and
-      // their halo gather) were skipped and the phase ran on the primary.
-      filter_parallel_ms = stats.filter.SimulatedMs(primary.config());
-    }
     Result<PagedQueryResult> out = RunJoinStageReplicatedPaged(
         rg, *sel, query, std::move(filtered.value()), stats, trace);
-    if (out.ok()) {
-      // The join stage derives filter_ms from the summed counters; restore
-      // the fanned-out filter's makespan so total_ms reflects wall-parallel
-      // lanes, not serialized work.
-      out->stats.filter_ms = filter_parallel_ms;
-      out->stats.total_ms = out->stats.filter_ms + out->stats.join_ms;
-      out->stats.wall_ms = wall.ElapsedMs();
-    }
+    if (out.ok()) out->stats.wall_ms = wall.ElapsedMs();
     return out;
   }
   Result<DevicePool::Lease> primary_or = devices_->Acquire();
@@ -891,8 +876,8 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
   WallTimer wall;
   QueryStats stats;
   Result<FilterResult> filtered_or =
-      FilterViaCache(query, dev, stats, nullptr, dev_trace, [&] {
-        return RunFilterStage(dev, engine_.filter(), query, stats,
+      FilterViaCache(query, dev, stats, dev_trace, [&] {
+        return RunFilterStage(dev, engine_->filter(), query, stats,
                               dev_trace);
       });
   if (!filtered_or.ok()) return filtered_or.status();
@@ -914,7 +899,7 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
     }
   }
   Result<PagedQueryResult> out = RunJoinStageShardedPaged(
-      devs, *data_, engine_.store(), go, options_.shard, query,
+      devs, *data_, engine_->store(), gsi_options_, options_.shard, query,
       std::move(filtered), stats, dev_trace);
   if (out.ok()) out->stats.wall_ms = wall.ElapsedMs();
   return out;

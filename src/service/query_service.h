@@ -103,13 +103,11 @@ struct ServiceOptions {
   /// Each retry re-acquires devices, so with replicas (or spare pool
   /// devices) the rerun lands on healthy hardware and results stay
   /// bit-identical to GsiMatcher::Find. 1 = fail fast. Tickets can raise or
-  /// lower this per submission (SubmitOptions::max_attempts).
+  /// lower this per submission (SubmitOptions::max_attempts). Retry k
+  /// (k >= 2) adds a simulated backoff of min(8, 2^(k-2)) ms to the
+  /// query's total_ms (QueryStats::backoff_ms) — deterministic, no wall
+  /// clock read and no real sleeping.
   int default_max_attempts = 1;
-  /// Simulated backoff before retry k (k >= 2): min(cap, base * 2^(k-2))
-  /// milliseconds, added to the query's simulated total_ms — deterministic,
-  /// no wall clock read and no real sleeping.
-  double retry_backoff_base_ms = 1.0;
-  double retry_backoff_cap_ms = 8.0;
 
   /// Per-device byte budget for the halo cache over remote N(v, l) lists in
   /// partition_data_graph mode (gsi/halo_cache.h): remote probes of hot
@@ -331,8 +329,8 @@ class QueryTicket {
 /// and what it costs.
 ///
 /// With partition_data_graph set, the pool's devices hold partitions of the
-/// data structures (gsi/replication.h) instead of sharing the engine's
-/// replica: a query leases one replica of each partition
+/// data structures (gsi/replication.h), and the service builds no full-graph
+/// replica (no QueryEngine): a query leases one replica of each partition
 /// (DevicePool::AcquireOneOfEach) and runs the partitioned filter/join —
 /// still bit-identical, still cache-compatible (memoized candidate lists
 /// are global either way). At partition_replicas = 1 each device holds
@@ -480,10 +478,12 @@ class QueryService {
   /// counter delta and min-candidate metric into `stats`); a miss runs
   /// `fresh_filter` and memoizes its candidate lists. Shared by the
   /// single-device and partitioned execution paths — the memoized lists
-  /// are global either way. `hit` (when non-null) reports which path ran.
+  /// are global either way. Either way `stats.filter_ms` prices the phase
+  /// that ran: a hit's materialization on `materialize_dev`, or
+  /// `fresh_filter`'s stage.
   Result<FilterResult> FilterViaCache(
       const Graph& query, gpusim::Device& materialize_dev, QueryStats& stats,
-      bool* hit, const obs::TraceContext& trace,
+      const obs::TraceContext& trace,
       const std::function<Result<FilterResult>()>& fresh_filter);
   void FinishLocked(const TicketPtr& ticket, Result<PagedQueryResult> result)
       GSI_REQUIRES(mu_);
@@ -502,7 +502,8 @@ class QueryService {
 
   const Graph* data_;
   ServiceOptions options_;
-  QueryEngine engine_;  // shared immutable PCSR + signature structures
+  GsiOptions gsi_options_;
+  std::unique_ptr<QueryEngine> engine_;  // null in partition_data_graph mode
   Status init_status_;
   /// Host-side trace clock (queue wait, query root span): wall time, not
   /// byte-stable across runs by design — the execution spans under it use

@@ -209,15 +209,8 @@ uint64_t PcsrPartition::device_bytes() const {
 
 std::unique_ptr<PcsrStore> PcsrStore::Build(gpusim::Device& dev,
                                             const Graph& g, int gpn) {
-  auto store = std::unique_ptr<PcsrStore>(new PcsrStore());
-  for (Label l : g.edge_labels()) {
-    LabelPartition part = MakePartition(g, l);
-    Result<PcsrPartition> p = PcsrPartition::Build(dev, part, gpn);
-    GSI_CHECK_MSG(p.ok(), "PCSR build failed");
-    store->label_index_[l] = store->per_label_.size();
-    store->per_label_.push_back(std::move(p.value()));
-  }
-  return store;
+  const std::vector<uint8_t> all(g.num_vertices(), 1);
+  return BuildForVertices(dev, g, all, gpn);
 }
 
 std::unique_ptr<PcsrStore> PcsrStore::BuildForVertices(
@@ -228,7 +221,7 @@ std::unique_ptr<PcsrStore> PcsrStore::BuildForVertices(
   for (Label l : g.edge_labels()) {
     LabelPartition part = MakePartitionForVertices(g, l, keep);
     Result<PcsrPartition> p = PcsrPartition::Build(dev, part, gpn);
-    GSI_CHECK_MSG(p.ok(), "partitioned PCSR build failed");
+    GSI_CHECK_MSG(p.ok(), "PCSR build failed");
     store->label_index_[l] = store->per_label_.size();
     store->per_label_.push_back(std::move(p.value()));
   }

@@ -90,6 +90,7 @@ class PcsrPartition {
 /// (Section IV; total space O(|E(G)|)).
 class PcsrStore final : public NeighborStore {
  public:
+  /// BuildForVertices with every vertex kept.
   static std::unique_ptr<PcsrStore> Build(gpusim::Device& dev, const Graph& g,
                                           int gpn = 16);
 

@@ -389,6 +389,164 @@ TEST(ReplicatedExecution, RejectsBadSelectionsAndMismatchedOptions) {
       StatusCode::kInvalidArgument);
 }
 
+// ------------------------------------------------------ phase pricing ---
+
+/// One price per phase: the filter stage writes filter_ms, the join stage
+/// adds join_ms, and total_ms is their sum (plus the service's backoff).
+void ExpectPhasesSum(const QueryStats& s, const std::string& context) {
+  EXPECT_EQ(s.total_ms, s.filter_ms + s.join_ms + s.backoff_ms) << context;
+}
+
+TEST(PhasePricing, OnePricePerPhaseOnEveryPath) {
+  const Graph g = testing::RandomGraph(300, 3, 3, 2, 41);
+  const GsiOptions options = GsiOptOptions();
+  const gpusim::DeviceConfig& config = options.device;
+  std::vector<Graph> queries = testing::RandomQuerySet(g, 5, 3, 4400);
+  // The join stages' shortcuts: a one-vertex query, and a query whose
+  // labels do not occur in g (labels are < 3), so a candidate set is empty.
+  queries.push_back(*Graph::Create(1, {g.vertex_label(0)}, {}));
+  queries.push_back(*Graph::Create(2, {Label{50}, Label{51}}, {{0, 1, 0}}));
+  const QueryEngine engine(g, options);
+  ASSERT_TRUE(engine.init_status().ok());
+  ShardOptions shard;
+  shard.min_rows_per_shard = 1;
+  bool fanned_out = false;
+
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const Graph& q = queries[qi];
+    const std::string at = "query " + std::to_string(qi);
+
+    // --- One device: both engine flows and the public stage pair.
+    Result<QueryResult> one = engine.Execute({.query = &q});
+    ASSERT_TRUE(one.ok()) << at << ": " << one.status().ToString();
+    ExpectPhasesSum(one->stats, at + " one device");
+    Result<PagedQueryResult> one_paged = engine.ExecutePaged({.query = &q});
+    ASSERT_TRUE(one_paged.ok()) << at;
+    ExpectPhasesSum(one_paged->stats, at + " one device, paged");
+    EXPECT_EQ(one_paged->stats.filter_ms, one->stats.filter_ms) << at;
+    {
+      gpusim::Device dev(config);
+      QueryStats stats;
+      Result<FilterResult> f = RunFilterStage(dev, engine.filter(), q, stats);
+      ASSERT_TRUE(f.ok()) << at;
+      EXPECT_EQ(stats.filter_ms, stats.filter.SimulatedMs(config)) << at;
+      Result<QueryResult> pair =
+          RunJoinStage(dev, g, engine.store(), options, q,
+                       std::move(f.value()), stats);
+      ASSERT_TRUE(pair.ok()) << at;
+      ExpectPhasesSum(pair->stats, at + " one-device stage pair");
+      EXPECT_EQ(pair->stats.filter_ms, one->stats.filter_ms) << at;
+      EXPECT_EQ(pair->stats.total_ms, one->stats.total_ms) << at;
+    }
+
+    // --- Sharded over 2 devices: the filter is one device's.
+    {
+      DeviceSet ds = MakeDevices(2, config);
+      const QueryEngine::ExecRequest req{
+          .query = &q, .devices = ds.ptrs, .shard = shard};
+      Result<QueryResult> flow = engine.Execute(req);
+      ASSERT_TRUE(flow.ok()) << at;
+      ExpectPhasesSum(flow->stats, at + " sharded");
+      EXPECT_EQ(flow->stats.filter_ms, one->stats.filter_ms) << at;
+      fanned_out = fanned_out || flow->stats.shards_used > 1;
+      Result<PagedQueryResult> paged = engine.ExecutePaged(req);
+      ASSERT_TRUE(paged.ok()) << at;
+      ExpectPhasesSum(paged->stats, at + " sharded, paged");
+      QueryStats stats;
+      Result<FilterResult> f =
+          RunFilterStage(*ds.ptrs[0], engine.filter(), q, stats);
+      ASSERT_TRUE(f.ok()) << at;
+      Result<PagedQueryResult> pair = RunJoinStageShardedPaged(
+          ds.ptrs, g, engine.store(), options, shard, q,
+          std::move(f.value()), stats);
+      ASSERT_TRUE(pair.ok()) << at;
+      ExpectPhasesSum(pair->stats, at + " sharded stage pair");
+      EXPECT_EQ(pair->stats.filter_ms, flow->stats.filter_ms) << at;
+      EXPECT_EQ(pair->stats.total_ms, flow->stats.total_ms) << at;
+    }
+
+    // --- Partitioned at R = 1 and R = 2: the stage pair reports what the
+    // flow does under the same selection.
+    for (size_t r : {1, 2}) {
+      const std::string ctx = at + " R=" + std::to_string(r);
+      DeviceSet ds = MakeDevices(4, config);
+      Result<ReplicatedGraph> rg = BuildReplicated(ds, g, options, r);
+      ASSERT_TRUE(rg.ok()) << ctx;
+      const ReplicaSelection sel = CompactSelection(*rg);
+      Result<PagedQueryResult> flow =
+          ExecuteQueryReplicatedPaged(*rg, sel, q);
+      ASSERT_TRUE(flow.ok()) << ctx;
+      ExpectPhasesSum(flow->stats, ctx + " flow");
+      const QueryEngine::ExecRequest req{
+          .query = &q, .replicated = &*rg, .selection = &sel};
+      Result<QueryResult> exec = engine.Execute(req);
+      ASSERT_TRUE(exec.ok()) << ctx;
+      ExpectPhasesSum(exec->stats, ctx + " Execute");
+      EXPECT_EQ(exec->stats.filter_ms, flow->stats.filter_ms) << ctx;
+      EXPECT_EQ(exec->stats.total_ms, flow->stats.total_ms) << ctx;
+      Result<PagedQueryResult> exec_paged = engine.ExecutePaged(req);
+      ASSERT_TRUE(exec_paged.ok()) << ctx;
+      ExpectPhasesSum(exec_paged->stats, ctx + " ExecutePaged");
+
+      QueryStats stats;
+      double parallel_ms = -1;
+      Result<FilterResult> f =
+          RunFilterStageReplicated(*rg, sel, q, stats, &parallel_ms);
+      ASSERT_TRUE(f.ok()) << ctx;
+      EXPECT_EQ(parallel_ms, stats.filter_ms) << ctx;
+      Result<PagedQueryResult> pair = RunJoinStageReplicatedPaged(
+          *rg, sel, q, std::move(f.value()), stats);
+      ASSERT_TRUE(pair.ok()) << ctx;
+      ExpectPhasesSum(pair->stats, ctx + " stage pair");
+      EXPECT_EQ(pair->stats.filter_ms, flow->stats.filter_ms) << ctx;
+      EXPECT_EQ(pair->stats.total_ms, flow->stats.total_ms) << ctx;
+    }
+  }
+  EXPECT_TRUE(fanned_out) << "no query distributed a sharded join step";
+
+  // --- The partitioned service, cold (cache miss) then warm (cache hit).
+  // One worker on an idle pool leases the compact selection.
+  for (int r : {1, 2}) {
+    const std::string ctx = "service R=" + std::to_string(r);
+    ServiceOptions so;
+    so.num_workers = 1;
+    so.num_devices = 4;
+    so.partition_data_graph = true;
+    so.partition_replicas = r;
+    QueryService service(g, options, so);
+    ASSERT_TRUE(service.init_status().ok()) << ctx;
+    DeviceSet ds = MakeDevices(4, config);
+    Result<ReplicatedGraph> rg =
+        BuildReplicated(ds, g, options, static_cast<size_t>(r));
+    ASSERT_TRUE(rg.ok()) << ctx;
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const Graph& q = queries[qi];
+      const std::string at = ctx + " query " + std::to_string(qi);
+      Result<PagedQueryResult> flow =
+          ExecuteQueryReplicatedPaged(*rg, CompactSelection(*rg), q);
+      ASSERT_TRUE(flow.ok()) << at;
+      Result<QueryTicket> cold_t = service.Submit(q);
+      ASSERT_TRUE(cold_t.ok()) << at;
+      Result<QueryResult> cold = service.Wait(*cold_t);
+      ASSERT_TRUE(cold.ok()) << at << ": " << cold.status().ToString();
+      ExpectPhasesSum(cold->stats, at + " cold");
+      EXPECT_EQ(cold->stats.filter_ms, flow->stats.filter_ms) << at;
+      EXPECT_EQ(cold->stats.total_ms, flow->stats.total_ms) << at;
+
+      Result<QueryTicket> warm_t = service.Submit(q);
+      ASSERT_TRUE(warm_t.ok()) << at;
+      Result<QueryResult> warm = service.Wait(*warm_t);
+      ASSERT_TRUE(warm.ok()) << at;
+      ExpectPhasesSum(warm->stats, at + " warm");
+      // A hit prices its materialization on the primary.
+      EXPECT_EQ(warm->stats.filter_ms, warm->stats.filter.SimulatedMs(config))
+          << at;
+      EXPECT_TRUE(warm->TableEquals(*cold)) << at;
+    }
+    EXPECT_EQ(service.stats().cache.hits, queries.size()) << ctx;
+  }
+}
+
 // ------------------------------------------------------------ service ---
 
 TEST(ReplicatedService, StaysBitIdenticalUnderConcurrentLoad) {
