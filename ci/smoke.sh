@@ -27,6 +27,7 @@ ALL_SMOKES=(
   example-replicated-chaos
   example-trace
   example-streaming
+  example-storage
   bench-service
   bench-service-faults
   bench-service-paged
@@ -112,6 +113,11 @@ PYEOF
     example-streaming)
       GSI_STREAM_VERTICES=800 GSI_STREAM_BUDGET=4096 \
         "$BUILD_DIR/examples/streaming_results"
+      ;;
+    # All four N(v, l) stores of Table II over one graph: builds each from
+    # the label partitions and reads whole lists through every store.
+    example-storage)
+      "$BUILD_DIR/examples/storage_explorer" 5000 8
       ;;
     bench-service)
       run_bench bench_service_throughput bench_service.json \

@@ -65,21 +65,6 @@ std::optional<size_t> HaloCache::ServeCount(gpusim::Warp& w, PartitionId p,
   return std::nullopt;
 }
 
-std::optional<size_t> HaloCache::ServeExtract(gpusim::Warp& w, PartitionId p,
-                                              VertexId v, Label l,
-                                              std::vector<VertexId>& out) {
-  MutexLock lock(mu_);
-  MaybeInvalidateLocked();
-  Entry* e = TouchLocked(Key{p, v, l});
-  if (e != nullptr && e->complete) {
-    out.insert(out.end(), e->values.begin(), e->values.end());
-    CountHitLocked(w, e->values.size() * sizeof(VertexId));
-    return e->values.size();
-  }
-  ++stats_.misses;
-  return std::nullopt;
-}
-
 std::optional<size_t> HaloCache::ServeSlice(gpusim::Warp& w, PartitionId p,
                                             VertexId v, Label l, size_t begin,
                                             size_t end,
@@ -137,19 +122,6 @@ void HaloCache::RecordCount(PartitionId p, VertexId v, Label l,
   ChargeAndEvictLocked(before, EntryBytes(*e));
 }
 
-void HaloCache::RecordList(PartitionId p, VertexId v, Label l,
-                           std::span<const VertexId> values) {
-  MutexLock lock(mu_);
-  MaybeInvalidateLocked();
-  Entry* e = TouchOrCreateLocked(Key{p, v, l});
-  if (e->complete) return;
-  const uint64_t before = EntryBytes(*e);
-  e->values.assign(values.begin(), values.end());
-  e->known_count = values.size();
-  e->complete = true;
-  ChargeAndEvictLocked(before, EntryBytes(*e));
-}
-
 void HaloCache::RecordSlice(PartitionId p, VertexId v, Label l, size_t begin,
                             size_t requested,
                             std::span<const VertexId> values) {
@@ -174,13 +146,6 @@ void HaloCache::RecordSlice(PartitionId p, VertexId v, Label l, size_t begin,
     e->complete = true;
   }
   ChargeAndEvictLocked(before, EntryBytes(*e));
-}
-
-void HaloCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
-  stats_.resident_bytes = 0;
 }
 
 HaloCache::Stats HaloCache::stats() const {

@@ -35,18 +35,20 @@ using PartitionId = uint32_t;
 /// removes remote transactions) or declines; Record* admits only the free
 /// byproducts of a remote probe that already ran and was already charged —
 /// admission never issues extra remote reads. Entries hold an in-order
-/// prefix of the ascending N(v, l) list plus the exact count once known:
+/// prefix of the ascending N(v, l) list plus the exact count once known;
+/// the cache admits counts and slices only:
 ///
 ///   - a remote NeighborCountUpperBound records the exact count;
-///   - a remote Extract records the complete list;
 ///   - a remote ExtractSlice extends the prefix when it continues it, and
 ///     completes the entry when the store returned fewer positions than
-///     requested (the list ended) or the prefix reaches the known count;
+///     requested (the list ended) or the prefix reaches the known count.
+///     A whole list is the slice [0, SIZE_MAX) that came back short, so it
+///     completes the entry in one record;
 ///   - ExtractValueRange results are positionless and are not admitted.
 ///
-/// Counts, whole lists, slices within the prefix, and (for complete
-/// entries) value ranges are then served locally. Eviction is strict LRU
-/// until resident_bytes() <= budget.
+/// Counts, slices within the prefix (whole lists included), and (for
+/// complete entries) value ranges are then served locally. Eviction is
+/// strict LRU until resident_bytes() <= budget.
 ///
 /// Thread safety: all cache state sits under one mutex, so stats snapshots
 /// (the metrics collector's pull path) stay coherent while the owning
@@ -97,13 +99,9 @@ class HaloCache {
   /// NeighborCountUpperBound from cache (known count or complete list).
   std::optional<size_t> ServeCount(gpusim::Warp& w, PartitionId p, VertexId v,
                                    Label l) GSI_EXCLUDES(mu_);
-  /// Extract from cache (complete entries only); appends the list to `out`.
-  std::optional<size_t> ServeExtract(gpusim::Warp& w, PartitionId p,
-                                     VertexId v, Label l,
-                                     std::vector<VertexId>& out)
-      GSI_EXCLUDES(mu_);
   /// ExtractSlice from cache: needs the exact count (to clamp `end` the way
-  /// the store does) and a prefix covering the clamped range.
+  /// the store does) and a prefix covering the clamped range, so a whole
+  /// list [0, SIZE_MAX) is served from complete entries only.
   std::optional<size_t> ServeSlice(gpusim::Warp& w, PartitionId p, VertexId v,
                                    Label l, size_t begin, size_t end,
                                    std::vector<VertexId>& out)
@@ -122,9 +120,6 @@ class HaloCache {
   /// The exact |N(v, l)| a remote count probe returned.
   void RecordCount(PartitionId p, VertexId v, Label l, size_t count)
       GSI_EXCLUDES(mu_);
-  /// The complete ascending list a remote Extract returned.
-  void RecordList(PartitionId p, VertexId v, Label l,
-                  std::span<const VertexId> values) GSI_EXCLUDES(mu_);
   /// Positions [begin, begin + values.size()) a remote ExtractSlice
   /// returned, where the caller asked for `requested` positions. Extends
   /// the entry's prefix when contiguous; a short return proves the list
@@ -132,9 +127,6 @@ class HaloCache {
   void RecordSlice(PartitionId p, VertexId v, Label l, size_t begin,
                    size_t requested, std::span<const VertexId> values)
       GSI_EXCLUDES(mu_);
-
-  /// Drops every entry (stats counters survive; resident bytes go to 0).
-  void Clear() GSI_EXCLUDES(mu_);
 
   /// Coherent snapshot; safe to call from any thread at any time.
   Stats stats() const GSI_EXCLUDES(mu_);

@@ -88,28 +88,6 @@ class RoutedStoreView final : public NeighborStore {
         self_(self),
         halo_(halo) {}
 
-  size_t Extract(gpusim::Warp& w, VertexId v, Label l,
-                 std::vector<VertexId>& out) const override {
-    const PartitionId o = owner_[v];
-    if (local_[o] != 0) {
-      if (o != self_) ++traffic_.co_located_probes;
-      return serving_[o]->Extract(w, v, l, out);
-    }
-    if (halo_ != nullptr) {
-      if (std::optional<size_t> n = halo_->ServeExtract(w, o, v, l, out)) {
-        return Hit(*n, *n * sizeof(VertexId));
-      }
-    }
-    const size_t mark = out.size();
-    const size_t n = Remote(w, o, [&](const PcsrStore& s) {
-      return s.Extract(w, v, l, out);
-    });
-    if (halo_ != nullptr) {
-      halo_->RecordList(o, v, l, {out.data() + mark, n});
-    }
-    return n;
-  }
-
   size_t NeighborCountUpperBound(gpusim::Warp& w, VertexId v,
                                  Label l) const override {
     const PartitionId o = owner_[v];

@@ -197,17 +197,14 @@ Result<ReplicatedGraph> ReplicatedGraph::Build(
 
   ReplicationBuildStats& bs = rg.build_stats_;
   bs.resident_bytes.assign(devs.size(), 0);
-  std::vector<uint8_t> keep(data.num_vertices());
   rg.stores_.resize(k);
   rg.signatures_.resize(k);
   for (PartitionId p = 0; p < k; ++p) {
-    std::fill(keep.begin(), keep.end(), 0);
-    for (VertexId v : rg.owned_[p]) keep[v] = 1;
     uint64_t share_bytes = 0;
     for (size_t j = 0; j < replicas; ++j) {
       gpusim::Device& dev = *rg.devs_[rg.placement_.device_of[p][j]];
-      rg.stores_[p].push_back(
-          PcsrStore::BuildForVertices(dev, data, keep, options.join.gpn));
+      rg.stores_[p].push_back(PcsrStore::BuildSubset(dev, data, rg.owned_[p],
+                                                     options.join.gpn));
       rg.signatures_[p].push_back(SignatureTable::BuildSubset(
           dev, data, rg.owned_[p], options.filter.signature_bits,
           options.filter.layout));

@@ -1,5 +1,7 @@
 #include "storage/basic_rep.h"
 
+#include <numeric>
+
 #include "storage/list_search.h"
 
 namespace gsi {
@@ -8,8 +10,11 @@ std::unique_ptr<BasicRep> BasicRep::Build(gpusim::Device& dev,
                                           const Graph& g) {
   auto rep = std::unique_ptr<BasicRep>(new BasicRep());
   size_t n = g.num_vertices();
-  for (Label l : g.edge_labels()) {
-    LabelPartition part = MakePartition(g, l);
+  std::vector<VertexId> all(n);
+  std::iota(all.begin(), all.end(), VertexId{0});
+  for (LabelPartition& built : PartitionByEdgeLabel(g, all)) {
+    // Moved out so each label's host copy is released once it is uploaded.
+    LabelPartition part = std::move(built);
     std::vector<uint64_t> offsets(n + 1, 0);
     // Fill per-vertex counts, then prefix sum. Vertices absent from the
     // partition get empty ranges.
@@ -20,7 +25,7 @@ std::unique_ptr<BasicRep> BasicRep::Build(gpusim::Device& dev,
     PerLabel pl;
     pl.row_offsets = dev.Upload(std::move(offsets));
     pl.column_index = dev.Upload(std::move(part.neighbors));
-    rep->label_index_[l] = rep->per_label_.size();
+    rep->label_index_[part.label] = rep->per_label_.size();
     rep->per_label_.push_back(std::move(pl));
   }
   return rep;
@@ -30,19 +35,6 @@ const BasicRep::PerLabel* BasicRep::Find(Label l) const {
   auto it = label_index_.find(l);
   if (it == label_index_.end()) return nullptr;
   return &per_label_[it->second];
-}
-
-size_t BasicRep::Extract(gpusim::Warp& w, VertexId v, Label l,
-                         std::vector<VertexId>& out) const {
-  const PerLabel* pl = Find(l);
-  if (pl == nullptr) return 0;
-  std::span<const uint64_t> off = w.LoadRange(pl->row_offsets, v, 2);
-  size_t count = off[1] - off[0];
-  if (count == 0) return 0;
-  std::span<const VertexId> nbrs =
-      w.LoadRange(pl->column_index, off[0], count);
-  out.insert(out.end(), nbrs.begin(), nbrs.end());
-  return count;
 }
 
 size_t BasicRep::NeighborCountUpperBound(gpusim::Warp& w, VertexId v,

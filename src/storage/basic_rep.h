@@ -22,9 +22,6 @@ class BasicRep final : public NeighborStore {
  public:
   static std::unique_ptr<BasicRep> Build(gpusim::Device& dev, const Graph& g);
 
-  size_t Extract(gpusim::Warp& w, VertexId v, Label l,
-                 std::vector<VertexId>& out) const override;
-
   size_t NeighborCountUpperBound(gpusim::Warp& w, VertexId v,
                                  Label l) const override;
 

@@ -1,5 +1,7 @@
 #include "storage/compressed_rep.h"
 
+#include <numeric>
+
 #include "storage/list_search.h"
 
 namespace gsi {
@@ -7,13 +9,15 @@ namespace gsi {
 std::unique_ptr<CompressedRep> CompressedRep::Build(gpusim::Device& dev,
                                                     const Graph& g) {
   auto rep = std::unique_ptr<CompressedRep>(new CompressedRep());
-  for (Label l : g.edge_labels()) {
-    LabelPartition part = MakePartition(g, l);
+  std::vector<VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  for (LabelPartition& part : PartitionByEdgeLabel(g, all)) {
+    // The uploads take the partition's vectors, releasing its host copy.
     PerLabel pl;
     pl.vertex_ids = dev.Upload(std::move(part.vertices));
     pl.row_offsets = dev.Upload(std::move(part.offsets));
     pl.column_index = dev.Upload(std::move(part.neighbors));
-    rep->label_index_[l] = rep->per_label_.size();
+    rep->label_index_[part.label] = rep->per_label_.size();
     rep->per_label_.push_back(std::move(pl));
   }
   return rep;
@@ -41,20 +45,6 @@ size_t CompressedRep::SearchVertex(gpusim::Warp& w, const PerLabel& pl,
     }
   }
   return SIZE_MAX;
-}
-
-size_t CompressedRep::Extract(gpusim::Warp& w, VertexId v, Label l,
-                              std::vector<VertexId>& out) const {
-  const PerLabel* pl = Find(l);
-  if (pl == nullptr) return 0;
-  size_t idx = SearchVertex(w, *pl, v);
-  if (idx == SIZE_MAX) return 0;
-  std::span<const uint64_t> off = w.LoadRange(pl->row_offsets, idx, 2);
-  size_t count = off[1] - off[0];
-  std::span<const VertexId> nbrs =
-      w.LoadRange(pl->column_index, off[0], count);
-  out.insert(out.end(), nbrs.begin(), nbrs.end());
-  return count;
 }
 
 size_t CompressedRep::NeighborCountUpperBound(gpusim::Warp& w, VertexId v,

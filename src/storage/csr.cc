@@ -32,27 +32,6 @@ std::unique_ptr<DeviceCsr> DeviceCsr::Build(gpusim::Device& dev,
   return csr;
 }
 
-size_t DeviceCsr::Extract(gpusim::Warp& w, VertexId v, Label l,
-                          std::vector<VertexId>& out) const {
-  // One transaction to fetch [offset, next offset).
-  std::span<const uint64_t> off = w.LoadRange(row_offsets_, v, 2);
-  size_t begin = off[0];
-  size_t count = off[1] - off[0];
-  if (count == 0) return 0;
-  // Scan the full neighbor list *and* the edge-value layer, testing labels.
-  std::span<const VertexId> nbrs = w.LoadRange(column_index_, begin, count);
-  std::span<const Label> labels = w.LoadRange(edge_value_, begin, count);
-  w.Alu(count);
-  size_t added = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (labels[i] == l) {
-      out.push_back(nbrs[i]);
-      ++added;
-    }
-  }
-  return added;
-}
-
 size_t DeviceCsr::NeighborCountUpperBound(gpusim::Warp& w, VertexId v,
                                           Label l) const {
   (void)l;

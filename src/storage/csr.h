@@ -21,9 +21,6 @@ class DeviceCsr final : public NeighborStore {
   static std::unique_ptr<DeviceCsr> Build(gpusim::Device& dev,
                                           const Graph& g);
 
-  size_t Extract(gpusim::Warp& w, VertexId v, Label l,
-                 std::vector<VertexId>& out) const override;
-
   size_t NeighborCountUpperBound(gpusim::Warp& w, VertexId v,
                                  Label l) const override;
 

@@ -1,6 +1,7 @@
 #ifndef GSI_STORAGE_NEIGHBOR_STORE_H_
 #define GSI_STORAGE_NEIGHBOR_STORE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,9 +22,12 @@ class NeighborStore {
   virtual ~NeighborStore() = default;
 
   /// Appends N(v, l) (ascending vertex ids) to `out`; returns the count.
-  /// Charges every global-memory transaction to `w`.
-  virtual size_t Extract(gpusim::Warp& w, VertexId v, Label l,
-                         std::vector<VertexId>& out) const = 0;
+  /// The whole-list read is the slice [0, SIZE_MAX), clamped by the store,
+  /// so it charges exactly what that slice charges.
+  size_t Extract(gpusim::Warp& w, VertexId v, Label l,
+                 std::vector<VertexId>& out) const {
+    return ExtractSlice(w, v, l, 0, SIZE_MAX, out);
+  }
 
   /// Upper bound on |N(v, l)| obtainable without reading the neighbor list
   /// itself (used by Algorithm 4 to size GBA buffers). Exact for the
@@ -34,9 +38,10 @@ class NeighborStore {
 
   /// Extracts the position subrange [begin, end) of the upper-bound list
   /// whose size NeighborCountUpperBound reports (the unit the load-balance
-  /// scheme chunks by). For label-partitioned stores the upper-bound list
-  /// is N(v, l) itself; for CSR it is the full adjacency filtered to l on
-  /// the fly. The union of all slices equals Extract's output.
+  /// scheme chunks by), clamping `end` to that size. For label-partitioned
+  /// stores the upper-bound list is N(v, l) itself; for CSR it is the full
+  /// adjacency filtered to l on the fly. The union of all slices is N(v, l).
+  /// Charges every global-memory transaction to `w`.
   virtual size_t ExtractSlice(gpusim::Warp& w, VertexId v, Label l,
                               size_t begin, size_t end,
                               std::vector<VertexId>& out) const = 0;

@@ -1,42 +1,36 @@
 #include "storage/partition.h"
 
+#include <algorithm>
+#include <functional>
+
+#include "util/check.h"
+
 namespace gsi {
 
-LabelPartition MakePartition(const Graph& g, Label l) {
-  LabelPartition p;
-  p.label = l;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    std::span<const Neighbor> nbrs = g.NeighborsWithLabel(v, l);
-    if (nbrs.empty()) continue;
-    p.vertices.push_back(v);
-    p.offsets.push_back(p.neighbors.size());
-    // Graph adjacency is sorted by (label, id), so this slice is ascending.
-    for (const Neighbor& n : nbrs) p.neighbors.push_back(n.v);
+std::vector<LabelPartition> PartitionByEdgeLabel(
+    const Graph& g, std::span<const VertexId> vertices) {
+  GSI_CHECK_MSG(std::ranges::adjacent_find(vertices, std::greater_equal<>()) ==
+                    vertices.end(),
+                "label partitions need ascending vertex ids");
+  const std::span<const Label> labels = g.edge_labels();
+  std::vector<LabelPartition> parts(labels.size());
+  for (size_t i = 0; i < labels.size(); ++i) parts[i].label = labels[i];
+  for (VertexId v : vertices) {
+    // Graph adjacency is sorted by (label, id): each label's run is
+    // contiguous and ascending, and the runs come in label order.
+    std::span<const Neighbor> nbrs = g.neighbors(v);
+    auto label_it = labels.begin();
+    for (size_t i = 0; i < nbrs.size();) {
+      label_it = std::lower_bound(label_it, labels.end(), nbrs[i].elabel);
+      LabelPartition& p = parts[label_it - labels.begin()];
+      p.vertices.push_back(v);
+      p.offsets.push_back(p.neighbors.size());
+      for (; i < nbrs.size() && nbrs[i].elabel == *label_it; ++i) {
+        p.neighbors.push_back(nbrs[i].v);
+      }
+    }
   }
-  p.offsets.push_back(p.neighbors.size());
-  return p;
-}
-
-LabelPartition MakePartitionForVertices(const Graph& g, Label l,
-                                        std::span<const uint8_t> keep) {
-  LabelPartition p;
-  p.label = l;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (keep[v] == 0) continue;
-    std::span<const Neighbor> nbrs = g.NeighborsWithLabel(v, l);
-    if (nbrs.empty()) continue;
-    p.vertices.push_back(v);
-    p.offsets.push_back(p.neighbors.size());
-    for (const Neighbor& n : nbrs) p.neighbors.push_back(n.v);
-  }
-  p.offsets.push_back(p.neighbors.size());
-  return p;
-}
-
-std::vector<LabelPartition> PartitionByEdgeLabel(const Graph& g) {
-  std::vector<LabelPartition> parts;
-  parts.reserve(g.num_edge_labels());
-  for (Label l : g.edge_labels()) parts.push_back(MakePartition(g, l));
+  for (LabelPartition& p : parts) p.offsets.push_back(p.neighbors.size());
   return parts;
 }
 

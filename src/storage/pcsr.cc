@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 
 #include "storage/list_search.h"
 #include "util/check.h"
@@ -162,15 +163,6 @@ PcsrPartition::LookupInfo PcsrPartition::Locate(gpusim::Warp& w,
   }
 }
 
-size_t PcsrPartition::Extract(gpusim::Warp& w, VertexId v,
-                              std::vector<VertexId>& out) const {
-  LookupInfo info = Locate(w, v);
-  if (!info.found || info.count == 0) return 0;
-  std::span<const VertexId> nbrs = w.LoadRange(ci_, info.begin, info.count);
-  out.insert(out.end(), nbrs.begin(), nbrs.end());
-  return info.count;
-}
-
 size_t PcsrPartition::NeighborCount(gpusim::Warp& w, VertexId v) const {
   LookupInfo info = Locate(w, v);
   return info.found ? info.count : 0;
@@ -209,20 +201,21 @@ uint64_t PcsrPartition::device_bytes() const {
 
 std::unique_ptr<PcsrStore> PcsrStore::Build(gpusim::Device& dev,
                                             const Graph& g, int gpn) {
-  const std::vector<uint8_t> all(g.num_vertices(), 1);
-  return BuildForVertices(dev, g, all, gpn);
+  std::vector<VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  return BuildSubset(dev, g, all, gpn);
 }
 
-std::unique_ptr<PcsrStore> PcsrStore::BuildForVertices(
-    gpusim::Device& dev, const Graph& g, std::span<const uint8_t> keep,
+std::unique_ptr<PcsrStore> PcsrStore::BuildSubset(
+    gpusim::Device& dev, const Graph& g, std::span<const VertexId> vertices,
     int gpn) {
-  GSI_CHECK(keep.size() == g.num_vertices());
   auto store = std::unique_ptr<PcsrStore>(new PcsrStore());
-  for (Label l : g.edge_labels()) {
-    LabelPartition part = MakePartitionForVertices(g, l, keep);
+  for (LabelPartition& built : PartitionByEdgeLabel(g, vertices)) {
+    // Moved out so each label's host copy is released once it is built.
+    const LabelPartition part = std::move(built);
     Result<PcsrPartition> p = PcsrPartition::Build(dev, part, gpn);
     GSI_CHECK_MSG(p.ok(), "PCSR build failed");
-    store->label_index_[l] = store->per_label_.size();
+    store->label_index_[part.label] = store->per_label_.size();
     store->per_label_.push_back(std::move(p.value()));
   }
   return store;
@@ -232,13 +225,6 @@ const PcsrPartition* PcsrStore::partition(Label l) const {
   auto it = label_index_.find(l);
   if (it == label_index_.end()) return nullptr;
   return &per_label_[it->second];
-}
-
-size_t PcsrStore::Extract(gpusim::Warp& w, VertexId v, Label l,
-                          std::vector<VertexId>& out) const {
-  const PcsrPartition* p = partition(l);
-  if (p == nullptr) return 0;
-  return p->Extract(w, v, out);
 }
 
 size_t PcsrStore::NeighborCountUpperBound(gpusim::Warp& w, VertexId v,

@@ -36,16 +36,13 @@ class PcsrPartition {
   static Result<PcsrPartition> Build(gpusim::Device& dev,
                                      const LabelPartition& part, int gpn = 16);
 
-  /// Extracts N(v, l): hash to a group, stream groups along the overflow
-  /// chain until v is found or the chain ends. Charges one 128B load per
-  /// group visited plus the column-index range read.
-  size_t Extract(gpusim::Warp& w, VertexId v,
-                 std::vector<VertexId>& out) const;
-
   /// |N(v, l)| (exact — found in the group pair, no column read needed).
   size_t NeighborCount(gpusim::Warp& w, VertexId v) const;
 
-  /// Extracts positions [begin, end) of N(v, l).
+  /// Extracts positions [begin, end) of N(v, l) (`end` clamped to the
+  /// count): hash to a group, stream groups along the overflow chain until
+  /// v is found or the chain ends. Charges one 128B load per group visited
+  /// plus the column-index range read.
   size_t ExtractSlice(gpusim::Warp& w, VertexId v, size_t begin, size_t end,
                       std::vector<VertexId>& out) const;
 
@@ -90,24 +87,21 @@ class PcsrPartition {
 /// (Section IV; total space O(|E(G)|)).
 class PcsrStore final : public NeighborStore {
  public:
-  /// BuildForVertices with every vertex kept.
+  /// BuildSubset over every vertex of g.
   static std::unique_ptr<PcsrStore> Build(gpusim::Device& dev, const Graph& g,
                                           int gpn = 16);
 
   /// Builds the PCSR share of one *device partition*: only the adjacency
-  /// rows of vertices v with keep[v] != 0 are stored (neighbor ids stay
-  /// global). Hash-layer groups are sized to the kept key count, so the
-  /// K shares of a graph sum to exactly the bytes of the replicated store:
-  /// per-device residency really is ~1/K. Lookups of non-kept vertices
-  /// report "not found" (count 0) — the partitioned execution path never
-  /// issues them locally; it routes them to the owner as remote probes
-  /// (gsi/replication.h). `keep` must have one entry per vertex of g.
-  static std::unique_ptr<PcsrStore> BuildForVertices(
-      gpusim::Device& dev, const Graph& g, std::span<const uint8_t> keep,
+  /// rows of `vertices` (ascending) are stored (neighbor ids stay global).
+  /// Hash-layer groups are sized to the share's key count, so the K shares
+  /// of a graph sum to exactly the bytes of the replicated store:
+  /// per-device residency really is ~1/K. Lookups of other vertices report
+  /// "not found" (count 0) — the partitioned execution path never issues
+  /// them locally; it routes them to the owner as remote probes
+  /// (gsi/replication.h).
+  static std::unique_ptr<PcsrStore> BuildSubset(
+      gpusim::Device& dev, const Graph& g, std::span<const VertexId> vertices,
       int gpn = 16);
-
-  size_t Extract(gpusim::Warp& w, VertexId v, Label l,
-                 std::vector<VertexId>& out) const override;
 
   size_t NeighborCountUpperBound(gpusim::Warp& w, VertexId v,
                                  Label l) const override;

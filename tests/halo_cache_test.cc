@@ -58,10 +58,10 @@ TEST(HaloCacheUnit, CompleteListServesEveryProbeShape) {
   gpusim::Device dev;
   HaloCache cache(dev, 1 << 20);
   const std::vector<VertexId> list = {10, 20, 30, 40};
-  cache.RecordList(2, 9, 0, list);
+  cache.RecordSlice(2, 9, 0, 0, UINT32_MAX, list);
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
-    std::optional<size_t> n = cache.ServeExtract(w, 2, 9, 0, out);
+    std::optional<size_t> n = cache.ServeSlice(w, 2, 9, 0, 0, UINT32_MAX, out);
     ASSERT_TRUE(n.has_value());
     EXPECT_EQ(out, list);
 
@@ -102,14 +102,14 @@ TEST(HaloCacheUnit, SlicePrefixesAssembleIntoACompleteEntry) {
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
     EXPECT_FALSE(cache.ServeSlice(w, 1, 4, 2, 0, 2, out).has_value());
-    EXPECT_FALSE(cache.ServeExtract(w, 1, 4, 2, out).has_value());
+    EXPECT_FALSE(cache.ServeSlice(w, 1, 4, 2, 0, UINT32_MAX, out).has_value());
   });
   // Second chunk [2, 4) returns one value: short return ends the list at 3
   // and the contiguous prefix completes the entry.
   cache.RecordSlice(1, 4, 2, /*begin=*/2, /*requested=*/2, {{7}});
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
-    std::optional<size_t> n = cache.ServeExtract(w, 1, 4, 2, out);
+    std::optional<size_t> n = cache.ServeSlice(w, 1, 4, 2, 0, UINT32_MAX, out);
     ASSERT_TRUE(n.has_value());
     EXPECT_EQ(out, (std::vector<VertexId>{5, 6, 7}));
     n = cache.ServeCount(w, 1, 4, 2);
@@ -135,7 +135,7 @@ TEST(HaloCacheUnit, EmptyShortReturnPastEndLearnsNoCount) {
     ASSERT_TRUE(n.has_value());
     EXPECT_EQ(*n, 0u);
     std::vector<VertexId> out;
-    n = cache.ServeExtract(w, 0, 3, 0, out);
+    n = cache.ServeSlice(w, 0, 3, 0, 0, UINT32_MAX, out);
     ASSERT_TRUE(n.has_value());
     EXPECT_EQ(*n, 0u);
   });
@@ -146,24 +146,24 @@ TEST(HaloCacheUnit, LruEvictionKeepsResidencyUnderBudget) {
   // Room for roughly two small list entries (64B overhead + values each).
   HaloCache cache(dev, 256);
   const std::vector<VertexId> list = {1, 2, 3, 4, 5, 6, 7, 8};  // 96B entry
-  cache.RecordList(0, 0, 0, list);
-  cache.RecordList(0, 1, 0, list);
+  cache.RecordSlice(0, 0, 0, 0, UINT32_MAX, list);
+  cache.RecordSlice(0, 1, 0, 0, UINT32_MAX, list);
   EXPECT_LE(cache.resident_bytes(), cache.budget_bytes());
   EXPECT_EQ(cache.stats().evictions, 0u);
   // A third entry exceeds the budget; the least-recently-used one goes.
-  cache.RecordList(0, 2, 0, list);
+  cache.RecordSlice(0, 2, 0, 0, UINT32_MAX, list);
   EXPECT_LE(cache.resident_bytes(), cache.budget_bytes());
   EXPECT_GT(cache.stats().evictions, 0u);
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
-    EXPECT_FALSE(cache.ServeExtract(w, 0, 0, 0, out).has_value())
+    EXPECT_FALSE(cache.ServeSlice(w, 0, 0, 0, 0, UINT32_MAX, out).has_value())
         << "vertex 0 was the LRU entry and should have been evicted";
-    EXPECT_TRUE(cache.ServeExtract(w, 0, 2, 0, out).has_value());
+    EXPECT_TRUE(cache.ServeSlice(w, 0, 2, 0, 0, UINT32_MAX, out).has_value());
   });
   // An entry bigger than the whole budget is admitted and then immediately
   // evicted — the invariant survives oversized lists.
   std::vector<VertexId> huge(200, 1);
-  cache.RecordList(0, 3, 0, huge);
+  cache.RecordSlice(0, 3, 0, 0, UINT32_MAX, huge);
   EXPECT_LE(cache.resident_bytes(), cache.budget_bytes());
 }
 
@@ -171,26 +171,26 @@ TEST(HaloCacheUnit, LruTouchOnServeProtectsHotEntries) {
   gpusim::Device dev;
   HaloCache cache(dev, 256);
   const std::vector<VertexId> list = {1, 2, 3, 4, 5, 6, 7, 8};
-  cache.RecordList(0, 0, 0, list);
-  cache.RecordList(0, 1, 0, list);
+  cache.RecordSlice(0, 0, 0, 0, UINT32_MAX, list);
+  cache.RecordSlice(0, 1, 0, 0, UINT32_MAX, list);
   // Touch vertex 0: it becomes most-recent, so the next insertion evicts
   // vertex 1 instead.
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
-    EXPECT_TRUE(cache.ServeExtract(w, 0, 0, 0, out).has_value());
+    EXPECT_TRUE(cache.ServeSlice(w, 0, 0, 0, 0, UINT32_MAX, out).has_value());
   });
-  cache.RecordList(0, 2, 0, list);
+  cache.RecordSlice(0, 2, 0, 0, UINT32_MAX, list);
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
-    EXPECT_TRUE(cache.ServeExtract(w, 0, 0, 0, out).has_value());
-    EXPECT_FALSE(cache.ServeExtract(w, 0, 1, 0, out).has_value());
+    EXPECT_TRUE(cache.ServeSlice(w, 0, 0, 0, 0, UINT32_MAX, out).has_value());
+    EXPECT_FALSE(cache.ServeSlice(w, 0, 1, 0, 0, UINT32_MAX, out).has_value());
   });
 }
 
 TEST(HaloCacheUnit, DeviceFaultEpochDiscardsEverything) {
   gpusim::Device dev;
   HaloCache cache(dev, 1 << 20);
-  cache.RecordList(0, 5, 0, {{1, 2, 3}});
+  cache.RecordSlice(0, 5, 0, 0, UINT32_MAX, {{1, 2, 3}});
   EXPECT_EQ(cache.stats().entries, 1u);
   dev.Trip("injected");
   dev.Repair();
@@ -198,28 +198,12 @@ TEST(HaloCacheUnit, DeviceFaultEpochDiscardsEverything) {
   // before the fault survives quarantine + repair.
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
-    EXPECT_FALSE(cache.ServeExtract(w, 0, 5, 0, out).has_value());
+    EXPECT_FALSE(cache.ServeSlice(w, 0, 5, 0, 0, UINT32_MAX, out).has_value());
   });
   const HaloCache::Stats s = cache.stats();
   EXPECT_EQ(s.entries, 0u);
   EXPECT_EQ(s.resident_bytes, 0u);
   EXPECT_EQ(s.invalidations, 1u);
-}
-
-TEST(HaloCacheUnit, ClearDropsEntriesButKeepsCounters) {
-  gpusim::Device dev;
-  HaloCache cache(dev, 1 << 20);
-  cache.RecordList(0, 5, 0, {{1, 2, 3}});
-  WithWarp(dev, [&](gpusim::Warp& w) {
-    std::vector<VertexId> out;
-    EXPECT_TRUE(cache.ServeExtract(w, 0, 5, 0, out).has_value());
-  });
-  cache.Clear();
-  const HaloCache::Stats s = cache.stats();
-  EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.resident_bytes, 0u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.insertions, 1u);
 }
 
 // ------------------------------------------------- end-to-end property ---

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <utility>
+#include <vector>
 
 #include "baselines/oracle.h"
 #include "gpusim/launch.h"
@@ -40,14 +42,20 @@ std::vector<VertexId> HostNeighbors(const Graph& g, VertexId v, Label l) {
   return out;
 }
 
-// gtest prints the raw bytes of this parameter into each test's name, so
-// every byte is a named member: padding would be left uninitialised and make
-// the names differ from build to build.
+std::vector<VertexId> AllVertices(const Graph& g) {
+  std::vector<VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  return all;
+}
+
 struct StoreCase {
   StorageKind kind;
-  uint32_t reserved = 0;
   const char* name;
 };
+
+// Names each case in the test names; without it gtest dumps the raw bytes,
+// pointer included, and the names differ from build to build.
+void PrintTo(const StoreCase& c, std::ostream* os) { *os << c.name; }
 
 class NeighborStoreSuite : public ::testing::TestWithParam<StoreCase> {};
 
@@ -140,8 +148,7 @@ TEST_P(PcsrGpnSuite, LookupCorrectUnderAllGroupSizes) {
   int gpn = GetParam();
   Graph g = RandomGraph(250, 4, 2, 3, 50 + gpn);
   gpusim::Device dev;
-  for (Label l : g.edge_labels()) {
-    LabelPartition part = MakePartition(g, l);
+  for (const LabelPartition& part : PartitionByEdgeLabel(g, AllVertices(g))) {
     Result<PcsrPartition> p = PcsrPartition::Build(dev, part, gpn);
     ASSERT_TRUE(p.ok());
     // Every vertex in the partition resolves to its exact neighbor list.
@@ -167,8 +174,7 @@ TEST_P(PcsrGpnSuite, ChainLengthBounded) {
   int gpn = GetParam();
   Graph g = RandomGraph(500, 3, 2, 2, 60 + gpn);
   gpusim::Device dev;
-  for (Label l : g.edge_labels()) {
-    LabelPartition part = MakePartition(g, l);
+  for (const LabelPartition& part : PartitionByEdgeLabel(g, AllVertices(g))) {
     Result<PcsrPartition> p = PcsrPartition::Build(dev, part, gpn);
     ASSERT_TRUE(p.ok());
     size_t worst = 0;
@@ -197,8 +203,7 @@ TEST(Pcsr, RejectsBadGpn) {
 TEST(Pcsr, GroupReadIsOneTransactionAtGpn16) {
   Graph g = RandomGraph(400, 4, 2, 1, 71);
   gpusim::Device dev;
-  Label l = g.edge_labels()[0];
-  LabelPartition part = MakePartition(g, l);
+  const LabelPartition part = PartitionByEdgeLabel(g, AllVertices(g))[0];
   Result<PcsrPartition> p = PcsrPartition::Build(dev, part, 16);
   ASSERT_TRUE(p.ok());
   // Locating a no-conflict vertex costs exactly one 128B group load plus
@@ -219,8 +224,7 @@ TEST(Pcsr, SpaceLinearInPartitionEdges) {
   // Space = 32|V(D)| + 4*2|E(D)| summed over partitions (Section IV says
   // 32x|V(D)| + |E(D)| in elements; bytes here).
   uint64_t expected = 0;
-  for (Label l : g.edge_labels()) {
-    LabelPartition part = MakePartition(g, l);
+  for (const LabelPartition& part : PartitionByEdgeLabel(g, AllVertices(g))) {
     expected += 128ull * part.num_vertices() +  // 16 pairs x 8B per group
                 4ull * part.num_directed_edges();
   }
@@ -337,9 +341,8 @@ TEST(SignatureTable, RowsAreBucketedByLabelWithIdsAscending) {
   gpusim::Device dev;
   for (SignatureTable::Layout layout : {SignatureTable::Layout::kColumnMajor,
                                         SignatureTable::Layout::kRowMajor}) {
-    std::vector<VertexId> all(g.num_vertices());
-    std::iota(all.begin(), all.end(), VertexId{0});
-    ExpectBucketedRows(g, SignatureTable::Build(dev, g, 512, layout), all);
+    ExpectBucketedRows(g, SignatureTable::Build(dev, g, 512, layout),
+                       AllVertices(g));
     // Three shares, each with its own buckets and row map.
     for (VertexId p = 0; p < 3; ++p) {
       std::vector<VertexId> share;
@@ -375,17 +378,45 @@ TEST(SignatureTable, ColumnMajorCoalescesRowMajorDoesNot) {
 
 TEST(Partition, CoversEveryEdgeExactlyOnce) {
   Graph g = RandomGraph(150, 4, 3, 5, 84);
-  size_t directed = 0;
-  for (const LabelPartition& p : PartitionByEdgeLabel(g)) {
-    directed += p.num_directed_edges();
-    // Neighbor lists in a partition are sorted.
-    for (size_t i = 0; i + 1 < p.offsets.size(); ++i) {
-      for (size_t k = p.offsets[i] + 1; k < p.offsets[i + 1]; ++k) {
-        EXPECT_LT(p.neighbors[k - 1], p.neighbors[k]);
+  // One partition per edge label, in edge_labels() order (empty ones kept),
+  // and each row is exactly N(v, l) of the host graph.
+  auto check = [&](const std::vector<VertexId>& vertices) {
+    const std::vector<LabelPartition> parts = PartitionByEdgeLabel(g, vertices);
+    EXPECT_EQ(parts.size(), g.num_edge_labels());
+    size_t directed = 0;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      const LabelPartition& p = parts[i];
+      const Label l = g.edge_labels()[i];
+      EXPECT_EQ(p.label, l);
+      EXPECT_EQ(p.offsets.size(), p.vertices.size() + 1);
+      EXPECT_EQ(p.offsets.back(), p.neighbors.size());
+      std::vector<VertexId> rows;
+      for (VertexId v : vertices) {
+        if (!g.NeighborsWithLabel(v, l).empty()) rows.push_back(v);
       }
+      EXPECT_EQ(p.vertices, rows) << "label " << l;
+      for (size_t r = 0; r < p.vertices.size(); ++r) {
+        const std::vector<VertexId> row(
+            p.neighbors.begin() + static_cast<ptrdiff_t>(p.offsets[r]),
+            p.neighbors.begin() + static_cast<ptrdiff_t>(p.offsets[r + 1]));
+        EXPECT_EQ(row, HostNeighbors(g, p.vertices[r], l))
+            << "v=" << p.vertices[r] << " l=" << l;
+      }
+      directed += p.num_directed_edges();
     }
+    return directed;
+  };
+  EXPECT_EQ(check(AllVertices(g)), 2 * g.num_edges());
+  // Three interleaved shares hold every directed edge exactly once.
+  size_t shared = 0;
+  for (VertexId s = 0; s < 3; ++s) {
+    std::vector<VertexId> share;
+    for (VertexId v = s; v < g.num_vertices(); v += 3) share.push_back(v);
+    shared += check(share);
   }
-  EXPECT_EQ(directed, 2 * g.num_edges());
+  EXPECT_EQ(shared, 2 * g.num_edges());
+  // An empty share still has one (empty) partition per label.
+  EXPECT_EQ(check({}), 0u);
 }
 
 TEST(StorageSpace, BasicRepCostsVertexTermPerLabel) {
