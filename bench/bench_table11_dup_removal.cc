@@ -1,6 +1,10 @@
 // Table XI — "Performance of duplicate removal method": join-phase GLD and
 // query time with duplicates vs with in-block duplicate removal (on GSI
 // with load balance, as in the paper's "+DR over +LB" comparison).
+//
+// `--json <path>` writes one record per dataset (config "dataset=<name>"):
+// p50 and p99 both hold the mean simulated join ms with removal, the perf
+// gate's key; extras gld_dups, gld_removal and join_ms_dups.
 
 #include "bench_common.h"
 
@@ -45,6 +49,14 @@ void BM_DupRemoval(benchmark::State& state, const std::string& dataset) {
                   TablePrinter::FormatPercent(gld_drop),
                   TablePrinter::FormatMs(ms0), TablePrinter::FormatMs(ms1),
                   TablePrinter::FormatPercent(t_drop)});
+  RecordJson({"table11_dup_removal",
+              "dataset=" + dataset,
+              /*qps=*/0,
+              /*p50_ms=*/ms1,
+              /*p99_ms=*/ms1,
+              /*extras=*/{{"gld_dups", static_cast<double>(a_dups.gld)},
+                          {"gld_removal", static_cast<double>(a_rm.gld)},
+                          {"join_ms_dups", ms0}}});
 }
 
 void RegisterAll() {

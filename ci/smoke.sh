@@ -33,10 +33,11 @@ ALL_SMOKES=(
   bench-service-paged
   bench-sharding
   bench-partition
+  bench-dup-removal
 )
 
-# The sanitizer subset now carries every bench smoke (ROADMAP: bench smokes
-# under the TSan leg) plus the chaos smoke — fault injection, quarantine and
+# The sanitizer subset now carries every system bench smoke (ROADMAP: bench
+# smokes under the TSan leg) plus the chaos smoke — fault injection, quarantine and
 # retry wakeups are exactly the cross-thread traffic TSan should watch.
 SANITIZER_SMOKES=(
   example-query-service
@@ -209,6 +210,24 @@ for r in recs:
           % (r["bench"], r["config"], r["halo_cache_hit_rate"],
              int(r["saved_remote_transactions"]),
              r["halo_cache_mb_per_device"] * 1024))
+PYEOF
+      ;;
+    # Table XI under the perf gate: one record per dataset whose p50 is
+    # the mean simulated join ms with duplicate removal. Removal shares
+    # reads and probes, so it may never load more than the run with
+    # duplicates.
+    bench-dup-removal)
+      run_bench bench_table11_dup_removal bench_dup_removal.json
+      python3 - "$ARTIFACTS_DIR/bench_dup_removal.json" <<'PYEOF'
+import json, sys
+recs = json.load(open(sys.argv[1]))
+assert recs, "no table11 record in --json output"
+for r in recs:
+    assert r["gld_removal"] <= r["gld_dups"], \
+        "duplicate removal loaded more: %s" % r
+    print("dup-removal smoke ok: %s: gld %d -> %d, join %.4f -> %.4f ms"
+          % (r["config"], int(r["gld_dups"]), int(r["gld_removal"]),
+             r["join_ms_dups"], r["p50"]))
 PYEOF
       ;;
     *)

@@ -11,13 +11,21 @@
 
 namespace gsi {
 
+class CandidateSet;
+
 /// In-block duplicate removal (Section VI-B, Algorithm 5): warps in one
 /// block whose rows need the same N(v, l) share a single global-memory
 /// read through a shared-memory input buffer; only the first warp loads,
 /// the others pay shared-memory traffic.
 ///
-/// One instance lives per block per join pass; Reset() at block boundaries.
-/// The cache capacity is bounded by the block's shared memory.
+/// For a first-edge slice the block keeps the slice's members of C(u)
+/// rather than the raw slice: the first warp extracts the slice and probes
+/// C(u)'s bitset once, and every warp then subtracts its own row. Each
+/// Pass A block builds its own instance, which is the block boundary; a
+/// member entry assumes the one C(u) of the block's join step. The cache
+/// capacity is bounded by the block's shared memory: an entry that would
+/// exceed it is not kept, and later lookups of its key read and probe
+/// again.
 class BlockExtractionCache {
  public:
   /// @param enabled  disabled instances always extract (the baseline).
@@ -26,11 +34,20 @@ class BlockExtractionCache {
                                 uint64_t capacity_bytes = 32 * 1024)
       : enabled_(enabled), capacity_(capacity_bytes) {}
 
-  /// N(v, l) slice [begin, end) (first-edge reads).
+  /// N(v, l) slice [begin, end) (the naive first-edge read, and whole-list
+  /// later-edge reads).
   const std::vector<VertexId>& GetSlice(gpusim::Warp& w,
                                         const NeighborStore& store,
                                         VertexId v, Label l, uint32_t begin,
                                         uint32_t end);
+
+  /// The members of `cand` in N(v, l) slice [begin, end), in slice order
+  /// (the GPU-friendly first-edge read; FilterMembers on a miss).
+  const std::vector<VertexId>& GetMembers(gpusim::Warp& w,
+                                          const NeighborStore& store,
+                                          VertexId v, Label l,
+                                          uint32_t begin, uint32_t end,
+                                          const CandidateSet& cand);
 
   /// N(v, l) values within [lo, hi] (subsequent-edge reads).
   const std::vector<VertexId>& GetValueRange(gpusim::Warp& w,
@@ -38,23 +55,24 @@ class BlockExtractionCache {
                                              VertexId v, Label l, VertexId lo,
                                              VertexId hi);
 
-  /// Clears cached buffers (block boundary).
-  void Reset();
-
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
 
  private:
-  using Key = std::tuple<VertexId, Label, uint64_t, uint64_t, bool>;
+  enum class Read : uint8_t { kSlice, kMembers, kValueRange };
+  using Key = std::tuple<VertexId, Label, uint64_t, uint64_t, Read>;
 
+  /// `cand` is read only for Read::kMembers.
   const std::vector<VertexId>& Lookup(gpusim::Warp& w, const Key& key,
-                                      const NeighborStore& store);
+                                      const NeighborStore& store,
+                                      const CandidateSet* cand);
 
   bool enabled_;
   uint64_t capacity_;
   uint64_t used_ = 0;
   std::map<Key, std::vector<VertexId>> cache_;
   std::vector<VertexId> scratch_;
+  std::vector<VertexId> members_;
   size_t hits_ = 0;
   size_t misses_ = 0;
 };

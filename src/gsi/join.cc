@@ -17,7 +17,8 @@ using gpusim::kWarpSize;
 using gpusim::Warp;
 
 /// Charged read of row r of the intermediate table into a host vector
-/// (one warp streams the row, then keeps it in shared memory).
+/// (one warp streams the row, then keeps it in shared memory): the
+/// two-step scheme's per-warp read.
 std::vector<VertexId> ReadRow(Warp& w, const MatchTable& m, size_t r) {
   std::span<const VertexId> vals =
       w.LoadRange(m.data(), r * m.cols(), m.cols());
@@ -25,32 +26,108 @@ std::vector<VertexId> ReadRow(Warp& w, const MatchTable& m, size_t r) {
   return std::vector<VertexId>(vals.begin(), vals.end());
 }
 
+/// A block's distinct rows of M, read once into shared memory for all of
+/// its warps (Pass A and link).
+class StagedRows {
+ public:
+  /// Reads `rows` (ascending; chunks of one row repeat it) in one
+  /// coalesced pass: the block's warps take the 128B lines the distinct
+  /// rows cover in turn, each gathering its line's ids (one transaction)
+  /// and writing them to shared memory.
+  StagedRows(Block& block, const MatchTable& m, std::vector<uint32_t> rows)
+      : cols_(m.cols()), rows_(std::move(rows)) {
+    GSI_CHECK(std::is_sorted(rows_.begin(), rows_.end()));
+    rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
+    constexpr uint64_t kIdsPerLine =
+        gpusim::kTransactionBytes / sizeof(VertexId);
+    values_.reserve(rows_.size() * cols_);
+    uint64_t idx[kWarpSize];
+    VertexId vals[kWarpSize];
+    size_t lanes = 0;
+    size_t lines = 0;
+    auto load_line = [&] {
+      Warp& w = block.warp(lines++ % block.num_warps());
+      w.Gather(m.data(), std::span<const uint64_t>(idx, lanes),
+               std::span<VertexId>(vals, lanes));
+      w.SharedAccess(lanes);
+      values_.insert(values_.end(), vals, vals + lanes);
+      lanes = 0;
+    };
+    // Ids ascend, so each line's ids are consecutive and at most 32.
+    for (uint32_t r : rows_) {
+      for (size_t j = 0; j < cols_; ++j) {
+        const uint64_t i = uint64_t{r} * cols_ + j;
+        if (lanes > 0 && i / kIdsPerLine != idx[0] / kIdsPerLine) {
+          load_line();
+        }
+        idx[lanes++] = i;
+      }
+    }
+    if (lanes > 0) load_line();
+  }
+
+  /// Row r of M, which must be one of the staged rows.
+  std::span<const VertexId> Row(uint32_t r) const {
+    auto it = std::lower_bound(rows_.begin(), rows_.end(), r);
+    GSI_CHECK(it != rows_.end() && *it == r);
+    return std::span<const VertexId>(values_).subspan(
+        static_cast<size_t>(it - rows_.begin()) * cols_, cols_);
+  }
+
+ private:
+  size_t cols_;
+  std::vector<uint32_t> rows_;
+  std::vector<VertexId> values_;
+};
+
+/// Block-cooperative store of `vals` to b[begin ...], which the block
+/// staged in shared memory: the block's warps take the range's 128B lines
+/// in turn, one store transaction per line.
+template <typename T>
+void StoreLines(Block& block, gpusim::DeviceBuffer<T>& b, size_t begin,
+                std::span<const T> vals) {
+  constexpr size_t kPerLine = gpusim::kTransactionBytes / sizeof(T);
+  size_t lines = 0;
+  for (size_t i = 0; i < vals.size();) {
+    // Buffers are 128B-aligned, so lines start at multiples of kPerLine.
+    const size_t end = std::min(
+        vals.size(), ((begin + i) / kPerLine + 1) * kPerLine - begin);
+    Warp& w = block.warp(lines++ % block.num_warps());
+    w.SharedAccess(end - i);
+    w.StoreRange(b, begin + i, vals.subspan(i, end - i));
+    i = end;
+  }
+}
+
 }  // namespace
 
-void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk, const MatchTable& m,
+void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk,
+                              std::span<const VertexId> row,
                               const JoinStep& step, const CandidateSet& cand,
                               gpusim::DeviceBuffer<VertexId>* gba,
                               uint64_t gba_base, BlockExtractionCache& cache,
                               std::vector<VertexId>& result) {
   result.clear();
-  chunk.count = 0;
-  if (chunk.pos_begin >= chunk.pos_end) return;
-
   SetOpFlags flags;
   flags.naive = options_.set_op == SetOpKind::kNaive;
   flags.write_cache = options_.write_cache;
   const uint64_t gba_at = chunk.gba_begin - gba_base;
 
-  std::vector<VertexId> row = ReadRow(w, m, chunk.row);
-
-  // --- First edge e0 (Algorithm 3, Lines 9-11).
+  // --- First edge e0 (Algorithm 3, Lines 9-11). The GPU-friendly mode
+  // tests membership before the row subtraction, so the block shares one
+  // probe of each distinct slice.
   const LinkEdge& e0 = step.links[0];
   VertexId v0 = row[e0.prev_column];
-  if (flags.naive) dev_->ChargeKernelLaunch();
-  const std::vector<VertexId>& input =
-      cache.GetSlice(w, *store_, v0, e0.label, chunk.pos_begin,
-                     chunk.pos_end);
-  FilterFirstEdge(w, input, row, cand, flags, gba, gba_at, result);
+  if (flags.naive) {
+    dev_->ChargeKernelLaunch();
+    const std::vector<VertexId>& input = cache.GetSlice(
+        w, *store_, v0, e0.label, chunk.pos_begin, chunk.pos_end);
+    FilterFirstEdge(w, input, row, cand, gba, gba_at, result);
+  } else {
+    const std::vector<VertexId>& members = cache.GetMembers(
+        w, *store_, v0, e0.label, chunk.pos_begin, chunk.pos_end, cand);
+    SubtractRow(w, members, row, flags.write_cache, gba, gba_at, result);
+  }
 
   // --- Subsequent linking edges (Line 13).
   for (size_t e = 1; e < step.links.size() && !result.empty(); ++e) {
@@ -95,21 +172,32 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
   stats_.total_chunks += num_chunks;
 
   // --- Pass A: set operations into GBA (Algorithm 3, Lines 2-13). Each
-  // block stages its chunks' survivor counts in shared memory, stores them
-  // to their slots in coalesced 32-wide scatters, and adds their sum to the
-  // step's survivor counter (one atomic add, charged as one store).
+  // block reads its chunks' rows of M once, shares its first-edge reads
+  // and membership probes through its cache (Algorithm 5), stages its
+  // chunks' survivor counts in shared memory, stores them to their slots
+  // in coalesced 32-wide scatters, and adds their sum to the step's
+  // survivor counter (one atomic add, charged as one store).
   auto counts = dev_->Alloc<uint32_t>(num_chunks);
   auto survivors = dev_->Alloc<uint64_t>(1);
   std::vector<VertexId> scratch;
   auto run_block = [&](Block& block, std::span<Chunk* const> chunks) {
     BlockExtractionCache cache(options_.duplicate_removal);
+    std::vector<uint32_t> busy;  // rows with first-edge work
+    for (const Chunk* c : chunks) {
+      if (c->pos_begin < c->pos_end) busy.push_back(c->row);
+    }
+    const StagedRows staged(block, m, std::move(busy));
     uint64_t sum = 0;
     for (size_t i = 0; i < chunks.size(); ++i) {
+      Chunk& chunk = *chunks[i];
       Warp& w = block.warp(i % block.num_warps());
-      ProcessChunk(w, *chunks[i], m, step, cand, &gba, sizing.base, cache,
-                   scratch);
+      chunk.count = 0;
+      if (chunk.pos_begin < chunk.pos_end) {
+        ProcessChunk(w, chunk, staged.Row(chunk.row), step, cand, &gba,
+                     sizing.base, cache, scratch);
+      }
       w.SharedAccess(1);
-      sum += chunks[i]->count;
+      sum += chunk.count;
     }
     stats_.dup_cache_hits += cache.hits();
     stats_.dup_cache_misses += cache.misses();
@@ -184,7 +272,8 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
   // exactly the rows (and order) of that slice's portion of a whole run.
   // Warp 0 of each block stages the block's 32 counts in one coalesced
   // read; the block scans them and chains to the blocks before it, which
-  // gives every chunk its first output row.
+  // gives every chunk its first output row. The block then reads the rows
+  // of M its survivors extend once, for all of its warps.
   //
   // With a next step, the kernel also sizes M' for it (Algorithm 4). A
   // warp looks up its rows' next first-edge bounds |N(v, l0')| as it
@@ -192,7 +281,9 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
   // every row of the chunk shares, and once per row when it binds the new
   // one. The block stages its chunks' 64-bit bound sums and chains them to
   // the blocks before it by a second look-back, which gives every chunk
-  // its first GBA offset; the warp then stores its rows' offsets.
+  // its first GBA offset; the warp then stages its rows' offsets. A
+  // block's rows of M' are contiguous, so its warps store the staged
+  // bounds and offsets together, one 128B line per store.
   std::vector<const Chunk*> linked(num_chunks);
   for (const Chunk* c : plan.AllChunks()) linked[c->slot] = c;
   MatchTable table = MatchTable::Alloc(*dev_, new_rows, cols + 1);
@@ -216,6 +307,14 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
         block.warp(0).LoadRange(counts, begin, n);
     std::copy(loaded.begin(), loaded.end(), staged.begin());
     row_scan.ScanBlock(block, staged, first_row);
+    std::vector<uint32_t> extended;  // rows of M with survivors
+    for (size_t i = 0; i < n; ++i) {
+      if (staged[i] > 0) extended.push_back(linked[begin + i]->row);
+    }
+    const StagedRows m_rows(block, m, std::move(extended));
+    // The block's rows of M' are [block_first, block_end).
+    const uint64_t block_first = first_row[0];
+    const uint64_t block_end = first_row[n - 1] + staged[n - 1];
     // With a next step: each chunk's bound sum, then its first GBA offset.
     std::span<uint64_t> sums;
     std::span<uint64_t> first_offset;
@@ -229,7 +328,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
       Warp& w = block.warp(i);
       const Chunk& c = *linked[begin + i];
       w.SharedAccess(1);
-      std::vector<VertexId> row = ReadRow(w, m, c.row);
+      std::span<const VertexId> row = m_rows.Row(c.row);
       std::span<const VertexId> buf =
           w.LoadRange(gba, c.gba_begin - sizing.base, count);
       const uint64_t first = first_row[i];
@@ -245,6 +344,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
       w.SharedAccess(static_cast<uint64_t>(count) * (cols + 1));
       if (next == nullptr) continue;
 
+      // The rows' bounds, staged in shared memory for the block's store.
       const LinkEdge& e0 = next->links[0];
       std::span<uint32_t> bounds(next_sizing.bounds.data() + first, count);
       if (shared_binding) {
@@ -261,12 +361,14 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
           sums[i] += bounds[k];
         }
       }
-      w.StoreRange(next_sizing.bounds, first,
-                   std::span<const uint32_t>(bounds));
-      w.SharedAccess(1);
+      w.SharedAccess(uint64_t{count} + 1);
     }
     if (next == nullptr) return;
 
+    StoreLines(block, next_sizing.bounds, block_first,
+               std::span<const uint32_t>(
+                   next_sizing.bounds.data() + block_first,
+                   block_end - block_first));
     gba_scan.ScanBlock(block, sums, first_offset);
     for (size_t i = 0; i < n; ++i) {
       const uint32_t count = staged[i];
@@ -281,19 +383,24 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
         at += bounds[k];
       }
       if (shared_binding) {
-        w.Alu(count);  // first offset + k * the chunk's one bound
+        // first offset + k * the chunk's one bound, staged in shared memory
+        w.Alu(count);
+        w.SharedAccess(count);
       } else {
         // The warp scans its rows' bounds, staged in shared memory across
         // the block's look-back: LookbackScan's per-value charge.
         w.SharedAccess(2 * static_cast<uint64_t>(count));
         w.Alu(2 * static_cast<uint64_t>(count));
       }
-      // The warp holding M''s last row also stores the end of the GBA.
-      const bool last = first + count == new_rows;
-      if (last) offsets[count] = at;
-      w.StoreRange(next_sizing.offsets, first,
-                   std::span<const uint64_t>(offsets, count + (last ? 1 : 0)));
+      // The chunk holding M''s last row also stages the end of the GBA.
+      if (first + count == new_rows) offsets[count] = at;
     }
+    // The block holding M''s last row also stores the end of the GBA.
+    const bool last = block_end > block_first && block_end == new_rows;
+    StoreLines(block, next_sizing.offsets, block_first,
+               std::span<const uint64_t>(
+                   next_sizing.offsets.data() + block_first,
+                   block_end - block_first + (last ? 1 : 0)));
   });
   GSI_CHECK(row_scan.total() == new_rows);
   if (next == nullptr) return SizedTable{std::move(table), std::nullopt};
@@ -319,8 +426,8 @@ Result<JoinEngine::SizedTable> JoinEngine::StepTwoStep(
   gpusim::Launch(*dev_, std::max<size_t>(1, rows), [&](Warp& w) {
     size_t i = w.global_id();
     if (i >= rows) return;
-    ProcessChunk(w, chunks[i], m, step, cand, /*gba=*/nullptr, 0, no_cache,
-                 scratch);
+    ProcessChunk(w, chunks[i], ReadRow(w, m, i), step, cand, /*gba=*/nullptr,
+                 0, no_cache, scratch);
     w.Store(counts, i, chunks[i].count);
   });
 
@@ -337,8 +444,8 @@ Result<JoinEngine::SizedTable> JoinEngine::StepTwoStep(
   gpusim::Launch(*dev_, std::max<size_t>(1, rows), [&](Warp& w) {
     size_t i = w.global_id();
     if (i >= rows) return;
-    ProcessChunk(w, chunks[i], m, step, cand, /*gba=*/nullptr, 0, no_cache,
-                 scratch);
+    ProcessChunk(w, chunks[i], ReadRow(w, m, i), step, cand, /*gba=*/nullptr,
+                 0, no_cache, scratch);
     if (scratch.empty()) return;
     std::vector<VertexId> row = ReadRow(w, m, i);
     uint64_t out = out_offsets[i];

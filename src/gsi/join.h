@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -160,11 +161,12 @@ class JoinEngine {
   Result<SizedTable> StepTwoStep(const MatchTable& m, const JoinStep& step,
                                  const CandidateSet& cand);
 
-  /// Executes the set operations of Algorithm 3 (Lines 5-13) for one chunk.
-  /// Survivors land in `result` (and, when `gba` is non-null, in
-  /// gba[chunk.gba_begin - gba_base ...]).
-  void ProcessChunk(gpusim::Warp& w, Chunk& chunk, const MatchTable& m,
-                    const JoinStep& step, const CandidateSet& cand,
+  /// Executes the set operations of Algorithm 3 (Lines 5-13) for one chunk
+  /// of `row`, its row of M. Survivors land in `result` (and, when `gba` is
+  /// non-null, in gba[chunk.gba_begin - gba_base ...]).
+  void ProcessChunk(gpusim::Warp& w, Chunk& chunk,
+                    std::span<const VertexId> row, const JoinStep& step,
+                    const CandidateSet& cand,
                     gpusim::DeviceBuffer<VertexId>* gba, uint64_t gba_base,
                     BlockExtractionCache& cache,
                     std::vector<VertexId>& result);

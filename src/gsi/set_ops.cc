@@ -28,41 +28,50 @@ void WriteToGba(gpusim::Warp& w, std::span<const VertexId> values,
   }
 }
 
+void FilterMembers(gpusim::Warp& w, std::span<const VertexId> input,
+                   const CandidateSet& cand, std::vector<VertexId>& members) {
+  // The slice is consumed batch-wise from shared memory; each batch's
+  // members are compacted back into shared memory in input order.
+  for (size_t i = 0; i < input.size(); i += gpusim::kWarpSize) {
+    const std::span<const VertexId> lanes = input.subspan(
+        i, std::min<size_t>(gpusim::kWarpSize, input.size() - i));
+    const uint32_t hits = cand.ProbeBitset(w, lanes);
+    for (size_t k = 0; k < lanes.size(); ++k) {
+      if ((hits >> k) & 1u) members.push_back(lanes[k]);
+    }
+  }
+  w.SharedAccess(input.size() + members.size());
+}
+
+size_t SubtractRow(gpusim::Warp& w, std::span<const VertexId> members,
+                   std::span<const VertexId> row, bool write_cache,
+                   gpusim::DeviceBuffer<VertexId>* gba, uint64_t gba_begin,
+                   std::vector<VertexId>& result) {
+  // The partial match (small list) stays cached in shared memory for the
+  // subtraction; the members are consumed batch-wise.
+  w.SharedAccess(row.size() + members.size());
+  w.Alu(members.size() * (row.size() + 1));
+  for (VertexId x : members) {
+    if (std::find(row.begin(), row.end(), x) == row.end()) {
+      result.push_back(x);
+    }
+  }
+  if (gba != nullptr) WriteToGba(w, result, write_cache, *gba, gba_begin);
+  return result.size();
+}
+
 size_t FilterFirstEdge(gpusim::Warp& w, std::span<const VertexId> input,
                        std::span<const VertexId> row,
-                       const CandidateSet& cand, const SetOpFlags& flags,
+                       const CandidateSet& cand,
                        gpusim::DeviceBuffer<VertexId>* gba,
                        uint64_t gba_begin, std::vector<VertexId>& result) {
-  // The partial match (small list) stays cached in shared memory for the
-  // subtraction; the neighbor slice (medium list) is consumed batch-wise.
-  if (!flags.naive) w.SharedAccess(row.size() + input.size());
   w.Alu(input.size() * (row.size() + 1));
-  // Candidate membership check "on the fly" after the subtraction: the
-  // naive baseline binary-searches per element; the GPU-friendly mode
-  // probes the bitset with the subtraction's survivors 32 lanes at a time,
-  // in input order.
-  VertexId lanes[gpusim::kWarpSize];
-  size_t pending = 0;
-  auto probe = [&] {
-    const uint32_t hits = cand.ProbeBitset(w, {lanes, pending});
-    for (size_t k = 0; k < pending; ++k) {
-      if ((hits >> k) & 1u) result.push_back(lanes[k]);
-    }
-    pending = 0;
-  };
   for (VertexId x : input) {
     if (std::find(row.begin(), row.end(), x) != row.end()) continue;
-    if (flags.naive) {
-      if (cand.ContainsBinarySearch(w, x)) result.push_back(x);
-      continue;
-    }
-    lanes[pending++] = x;
-    if (pending == gpusim::kWarpSize) probe();
+    if (cand.ContainsBinarySearch(w, x)) result.push_back(x);
   }
-  if (pending > 0) probe();
   if (gba != nullptr) {
-    WriteToGba(w, result, flags.write_cache && !flags.naive, *gba,
-               gba_begin);
+    WriteToGba(w, result, /*write_cache=*/false, *gba, gba_begin);
   }
   return result.size();
 }

@@ -26,18 +26,43 @@ struct SetOpFlags {
   bool write_cache = true;
 };
 
-/// First-edge operation of Algorithm 3 (Lines 10-11, fused): filters the
-/// extracted neighbor slice `input` by (a) subtraction of the partial match
-/// `row` and (b) membership in C(u), appending survivors to `result` in
-/// input order.
-/// If `gba` is non-null the survivors are also written to
-/// gba[gba_begin ...] with the configured write policy; a null `gba` is the
-/// count-only pass of the two-step output scheme.
+/// First-edge operation of Algorithm 3 (Lines 10-11), GPU-friendly mode, in
+/// two halves. Both keep input order, so subtracting the row after the
+/// membership test yields exactly the survivors (and order) of testing
+/// membership after the subtraction.
+///
+/// Membership half: `members` (empty on entry) receives the members of C(u)
+/// in `input`, in input order. The slice is read from shared memory 32 lanes at a time and
+/// each batch probes the candidate bitset in one gather
+/// (CandidateSet::ProbeBitset). Within one join step the members of a slice
+/// are the same for every row that reads it, so a block probes each
+/// distinct slice once (BlockExtractionCache::GetMembers).
+void FilterMembers(gpusim::Warp& w, std::span<const VertexId> input,
+                   const CandidateSet& cand, std::vector<VertexId>& members);
+
+/// Row half: `result` (empty on entry) receives `members` minus the
+/// partial match `row`, in order. If `gba` is non-null the survivors are
+/// also written to gba[gba_begin ...] (one store per 128B flush with
+/// `write_cache`, one per element without); a null `gba` is the count-only
+/// pass of the two-step output scheme.
+///
+/// Returns the survivor count.
+size_t SubtractRow(gpusim::Warp& w, std::span<const VertexId> members,
+                   std::span<const VertexId> row, bool write_cache,
+                   gpusim::DeviceBuffer<VertexId>* gba, uint64_t gba_begin,
+                   std::vector<VertexId>& result);
+
+/// First-edge operation of the naive set-op baseline (Lines 10-11, fused):
+/// filters the extracted neighbor slice `input` by (a) subtraction of the
+/// partial match `row` and (b) a binary search of C(u)'s sorted list for
+/// each element left. `result` (empty on entry) receives the survivors in
+/// input order; if `gba` is non-null they are also written to
+/// gba[gba_begin ...], one store each.
 ///
 /// Returns the survivor count.
 size_t FilterFirstEdge(gpusim::Warp& w, std::span<const VertexId> input,
                        std::span<const VertexId> row,
-                       const CandidateSet& cand, const SetOpFlags& flags,
+                       const CandidateSet& cand,
                        gpusim::DeviceBuffer<VertexId>* gba,
                        uint64_t gba_begin, std::vector<VertexId>& result);
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 #include <set>
 
 #include "gpusim/launch.h"
@@ -44,19 +45,36 @@ TEST(SetOps, FirstEdgeSubtractsRowAndFiltersCandidates) {
   std::vector<VertexId> input = {1, 2, 3, 4, 5, 6};
   std::vector<VertexId> row = {4, 9};
   auto gba = dev.Alloc<VertexId>(16);
+  std::vector<VertexId> members;
   std::vector<VertexId> result;
-  SetOpFlags flags;
   WithWarp(dev, [&](gpusim::Warp& w) {
-    size_t n = FilterFirstEdge(w, input, row, cand, flags, &gba, 3, result);
+    FilterMembers(w, input, cand, members);
+    size_t n = SubtractRow(w, members, row, /*write_cache=*/true, &gba, 3,
+                           result);
     EXPECT_EQ(n, 2u);
   });
+  EXPECT_EQ(members, (std::vector<VertexId>{2, 4, 6}));
   EXPECT_EQ(result, (std::vector<VertexId>{2, 6}));  // 4 is in the row
   EXPECT_EQ(gba[3], 2u);
   EXPECT_EQ(gba[4], 6u);
 }
 
+// The naive baseline subtracts the row before its binary searches; the
+// GPU-friendly mode tests membership first and subtracts the row from the
+// members. Rows bind vertices of C(u) that the slice holds, so the
+// subtraction removes members the membership test kept.
 TEST(SetOps, FirstEdgeNaiveMatchesBitsetSemantics) {
   gpusim::Device dev;
+  auto members_then_subtract = [&](gpusim::Warp& w,
+                                   std::span<const VertexId> input,
+                                   std::span<const VertexId> row,
+                                   const CandidateSet& cand) {
+    std::vector<VertexId> members;
+    std::vector<VertexId> result;
+    FilterMembers(w, input, cand, members);
+    SubtractRow(w, members, row, /*write_cache=*/true, nullptr, 0, result);
+    return result;
+  };
   CandidateSet cand =
       std::move(CandidateSet::Create(dev, {{1, 5, 7, 11, 13}}, 64, true)[0]);
   std::vector<VertexId> input = {1, 2, 5, 7, 8, 11, 13};
@@ -64,21 +82,24 @@ TEST(SetOps, FirstEdgeNaiveMatchesBitsetSemantics) {
   std::vector<VertexId> fast;
   std::vector<VertexId> naive;
   WithWarp(dev, [&](gpusim::Warp& w) {
-    SetOpFlags f;
-    FilterFirstEdge(w, input, row, cand, f, nullptr, 0, fast);
-    f.naive = true;
-    FilterFirstEdge(w, input, row, cand, f, nullptr, 0, naive);
+    fast = members_then_subtract(w, input, row, cand);
+    FilterFirstEdge(w, input, row, cand, nullptr, 0, naive);
   });
   EXPECT_EQ(fast, naive);
   EXPECT_EQ(fast, (std::vector<VertexId>{1, 5, 11, 13}));
 
-  // Slices longer than a warp probe the bitset 32 survivors at a time;
-  // the survivors still come out in input order.
+  // Slices longer than a warp probe the bitset 32 elements at a time; the
+  // survivors still come out in input order.
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     input = SortedRandom(100 + 7 * seed, 3000, seed);
-    row = {input[3], input[40], 2999};
     CandidateSet big = std::move(CandidateSet::Create(
         dev, {SortedRandom(1500, 3000, seed + 10)}, 3000, true)[0]);
+    std::vector<VertexId> in_both;
+    for (VertexId x : input) {
+      if (big.ContainsHost(x)) in_both.push_back(x);
+    }
+    ASSERT_GE(in_both.size(), 3u) << "seed " << seed;
+    row = {in_both[0], in_both[in_both.size() / 2], in_both.back()};
     std::vector<VertexId> expected;
     for (VertexId x : input) {
       if (std::find(row.begin(), row.end(), x) == row.end() &&
@@ -86,13 +107,11 @@ TEST(SetOps, FirstEdgeNaiveMatchesBitsetSemantics) {
         expected.push_back(x);
       }
     }
-    fast.clear();
+    ASSERT_EQ(expected.size(), in_both.size() - 3) << "seed " << seed;
     naive.clear();
     WithWarp(dev, [&](gpusim::Warp& w) {
-      SetOpFlags f;
-      FilterFirstEdge(w, input, row, big, f, nullptr, 0, fast);
-      f.naive = true;
-      FilterFirstEdge(w, input, row, big, f, nullptr, 0, naive);
+      fast = members_then_subtract(w, input, row, big);
+      FilterFirstEdge(w, input, row, big, nullptr, 0, naive);
     });
     EXPECT_EQ(fast, expected) << "seed " << seed;
     EXPECT_EQ(naive, expected) << "seed " << seed;
@@ -369,17 +388,125 @@ TEST(DupRemoval, DifferentSlicesAreNotShared) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(DupRemoval, ResetClearsSharing) {
+// Each Pass A block builds its own cache: the block boundary.
+TEST(DupRemoval, CachesOfTwoBlocksShareNothing) {
   Graph g = ::gsi::testing::RandomGraph(100, 3, 2, 2, 6);
   gpusim::Device dev;
   auto store = BuildStore(dev, g, StorageKind::kPcsr, 16);
   Label l = g.edge_labels()[0];
-  BlockExtractionCache cache(true);
-  WithWarp(dev, [&](gpusim::Warp& w) {
-    cache.GetSlice(w, *store, 0, l, 0, 10);
-    cache.Reset();  // block boundary
-    cache.GetSlice(w, *store, 0, l, 0, 10);
+  size_t hits = 0;
+  size_t misses = 0;
+  gpusim::LaunchBlocks(dev, 2, [&](gpusim::Block& block) {
+    BlockExtractionCache cache(true);
+    cache.GetSlice(block.warp(0), *store, 0, l, 0, 10);
+    hits += cache.hits();
+    misses += cache.misses();
   });
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(misses, 2u);
+}
+
+/// A data graph, its PCSR store, a vertex v with at least 40 neighbors
+/// over edge label l, and C(u) = every third vertex of the graph.
+struct MembersCase {
+  Graph g = ::gsi::testing::RandomGraph(400, 6, 2, 1, 7);
+  gpusim::Device dev;
+  std::unique_ptr<NeighborStore> store =
+      BuildStore(dev, g, StorageKind::kPcsr, 16);
+  Label l = g.edge_labels()[0];
+  VertexId v = 0;
+  CandidateSet cand;
+
+  MembersCase() {
+    while (g.NeighborsWithLabel(v, l).size() < 40) ++v;
+    std::vector<VertexId> list;
+    for (VertexId x = 0; x < g.num_vertices(); x += 3) list.push_back(x);
+    cand = std::move(
+        CandidateSet::Create(dev, {list}, g.num_vertices(), true)[0]);
+  }
+
+  /// C(u)'s members among N(v, l)[begin, end), filtered on the host.
+  std::vector<VertexId> HostMembers(size_t begin, size_t end) const {
+    std::span<const Neighbor> all = g.NeighborsWithLabel(v, l);
+    std::vector<VertexId> out;
+    for (size_t i = begin; i < std::min(end, all.size()); ++i) {
+      if (cand.ContainsHost(all[i].v)) out.push_back(all[i].v);
+    }
+    return out;
+  }
+};
+
+TEST(DupRemoval, SecondMemberLookupSharesTheProbe) {
+  MembersCase c;
+  const std::vector<VertexId> want = c.HostMembers(0, 1u << 20);
+  ASSERT_GE(want.size(), 2u);
+  BlockExtractionCache cache(/*enabled=*/true);
+  WithWarp(c.dev, [&](gpusim::Warp& w) {
+    gpusim::MemStats before = c.dev.stats();
+    EXPECT_EQ(cache.GetMembers(w, *c.store, c.v, c.l, 0, 1u << 20, c.cand),
+              want);
+    EXPECT_GT(c.dev.stats().gld, before.gld);
+
+    // The hit reads the kept members from shared memory: no global load,
+    // so no bitset gather, and no ALU work.
+    before = c.dev.stats();
+    EXPECT_EQ(cache.GetMembers(w, *c.store, c.v, c.l, 0, 1u << 20, c.cand),
+              want);
+    const gpusim::MemStats hit = c.dev.stats() - before;
+    EXPECT_EQ(hit.gld, 0u);
+    EXPECT_EQ(hit.alu_ops, 0u);
+    EXPECT_EQ(hit.shared_accesses, want.size() + 2);
+
+    // A chunk of the same list is another key: read and probed again.
+    EXPECT_EQ(cache.GetMembers(w, *c.store, c.v, c.l, 8, 24, c.cand),
+              c.HostMembers(8, 24));
+  });
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
+TEST(DupRemoval, OverBudgetMembersAreNotKept) {
+  MembersCase c;
+  const std::vector<VertexId> want = c.HostMembers(0, 1u << 20);
+  ASSERT_GE(want.size(), 2u);
+  // Room for one id: the member list does not fit.
+  BlockExtractionCache cache(/*enabled=*/true, sizeof(VertexId));
+  uint64_t loads[2] = {0, 0};
+  WithWarp(c.dev, [&](gpusim::Warp& w) {
+    for (uint64_t& gld : loads) {
+      const uint64_t before = c.dev.stats().gld;
+      EXPECT_EQ(cache.GetMembers(w, *c.store, c.v, c.l, 0, 1u << 20, c.cand),
+                want);
+      gld = c.dev.stats().gld - before;
+    }
+  });
+  EXPECT_GT(loads[0], 0u);
+  EXPECT_EQ(loads[1], loads[0]);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
+TEST(DupRemoval, DisabledCacheReprobesEveryLookup) {
+  MembersCase c;
+  const std::vector<VertexId> want = c.HostMembers(0, 1u << 20);
+  BlockExtractionCache cache(/*enabled=*/false);
+  uint64_t extract = 0;
+  uint64_t lookups[2] = {0, 0};
+  WithWarp(c.dev, [&](gpusim::Warp& w) {
+    std::vector<VertexId> slice;
+    uint64_t before = c.dev.stats().gld;
+    c.store->ExtractSlice(w, c.v, c.l, 0, 1u << 20, slice);
+    extract = c.dev.stats().gld - before;
+    for (uint64_t& gld : lookups) {
+      before = c.dev.stats().gld;
+      EXPECT_EQ(cache.GetMembers(w, *c.store, c.v, c.l, 0, 1u << 20, c.cand),
+                want);
+      gld = c.dev.stats().gld - before;
+    }
+  });
+  // Every lookup reads the slice and gathers its bitset words again.
+  EXPECT_GT(lookups[0], extract);
+  EXPECT_EQ(lookups[1], lookups[0]);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 2u);
 }

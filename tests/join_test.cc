@@ -416,6 +416,32 @@ TEST(JoinRowOrder, PreallocCombineTableEqualsTwoStepRowForRow) {
   }
 }
 
+// Duplicate removal shares a block's first-edge reads, and their C(u)
+// probes, among the rows whose first edge binds the same vertex; with it
+// the join loads strictly less, whatever the storage.
+TEST(JoinDupRemoval, RemovalLowersJoinGldOnEveryStorage) {
+  const HubCase hub = MakeHubCase();
+  for (StorageKind storage :
+       {StorageKind::kCsr, StorageKind::kPcsr, StorageKind::kBasicRep,
+        StorageKind::kCompressedRep}) {
+    uint64_t gld[2] = {0, 0};  // without, with removal
+    for (bool dr : {false, true}) {
+      GsiOptions options = GsiOptOptions();
+      options.join.storage = storage;
+      options.join.duplicate_removal = dr;
+      options.join.w1 = 1200;
+      options.join.w3 = 32;
+      GsiMatcher matcher(hub.data, options);
+      for (const Graph& q : hub.queries) {
+        Result<QueryResult> r = matcher.Find(q);
+        ASSERT_TRUE(r.ok());
+        gld[dr ? 1 : 0] += r->stats.join.gld;
+      }
+    }
+    EXPECT_LT(gld[1], gld[0]) << "storage=" << static_cast<int>(storage);
+  }
+}
+
 // ------------------------------------------------------ step sizing ---
 
 // The sizing of `table` for `step`, recomputed on the host: every row's
