@@ -83,12 +83,17 @@ class Device {
     CheckFaultTriggers();
   }
 
-  /// Charges a bulk device-to-device transfer of `bytes` over the
-  /// interconnect (the halo gathers of the partitioned execution path:
-  /// candidate lists and partial match tables streamed to the primary).
-  /// Unlike host-mediated movement (Upload, result reads), which gpusim
-  /// leaves uncharged, peer traffic bills the full per-line cost — there
-  /// is no kernel to account it, so the cycles land here directly.
+  /// Charges a bulk transfer of `bytes` over the interconnect at the full
+  /// per-line cost, one line after another: there is no kernel to account
+  /// it, so the cycles land here directly. Three call sites use it:
+  ///  - the partitioned candidate gather (survivor lists of peer lanes
+  ///    streamed to the primary, RunFilterStageReplicated);
+  ///  - the partitioned seed-run merge (peer lanes' partial match tables
+  ///    read by the primary, RunJoinStageReplicatedPaged);
+  ///  - QueryService's page-out: every result chunk a FetchPage copies to
+  ///    the host, charged on the device that holds it (CopyPageChunks).
+  /// Host uploads (Upload) stay uncharged. ROADMAP.md item 3 ("one
+  /// interconnect model") is to reprice these three as a copy kernel.
   /// Returns the number of 128B lines moved.
   uint64_t ChargeRemoteTransfer(uint64_t bytes) {
     const uint64_t lines = (bytes + kTransactionBytes - 1) / kTransactionBytes;

@@ -26,7 +26,8 @@ struct DeviceConfig {
   /// Shared-memory capacity per block (bytes).
   uint64_t shared_memory_bytes = 48 * 1024;
   /// Warps per block: 32 warps = 1024 threads, the block size used in the
-  /// paper's load-balance tuning (W2 = 1024).
+  /// paper's load-balance tuning (W2 = 1024). LaunchBlocks runs blocks of
+  /// this many warps; Launch treats it as an upper bound (launch.h).
   int warps_per_block = 32;
 
   // --- Cost model (cycles). Only ratios matter for reproduced shapes. ---

@@ -68,13 +68,20 @@ void FinishKernel(Device& dev, std::span<const uint64_t> block_costs) {
 
 void Launch(Device& dev, size_t num_warps,
             const std::function<void(Warp&)>& body) {
-  size_t wpb = static_cast<size_t>(dev.config().warps_per_block);
-  size_t num_blocks = (num_warps + wpb - 1) / wpb;
+  // The fewest rounds of one block per SM whose blocks stay within
+  // warps_per_block warps; block b runs warps [b*N/B, (b+1)*N/B).
+  const size_t round_warps =
+      static_cast<size_t>(dev.config().num_sms) *
+      static_cast<size_t>(dev.config().warps_per_block);
+  const size_t rounds =
+      std::max<size_t>(1, (num_warps + round_warps - 1) / round_warps);
+  const size_t num_blocks = std::min(
+      num_warps, rounds * static_cast<size_t>(dev.config().num_sms));
   std::vector<uint64_t> block_costs;
   block_costs.reserve(num_blocks);
   for (size_t b = 0; b < num_blocks; ++b) {
-    size_t first = b * wpb;
-    size_t count = std::min(wpb, num_warps - first);
+    const size_t first = b * num_warps / num_blocks;
+    const size_t count = (b + 1) * num_warps / num_blocks - first;
     Block block(&dev, b, count, first);
     for (size_t i = 0; i < count; ++i) body(block.warp(i));
     block_costs.push_back(BlockCost(dev.config(), block));

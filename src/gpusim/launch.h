@@ -172,8 +172,16 @@ class Block {
   std::vector<Warp> warps_;
 };
 
-/// Launches a per-warp kernel: `num_warps` logical warps grouped into blocks
-/// of config.warps_per_block; `body` runs once per warp.
+/// Launches a per-warp kernel: `num_warps` logical warps with consecutive
+/// global ids; `body` runs once per warp and must not rely on which warps
+/// share a block. Blocks are sized to the grid: they dispatch in rounds of
+/// config.num_sms, the grid takes the fewest rounds whose blocks stay
+/// within config.warps_per_block warps, and the warps split evenly over
+/// those rounds' blocks. So a grid of fewer warps than SMs gets one block
+/// per warp, and up to num_sms × warp_slots_per_sm equal warps finish in
+/// one warp's time, where 32-warp blocks would queue a small grid 4 warps
+/// at a time on a few SMs. Kernels whose warps cooperate through shared
+/// memory use LaunchBlocks, which runs full blocks.
 ///
 /// After execution, blocks are scheduled greedily (in launch order, each to
 /// the least-loaded SM); a block occupies its SM for

@@ -444,10 +444,10 @@ Result<JoinEngine::SizedTable> JoinEngine::StepTwoStep(
   gpusim::Launch(*dev_, std::max<size_t>(1, rows), [&](Warp& w) {
     size_t i = w.global_id();
     if (i >= rows) return;
-    ProcessChunk(w, chunks[i], ReadRow(w, m, i), step, cand, /*gba=*/nullptr,
-                 0, no_cache, scratch);
+    const std::vector<VertexId> row = ReadRow(w, m, i);
+    ProcessChunk(w, chunks[i], row, step, cand, /*gba=*/nullptr, 0, no_cache,
+                 scratch);
     if (scratch.empty()) return;
-    std::vector<VertexId> row = ReadRow(w, m, i);
     uint64_t out = out_offsets[i];
     for (size_t k = 0; k < scratch.size(); ++k) {
       for (size_t j = 0; j < cols; ++j) next.Set(out + k, j, row[j]);

@@ -146,7 +146,9 @@ TEST(Scheduler, OneGiantBlockDominatesMakespan) {
 TEST(Scheduler, BlockCostIsMaxOfCriticalPathAndOccupancy) {
   // A block with one heavy warp costs at least that warp; a block of many
   // equal warps costs total / slots.
-  Device dev;  // 32 warps/block, 4 slots
+  DeviceConfig one_sm;  // one SM: Launch keeps the 32 warps in one block
+  one_sm.num_sms = 1;
+  Device dev(one_sm);  // 32 warps/block, 4 slots
   auto buf = dev.Upload(std::vector<uint32_t>(100000, 1));
   dev.ResetStats();
   // One warp does 320 transactions, the other 31 idle: block cost ~ 320tx.
@@ -162,6 +164,86 @@ TEST(Scheduler, BlockCostIsMaxOfCriticalPathAndOccupancy) {
   });
   uint64_t balanced = dev.stats().simulated_cycles;
   EXPECT_LT(balanced, imbalanced);
+}
+
+TEST(Scheduler, LaunchRunsEachWarpOnceInTheFewestRounds) {
+  // Every grid up to three full rounds, on the default device and a
+  // 4-SM, 8-warp one. Each warp charges a function of its global id, so
+  // the counters are the sum over the warps whatever the cut into blocks.
+  DeviceConfig small;
+  small.num_sms = 4;
+  small.warps_per_block = 8;
+  for (const DeviceConfig& cfg : {DeviceConfig(), small}) {
+    const size_t sms = static_cast<size_t>(cfg.num_sms);
+    const size_t wpb = static_cast<size_t>(cfg.warps_per_block);
+    Device dev(cfg);
+    for (size_t n = 0; n <= 3 * sms * wpb; ++n) {
+      std::vector<int> runs(n, 0);
+      std::vector<size_t> block_warps;
+      MemStats want;
+      dev.ResetStats();
+      Launch(dev, n, [&](Warp& w) {
+        const size_t id = w.global_id();
+        ++runs[id];
+        if (w.block_id() >= block_warps.size()) {
+          block_warps.resize(w.block_id() + 1, 0);
+        }
+        ++block_warps[w.block_id()];
+        w.ChargeLoadTransactions(1 + id % 3);
+        w.ChargeStoreTransactions(id % 2);
+        w.SharedAccess(id % 3);
+        w.Alu(id % 5);
+        w.ChargeRemoteTransactions(id % 2);
+        want.gld += 1 + id % 3;
+        want.gst += id % 2;
+        want.shared_accesses += id % 3;
+        want.alu_ops += id % 5;
+        want.remote_transactions += id % 2;
+      });
+      ASSERT_TRUE(std::ranges::all_of(runs, [](int r) { return r == 1; }))
+          << "n=" << n;
+      for (size_t warps : block_warps) {
+        ASSERT_GE(warps, 1u) << "n=" << n;
+        ASSERT_LE(warps, wpb) << "n=" << n;
+      }
+      // Blocks dispatch in rounds of num_sms: no more rounds than full
+      // blocks need, and every SM busy in each round once there is a warp
+      // per SM.
+      const size_t rounds =
+          std::max<size_t>(1, (n + sms * wpb - 1) / (sms * wpb));
+      ASSERT_LE(block_warps.size(), rounds * sms) << "n=" << n;
+      if (n >= sms) {
+        ASSERT_EQ(block_warps.size(), rounds * sms) << "n=" << n;
+      }
+      const MemStats& got = dev.stats();
+      EXPECT_EQ(got.gld, want.gld) << "n=" << n;
+      EXPECT_EQ(got.gst, want.gst) << "n=" << n;
+      EXPECT_EQ(got.shared_accesses, want.shared_accesses) << "n=" << n;
+      EXPECT_EQ(got.alu_ops, want.alu_ops) << "n=" << n;
+      EXPECT_EQ(got.remote_transactions, want.remote_transactions)
+          << "n=" << n;
+      EXPECT_EQ(got.kernel_launches, 1u) << "n=" << n;
+    }
+  }
+}
+
+TEST(Scheduler, LaunchRunsOneWarpPerSlotInOneWarpTime) {
+  Device dev;
+  const DeviceConfig& cfg = dev.config();
+  const uint64_t one_warp =
+      10 * cfg.global_transaction_cycles + cfg.kernel_launch_cycles;
+  const size_t slots = static_cast<size_t>(cfg.num_sms) *
+                       static_cast<size_t>(cfg.warp_slots_per_sm);
+  auto body = [](Warp& w) { w.ChargeLoadTransactions(10); };
+  for (size_t n = 1; n <= slots; ++n) {
+    dev.ResetStats();
+    Launch(dev, n, body);
+    EXPECT_EQ(dev.stats().simulated_cycles, one_warp) << "n=" << n;
+  }
+  // One warp more than the device overlaps queues on some SM.
+  dev.ResetStats();
+  Launch(dev, slots + 1, body);
+  EXPECT_GT(dev.stats().simulated_cycles, one_warp);
 }
 
 TEST(ScanTest, ComputesExclusivePrefixSumAndTotal) {
