@@ -25,12 +25,11 @@
 //
 // Knobs: GSI_BENCH_PARTITIONS, GSI_BENCH_REPLICAS,
 // GSI_BENCH_PARTITIONER=hash|greedy (both sweeps),
-// GSI_BENCH_HALO_BUDGET=<bytes> (per-device halo-cache budget; > 0 adds a
+// GSI_BENCH_HALO_BUDGET=<bytes> (per-lane halo-cache budget; > 0 adds a
 // cached leg at every point with 1 < K and R < K, whose
-// halo_cache_hit_rate / saved_remote_transactions /
-// halo_cache_mb_per_device / halo_bit_identical extras go on every record
-// the point writes), plus the usual GSI_BENCH_SCALE / GSI_BENCH_QUERIES /
-// GSI_BENCH_QSIZE.
+// halo_cache_hit_rate / saved_remote_transactions / halo_bit_identical
+// extras go on every record the point writes), plus the usual
+// GSI_BENCH_SCALE / GSI_BENCH_QUERIES / GSI_BENCH_QSIZE.
 
 #include <algorithm>
 #include <cstdint>
@@ -85,7 +84,7 @@ const std::shared_ptr<const GraphPartitioner>& Partitioner() {
   return p;
 }
 
-/// Per-device halo-cache budget in bytes; 0 (the default) skips the leg.
+/// Per-lane halo-cache budget in bytes; 0 (the default) skips the leg.
 uint64_t HaloBudget() {
   static const uint64_t budget = [] {
     const char* env = std::getenv("GSI_BENCH_HALO_BUDGET");
@@ -141,10 +140,10 @@ double ReplicatedMs() {
   return ms;
 }
 
-/// The halo-cache leg: `rg`'s layout rebuilt with per-device halo caches
-/// of HaloBudget() bytes, run cold to fill them and warm to measure the
-/// steady state. The uncached measured run's `stats` are the
-/// remote-transaction baseline. Returns the record extras.
+/// The halo-cache leg: `rg`'s layout rebuilt with a HaloBudget()-byte
+/// budget, so each lane makes one halo cache for the query, run once. The
+/// uncached measured run's `stats` are the remote-transaction baseline.
+/// Returns the record extras.
 Extras HaloLeg(const ReplicatedGraph& rg, const QueryStats& stats,
                const QueryResult& single) {
   GsiOptions budgeted = EnronEngine().options();
@@ -152,38 +151,26 @@ Extras HaloLeg(const ReplicatedGraph& rg, const QueryStats& stats,
   Layout cached =
       BuildLayout(rg.num_devices(), rg.num_replicas(), budgeted);
   // No engine shares the budgeted options, so run the library directly.
-  auto execute = [&] {
-    Result<PagedQueryResult> paged = ExecuteQueryReplicatedPaged(
-        *cached.graph, CompactSelection(*cached.graph), HeavyQuery());
-    GSI_CHECK_MSG(paged.ok(), paged.status().ToString().c_str());
-    gpusim::Device scratch(budgeted.device);
-    return ToQueryResult(std::move(paged.value()), scratch);
-  };
-  const QueryResult cold = execute();
-  const QueryResult warm = execute();
-  const bool identical = cold.TableEquals(single) && warm.TableEquals(single);
+  Result<PagedQueryResult> paged = ExecuteQueryReplicatedPaged(
+      *cached.graph, CompactSelection(*cached.graph), HeavyQuery());
+  GSI_CHECK_MSG(paged.ok(), paged.status().ToString().c_str());
+  gpusim::Device scratch(budgeted.device);
+  const QueryResult run = ToQueryResult(std::move(paged.value()), scratch);
+  const bool identical = run.TableEquals(single);
   GSI_CHECK_MSG(identical, "halo-cached result diverged from replicated");
 
   const uint64_t baseline_tx =
       stats.filter.remote_transactions + stats.join.remote_transactions;
-  const uint64_t warm_tx = warm.stats.filter.remote_transactions +
-                           warm.stats.join.remote_transactions;
-  const uint64_t lookups =
-      warm.stats.halo_cache_hits + warm.stats.remote_probes;
+  const uint64_t cached_tx = run.stats.filter.remote_transactions +
+                             run.stats.join.remote_transactions;
+  const uint64_t lookups = run.stats.halo_cache_hits + run.stats.remote_probes;
   const double hit_rate =
-      lookups > 0 ? static_cast<double>(warm.stats.halo_cache_hits) /
+      lookups > 0 ? static_cast<double>(run.stats.halo_cache_hits) /
                         static_cast<double>(lookups)
                   : 0;
-  uint64_t cache_bytes = 0;
-  for (size_t d = 0; d < cached.graph->num_devices(); ++d) {
-    cache_bytes = std::max(cache_bytes,
-                           cached.graph->halo_cache(d)->resident_bytes());
-  }
   return {{"halo_cache_hit_rate", hit_rate},
           {"saved_remote_transactions",
-           static_cast<double>(baseline_tx) - static_cast<double>(warm_tx)},
-          {"halo_cache_mb_per_device",
-           static_cast<double>(cache_bytes) / kMb},
+           static_cast<double>(baseline_tx) - static_cast<double>(cached_tx)},
           {"halo_bit_identical", identical ? 1.0 : 0.0}};
 }
 

@@ -184,11 +184,12 @@ PYEOF
     # The partitioned (K, R) grid in one run: K = 1, 2, 4 at R = 1
     # exercises the halo exchange and the memory-per-device accounting,
     # R = 2 at K = 4 the AcquireOneOfEach lanes, replica routing and the
-    # service burst. The per-device halo budget is deliberately tiny (small
+    # service burst. The per-lane halo budget is deliberately tiny (small
     # enough to force LRU evictions at smoke scale). The bench itself
     # GSI_CHECKs every table bit-identical; the JSON assertion pins the
     # cache engaging on every record of a point that ran the cached leg:
-    # hit rate > 0, remote transactions saved, residency within budget.
+    # hit rate > 0 and remote transactions saved. (The residency bound is
+    # a unit test's: HaloCacheUnit.LruEvictionKeepsResidencyUnderBudget.)
     bench-partition)
       run_bench bench_partition_scalability bench_partition.json \
         GSI_BENCH_PARTITIONS="1 2 4" GSI_BENCH_REPLICAS="1 2" \
@@ -202,14 +203,11 @@ for r in recs:
     assert r["halo_bit_identical"] == 1.0, "cached table diverged: %s" % r
     assert r["halo_cache_hit_rate"] > 0, "halo cache never hit: %s" % r
     assert r["saved_remote_transactions"] > 0, \
-        "warm run saved no remote transactions: %s" % r
-    assert r["halo_cache_mb_per_device"] * 1024 * 1024 <= 4096, \
-        "halo cache exceeded its budget: %s" % r
+        "cached run saved no remote transactions: %s" % r
     print("halo smoke ok: %s / %s: hit rate %.2f, %d remote transactions "
-          "saved, %.1f KB resident"
+          "saved"
           % (r["bench"], r["config"], r["halo_cache_hit_rate"],
-             int(r["saved_remote_transactions"]),
-             r["halo_cache_mb_per_device"] * 1024))
+             int(r["saved_remote_transactions"])))
 PYEOF
       ;;
     # Table XI under the perf gate: one record per dataset whose p50 is

@@ -132,10 +132,11 @@ class Device {
     fault_message_ = std::move(reason);
   }
 
-  /// Counts trips over the device's lifetime. Caches keyed to this device
-  /// (gsi::HaloCache) compare the epoch they were filled under against the
-  /// current value and discard their contents on mismatch, so nothing cached
-  /// before a fault survives quarantine + repair.
+  /// Counts trips over the device's lifetime. A result manifest stamps each
+  /// device-resident partial with it (ResultManifest::Part::fault_epoch).
+  /// QueryService::CopyPageChunks compares the stamp before each page-out;
+  /// on a mismatch the partial was lost to a trip, and FetchPage rebuilds
+  /// the cursor's result.
   uint64_t fault_epoch() const { return fault_epoch_; }
 
   /// Repair hook: clears the fault and disarms any remaining plan. The

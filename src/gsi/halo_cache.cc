@@ -3,37 +3,26 @@
 #include <algorithm>
 #include <utility>
 
+#include "gpusim/device.h"
+
 namespace gsi {
 
-void HaloCache::MaybeInvalidateLocked() {
-  const uint64_t current = dev_->fault_epoch();
-  if (current == epoch_) return;
-  // The device tripped since the cache last looked: everything cached was
-  // fetched in a previous fault epoch and must not survive repair.
-  if (!lru_.empty()) ++stats_.invalidations;
-  lru_.clear();
-  index_.clear();
-  stats_.resident_bytes = 0;
-  epoch_ = current;
-}
-
-HaloCache::Entry* HaloCache::TouchLocked(const Key& key) {
+HaloCache::Entry* HaloCache::Touch(const Key& key) {
   auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
   return &it->second->second;
 }
 
-HaloCache::Entry* HaloCache::TouchOrCreateLocked(const Key& key) {
-  if (Entry* e = TouchLocked(key)) return e;
+HaloCache::Entry* HaloCache::TouchOrCreate(const Key& key) {
+  if (Entry* e = Touch(key)) return e;
   lru_.emplace_front(key, Entry{});
   index_[key] = lru_.begin();
-  ++stats_.insertions;
   stats_.resident_bytes += kEntryOverheadBytes;
   return &lru_.front().second;
 }
 
-void HaloCache::ChargeAndEvictLocked(uint64_t before, uint64_t after) {
+void HaloCache::ChargeAndEvict(uint64_t before, uint64_t after) {
   stats_.resident_bytes -= before;
   stats_.resident_bytes += after;
   while (stats_.resident_bytes > budget_bytes_ && !lru_.empty()) {
@@ -44,9 +33,8 @@ void HaloCache::ChargeAndEvictLocked(uint64_t before, uint64_t after) {
   }
 }
 
-void HaloCache::CountHitLocked(gpusim::Warp& w, uint64_t bytes) {
+void HaloCache::CountHit(gpusim::Warp& w, uint64_t bytes) {
   ++stats_.hits;
-  stats_.hit_bytes += bytes;
   // One local line for the directory lookup, plus the local read of the
   // served list bytes — ordinary gld, never the interconnect premium.
   w.ChargeLoadTransactions(1 + gpusim::Device::RangeTransactions(0, bytes));
@@ -54,11 +42,9 @@ void HaloCache::CountHitLocked(gpusim::Warp& w, uint64_t bytes) {
 
 std::optional<size_t> HaloCache::ServeCount(gpusim::Warp& w, PartitionId p,
                                             VertexId v, Label l) {
-  MutexLock lock(mu_);
-  MaybeInvalidateLocked();
-  Entry* e = TouchLocked(Key{p, v, l});
+  Entry* e = Touch(Key{p, v, l});
   if (e != nullptr && e->known_count != kUnknownCount) {
-    CountHitLocked(w, 0);
+    CountHit(w, 0);
     return e->known_count;
   }
   ++stats_.misses;
@@ -69,21 +55,19 @@ std::optional<size_t> HaloCache::ServeSlice(gpusim::Warp& w, PartitionId p,
                                             VertexId v, Label l, size_t begin,
                                             size_t end,
                                             std::vector<VertexId>& out) {
-  MutexLock lock(mu_);
-  MaybeInvalidateLocked();
-  Entry* e = TouchLocked(Key{p, v, l});
+  Entry* e = Touch(Key{p, v, l});
   // Serving a slice needs the exact count — the store clamps `end` to it —
   // and a prefix long enough to cover the clamped range.
   if (e != nullptr && e->known_count != kUnknownCount) {
     const size_t clamped = std::min(end, e->known_count);
     if (begin >= clamped) {
-      CountHitLocked(w, 0);
+      CountHit(w, 0);
       return 0;
     }
     if (e->values.size() >= clamped) {
       out.insert(out.end(), e->values.begin() + begin,
                  e->values.begin() + clamped);
-      CountHitLocked(w, (clamped - begin) * sizeof(VertexId));
+      CountHit(w, (clamped - begin) * sizeof(VertexId));
       return clamped - begin;
     }
   }
@@ -96,15 +80,13 @@ std::optional<size_t> HaloCache::ServeValueRange(gpusim::Warp& w,
                                                  Label l, VertexId lo,
                                                  VertexId hi,
                                                  std::vector<VertexId>& out) {
-  MutexLock lock(mu_);
-  MaybeInvalidateLocked();
-  Entry* e = TouchLocked(Key{p, v, l});
+  Entry* e = Touch(Key{p, v, l});
   if (e != nullptr && e->complete) {
     auto first = std::lower_bound(e->values.begin(), e->values.end(), lo);
     auto last = std::upper_bound(first, e->values.end(), hi);
     out.insert(out.end(), first, last);
     const size_t n = static_cast<size_t>(last - first);
-    CountHitLocked(w, n * sizeof(VertexId));
+    CountHit(w, n * sizeof(VertexId));
     return n;
   }
   ++stats_.misses;
@@ -113,21 +95,17 @@ std::optional<size_t> HaloCache::ServeValueRange(gpusim::Warp& w,
 
 void HaloCache::RecordCount(PartitionId p, VertexId v, Label l,
                             size_t count) {
-  MutexLock lock(mu_);
-  MaybeInvalidateLocked();
-  Entry* e = TouchOrCreateLocked(Key{p, v, l});
+  Entry* e = TouchOrCreate(Key{p, v, l});
   const uint64_t before = EntryBytes(*e);
   if (e->known_count == kUnknownCount) e->known_count = count;
   if (e->values.size() == e->known_count) e->complete = true;
-  ChargeAndEvictLocked(before, EntryBytes(*e));
+  ChargeAndEvict(before, EntryBytes(*e));
 }
 
 void HaloCache::RecordSlice(PartitionId p, VertexId v, Label l, size_t begin,
                             size_t requested,
                             std::span<const VertexId> values) {
-  MutexLock lock(mu_);
-  MaybeInvalidateLocked();
-  Entry* e = TouchOrCreateLocked(Key{p, v, l});
+  Entry* e = TouchOrCreate(Key{p, v, l});
   if (e->complete) return;
   const uint64_t before = EntryBytes(*e);
   // Extend the in-order prefix when this slice continues it exactly.
@@ -145,19 +123,13 @@ void HaloCache::RecordSlice(PartitionId p, VertexId v, Label l, size_t begin,
       e->values.size() == e->known_count) {
     e->complete = true;
   }
-  ChargeAndEvictLocked(before, EntryBytes(*e));
+  ChargeAndEvict(before, EntryBytes(*e));
 }
 
 HaloCache::Stats HaloCache::stats() const {
-  MutexLock lock(mu_);
   Stats s = stats_;
   s.entries = index_.size();
   return s;
-}
-
-uint64_t HaloCache::resident_bytes() const {
-  MutexLock lock(mu_);
-  return stats_.resident_bytes;
 }
 
 }  // namespace gsi

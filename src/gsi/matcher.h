@@ -22,11 +22,12 @@ struct GsiOptions {
   FilterOptions filter;
   JoinOptions join;
   gpusim::DeviceConfig device;
-  /// Per-device byte budget for the halo cache over remote N(v, l) lists
-  /// (gsi/halo_cache.h). 0 disables caching; the partitioned build
-  /// (gsi/replication.h) otherwise attaches one cache per device and counts
-  /// its bytes against resident memory. Never affects match tables — only
-  /// when interconnect transactions are charged.
+  /// Byte budget of the halo cache over remote N(v, l) lists
+  /// (gsi/halo_cache.h). 0 disables caching; otherwise each lane of a
+  /// partitioned query (gsi/replication.h) makes one cache of this size,
+  /// and the partitioned build counts it against every device's resident
+  /// memory. Never affects match tables — only when interconnect
+  /// transactions are charged.
   uint64_t halo_budget_bytes = 0;
 
   friend bool operator==(const GsiOptions&, const GsiOptions&) = default;
@@ -78,10 +79,11 @@ struct QueryStats {
   uint64_t remote_probes = 0;  ///< N(v, l) lookups served by a peer device
   uint64_t halo_bytes = 0;     ///< bytes that crossed the interconnect
   double partition_skew = 0;   ///< max / mean per-partition join time
-  /// Remote probes answered from the per-device halo cache instead of the
+  /// Remote probes answered from the lanes' halo caches instead of the
   /// interconnect (gsi/halo_cache.h); zeros when halo_budget_bytes == 0.
   uint64_t halo_cache_hits = 0;
-  uint64_t halo_cache_bytes = 0;  ///< bytes those hits served locally
+  uint64_t halo_cache_bytes = 0;      ///< bytes those hits served locally
+  uint64_t halo_cache_evictions = 0;  ///< entries evicted to stay in budget
 
   // --- Replica lanes of partitioned execution; zeros elsewhere. A
   // partitioned query maps its K partitions onto the devices of one replica

@@ -56,9 +56,11 @@ std::vector<ManifestSegment> PlanSeedRunMerge(
 /// into local reads (counted in Traffic::co_located_probes).
 ///
 /// With a HaloCache attached (`halo` non-null), remote probes first try the
-/// lane device's cache — a hit is a local read (Traffic::halo_hits, no
+/// lane's cache — a hit is a local read (Traffic::halo_hits, no
 /// interconnect premium) returning byte-identical data — and remote probes
-/// that do run feed the cache their free byproducts (gsi/halo_cache.h).
+/// that do run feed the cache their free byproducts (gsi/halo_cache.h). The
+/// cache outlives the view: every view of one lane in one query shares it,
+/// so a partition hits on lists an earlier partition of its lane fetched.
 /// Local and co-located probes never touch the cache: only partitions with
 /// no resident share are cached, which is exactly "skip admission where a
 /// co-resident replica exists".
@@ -76,8 +78,8 @@ class RoutedStoreView final : public NeighborStore {
   /// partition p (never null); `local[p]` != 0 marks shares resident on the
   /// lane's device; `self` is the partition whose seeds this lane joins
   /// (its probes are plain local, not co-located). `halo` (may be null =
-  /// caching off) must be the lane device's cache. All spans/pointees must
-  /// outlive the view.
+  /// caching off) is the lane's cache for this query. All spans/pointees
+  /// must outlive the view.
   RoutedStoreView(std::span<const PartitionId> owner,
                   std::vector<const PcsrStore*> serving,
                   std::vector<uint8_t> local, PartitionId self,

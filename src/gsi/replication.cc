@@ -10,6 +10,7 @@
 #include "gpusim/launch.h"
 #include "gsi/fault.h"
 #include "gsi/filter.h"
+#include "gsi/halo_cache.h"
 #include "gsi/join.h"
 #include "gsi/partition_internal.h"
 #include "gsi/plan.h"
@@ -215,18 +216,10 @@ Result<ReplicatedGraph> ReplicatedGraph::Build(
     }
     bs.replicated_bytes += share_bytes;  // one copy of every share
   }
-  // The halo cache's budget is a reserved slice of each pool device's
-  // resident memory (not of replicated/total bytes, which measure share
-  // storage). One cache per device: a device serves many partitions'
-  // probes, and its cache must die with its fault epoch, not a partition.
-  rg.halo_.resize(devs.size());
-  if (options.halo_budget_bytes > 0) {
-    for (size_t d = 0; d < devs.size(); ++d) {
-      rg.halo_[d] =
-          std::make_unique<HaloCache>(*rg.devs_[d], options.halo_budget_bytes);
-      bs.resident_bytes[d] += options.halo_budget_bytes;
-    }
-  }
+  // The halo budget is a reserved slice of each pool device's resident
+  // memory (not of replicated/total bytes, which measure share storage): a
+  // device runs at most one lane, and each lane makes one cache per query.
+  for (uint64_t& b : bs.resident_bytes) b += options.halo_budget_bytes;
   for (VertexId v = 0; v < data.num_vertices(); ++v) {
     for (const Neighbor& nb : data.neighbors(v)) {
       if (nb.v > v && rg.owner_[v] != rg.owner_[nb.v]) ++bs.cut_edges;
@@ -437,6 +430,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   std::vector<gpusim::MemStats> deltas(k);
   std::vector<JoinStats> part_join(k);
   std::vector<internal::RoutedStoreView::Traffic> traffic(k);
+  std::vector<uint64_t> lane_evictions(lanes.devices.size(), 0);
   {
     ThreadPool pool(lanes.devices.size());
     for (size_t lane = 0; lane < lanes.devices.size(); ++lane) {
@@ -453,6 +447,12 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
         std::vector<const PcsrStore*> serving;
         std::vector<uint8_t> local;
         RouteForDevice(rg, sel, d, serving, local);
+        // One halo cache per lane per query: the lane's partitions share
+        // what each other fetched, and nothing outlives the query.
+        std::optional<HaloCache> halo;
+        if (options.halo_budget_bytes > 0) {
+          halo.emplace(options.halo_budget_bytes);
+        }
         for (PartitionId p : lanes.parts[lane]) {
           obs::ScopedSpan part_span(lane_span.context(), "partition_join",
                                     clock);
@@ -464,7 +464,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
             parts[p] = MatchTable::Alloc(dev, 0, plan.order.size());
           } else {
             internal::RoutedStoreView view(rg.owners(), serving, local, p,
-                                           rg.halo_cache(d));
+                                           halo ? &*halo : nullptr);
             JoinEngine join(&dev, &view, options.join);
             join.set_trace(part_span.context());
             const uint64_t probes_start = clock.NowNanos();
@@ -505,6 +505,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
           }
           deltas[p] = dev.stats() - before;
         }
+        if (halo) lane_evictions[lane] = halo->stats().evictions;
       });
     }
     pool.Wait();
@@ -546,6 +547,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   }
   double max_lane_ms = 0;
   for (double ms : lane_ms) max_lane_ms = std::max(max_lane_ms, ms);
+  for (uint64_t e : lane_evictions) out.stats.halo_cache_evictions += e;
 
   // --- Merge planning on the primary, in global seed order (see
   // PlanSeedRunMerge for why this reconstructs the replicated table row

@@ -10,7 +10,6 @@
 #include "gpusim/device.h"
 #include "graph/graph.h"
 #include "gsi/filter.h"
-#include "gsi/halo_cache.h"
 #include "gsi/matcher.h"
 #include "gsi/partition.h"
 #include "gsi/result_manifest.h"
@@ -55,7 +54,8 @@ Result<ReplicaPlacement> MakeStaggeredPlacement(size_t num_devices,
 /// did).
 struct ReplicationBuildStats {
   /// Simulated memory resident on each pool device (its shares' PCSR +
-  /// signature bytes, plus the halo-cache budget when one is set).
+  /// signature bytes, plus the halo-cache budget when one is set: a device
+  /// runs at most one lane, and so holds at most one lane's cache).
   std::vector<uint64_t> resident_bytes;
   /// Footprint one device pays without partitioning (PCSR + signature
   /// table for the whole graph, one copy).
@@ -145,13 +145,6 @@ class ReplicatedGraph {
   /// no replica of p.
   const PcsrStore* StoreOn(size_t d, PartitionId p) const;
 
-  /// Pool device d's halo cache over remote N(v, l) lists, or null when
-  /// options().halo_budget_bytes == 0. Only partitions with no co-resident
-  /// replica on d are ever cached (co-resident probes are local reads and
-  /// bypass it). Mutable from const like device(d): execution state the
-  /// immutable graph hosts.
-  HaloCache* halo_cache(size_t d) const { return halo_[d].get(); }
-
   const Graph& data() const { return *data_; }
   const GsiOptions& options() const { return options_; }
   const std::string& partitioner_name() const { return partitioner_name_; }
@@ -169,7 +162,6 @@ class ReplicatedGraph {
   std::vector<std::vector<VertexId>> owned_;  // indexed by partition
   std::vector<std::vector<std::unique_ptr<PcsrStore>>> stores_;  // [p][j]
   std::vector<std::vector<SignatureTable>> signatures_;          // [p][j]
-  std::vector<std::unique_ptr<HaloCache>> halo_;  // indexed by pool device
   ReplicationBuildStats build_stats_;
 };
 
@@ -211,12 +203,16 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
 /// holds one (a local read — counted in stats.co_located_probes; this is
 /// the traffic replication saves) and otherwise by the selected replica of
 /// the owner, charged at the interconnect premium (stats.remote_probes /
-/// halo_bytes). The per-partition partial tables stay on their lane devices
-/// and are returned as a ResultManifest of ascending-seed-run segments
-/// (internal::PlanSeedRunMerge); the merge's interconnect traffic is
-/// charged at plan time, so materializing the manifest — all at once
-/// (ToQueryResult) or page by page — is bit-identical to single-device
-/// RunJoinStage for every selection and leaves every counter unchanged.
+/// halo_bytes). With options().halo_budget_bytes > 0, each lane makes one
+/// HaloCache for this query and tries it before every remote probe of its
+/// partitions (gsi/halo_cache.h; stats.halo_cache_hits, halo_cache_bytes
+/// and halo_cache_evictions sum the lanes). The per-partition partial
+/// tables stay on their lane devices and are returned as a ResultManifest
+/// of ascending-seed-run segments (internal::PlanSeedRunMerge); the
+/// merge's interconnect traffic is charged at plan time, so materializing
+/// the manifest — all at once (ToQueryResult) or page by page — is
+/// bit-identical to single-device RunJoinStage for every selection and
+/// leaves every counter unchanged.
 ///
 /// Stats roll-up: filter_ms is kept from `stats` (the filter stage's
 /// price); `stats.join` sums every device's counters (total work); join_ms

@@ -121,8 +121,8 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
     const GraphPartitioner& partitioner = options_.partitioner
                                               ? *options_.partitioner
                                               : default_partitioner;
-    // The halo budget is a serving-layer knob; the caches it sizes are
-    // built from the GsiOptions the shares are built with.
+    // The halo budget is a serving-layer knob; lanes size their caches
+    // from the GsiOptions the shares are built with.
     GsiOptions go = gsi_options_;
     go.halo_budget_bytes = options_.halo_budget_bytes;
     Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
@@ -570,45 +570,24 @@ void QueryService::RegisterServiceMetrics() {
     sink.AddGauge("gsi_service_max_partition_skew",
                   "Worst max/mean per-partition time observed",
                   s.max_partition_skew);
-  });
-  // Halo-cache families, summed across the per-device caches. The caches
-  // are built after this registration but before any worker starts, so
-  // every scrape observes either no caches (budget 0 — families absent,
-  // like the filter cache's) or the full, immutable set of them.
-  metrics_.RegisterCollector([this](obs::MetricsSink& sink) {
-    HaloCache::Stats total;
-    bool any = false;
-    const auto fold = [&](const HaloCache* c) {
-      if (c == nullptr) return;
-      const HaloCache::Stats s = c->stats();
-      total.hits += s.hits;
-      total.hit_bytes += s.hit_bytes;
-      total.misses += s.misses;
-      total.evictions += s.evictions;
-      total.resident_bytes += s.resident_bytes;
-      any = true;
-    };
-    if (replicated_) {
-      for (size_t d = 0; d < replicated_->num_devices(); ++d) {
-        fold(replicated_->halo_cache(d));
-      }
+    // Halo-cache families, only where lanes make caches (absent otherwise,
+    // like the filter cache's). With a cache, every remote probe is a
+    // lookup that missed it.
+    if (!options_.partition_data_graph || options_.halo_budget_bytes == 0) {
+      return;
     }
-    if (!any) return;
     sink.AddCounter("gsi_halo_cache_hits_total",
-                    "Remote probes served from a device halo cache",
-                    static_cast<double>(total.hits));
+                    "Remote probes served from a lane's halo cache",
+                    static_cast<double>(s.halo_cache_hits));
     sink.AddCounter("gsi_halo_cache_misses_total",
                     "Cacheable remote probes that went to the interconnect",
-                    static_cast<double>(total.misses));
+                    static_cast<double>(s.remote_probes));
     sink.AddCounter("gsi_halo_cache_evictions_total",
                     "Halo-cache entries evicted to stay under budget",
-                    static_cast<double>(total.evictions));
+                    static_cast<double>(s.halo_cache_evictions));
     sink.AddCounter("gsi_halo_cache_hit_bytes_total",
                     "Bytes halo-cache hits served without the interconnect",
-                    static_cast<double>(total.hit_bytes));
-    sink.AddGauge("gsi_halo_cache_resident_bytes",
-                  "Bytes currently resident across all halo caches",
-                  static_cast<double>(total.resident_bytes));
+                    static_cast<double>(s.halo_cache_bytes));
   });
 }
 
@@ -664,6 +643,7 @@ void QueryService::FinishLocked(const TicketPtr& ticket,
       stats_.halo_bytes += result->stats.halo_bytes;
       stats_.halo_cache_hits += result->stats.halo_cache_hits;
       stats_.halo_cache_bytes += result->stats.halo_cache_bytes;
+      stats_.halo_cache_evictions += result->stats.halo_cache_evictions;
       stats_.max_partition_skew =
           std::max(stats_.max_partition_skew, result->stats.partition_skew);
       stats_.replica_lanes_total += result->stats.replica_lanes;

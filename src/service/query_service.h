@@ -109,13 +109,14 @@ struct ServiceOptions {
   /// clock read and no real sleeping.
   int default_max_attempts = 1;
 
-  /// Per-device byte budget for the halo cache over remote N(v, l) lists in
+  /// Byte budget of each lane's halo cache over remote N(v, l) lists in
   /// partition_data_graph mode (gsi/halo_cache.h): remote probes of hot
-  /// vertices repeat across join steps and queries; a hit is served from
-  /// the lane device's cache at local cost instead of the interconnect
-  /// premium. The budget is a reserved slice of each device's resident
-  /// bytes. 0 (default) disables caching; match tables are bit-identical
-  /// either way. Ignored unless partition_data_graph is set.
+  /// vertices repeat across the join steps and partitions of one query; a
+  /// hit is served from the lane's cache at local cost instead of the
+  /// interconnect premium. A cache lives for one lane of one query. The
+  /// budget is a reserved slice of each device's resident bytes. 0
+  /// (default) disables caching; match tables are bit-identical either
+  /// way. Ignored unless partition_data_graph is set.
   uint64_t halo_budget_bytes = 0;
 
   /// Host-resident result-byte budget per query for the cursor protocol
@@ -198,11 +199,12 @@ struct ServiceStats {
   uint64_t remote_probes = 0;        ///< cross-partition N(v, l) lookups
   uint64_t halo_bytes = 0;           ///< interconnect bytes, filter + join
   double max_partition_skew = 0;     ///< worst max/mean per-partition time
-  /// Remote probes the per-device halo caches served locally (zeros unless
+  /// Remote probes the lanes' halo caches served locally (zeros unless
   /// halo_budget_bytes > 0).
   uint64_t halo_cache_hits = 0;
-  uint64_t halo_cache_bytes = 0;     ///< list bytes those hits served
-  uint64_t replica_lanes_total = 0;  ///< sum of per-query distinct devices
+  uint64_t halo_cache_bytes = 0;      ///< list bytes those hits served
+  uint64_t halo_cache_evictions = 0;  ///< entries evicted to stay in budget
+  uint64_t replica_lanes_total = 0;   ///< sum of per-query distinct devices
   /// Lane occupancy: replica_lanes_total / partitioned_queries — devices a
   /// partitioned query actually held (the whole pool at R = 1).
   double avg_replica_lanes = 0;

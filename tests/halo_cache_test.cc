@@ -1,16 +1,14 @@
-// The per-device halo cache (gsi/halo_cache.h): unit semantics of the
-// serve/record contract, LRU budget enforcement, fault-epoch invalidation,
-// and the property that matters — partitioned executions (R = 1 and R > 1)
-// with any budget return match tables byte-identical to GsiMatcher::Find
-// while nonzero budgets strictly remove interconnect transactions. Also the
-// lock contract: stats snapshots stay coherent while a lane thread churns.
+// The lane-scoped halo cache (gsi/halo_cache.h): unit semantics of the
+// serve/record contract, LRU budget enforcement, and the property that
+// matters — partitioned executions (R = 1 and R > 1) with any budget return
+// match tables byte-identical to GsiMatcher::Find while nonzero budgets
+// strictly remove interconnect transactions, and a query's counters never
+// depend on what ran before it.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -33,7 +31,7 @@ void WithWarp(gpusim::Device& dev, Fn&& fn) {
 
 TEST(HaloCacheUnit, CountRoundTripsAndChargesNoRemoteTransactions) {
   gpusim::Device dev;
-  HaloCache cache(dev, 1 << 20);
+  HaloCache cache(1 << 20);
   WithWarp(dev, [&](gpusim::Warp& w) {
     EXPECT_FALSE(cache.ServeCount(w, 0, 7, 1).has_value());
   });
@@ -56,7 +54,7 @@ TEST(HaloCacheUnit, CountRoundTripsAndChargesNoRemoteTransactions) {
 
 TEST(HaloCacheUnit, CompleteListServesEveryProbeShape) {
   gpusim::Device dev;
-  HaloCache cache(dev, 1 << 20);
+  HaloCache cache(1 << 20);
   const std::vector<VertexId> list = {10, 20, 30, 40};
   cache.RecordSlice(2, 9, 0, 0, UINT32_MAX, list);
   WithWarp(dev, [&](gpusim::Warp& w) {
@@ -95,7 +93,7 @@ TEST(HaloCacheUnit, CompleteListServesEveryProbeShape) {
 
 TEST(HaloCacheUnit, SlicePrefixesAssembleIntoACompleteEntry) {
   gpusim::Device dev;
-  HaloCache cache(dev, 1 << 20);
+  HaloCache cache(1 << 20);
   // First chunk [0, 2): full return, count still unknown — no serving yet
   // (ServeSlice needs the exact count to clamp the way the store does).
   cache.RecordSlice(1, 4, 2, /*begin=*/0, /*requested=*/2, {{5, 6}});
@@ -120,7 +118,7 @@ TEST(HaloCacheUnit, SlicePrefixesAssembleIntoACompleteEntry) {
 
 TEST(HaloCacheUnit, EmptyShortReturnPastEndLearnsNoCount) {
   gpusim::Device dev;
-  HaloCache cache(dev, 1 << 20);
+  HaloCache cache(1 << 20);
   // An empty return for begin > 0 only proves |list| <= begin — admitting
   // begin as the count would be wrong whenever begin overshoots the end.
   cache.RecordSlice(0, 3, 0, /*begin=*/8, /*requested=*/4, {});
@@ -144,15 +142,15 @@ TEST(HaloCacheUnit, EmptyShortReturnPastEndLearnsNoCount) {
 TEST(HaloCacheUnit, LruEvictionKeepsResidencyUnderBudget) {
   gpusim::Device dev;
   // Room for roughly two small list entries (64B overhead + values each).
-  HaloCache cache(dev, 256);
+  HaloCache cache(256);
   const std::vector<VertexId> list = {1, 2, 3, 4, 5, 6, 7, 8};  // 96B entry
   cache.RecordSlice(0, 0, 0, 0, UINT32_MAX, list);
   cache.RecordSlice(0, 1, 0, 0, UINT32_MAX, list);
-  EXPECT_LE(cache.resident_bytes(), cache.budget_bytes());
+  EXPECT_LE(cache.stats().resident_bytes, cache.budget_bytes());
   EXPECT_EQ(cache.stats().evictions, 0u);
   // A third entry exceeds the budget; the least-recently-used one goes.
   cache.RecordSlice(0, 2, 0, 0, UINT32_MAX, list);
-  EXPECT_LE(cache.resident_bytes(), cache.budget_bytes());
+  EXPECT_LE(cache.stats().resident_bytes, cache.budget_bytes());
   EXPECT_GT(cache.stats().evictions, 0u);
   WithWarp(dev, [&](gpusim::Warp& w) {
     std::vector<VertexId> out;
@@ -164,12 +162,12 @@ TEST(HaloCacheUnit, LruEvictionKeepsResidencyUnderBudget) {
   // evicted — the invariant survives oversized lists.
   std::vector<VertexId> huge(200, 1);
   cache.RecordSlice(0, 3, 0, 0, UINT32_MAX, huge);
-  EXPECT_LE(cache.resident_bytes(), cache.budget_bytes());
+  EXPECT_LE(cache.stats().resident_bytes, cache.budget_bytes());
 }
 
 TEST(HaloCacheUnit, LruTouchOnServeProtectsHotEntries) {
   gpusim::Device dev;
-  HaloCache cache(dev, 256);
+  HaloCache cache(256);
   const std::vector<VertexId> list = {1, 2, 3, 4, 5, 6, 7, 8};
   cache.RecordSlice(0, 0, 0, 0, UINT32_MAX, list);
   cache.RecordSlice(0, 1, 0, 0, UINT32_MAX, list);
@@ -185,25 +183,6 @@ TEST(HaloCacheUnit, LruTouchOnServeProtectsHotEntries) {
     EXPECT_TRUE(cache.ServeSlice(w, 0, 0, 0, 0, UINT32_MAX, out).has_value());
     EXPECT_FALSE(cache.ServeSlice(w, 0, 1, 0, 0, UINT32_MAX, out).has_value());
   });
-}
-
-TEST(HaloCacheUnit, DeviceFaultEpochDiscardsEverything) {
-  gpusim::Device dev;
-  HaloCache cache(dev, 1 << 20);
-  cache.RecordSlice(0, 5, 0, 0, UINT32_MAX, {{1, 2, 3}});
-  EXPECT_EQ(cache.stats().entries, 1u);
-  dev.Trip("injected");
-  dev.Repair();
-  // First touch after the trip discards the stale entries: nothing fetched
-  // before the fault survives quarantine + repair.
-  WithWarp(dev, [&](gpusim::Warp& w) {
-    std::vector<VertexId> out;
-    EXPECT_FALSE(cache.ServeSlice(w, 0, 5, 0, 0, UINT32_MAX, out).has_value());
-  });
-  const HaloCache::Stats s = cache.stats();
-  EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.resident_bytes, 0u);
-  EXPECT_EQ(s.invalidations, 1u);
 }
 
 // ------------------------------------------------- end-to-end property ---
@@ -240,8 +219,9 @@ Result<ReplicatedGraph> BuildPartitioned(const DeviceSet& ds, const Graph& g,
 
 // Sweeps budget x partitioner x K on two graph shapes. For every cell the
 // match table must be byte-identical to the sequential matcher; at nonzero
-// budget a warmed cache must strictly reduce interconnect transactions
-// relative to the budget-0 baseline; residency never exceeds the budget.
+// budget the query's own cache must strictly reduce interconnect
+// transactions relative to the budget-0 baseline, and every remote lookup
+// is either a hit or a remote probe.
 TEST(HaloCacheProperty, SweepBudgetsPartitionersAndPartitionCounts) {
   const uint64_t kTiny = 512;         // forces eviction on every cell here
   const uint64_t kUnbounded = 1u << 30;
@@ -274,14 +254,12 @@ TEST(HaloCacheProperty, SweepBudgetsPartitionersAndPartitionCounts) {
         Result<ReplicatedGraph> pg0 =
             BuildPartitioned(ds0, g, base, *partitioner);
         ASSERT_TRUE(pg0.ok()) << ctx;
-        for (size_t d = 0; d < k; ++d) {
-          EXPECT_EQ(pg0->halo_cache(d), nullptr) << ctx;
-        }
         Result<QueryResult> r0 = testing::ExecuteReplicated(*pg0, q);
         ASSERT_TRUE(r0.ok()) << ctx;
         ExpectSameTable(*r0, *want, ctx + " budget=0");
         ASSERT_GT(r0->stats.remote_probes, 0u)
             << ctx << ": workload has no remote probes, property is vacuous";
+        EXPECT_EQ(r0->stats.halo_cache_hits, 0u) << ctx;
 
         for (uint64_t budget : {kTiny, kUnbounded}) {
           const std::string bctx = ctx + " budget=" + std::to_string(budget);
@@ -295,28 +273,19 @@ TEST(HaloCacheProperty, SweepBudgetsPartitionersAndPartitionCounts) {
           for (uint64_t rb : pg->build_stats().resident_bytes) {
             EXPECT_GE(rb, budget) << bctx;
           }
-          Result<QueryResult> cold = testing::ExecuteReplicated(*pg, q);
-          ASSERT_TRUE(cold.ok()) << bctx;
-          ExpectSameTable(*cold, *want, bctx + " cold");
-          Result<QueryResult> warm = testing::ExecuteReplicated(*pg, q);
-          ASSERT_TRUE(warm.ok()) << bctx;
-          ExpectSameTable(*warm, *want, bctx + " warm");
+          Result<QueryResult> cached = testing::ExecuteReplicated(*pg, q);
+          ASSERT_TRUE(cached.ok()) << bctx;
+          ExpectSameTable(*cached, *want, bctx);
 
-          uint64_t evictions = 0;
-          for (size_t d = 0; d < k; ++d) {
-            const HaloCache* cache = pg->halo_cache(d);
-            ASSERT_NE(cache, nullptr) << bctx;
-            EXPECT_LE(cache->resident_bytes(), budget) << bctx;
-            evictions += cache->stats().evictions;
-          }
-          EXPECT_GT(warm->stats.halo_cache_hits, 0u) << bctx;
-          EXPECT_LT(warm->stats.join.remote_transactions,
+          EXPECT_GT(cached->stats.halo_cache_hits, 0u) << bctx;
+          EXPECT_LT(cached->stats.join.remote_transactions,
                     r0->stats.join.remote_transactions)
-              << bctx << ": a warmed cache must remove remote transactions";
-          EXPECT_LE(warm->stats.remote_probes, cold->stats.remote_probes)
-              << bctx;
+              << bctx << ": the query's cache must remove remote transactions";
+          EXPECT_EQ(cached->stats.halo_cache_hits + cached->stats.remote_probes,
+                    r0->stats.remote_probes)
+              << bctx << ": every remote lookup is a hit or a remote probe";
           if (budget == kTiny) {
-            EXPECT_GT(evictions, 0u)
+            EXPECT_GT(cached->stats.halo_cache_evictions, 0u)
                 << bctx << ": tiny budget never forced an eviction";
           }
         }
@@ -351,21 +320,18 @@ TEST(HaloCacheProperty, ReplicatedLanesStayBitIdenticalAndSaveRemotes) {
       ReplicatedGraph::Build(ds.ptrs, g, opt, HashVertexPartitioner(),
                              /*partitions=*/devices, replicas);
   ASSERT_TRUE(rg.ok());
-  Result<QueryResult> cold = testing::ExecuteReplicated(*rg, q);
-  ASSERT_TRUE(cold.ok());
-  ExpectSameTable(*cold, *want, "replicated cold");
-  Result<QueryResult> warm = testing::ExecuteReplicated(*rg, q);
-  ASSERT_TRUE(warm.ok());
-  ExpectSameTable(*warm, *want, "replicated warm");
-  EXPECT_GT(warm->stats.halo_cache_hits, 0u);
-  EXPECT_LT(warm->stats.join.remote_transactions,
+  Result<QueryResult> cached = testing::ExecuteReplicated(*rg, q);
+  ASSERT_TRUE(cached.ok());
+  ExpectSameTable(*cached, *want, "replicated cached");
+  EXPECT_GT(cached->stats.halo_cache_hits, 0u);
+  EXPECT_LT(cached->stats.join.remote_transactions,
             r0->stats.join.remote_transactions);
 }
 
 TEST(HaloCacheProperty, FullReplicationNeverTouchesTheCache) {
   // R == N: every device hosts every partition, so all probes are local or
   // co-located — the admission skip for co-resident replicas is structural
-  // and the caches must stay empty.
+  // and no lookup ever reaches a cache.
   Graph g = testing::RandomGraph(200, 3, 3, 2, 121);
   Graph q = testing::RandomQuery(g, 4, 122);
   GsiOptions opt = GsiOptOptions();
@@ -378,87 +344,56 @@ TEST(HaloCacheProperty, FullReplicationNeverTouchesTheCache) {
   Result<QueryResult> r = testing::ExecuteReplicated(*rg, q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.remote_probes, 0u);
-  for (size_t d = 0; d < rg->num_devices(); ++d) {
-    const HaloCache* cache = rg->halo_cache(d);
-    ASSERT_NE(cache, nullptr);
-    const HaloCache::Stats s = cache->stats();
-    EXPECT_EQ(s.hits + s.misses, 0u) << "device " << d;
-    EXPECT_EQ(s.entries, 0u) << "device " << d;
-  }
+  EXPECT_EQ(r->stats.halo_cache_hits, 0u);
 }
 
 TEST(HaloCacheProperty, RepeatRunsAgainstEqualStateAreDeterministic) {
-  // Two identically-built graphs, same query sequence: every counter —
-  // including cache hits, which depend on cache state — must agree run for
-  // run. Thread interleaving never reaches the simulated numbers.
+  // Every lane starts the query with an empty cache, so a query's second
+  // run on the same graph and devices repeats every counter of its first —
+  // cache hits and evictions included. Neither the earlier run nor thread
+  // interleaving reaches the simulated numbers.
   Graph g = testing::RandomHubGraph(250, 3, 3, 2, 131, 2, 0.15);
   Graph q = testing::RandomQuery(g, 4, 132);
-  GsiOptions opt = GsiOptOptions();
-  opt.halo_budget_bytes = 4096;
-  auto run_twice = [&](QueryStats& first, QueryStats& second) {
-    DeviceSet ds = MakeDevices(3, opt.device);
-    Result<ReplicatedGraph> pg =
-        BuildPartitioned(ds, g, opt, HashVertexPartitioner());
-    ASSERT_TRUE(pg.ok());
-    Result<QueryResult> a = testing::ExecuteReplicated(*pg, q);
-    Result<QueryResult> b = testing::ExecuteReplicated(*pg, q);
-    ASSERT_TRUE(a.ok() && b.ok());
-    first = a->stats;
-    second = b->stats;
-  };
-  QueryStats a1, a2, b1, b2;
-  run_twice(a1, a2);
-  run_twice(b1, b2);
-  EXPECT_EQ(a1.halo_cache_hits, b1.halo_cache_hits);
-  EXPECT_EQ(a2.halo_cache_hits, b2.halo_cache_hits);
-  EXPECT_EQ(a1.halo_cache_bytes, b1.halo_cache_bytes);
-  EXPECT_EQ(a2.halo_cache_bytes, b2.halo_cache_bytes);
-  EXPECT_EQ(a1.remote_probes, b1.remote_probes);
-  EXPECT_EQ(a2.remote_probes, b2.remote_probes);
-  EXPECT_EQ(a1.join.remote_transactions, b1.join.remote_transactions);
-  EXPECT_EQ(a2.join.remote_transactions, b2.join.remote_transactions);
-}
-
-// ---------------------------------------------------------- lock contract ---
-
-TEST(HaloCacheLockContract, StatsSnapshotsStayCoherentUnderChurn) {
-  // One thread churns partitioned queries (each lane thread mutates its own
-  // device's cache); observers hammer stats() concurrently. Every snapshot
-  // must satisfy the cache invariants — and under TSan this is the data-race
-  // proof for the metrics pull path.
-  Graph g = testing::RandomHubGraph(250, 3, 3, 2, 141, 2, 0.15);
-  Graph q = testing::RandomQuery(g, 4, 142);
   GsiOptions opt = GsiOptOptions();
   opt.halo_budget_bytes = 4096;
   DeviceSet ds = MakeDevices(3, opt.device);
   Result<ReplicatedGraph> pg =
       BuildPartitioned(ds, g, opt, HashVertexPartitioner());
   ASSERT_TRUE(pg.ok());
-
-  std::atomic<bool> done{false};
-  std::atomic<size_t> bad_snapshots{0};
-  std::vector<std::thread> observers;
-  for (int t = 0; t < 2; ++t) {
-    observers.emplace_back([&] {
-      while (!done.load(std::memory_order_relaxed)) {
-        for (size_t d = 0; d < pg->num_devices(); ++d) {
-          const HaloCache::Stats s = pg->halo_cache(d)->stats();
-          if (s.resident_bytes > opt.halo_budget_bytes ||
-              s.evictions > s.insertions ||
-              s.entries > s.insertions) {
-            bad_snapshots.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  for (int i = 0; i < 20; ++i) {
-    Result<QueryResult> r = testing::ExecuteReplicated(*pg, q);
-    ASSERT_TRUE(r.ok());
-  }
-  done.store(true, std::memory_order_relaxed);
-  for (std::thread& t : observers) t.join();
-  EXPECT_EQ(bad_snapshots.load(), 0u);
+  Result<QueryResult> a = testing::ExecuteReplicated(*pg, q);
+  Result<QueryResult> b = testing::ExecuteReplicated(*pg, q);
+  ASSERT_TRUE(a.ok() && b.ok());
+  const QueryStats& first = a->stats;
+  const QueryStats& second = b->stats;
+  ASSERT_GT(first.halo_cache_hits, 0u) << "the cache never engaged";
+  testing::ExpectSameCounters(first.filter, second.filter, "filter");
+  testing::ExpectSameCounters(first.join, second.join, "join");
+  EXPECT_EQ(first.filter_ms, second.filter_ms);
+  EXPECT_EQ(first.join_ms, second.join_ms);
+  EXPECT_EQ(first.total_ms, second.total_ms);
+  EXPECT_EQ(first.num_matches, second.num_matches);
+  EXPECT_EQ(first.min_candidate_size, second.min_candidate_size);
+  EXPECT_EQ(first.join_detail.iterations, second.join_detail.iterations);
+  EXPECT_EQ(first.join_detail.peak_rows, second.join_detail.peak_rows);
+  EXPECT_EQ(first.join_detail.final_rows, second.join_detail.final_rows);
+  EXPECT_EQ(first.join_detail.total_chunks, second.join_detail.total_chunks);
+  EXPECT_EQ(first.join_detail.dup_cache_hits,
+            second.join_detail.dup_cache_hits);
+  EXPECT_EQ(first.join_detail.dup_cache_misses,
+            second.join_detail.dup_cache_misses);
+  EXPECT_EQ(first.shards_used, second.shards_used);
+  EXPECT_EQ(first.shard_skew, second.shard_skew);
+  EXPECT_EQ(first.partitions_used, second.partitions_used);
+  EXPECT_EQ(first.remote_probes, second.remote_probes);
+  EXPECT_EQ(first.halo_bytes, second.halo_bytes);
+  EXPECT_EQ(first.partition_skew, second.partition_skew);
+  EXPECT_EQ(first.halo_cache_hits, second.halo_cache_hits);
+  EXPECT_EQ(first.halo_cache_bytes, second.halo_cache_bytes);
+  EXPECT_EQ(first.halo_cache_evictions, second.halo_cache_evictions);
+  EXPECT_EQ(first.replica_lanes, second.replica_lanes);
+  EXPECT_EQ(first.co_located_probes, second.co_located_probes);
+  EXPECT_EQ(first.attempts, second.attempts);
+  EXPECT_EQ(first.backoff_ms, second.backoff_ms);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <regex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gsi/matcher.h"
@@ -172,7 +173,7 @@ TEST(HaloCacheMetrics, FamiliesAppearInServiceExportWithABudget) {
   so.halo_budget_bytes = 4096;
   QueryService service(data, GsiOptOptions(), so);
   ASSERT_TRUE(service.init_status().ok());
-  for (int i = 0; i < 2; ++i) {  // second run hits the warmed caches
+  for (int i = 0; i < 2; ++i) {
     Result<QueryTicket> t = service.Submit(query, {});
     ASSERT_TRUE(t.ok());
     ASSERT_TRUE(service.Wait(*t).ok());
@@ -180,17 +181,21 @@ TEST(HaloCacheMetrics, FamiliesAppearInServiceExportWithABudget) {
 
   const std::string text = service.ExportMetrics();
   ExpectValidPrometheus(text);
-  for (const char* family :
-       {"gsi_halo_cache_hits_total", "gsi_halo_cache_misses_total",
-        "gsi_halo_cache_evictions_total", "gsi_halo_cache_hit_bytes_total",
-        "gsi_halo_cache_resident_bytes"}) {
+  // Each family is the ServiceStats sum over the served queries; with a
+  // cache, every remote probe is a lookup that missed it.
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.halo_cache_hits, 0u);
+  EXPECT_GT(stats.remote_probes, 0u);
+  for (const auto& [family, sum] :
+       {std::pair<const char*, uint64_t>{"gsi_halo_cache_hits_total",
+                                         stats.halo_cache_hits},
+        {"gsi_halo_cache_misses_total", stats.remote_probes},
+        {"gsi_halo_cache_evictions_total", stats.halo_cache_evictions},
+        {"gsi_halo_cache_hit_bytes_total", stats.halo_cache_bytes}}) {
     EXPECT_NE(text.find(std::string("# TYPE ") + family), std::string::npos)
         << family;
+    EXPECT_EQ(SampleValue(text, family), static_cast<double>(sum)) << family;
   }
-  EXPECT_GT(SampleValue(text, "gsi_halo_cache_hits_total"), 0.0);
-  EXPECT_GT(SampleValue(text, "gsi_halo_cache_misses_total"), 0.0);
-  // The service-level roll-up agrees with the per-query stats path.
-  EXPECT_GT(service.stats().halo_cache_hits, 0u);
 }
 
 TEST(HaloCacheMetrics, FamiliesAbsentWithoutABudget) {

@@ -39,18 +39,6 @@ void ExpectBitIdentical(const QueryResult& sharded, const QueryResult& single,
   EXPECT_TRUE(sharded.TableEquals(single)) << context;
 }
 
-/// Every simulated counter of one phase.
-void ExpectSameCounters(const gpusim::MemStats& a, const gpusim::MemStats& b,
-                        const std::string& context) {
-  EXPECT_EQ(a.kernel_launches, b.kernel_launches) << context;
-  EXPECT_EQ(a.gld, b.gld) << context;
-  EXPECT_EQ(a.gst, b.gst) << context;
-  EXPECT_EQ(a.shared_accesses, b.shared_accesses) << context;
-  EXPECT_EQ(a.alu_ops, b.alu_ops) << context;
-  EXPECT_EQ(a.remote_transactions, b.remote_transactions) << context;
-  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles) << context;
-}
-
 Result<QueryResult> ExecuteSharded(const QueryEngine& engine,
                                    const Graph& query, size_t num_devices) {
   DevicePool pool(num_devices, engine.options().device);
@@ -93,8 +81,8 @@ TEST(ShardedEngine, BitIdenticalToSingleDeviceOnIntegrationGraphs) {
           ExpectBitIdentical(*sharded, *single, context);
           // Only the join fans out: the primary filters alone, so the
           // phase costs exactly one device's.
-          ExpectSameCounters(sharded->stats.filter, single->stats.filter,
-                             context);
+          testing::ExpectSameCounters(sharded->stats.filter,
+                                      single->stats.filter, context);
           EXPECT_EQ(sharded->stats.filter_ms, single->stats.filter_ms)
               << context;
         }
@@ -169,7 +157,7 @@ TEST(ShardedEngine, SerialStepsCostExactlyOneDevice) {
   ASSERT_TRUE(sharded.ok());
   ExpectBitIdentical(*sharded, *single, "serial steps");
   EXPECT_EQ(sharded->stats.shards_used, 1u);
-  ExpectSameCounters(sharded->stats.join, single->stats.join, "join");
+  testing::ExpectSameCounters(sharded->stats.join, single->stats.join, "join");
   EXPECT_EQ(sharded->stats.join_ms, single->stats.join_ms);
 }
 

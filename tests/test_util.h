@@ -1,6 +1,9 @@
 #ifndef GSI_TESTS_TEST_UTIL_H_
 #define GSI_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -95,6 +98,19 @@ inline Result<QueryResult> ExecuteReplicated(const ReplicatedGraph& rg,
 inline Result<QueryResult> ExecuteReplicated(const ReplicatedGraph& rg,
                                              const Graph& query) {
   return ExecuteReplicated(rg, CompactSelection(rg), query);
+}
+
+/// Every simulated counter of one phase.
+inline void ExpectSameCounters(const gpusim::MemStats& a,
+                               const gpusim::MemStats& b,
+                               const std::string& context) {
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches) << context;
+  EXPECT_EQ(a.gld, b.gld) << context;
+  EXPECT_EQ(a.gst, b.gst) << context;
+  EXPECT_EQ(a.shared_accesses, b.shared_accesses) << context;
+  EXPECT_EQ(a.alu_ops, b.alu_ops) << context;
+  EXPECT_EQ(a.remote_transactions, b.remote_transactions) << context;
+  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles) << context;
 }
 
 }  // namespace gsi::testing

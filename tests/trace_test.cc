@@ -161,11 +161,11 @@ struct Fixture {
 
 /// One traced execution against a partitioned data graph (one partition
 /// per device, `replicas` copies of each) over fresh devices under the
-/// compact selection; returns the exported JSON. With a halo budget, an
-/// untraced warm-up run fills the caches first so the traced run exercises
-/// the hit path.
+/// compact selection; returns the exported JSON. With `history`, untraced
+/// runs of the query and of a second query go first on the same devices.
 std::string TracePartitionedRun(const Fixture& f, size_t partitions,
-                                size_t replicas, uint64_t halo_budget = 0) {
+                                size_t replicas, uint64_t halo_budget = 0,
+                                bool history = false) {
   GsiOptions options = GsiOptOptions();
   options.halo_budget_bytes = halo_budget;
   QueryEngine engine(f.data, options);
@@ -183,7 +183,13 @@ std::string TracePartitionedRun(const Fixture& f, size_t partitions,
   const ReplicaSelection sel = CompactSelection(*rg);
   QueryEngine::ExecRequest req{
       .query = &f.query, .replicated = &*rg, .selection = &sel};
-  if (halo_budget > 0) GSI_CHECK(engine.Execute(req).ok());
+  if (history) {
+    const Graph other = testing::RandomQuery(f.data, 5, 8);
+    GSI_CHECK(engine.Execute(req).ok());
+    QueryEngine::ExecRequest other_req = req;
+    other_req.query = &other;
+    GSI_CHECK(engine.Execute(other_req).ok());
+  }
   Tracer tracer;
   req.trace = TraceContext{&tracer, -1, kHostDevice};
   Result<QueryResult> r = engine.Execute(req);
@@ -224,15 +230,18 @@ TEST(TraceDeterminism, ReplicatedTraceIsByteIdenticalAcrossRuns) {
 TEST(TraceDeterminism, HaloProbeSpanAppearsAndStaysByteIdentical) {
   Fixture f;
   // At a fixed budget the whole export — including the halo_probe spans and
-  // their hit/byte attributes — is a pure function of the work: two
-  // identically-built warm runs serialize byte for byte.
-  const std::string first =
-      TracePartitionedRun(f, 4, /*replicas=*/1, /*halo_budget=*/1 << 20);
-  const std::string second =
-      TracePartitionedRun(f, 4, /*replicas=*/1, /*halo_budget=*/1 << 20);
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("halo_probe"), std::string::npos);
-  EXPECT_NE(first.find("\"hits\""), std::string::npos);
+  // their hit/byte attributes — is a pure function of the work: a run after
+  // other queries on the same devices serializes byte for byte like a run
+  // on fresh devices, because each lane's cache lives for one query.
+  for (size_t replicas : {1, 2}) {
+    const std::string fresh =
+        TracePartitionedRun(f, 4, replicas, /*halo_budget=*/1 << 20);
+    const std::string after_history = TracePartitionedRun(
+        f, 4, replicas, /*halo_budget=*/1 << 20, /*history=*/true);
+    EXPECT_EQ(fresh, after_history) << "R = " << replicas;
+    EXPECT_NE(fresh.find("halo_probe"), std::string::npos) << replicas;
+    EXPECT_NE(fresh.find("\"hits\""), std::string::npos) << replicas;
+  }
   // Without a budget the span never exists.
   EXPECT_EQ(TracePartitionedRun(f, 4, /*replicas=*/1).find("halo_probe"),
             std::string::npos);
