@@ -101,8 +101,9 @@ events = json.load(open(sys.argv[1]))["traceEvents"]
 names = {e.get("name") for e in events if e.get("ph") == "X"}
 missing = {"queue_wait", "query", "filter", "result_merge"} - names
 assert not missing, "trace missing spans: %s (got %s)" % (missing, names)
-assert any(n in names for n in ("lane", "partition_join", "join_step")), \
-    "trace has no per-lane join spans: %s" % names
+missing = {"lane", "lane_scan", "join_step"} - names
+assert not missing, "trace missing per-lane spans: %s (got %s)" % (missing,
+                                                                   names)
 print("trace JSON ok: %d events, %d distinct spans" % (len(events),
                                                        len(names)))
 PYEOF

@@ -44,7 +44,7 @@ FilterContext::FilterContext(gpusim::Device& dev, const Graph& data,
   }
 }
 
-std::vector<ScanTile> ScanTiles(const SignatureTable& table,
+std::vector<ScanTile> ScanTiles(std::span<const SignatureTable* const> tables,
                                 std::span<const Signature> qsigs) {
   std::vector<Label> labels;
   for (const Signature& q : qsigs) labels.push_back(q.vertex_label());
@@ -53,27 +53,34 @@ std::vector<ScanTile> ScanTiles(const SignatureTable& table,
   std::ranges::sort(labels);
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
   std::vector<ScanTile> tiles;
-  for (Label l : labels) {
-    const SignatureTable::RowRange rows = table.LabelRows(l);
-    for (size_t r = rows.begin; r < rows.end;) {
-      const size_t cell_end = (r / kWarpSize + 1) * kWarpSize;
-      const size_t end = std::min(rows.end, cell_end);
-      tiles.push_back({r, end, l});
-      r = end;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    for (Label l : labels) {
+      const SignatureTable::RowRange rows = tables[i]->LabelRows(l);
+      for (size_t r = rows.begin; r < rows.end;) {
+        const size_t cell_end = (r / kWarpSize + 1) * kWarpSize;
+        const size_t end = std::min(rows.end, cell_end);
+        tiles.push_back({i, r, end, l});
+        r = end;
+      }
     }
   }
   return tiles;
 }
 
-CandidateScan ScanSignatures(gpusim::Device& dev, const SignatureTable& table,
-                             std::span<const Signature> qsigs,
-                             std::span<const ScanTile> tiles) {
+std::vector<CandidateScan> ScanSignatures(
+    gpusim::Device& dev, std::span<const SignatureTable* const> tables,
+    std::span<const Signature> qsigs, std::span<const ScanTile> tiles) {
   const size_t nu = qsigs.size();
-  CandidateScan out;
-  out.lists.resize(nu);
+  std::vector<CandidateScan> out(tables.size());
+  for (CandidateScan& scan : out) scan.lists.resize(nu);
   if (nu == 0 || tiles.empty()) return out;
-  for (const ScanTile& t : tiles) out.rows_scanned += t.row_end - t.row_begin;
-  const int words = table.words_per_sig();
+  for (const ScanTile& t : tiles) {
+    out[t.table].rows_scanned += t.row_end - t.row_begin;
+  }
+  const int words = tables.front()->words_per_sig();
+  for (const SignatureTable* table : tables) {
+    GSI_CHECK(table->words_per_sig() == words);
+  }
   // Every warp pays for staging all query words into shared memory: an
   // upper bound on its share of the block's cooperative copy that keeps a
   // warp's cost a function of its own tile.
@@ -91,6 +98,8 @@ CandidateScan ScanSignatures(gpusim::Device& dev, const SignatureTable& table,
   live.reserve(nu);                 // that still have a live lane
   gpusim::Launch(dev, tiles.size(), [&](gpusim::Warp& w) {
     const ScanTile& t = tiles[w.global_id()];
+    const SignatureTable& table = *tables[t.table];
+    std::vector<std::vector<VertexId>>& lists = out[t.table].lists;
     const size_t lanes = t.row_end - t.row_begin;
     w.SharedAccess(stage_accesses);
     // The tile's label group, read from the staged query.
@@ -131,7 +140,7 @@ CandidateScan ScanSignatures(gpusim::Device& dev, const SignatureTable& table,
     table.WarpReadVertices(w, t.row_begin, lanes, ids);
     for (size_t u : live) {
       for (uint32_t m = alive[u]; m != 0; m &= m - 1) {
-        out.lists[u].push_back(ids[std::countr_zero(m)]);
+        lists[u].push_back(ids[std::countr_zero(m)]);
       }
       w.Alu(1);  // warp-aggregated atomic offset claim
       w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
@@ -216,8 +225,10 @@ Result<FilterResult> FilterContext::Filter(gpusim::Device& dev,
   if (has_signatures_) {
     const std::vector<Signature> qsigs =
         Signature::EncodeAll(query, options_.signature_bits);
-    CandidateScan scan =
-        ScanSignatures(dev, signatures_, qsigs, ScanTiles(signatures_, qsigs));
+    const SignatureTable* table = &signatures_;
+    const std::span<const SignatureTable* const> tables(&table, 1);
+    CandidateScan scan = std::move(
+        ScanSignatures(dev, tables, qsigs, ScanTiles(tables, qsigs))[0]);
     FilterResult result =
         MakeFilterResult(dev, std::move(scan.lists), data_->num_vertices(),
                          options_.build_bitmaps);

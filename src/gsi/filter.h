@@ -63,40 +63,45 @@ FilterResult MakeFilterResult(gpusim::Device& dev,
                               size_t num_data_vertices, bool build_bitmaps);
 
 /// One warp of the signature scan: rows [row_begin, row_end) of the
-/// bucket of `label`, inside one 32-row grid cell of the table.
+/// bucket of `label` in the scan's table number `table`, inside one 32-row
+/// grid cell of that table.
 struct ScanTile {
+  size_t table = 0;
   size_t row_begin = 0;
   size_t row_end = 0;
   Label label = 0;
 };
 
-/// The scan's tiles for `qsigs`: each distinct query label's bucket cut at
-/// the table's 32-row grid lines, ascending by row. A label with no bucket
-/// contributes none.
-std::vector<ScanTile> ScanTiles(const SignatureTable& table,
+/// The scan's tiles for `qsigs` over `tables`, table by table: each
+/// distinct query label's bucket cut at the table's 32-row grid lines,
+/// ascending by row. A label with no bucket contributes none.
+std::vector<ScanTile> ScanTiles(std::span<const SignatureTable* const> tables,
                                 std::span<const Signature> qsigs);
 
-/// Output of one signature scan.
+/// Output of one signature scan over one table.
 struct CandidateScan {
   /// One list per query signature, ascending.
   std::vector<std::vector<VertexId>> lists;
-  /// Rows the scan's tiles cover.
+  /// Rows the table's tiles cover.
   uint64_t rows_scanned = 0;
 };
 
-/// GSI's signature filter (Section III-A, Fig. 8) over `tiles` of `table`,
-/// for every query signature at once: one kernel, one warp per tile, the
-/// query signatures staged in shared memory. The tile's label already
-/// settles the exact label test, so a warp tests only the query vertices
-/// of that label and never reads word 0. Word i > 0 is read only if one of
-/// them still has a live lane and a nonzero word i — a zero query word
-/// constrains nothing ((x & 0) == 0). A warp with a survivor reads its
+/// GSI's signature filter (Section III-A, Fig. 8) over `tiles` of
+/// `tables`, for every query signature at once: one kernel, one warp per
+/// tile, the query signatures staged in shared memory. The tile's label
+/// already settles the exact label test, so a warp tests only the query
+/// vertices of that label and never reads word 0. Word i > 0 is read only
+/// if one of them still has a live lane and a nonzero word i — a zero query
+/// word constrains nothing ((x & 0) == 0). A warp with a survivor reads its
 /// rows' vertex ids from the row map in one coalesced load, and survivors
 /// leave in one warp-aggregated store per query vertex. A warp's cost
-/// depends only on its tile and the query. No tiles, no launch.
-CandidateScan ScanSignatures(gpusim::Device& dev, const SignatureTable& table,
-                             std::span<const Signature> qsigs,
-                             std::span<const ScanTile> tiles);
+/// depends only on its tile and the query, so one launch over several
+/// tables charges the transactions of one launch per table. Returns one
+/// CandidateScan per table. The tables share one signature width. No
+/// tiles, no launch.
+std::vector<CandidateScan> ScanSignatures(
+    gpusim::Device& dev, std::span<const SignatureTable* const> tables,
+    std::span<const Signature> qsigs, std::span<const ScanTile> tiles);
 
 /// Precomputed device-side filtering context for a data graph ("we offline
 /// compute all vertex signatures in G and record them in a signature

@@ -33,8 +33,7 @@ void HaloCache::ChargeAndEvict(uint64_t before, uint64_t after) {
   }
 }
 
-void HaloCache::CountHit(gpusim::Warp& w, uint64_t bytes) {
-  ++stats_.hits;
+void HaloCache::ChargeHit(gpusim::Warp& w, uint64_t bytes) {
   // One local line for the directory lookup, plus the local read of the
   // served list bytes — ordinary gld, never the interconnect premium.
   w.ChargeLoadTransactions(1 + gpusim::Device::RangeTransactions(0, bytes));
@@ -44,10 +43,9 @@ std::optional<size_t> HaloCache::ServeCount(gpusim::Warp& w, PartitionId p,
                                             VertexId v, Label l) {
   Entry* e = Touch(Key{p, v, l});
   if (e != nullptr && e->known_count != kUnknownCount) {
-    CountHit(w, 0);
+    ChargeHit(w, 0);
     return e->known_count;
   }
-  ++stats_.misses;
   return std::nullopt;
 }
 
@@ -61,17 +59,16 @@ std::optional<size_t> HaloCache::ServeSlice(gpusim::Warp& w, PartitionId p,
   if (e != nullptr && e->known_count != kUnknownCount) {
     const size_t clamped = std::min(end, e->known_count);
     if (begin >= clamped) {
-      CountHit(w, 0);
+      ChargeHit(w, 0);
       return 0;
     }
     if (e->values.size() >= clamped) {
       out.insert(out.end(), e->values.begin() + begin,
                  e->values.begin() + clamped);
-      CountHit(w, (clamped - begin) * sizeof(VertexId));
+      ChargeHit(w, (clamped - begin) * sizeof(VertexId));
       return clamped - begin;
     }
   }
-  ++stats_.misses;
   return std::nullopt;
 }
 
@@ -86,10 +83,9 @@ std::optional<size_t> HaloCache::ServeValueRange(gpusim::Warp& w,
     auto last = std::upper_bound(first, e->values.end(), hi);
     out.insert(out.end(), first, last);
     const size_t n = static_cast<size_t>(last - first);
-    CountHit(w, n * sizeof(VertexId));
+    ChargeHit(w, n * sizeof(VertexId));
     return n;
   }
-  ++stats_.misses;
   return std::nullopt;
 }
 

@@ -52,16 +52,15 @@ using PartitionId = uint32_t;
 /// attempt's cache dies with the attempt.
 ///
 /// Determinism: the cache starts empty for every lane of every query, and
-/// the lane's partitions join in a fixed order, so a query's hits and
-/// counters are a function of the query and its replica selection alone —
-/// never of what ran before it.
+/// the lane joins its seeds in one run, so a query's hits and counters are
+/// a function of the query and its replica selection alone — never of what
+/// ran before it. The lane's store view (RoutedStoreView::Traffic) counts
+/// the hits and the remote probes; the cache counts only its evictions.
 class HaloCache {
  public:
-  /// Aggregate counters + current footprint. Monotone except resident_bytes
-  /// and entries.
+  /// Evictions + current footprint. Monotone except resident_bytes and
+  /// entries.
   struct Stats {
-    uint64_t hits = 0;       ///< probes answered from the cache
-    uint64_t misses = 0;     ///< probes that went to the interconnect
     uint64_t evictions = 0;  ///< entries dropped for budget
     uint64_t resident_bytes = 0;
     uint64_t entries = 0;
@@ -77,8 +76,8 @@ class HaloCache {
 
   // --- Serve side: answer a probe from cached data or decline. On a hit
   // the warp is charged one directory-lookup line plus the local gld lines
-  // of the bytes served; on a decline a miss is counted and nothing is
-  // charged (the remote probe that follows charges itself).
+  // of the bytes served; on a decline nothing is charged (the remote probe
+  // that follows charges itself).
 
   /// NeighborCountUpperBound from cache (known count or complete list).
   std::optional<size_t> ServeCount(gpusim::Warp& w, PartitionId p, VertexId v,
@@ -139,7 +138,7 @@ class HaloCache {
   Entry* TouchOrCreate(const Key& key);
   /// Re-charges `delta` footprint bytes and evicts LRU-back to budget.
   void ChargeAndEvict(uint64_t before, uint64_t after);
-  void CountHit(gpusim::Warp& w, uint64_t bytes);
+  void ChargeHit(gpusim::Warp& w, uint64_t bytes);
 
   const uint64_t budget_bytes_;
   LruList lru_;

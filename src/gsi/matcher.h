@@ -55,7 +55,7 @@ struct QueryStats {
   /// Written by the filter stage and kept by every join stage, which adds
   /// join_ms (total_ms = filter_ms + join_ms, + backoff_ms on retries).
   /// RunFilterStage prices `filter` on its device; RunFilterStageReplicated
-  /// takes the slowest lane's scans plus the primary's gather; a
+  /// takes the slowest lane's scan plus the primary's gather; a
   /// QueryService cache hit prices its materialization on its device.
   double filter_ms = 0;
   double join_ms = 0;
@@ -73,12 +73,13 @@ struct QueryStats {
   double shard_skew = 0;    ///< max / mean per-device distributed-join time
 
   // --- Partitioned data-graph execution (gsi/replication.h); zeros on the
-  // full-replica paths. Counters sum every partition's devices; join_ms is
-  // the parallel makespan (slowest lane plus the merge).
-  size_t partitions_used = 0;  ///< partitions that executed join work
+  // full-replica paths. Counters sum every lane's device; join_ms is the
+  // parallel makespan (slowest lane plus the merge).
+  size_t partitions_used = 0;  ///< partitions that own a seed
   uint64_t remote_probes = 0;  ///< N(v, l) lookups served by a peer device
   uint64_t halo_bytes = 0;     ///< bytes that crossed the interconnect
-  double partition_skew = 0;   ///< max / mean per-partition join time
+  /// max / mean join time over the lanes that have seeds (1.0 = even).
+  double partition_skew = 0;
   /// Remote probes answered from the lanes' halo caches instead of the
   /// interconnect (gsi/halo_cache.h); zeros when halo_budget_bytes == 0.
   uint64_t halo_cache_hits = 0;
@@ -91,9 +92,9 @@ struct QueryStats {
   // `replica_lanes` < partitions_used means the query left devices idle for
   // concurrent queries — the R-lane effect.
   size_t replica_lanes = 0;         ///< distinct devices the selection used
-  /// Peer-partition probes served by a replica co-resident on the probing
-  /// device — work that replication converted from interconnect traffic
-  /// into local reads (not counted in remote_probes).
+  /// Lookups served by a share on the lane's device that is not the
+  /// partition's replica 0 — exactly the reads that R = 1 would send across
+  /// the interconnect, so zero at R = 1 (not counted in remote_probes).
   uint64_t co_located_probes = 0;
 
   // --- Fault tolerance (service retry layer; see service/query_service.h).

@@ -28,75 +28,74 @@ namespace gsi::internal {
 std::vector<VertexId> MergeAscendingDisjoint(
     std::span<const std::vector<VertexId>* const> lists);
 
-/// Plans the merge of per-partition partial join tables into the replicated
+/// Plans the merge of per-lane partial join tables into the replicated
 /// final table: the final table of any join is grouped by its column-0
 /// (seed) binding, runs appear in candidate-list (ascending) order, and
-/// ownership split the seed list into disjoint subsequences — so repeatedly
-/// taking the run with the smallest column-0 head reconstructs the whole
-/// table row for row. A pure host computation over the partial tables: it
-/// emits the ordered run list (part, begin, count) the replicated join
-/// stores in a ResultManifest, and ResultManifest::Materialize's bulk row
-/// copies of those runs are the merged table. `rows_from[p]` receives the
-/// rows part p contributed (the caller charges interconnect traffic for
-/// parts that are not resident on the merging device).
+/// the lanes split the seed list into disjoint subsequences (by the lane of
+/// each seed's owner) — so repeatedly taking the run with the smallest
+/// column-0 head reconstructs the whole table row for row. A pure host
+/// computation over the partial tables: it emits the ordered run list
+/// (part, begin, count) the replicated join stores in a ResultManifest, and
+/// ResultManifest::Materialize's bulk row copies of those runs are the
+/// merged table. `rows_from[i]` receives the rows part i contributed (the
+/// caller charges interconnect traffic for parts that are not resident on
+/// the merging device).
 std::vector<ManifestSegment> PlanSeedRunMerge(
     std::span<const MatchTable* const> parts, std::vector<size_t>& rows_from);
 
 /// NeighborStore view that routes every probe N(v, l) to the PCSR share
-/// serving v's partition for this execution lane. Shares flagged local live
-/// on the lane's own device and answer at plain global-memory cost; the
-/// rest are served across the interconnect with every 128B line re-charged
-/// at the premium (Warp::ChargeRemoteTransactions). One view serves one
-/// lane of one query execution — the traffic counters are per-query
-/// observations, harvested after the join.
-///
-/// Every partition with a share on the lane's device is marked local — at
-/// R = 1 that is exactly the lane's own partitions; with R > 1 it includes
-/// co-resident replicas, which is how replication converts remote probes
-/// into local reads (counted in Traffic::co_located_probes).
+/// serving v's partition for one execution lane (one device joining the
+/// seeds of all its selected partitions in one run). Shares resident on the
+/// lane's device answer at plain global-memory cost; the rest are served
+/// across the interconnect with every 128B line re-charged at the premium
+/// (Warp::ChargeRemoteTransactions). One view serves one lane of one query
+/// execution — the traffic counters are per-query observations, harvested
+/// after the join.
 ///
 /// With a HaloCache attached (`halo` non-null), remote probes first try the
 /// lane's cache — a hit is a local read (Traffic::halo_hits, no
 /// interconnect premium) returning byte-identical data — and remote probes
-/// that do run feed the cache their free byproducts (gsi/halo_cache.h). The
-/// cache outlives the view: every view of one lane in one query shares it,
-/// so a partition hits on lists an earlier partition of its lane fetched.
-/// Local and co-located probes never touch the cache: only partitions with
-/// no resident share are cached, which is exactly "skip admission where a
+/// that do run feed the cache their free byproducts (gsi/halo_cache.h).
+/// Resident shares never touch the cache: only partitions with no share on
+/// the lane's device are cached, which is exactly "skip admission where a
 /// co-resident replica exists".
 class RoutedStoreView final : public NeighborStore {
  public:
+  /// Where the lane reads partition p's share.
+  enum class Route : uint8_t {
+    /// The selected replica on a peer device, across the interconnect.
+    kRemote,
+    /// p's replica 0, resident on the lane's device.
+    kLocal,
+    /// Another replica of p, resident on the lane's device: a local read
+    /// that R = 1 would send across the interconnect.
+    kCoLocated,
+  };
+
   struct Traffic {
     uint64_t remote_probes = 0;      ///< lookups that crossed the interconnect
     uint64_t remote_lines = 0;       ///< 128B lines those lookups moved
-    uint64_t co_located_probes = 0;  ///< peer-partition lookups served locally
+    uint64_t co_located_probes = 0;  ///< lookups served by a kCoLocated share
     uint64_t halo_hits = 0;          ///< remote lookups the halo cache served
     uint64_t halo_hit_bytes = 0;     ///< list bytes those hits served locally
   };
 
   /// `owner[v]` names v's partition; `serving[p]` answers probes of
-  /// partition p (never null); `local[p]` != 0 marks shares resident on the
-  /// lane's device; `self` is the partition whose seeds this lane joins
-  /// (its probes are plain local, not co-located). `halo` (may be null =
+  /// partition p (never null) along `route[p]`. `halo` (may be null =
   /// caching off) is the lane's cache for this query. All spans/pointees
   /// must outlive the view.
   RoutedStoreView(std::span<const PartitionId> owner,
                   std::vector<const PcsrStore*> serving,
-                  std::vector<uint8_t> local, PartitionId self,
-                  HaloCache* halo = nullptr)
+                  std::vector<Route> route, HaloCache* halo = nullptr)
       : owner_(owner),
         serving_(std::move(serving)),
-        local_(std::move(local)),
-        self_(self),
+        route_(std::move(route)),
         halo_(halo) {}
 
   size_t NeighborCountUpperBound(gpusim::Warp& w, VertexId v,
                                  Label l) const override {
     const PartitionId o = owner_[v];
-    if (local_[o] != 0) {
-      if (o != self_) ++traffic_.co_located_probes;
-      return serving_[o]->NeighborCountUpperBound(w, v, l);
-    }
+    if (Resident(o)) return serving_[o]->NeighborCountUpperBound(w, v, l);
     if (halo_ != nullptr) {
       if (std::optional<size_t> n = halo_->ServeCount(w, o, v, l)) {
         return Hit(*n, 0);
@@ -113,8 +112,7 @@ class RoutedStoreView final : public NeighborStore {
   size_t ExtractSlice(gpusim::Warp& w, VertexId v, Label l, size_t begin,
                       size_t end, std::vector<VertexId>& out) const override {
     const PartitionId o = owner_[v];
-    if (local_[o] != 0) {
-      if (o != self_) ++traffic_.co_located_probes;
+    if (Resident(o)) {
       return serving_[o]->ExtractSlice(w, v, l, begin, end, out);
     }
     if (halo_ != nullptr) {
@@ -138,8 +136,7 @@ class RoutedStoreView final : public NeighborStore {
                            VertexId hi,
                            std::vector<VertexId>& out) const override {
     const PartitionId o = owner_[v];
-    if (local_[o] != 0) {
-      if (o != self_) ++traffic_.co_located_probes;
+    if (Resident(o)) {
       return serving_[o]->ExtractValueRange(w, v, l, lo, hi, out);
     }
     if (halo_ != nullptr) {
@@ -154,8 +151,13 @@ class RoutedStoreView final : public NeighborStore {
     });
   }
 
+  /// The shares resident on the lane's device.
   uint64_t device_bytes() const override {
-    return serving_[self_]->device_bytes();
+    uint64_t bytes = 0;
+    for (size_t p = 0; p < serving_.size(); ++p) {
+      if (route_[p] != Route::kRemote) bytes += serving_[p]->device_bytes();
+    }
+    return bytes;
   }
 
   std::string name() const override { return "PCSR-partitioned"; }
@@ -163,6 +165,13 @@ class RoutedStoreView final : public NeighborStore {
   const Traffic& traffic() const { return traffic_; }
 
  private:
+  /// True when partition o's share is on the lane's device; counts the
+  /// co-located reads.
+  bool Resident(PartitionId o) const {
+    if (route_[o] == Route::kCoLocated) ++traffic_.co_located_probes;
+    return route_[o] != Route::kRemote;
+  }
+
   template <typename Fn>
   size_t Remote(gpusim::Warp& w, PartitionId o, Fn&& probe) const {
     const uint64_t before = w.device().stats().gld;
@@ -182,8 +191,7 @@ class RoutedStoreView final : public NeighborStore {
 
   std::span<const PartitionId> owner_;
   std::vector<const PcsrStore*> serving_;
-  std::vector<uint8_t> local_;
-  PartitionId self_;
+  std::vector<Route> route_;
   HaloCache* halo_;
   mutable Traffic traffic_;  // one view per lane thread; no sharing
 };

@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,8 +27,9 @@ namespace {
 using gpusim::kTransactionBytes;
 
 /// The selection's execution lanes: one per distinct selected device
-/// (ascending device index), each joining its partitions in id order. The
-/// first lane's device is the primary (gathers candidates, merges tables).
+/// (ascending device index), each scanning and joining all of its
+/// partitions in one run. The first lane's device is the primary (gathers
+/// candidates, merges tables).
 struct Lanes {
   std::vector<size_t> devices;                      // ascending
   std::vector<std::vector<PartitionId>> parts;      // [lane] -> partitions
@@ -49,6 +52,18 @@ Lanes LanesOf(const ReplicatedGraph& rg, const ReplicaSelection& sel) {
   return lanes;
 }
 
+/// Adds a lane's partition ids ("0,2") to its span as `partitions`.
+void AddPartitionsAttr(obs::ScopedSpan& span,
+                       std::span<const PartitionId> parts) {
+  if (!span.context().enabled()) return;
+  std::string ids;
+  for (PartitionId p : parts) {
+    if (!ids.empty()) ids += ',';
+    ids += std::to_string(p);
+  }
+  span.AddAttr("partitions", ids);
+}
+
 Status ValidateSelection(const ReplicatedGraph& rg,
                          const ReplicaSelection& sel) {
   if (sel.choice.size() != rg.num_partitions()) {
@@ -67,24 +82,28 @@ Status ValidateSelection(const ReplicatedGraph& rg,
   return Status::Ok();
 }
 
-/// The routing table of one lane: probes of partition o are served by a
-/// co-resident share when device d holds one (local — replication's saved
-/// traffic), else by the selected replica of o (a device this query holds,
-/// so concurrent queries never touch each other's devices).
-void RouteForDevice(const ReplicatedGraph& rg, const ReplicaSelection& sel,
-                    size_t d, std::vector<const PcsrStore*>& serving,
-                    std::vector<uint8_t>& local) {
+/// The routing table of the lane on device d: probes of partition o are
+/// served by o's share on d when d holds one, else by the selected replica
+/// of o (a device this query holds, so concurrent queries never touch each
+/// other's devices). A share on d that is not o's replica 0 is co-located.
+internal::RoutedStoreView MakeLaneView(const ReplicatedGraph& rg,
+                                       const ReplicaSelection& sel, size_t d,
+                                       HaloCache* halo) {
+  using Route = internal::RoutedStoreView::Route;
   const size_t k = rg.num_partitions();
-  serving.assign(k, nullptr);
-  local.assign(k, 0);
+  std::vector<const PcsrStore*> serving(k);
+  std::vector<Route> route(k, Route::kRemote);
   for (PartitionId o = 0; o < k; ++o) {
-    if (const PcsrStore* resident = rg.StoreOn(d, o)) {
-      serving[o] = resident;
-      local[o] = 1;
-    } else {
+    serving[o] = rg.StoreOn(d, o);
+    if (serving[o] == nullptr) {
       serving[o] = &rg.store(o, sel.choice[o]);
+    } else {
+      route[o] = rg.placement().device_of[o][0] == d ? Route::kLocal
+                                                     : Route::kCoLocated;
     }
   }
+  return internal::RoutedStoreView(rg.owners(), std::move(serving),
+                                   std::move(route), halo);
 }
 
 }  // namespace
@@ -288,41 +307,41 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
 
   const std::vector<Signature> qsigs = Signature::EncodeAll(query, nbits);
 
-  // --- Scan phase: each selected device scans the signature shares of its
-  // partitions back-to-back (one ScanSignatures kernel per partition over
-  // the share's buckets of the query labels — a lane's partitions
-  // serialize on its device, lanes run concurrently). A share's row map
-  // holds global vertex ids, so its lists need no translation.
+  // --- Scan phase: each lane scans the signature shares of all its
+  // partitions in one ScanSignatures launch over the shares' buckets of the
+  // query labels; lanes run concurrently. A share's row map holds global
+  // vertex ids, so its lists need no translation.
   const Lanes lanes = LanesOf(rg, sel);
   gpusim::Device& primary = rg.device(lanes.devices[0]);
   const obs::DeviceCycleClock primary_clock(primary);
   obs::ScopedSpan filter_span(trace, "filter", primary_clock,
                               static_cast<int32_t>(lanes.devices[0]));
   std::vector<CandidateScan> partial(k);
-  std::vector<double> lane_scan_ms(lanes.devices.size(), 0);
-  std::vector<gpusim::MemStats> scan_mem(k);
+  std::vector<gpusim::MemStats> scan_mem(lanes.devices.size());
   {
     ThreadPool pool(lanes.devices.size());
     for (size_t lane = 0; lane < lanes.devices.size(); ++lane) {
       pool.Submit([&, lane] {
+        const std::vector<PartitionId>& parts = lanes.parts[lane];
         gpusim::Device& dev = rg.device(lanes.devices[lane]);
         const obs::DeviceCycleClock clock(dev);
-        obs::ScopedSpan lane_span(filter_span.context(), "lane_scan", clock,
-                                  static_cast<int32_t>(lanes.devices[lane]));
-        lane_span.AddAttr("partitions",
-                          static_cast<uint64_t>(lanes.parts[lane].size()));
-        for (PartitionId p : lanes.parts[lane]) {
-          obs::ScopedSpan span(lane_span.context(), "partition_scan", clock);
-          span.AddAttr("partition", static_cast<uint64_t>(p));
-          span.AddAttr("vertices", static_cast<uint64_t>(rg.owned(p).size()));
-          const SignatureTable& table = rg.signatures(p, sel.choice[p]);
-          const gpusim::MemStats before = dev.stats();
-          partial[p] =
-              ScanSignatures(dev, table, qsigs, ScanTiles(table, qsigs));
-          scan_mem[p] = dev.stats() - before;
-          span.AddAttr("rows_scanned", partial[p].rows_scanned);
-          lane_scan_ms[lane] += scan_mem[p].SimulatedMs(dev.config());
+        obs::ScopedSpan span(filter_span.context(), "lane_scan", clock,
+                             static_cast<int32_t>(lanes.devices[lane]));
+        AddPartitionsAttr(span, parts);
+        std::vector<const SignatureTable*> tables;
+        for (PartitionId p : parts) {
+          tables.push_back(&rg.signatures(p, sel.choice[p]));
         }
+        const gpusim::MemStats before = dev.stats();
+        std::vector<CandidateScan> scans =
+            ScanSignatures(dev, tables, qsigs, ScanTiles(tables, qsigs));
+        scan_mem[lane] = dev.stats() - before;
+        uint64_t rows = 0;
+        for (size_t i = 0; i < parts.size(); ++i) {
+          rows += scans[i].rows_scanned;
+          partial[parts[i]] = std::move(scans[i]);
+        }
+        span.AddAttr("rows_scanned", rows);
       });
     }
     pool.Wait();
@@ -339,9 +358,9 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
   }
 
   // --- Gather phase: survivor lists all-gather to the primary (the first
-  // lane's device). Lists of partitions co-resident with the primary stay
-  // local; the rest cross the interconnect as halo traffic. The K-way
-  // merge reproduces the replicated scan's candidate lists exactly (see
+  // lane's device). Lists of partitions on the primary's lane stay local;
+  // the rest cross the interconnect as halo traffic. The K-way merge
+  // reproduces the replicated scan's candidate lists exactly (see
   // MergeAscendingDisjoint), so every selection materializes identical
   // candidate sets.
   const gpusim::MemStats before_gather = primary.stats();
@@ -353,7 +372,7 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
     std::vector<const std::vector<VertexId>*> lists(k);
     for (PartitionId p = 0; p < k; ++p) {
       lists[p] = &partial[p].lists[u];
-      if (lanes.devices[lanes.lane_of[p]] != lanes.devices[0]) {
+      if (lanes.lane_of[p] != 0) {
         halo += partial[p].lists[u].size() * sizeof(VertexId);
       }
     }
@@ -372,13 +391,16 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
   }
   const gpusim::MemStats gather_mem = primary.stats() - before_gather;
 
-  gpusim::MemStats total;
-  for (PartitionId p = 0; p < k; ++p) total += scan_mem[p];
-  total += gather_mem;
+  gpusim::MemStats total = gather_mem;
   double max_scan_ms = 0;
-  for (double ms : lane_scan_ms) max_scan_ms = std::max(max_scan_ms, ms);
+  for (size_t lane = 0; lane < lanes.devices.size(); ++lane) {
+    total += scan_mem[lane];
+    max_scan_ms = std::max(
+        max_scan_ms,
+        scan_mem[lane].SimulatedMs(rg.device(lanes.devices[lane]).config()));
+  }
   stats.filter = total;
-  // The lanes scan concurrently: the phase costs the slowest lane's scans
+  // The lanes scan concurrently: the phase costs the slowest lane's scan
   // plus the primary's gather, not the summed counters.
   stats.filter_ms = max_scan_ms + gather_mem.SimulatedMs(primary.config());
   stats.min_candidate_size = result.min_candidate_size;
@@ -417,158 +439,139 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   const JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
   const CandidateSet& seed = filtered.candidates[plan.order[0]];
 
-  // Split the seed list by ownership (host-mediated read, like any seed
-  // scatter): partition p joins the subsequence of C(order[0]) it owns,
-  // on whichever device the selection mapped it to.
-  std::vector<std::vector<VertexId>> seed_cols(k);
+  // Split the seed list by lane (host-mediated read, like any seed
+  // scatter): each lane joins, in one run, the subsequence of C(order[0])
+  // owned by its partitions.
+  const size_t num_lanes = lanes.devices.size();
+  std::vector<std::vector<VertexId>> seed_cols(num_lanes);
+  std::vector<uint8_t> owns_seed(k, 0);
   for (size_t i = 0; i < seed.size(); ++i) {
     const VertexId v = seed.list()[i];
-    seed_cols[rg.OwnerOf(v)].push_back(v);
+    owns_seed[rg.OwnerOf(v)] = 1;
+    seed_cols[lanes.lane_of[rg.OwnerOf(v)]].push_back(v);
   }
 
-  std::vector<std::optional<Result<MatchTable>>> parts(k);
-  std::vector<gpusim::MemStats> deltas(k);
-  std::vector<JoinStats> part_join(k);
-  std::vector<internal::RoutedStoreView::Traffic> traffic(k);
-  std::vector<uint64_t> lane_evictions(lanes.devices.size(), 0);
+  std::vector<std::optional<Result<MatchTable>>> parts(num_lanes);
+  std::vector<gpusim::MemStats> deltas(num_lanes);
+  std::vector<JoinStats> lane_join(num_lanes);
+  std::vector<internal::RoutedStoreView::Traffic> traffic(num_lanes);
+  std::vector<uint64_t> lane_evictions(num_lanes, 0);
   {
-    ThreadPool pool(lanes.devices.size());
-    for (size_t lane = 0; lane < lanes.devices.size(); ++lane) {
+    ThreadPool pool(num_lanes);
+    for (size_t lane = 0; lane < num_lanes; ++lane) {
       pool.Submit([&, lane] {
         const size_t d = lanes.devices[lane];
         gpusim::Device& dev = rg.device(d);
         const obs::DeviceCycleClock clock(dev);
-        // The replica lane: this device's partitions join back-to-back
-        // while the other lanes run concurrently.
         obs::ScopedSpan lane_span(join_span.context(), "lane", clock,
                                   static_cast<int32_t>(d));
-        lane_span.AddAttr("partitions",
-                          static_cast<uint64_t>(lanes.parts[lane].size()));
-        std::vector<const PcsrStore*> serving;
-        std::vector<uint8_t> local;
-        RouteForDevice(rg, sel, d, serving, local);
-        // One halo cache per lane per query: the lane's partitions share
-        // what each other fetched, and nothing outlives the query.
+        AddPartitionsAttr(lane_span, lanes.parts[lane]);
+        lane_span.AddAttr("seed_rows",
+                          static_cast<uint64_t>(seed_cols[lane].size()));
+        if (seed_cols[lane].empty()) {
+          parts[lane] = MatchTable::Alloc(dev, 0, plan.order.size());
+          return;
+        }
+        // One halo cache per lane per query: nothing outlives the query.
         std::optional<HaloCache> halo;
         if (options.halo_budget_bytes > 0) {
           halo.emplace(options.halo_budget_bytes);
         }
-        for (PartitionId p : lanes.parts[lane]) {
-          obs::ScopedSpan part_span(lane_span.context(), "partition_join",
-                                    clock);
-          part_span.AddAttr("partition", static_cast<uint64_t>(p));
-          part_span.AddAttr("seed_rows",
-                            static_cast<uint64_t>(seed_cols[p].size()));
-          const gpusim::MemStats before = dev.stats();
-          if (seed_cols[p].empty()) {
-            parts[p] = MatchTable::Alloc(dev, 0, plan.order.size());
-          } else {
-            internal::RoutedStoreView view(rg.owners(), serving, local, p,
-                                           halo ? &*halo : nullptr);
-            JoinEngine join(&dev, &view, options.join);
-            join.set_trace(part_span.context());
-            const uint64_t probes_start = clock.NowNanos();
-            // The owned seed share is uploaded (host-mediated, uncharged)
-            // and seeded by the join's own seed entry, so the partitions
-            // together pay what the replicated seed pays.
-            parts[p] = join.Run(plan, filtered.candidates,
-                                dev.Upload(seed_cols[p]));
-            part_join[p] = join.stats();
-            traffic[p] = view.traffic();
-            // One batch span covering the remote probes this partition's
-            // join steps sent across the interconnect.
-            const obs::TraceContext part_ctx = part_span.context();
-            if (part_ctx.tracer != nullptr && traffic[p].remote_probes > 0) {
-              const int32_t idx = part_ctx.tracer->RecordSpan(
-                  "remote_probes", static_cast<int32_t>(d), probes_start,
-                  clock.NowNanos(), part_ctx.parent);
-              part_ctx.tracer->AddAttr(
-                  idx, "probes", std::to_string(traffic[p].remote_probes));
-              part_ctx.tracer->AddAttr(
-                  idx, "lines", std::to_string(traffic[p].remote_lines));
-              part_ctx.tracer->AddAttr(
-                  idx, "co_located",
-                  std::to_string(traffic[p].co_located_probes));
-            }
-            // Halo-cache hits as their own span: remote lookups this
-            // lane answered locally (cycle-clock timed, so traced runs
-            // at a fixed budget stay byte-identical).
-            if (part_ctx.tracer != nullptr && traffic[p].halo_hits > 0) {
-              const int32_t idx = part_ctx.tracer->RecordSpan(
-                  "halo_probe", static_cast<int32_t>(d), probes_start,
-                  clock.NowNanos(), part_ctx.parent);
-              part_ctx.tracer->AddAttr(
-                  idx, "hits", std::to_string(traffic[p].halo_hits));
-              part_ctx.tracer->AddAttr(
-                  idx, "bytes", std::to_string(traffic[p].halo_hit_bytes));
-            }
-          }
-          deltas[p] = dev.stats() - before;
-        }
+        const internal::RoutedStoreView view =
+            MakeLaneView(rg, sel, d, halo ? &*halo : nullptr);
+        JoinEngine join(&dev, &view, options.join);
+        join.set_trace(lane_span.context());
+        const gpusim::MemStats before = dev.stats();
+        const uint64_t probes_start = clock.NowNanos();
+        // The lane's seed share is uploaded (host-mediated, uncharged) and
+        // seeded by the join's own seed entry, so the lanes together pay
+        // what the replicated seed pays.
+        parts[lane] =
+            join.Run(plan, filtered.candidates, dev.Upload(seed_cols[lane]));
+        deltas[lane] = dev.stats() - before;
+        lane_join[lane] = join.stats();
+        const internal::RoutedStoreView::Traffic& t = traffic[lane] =
+            view.traffic();
         if (halo) lane_evictions[lane] = halo->stats().evictions;
+        // One batch span covering the remote probes this lane's join steps
+        // sent across the interconnect.
+        const obs::TraceContext ctx = lane_span.context();
+        if (ctx.enabled() && t.remote_probes > 0) {
+          const int32_t idx = ctx.tracer->RecordSpan(
+              "remote_probes", static_cast<int32_t>(d), probes_start,
+              clock.NowNanos(), ctx.parent);
+          ctx.tracer->AddAttr(idx, "probes", std::to_string(t.remote_probes));
+          ctx.tracer->AddAttr(idx, "lines", std::to_string(t.remote_lines));
+          ctx.tracer->AddAttr(idx, "co_located",
+                              std::to_string(t.co_located_probes));
+        }
+        // Halo-cache hits as their own span: remote lookups this lane
+        // answered locally (cycle-clock timed, so traced runs at a fixed
+        // budget stay byte-identical).
+        if (ctx.enabled() && t.halo_hits > 0) {
+          const int32_t idx = ctx.tracer->RecordSpan(
+              "halo_probe", static_cast<int32_t>(d), probes_start,
+              clock.NowNanos(), ctx.parent);
+          ctx.tracer->AddAttr(idx, "hits", std::to_string(t.halo_hits));
+          ctx.tracer->AddAttr(idx, "bytes", std::to_string(t.halo_hit_bytes));
+        }
       });
     }
     pool.Wait();
   }
-  for (PartitionId p = 0; p < k; ++p) {
-    if (!parts[p]->ok()) return parts[p]->status();
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    if (!parts[lane]->ok()) return parts[lane]->status();
   }
 
   // --- Roll-up: counters sum total work; the time is the makespan of
-  // the concurrently-running lanes (each lane's partitions serialize on
-  // its device, and each partition's work is a deterministic function of
-  // its seed subsequence, not of the device that ran it) plus the merge.
+  // the concurrently-running lanes (each lane's join is a deterministic
+  // function of its seed subsequence, not of scheduling) plus the merge.
   gpusim::MemStats join_counters;
   JoinStats detail;
-  std::vector<double> lane_ms(lanes.devices.size(), 0);
   double sum_ms = 0;
-  double max_part_ms = 0;
+  double max_lane_ms = 0;
   size_t active = 0;
-  for (PartitionId p = 0; p < k; ++p) {
-    join_counters += deltas[p];
-    if (seed_cols[p].empty()) continue;
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    if (seed_cols[lane].empty()) continue;
+    join_counters += deltas[lane];
     const double ms =
-        deltas[p].SimulatedMs(rg.device(lanes.devices[lanes.lane_of[p]])
-                                  .config());
-    lane_ms[lanes.lane_of[p]] += ms;
+        deltas[lane].SimulatedMs(rg.device(lanes.devices[lane]).config());
     ++active;
     sum_ms += ms;
-    max_part_ms = std::max(max_part_ms, ms);
-    detail.iterations = std::max(detail.iterations, part_join[p].iterations);
-    detail.peak_rows += part_join[p].peak_rows;  // concurrently resident
-    detail.total_chunks += part_join[p].total_chunks;
-    detail.dup_cache_hits += part_join[p].dup_cache_hits;
-    detail.dup_cache_misses += part_join[p].dup_cache_misses;
-    out.stats.remote_probes += traffic[p].remote_probes;
-    out.stats.halo_bytes += traffic[p].remote_lines * kTransactionBytes;
-    out.stats.co_located_probes += traffic[p].co_located_probes;
-    out.stats.halo_cache_hits += traffic[p].halo_hits;
-    out.stats.halo_cache_bytes += traffic[p].halo_hit_bytes;
+    max_lane_ms = std::max(max_lane_ms, ms);
+    detail.iterations = std::max(detail.iterations, lane_join[lane].iterations);
+    detail.peak_rows += lane_join[lane].peak_rows;  // concurrently resident
+    detail.total_chunks += lane_join[lane].total_chunks;
+    detail.dup_cache_hits += lane_join[lane].dup_cache_hits;
+    detail.dup_cache_misses += lane_join[lane].dup_cache_misses;
+    out.stats.remote_probes += traffic[lane].remote_probes;
+    out.stats.halo_bytes += traffic[lane].remote_lines * kTransactionBytes;
+    out.stats.co_located_probes += traffic[lane].co_located_probes;
+    out.stats.halo_cache_hits += traffic[lane].halo_hits;
+    out.stats.halo_cache_bytes += traffic[lane].halo_hit_bytes;
+    out.stats.halo_cache_evictions += lane_evictions[lane];
   }
-  double max_lane_ms = 0;
-  for (double ms : lane_ms) max_lane_ms = std::max(max_lane_ms, ms);
-  for (uint64_t e : lane_evictions) out.stats.halo_cache_evictions += e;
 
   // --- Merge planning on the primary, in global seed order (see
   // PlanSeedRunMerge for why this reconstructs the replicated table row
   // for row). The partial tables stay on their lane devices; only the
   // ordered run list is computed here, but the movement of rows from
-  // partitions not resident on the primary is still charged now, so
-  // one-shot and paged consumers observe identical counters.
+  // lanes other than the primary's is still charged now, so one-shot and
+  // paged consumers observe identical counters.
   const gpusim::MemStats before_merge = primary.stats();
   obs::ScopedSpan merge_span(join_span.context(), "result_merge",
                              primary_clock);
   const size_t cols_out = plan.order.size();
-  std::vector<const MatchTable*> tabs(k);
-  for (PartitionId p = 0; p < k; ++p) tabs[p] = &parts[p]->value();
+  std::vector<const MatchTable*> tabs(num_lanes);
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    tabs[lane] = &parts[lane]->value();
+  }
   std::vector<size_t> rows_from;
   const std::vector<ManifestSegment> runs =
       internal::PlanSeedRunMerge(tabs, rows_from);
   uint64_t remote_rows = 0;
-  for (PartitionId p = 0; p < k; ++p) {
-    if (lanes.devices[lanes.lane_of[p]] != lanes.devices[0]) {
-      remote_rows += rows_from[p];
-    }
+  for (size_t lane = 1; lane < num_lanes; ++lane) {
+    remote_rows += rows_from[lane];
   }
   const uint64_t merge_bytes = remote_rows * cols_out * sizeof(VertexId);
   primary.ChargeRemoteTransfer(merge_bytes);
@@ -586,12 +589,11 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   detail.final_rows = total_rows;
   detail.peak_rows = std::max(detail.peak_rows, total_rows);
   out.manifest.set_cols(cols_out);
-  std::vector<size_t> part_index(k, SIZE_MAX);
-  for (PartitionId p = 0; p < k; ++p) {
-    if (parts[p]->value().rows() == 0) continue;  // nothing to reference
-    part_index[p] = out.manifest.AddPart(
-        std::move(parts[p]->value()),
-        rg.device(lanes.devices[lanes.lane_of[p]]));
+  std::vector<size_t> part_index(num_lanes, SIZE_MAX);
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    if (parts[lane]->value().rows() == 0) continue;  // nothing to reference
+    part_index[lane] = out.manifest.AddPart(std::move(parts[lane]->value()),
+                                            rg.device(lanes.devices[lane]));
   }
   for (const ManifestSegment& r : runs) {
     out.manifest.AddSegment(part_index[r.part], r.begin, r.count);
@@ -599,10 +601,11 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   out.column_to_query = plan.order;
   out.stats.join = join_counters;
   out.stats.join_detail = detail;
-  out.stats.partitions_used = std::max<size_t>(1, active);
+  out.stats.partitions_used = std::max<size_t>(
+      1, static_cast<size_t>(std::ranges::count(owns_seed, 1)));
   out.stats.partition_skew =
       active > 0 && sum_ms > 0
-          ? max_part_ms / (sum_ms / static_cast<double>(active))
+          ? max_lane_ms / (sum_ms / static_cast<double>(active))
           : 0;
   out.stats.join_ms = max_lane_ms + merge_mem.SimulatedMs(primary.config());
   out.stats.total_ms = out.stats.filter_ms + out.stats.join_ms;

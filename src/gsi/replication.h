@@ -107,9 +107,9 @@ struct ReplicaSelection {
 /// layer. The data graph and the devices must outlive the instance; devices
 /// are borrowed, not owned. The match table is bit-identical to
 /// GsiMatcher::Find for *every* selection: replicas of a partition hold
-/// identical shares, each partition's join is a deterministic function of
-/// its seed subsequence (not of the device that runs it), and the merge
-/// reassembles partial tables in global seed order (see
+/// identical shares, each lane's join is a deterministic function of its
+/// seed subsequence (not of the device that runs it), and the merge
+/// reassembles the lanes' tables in global seed order (see
 /// docs/ARCHITECTURE.md).
 class ReplicatedGraph {
  public:
@@ -178,16 +178,16 @@ ReplicaSelection CompactSelection(const ReplicatedGraph& rg);
 Result<ReplicaSelection> SelectionFromDevices(
     const ReplicatedGraph& rg, std::span<const size_t> device_of_partition);
 
-/// Filtering phase over the selected replicas: each selected device scans
-/// the signature shares of the partitions mapped onto it (sequentially, in
-/// partition order), then the survivor lists all-gather to the primary (the
-/// lowest selected device) — lists from partitions co-resident with the
-/// primary stay local; the rest are charged as halo traffic. Candidate
-/// values are identical to the replicated scan for every selection.
-/// `stats.filter` sums every device's counters; `stats.filter_ms` is the
-/// phase makespan: the slowest device's scans plus the primary's
-/// gather/materialize. `parallel_ms` (when non-null) receives the same
-/// value as `stats.filter_ms`.
+/// Filtering phase over the selected replicas: each lane (distinct
+/// selected device) scans the signature shares of all the partitions
+/// mapped onto it in one ScanSignatures launch, then the survivor lists
+/// all-gather to the primary (the lowest selected device) — lists from the
+/// primary's own lane stay local; the rest are charged as halo traffic.
+/// Candidate values are identical to the replicated scan for every
+/// selection. `stats.filter` sums every device's counters;
+/// `stats.filter_ms` is the phase makespan: the slowest lane's scan plus
+/// the primary's gather/materialize. `parallel_ms` (when non-null)
+/// receives the same value as `stats.filter_ms`.
 Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
                                               const ReplicaSelection& sel,
                                               const Graph& query,
@@ -197,33 +197,35 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
                                                   {});
 
 /// Joining phase over the selected replicas. The seed list C(order[0]) is
-/// split by ownership; each selected device joins its partitions'
-/// subsequences sequentially (in partition order). Probes of peer-owned
-/// vertices are served by a co-resident replica when the probing device
-/// holds one (a local read — counted in stats.co_located_probes; this is
-/// the traffic replication saves) and otherwise by the selected replica of
-/// the owner, charged at the interconnect premium (stats.remote_probes /
-/// halo_bytes). With options().halo_budget_bytes > 0, each lane makes one
-/// HaloCache for this query and tries it before every remote probe of its
-/// partitions (gsi/halo_cache.h; stats.halo_cache_hits, halo_cache_bytes
-/// and halo_cache_evictions sum the lanes). The per-partition partial
-/// tables stay on their lane devices and are returned as a ResultManifest
-/// of ascending-seed-run segments (internal::PlanSeedRunMerge); the
-/// merge's interconnect traffic is charged at plan time, so materializing
-/// the manifest — all at once (ToQueryResult) or page by page — is
-/// bit-identical to single-device RunJoinStage for every selection and
-/// leaves every counter unchanged.
+/// split by the lane of each seed's owner, and each lane joins its
+/// subsequence in one JoinEngine::Run over one RoutedStoreView. Probes of
+/// vertices whose partition has a share on the lane's device are local
+/// reads; those served by a share that is not the partition's replica 0
+/// are counted in stats.co_located_probes (the traffic replication saves:
+/// R = 1 would send them across the interconnect). The rest go to the
+/// selected replica of the owner, charged at the interconnect premium
+/// (stats.remote_probes / halo_bytes). With options().halo_budget_bytes >
+/// 0, each lane makes one HaloCache for this query and tries it before
+/// every remote probe (gsi/halo_cache.h; stats.halo_cache_hits,
+/// halo_cache_bytes and halo_cache_evictions sum the lanes). The lanes'
+/// partial tables stay on their devices and are returned as a
+/// ResultManifest of ascending-seed-run segments
+/// (internal::PlanSeedRunMerge); the merge's interconnect traffic is
+/// charged at plan time, so materializing the manifest — all at once
+/// (ToQueryResult) or page by page — is bit-identical to single-device
+/// RunJoinStage for every selection and leaves every counter unchanged.
 ///
 /// Stats roll-up: filter_ms is kept from `stats` (the filter stage's
 /// price); `stats.join` sums every device's counters (total work); join_ms
-/// is the makespan — the slowest device's partition sequence plus the
-/// merge; total_ms is their sum; partition_skew is max/mean over
-/// partitions that owned seeds;
-/// stats.replica_lanes counts the distinct devices used. Each partition's
-/// intermediate table is bounded by options.join.max_rows separately.
-/// Wall-clock thread interleaving never leaks into simulated numbers:
-/// partition work is a deterministic function of the partition, not of
-/// scheduling.
+/// is the makespan — the slowest lane's join plus the merge; total_ms is
+/// their sum; partition_skew is max/mean join time over the lanes that have
+/// seeds; partitions_used counts the partitions that own a seed;
+/// stats.replica_lanes counts the distinct devices used.
+/// options.join.max_rows bounds each lane's tables. A lane's table after
+/// each step is the seed subset of the one-device table, so a budget the
+/// one-device join fits never refuses a lane. Wall-clock thread
+/// interleaving never leaks into simulated numbers: a lane's work is a
+/// deterministic function of its seeds, not of scheduling.
 Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     const ReplicatedGraph& rg, const ReplicaSelection& sel, const Graph& query,
     FilterResult filtered, QueryStats stats,

@@ -568,7 +568,7 @@ void QueryService::RegisterServiceMetrics() {
                   "Worst max/mean per-shard time observed",
                   s.max_shard_skew);
     sink.AddGauge("gsi_service_max_partition_skew",
-                  "Worst max/mean per-partition time observed",
+                  "Worst max/mean per-lane join time observed",
                   s.max_partition_skew);
     // Halo-cache families, only where lanes make caches (absent otherwise,
     // like the filter cache's). With a cache, every remote probe is a
@@ -833,7 +833,7 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
     WallTimer wall;
     QueryStats stats;
     // A hit materializes the memoized (already global) lists on the
-    // primary, skipping the per-partition scans and their gather.
+    // primary, skipping the lane scans and their gather.
     Result<FilterResult> filtered =
         FilterViaCache(query, primary, stats, trace, [&] {
           return RunFilterStageReplicated(rg, *sel, query, stats,

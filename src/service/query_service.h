@@ -198,7 +198,7 @@ struct ServiceStats {
   uint64_t partitioned_queries = 0;  ///< completed-ok partitioned queries
   uint64_t remote_probes = 0;        ///< cross-partition N(v, l) lookups
   uint64_t halo_bytes = 0;           ///< interconnect bytes, filter + join
-  double max_partition_skew = 0;     ///< worst max/mean per-partition time
+  double max_partition_skew = 0;     ///< worst max/mean per-lane join time
   /// Remote probes the lanes' halo caches served locally (zeros unless
   /// halo_budget_bytes > 0).
   uint64_t halo_cache_hits = 0;
@@ -208,8 +208,9 @@ struct ServiceStats {
   /// Lane occupancy: replica_lanes_total / partitioned_queries — devices a
   /// partitioned query actually held (the whole pool at R = 1).
   double avg_replica_lanes = 0;
-  /// Probes replication served from a co-resident replica instead of the
-  /// interconnect (the traffic R bought back; zero at R = 1).
+  /// Lookups served by a resident share that is not the partition's
+  /// replica 0 instead of the interconnect (the traffic R bought back; zero
+  /// at R = 1).
   uint64_t co_located_probes = 0;
   /// max/mean of per-device replica picks (AcquireOneOfEach), 1.0 = even.
   double replica_pick_skew = 0;

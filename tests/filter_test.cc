@@ -259,7 +259,8 @@ TEST_P(SignatureScanSuite, AlignedSlicesSumToTheWholeScan) {
       ASSERT_TRUE(whole.ok());
       EXPECT_EQ(whole_dev.stats().kernel_launches, 1u);
       const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
-      const std::vector<ScanTile> tiles = ScanTiles(table, qsigs);
+      const SignatureTable* const tables[] = {&table};
+      const std::vector<ScanTile> tiles = ScanTiles(tables, qsigs);
       // Contiguous shares of the query's tile list, down to one tile each.
       for (size_t slices : {2, 3, 7, 1000}) {
         gpusim::Device sliced_dev;
@@ -269,9 +270,9 @@ TEST_P(SignatureScanSuite, AlignedSlicesSumToTheWholeScan) {
         for (size_t s = 0; s < slices; ++s) {
           const size_t begin = std::min(tiles.size(), s * per);
           const size_t end = std::min(tiles.size(), begin + per);
-          CandidateScan part = ScanSignatures(
-              sliced_dev, table, qsigs,
-              std::span<const ScanTile>(tiles).subspan(begin, end - begin));
+          CandidateScan part = std::move(ScanSignatures(
+              sliced_dev, tables, qsigs,
+              std::span<const ScanTile>(tiles).subspan(begin, end - begin))[0]);
           for (VertexId u = 0; u < q.num_vertices(); ++u) {
             cat[u].insert(cat[u].end(), part.lists[u].begin(),
                           part.lists[u].end());
@@ -314,9 +315,9 @@ TEST_P(SignatureScanSuite, OwnedScansMergeToTheWholeLists) {
       const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
       std::vector<std::vector<std::vector<VertexId>>> partial;
       for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
-        const SignatureTable& share = pg->signatures(p, 0);
+        const SignatureTable* const share[] = {&pg->signatures(p, 0)};
         partial.push_back(ScanSignatures(pg->device(p), share, qsigs,
-                                         ScanTiles(share, qsigs))
+                                         ScanTiles(share, qsigs))[0]
                               .lists);
       }
       for (VertexId u = 0; u < q.num_vertices(); ++u) {
@@ -326,6 +327,50 @@ TEST_P(SignatureScanSuite, OwnedScansMergeToTheWholeLists) {
                   CoveringVertices(in.data, q, u, nbits()))
             << q.Summary() << " u=" << u;
       }
+    }
+  }
+}
+
+TEST_P(SignatureScanSuite, OneLaunchOverManyTablesEqualsOneLaunchPerTable) {
+  GsiOptions options = GsiOptOptions();
+  options.filter.signature_bits = nbits();
+  options.filter.layout = layout();
+  for (const ScanInput& in : ScanInputs()) {
+    std::vector<std::unique_ptr<gpusim::Device>> owned_devs;
+    std::vector<gpusim::Device*> devs;
+    for (int i = 0; i < 3; ++i) {
+      owned_devs.push_back(std::make_unique<gpusim::Device>());
+      devs.push_back(owned_devs.back().get());
+    }
+    Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
+        devs, in.data, options, HashVertexPartitioner(), /*partitions=*/3,
+        /*replicas=*/1);
+    ASSERT_TRUE(pg.ok());
+    std::vector<const SignatureTable*> tables;
+    for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
+      tables.push_back(&pg->signatures(p, 0));
+    }
+    for (const Graph& q : in.queries) {
+      const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
+      gpusim::Device one_dev;
+      const std::vector<CandidateScan> together =
+          ScanSignatures(one_dev, tables, qsigs, ScanTiles(tables, qsigs));
+      ASSERT_EQ(together.size(), tables.size());
+      EXPECT_LE(one_dev.stats().kernel_launches, 1u);
+      gpusim::Device per_dev;
+      for (size_t i = 0; i < tables.size(); ++i) {
+        const std::span<const SignatureTable* const> alone(&tables[i], 1);
+        const CandidateScan scan = std::move(
+            ScanSignatures(per_dev, alone, qsigs, ScanTiles(alone, qsigs))[0]);
+        EXPECT_EQ(together[i].lists, scan.lists) << q.Summary() << " " << i;
+        EXPECT_EQ(together[i].rows_scanned, scan.rows_scanned) << i;
+      }
+      const gpusim::MemStats& a = one_dev.stats();
+      const gpusim::MemStats& b = per_dev.stats();
+      EXPECT_EQ(a.gld, b.gld) << q.Summary();
+      EXPECT_EQ(a.gst, b.gst) << q.Summary();
+      EXPECT_EQ(a.shared_accesses, b.shared_accesses) << q.Summary();
+      EXPECT_EQ(a.alu_ops, b.alu_ops) << q.Summary();
     }
   }
 }
@@ -372,8 +417,9 @@ TEST(SignatureScanCost, OneVertexQueryLoadsOneTransactionPerWarp) {
       SignatureTable table = SignatureTable::Build(dev, data, nbits);
       for (Label l = 0; l < 4; ++l) {
         const Graph q = OneVertexQuery(l);
+        const SignatureTable* const tables[] = {&table};
         const std::vector<ScanTile> tiles =
-            ScanTiles(table, Signature::EncodeAll(q, nbits));
+            ScanTiles(tables, Signature::EncodeAll(q, nbits));
         // The bucket's rows, cut at every multiple of 32 and nowhere else.
         const SignatureTable::RowRange rows = table.LabelRows(l);
         ASSERT_EQ(rows.size(), data.VertexLabelFrequency(l));
@@ -423,9 +469,10 @@ TEST(SignatureScanCost, ReadsEachColumnAtMostOncePerWarp) {
   fo.build_bitmaps = false;
   FilterContext ctx(dev, data, fo);
   SignatureTable table = SignatureTable::Build(dev, data, kMaxSignatureBits);
+  const SignatureTable* const tables[] = {&table};
   for (const Graph& q : RandomQuerySet(data, 8, 4, 34)) {
     const size_t tiles =
-        ScanTiles(table, Signature::EncodeAll(q, kMaxSignatureBits)).size();
+        ScanTiles(tables, Signature::EncodeAll(q, kMaxSignatureBits)).size();
     const gpusim::MemStats before = dev.stats();
     ASSERT_TRUE(ctx.Filter(q).ok());
     EXPECT_LE((dev.stats() - before).gld, tiles * kSignatureWords);

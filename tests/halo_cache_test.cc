@@ -47,8 +47,6 @@ TEST(HaloCacheUnit, CountRoundTripsAndChargesNoRemoteTransactions) {
   EXPECT_EQ(dev.stats().remote_transactions, remote_before);
   EXPECT_GT(dev.stats().gld, gld_before);
   const HaloCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.entries, 1u);
 }
 

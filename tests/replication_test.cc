@@ -12,11 +12,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/datasets.h"
 #include "graph/query_generator.h"
 #include "gsi/matcher.h"
+#include "gsi/plan.h"
 #include "gsi/query_engine.h"
 #include "gsi/replication.h"
 #include "service/query_service.h"
@@ -362,6 +364,96 @@ TEST(ReplicatedExecution, DeterministicAcrossRuns) {
   EXPECT_EQ(a->stats.co_located_probes, b->stats.co_located_probes);
   EXPECT_EQ(a->stats.halo_bytes, b->stats.halo_bytes);
   EXPECT_DOUBLE_EQ(a->stats.join_ms, b->stats.join_ms);
+}
+
+TEST(ReplicatedExecution, OneScanAndOneJoinPerLane) {
+  // A lane is one device: it scans every selected share it holds in one
+  // launch and joins all of its seeds in one run, whatever number of
+  // partitions it serves. K = 8 at R = 1 puts two partitions on each of
+  // the 4 devices; K = 4 at R = 2 packs two per lane or spreads one per
+  // device.
+  Graph g = testing::RandomGraph(300, 3, 3, 2, 41);
+  const GsiOptions options = GsiOptOptions();
+  const QueryEngine engine(g, options);
+  GsiMatcher sequential(g, options);
+  const std::vector<Graph> queries = testing::RandomQuerySet(g, 5, 3, 4500);
+  for (const auto& [k, r] : {std::pair<size_t, size_t>{8, 1}, {4, 2}}) {
+    DeviceSet ds = MakeDevices(4, options.device);
+    Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
+        ds.ptrs, g, options, HashVertexPartitioner(), k, r);
+    ASSERT_TRUE(rg.ok());
+    for (const ReplicaSelection& sel :
+         {CompactSelection(*rg), UniformSelection(*rg, 0)}) {
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const Graph& q = queries[qi];
+        const std::string ctx = "K=" + std::to_string(k) + " R=" +
+                                std::to_string(r) + " query " +
+                                std::to_string(qi);
+        Result<QueryResult> single = sequential.Find(q);
+        ASSERT_TRUE(single.ok()) << ctx;
+        Result<QueryResult> got = testing::ExecuteReplicated(*rg, sel, q);
+        ASSERT_TRUE(got.ok()) << ctx << ": " << got.status().ToString();
+        ExpectBitIdentical(*got, *single, ctx);
+
+        // The seeds' lanes and partitions, from the plan's seed list.
+        gpusim::Device dev(options.device);
+        QueryStats fstats;
+        Result<FilterResult> f = RunFilterStage(dev, engine.filter(), q,
+                                                fstats);
+        ASSERT_TRUE(f.ok()) << ctx;
+        const JoinPlan plan = MakeJoinPlan(q, g, f->candidates);
+        std::set<size_t> seed_lanes;
+        std::set<PartitionId> seed_parts;
+        const CandidateSet& seed = f->candidates[plan.order[0]];
+        for (size_t i = 0; i < seed.size(); ++i) {
+          const VertexId v = seed.list()[i];
+          seed_parts.insert(rg->OwnerOf(v));
+          seed_lanes.insert(sel.DeviceOf(rg->placement(), rg->OwnerOf(v)));
+        }
+        ASSERT_FALSE(seed_lanes.empty()) << ctx;
+
+        const QueryStats& s = got->stats;
+        EXPECT_EQ(s.filter.kernel_launches, s.replica_lanes + 1) << ctx;
+        EXPECT_LE(s.join.kernel_launches,
+                  seed_lanes.size() * (2 * q.num_vertices() - 1))
+            << ctx;
+        EXPECT_EQ(s.partitions_used, seed_parts.size()) << ctx;
+        if (r == 1) {
+          EXPECT_EQ(s.co_located_probes, 0u) << ctx;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReplicatedExecution, LaneBudgetNeverRefusesWhatOneDeviceAnswers) {
+  // A lane's table after each step is the seed subset of the one-device
+  // table, so a row budget the one-device join fits also fits every lane.
+  Graph g = testing::RandomGraph(300, 3, 3, 2, 43);
+  for (uint64_t qseed = 0; qseed < 4; ++qseed) {
+    const Graph q = testing::RandomQuery(g, 5, 4600 + qseed);
+    Result<QueryResult> single = GsiMatcher(g, GsiOptOptions()).Find(q);
+    ASSERT_TRUE(single.ok());
+    GsiOptions options = GsiOptOptions();
+    options.join.max_rows =
+        std::max<size_t>(1, single->stats.join_detail.peak_rows);
+    for (size_t k : {4, 8}) {
+      for (size_t r : {1, 2}) {
+        const std::string ctx = "query " + std::to_string(qseed) + " K=" +
+                                std::to_string(k) + " R=" + std::to_string(r);
+        DeviceSet ds = MakeDevices(4, options.device);
+        Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
+            ds.ptrs, g, options, HashVertexPartitioner(), k, r);
+        ASSERT_TRUE(rg.ok()) << ctx;
+        for (const ReplicaSelection& sel :
+             {CompactSelection(*rg), UniformSelection(*rg, 0)}) {
+          Result<QueryResult> got = testing::ExecuteReplicated(*rg, sel, q);
+          ASSERT_TRUE(got.ok()) << ctx << ": " << got.status().ToString();
+          ExpectBitIdentical(*got, *single, ctx);
+        }
+      }
+    }
+  }
 }
 
 TEST(ReplicatedExecution, RejectsBadSelectionsAndMismatchedOptions) {

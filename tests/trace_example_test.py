@@ -21,7 +21,8 @@ REQUIRED_SPANS = {
     "query",          # per-query root
     "filter",         # candidate filtering phase
     "join_step",      # one per join-plan step
-    "lane",           # one per replica lane on the replicated path
+    "lane",           # one join per replica lane on the replicated path
+    "lane_scan",      # one scan launch per replica lane
     "candidate_gather",
     "result_merge",
 }

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -207,12 +208,14 @@ TEST(TraceDeterminism, PartitionedTraceIsByteIdenticalAcrossRuns) {
   // workers append to the tracer concurrently.
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("execute_replicated"), std::string::npos);
-  EXPECT_NE(first.find("partition_join"), std::string::npos);
   EXPECT_NE(first.find("result_merge"), std::string::npos);
   // R = 1 emits the same span tree as any R: one lane per device, with
-  // lane_scan on the filter side.
+  // lane_scan on the filter side, and no span per partition.
   EXPECT_NE(first.find("\"lane\""), std::string::npos);
+  EXPECT_NE(first.find("\"seed_rows\""), std::string::npos);
   EXPECT_NE(first.find("lane_scan"), std::string::npos);
+  EXPECT_EQ(first.find("partition_join"), std::string::npos);
+  EXPECT_EQ(first.find("partition_scan"), std::string::npos);
 }
 
 TEST(TraceDeterminism, ReplicatedTraceIsByteIdenticalAcrossRuns) {
@@ -227,12 +230,25 @@ TEST(TraceDeterminism, ReplicatedTraceIsByteIdenticalAcrossRuns) {
   EXPECT_NE(first.find("lane_scan"), std::string::npos);
 }
 
+/// Occurrences of span `name` in a Chrome JSON export.
+size_t CountNamed(const std::string& json, const std::string& name) {
+  const std::string key = "{\"name\":\"" + name + "\"";
+  size_t n = 0;
+  for (size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
 TEST(TraceDeterminism, HaloProbeSpanAppearsAndStaysByteIdentical) {
   Fixture f;
   // At a fixed budget the whole export — including the halo_probe spans and
   // their hit/byte attributes — is a pure function of the work: a run after
   // other queries on the same devices serializes byte for byte like a run
-  // on fresh devices, because each lane's cache lives for one query.
+  // on fresh devices, because each lane's cache lives for one query. A
+  // lane joins all its seeds in one run, so it records at most one
+  // halo_probe.
   for (size_t replicas : {1, 2}) {
     const std::string fresh =
         TracePartitionedRun(f, 4, replicas, /*halo_budget=*/1 << 20);
@@ -241,6 +257,9 @@ TEST(TraceDeterminism, HaloProbeSpanAppearsAndStaysByteIdentical) {
     EXPECT_EQ(fresh, after_history) << "R = " << replicas;
     EXPECT_NE(fresh.find("halo_probe"), std::string::npos) << replicas;
     EXPECT_NE(fresh.find("\"hits\""), std::string::npos) << replicas;
+    EXPECT_GE(CountNamed(fresh, "halo_probe"), 1u) << replicas;
+    EXPECT_LE(CountNamed(fresh, "halo_probe"), CountNamed(fresh, "lane"))
+        << replicas;
   }
   // Without a budget the span never exists.
   EXPECT_EQ(TracePartitionedRun(f, 4, /*replicas=*/1).find("halo_probe"),
@@ -301,55 +320,77 @@ TEST(TraceDeterminism, ShardedTraceIsByteIdenticalAcrossRuns) {
   }
 }
 
-TEST(TraceDeterminism, PartitionedTraceCoversEveryPartitionAndJoinStep) {
-  Fixture f;
-  QueryEngine engine(f.data, GsiOptOptions());
-  std::vector<std::unique_ptr<gpusim::Device>> owned;
-  std::vector<gpusim::Device*> devs;
-  for (size_t i = 0; i < 4; ++i) {
-    owned.push_back(
-        std::make_unique<gpusim::Device>(engine.options().device));
-    devs.push_back(owned.back().get());
-  }
-  Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
-      devs, f.data, engine.options(), HashVertexPartitioner(),
-      /*partitions=*/4, /*replicas=*/1);
-  ASSERT_TRUE(pg.ok());
-  const ReplicaSelection sel = CompactSelection(*pg);
-  Tracer tracer;
-  Result<QueryResult> r = engine.Execute(
-      {.query = &f.query,
-       .replicated = &*pg,
-       .selection = &sel,
-       .trace = TraceContext{&tracer, -1, kHostDevice}});
-  ASSERT_TRUE(r.ok());
-  std::vector<TraceSpan> spans = tracer.Snapshot();
-  // One partition_join per partition, each carrying at least one join_step
-  // child (the query has >= 2 vertices, so the join iterates), and at
-  // R = 1 one lane (and one lane_scan) per partition device.
-  EXPECT_EQ(CountSpans(spans, "partition_join"), 4u);
-  EXPECT_EQ(CountSpans(spans, "lane"), 4u);
-  EXPECT_EQ(CountSpans(spans, "lane_scan"), 4u);
-  EXPECT_GE(CountSpans(spans, "join_step"), 4u);
-  EXPECT_EQ(CountSpans(spans, "result_merge"), 1u);
-  // Partition spans are attributed to their partition's device track.
-  std::vector<bool> seen(4, false);
-  for (const TraceSpan& s : spans) {
-    if (s.name == "partition_join") {
-      ASSERT_GE(s.device, 0);
-      ASSERT_LT(s.device, 4);
-      seen[static_cast<size_t>(s.device)] = true;
-    }
-  }
-  for (size_t p = 0; p < 4; ++p) EXPECT_TRUE(seen[p]) << "partition " << p;
-}
-
 /// The value of `span`'s attribute `key` ("" when absent).
 std::string AttrOf(const TraceSpan& span, const std::string& key) {
   for (const auto& [k, v] : span.attrs) {
     if (k == key) return v;
   }
   return "";
+}
+
+/// The partition ids of a lane span's `partitions` attribute ("0,4").
+std::vector<size_t> LanePartitions(const TraceSpan& span) {
+  std::vector<size_t> ids;
+  std::stringstream in(AttrOf(span, "partitions"));
+  for (std::string id; std::getline(in, id, ',');) {
+    ids.push_back(std::stoul(id));
+  }
+  return ids;
+}
+
+TEST(TraceDeterminism, PartitionedTraceCoversEveryPartitionAndJoinStep) {
+  Fixture f;
+  QueryEngine engine(f.data, GsiOptOptions());
+  // K = 4 puts one partition on each of the 4 devices; K = 8 puts two.
+  for (size_t k : {4, 8}) {
+    std::vector<std::unique_ptr<gpusim::Device>> owned;
+    std::vector<gpusim::Device*> devs;
+    for (size_t i = 0; i < 4; ++i) {
+      owned.push_back(
+          std::make_unique<gpusim::Device>(engine.options().device));
+      devs.push_back(owned.back().get());
+    }
+    Result<ReplicatedGraph> pg = ReplicatedGraph::Build(
+        devs, f.data, engine.options(), HashVertexPartitioner(),
+        /*partitions=*/k, /*replicas=*/1);
+    ASSERT_TRUE(pg.ok());
+    const ReplicaSelection sel = CompactSelection(*pg);
+    Tracer tracer;
+    Result<QueryResult> r = engine.Execute(
+        {.query = &f.query,
+         .replicated = &*pg,
+         .selection = &sel,
+         .trace = TraceContext{&tracer, -1, kHostDevice}});
+    ASSERT_TRUE(r.ok());
+    std::vector<TraceSpan> spans = tracer.Snapshot();
+    // At R = 1 one lane (and one lane_scan) per device, each carrying at
+    // least one join_step child (the query has >= 2 vertices, so the join
+    // iterates).
+    EXPECT_EQ(CountSpans(spans, "lane"), 4u) << "K=" << k;
+    EXPECT_EQ(CountSpans(spans, "lane_scan"), 4u) << "K=" << k;
+    EXPECT_GE(CountSpans(spans, "join_step"), 4u) << "K=" << k;
+    EXPECT_EQ(CountSpans(spans, "result_merge"), 1u) << "K=" << k;
+    // The lanes' partitions cover 0..K-1 exactly once, on both sides, and
+    // each lane sits on the track of the device holding its partitions.
+    for (const char* name : {"lane", "lane_scan"}) {
+      std::vector<size_t> seen(k, 0);
+      for (const TraceSpan& s : spans) {
+        if (s.name != name) continue;
+        ASSERT_GE(s.device, 0);
+        ASSERT_LT(s.device, 4);
+        for (size_t p : LanePartitions(s)) {
+          ASSERT_LT(p, k) << name;
+          ++seen[p];
+          EXPECT_EQ(pg->placement().device_of[p][0],
+                    static_cast<size_t>(s.device))
+              << name << " partition " << p;
+        }
+      }
+      for (size_t p = 0; p < k; ++p) {
+        EXPECT_EQ(seen[p], 1u) << name << " K=" << k << " partition " << p;
+      }
+    }
+  }
 }
 
 /// Sum of attribute `key` over every span named `name`.
@@ -384,7 +425,7 @@ TEST(TraceAttrs, FilterRowsScannedAreTheQueryLabelBuckets) {
               std::to_string(bucket_rows));
   }
   // Partitioned at R = 1 and R = 2: the shares' buckets partition the
-  // query labels' rows, so the partition scans sum to the same count.
+  // query labels' rows, so the lane scans sum to the same count.
   for (size_t replicas : {1, 2}) {
     std::vector<std::unique_ptr<gpusim::Device>> owned;
     std::vector<gpusim::Device*> devs;
@@ -410,8 +451,9 @@ TEST(TraceAttrs, FilterRowsScannedAreTheQueryLabelBuckets) {
     EXPECT_EQ(AttrOf(*FindSpan(spans, "filter"), "rows_scanned"),
               std::to_string(bucket_rows))
         << "R=" << replicas;
-    EXPECT_EQ(CountSpans(spans, "partition_scan"), 4u) << "R=" << replicas;
-    EXPECT_EQ(SumAttr(spans, "partition_scan", "rows_scanned"), bucket_rows)
+    EXPECT_EQ(CountSpans(spans, "lane_scan"), 4u / replicas)
+        << "R=" << replicas;
+    EXPECT_EQ(SumAttr(spans, "lane_scan", "rows_scanned"), bucket_rows)
         << "R=" << replicas;
   }
   // Sharded: the primary filters alone, so no device scans a share.
