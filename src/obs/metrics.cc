@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 
 namespace gsi::obs {
 namespace {
@@ -53,14 +52,6 @@ const char* TypeName(MetricsSink::Type t) {
 
 }  // namespace
 
-size_t Counter::StripeIndex() {
-  // One stripe per thread, fixed for the thread's lifetime: hashing the id
-  // on every increment would cost more than the add itself.
-  static thread_local const size_t stripe =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kStripes;
-  return stripe;
-}
-
 Histogram::Histogram(std::vector<double> bounds) {
   for (double b : bounds)
     if (!std::isnan(b)) bounds_.push_back(b);
@@ -81,20 +72,9 @@ size_t Histogram::BucketFor(std::span<const double> bounds, double v) {
 }
 
 void Histogram::Observe(double v) {
-  MutexLock lock(mu_);
   counts_[BucketFor(bounds_, v)] += 1;
   count_ += 1;
   sum_ += v;
-}
-
-Histogram::Snapshot Histogram::GetSnapshot() const {
-  MutexLock lock(mu_);
-  Snapshot snap;
-  snap.bounds = bounds_;
-  snap.counts = counts_;
-  snap.count = count_;
-  snap.sum = sum_;
-  return snap;
 }
 
 void MetricsSink::AddCounter(std::string_view name, std::string_view help,
@@ -114,11 +94,11 @@ void MetricsSink::AddGauge(std::string_view name, std::string_view help,
 }
 
 void MetricsSink::AddHistogram(std::string_view name, std::string_view help,
-                               const Histogram::Snapshot& snapshot,
+                               const Histogram& histogram,
                                std::string_view labels) {
   Sample s;
   s.labels = std::string(labels);
-  s.histogram = snapshot;
+  s.histogram = histogram;
   Add(name, help, Type::kHistogram, std::move(s));
 }
 
@@ -137,130 +117,49 @@ void MetricsSink::Add(std::string_view name, std::string_view help,
   it->second.samples.push_back(std::move(sample));
 }
 
-Counter* MetricsRegistry::GetCounter(std::string_view name,
-                                     std::string_view help) {
-  MutexLock lock(mu_);
-  auto it = instruments_.find(name);
-  if (it == instruments_.end()) {
-    Instrument inst;
-    inst.help = std::string(help);
-    inst.type = MetricsSink::Type::kCounter;
-    inst.counter = std::make_unique<Counter>();
-    it = instruments_.emplace(std::string(name), std::move(inst)).first;
-  }
-  return it->second.counter.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(std::string_view name,
-                                 std::string_view help) {
-  MutexLock lock(mu_);
-  auto it = instruments_.find(name);
-  if (it == instruments_.end()) {
-    Instrument inst;
-    inst.help = std::string(help);
-    inst.type = MetricsSink::Type::kGauge;
-    inst.gauge = std::make_unique<Gauge>();
-    it = instruments_.emplace(std::string(name), std::move(inst)).first;
-  }
-  return it->second.gauge.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::string_view help,
-                                         std::vector<double> bounds) {
-  MutexLock lock(mu_);
-  auto it = instruments_.find(name);
-  if (it == instruments_.end()) {
-    Instrument inst;
-    inst.help = std::string(help);
-    inst.type = MetricsSink::Type::kHistogram;
-    inst.histogram = std::make_unique<Histogram>(std::move(bounds));
-    it = instruments_.emplace(std::string(name), std::move(inst)).first;
-  }
-  return it->second.histogram.get();
-}
-
-void MetricsRegistry::RegisterCollector(
-    std::function<void(MetricsSink&)> collector) {
-  MutexLock lock(mu_);
-  collectors_.push_back(std::move(collector));
-}
-
-void MetricsRegistry::Collect(MetricsSink& sink) const {
-  // Instruments are sampled under the registry lock; collectors run after
-  // it is released — they take their own subsystem locks (service, pool,
-  // cache) and must not nest under mu_.
-  std::vector<std::function<void(MetricsSink&)>> collectors;
-  {
-    MutexLock lock(mu_);
-    for (const auto& [name, inst] : instruments_) {
-      switch (inst.type) {
-        case MetricsSink::Type::kCounter:
-          sink.AddCounter(name, inst.help,
-                          static_cast<double>(inst.counter->Value()));
-          break;
-        case MetricsSink::Type::kGauge:
-          sink.AddGauge(name, inst.help, inst.gauge->Value());
-          break;
-        case MetricsSink::Type::kHistogram:
-          sink.AddHistogram(name, inst.help, inst.histogram->GetSnapshot());
-          break;
-      }
-    }
-    collectors = collectors_;
-  }
-  for (const auto& collector : collectors) collector(sink);
-}
-
-std::string MetricsRegistry::ExportPrometheus() const {
-  MetricsSink sink;
-  Collect(sink);
-
+std::string MetricsSink::ExportPrometheus() const {
   std::string out;
-  for (const auto& [name, family] : sink.families_) {
+  for (const auto& [name, family] : families_) {
     out += "# HELP " + name + " " + EscapeHelp(family.help) + "\n";
     out += "# TYPE " + name + " " + TypeName(family.type) + "\n";
     for (const auto& sample : family.samples) {
-      if (family.type != MetricsSink::Type::kHistogram) {
+      if (family.type != Type::kHistogram) {
         out += SampleName(name, sample.labels) + " " +
                FormatValue(sample.value) + "\n";
         continue;
       }
-      const Histogram::Snapshot& h = sample.histogram;
+      const Histogram& h = *sample.histogram;
       uint64_t cumulative = 0;
-      for (size_t i = 0; i < h.bounds.size(); ++i) {
-        cumulative += i < h.counts.size() ? h.counts[i] : 0;
+      for (size_t i = 0; i < h.bounds().size(); ++i) {
+        cumulative += h.counts()[i];
         out += SampleName(name + "_bucket", sample.labels,
-                          "le=\"" + FormatValue(h.bounds[i]) + "\"") +
+                          "le=\"" + FormatValue(h.bounds()[i]) + "\"") +
                " " + std::to_string(cumulative) + "\n";
       }
       out += SampleName(name + "_bucket", sample.labels, "le=\"+Inf\"") +
-             " " + std::to_string(h.count) + "\n";
+             " " + std::to_string(h.count()) + "\n";
       out += SampleName(name + "_sum", sample.labels) + " " +
-             FormatValue(h.sum) + "\n";
+             FormatValue(h.sum()) + "\n";
       out += SampleName(name + "_count", sample.labels) + " " +
-             std::to_string(h.count) + "\n";
+             std::to_string(h.count()) + "\n";
     }
   }
   return out;
 }
 
-std::string MetricsRegistry::DebugString() const {
-  MetricsSink sink;
-  Collect(sink);
-
+std::string MetricsSink::DebugString() const {
   std::string out;
-  for (const auto& [name, family] : sink.families_) {
+  for (const auto& [name, family] : families_) {
     for (const auto& sample : family.samples) {
-      if (family.type != MetricsSink::Type::kHistogram) {
+      if (family.type != Type::kHistogram) {
         out += SampleName(name, sample.labels) + " = " +
                FormatValue(sample.value) + "\n";
         continue;
       }
-      const Histogram::Snapshot& h = sample.histogram;
+      const Histogram& h = *sample.histogram;
       out += SampleName(name, sample.labels) +
-             " = count=" + std::to_string(h.count) +
-             " sum=" + FormatValue(h.sum) + "\n";
+             " = count=" + std::to_string(h.count()) +
+             " sum=" + FormatValue(h.sum()) + "\n";
     }
   }
   return out;

@@ -1,117 +1,56 @@
 #ifndef GSI_OBS_METRICS_H_
 #define GSI_OBS_METRICS_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/annotations.h"
-#include "util/sync.h"
-
 namespace gsi::obs {
 
-/// Process-wide metrics (docs/OBSERVABILITY.md): counters, gauges and
-/// fixed-bucket histograms, collected into a MetricsRegistry that renders
-/// Prometheus text exposition and a human DebugString snapshot.
-///
-/// Two ways for a subsystem to participate:
-///  - own an instrument (counter/gauge/histogram) handed out by the
-///    registry and update it on the hot path;
-///  - register a pull *collector* that, at export time, snapshots an
-///    existing stats struct (ServiceStats, DevicePool::Stats,
-///    FilterCache::Stats, MemStats) and emits samples from it — no
-///    duplicated state, and every sample of one collector comes from one
-///    coherent snapshot.
-
-/// Monotonic counter. Increment is lock-free and striped: each thread
-/// hashes to one of a few cache-line-padded atomics, so concurrent worker
-/// threads do not bounce a single line. Value() folds the stripes (reads
-/// are racy-by-design snapshots, like any Prometheus scrape).
-class Counter {
- public:
-  Counter() = default;
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
-  void Increment(uint64_t delta = 1) {
-    stripes_[StripeIndex()].value.fetch_add(delta,
-                                            std::memory_order_relaxed);
-  }
-
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Stripe& s : stripes_)
-      total += s.value.load(std::memory_order_relaxed);
-    return total;
-  }
-
- private:
-  static constexpr size_t kStripes = 8;
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> value{0};
-  };
-
-  static size_t StripeIndex();
-
-  std::array<Stripe, kStripes> stripes_;
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0};
-};
+/// Metrics exposition (docs/OBSERVABILITY.md). There is one path: a scrape
+/// takes one stats snapshot (QueryService::stats(), which carries
+/// DevicePool::Stats and FilterCache::Stats), adds its samples to a
+/// MetricsSink, and renders the sink as Prometheus text exposition or a
+/// human DebugString. No state here is shared between threads: a sink
+/// lives for one scrape, and a Histogram is guarded by its owner.
 
 /// Fixed-bucket histogram with Prometheus `le` semantics: observation v
 /// lands in the first bucket whose upper bound satisfies v <= bound, or in
-/// the implicit +Inf bucket past the last bound.
+/// the implicit +Inf bucket past the last bound. A plain value: its owner
+/// guards it, and a copy is a snapshot.
 class Histogram {
  public:
   /// `bounds` are ascending upper bounds (deduplicated, NaNs dropped).
   explicit Histogram(std::vector<double> bounds);
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
 
-  void Observe(double v) GSI_EXCLUDES(mu_);
+  void Observe(double v);
 
-  struct Snapshot {
-    std::vector<double> bounds;   ///< upper bounds, ascending
-    std::vector<uint64_t> counts; ///< per-bucket (bounds.size() + 1, +Inf last)
-    uint64_t count = 0;
-    double sum = 0;
-  };
-  Snapshot GetSnapshot() const GSI_EXCLUDES(mu_);
+  const std::vector<double>& bounds() const { return bounds_; }
+  /// Per-bucket counts: bounds().size() + 1 entries, the +Inf bucket last.
+  const std::vector<uint64_t>& counts() const { return counts_; }
+  uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
 
-  /// Bucket index for `v` under `bounds` (exposed for tests/util_test.cc;
+  /// Bucket index for `v` under `bounds` (exposed for tests/metrics_test.cc;
   /// returns bounds.size() for the +Inf bucket, NaN lands there too).
   static size_t BucketFor(std::span<const double> bounds, double v);
 
  private:
   std::vector<double> bounds_;
-  mutable Mutex mu_;
-  std::vector<uint64_t> counts_ GSI_GUARDED_BY(mu_);
-  uint64_t count_ GSI_GUARDED_BY(mu_) = 0;
-  double sum_ GSI_GUARDED_BY(mu_) = 0;
+  std::vector<uint64_t> counts_;
+  uint64_t count_ = 0;
+  double sum_ = 0;
 };
 
-/// Receives samples from pull collectors during one export. `labels` is
-/// the Prometheus label body without braces (e.g. `device="2"`), empty for
-/// none; samples of one family must agree on type.
+/// The samples of one scrape. `labels` is the Prometheus label body without
+/// braces (e.g. `device="2"`), empty for none; samples of one family must
+/// agree on type. Families render in lexicographic order, the samples of a
+/// family in the order they were added.
 class MetricsSink {
  public:
   void AddCounter(std::string_view name, std::string_view help, double value,
@@ -119,17 +58,23 @@ class MetricsSink {
   void AddGauge(std::string_view name, std::string_view help, double value,
                 std::string_view labels = "");
   void AddHistogram(std::string_view name, std::string_view help,
-                    const Histogram::Snapshot& snapshot,
-                    std::string_view labels = "");
+                    const Histogram& histogram, std::string_view labels = "");
+
+  /// Prometheus text exposition (text/plain; version=0.0.4): families in
+  /// lexicographic order, `# HELP`/`# TYPE` once per family, histogram as
+  /// cumulative `_bucket{le=...}` plus `_sum`/`_count`.
+  std::string ExportPrometheus() const;
+
+  /// One `name{labels} = value` line per sample — the debugging snapshot.
+  std::string DebugString() const;
 
   enum class Type { kCounter, kGauge, kHistogram };
 
  private:
-  friend class MetricsRegistry;
   struct Sample {
     std::string labels;
     double value = 0;
-    Histogram::Snapshot histogram;  // kHistogram only
+    std::optional<Histogram> histogram;  // kHistogram only
   };
   struct Family {
     std::string help;
@@ -142,53 +87,6 @@ class MetricsSink {
 
   /// Keyed by family name — export order is lexicographic, deterministic.
   std::map<std::string, Family, std::less<>> families_;
-};
-
-/// Owns instruments and collectors; renders the whole set. Thread-safe.
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Create-or-get; the returned instrument lives as long as the registry
-  /// and may be updated from any thread.
-  Counter* GetCounter(std::string_view name, std::string_view help)
-      GSI_EXCLUDES(mu_);
-  Gauge* GetGauge(std::string_view name, std::string_view help)
-      GSI_EXCLUDES(mu_);
-  Histogram* GetHistogram(std::string_view name, std::string_view help,
-                          std::vector<double> bounds) GSI_EXCLUDES(mu_);
-
-  /// Registers a pull collector invoked on every export. The collector
-  /// must not call back into this registry (it receives a sink instead).
-  void RegisterCollector(std::function<void(MetricsSink&)> collector)
-      GSI_EXCLUDES(mu_);
-
-  /// Prometheus text exposition (text/plain; version=0.0.4): families in
-  /// lexicographic order, `# HELP`/`# TYPE` once per family, histogram as
-  /// cumulative `_bucket{le=...}` plus `_sum`/`_count`.
-  std::string ExportPrometheus() const GSI_EXCLUDES(mu_);
-
-  /// One `name{labels} = value` line per sample — the debugging snapshot.
-  std::string DebugString() const GSI_EXCLUDES(mu_);
-
- private:
-  struct Instrument {
-    std::string help;
-    MetricsSink::Type type;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-
-  void Collect(MetricsSink& sink) const GSI_EXCLUDES(mu_);
-
-  mutable Mutex mu_;
-  std::map<std::string, Instrument, std::less<>> instruments_
-      GSI_GUARDED_BY(mu_);
-  std::vector<std::function<void(MetricsSink&)>> collectors_
-      GSI_GUARDED_BY(mu_);
 };
 
 }  // namespace gsi::obs

@@ -190,7 +190,6 @@ Result<DevicePool::GroupLeases> DevicePool::AcquireOneOfEach(
 
   GroupLeases out;
   out.device_of_group.resize(groups.size());
-  out.lease_of_group.resize(groups.size());
   if (groups.empty()) {
     MutexLock lock(mu_);
     ++stats_.group_acquires;
@@ -250,12 +249,6 @@ Result<DevicePool::GroupLeases> DevicePool::AcquireOneOfEach(
   for (size_t d : distinct) {
     TakeDeviceLocked(d);
     out.leases.push_back(Lease(this, d));
-  }
-  for (size_t g = 0; g < groups.size(); ++g) {
-    out.lease_of_group[g] =
-        std::lower_bound(distinct.begin(), distinct.end(),
-                         out.device_of_group[g]) -
-        distinct.begin();
   }
   ++stats_.group_acquires;
   return out;
@@ -332,70 +325,61 @@ DevicePool::Stats DevicePool::stats() const {
   Stats out = stats_;
   out.in_use = devices_.size() - free_.size() - stats_.quarantined_now;
   out.replica_picks = replica_picks_;
+  out.device_stats = released_stats_;
   return out;
 }
 
-void DevicePool::RegisterMetrics(obs::MetricsRegistry& registry) {
-  registry.RegisterCollector([this](obs::MetricsSink& sink) {
-    Stats s;
-    std::vector<gpusim::MemStats> mem;
-    {
-      MutexLock lock(mu_);
-      s = stats_;
-      s.in_use = devices_.size() - free_.size() - stats_.quarantined_now;
-      s.replica_picks = replica_picks_;
-      mem = released_stats_;
-    }
-    sink.AddCounter("gsi_pool_leases_total",
-                    "Device leases handed out by the pool",
-                    static_cast<double>(s.acquired));
-    sink.AddCounter("gsi_pool_try_failed_total",
-                    "TryAcquire calls that found no idle device",
-                    static_cast<double>(s.try_failed));
-    sink.AddCounter("gsi_pool_blocked_total",
-                    "Acquire/AcquireAll calls that had to wait",
-                    static_cast<double>(s.blocked));
-    sink.AddCounter("gsi_pool_group_acquires_total",
-                    "AcquireOneOfEach calls completed",
-                    static_cast<double>(s.group_acquires));
-    sink.AddGauge("gsi_pool_devices", "Devices in the pool",
-                  static_cast<double>(devices_.size()));
-    sink.AddGauge("gsi_pool_in_use", "Currently leased devices",
-                  static_cast<double>(s.in_use));
-    sink.AddGauge("gsi_pool_peak_in_use", "High-water mark of leased devices",
-                  static_cast<double>(s.peak_in_use));
-    sink.AddGauge("gsi_pool_quarantined_devices",
-                  "Currently quarantined devices",
-                  static_cast<double>(s.quarantined_now));
-    sink.AddCounter("gsi_pool_quarantined_total",
-                    "Poisoned leases that quarantined a device",
-                    static_cast<double>(s.quarantined));
-    sink.AddCounter("gsi_pool_repaired_total",
-                    "Repair calls that re-admitted a quarantined device",
-                    static_cast<double>(s.repaired));
-    for (size_t d = 0; d < mem.size(); ++d) {
-      const std::string label = "device=\"" + std::to_string(d) + "\"";
-      sink.AddCounter("gsi_device_simulated_cycles_total",
-                      "Simulated cycles charged to the device (as of its "
-                      "last lease release)",
-                      static_cast<double>(mem[d].simulated_cycles), label);
-      sink.AddCounter("gsi_device_global_load_transactions_total",
-                      "Global-memory load transactions",
-                      static_cast<double>(mem[d].gld), label);
-      sink.AddCounter("gsi_device_global_store_transactions_total",
-                      "Global-memory store transactions",
-                      static_cast<double>(mem[d].gst), label);
-      sink.AddCounter("gsi_device_remote_transactions_total",
-                      "Interconnect lines moved to/from the device",
-                      static_cast<double>(mem[d].remote_transactions), label);
-      sink.AddCounter("gsi_device_kernel_launches_total",
-                      "Kernels launched on the device",
-                      static_cast<double>(mem[d].kernel_launches), label);
-      sink.AddCounter("gsi_pool_replica_picks_total",
-                      "Times the device was picked to serve a replica group",
-                      static_cast<double>(s.replica_picks[d]), label);
-    }
-  });
+void DevicePool::Stats::AddSamples(obs::MetricsSink& sink) const {
+  sink.AddCounter("gsi_pool_leases_total",
+                  "Device leases handed out by the pool",
+                  static_cast<double>(acquired));
+  sink.AddCounter("gsi_pool_try_failed_total",
+                  "TryAcquire calls that found no idle device",
+                  static_cast<double>(try_failed));
+  sink.AddCounter("gsi_pool_blocked_total",
+                  "Acquire/AcquireAll calls that had to wait",
+                  static_cast<double>(blocked));
+  sink.AddCounter("gsi_pool_group_acquires_total",
+                  "AcquireOneOfEach calls completed",
+                  static_cast<double>(group_acquires));
+  sink.AddGauge("gsi_pool_devices", "Devices in the pool",
+                static_cast<double>(device_stats.size()));
+  sink.AddGauge("gsi_pool_in_use", "Currently leased devices",
+                static_cast<double>(in_use));
+  sink.AddGauge("gsi_pool_peak_in_use", "High-water mark of leased devices",
+                static_cast<double>(peak_in_use));
+  sink.AddGauge("gsi_pool_quarantined_devices",
+                "Currently quarantined devices",
+                static_cast<double>(quarantined_now));
+  sink.AddCounter("gsi_pool_quarantined_total",
+                  "Poisoned leases that quarantined a device",
+                  static_cast<double>(quarantined));
+  sink.AddCounter("gsi_pool_repaired_total",
+                  "Repair calls that re-admitted a quarantined device",
+                  static_cast<double>(repaired));
+  for (size_t d = 0; d < device_stats.size(); ++d) {
+    const gpusim::MemStats& mem = device_stats[d];
+    const std::string label = "device=\"" + std::to_string(d) + "\"";
+    sink.AddCounter("gsi_device_simulated_cycles_total",
+                    "Simulated cycles charged to the device (as of its "
+                    "last lease release)",
+                    static_cast<double>(mem.simulated_cycles), label);
+    sink.AddCounter("gsi_device_global_load_transactions_total",
+                    "Global-memory load transactions",
+                    static_cast<double>(mem.gld), label);
+    sink.AddCounter("gsi_device_global_store_transactions_total",
+                    "Global-memory store transactions",
+                    static_cast<double>(mem.gst), label);
+    sink.AddCounter("gsi_device_remote_transactions_total",
+                    "Interconnect lines moved to/from the device",
+                    static_cast<double>(mem.remote_transactions), label);
+    sink.AddCounter("gsi_device_kernel_launches_total",
+                    "Kernels launched on the device",
+                    static_cast<double>(mem.kernel_launches), label);
+    sink.AddCounter("gsi_pool_replica_picks_total",
+                    "Times the device was picked to serve a replica group",
+                    static_cast<double>(replica_picks[d]), label);
+  }
 }
 
 void DevicePool::Release(size_t index) {
@@ -405,7 +389,7 @@ void DevicePool::Release(size_t index) {
     GSI_CHECK_MSG(std::find(free_.begin(), free_.end(), index) == free_.end(),
                   "double release of a pooled device");
     // The holder is done charging this device, so reading its counters here
-    // cannot race; metrics scrapes read this snapshot instead of the device.
+    // cannot race; stats() hands out this snapshot instead of the device's.
     released_stats_[index] = devices_[index]->stats();
     // A fault injected while the device was leased arms now, when the pool
     // owns the device again (it may trip immediately via fail_on_lease on

@@ -51,10 +51,19 @@ class DevicePool {
     /// device covering several groups of one call counts once per group) —
     /// the replica-pick distribution the serving layer reports as skew.
     std::vector<uint64_t> replica_picks;
+    /// [i] = device i's simulated-hardware counters as of its most recent
+    /// lease release (zeros before its first): the pool never reads a
+    /// device another thread is charging. One entry per pool device.
+    std::vector<gpusim::MemStats> device_stats;
 
     /// max / mean of replica_picks over devices (1.0 = perfectly even;
     /// 0 when no group acquisition has happened yet).
     double replica_pick_skew() const;
+
+    /// Adds the gsi_pool_* families and the per-device gsi_device_* and
+    /// gsi_pool_replica_picks_total samples, labeled `device="k"` (k = pool
+    /// ordinal), to `sink`.
+    void AddSamples(obs::MetricsSink& sink) const;
   };
 
   /// Move-only handle to one leased device; releases it on destruction.
@@ -136,12 +145,6 @@ class DevicePool {
   struct GroupLeases {
     std::vector<Lease> leases;            ///< distinct devices, index order
     std::vector<size_t> device_of_group;  ///< [g] -> pool device index
-    std::vector<size_t> lease_of_group;   ///< [g] -> index into leases
-
-    /// The leased device serving group g.
-    gpusim::Device* device(size_t g) const {
-      return leases[lease_of_group[g]].get();
-    }
   };
 
   /// Blocks until one device of *every* group can be leased, then takes
@@ -189,14 +192,6 @@ class DevicePool {
 
   Stats stats() const GSI_EXCLUDES(mu_);
 
-  /// Registers a pull collector exporting the pool counters plus per-device
-  /// simulated-hardware counters labeled `device="k"` (k = pool ordinal).
-  /// Per-device counters are snapshotted at lease release — never read from
-  /// a device another thread is charging — so a scrape observes each
-  /// device's state as of its last completed lease. The pool must outlive
-  /// the registry's exports.
-  void RegisterMetrics(obs::MetricsRegistry& registry);
-
  private:
   /// Returns the leased device to the pool and wakes waiters; called by
   /// Lease, which must not hold the pool lock (self-deadlock otherwise).
@@ -236,8 +231,9 @@ class DevicePool {
       GSI_GUARDED_BY(mu_);
   /// Per-device AcquireOneOfEach picks.
   std::vector<uint64_t> replica_picks_ GSI_GUARDED_BY(mu_);
-  /// [i] = devices_[i]->stats() as of its most recent Release (metrics
-  /// snapshot that never races a lease holder's charging).
+  /// [i] = devices_[i]->stats() as of its most recent Release, copied into
+  /// Stats::device_stats: a snapshot that never races a lease holder's
+  /// charging.
   std::vector<gpusim::MemStats> released_stats_ GSI_GUARDED_BY(mu_);
   Stats stats_ GSI_GUARDED_BY(mu_);
 };

@@ -116,29 +116,26 @@ void FilterCache::Clear() {
   stats_.entries = 0;
 }
 
-void FilterCache::RegisterMetrics(obs::MetricsRegistry& registry) {
-  registry.RegisterCollector([this](obs::MetricsSink& sink) {
-    const Stats s = stats();
-    sink.AddCounter("gsi_filter_cache_hits_total",
-                    "Filter-phase lookups served from memoized candidates",
-                    static_cast<double>(s.hits));
-    sink.AddCounter("gsi_filter_cache_misses_total",
-                    "Filter-phase lookups that ran the scan kernels",
-                    static_cast<double>(s.misses));
-    sink.AddCounter("gsi_filter_cache_insertions_total",
-                    "Entries admitted into the cache",
-                    static_cast<double>(s.insertions));
-    sink.AddCounter("gsi_filter_cache_evictions_total",
-                    "Entries evicted to hold the byte budget",
-                    static_cast<double>(s.evictions));
-    sink.AddGauge("gsi_filter_cache_entries", "Resident entries",
-                  static_cast<double>(s.entries));
-    sink.AddGauge("gsi_filter_cache_bytes", "Resident candidate-list bytes",
-                  static_cast<double>(s.bytes));
-    sink.AddGauge("gsi_filter_cache_hit_rate",
-                  "hits / (hits + misses) over the cache's lifetime",
-                  s.HitRate());
-  });
+void FilterCache::Stats::AddSamples(obs::MetricsSink& sink) const {
+  sink.AddCounter("gsi_filter_cache_hits_total",
+                  "Filter-phase lookups served from memoized candidates",
+                  static_cast<double>(hits));
+  sink.AddCounter("gsi_filter_cache_misses_total",
+                  "Filter-phase lookups that ran the scan kernels",
+                  static_cast<double>(misses));
+  sink.AddCounter("gsi_filter_cache_insertions_total",
+                  "Entries admitted into the cache",
+                  static_cast<double>(insertions));
+  sink.AddCounter("gsi_filter_cache_evictions_total",
+                  "Entries evicted to hold the byte budget",
+                  static_cast<double>(evictions));
+  sink.AddGauge("gsi_filter_cache_entries", "Resident entries",
+                static_cast<double>(entries));
+  sink.AddGauge("gsi_filter_cache_bytes", "Resident candidate-list bytes",
+                static_cast<double>(bytes));
+  sink.AddGauge("gsi_filter_cache_hit_rate",
+                "hits / (hits + misses) over the cache's lifetime",
+                HitRate());
 }
 
 }  // namespace gsi

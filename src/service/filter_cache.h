@@ -73,6 +73,9 @@ class FilterCache {
                            static_cast<double>(lookups)
                      : 0;
     }
+
+    /// Adds the gsi_filter_cache_* families to `sink`.
+    void AddSamples(obs::MetricsSink& sink) const;
   };
 
   FilterCache() : FilterCache(Options{}) {}
@@ -104,10 +107,6 @@ class FilterCache {
 
   Stats stats() const GSI_EXCLUDES(mu_);
   void Clear() GSI_EXCLUDES(mu_);
-
-  /// Registers a pull collector exporting Stats as gsi_filter_cache_*
-  /// families. The cache must outlive the registry's exports.
-  void RegisterMetrics(obs::MetricsRegistry& registry);
 
  private:
   struct Slot {

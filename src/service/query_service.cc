@@ -61,12 +61,10 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
         "); use 1 to fail fast on device faults");
   }
   if (!init_status_.ok()) return;  // Submit reports the error.
-  RegisterServiceMetrics();
   if (options_.enable_filter_cache) {
     FilterCache::Options co;
     co.max_bytes = options_.filter_cache_bytes;
     cache_ = std::make_unique<FilterCache>(co);
-    cache_->RegisterMetrics(metrics_);
   }
   const size_t workers =
       options_.num_workers < 1 ? 1 : static_cast<size_t>(options_.num_workers);
@@ -103,7 +101,6 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
     return;
   }
   devices_ = std::make_unique<DevicePool>(num_devices, gsi_options_.device);
-  devices_->RegisterMetrics(metrics_);
   if (options_.partition_data_graph) {
     // Workers have not started, so the pool is idle: take every device (in
     // index order) and build its share(s) on it. The leases drop at scope
@@ -466,129 +463,123 @@ std::shared_ptr<const obs::Tracer> QueryService::GetTrace(
 }
 
 std::string QueryService::ExportMetrics() const {
-  return metrics_.ExportPrometheus();
+  return Scrape().ExportPrometheus();
 }
 
 std::string QueryService::MetricsDebugString() const {
-  return metrics_.DebugString();
+  return Scrape().DebugString();
 }
 
-void QueryService::RegisterServiceMetrics() {
-  latency_hist_ = metrics_.GetHistogram(
-      "gsi_query_simulated_ms",
-      "Simulated end-to-end latency of completed-ok queries (ms)",
-      {0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250,
-       500, 1000});
-  // Pull collector over the guarded counters: one coherent ServiceStats
-  // snapshot per scrape instead of duplicated per-field instruments.
-  metrics_.RegisterCollector([this](obs::MetricsSink& sink) {
-    ServiceStats s;
-    {
-      MutexLock lock(mu_);
-      s = stats_;
-      s.queue_depth = queue_.size();
-      s.in_flight = in_flight_;
-    }
-    sink.AddCounter("gsi_service_submitted_total", "Submit calls",
-                    static_cast<double>(s.submitted));
-    sink.AddCounter("gsi_service_admitted_total", "Tickets admitted",
-                    static_cast<double>(s.admitted));
-    sink.AddCounter("gsi_service_rejected_total",
-                    "Submissions shed by admission control",
-                    static_cast<double>(s.rejected));
-    sink.AddCounter("gsi_service_cancelled_total",
-                    "Tickets cancelled before execution",
-                    static_cast<double>(s.cancelled));
-    sink.AddCounter("gsi_service_expired_total",
-                    "Tickets queued past their deadline",
-                    static_cast<double>(s.expired));
-    sink.AddCounter("gsi_service_completed_total",
-                    "Queries executed to a result",
-                    static_cast<double>(s.completed_ok), "status=\"ok\"");
-    sink.AddCounter("gsi_service_completed_total",
-                    "Queries executed to a result",
-                    static_cast<double>(s.failed), "status=\"error\"");
-    sink.AddGauge("gsi_service_queue_depth",
-                  "Admitted tickets waiting for a worker",
-                  static_cast<double>(s.queue_depth));
-    sink.AddGauge("gsi_service_in_flight", "Currently executing queries",
-                  static_cast<double>(s.in_flight));
-    sink.AddCounter("gsi_service_sharded_queries_total",
-                    "Completed-ok queries whose join fanned out",
-                    static_cast<double>(s.sharded_queries));
-    sink.AddCounter("gsi_service_shards_executed_total",
-                    "Join shards across sharded queries",
-                    static_cast<double>(s.shards_executed));
-    sink.AddCounter("gsi_service_partitioned_queries_total",
-                    "Completed-ok queries on the partitioned data graph",
-                    static_cast<double>(s.partitioned_queries));
-    sink.AddCounter("gsi_service_replica_lanes_total",
-                    "Distinct devices held, summed over partitioned queries",
-                    static_cast<double>(s.replica_lanes_total));
-    sink.AddCounter("gsi_service_remote_probes_total",
-                    "Cross-partition neighbor probes",
-                    static_cast<double>(s.remote_probes));
-    sink.AddCounter("gsi_service_co_located_probes_total",
-                    "Probes a co-resident replica served locally",
-                    static_cast<double>(s.co_located_probes));
-    sink.AddCounter("gsi_service_halo_bytes_total",
-                    "Interconnect bytes moved (filter gathers + join merges)",
-                    static_cast<double>(s.halo_bytes));
-    sink.AddCounter("gsi_service_device_failures_total",
-                    "Execution attempts that died on a failed device",
-                    static_cast<double>(s.device_failures));
-    sink.AddCounter("gsi_service_retries_total",
-                    "Re-executions after a device-failed attempt",
-                    static_cast<double>(s.retries));
-    sink.AddCounter("gsi_service_failovers_total",
-                    "Retries that had to select around a quarantined device",
-                    static_cast<double>(s.failovers));
-    sink.AddCounter("gsi_service_unavailable_total",
-                    "Queries that exhausted retries and failed kUnavailable",
-                    static_cast<double>(s.unavailable_queries));
-    sink.AddCounter("gsi_result_pages_total",
-                    "Result pages served by FetchPage",
-                    static_cast<double>(s.result_pages));
-    sink.AddCounter("gsi_result_page_bytes_total",
-                    "Match-row bytes across served result pages",
-                    static_cast<double>(s.result_page_bytes));
-    sink.AddCounter("gsi_cursors_opened_total",
-                    "Result cursors opened by a first FetchPage",
-                    static_cast<double>(s.cursors_opened));
-    sink.AddCounter("gsi_cursor_rebuilds_total",
-                    "Cursors recomputed after losing device partials",
-                    static_cast<double>(s.cursor_rebuilds));
-    sink.AddGauge("gsi_open_cursors",
-                  "Cursors opened and not yet closed via CloseCursor",
-                  static_cast<double>(s.cursors_opened - s.cursors_closed));
-    sink.AddGauge("gsi_result_resident_bytes",
-                  "Manifest bytes pinned on pool devices by open cursors",
-                  static_cast<double>(s.cursor_resident_bytes));
-    sink.AddGauge("gsi_service_max_shard_skew",
-                  "Worst max/mean per-shard time observed",
-                  s.max_shard_skew);
-    sink.AddGauge("gsi_service_max_partition_skew",
-                  "Worst max/mean per-lane join time observed",
-                  s.max_partition_skew);
-    // Halo-cache families, only where lanes make caches (absent otherwise,
-    // like the filter cache's). With a cache, every remote probe is a
-    // lookup that missed it.
-    if (!options_.partition_data_graph || options_.halo_budget_bytes == 0) {
-      return;
-    }
-    sink.AddCounter("gsi_halo_cache_hits_total",
-                    "Remote probes served from a lane's halo cache",
-                    static_cast<double>(s.halo_cache_hits));
-    sink.AddCounter("gsi_halo_cache_misses_total",
-                    "Cacheable remote probes that went to the interconnect",
-                    static_cast<double>(s.remote_probes));
-    sink.AddCounter("gsi_halo_cache_evictions_total",
-                    "Halo-cache entries evicted to stay under budget",
-                    static_cast<double>(s.halo_cache_evictions));
-    sink.AddCounter("gsi_halo_cache_hit_bytes_total",
-                    "Bytes halo-cache hits served without the interconnect",
-                    static_cast<double>(s.halo_cache_bytes));
-  });
+obs::MetricsSink QueryService::Scrape() const {
+  obs::MetricsSink sink;
+  if (!init_status_.ok()) return sink;
+  const ServiceStats s = stats();
+  sink.AddCounter("gsi_service_submitted_total", "Submit calls",
+                  static_cast<double>(s.submitted));
+  sink.AddCounter("gsi_service_admitted_total", "Tickets admitted",
+                  static_cast<double>(s.admitted));
+  sink.AddCounter("gsi_service_rejected_total",
+                  "Submissions shed by admission control",
+                  static_cast<double>(s.rejected));
+  sink.AddCounter("gsi_service_cancelled_total",
+                  "Tickets cancelled before execution",
+                  static_cast<double>(s.cancelled));
+  sink.AddCounter("gsi_service_expired_total",
+                  "Tickets queued past their deadline",
+                  static_cast<double>(s.expired));
+  sink.AddCounter("gsi_service_completed_total",
+                  "Queries executed to a result",
+                  static_cast<double>(s.completed_ok), "status=\"ok\"");
+  sink.AddCounter("gsi_service_completed_total",
+                  "Queries executed to a result",
+                  static_cast<double>(s.failed), "status=\"error\"");
+  sink.AddGauge("gsi_service_queue_depth",
+                "Admitted tickets waiting for a worker",
+                static_cast<double>(s.queue_depth));
+  sink.AddGauge("gsi_service_in_flight", "Currently executing queries",
+                static_cast<double>(s.in_flight));
+  sink.AddCounter("gsi_service_sharded_queries_total",
+                  "Completed-ok queries whose join fanned out",
+                  static_cast<double>(s.sharded_queries));
+  sink.AddCounter("gsi_service_shards_executed_total",
+                  "Join shards across sharded queries",
+                  static_cast<double>(s.shards_executed));
+  sink.AddCounter("gsi_service_partitioned_queries_total",
+                  "Completed-ok queries on the partitioned data graph",
+                  static_cast<double>(s.partitioned_queries));
+  sink.AddCounter("gsi_service_replica_lanes_total",
+                  "Distinct devices held, summed over partitioned queries",
+                  static_cast<double>(s.replica_lanes_total));
+  sink.AddCounter("gsi_service_remote_probes_total",
+                  "Cross-partition neighbor probes",
+                  static_cast<double>(s.remote_probes));
+  sink.AddCounter("gsi_service_co_located_probes_total",
+                  "Probes a co-resident replica served locally",
+                  static_cast<double>(s.co_located_probes));
+  sink.AddCounter("gsi_service_halo_bytes_total",
+                  "Interconnect bytes moved (filter gathers + join merges)",
+                  static_cast<double>(s.halo_bytes));
+  sink.AddCounter("gsi_service_device_failures_total",
+                  "Execution attempts that died on a failed device",
+                  static_cast<double>(s.device_failures));
+  sink.AddCounter("gsi_service_retries_total",
+                  "Re-executions after a device-failed attempt",
+                  static_cast<double>(s.retries));
+  sink.AddCounter("gsi_service_failovers_total",
+                  "Retries that had to select around a quarantined device",
+                  static_cast<double>(s.failovers));
+  sink.AddCounter("gsi_service_unavailable_total",
+                  "Queries that exhausted retries and failed kUnavailable",
+                  static_cast<double>(s.unavailable_queries));
+  sink.AddCounter("gsi_result_pages_total",
+                  "Result pages served by FetchPage",
+                  static_cast<double>(s.result_pages));
+  sink.AddCounter("gsi_result_page_bytes_total",
+                  "Match-row bytes across served result pages",
+                  static_cast<double>(s.result_page_bytes));
+  sink.AddCounter("gsi_cursors_opened_total",
+                  "Result cursors opened by a first FetchPage",
+                  static_cast<double>(s.cursors_opened));
+  sink.AddCounter("gsi_cursor_rebuilds_total",
+                  "Cursors recomputed after losing device partials",
+                  static_cast<double>(s.cursor_rebuilds));
+  sink.AddGauge("gsi_open_cursors",
+                "Cursors opened and not yet closed via CloseCursor",
+                static_cast<double>(s.cursors_opened - s.cursors_closed));
+  sink.AddGauge("gsi_result_resident_bytes",
+                "Manifest bytes pinned on pool devices by open cursors",
+                static_cast<double>(s.cursor_resident_bytes));
+  sink.AddGauge("gsi_service_max_shard_skew",
+                "Worst max/mean per-shard time observed",
+                s.max_shard_skew);
+  sink.AddGauge("gsi_service_max_partition_skew",
+                "Worst max/mean per-lane join time observed",
+                s.max_partition_skew);
+  sink.AddHistogram("gsi_query_simulated_ms",
+                    "Simulated end-to-end latency of completed-ok queries "
+                    "(ms)",
+                    s.simulated_ms_histogram);
+  if (cache_) s.cache.AddSamples(sink);
+  s.pool.AddSamples(sink);
+  // Halo-cache families, only where lanes make caches (absent otherwise,
+  // like the filter cache's). With a cache, every remote probe is a
+  // lookup that missed it.
+  if (!options_.partition_data_graph || options_.halo_budget_bytes == 0) {
+    return sink;
+  }
+  sink.AddCounter("gsi_halo_cache_hits_total",
+                  "Remote probes served from a lane's halo cache",
+                  static_cast<double>(s.halo_cache_hits));
+  sink.AddCounter("gsi_halo_cache_misses_total",
+                  "Cacheable remote probes that went to the interconnect",
+                  static_cast<double>(s.remote_probes));
+  sink.AddCounter("gsi_halo_cache_evictions_total",
+                  "Halo-cache entries evicted to stay under budget",
+                  static_cast<double>(s.halo_cache_evictions));
+  sink.AddCounter("gsi_halo_cache_hit_bytes_total",
+                  "Bytes halo-cache hits served without the interconnect",
+                  static_cast<double>(s.halo_cache_bytes));
+  return sink;
 }
 
 ServiceStats QueryService::stats() const {
@@ -649,9 +640,7 @@ void QueryService::FinishLocked(const TicketPtr& ticket,
       stats_.replica_lanes_total += result->stats.replica_lanes;
       stats_.co_located_probes += result->stats.co_located_probes;
     }
-    if (latency_hist_ != nullptr) {
-      latency_hist_->Observe(result->stats.total_ms);
-    }
+    stats_.simulated_ms_histogram.Observe(result->stats.total_ms);
     if (latencies_ms_.size() < kLatencyWindow) {
       latencies_ms_.push_back(result->stats.total_ms);
     } else {

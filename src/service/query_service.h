@@ -189,6 +189,13 @@ struct ServiceStats {
   /// reservoir would grow without bound).
   double p50_simulated_ms = 0;
   double p99_simulated_ms = 0;
+  /// Simulated latency of every completed-ok query since the service
+  /// started (the gsi_query_simulated_ms family). The service observes it
+  /// and copies it under one mutex with the counters above, so its count()
+  /// always equals completed_ok.
+  obs::Histogram simulated_ms_histogram{std::vector<double>{
+      0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250,
+      500, 1000}};
   FilterCache::Stats cache;      ///< zeros when the cache is disabled
   /// Intra-query sharding activity (zeros when max_shards_per_query == 1).
   uint64_t sharded_queries = 0;  ///< completed-ok queries that fanned out
@@ -436,15 +443,14 @@ class QueryService {
   std::shared_ptr<const obs::Tracer> GetTrace(const QueryTicket& ticket) const
       GSI_EXCLUDES(mu_);
 
-  /// Prometheus text exposition of every registered metric: service
+  /// Prometheus text exposition of one stats() snapshot: the service's
   /// admission/completion counters, the simulated-latency histogram, and
-  /// the DevicePool / FilterCache collectors (docs/OBSERVABILITY.md).
-  std::string ExportMetrics() const;
-  /// Human-readable `name{labels} = value` snapshot of the same metrics.
-  std::string MetricsDebugString() const;
-  /// The registry backing ExportMetrics — for embedding callers that
-  /// register their own instruments or collectors alongside the service's.
-  obs::MetricsRegistry& metrics() { return metrics_; }
+  /// the DevicePool and FilterCache families (docs/OBSERVABILITY.md). Every
+  /// sample of one call comes from that one snapshot. Empty when
+  /// init_status() is not Ok.
+  std::string ExportMetrics() const GSI_EXCLUDES(mu_);
+  /// Human-readable `name{labels} = value` lines of the same samples.
+  std::string MetricsDebugString() const GSI_EXCLUDES(mu_);
 
   /// Not Ok when the GsiOptions or ServiceOptions were rejected (e.g.
   /// max_queue_depth = 0, which would deadlock kBlock submitters); Submit
@@ -456,9 +462,9 @@ class QueryService {
   using TicketPtr = std::shared_ptr<internal::TicketState>;
 
   void WorkerLoop() GSI_EXCLUDES(mu_);
-  /// Registers the service's own collector and latency histogram with
-  /// metrics_ (constructor-time; DevicePool/FilterCache register theirs).
-  void RegisterServiceMetrics();
+  /// The samples of one stats() snapshot, for ExportMetrics and
+  /// MetricsDebugString; no samples when init failed.
+  obs::MetricsSink Scrape() const GSI_EXCLUDES(mu_);
   /// Executes one query with fault-tolerant retry: runs RunOneAttempt up
   /// to `max_attempts` times, re-acquiring devices per attempt (so reruns
   /// land on healthy hardware after a quarantine) and charging the capped
@@ -512,9 +518,6 @@ class QueryService {
   /// byte-stable across runs by design — the execution spans under it use
   /// device cycle clocks and are.
   obs::SteadyClockSource service_clock_;
-  obs::MetricsRegistry metrics_;
-  /// Owned by metrics_; observed per completed-ok query in FinishLocked.
-  obs::Histogram* latency_hist_ = nullptr;
   std::unique_ptr<FilterCache> cache_;  // null when disabled
   std::unique_ptr<DevicePool> devices_;  // null when init failed
   /// The partitioned data graph (partition_data_graph mode): K = pool size
@@ -533,7 +536,7 @@ class QueryService {
   size_t in_flight_ GSI_GUARDED_BY(mu_) = 0;
   uint64_t next_id_ GSI_GUARDED_BY(mu_) = 1;
   bool stopping_ GSI_GUARDED_BY(mu_) = false;
-  /// Counters; depth fields derived in stats().
+  /// Counters and the latency histogram; depth fields derived in stats().
   ServiceStats stats_ GSI_GUARDED_BY(mu_);
   /// Ring of the last kLatencyWindow completed-ok total_ms values.
   std::vector<double> latencies_ms_ GSI_GUARDED_BY(mu_);

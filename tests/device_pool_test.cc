@@ -194,11 +194,17 @@ TEST(DevicePool, OneOfEachLeasesOneDevicePerGroupPacked) {
   std::vector<std::vector<size_t>> groups = StaggeredGroups();
   DevicePool::GroupLeases gl = pool.AcquireOneOfEach(groups).value();
   ASSERT_EQ(gl.device_of_group.size(), 4u);
-  // Every group got a device that actually belongs to it...
+  // Every group got a device that actually belongs to it, and holds a
+  // lease on it...
   for (size_t g = 0; g < groups.size(); ++g) {
     EXPECT_TRUE(std::find(groups[g].begin(), groups[g].end(),
                           gl.device_of_group[g]) != groups[g].end());
-    EXPECT_EQ(gl.leases[gl.lease_of_group[g]].get(), gl.device(g));
+    EXPECT_TRUE(std::any_of(
+        gl.leases.begin(), gl.leases.end(), [&](const DevicePool::Lease& l) {
+          return static_cast<size_t>(l.get()->ordinal()) ==
+                 gl.device_of_group[g];
+        }))
+        << "group " << g;
   }
   // ...and the picks packed onto the fewest devices (2 cover all 4
   // groups), leaving the other lane idle for a concurrent caller.

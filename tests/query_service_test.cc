@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -583,7 +584,7 @@ TEST(QueryService, ExportMetricsMatchesTheStatsSnapshot) {
             static_cast<double>(stats.completed_ok));
   EXPECT_EQ(samples.at("gsi_query_simulated_ms_bucket{le=\"+Inf\"}"),
             samples.at("gsi_query_simulated_ms_count"));
-  // The filter-cache collector feeds the same registry.
+  // The filter cache's samples render in the same export.
   EXPECT_NE(text.find("gsi_filter_cache_"), std::string::npos);
   EXPECT_NE(text.find("# TYPE gsi_service_submitted_total counter"),
             std::string::npos);
@@ -593,7 +594,7 @@ TEST(QueryService, ExportMetricsMatchesTheStatsSnapshot) {
 }
 
 // Traced and untraced queries race through the service while metrics are
-// scraped: every scrape must parse, and the settled registry must agree
+// scraped: every scrape must parse, and the settled export must agree
 // with the settled ServiceStats.
 TEST(QueryService, ConcurrentTracedQueriesKeepTheRegistryCoherent) {
   Graph data = SmallData(317);
@@ -643,6 +644,88 @@ TEST(QueryService, ConcurrentTracedQueriesKeepTheRegistryCoherent) {
             static_cast<double>(stats.completed_ok + stats.failed));
   EXPECT_EQ(samples.at("gsi_service_admitted_total"),
             static_cast<double>(stats.admitted));
+}
+
+// A scrape renders one stats() snapshot: the latency histogram is copied
+// under the same lock as the completion counters, so no scrape can catch
+// one side of a completion without the other, however busy the workers.
+TEST(QueryService, EveryScrapeIsOneSnapshot) {
+  const Graph data = testing::RandomGraph(300, 4, 3, 2, 331);
+  std::vector<Graph> queries;
+  std::set<std::string> keys;
+  for (Graph& q : testing::RandomQuerySet(data, 3, 512, 3310)) {
+    if (queries.size() < 64 && keys.insert(FilterCache::KeyOf(q)).second) {
+      queries.push_back(std::move(q));
+    }
+  }
+  ASSERT_EQ(queries.size(), 64u);
+
+  ServiceOptions so;
+  so.num_workers = 4;
+  so.overload = OverloadPolicy::kBlock;
+  so.max_queue_depth = 4096;
+  QueryService service(data, GsiOptOptions(), so);
+  ASSERT_TRUE(service.init_status().ok());
+
+  constexpr size_t kSubmissions = 4000;
+  std::atomic<size_t> rejected{0};
+  std::atomic<bool> drained{false};
+  std::thread submitter([&] {
+    for (size_t i = 0; i < kSubmissions; ++i) {
+      if (!service.Submit(queries[i % queries.size()]).ok()) ++rejected;
+    }
+    service.Drain();
+    drained = true;
+  });
+  // Every scrape must agree with itself; count the ones that do not.
+  size_t scrapes = 0;
+  size_t incoherent = 0;
+  std::string first_incoherent;
+  do {
+    const std::map<std::string, double> samples =
+        ParsePrometheus(service.ExportMetrics());
+    auto value = [&](const std::string& sample) {
+      auto it = samples.find(sample);
+      return it == samples.end() ? -1.0 : it->second;
+    };
+    const double ok = value("gsi_service_completed_total{status=\"ok\"}");
+    const double count = value("gsi_query_simulated_ms_count");
+    const double inf = value("gsi_query_simulated_ms_bucket{le=\"+Inf\"}");
+    if (ok < 0 || count != ok || inf != count) {
+      if (incoherent++ == 0) {
+        first_incoherent = "scrape " + std::to_string(scrapes) +
+                           ": completed ok " + std::to_string(ok) +
+                           ", histogram count " + std::to_string(count) +
+                           ", +Inf bucket " + std::to_string(inf);
+      }
+    }
+    ++scrapes;
+  } while (!drained.load());
+  submitter.join();
+  EXPECT_EQ(rejected.load(), 0u);
+  EXPECT_EQ(incoherent, 0u) << "of " << scrapes << " scrapes; first "
+                            << first_incoherent;
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed_ok + stats.failed, kSubmissions);
+  EXPECT_EQ(stats.simulated_ms_histogram.count(), stats.completed_ok);
+}
+
+// A service whose options were rejected serves nothing, so it exports no
+// samples — whichever check rejected it.
+TEST(QueryService, InitFailedServiceExportsNoSamples) {
+  Graph data = SmallData(337);
+  ServiceOptions zero_depth;
+  zero_depth.max_queue_depth = 0;
+  ServiceOptions sharded_partitions;
+  sharded_partitions.partition_data_graph = true;
+  sharded_partitions.max_shards_per_query = 4;
+  for (const ServiceOptions& so : {zero_depth, sharded_partitions}) {
+    QueryService service(data, GsiOptOptions(), so);
+    EXPECT_EQ(service.init_status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.ExportMetrics(), "");
+    EXPECT_EQ(service.MetricsDebugString(), "");
+  }
 }
 
 TEST(QueryService, DestructorCancelsQueuedWorkWithoutHanging) {

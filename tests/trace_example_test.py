@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Schema validation for the Chrome trace JSON the trace_query example emits.
+"""Schema validation for the trace JSON and the metrics the trace_query
+example emits.
 
 Runs the example binary (argv[1]), loads the trace file it writes, and
 checks both the trace_event schema (every complete event carries
@@ -8,10 +9,17 @@ observability contract promises (docs/OBSERVABILITY.md): queue wait,
 query root, filter, join steps, and per-device replica lanes — the
 example drives the K=4/R=2 replicated service path, so all of them must
 appear.
+
+It also parses the Prometheus exposition the example prints last: every
+line is a HELP, a TYPE or a sample of the text format; each family has one
+HELP then one TYPE, in strictly ascending order; histogram buckets are
+cumulative and end at _count; and the counters agree with what the example
+ran (two queries, the second a filter-cache hit, on a 4-device pool).
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -28,9 +36,125 @@ REQUIRED_SPANS = {
 }
 
 
+PROMETHEUS_MARKER = "--- Prometheus exposition (QueryService::ExportMetrics) ---"
+NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+LABEL = r'[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
+SAMPLE_RE = re.compile(r"^(%s)(\{%s(?:,%s)*\})? (-?[0-9.eE+-]+|\+Inf|NaN)$"
+                       % (NAME, LABEL, LABEL))
+COMMENT_RE = re.compile(r"^# (HELP|TYPE) (%s) (.+)$" % NAME)
+LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="([^"]*)"')
+TYPES = {"counter", "gauge", "histogram"}
+
+
 def fail(msg):
     print("FAIL: %s" % msg)
     sys.exit(1)
+
+
+def parse_exposition(lines):
+    """Returns ({family: type}, {family: [(name, labels, value)]}), failing
+    on any line outside the text-format grammar or out of family order."""
+    types = {}
+    samples = {}
+    family = None
+    for i, line in enumerate(lines):
+        m = COMMENT_RE.match(line)
+        if m and m.group(1) == "HELP":
+            name = m.group(2)
+            if name in types or name == family:
+                fail("family %s has a second HELP" % name)
+            if family is not None and name <= family:
+                fail("family %s follows %s: not ascending" % (name, family))
+            if i + 1 >= len(lines) or not lines[i + 1].startswith(
+                    "# TYPE %s " % name):
+                fail("HELP of %s is not followed by its TYPE" % name)
+            family = name
+            continue
+        if m:  # TYPE: must directly follow its family's HELP
+            name, kind = m.group(2), m.group(3)
+            if name != family or name in types:
+                fail("stray TYPE line: %r" % line)
+            if kind not in TYPES:
+                fail("family %s has unknown type %r" % (name, kind))
+            types[name] = kind
+            continue
+        m = SAMPLE_RE.match(line)
+        if not m:
+            fail("exposition line is not HELP, TYPE or a sample: %r" % line)
+        name, labels, value = m.group(1), m.group(2) or "", float(m.group(3))
+        if family not in types:
+            fail("sample before its family's TYPE: %r" % line)
+        suffixes = ("_bucket", "_sum", "_count") if (
+            types[family] == "histogram") else ("",)
+        if name not in {family + s for s in suffixes}:
+            fail("sample %s outside its family %s" % (name, family))
+        samples.setdefault(family, []).append((name, labels, value))
+    return types, samples
+
+
+def check_histogram(family, samples):
+    """Buckets never decrease and the le="+Inf" bucket equals _count, per
+    label set."""
+    buckets = {}
+    counts = {}
+    for name, labels, value in samples:
+        pairs = LABEL_RE.findall(labels)
+        rest = tuple(p for p in pairs if p[0] != "le")
+        if name.endswith("_bucket"):
+            le = [v for k, v in pairs if k == "le"]
+            if len(le) != 1:
+                fail("%s bucket without one le label: %s" % (family, labels))
+            buckets.setdefault(rest, []).append((le[0], value))
+        elif name.endswith("_count"):
+            counts[rest] = value
+    if not buckets:
+        fail("histogram %s has no buckets" % family)
+    for rest, series in buckets.items():
+        values = [v for _, v in series]
+        if values != sorted(values):
+            fail("%s buckets decrease: %s" % (family, series))
+        if series[-1][0] != "+Inf" or series[-1][1] != counts.get(rest):
+            fail("%s +Inf bucket %s != _count %s"
+                 % (family, series[-1], counts.get(rest)))
+
+
+def check_exposition(stdout):
+    text = stdout.decode("utf-8", "replace")
+    if PROMETHEUS_MARKER not in text:
+        fail("no Prometheus exposition in the example's output")
+    lines = text.split(PROMETHEUS_MARKER, 1)[1].split("\n")[1:]
+    if lines and lines[-1] == "":
+        lines.pop()
+    types, samples = parse_exposition(lines)
+    for family, kind in types.items():
+        if kind == "histogram":
+            check_histogram(family, samples.get(family, []))
+
+    def value(family, sample):
+        for name, labels, v in samples.get(family, []):
+            if name + labels == sample:
+                return v
+        fail("sample %s absent from the exposition" % sample)
+
+    # Two queries ran and completed; the repeat hit the filter cache.
+    for family, sample, want in (
+            ("gsi_query_simulated_ms", "gsi_query_simulated_ms_count", 2),
+            ("gsi_service_completed_total",
+             'gsi_service_completed_total{status="ok"}', 2),
+            ("gsi_filter_cache_hits_total", "gsi_filter_cache_hits_total", 1),
+            ("gsi_pool_devices", "gsi_pool_devices", 4)):
+        if value(family, sample) != want:
+            fail("%s = %s, expected %s"
+                 % (sample, value(family, sample), want))
+    cycles = samples.get("gsi_device_simulated_cycles_total", [])
+    if len(cycles) != 4:
+        fail("gsi_device_simulated_cycles_total has %d samples, expected 4"
+             % len(cycles))
+    for family in ("gsi_service_partitioned_queries_total",
+                   "gsi_pool_leases_total", "gsi_pool_replica_picks_total"):
+        if family not in types:
+            fail("family %s absent from the exposition" % family)
+    return len(types), len(lines)
 
 
 def validate_event(i, ev):
@@ -63,6 +187,7 @@ def main():
             fail("example exited with %d" % proc.returncode)
         with open(trace_path) as f:
             doc = json.load(f)
+    families, exposition_lines = check_exposition(proc.stdout)
 
     if set(doc) - {"traceEvents", "displayTimeUnit"}:
         fail("unexpected top-level keys: %s" % sorted(doc))
@@ -108,8 +233,10 @@ def main():
             fail("join_step at ts=%s tid=%s has no enclosing span"
                  % (ev["ts"], ev["tid"]))
 
-    print("OK: %d events, %d spans, %d distinct names, lanes on tids %s"
-          % (len(events), len(spans), len(names), sorted(lane_tids)))
+    print("OK: %d events, %d spans, %d distinct names, lanes on tids %s; "
+          "%d metric families in %d exposition lines"
+          % (len(events), len(spans), len(names), sorted(lane_tids),
+             families, exposition_lines))
     return 0
 
 
