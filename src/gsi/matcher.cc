@@ -3,11 +3,11 @@
 #include <algorithm>
 
 #include "gsi/fault.h"
+#include "gsi/sharded_engine.h"
 #include "storage/basic_rep.h"
 #include "storage/compressed_rep.h"
 #include "storage/csr.h"
 #include "storage/pcsr.h"
-#include "util/timer.h"
 
 namespace gsi {
 
@@ -123,16 +123,6 @@ std::unique_ptr<NeighborStore> BuildStore(gpusim::Device& dev,
   return nullptr;
 }
 
-namespace {
-
-/// Device attribution of single-device spans: a caller that set a device
-/// on the context wins; a default context means "the one device", 0.
-int32_t SpanDevice(const obs::TraceContext& trace) {
-  return trace.device >= 0 ? trace.device : 0;
-}
-
-}  // namespace
-
 Status ValidateQuery(const Graph& query) {
   if (query.num_vertices() == 0) {
     return Status::InvalidArgument("empty query");
@@ -151,7 +141,7 @@ Result<FilterResult> RunFilterStage(gpusim::Device& dev,
   if (Status v = ValidateQuery(query); !v.ok()) return v;
   if (Status h = CheckDeviceHealthy(dev, "filter"); !h.ok()) return h;
   const obs::DeviceCycleClock clock(dev);
-  obs::ScopedSpan span(trace, "filter", clock, SpanDevice(trace));
+  obs::ScopedSpan span(trace, "filter", clock, dev.ordinal());
   gpusim::MemStats before = dev.stats();
   Result<FilterResult> filtered = filter.Filter(dev, query);
   if (!filtered.ok()) return filtered;
@@ -165,39 +155,6 @@ Result<FilterResult> RunFilterStage(gpusim::Device& dev,
                static_cast<uint64_t>(filtered->min_candidate_size));
   span.AddAttr("rows_scanned", filtered->rows_scanned);
   return filtered;
-}
-
-Result<QueryResult> RunJoinStage(gpusim::Device& dev, const Graph& data,
-                                 const NeighborStore& store,
-                                 const GsiOptions& options, const Graph& query,
-                                 FilterResult filtered, QueryStats stats,
-                                 const obs::TraceContext& trace) {
-  const obs::DeviceCycleClock clock(dev);
-  obs::ScopedSpan span(trace, "join", clock, SpanDevice(trace));
-  std::optional<QueryResult> out =
-      internal::JoinWithoutEngine(dev, data, query, filtered, stats);
-  if (!out) {
-    // --- Joining phase.
-    JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
-    gpusim::MemStats before = dev.stats();
-    JoinEngine join(&dev, &store, options.join);
-    join.set_trace(span.context());
-    Result<MatchTable> table = join.Run(
-        plan, filtered.candidates, filtered.candidates[plan.order[0]].list());
-    if (!table.ok()) return table.status();
-    out = QueryResult{std::move(table.value()), plan.order, stats};
-    out->stats.join = dev.stats() - before;
-    out->stats.join_detail = join.stats();
-    out->stats.join_ms = out->stats.join.SimulatedMs(dev.config());
-    out->stats.total_ms = out->stats.filter_ms + out->stats.join_ms;
-    out->stats.num_matches = out->table.rows();
-  }
-
-  // The shortcut runs materialization kernels the join engine never sees —
-  // cover it with a final boundary check.
-  if (Status h = CheckDeviceHealthy(dev, "join"); !h.ok()) return h;
-  span.AddAttr("matches", static_cast<uint64_t>(out->stats.num_matches));
-  return std::move(*out);
 }
 
 std::optional<QueryResult> internal::JoinWithoutEngine(
@@ -225,26 +182,6 @@ std::optional<QueryResult> internal::JoinWithoutEngine(
   return out;
 }
 
-Result<QueryResult> ExecuteQuery(gpusim::Device& dev, const Graph& data,
-                                 const NeighborStore& store,
-                                 const FilterContext& filter,
-                                 const GsiOptions& options,
-                                 const Graph& query,
-                                 const obs::TraceContext& trace) {
-  WallTimer wall;
-  const obs::DeviceCycleClock clock(dev);
-  obs::ScopedSpan span(trace, "execute", clock, SpanDevice(trace));
-  QueryStats stats;
-  Result<FilterResult> filtered =
-      RunFilterStage(dev, filter, query, stats, span.context());
-  if (!filtered.ok()) return filtered.status();
-  Result<QueryResult> out =
-      RunJoinStage(dev, data, store, options, query,
-                   std::move(filtered.value()), stats, span.context());
-  if (out.ok()) out->stats.wall_ms = wall.ElapsedMs();
-  return out;
-}
-
 GsiMatcher::GsiMatcher(const Graph& data, GsiOptions options)
     : data_(&data), options_(options) {
   dev_ = std::make_unique<gpusim::Device>(options.device);
@@ -261,8 +198,11 @@ Result<QueryResult> GsiMatcher::Find(const Graph& query) {
 Result<QueryResult> GsiMatcher::Find(const Graph& query,
                                      const obs::TraceContext& trace) {
   if (!init_status_.ok()) return init_status_;
-  return ExecuteQuery(*dev_, *data_, *store_, *filter_, options_, query,
-                      trace);
+  gpusim::Device* const devs[] = {dev_.get()};
+  Result<PagedQueryResult> out = ExecuteQueryShardedPaged(
+      devs, *data_, *store_, *filter_, options_, ShardOptions(), query, trace);
+  if (!out.ok()) return out.status();
+  return ToQueryResult(std::move(out.value()), *dev_);
 }
 
 }  // namespace gsi

@@ -134,28 +134,19 @@ Status ValidateQuery(const Graph& query);
 /// the filtering phase on `dev`, recording the phase's device counters,
 /// their price (filter_ms) and the min-candidate metric into `stats`.
 /// Exposed separately so a serving layer can satisfy this stage from a
-/// cache of candidate sets and still run RunJoinStage below (QueryService
-/// does exactly that).
+/// cache of candidate sets and still run the join stage
+/// (RunJoinStageShardedPaged in sharded_engine.h; QueryService does exactly
+/// that).
 ///
-/// `trace` (here and on every execution function below) is the optional
+/// `trace` (here and on every execution function) is the optional
 /// span-tree collector (obs/trace.h): default-constructed means tracing is
 /// off and costs one null check per phase. Execution-path spans are timed
-/// by the device's cycle clock, so traced runs stay deterministic.
+/// by the device's cycle clock and sit on the track of the device's
+/// ordinal(), so traced runs stay deterministic.
 Result<FilterResult> RunFilterStage(gpusim::Device& dev,
                                     const FilterContext& filter,
                                     const Graph& query, QueryStats& stats,
                                     const obs::TraceContext& trace = {});
-
-/// Stage 2: joining phase over candidate sets produced by RunFilterStage
-/// (or rematerialized from a FilterCache). Consumes `filtered`; `stats`
-/// carries the filter phase's counters and filter_ms forward, and the
-/// result adds join_ms, total_ms and the match count. Host wall time
-/// (`stats.wall_ms`) is the caller's responsibility.
-Result<QueryResult> RunJoinStage(gpusim::Device& dev, const Graph& data,
-                                 const NeighborStore& store,
-                                 const GsiOptions& options, const Graph& query,
-                                 FilterResult filtered, QueryStats stats,
-                                 const obs::TraceContext& trace = {});
 
 namespace internal {
 
@@ -171,19 +162,6 @@ std::optional<QueryResult> JoinWithoutEngine(gpusim::Device& dev,
 
 }  // namespace internal
 
-/// Runs one query against prebuilt shared structures, charging every device
-/// allocation and memory transaction to `dev` (filter + join contexts are
-/// created per execution). `store` and `filter` are only read, so concurrent
-/// calls are safe as long as each caller brings its own device — this is the
-/// execution core shared by GsiMatcher (one device) and QueryEngine (one
-/// device per worker thread). Equivalent to RunFilterStage + RunJoinStage.
-Result<QueryResult> ExecuteQuery(gpusim::Device& dev, const Graph& data,
-                                 const NeighborStore& store,
-                                 const FilterContext& filter,
-                                 const GsiOptions& options,
-                                 const Graph& query,
-                                 const obs::TraceContext& trace = {});
-
 /// GSI: GPU-friendly subgraph isomorphism (the paper's system).
 ///
 ///   Graph data = ...;
@@ -192,7 +170,9 @@ Result<QueryResult> ExecuteQuery(gpusim::Device& dev, const Graph& data,
 ///   result->num_matches();
 ///
 /// The data graph must outlive the matcher. One matcher owns one simulated
-/// device; stats accumulate across queries (use Find's per-query stats for
+/// device and runs every query on it as ExecuteQueryShardedPaged over that
+/// one device (sharded_engine.h), the same flow every full-replica path
+/// runs; stats accumulate across queries (use Find's per-query stats for
 /// individual measurements). For concurrent multi-query execution over one
 /// data graph use QueryEngine (query_engine.h).
 class GsiMatcher {

@@ -91,15 +91,11 @@ Result<PagedQueryResult> QueryEngine::ExecutePaged(
                                     options_, req.shard, *req.query,
                                     req.trace);
   }
-  // No target: the private device dies with this call, so the single-part
-  // manifest is tagged not-pool-resident (ordinal -1) — consumers read it
-  // from the host for free instead of re-leasing an owner.
+  // No target: the same flow over one private device.
   gpusim::Device dev(options_.device);
-  Result<QueryResult> out = ExecuteQuery(dev, *data_, *store_, *filter_,
-                                         options_, *req.query, req.trace);
-  if (!out.ok()) return out.status();
-  return ToPagedResult(std::move(out.value()), /*device_ordinal=*/-1,
-                       /*fault_epoch=*/0);
+  gpusim::Device* const devs[] = {&dev};
+  return ExecuteQueryShardedPaged(devs, *data_, *store_, *filter_, options_,
+                                  req.shard, *req.query, req.trace);
 }
 
 BatchResult QueryEngine::RunBatch(std::span<const Graph> queries,
@@ -131,10 +127,17 @@ BatchResult QueryEngine::RunBatch(std::span<const Graph> queries,
     for (size_t t = 0; t < num_workers; ++t) {
       pool.Submit([&] {
         gpusim::Device dev(options_.device);
+        gpusim::Device* const devs[] = {&dev};
         for (size_t i = next.fetch_add(1); i < queries.size();
              i = next.fetch_add(1)) {
-          slots[i] = ExecuteQuery(dev, *data_, *store_, *filter_, options_,
-                                  queries[i]);
+          Result<PagedQueryResult> out =
+              ExecuteQueryShardedPaged(devs, *data_, *store_, *filter_,
+                                       options_, ShardOptions(), queries[i]);
+          if (out.ok()) {
+            slots[i] = ToQueryResult(std::move(out.value()), dev);
+          } else {
+            slots[i] = out.status();
+          }
         }
         std::lock_guard<std::mutex> lock(agg_mu);
         batch.stats.device += dev.stats();

@@ -81,7 +81,8 @@ class QueryEngine {
   /// and an optional trace sink (obs/trace.h) that collects the execution's
   /// span tree. Targets:
   ///
-  ///   - nothing set: a fresh private device per call (thread-safe).
+  ///   - nothing set: a fresh private device per call (thread-safe), run
+  ///     as the `devices` target over that one device.
   ///   - `devices`: intra-query sharding across leased devices
   ///     (sharded_engine.h); `shard` tunes the fan-out.
   ///   - `replicated` + `selection`: a partitioned data graph, each of its
@@ -115,9 +116,7 @@ class QueryEngine {
   /// devices that produced them (ResultManifest; see result_manifest.h) —
   /// what QueryService pages FetchPage results out of. Stats are identical
   /// to Execute; materializing the manifest reproduces Execute's table
-  /// bit for bit. With no target set the private device is ephemeral, so
-  /// the single part is tagged device_ordinal = -1 (host-consumable, no
-  /// lease to reacquire).
+  /// bit for bit.
   Result<PagedQueryResult> ExecutePaged(const ExecRequest& req) const;
 
   /// Runs every query, spreading them over options.num_threads workers.

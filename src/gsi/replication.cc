@@ -425,8 +425,10 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   if (std::optional<QueryResult> trivial =
           internal::JoinWithoutEngine(primary, data, query, filtered,
                                       stats)) {
-    // Assembled on the primary, exactly like RunJoinStage.
+    // Assembled on the primary, exactly like the full-replica join.
     if (Status h = CheckDeviceHealthy(primary, "join"); !h.ok()) return h;
+    join_span.AddAttr("matches",
+                      static_cast<uint64_t>(trivial->stats.num_matches));
     PagedQueryResult out = ToPagedResult(std::move(*trivial), primary);
     out.stats.replica_lanes = lanes.devices.size();
     out.stats.partitions_used = 1;
@@ -610,6 +612,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   out.stats.join_ms = max_lane_ms + merge_mem.SimulatedMs(primary.config());
   out.stats.total_ms = out.stats.filter_ms + out.stats.join_ms;
   out.stats.num_matches = out.manifest.rows();
+  join_span.AddAttr("matches", static_cast<uint64_t>(out.stats.num_matches));
   return out;
 }
 

@@ -212,8 +212,9 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
 /// ResultManifest of ascending-seed-run segments
 /// (internal::PlanSeedRunMerge); the merge's interconnect traffic is
 /// charged at plan time, so materializing the manifest — all at once
-/// (ToQueryResult) or page by page — is bit-identical to single-device
-/// RunJoinStage for every selection and leaves every counter unchanged.
+/// (ToQueryResult) or page by page — is bit-identical to the one-device
+/// join (RunJoinStageShardedPaged over one device) for every selection and
+/// leaves every counter unchanged.
 ///
 /// Stats roll-up: filter_ms is kept from `stats` (the filter stage's
 /// price); `stats.join` sums every device's counters (total work); join_ms

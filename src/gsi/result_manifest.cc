@@ -8,18 +8,17 @@
 namespace gsi {
 
 ResultManifest ResultManifest::FromWholeTable(MatchTable table,
-                                              int device_ordinal,
-                                              uint64_t fault_epoch) {
+                                              const gpusim::Device& owner) {
   ResultManifest m;
   m.set_cols(table.cols());
   const size_t rows = table.rows();
-  const size_t part = m.AddPart(std::move(table), device_ordinal, fault_epoch);
+  const size_t part = m.AddPart(std::move(table), owner);
   m.AddSegment(part, 0, rows);
   return m;
 }
 
-size_t ResultManifest::AddPart(MatchTable table, int device_ordinal,
-                               uint64_t fault_epoch) {
+size_t ResultManifest::AddPart(MatchTable table,
+                               const gpusim::Device& owner) {
   if (table.rows() > 0) {
     GSI_CHECK_MSG(cols_ == 0 || table.cols() == cols_,
                   "manifest parts of different widths");
@@ -27,7 +26,8 @@ size_t ResultManifest::AddPart(MatchTable table, int device_ordinal,
   } else if (cols_ == 0) {
     cols_ = table.cols();
   }
-  parts_.push_back(Part{std::move(table), device_ordinal, fault_epoch});
+  parts_.push_back(Part{std::move(table), owner.ordinal(),
+                        owner.fault_epoch()});
   return parts_.size() - 1;
 }
 
@@ -101,11 +101,11 @@ MatchTable ResultManifest::Materialize(gpusim::Device& dev) && {
   return out;
 }
 
-PagedQueryResult ToPagedResult(QueryResult result, int device_ordinal,
-                               uint64_t fault_epoch) {
+PagedQueryResult ToPagedResult(QueryResult result,
+                               const gpusim::Device& owner) {
   PagedQueryResult paged;
-  paged.manifest = ResultManifest::FromWholeTable(std::move(result.table),
-                                                  device_ordinal, fault_epoch);
+  paged.manifest =
+      ResultManifest::FromWholeTable(std::move(result.table), owner);
   paged.column_to_query = std::move(result.column_to_query);
   paged.stats = result.stats;
   return paged;

@@ -32,7 +32,7 @@ struct ManifestSegment {
 /// internal::PlanSeedRunMerge). So `Materialize` — and any page-at-a-time
 /// walk by `Slice` — is bit-identical to single-device execution.
 ///
-/// Each part remembers the pool ordinal and fault epoch of the device that
+/// Each part remembers the ordinal and fault epoch of the device that
 /// produced it. A consumer that charges reads against that device (the
 /// serving layer's FetchPage) compares the recorded epoch against the
 /// device's current one and discards the part on mismatch — the fail-stop
@@ -41,31 +41,25 @@ class ResultManifest {
  public:
   struct Part {
     MatchTable table;
-    /// Pool ordinal of the owning device (-1 = not pool-resident: the part
-    /// was produced on a private device and is host-consumable for free).
-    int device_ordinal = -1;
+    /// ordinal() of the device that produced the table (its pool index
+    /// when the device was leased from a DevicePool).
+    int device_ordinal = 0;
     /// Owner's trip count when the table was produced.
     uint64_t fault_epoch = 0;
   };
 
   ResultManifest() = default;
 
-  /// The degenerate manifest: one part, one segment spanning every row.
-  static ResultManifest FromWholeTable(MatchTable table, int device_ordinal,
-                                       uint64_t fault_epoch);
+  /// The degenerate manifest: one part, owned by `owner`, one segment
+  /// spanning every row.
   static ResultManifest FromWholeTable(MatchTable table,
-                                       const gpusim::Device& owner) {
-    return FromWholeTable(std::move(table), owner.ordinal(),
-                          owner.fault_epoch());
-  }
+                                       const gpusim::Device& owner);
 
-  /// Adds a partial table (returns its part index). Non-empty parts must
-  /// agree on width; the manifest's column count is taken from the first
-  /// non-empty part (or set explicitly via set_cols for all-empty results).
-  size_t AddPart(MatchTable table, int device_ordinal, uint64_t fault_epoch);
-  size_t AddPart(MatchTable table, const gpusim::Device& owner) {
-    return AddPart(std::move(table), owner.ordinal(), owner.fault_epoch());
-  }
+  /// Adds a partial table produced on `owner` (returns its part index).
+  /// Non-empty parts must agree on width; the manifest's column count is
+  /// taken from the first non-empty part (or set explicitly via set_cols
+  /// for all-empty results).
+  size_t AddPart(MatchTable table, const gpusim::Device& owner);
 
   /// Appends `count` rows of part `part` starting at `begin` to the logical
   /// row order (no-op when count == 0).
@@ -110,8 +104,8 @@ class ResultManifest {
   size_t total_rows_ = 0;
 };
 
-/// Result of one query in manifest form: what every multi-device execution
-/// path returns. `stats` is final (the merge's interconnect cost is charged
+/// Result of one query in manifest form: what every execution path
+/// returns. `stats` is final (the merge's interconnect cost is charged
 /// at join time), so one-shot (ToQueryResult) and paged consumers observe
 /// identical counters.
 struct PagedQueryResult {
@@ -122,15 +116,11 @@ struct PagedQueryResult {
   size_t num_matches() const { return manifest.rows(); }
 };
 
-/// Wraps an already-materialized result as a one-part manifest (the
-/// single-device execution paths; no copies).
-PagedQueryResult ToPagedResult(QueryResult result, int device_ordinal,
-                               uint64_t fault_epoch);
-inline PagedQueryResult ToPagedResult(QueryResult result,
-                                      const gpusim::Device& owner) {
-  return ToPagedResult(std::move(result), owner.ordinal(),
-                       owner.fault_epoch());
-}
+/// Wraps an already-materialized result, produced on `owner`, as a
+/// one-part manifest (the joins' one-vertex and empty-candidate answers;
+/// no copies).
+PagedQueryResult ToPagedResult(QueryResult result,
+                               const gpusim::Device& owner);
 
 /// Materializes a paged result into the one-shot form on `dev` — the single
 /// materializer of every execution path (uncharged host-mediated row

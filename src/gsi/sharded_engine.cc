@@ -47,23 +47,20 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     FilterResult filtered, QueryStats stats, const obs::TraceContext& trace) {
   GSI_CHECK_MSG(!devs.empty(), "sharded join needs at least one device");
   const size_t min_work = std::max<size_t>(1, shard_options.min_rows_per_shard);
-
-  // Degenerate shapes take the single-device path; RunJoinStage recomputes
-  // the plan, which is deterministic. So does the two-step scheme (the
-  // GpSM baseline): the fan-out sizes slices by Prealloc-Combine's
-  // first-edge bounds, which it never computes.
-  if (devs.size() < 2 || query.num_vertices() < 2 || filtered.AnyEmpty() ||
-      options.join.output_scheme != OutputScheme::kPreallocCombine) {
-    Result<QueryResult> one = RunJoinStage(*devs[0], data, store, options,
-                                           query, std::move(filtered), stats,
-                                           trace);
-    if (!one.ok()) return one.status();
-    return ToPagedResult(std::move(one.value()), *devs[0]);
-  }
-
   gpusim::Device& primary = *devs[0];
   const obs::DeviceCycleClock primary_clock(primary);
   obs::ScopedSpan join_span(trace, "join", primary_clock, primary.ordinal());
+
+  // Degenerate shapes are answered on the primary without a join.
+  if (std::optional<QueryResult> trivial = internal::JoinWithoutEngine(
+          primary, data, query, filtered, stats)) {
+    // The shortcut runs materialization kernels no step boundary sees.
+    if (Status h = CheckDeviceHealthy(primary, "join"); !h.ok()) return h;
+    join_span.AddAttr("matches",
+                      static_cast<uint64_t>(trivial->stats.num_matches));
+    return ToPagedResult(std::move(*trivial), primary);
+  }
+
   const JoinPlan plan = MakeJoinPlan(query, data, filtered.candidates);
   // A step distributes only when its predicted volume fills every device.
   const uint64_t volume_floor = static_cast<uint64_t>(devs.size()) * min_work;
@@ -99,19 +96,20 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     // from the link kernels that wrote the table (the primary's, or the
     // slices' concatenated at the gather). The fan-out decision, the slice
     // balance and every slice's share read this one sizing; a serial step
-    // hands it to its Prealloc step.
+    // hands it to its Prealloc step. A step without a sizing (the two-step
+    // scheme computes none) or without a second device runs on the primary.
     const size_t rows = m.table.rows();
-    const JoinEngine::StepBounds* sizing = m.sizing ? &*m.sizing : nullptr;
-    GSI_CHECK(sizing != nullptr);
-    const std::vector<uint64_t> weights(sizing->bounds.data(),
-                                        sizing->bounds.data() + rows);
-    const uint64_t predicted = sizing->offsets[rows];
+    const JoinEngine::StepBounds* sizing =
+        devs.size() > 1 && m.sizing ? &*m.sizing : nullptr;
+    const uint64_t predicted = sizing != nullptr ? sizing->offsets[rows] : 0;
     // Distribute when the step's predicted volume fills every slice AND
     // dwarfs the table being scattered (per-step fan-out has fixed costs:
     // under-filled kernels, the lost cross-slice extraction sharing).
     std::vector<ShardRange> slices;
-    if (predicted >= volume_floor &&
+    if (sizing != nullptr && predicted >= volume_floor &&
         predicted >= 4 * static_cast<uint64_t>(rows) * m.table.cols()) {
+      const std::vector<uint64_t> weights(sizing->bounds.data(),
+                                          sizing->bounds.data() + rows);
       slices = PartitionByWorkload(weights, std::min(devs.size(), rows));
     }
     if (slices.size() < 2) {
@@ -293,6 +291,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
             ? max_load / (sum_load / static_cast<double>(active))
             : 0;
   }
+  join_span.AddAttr("matches", static_cast<uint64_t>(out.stats.num_matches));
   return out;
 }
 
@@ -304,8 +303,7 @@ Result<PagedQueryResult> ExecuteQueryShardedPaged(
   GSI_CHECK_MSG(!devs.empty(), "sharded execution needs at least one device");
   WallTimer wall;
   const obs::DeviceCycleClock primary_clock(*devs[0]);
-  obs::ScopedSpan span(trace, "execute_sharded", primary_clock,
-                       devs[0]->ordinal());
+  obs::ScopedSpan span(trace, "execute", primary_clock, devs[0]->ordinal());
   span.AddAttr("devices", static_cast<uint64_t>(devs.size()));
   QueryStats stats;
   Result<FilterResult> filtered =

@@ -46,23 +46,26 @@ struct ShardOptions {
 /// row's descendants spread across slices the moment they exist, instead
 /// of pinning one device.
 ///
-/// The result is bit-identical to a single-device RunJoinStage: every
-/// step emits output rows in input-row order, so concatenating contiguous
-/// row slices reproduces the whole-table step row for row at each
-/// boundary. A join whose steps all stay on devs[0] costs exactly what
-/// one device's join does and starts no host thread.
+/// This is the only join over a full replica: one device is the case
+/// devs.size() == 1, where every step runs on it. The result is
+/// bit-identical to that one-device join: every step emits output rows in
+/// input-row order, so concatenating contiguous row slices reproduces the
+/// whole-table step row for row at each boundary. A join whose steps all
+/// stay on devs[0] costs exactly what one device's join does and starts no
+/// host thread.
 ///
 /// Stats roll-up: filter_ms is kept from `stats` (the filter stage's
 /// price). `stats.join` sums every device's counters (total work).
 /// join_ms is the parallel makespan: the primary-serial segments (seed,
 /// serial steps) plus, per distributed step, its slowest slice. Slice i's
 /// cost is device i's load in shard_skew; shards_used is the widest
-/// fan-out. Degenerate queries (one vertex, an empty candidate set, a
-/// single device, or steps that never clear the volume floor) and the
-/// two-step output scheme, which computes no first-edge bounds to size a
-/// fan-out by, run entirely on devs[0]. Every device is health-checked at
-/// the end of a stepped join, so a device that tripped fails the attempt
-/// even if no step used it.
+/// fan-out. A one-vertex query or an empty candidate set is answered on
+/// devs[0] without a join (internal::JoinWithoutEngine). Steps that never
+/// clear the volume floor, and every step of the two-step output scheme,
+/// which computes no first-edge bounds to size a fan-out by, run on
+/// devs[0]. Every device is health-checked at the end of a stepped join, so
+/// a device that tripped fails the attempt even if no step used it. The
+/// `join` span carries the match count (`matches`).
 ///
 /// Result form: when the FINAL join step distributes, its partial tables
 /// stay on the devices that ran the slices and are returned as a
@@ -83,15 +86,18 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     FilterResult filtered, QueryStats stats,
     const obs::TraceContext& trace = {});
 
-/// Full sharded execution in manifest form, the flow QueryService runs:
-/// RunFilterStage on the primary (devs[0]), then RunJoinStageShardedPaged
-/// across `devs`. Only the join fans out, so the filter phase (candidate
-/// sets, `stats.filter`, filter_ms) is exactly one device's. With
-/// devs.size() == 1 this is exactly ExecuteQuery. Each device must be used
-/// by one call at a time (lease them from a DevicePool). The materialized
-/// table, every simulated counter and the trace are deterministic for a
-/// fixed (data, options, devices, query) — host thread scheduling cannot
-/// perturb them. QueryEngine::Execute is this plus ToQueryResult.
+/// Full execution over a full replica in manifest form, for any device
+/// count: RunFilterStage on the primary (devs[0]), then
+/// RunJoinStageShardedPaged across `devs`, under one `execute` span (attr
+/// `devices`). Only the join fans out, so the filter phase (candidate
+/// sets, `stats.filter`, filter_ms) is exactly one device's. Over one
+/// device this is the whole one-device flow: GsiMatcher::Find,
+/// QueryEngine::RunBatch and a target-less QueryEngine::Execute run it so.
+/// Each device must be used by one call at a time (lease them from a
+/// DevicePool). The materialized table, every simulated counter and the
+/// trace are deterministic for a fixed (data, options, devices, query) —
+/// host thread scheduling cannot perturb them. QueryEngine::Execute is this
+/// plus ToQueryResult.
 Result<PagedQueryResult> ExecuteQueryShardedPaged(
     std::span<gpusim::Device* const> devs, const Graph& data,
     const NeighborStore& store, const FilterContext& filter,

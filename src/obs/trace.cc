@@ -184,7 +184,13 @@ std::string Tracer::ToChromeJson() const {
     for (const auto& [key, value] : s.attrs) {
       if (!first_attr) body += ",";
       first_attr = false;
-      body += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+      // One append per piece: GCC 12 at -O3 flags the concatenated
+      // temporary with a false -Wrestrict.
+      body += '"';
+      body += JsonEscape(key);
+      body += "\":\"";
+      body += JsonEscape(value);
+      body += '"';
     }
     body += "}}";
     append_event(body);

@@ -251,38 +251,30 @@ Status QueryService::CopyPageChunks(const PagedQueryResult& paged,
   size_t offset = 0;
   for (const ManifestSegment& seg : manifest.Slice(row_begin, take)) {
     const ResultManifest::Part& part = manifest.part(seg.part);
-    VertexId* out = dst.data() + offset * cols;
-    if (part.device_ordinal >= 0) {
-      // Lease exactly the owning device for this chunk. One lease at a
-      // time — FetchPage never holds two, so it cannot deadlock against
-      // workers (or other cursors) however the segment owners interleave.
-      Result<DevicePool::Lease> lease_or =
-          devices_->AcquireDevice(static_cast<size_t>(part.device_ordinal));
-      if (!lease_or.ok()) return lease_or.status();
-      gpusim::Device& dev = *lease_or.value();
-      if (dev.fault_epoch() != part.fault_epoch) {
-        // Fail-stop: the owner tripped (and was possibly repaired) after
-        // producing this partial — its resident copy did not survive.
-        return Status::Unavailable(
-            "partial result on device " +
-            std::to_string(part.device_ordinal) +
-            " was lost to a device fault; the query must be recomputed");
-      }
-      manifest.CopyChunk(seg, out);
-      // The page-out is the device->host movement a one-shot
-      // materialization never pays per page; charge it (honoring armed
-      // fault triggers) on the owner.
-      dev.ChargeRemoteTransfer(seg.count * cols * sizeof(VertexId));
-      if (!dev.healthy()) {
-        return Status::Unavailable(
-            "device " + std::to_string(part.device_ordinal) +
-            " failed while paging out a result chunk (" +
-            dev.fault_message() + ")");
-      }
-    } else {
-      // Not pool-resident (produced on a private engine device): the rows
-      // are host-consumable for free.
-      manifest.CopyChunk(seg, out);
+    // Lease exactly the owning device for this chunk. One lease at a time —
+    // FetchPage never holds two, so it cannot deadlock against workers (or
+    // other cursors) however the segment owners interleave.
+    Result<DevicePool::Lease> lease_or =
+        devices_->AcquireDevice(static_cast<size_t>(part.device_ordinal));
+    if (!lease_or.ok()) return lease_or.status();
+    gpusim::Device& dev = *lease_or.value();
+    if (dev.fault_epoch() != part.fault_epoch) {
+      // Fail-stop: the owner tripped (and was possibly repaired) after
+      // producing this partial — its resident copy did not survive.
+      return Status::Unavailable(
+          "partial result on device " + std::to_string(part.device_ordinal) +
+          " was lost to a device fault; the query must be recomputed");
+    }
+    manifest.CopyChunk(seg, dst.data() + offset * cols);
+    // The page-out is the device->host movement a one-shot materialization
+    // never pays per page; charge it (honoring armed fault triggers) on the
+    // owner.
+    dev.ChargeRemoteTransfer(seg.count * cols * sizeof(VertexId));
+    if (!dev.healthy()) {
+      return Status::Unavailable(
+          "device " + std::to_string(part.device_ordinal) +
+          " failed while paging out a result chunk (" + dev.fault_message() +
+          ")");
     }
     offset += seg.count;
   }
@@ -722,9 +714,7 @@ Result<FilterResult> QueryService::FilterViaCache(
     // (and bitset kernel) onto `materialize_dev`. The fresh path's stage
     // opens its own "filter" span, so only the hit opens one here.
     const obs::DeviceCycleClock clock(materialize_dev);
-    obs::ScopedSpan span(trace, "filter", clock,
-                         trace.device >= 0 ? trace.device
-                                           : materialize_dev.ordinal());
+    obs::ScopedSpan span(trace, "filter", clock, materialize_dev.ordinal());
     span.AddAttr("cache", "hit");
     const gpusim::MemStats before = materialize_dev.stats();
     FilterResult filtered = FilterCache::Materialize(
@@ -838,16 +828,12 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
   if (!primary_or.ok()) return primary_or.status();
   DevicePool::Lease primary = std::move(primary_or.value());
   gpusim::Device& dev = *primary;
-  // Attribute single-device spans to the leased device's pool ordinal so
-  // the trace track matches the pool's (and the metrics') numbering.
-  const obs::TraceContext dev_trace = trace.OnDevice(dev.ordinal());
 
   WallTimer wall;
   QueryStats stats;
   Result<FilterResult> filtered_or =
-      FilterViaCache(query, dev, stats, dev_trace, [&] {
-        return RunFilterStage(dev, engine_->filter(), query, stats,
-                              dev_trace);
+      FilterViaCache(query, dev, stats, trace, [&] {
+        return RunFilterStage(dev, engine_->filter(), query, stats, trace);
       });
   if (!filtered_or.ok()) return filtered_or.status();
   FilterResult filtered = std::move(filtered_or.value());
@@ -869,7 +855,7 @@ Result<PagedQueryResult> QueryService::RunOneAttempt(
   }
   Result<PagedQueryResult> out = RunJoinStageShardedPaged(
       devs, *data_, engine_->store(), gsi_options_, options_.shard, query,
-      std::move(filtered), stats, dev_trace);
+      std::move(filtered), stats, trace);
   if (out.ok()) out->stats.wall_ms = wall.ElapsedMs();
   return out;
 }

@@ -486,7 +486,7 @@ class QueryService {
   /// rematerializes the memoized lists on `materialize_dev` (recording the
   /// counter delta and min-candidate metric into `stats`); a miss runs
   /// `fresh_filter` and memoizes its candidate lists. Shared by the
-  /// single-device and partitioned execution paths — the memoized lists
+  /// full-replica and partitioned execution paths — the memoized lists
   /// are global either way. Either way `stats.filter_ms` prices the phase
   /// that ran: a hit's materialization on `materialize_dev`, or
   /// `fresh_filter`'s stage.

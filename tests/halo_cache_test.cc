@@ -371,14 +371,8 @@ TEST(HaloCacheProperty, RepeatRunsAgainstEqualStateAreDeterministic) {
   EXPECT_EQ(first.total_ms, second.total_ms);
   EXPECT_EQ(first.num_matches, second.num_matches);
   EXPECT_EQ(first.min_candidate_size, second.min_candidate_size);
-  EXPECT_EQ(first.join_detail.iterations, second.join_detail.iterations);
-  EXPECT_EQ(first.join_detail.peak_rows, second.join_detail.peak_rows);
-  EXPECT_EQ(first.join_detail.final_rows, second.join_detail.final_rows);
-  EXPECT_EQ(first.join_detail.total_chunks, second.join_detail.total_chunks);
-  EXPECT_EQ(first.join_detail.dup_cache_hits,
-            second.join_detail.dup_cache_hits);
-  EXPECT_EQ(first.join_detail.dup_cache_misses,
-            second.join_detail.dup_cache_misses);
+  testing::ExpectSameJoinStats(first.join_detail, second.join_detail,
+                               "join_detail");
   EXPECT_EQ(first.shards_used, second.shards_used);
   EXPECT_EQ(first.shard_skew, second.shard_skew);
   EXPECT_EQ(first.partitions_used, second.partitions_used);

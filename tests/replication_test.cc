@@ -21,6 +21,7 @@
 #include "gsi/plan.h"
 #include "gsi/query_engine.h"
 #include "gsi/replication.h"
+#include "gsi/sharded_engine.h"
 #include "service/query_service.h"
 #include "test_util.h"
 
@@ -518,13 +519,15 @@ TEST(PhasePricing, OnePricePerPhaseOnEveryPath) {
     EXPECT_EQ(one_paged->stats.filter_ms, one->stats.filter_ms) << at;
     {
       gpusim::Device dev(config);
+      gpusim::Device* const devs[] = {&dev};
       QueryStats stats;
       Result<FilterResult> f = RunFilterStage(dev, engine.filter(), q, stats);
       ASSERT_TRUE(f.ok()) << at;
       EXPECT_EQ(stats.filter_ms, stats.filter.SimulatedMs(config)) << at;
-      Result<QueryResult> pair =
-          RunJoinStage(dev, g, engine.store(), options, q,
-                       std::move(f.value()), stats);
+      Result<PagedQueryResult> pair =
+          RunJoinStageShardedPaged(devs, g, engine.store(), options,
+                                   ShardOptions(), q, std::move(f.value()),
+                                   stats);
       ASSERT_TRUE(pair.ok()) << at;
       ExpectPhasesSum(pair->stats, at + " one-device stage pair");
       EXPECT_EQ(pair->stats.filter_ms, one->stats.filter_ms) << at;

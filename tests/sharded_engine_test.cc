@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/datasets.h"
@@ -139,26 +140,87 @@ TEST(ShardedEngine, ShardStatsRollUp) {
 }
 
 TEST(ShardedEngine, SerialStepsCostExactlyOneDevice) {
-  // Under the default volume floor no step of this query distributes, so
-  // the extra device runs nothing: the join does exactly one device's
+  // Every full-replica entry point runs the one stepped join: over one
+  // device it is the whole one-device flow, and over two devices under the
+  // default volume floor no step of this query distributes, so the extra
+  // device runs nothing. Either way the join does exactly one device's
   // kernels (the per-step bounds feed the fan-out decision AND the
-  // primary's step), and the makespan is one device's join time.
+  // primary's step) and the makespan is one device's join time. The
+  // two-step scheme (GsiMinusOptions) sizes no step and runs each on the
+  // primary; a one-vertex query and an empty candidate set are answered
+  // without a join.
   Graph g = testing::RandomGraph(300, 3, 3, 2, 11);
-  Graph q = testing::RandomQuery(g, 5, 13);
-  QueryEngine engine(g, GsiOptOptions());
-  Result<QueryResult> single = engine.Execute({.query = &q});
-  ASSERT_TRUE(single.ok());
-  DevicePool pool(2, engine.options().device);
-  std::vector<DevicePool::Lease> leases = pool.AcquireAll().value();
-  std::vector<gpusim::Device*> devs;
-  for (DevicePool::Lease& l : leases) devs.push_back(l.get());
-  Result<QueryResult> sharded =
-      engine.Execute({.query = &q, .devices = devs, .shard = ShardOptions()});
-  ASSERT_TRUE(sharded.ok());
-  ExpectBitIdentical(*sharded, *single, "serial steps");
-  EXPECT_EQ(sharded->stats.shards_used, 1u);
-  testing::ExpectSameCounters(sharded->stats.join, single->stats.join, "join");
-  EXPECT_EQ(sharded->stats.join_ms, single->stats.join_ms);
+  std::vector<Graph> queries;
+  queries.push_back(testing::RandomQuery(g, 5, 13));
+  queries.push_back(*Graph::Create(1, {g.vertex_label(0)}, {}));
+  // g's labels are < 3, so the candidate sets of this query are empty.
+  queries.push_back(*Graph::Create(2, {Label{50}, Label{51}}, {{0, 1, 0}}));
+  const std::pair<const char*, GsiOptions> configs[] = {
+      {"GSI", DefaultGsiOptions()},
+      {"GSI-opt", GsiOptOptions()},
+      {"GSI-", GsiMinusOptions()}};
+  for (const auto& [name, options] : configs) {
+    GsiMatcher matcher(g, options);
+    QueryEngine engine(g, options);
+    BatchResult batch = engine.RunBatch(queries);
+    ASSERT_EQ(batch.per_query.size(), queries.size());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const Graph& q = queries[qi];
+      const std::string at =
+          std::string(name) + " query " + std::to_string(qi);
+      Result<QueryResult> want = matcher.Find(q);
+      ASSERT_TRUE(want.ok()) << at << ": " << want.status().ToString();
+
+      std::vector<std::pair<std::string, Result<QueryResult>>> got;
+      got.emplace_back("Execute", engine.Execute({.query = &q}));
+      {
+        DevicePool pool(1, options.device);
+        DevicePool::Lease lease = pool.Acquire().value();
+        gpusim::Device* const devs[] = {lease.get()};
+        got.emplace_back("Execute on a leased device",
+                         engine.Execute({.query = &q, .devices = devs}));
+      }
+      got.emplace_back("RunBatch", std::move(batch.per_query[qi]));
+      {
+        gpusim::Device dev(options.device);
+        gpusim::Device* const devs[] = {&dev};
+        QueryStats stats;
+        Result<FilterResult> f = RunFilterStage(dev, engine.filter(), q, stats);
+        ASSERT_TRUE(f.ok()) << at;
+        Result<PagedQueryResult> paged = RunJoinStageShardedPaged(
+            devs, g, engine.store(), options, ShardOptions(), q,
+            std::move(f.value()), stats);
+        ASSERT_TRUE(paged.ok()) << at;
+        got.emplace_back("stage pair",
+                         ToQueryResult(std::move(paged.value()), dev));
+      }
+      {
+        DevicePool pool(2, options.device);
+        std::vector<DevicePool::Lease> leases = pool.AcquireAll().value();
+        std::vector<gpusim::Device*> devs;
+        for (DevicePool::Lease& l : leases) devs.push_back(l.get());
+        got.emplace_back("Execute on two devices",
+                         engine.Execute({.query = &q,
+                                         .devices = devs,
+                                         .shard = ShardOptions()}));
+      }
+
+      for (const auto& [path, r] : got) {
+        const std::string context = at + ", " + path;
+        ASSERT_TRUE(r.ok()) << context << ": " << r.status().ToString();
+        ExpectBitIdentical(*r, *want, context);
+        EXPECT_EQ(r->stats.shards_used, 1u) << context;
+        testing::ExpectSameCounters(r->stats.filter, want->stats.filter,
+                                    context + " filter");
+        testing::ExpectSameCounters(r->stats.join, want->stats.join,
+                                    context + " join");
+        testing::ExpectSameJoinStats(r->stats.join_detail,
+                                     want->stats.join_detail, context);
+        EXPECT_EQ(r->stats.join_ms, want->stats.join_ms) << context;
+        EXPECT_EQ(r->stats.total_ms, want->stats.total_ms) << context;
+      }
+    }
+  }
 }
 
 TEST(ShardedEngine, DistributedSliceLaunchesOnlyPassAAndLink) {

@@ -12,6 +12,7 @@
 #include "graph/graph.h"
 #include "graph/labeler.h"
 #include "graph/query_generator.h"
+#include "gsi/join.h"
 #include "gsi/replication.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -111,6 +112,17 @@ inline void ExpectSameCounters(const gpusim::MemStats& a,
   EXPECT_EQ(a.alu_ops, b.alu_ops) << context;
   EXPECT_EQ(a.remote_transactions, b.remote_transactions) << context;
   EXPECT_EQ(a.simulated_cycles, b.simulated_cycles) << context;
+}
+
+/// Every field of a join's JoinStats.
+inline void ExpectSameJoinStats(const JoinStats& a, const JoinStats& b,
+                                const std::string& context) {
+  EXPECT_EQ(a.iterations, b.iterations) << context;
+  EXPECT_EQ(a.peak_rows, b.peak_rows) << context;
+  EXPECT_EQ(a.final_rows, b.final_rows) << context;
+  EXPECT_EQ(a.total_chunks, b.total_chunks) << context;
+  EXPECT_EQ(a.dup_cache_hits, b.dup_cache_hits) << context;
+  EXPECT_EQ(a.dup_cache_misses, b.dup_cache_misses) << context;
 }
 
 }  // namespace gsi::testing

@@ -599,6 +599,78 @@ TEST(TraceAttrs, JoinStepRowsStayWithinTheirGba) {
   EXPECT_GE(ExpectRowsWithinGba(tracer.Snapshot(), "partitioned"), 4u);
 }
 
+/// The trace holds one `join` span, and its `matches` is `matches`.
+void ExpectJoinMatches(const std::vector<TraceSpan>& spans, size_t matches,
+                       const std::string& context) {
+  ASSERT_EQ(CountSpans(spans, "join"), 1u) << context;
+  EXPECT_EQ(AttrOf(*FindSpan(spans, "join"), "matches"),
+            std::to_string(matches))
+      << context;
+}
+
+/// The `devices` attribute of the trace's `execute` root ("" when absent).
+std::string ExecuteDevices(const std::vector<TraceSpan>& spans) {
+  const TraceSpan* root = FindSpan(spans, "execute");
+  return root == nullptr ? "" : AttrOf(*root, "devices");
+}
+
+// Every join span carries the query's match count, on one device, sharded
+// and partitioned; the full-replica flow's root names its device count.
+TEST(TraceAttrs, EveryJoinSpanCarriesTheMatchCount) {
+  Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  Graph query = testing::RandomQuery(data, 3, 102);
+  QueryEngine engine(data, GsiOptOptions());
+  std::vector<std::unique_ptr<gpusim::Device>> owned;
+  std::vector<gpusim::Device*> devs;
+  for (int i = 0; i < 4; ++i) {
+    owned.push_back(std::make_unique<gpusim::Device>(engine.options().device));
+    devs.push_back(owned.back().get());
+  }
+
+  {
+    Tracer tracer;
+    Result<QueryResult> r = engine.Execute(
+        {.query = &query, .trace = TraceContext{&tracer, -1, kHostDevice}});
+    ASSERT_TRUE(r.ok());
+    ASSERT_GT(r->num_matches(), 0u);
+    const std::vector<TraceSpan> spans = tracer.Snapshot();
+    ExpectJoinMatches(spans, r->num_matches(), "one device");
+    EXPECT_EQ(ExecuteDevices(spans), "1");
+  }
+  {
+    ShardOptions so;
+    so.min_rows_per_shard = 1;
+    Tracer tracer;
+    Result<PagedQueryResult> r =
+        engine.ExecutePaged({.query = &query,
+                             .devices = devs,
+                             .shard = so,
+                             .trace = TraceContext{&tracer, -1, kHostDevice}});
+    ASSERT_TRUE(r.ok());
+    // The final step distributed: its partial tables stayed on the slices.
+    ASSERT_GT(r->manifest.num_parts(), 1u);
+    const std::vector<TraceSpan> spans = tracer.Snapshot();
+    ExpectJoinMatches(spans, r->num_matches(), "sharded");
+    EXPECT_EQ(ExecuteDevices(spans), "4");
+  }
+  for (size_t replicas : {1, 2}) {
+    Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
+        devs, data, engine.options(), HashVertexPartitioner(),
+        /*partitions=*/4, replicas);
+    ASSERT_TRUE(rg.ok());
+    const ReplicaSelection sel = CompactSelection(*rg);
+    Tracer tracer;
+    Result<QueryResult> r =
+        engine.Execute({.query = &query,
+                        .replicated = &*rg,
+                        .selection = &sel,
+                        .trace = TraceContext{&tracer, -1, kHostDevice}});
+    ASSERT_TRUE(r.ok());
+    ExpectJoinMatches(tracer.Snapshot(), r->num_matches(),
+                      "partitioned R=" + std::to_string(replicas));
+  }
+}
+
 TEST(TraceDeterminism, DisabledTracerLeavesResultsUntouched) {
   Fixture f;
   QueryEngine engine(f.data, GsiOptOptions());
