@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -185,6 +186,14 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+/// The shortest decimal that reads back as exactly `v`, so a record's
+/// simulated counts and times compare exactly across runs.
+std::string JsonNumber(double v) {
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, r.ptr);
+}
+
 void WriteJsonReport(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -196,12 +205,14 @@ void WriteJsonReport(const std::string& path) {
   for (size_t i = 0; i < records.size(); ++i) {
     const JsonRecord& r = records[i];
     std::fprintf(f,
-                 "  {\"bench\": \"%s\", \"config\": \"%s\", \"qps\": %.6g, "
-                 "\"p50\": %.6g, \"p99\": %.6g",
+                 "  {\"bench\": \"%s\", \"config\": \"%s\", \"qps\": %s, "
+                 "\"p50\": %s, \"p99\": %s",
                  JsonEscape(r.bench).c_str(), JsonEscape(r.config).c_str(),
-                 r.qps, r.p50_ms, r.p99_ms);
+                 JsonNumber(r.qps).c_str(), JsonNumber(r.p50_ms).c_str(),
+                 JsonNumber(r.p99_ms).c_str());
     for (const auto& [key, value] : r.extras) {
-      std::fprintf(f, ", \"%s\": %.6g", JsonEscape(key).c_str(), value);
+      std::fprintf(f, ", \"%s\": %s", JsonEscape(key).c_str(),
+                   JsonNumber(value).c_str());
     }
     std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
   }

@@ -1,6 +1,10 @@
 // Figure 13 — "Scalability Test on WatDiv Benchmark": average query time
 // of GpSM, GunrockSM, GSI and GSI-opt on a WatDiv-like series whose size
 // grows linearly (the paper's watdiv10M..watdiv100M, scaled down).
+//
+// `--json <path>` writes one record per step (config "step=<n>"): p50 and
+// p99 both hold GSI-opt's mean simulated ms; extras num_vertices,
+// num_edges, gpsm_ms, gunrock_ms, gsi_ms and gsi_opt_ms.
 
 #include "baselines/edge_candidates.h"
 #include "bench_common.h"
@@ -71,6 +75,18 @@ void BM_Scalability(benchmark::State& state, size_t step) {
                   TablePrinter::FormatMs(gsm_ms),
                   TablePrinter::FormatMs(gsi_ms),
                   TablePrinter::FormatMs(opt_ms)});
+  RecordJson({"fig13_scalability",
+              "step=" + std::to_string(step),
+              /*qps=*/0,
+              /*p50_ms=*/opt_ms,
+              /*p99_ms=*/opt_ms,
+              /*extras=*/{{"num_vertices",
+                           static_cast<double>(g.num_vertices())},
+                          {"num_edges", static_cast<double>(g.num_edges())},
+                          {"gpsm_ms", gpsm_ms},
+                          {"gunrock_ms", gsm_ms},
+                          {"gsi_ms", gsi_ms},
+                          {"gsi_opt_ms", opt_ms}}});
 }
 
 void RegisterAll() {

@@ -1,6 +1,10 @@
 // Figure 14 — "Vary the number of vertex and edge labels": GSI-opt query
 // time on a gowalla-like graph as |L_V| (then |L_E|) sweeps, the other
 // alphabet held at its default.
+//
+// `--json <path>` writes one record per sweep point (config "LV=<count>" or
+// "LE=<count>"): p50 and p99 both hold GSI-opt's mean simulated ms; extra
+// ms.
 
 #include "bench_common.h"
 #include "graph/generators.h"
@@ -52,6 +56,10 @@ void BM_VaryLabels(benchmark::State& state, bool vary_vertex,
   state.counters["ms"] = ms;
   Table().AddRow({vary_vertex ? "vertex labels" : "edge labels",
                   std::to_string(count), TablePrinter::FormatMs(ms)});
+  RecordJson({"fig14_labels",
+              (vary_vertex ? "LV=" : "LE=") + std::to_string(count),
+              /*qps=*/0, /*p50_ms=*/ms, /*p99_ms=*/ms,
+              /*extras=*/{{"ms", ms}}});
 }
 
 void RegisterAll() {

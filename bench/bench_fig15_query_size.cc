@@ -6,6 +6,10 @@
 // carries planted near-clique communities (real gowalla is strongly
 // clustered; plain preferential attachment is not) and walks start inside
 // them.
+//
+// `--json <path>` writes one record per sweep point (config "edges/E=<n>"
+// or "vertices/V=<n>"): p50 and p99 both hold GSI-opt's mean simulated ms;
+// extras edges_achieved (the queries' mean |E(Q)|) and ms.
 
 #include "bench_common.h"
 #include "graph/generators.h"
@@ -82,13 +86,18 @@ void BM_QuerySize(benchmark::State& state, bool vary_edges, size_t nv,
     state.SetIterationTime(std::max(1e-9, ms / 1000.0));
   }
   state.counters["ms"] = ms;
+  const double edges_achieved =
+      static_cast<double>(achieved) / static_cast<double>(queries.size());
   char avg_e[32];
-  std::snprintf(avg_e, sizeof(avg_e), "%.1f",
-                static_cast<double>(achieved) /
-                    static_cast<double>(queries.size()));
+  std::snprintf(avg_e, sizeof(avg_e), "%.1f", edges_achieved);
   Table().AddRow({vary_edges ? "edge num" : "vertex num",
                   std::to_string(nv), std::to_string(ne), avg_e,
                   TablePrinter::FormatMs(ms)});
+  RecordJson({"fig15_query_size",
+              vary_edges ? "edges/E=" + std::to_string(ne)
+                         : "vertices/V=" + std::to_string(nv),
+              /*qps=*/0, /*p50_ms=*/ms, /*p99_ms=*/ms,
+              /*extras=*/{{"edges_achieved", edges_achieved}, {"ms", ms}}});
 }
 
 void RegisterAll() {

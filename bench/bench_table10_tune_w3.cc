@@ -1,5 +1,8 @@
 // Table X — "Tuning of W3": join time on enron as the intra-block chunk
 // granularity sweeps 192..320 (W1 fixed at 4096).
+//
+// `--json <path>` writes one record per W3 (config "W3=<value>"): p50 and
+// p99 both hold the mean simulated join ms; extra join_ms.
 
 #include "bench_common.h"
 
@@ -28,6 +31,8 @@ void BM_TuneW3(benchmark::State& state, uint32_t w3) {
   double ms = agg.ok ? agg.sum_join_ms / agg.ok : 0;
   state.counters["join_ms"] = ms;
   Table().AddRow({std::to_string(w3), TablePrinter::FormatMs(ms)});
+  RecordJson({"table10_tune_w3", "W3=" + std::to_string(w3), /*qps=*/0,
+              /*p50_ms=*/ms, /*p99_ms=*/ms, /*extras=*/{{"join_ms", ms}}});
 }
 
 void RegisterAll() {

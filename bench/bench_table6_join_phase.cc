@@ -3,6 +3,11 @@
 // configurations GSI- (CSR + two-step + naive set ops), +DS (PCSR),
 // +PC (Prealloc-Combine) and +SO (GPU-friendly set operations); each
 // column's drop/speedup is computed against the previous one.
+//
+// `--json <path>` writes one record per dataset and configuration (config
+// "dataset=<name>,config=<GSI-|+DS|+PC|+SO>"): p50 and p99 both hold the
+// mean simulated join ms; extras join_gld (summed over the queries) and
+// join_ms.
 
 #include "bench_common.h"
 
@@ -69,6 +74,13 @@ void BM_JoinPhase(benchmark::State& state, const std::string& dataset,
   prev[dataset] = PrevState{agg.gld, join_ms};
   Table().AddRow({dataset, cc.name, TablePrinter::FormatCount(agg.gld),
                   drop, TablePrinter::FormatMs(join_ms), speedup});
+  RecordJson({"table6_join_phase",
+              "dataset=" + dataset + ",config=" + cc.name,
+              /*qps=*/0,
+              /*p50_ms=*/join_ms,
+              /*p99_ms=*/join_ms,
+              /*extras=*/{{"join_gld", static_cast<double>(agg.gld)},
+                          {"join_ms", join_ms}}});
 }
 
 void RegisterAll() {

@@ -1,6 +1,11 @@
 // Table VII — "Performance of write cache": global-memory store
 // transactions (GST) and query response time with and without the 128B
 // per-warp write cache, on the full GSI configuration.
+//
+// `--json <path>` writes one record per dataset (config "dataset=<name>"):
+// p50 and p99 both hold the mean simulated join ms with the cache; extras
+// gst_nocache and gst_cache (summed over the queries), join_ms_nocache and
+// join_ms_cache.
 
 #include "bench_common.h"
 
@@ -49,6 +54,15 @@ void BM_WriteCache(benchmark::State& state, const std::string& dataset) {
                   TablePrinter::FormatMs(ms_nc),
                   TablePrinter::FormatMs(ms_wc),
                   TablePrinter::FormatPercent(t_drop)});
+  RecordJson({"table7_write_cache",
+              "dataset=" + dataset,
+              /*qps=*/0,
+              /*p50_ms=*/ms_wc,
+              /*p99_ms=*/ms_wc,
+              /*extras=*/{{"gst_nocache", static_cast<double>(agg_without.gst)},
+                          {"gst_cache", static_cast<double>(agg_with.gst)},
+                          {"join_ms_nocache", ms_nc},
+                          {"join_ms_cache", ms_wc}}});
 }
 
 void RegisterAll() {

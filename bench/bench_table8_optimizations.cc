@@ -1,5 +1,9 @@
 // Table VIII — "Performance of optimizations": query time for GSI, +LB
 // (4-layer load balance) and +DR (in-block duplicate removal), cumulative.
+//
+// `--json <path>` writes one record per dataset (config "dataset=<name>"):
+// p50 and p99 both hold the mean simulated join ms of +DR; extras gsi_ms,
+// lb_ms and dr_ms.
 
 #include "bench_common.h"
 
@@ -45,6 +49,12 @@ void BM_Optimizations(benchmark::State& state, const std::string& dataset) {
        ms1 > 0 ? TablePrinter::FormatSpeedup(ms0 / ms1) : "-",
        TablePrinter::FormatMs(ms2),
        ms2 > 0 ? TablePrinter::FormatSpeedup(ms1 / ms2) : "-"});
+  RecordJson({"table8_optimizations",
+              "dataset=" + dataset,
+              /*qps=*/0,
+              /*p50_ms=*/ms2,
+              /*p99_ms=*/ms2,
+              /*extras=*/{{"gsi_ms", ms0}, {"lb_ms", ms1}, {"dr_ms", ms2}}});
 }
 
 void RegisterAll() {

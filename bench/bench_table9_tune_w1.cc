@@ -1,5 +1,8 @@
 // Table IX — "Tuning of W1": join time on enron as the layer-1 threshold
 // of the load-balance scheme sweeps 2048..6144 (W3 fixed at 256).
+//
+// `--json <path>` writes one record per W1 (config "W1=<value>"): p50 and
+// p99 both hold the mean simulated join ms; extra join_ms.
 
 #include "bench_common.h"
 
@@ -49,6 +52,8 @@ void BM_TuneW1(benchmark::State& state, uint32_t w1) {
   double ms = agg.ok ? agg.sum_join_ms / agg.ok : 0;
   state.counters["join_ms"] = ms;
   Table().AddRow({std::to_string(w1), TablePrinter::FormatMs(ms)});
+  RecordJson({"table9_tune_w1", "W1=" + std::to_string(w1), /*qps=*/0,
+              /*p50_ms=*/ms, /*p99_ms=*/ms, /*extras=*/{{"join_ms", ms}}});
 }
 
 void RegisterAll() {

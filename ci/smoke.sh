@@ -34,6 +34,7 @@ ALL_SMOKES=(
   bench-sharding
   bench-partition
   bench-dup-removal
+  bench-join-phase
 )
 
 # The sanitizer subset now carries every system bench smoke (ROADMAP: bench
@@ -227,6 +228,33 @@ for r in recs:
     print("dup-removal smoke ok: %s: gld %d -> %d, join %.4f -> %.4f ms"
           % (r["config"], int(r["gld_dups"]), int(r["gld_removal"]),
              r["join_ms_dups"], r["p50"]))
+PYEOF
+      ;;
+    # Table VI's conclusion: each join technique the paper adds (+DS
+    # PCSR, +PC Prealloc-Combine, +SO GPU-friendly set ops) strictly
+    # lowers both join GLD and simulated join ms, on every dataset.
+    bench-join-phase)
+      run_bench bench_table6_join_phase bench_join_phase.json
+      python3 - "$ARTIFACTS_DIR/bench_join_phase.json" <<'PYEOF'
+import json, sys
+order = ["GSI-", "+DS", "+PC", "+SO"]
+rows = {}
+for r in json.load(open(sys.argv[1])):
+    fields = dict(kv.split("=", 1) for kv in r["config"].split(","))
+    rows.setdefault(fields["dataset"], {})[fields["config"]] = r
+assert rows, "no table6 record in --json output"
+for dataset, by_config in sorted(rows.items()):
+    assert sorted(by_config) == sorted(order), \
+        "%s: configs %s" % (dataset, sorted(by_config))
+    chain = [by_config[c] for c in order]
+    for prev, cur, name in zip(chain, chain[1:], order[1:]):
+        assert cur["join_gld"] < prev["join_gld"], \
+            "%s %s did not lower join gld: %s" % (dataset, name, chain)
+        assert cur["join_ms"] < prev["join_ms"], \
+            "%s %s did not lower join ms: %s" % (dataset, name, chain)
+    print("join-phase smoke ok: %s: gld %s, join ms %s"
+          % (dataset, " > ".join(str(int(r["join_gld"])) for r in chain),
+             " > ".join("%.4f" % r["join_ms"] for r in chain)))
 PYEOF
       ;;
     *)
