@@ -92,8 +92,9 @@ class Device {
   ///    read by the primary, RunJoinStageReplicatedPaged);
   ///  - QueryService's page-out: every result chunk a FetchPage copies to
   ///    the host, charged on the device that holds it (CopyPageChunks).
-  /// Host uploads (Upload) stay uncharged. ROADMAP.md item 3 ("one
-  /// interconnect model") is to reprice these three as a copy kernel.
+  /// Host uploads (Upload) stay uncharged. ROADMAP.md's open item "One
+  /// interconnect model: charge every byte that changes device once" is
+  /// to reprice these three as a copy kernel.
   /// Returns the number of 128B lines moved.
   uint64_t ChargeRemoteTransfer(uint64_t bytes) {
     const uint64_t lines = (bytes + kTransactionBytes - 1) / kTransactionBytes;

@@ -32,6 +32,16 @@ class SharedMemory {
     return out;
   }
 
+  /// Reserves `bytes` of the budget without host storage: for data a
+  /// kernel stages in shared memory while the simulation keeps reading the
+  /// global copy (same values, only the cost differs). Aborts past the
+  /// capacity, as Alloc does.
+  void Reserve(uint64_t bytes) {
+    GSI_CHECK_MSG(used_ + bytes <= capacity_,
+                  "shared memory capacity exceeded");
+    used_ += bytes;
+  }
+
   /// Frees everything (end of block).
   void Reset() {
     allocs_.clear();

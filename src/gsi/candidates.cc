@@ -80,6 +80,33 @@ uint32_t CandidateSet::ProbeBitset(gpusim::Warp& w,
   return hits;
 }
 
+void CandidateSet::StageBitset(gpusim::Block& block) const {
+  GSI_CHECK_MSG(bitmap_.size() > 0, "bitset not materialized");
+  block.shared().Reserve(bitset_bytes());
+  constexpr size_t kWordsPerLine =
+      gpusim::kTransactionBytes / sizeof(uint32_t);
+  for (size_t line = 0; line * kWordsPerLine < bitmap_.size(); ++line) {
+    gpusim::Warp& w = block.warp(line % block.num_warps());
+    const size_t begin = line * kWordsPerLine;
+    const size_t words = std::min(kWordsPerLine, bitmap_.size() - begin);
+    w.LoadRange(bitmap_, begin, words);
+    w.SharedAccess(words);
+  }
+}
+
+uint32_t CandidateSet::ProbeStaged(gpusim::Warp& w,
+                                   std::span<const VertexId> vs) const {
+  GSI_CHECK_MSG(bitmap_.size() > 0, "bitset not materialized");
+  GSI_CHECK(vs.size() <= static_cast<size_t>(kWarpSize));
+  w.SharedAccess(vs.size());
+  w.Alu(vs.size());
+  uint32_t hits = 0;
+  for (size_t k = 0; k < vs.size(); ++k) {
+    hits |= ((bitmap_[vs[k] / 32] >> (vs[k] % 32)) & 1u) << k;
+  }
+  return hits;
+}
+
 bool CandidateSet::ContainsBinarySearch(gpusim::Warp& w, VertexId v) const {
   size_t lo = 0;
   size_t hi = list_.size();

@@ -40,11 +40,32 @@ class CandidateSet {
   /// Host-side membership check (tests / reference paths).
   bool ContainsHost(VertexId v) const;
 
+  /// Bytes and 128B lines of the bitset (0 without one).
+  uint64_t bitset_bytes() const { return bitmap_.size() * sizeof(uint32_t); }
+  uint64_t bitset_lines() const {
+    return (bitset_bytes() + gpusim::kTransactionBytes - 1) /
+           gpusim::kTransactionBytes;
+  }
+
   /// Warp-wide bitset probe: lane k checks vs[k] (at most 32 vertices).
   /// One Warp::Gather of the bitmap words, so the cost is the distinct
   /// 128B lines touched — one transaction for vertices within a 1024-id
-  /// span. Bit k of the result is set iff vs[k] is in C(u).
+  /// span. Bit k of the result is set iff vs[k] is in C(u). A Pass A block
+  /// whose first-edge slices hold at least as many elements as the bitset
+  /// has lines stages it instead (StageBitset) and probes the copy
+  /// (ProbeStaged).
   uint32_t ProbeBitset(gpusim::Warp& w, std::span<const VertexId> vs) const;
+
+  /// Stages the bitset in `block`'s shared memory: reserves bitset_bytes()
+  /// in the block's arena, and the block's warps take its 128B lines in
+  /// turn, each line one load transaction and one warp-wide shared store
+  /// (one shared access per word, as every shared write is charged). The
+  /// staged probes read the bitmap itself, so no host copy is made.
+  void StageBitset(gpusim::Block& block) const;
+
+  /// ProbeBitset against the copy StageBitset put in the warp's block's
+  /// shared memory: one shared access per lane and no global transaction.
+  uint32_t ProbeStaged(gpusim::Warp& w, std::span<const VertexId> vs) const;
 
   /// Binary search on the sorted list, one transaction per probe (the
   /// naive set-op baseline of Section V).

@@ -31,7 +31,7 @@ const std::vector<VertexId>& BlockExtractionCache::Lookup(
   }
   if (read == Read::kMembers) {
     members_.clear();
-    FilterMembers(w, scratch_, *cand, members_);
+    FilterMembers(w, scratch_, *cand, staged_bitset_, members_);
     scratch_.swap(members_);
   }
   if (!enabled_) return scratch_;

@@ -25,14 +25,24 @@ class CandidateSet;
 /// member entry assumes the one C(u) of the block's join step. The cache
 /// capacity is bounded by the block's shared memory: an entry that would
 /// exceed it is not kept, and later lookups of its key read and probe
-/// again.
+/// again. A block that staged C(u)'s bitset in shared memory (see
+/// JoinEngine's Pass A) builds its cache with `staged_bitset`, which the
+/// member reads pass to FilterMembers, so their probes read the staged
+/// copy.
 class BlockExtractionCache {
  public:
+  /// Shared-memory budget of a Pass A block's input buffers.
+  static constexpr uint64_t kCapacityBytes = 32 * 1024;
+
   /// @param enabled  disabled instances always extract (the baseline).
   /// @param capacity_bytes shared-memory budget for cached input buffers.
+  /// @param staged_bitset  the block staged C(u)'s bitset.
   explicit BlockExtractionCache(bool enabled,
-                                uint64_t capacity_bytes = 32 * 1024)
-      : enabled_(enabled), capacity_(capacity_bytes) {}
+                                uint64_t capacity_bytes = kCapacityBytes,
+                                bool staged_bitset = false)
+      : enabled_(enabled),
+        capacity_(capacity_bytes),
+        staged_bitset_(staged_bitset) {}
 
   /// N(v, l) slice [begin, end) (the naive first-edge read, and whole-list
   /// later-edge reads).
@@ -69,6 +79,7 @@ class BlockExtractionCache {
 
   bool enabled_;
   uint64_t capacity_;
+  bool staged_bitset_;
   uint64_t used_ = 0;
   std::map<Key, std::vector<VertexId>> cache_;
   std::vector<VertexId> scratch_;

@@ -1,6 +1,8 @@
 #include "gsi/join.h"
 
 #include <algorithm>
+#include <set>
+#include <tuple>
 
 #include "gpusim/launch.h"
 #include "gpusim/scan.h"
@@ -74,11 +76,54 @@ class StagedRows {
         static_cast<size_t>(it - rows_.begin()) * cols_, cols_);
   }
 
+  /// Shared-memory bytes the staged rows take.
+  uint64_t bytes() const { return values_.size() * sizeof(VertexId); }
+
  private:
   size_t cols_;
   std::vector<uint32_t> rows_;
   std::vector<VertexId> values_;
 };
+
+/// Pass A's staged-probe rule: whether a block stages C(u)'s bitset in
+/// shared memory (CandidateSet::StageBitset) for its first-edge membership
+/// probes. It does when
+///  - its distinct first-edge slice elements (the sum of pos_end -
+///    pos_begin over its chunks, a (v, slice) pair counted once under
+///    duplicate removal, which probes it once as Algorithm 5 shares it)
+///    reach the bitset's 128B line count, so that its probes, up to one
+///    transaction per element, would load at least as many lines as
+///    staging does; and
+///  - the bitset fits in the block's shared memory beside the
+///    duplicate-removal cache's budget and the block's staged rows.
+/// The rule reads only the chunk plan, the bitset's size and the block's
+/// shared-memory capacity.
+bool StagesBitset(const gpusim::SharedMemory& shared,
+                  std::span<Chunk* const> chunks, const StagedRows& rows,
+                  const LinkEdge& e0, const CandidateSet& cand,
+                  bool duplicate_removal) {
+  const uint64_t cache_budget =
+      duplicate_removal ? BlockExtractionCache::kCapacityBytes : 0;
+  if (cand.bitset_lines() == 0 ||
+      shared.used_bytes() + cache_budget + rows.bytes() +
+              cand.bitset_bytes() >
+          shared.capacity_bytes()) {
+    return false;
+  }
+  std::set<std::tuple<VertexId, uint32_t, uint32_t>> slices;
+  uint64_t elements = 0;
+  for (const Chunk* c : chunks) {
+    if (c->pos_begin == c->pos_end) continue;
+    if (duplicate_removal &&
+        !slices.emplace(rows.Row(c->row)[e0.prev_column], c->pos_begin,
+                        c->pos_end)
+             .second) {
+      continue;
+    }
+    elements += c->pos_end - c->pos_begin;
+  }
+  return elements >= cand.bitset_lines();
+}
 
 /// Block-cooperative store of `vals` to b[begin ...], which the block
 /// staged in shared memory: the block's warps take the range's 128B lines
@@ -176,17 +221,31 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
   // and membership probes through its cache (Algorithm 5), stages its
   // chunks' survivor counts in shared memory, stores them to their slots
   // in coalesced 32-wide scatters, and adds their sum to the step's
-  // survivor counter (one atomic add, charged as one store).
+  // survivor counter (one atomic add, charged as one store). Under the
+  // GPU-friendly set op, a block whose first-edge slices hold at least as
+  // many elements as C(u)'s bitset has lines also stages the bitset in
+  // shared memory, and its probes read that copy (StagesBitset).
   auto counts = dev_->Alloc<uint32_t>(num_chunks);
   auto survivors = dev_->Alloc<uint64_t>(1);
   std::vector<VertexId> scratch;
+  const bool warp_friendly = options_.set_op == SetOpKind::kWarpFriendly;
   auto run_block = [&](Block& block, std::span<Chunk* const> chunks) {
-    BlockExtractionCache cache(options_.duplicate_removal);
     std::vector<uint32_t> busy;  // rows with first-edge work
     for (const Chunk* c : chunks) {
       if (c->pos_begin < c->pos_end) busy.push_back(c->row);
     }
     const StagedRows staged(block, m, std::move(busy));
+    const bool stage_bitset =
+        warp_friendly &&
+        StagesBitset(block.shared(), chunks, staged, step.links[0], cand,
+                     options_.duplicate_removal);
+    if (stage_bitset) {
+      cand.StageBitset(block);
+      ++stats_.staged_blocks;
+    }
+    BlockExtractionCache cache(options_.duplicate_removal,
+                               BlockExtractionCache::kCapacityBytes,
+                               stage_bitset);
     uint64_t sum = 0;
     for (size_t i = 0; i < chunks.size(); ++i) {
       Chunk& chunk = *chunks[i];
@@ -560,6 +619,7 @@ Result<JoinEngine::SizedTable> JoinEngine::RunSteps(
     }
     const JoinStep* following =
         s + 1 < plan.steps.size() ? &plan.steps[s + 1] : nullptr;
+    const size_t staged_before = stats_.staged_blocks;
     Result<SizedTable> next =
         prealloc ? StepPrealloc(m.table, step, following, candidates[step.u],
                                 *sizing)
@@ -570,6 +630,8 @@ Result<JoinEngine::SizedTable> JoinEngine::RunSteps(
     if (Status h = CheckDeviceHealthy(*dev_, "join_step"); !h.ok()) return h;
     m = std::move(next.value());
     span.AddAttr("rows_out", static_cast<uint64_t>(m.table.rows()));
+    span.AddAttr("staged_blocks",
+                 static_cast<uint64_t>(stats_.staged_blocks - staged_before));
     ++stats_.iterations;
     stats_.peak_rows = std::max(stats_.peak_rows, m.table.rows());
     if (m.table.rows() == 0) {

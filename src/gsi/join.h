@@ -65,6 +65,10 @@ struct JoinStats {
   size_t total_chunks = 0;
   size_t dup_cache_hits = 0;
   size_t dup_cache_misses = 0;
+  /// Pass A blocks that staged C(u)'s bitset in shared memory for their
+  /// membership probes (see JoinEngine); summed over slices and lanes, as
+  /// total_chunks is.
+  size_t staged_blocks = 0;
 };
 
 /// The joining phase (Algorithm 2's loop body, Algorithms 3-5): joins the
@@ -72,12 +76,17 @@ struct JoinStats {
 /// device.
 ///
 /// A Prealloc-Combine step launches two kernels: Pass A (one launch for
-/// Layers 2-4, plus one per Layer-1 row) and link. The link kernel that
-/// writes M' also writes the next step's sizing (Algorithm 4: every new
-/// row's first-edge bound and GBA offset), so no step after the first
-/// launches a sizing kernel; step 0's sizing comes from the seed kernel,
-/// which also writes the seed column (Seed). A query of |V(Q)| vertices
-/// therefore launches 2|V(Q)| - 1 join kernels plus one per Layer-1 row.
+/// Layers 2-4, plus one per Layer-1 row) and link. Under the GPU-friendly
+/// set op, a Pass A block whose distinct first-edge slice elements reach
+/// the 128B line count of C(u)'s bitset, and whose shared memory holds the
+/// bitset beside its other buffers, loads the bitset into shared memory
+/// once and probes it there (JoinStats::staged_blocks counts them). The
+/// link kernel that writes M' also writes the next step's sizing
+/// (Algorithm 4: every new row's first-edge bound and GBA offset), so no
+/// step after the first launches a sizing kernel; step 0's sizing comes
+/// from the seed kernel, which also writes the seed column (Seed). A query
+/// of |V(Q)| vertices therefore launches 2|V(Q)| - 1 join kernels plus one
+/// per Layer-1 row.
 /// kTwoStep runs the GpSM scheme's count, scan and write kernels, after a
 /// separate seed copy.
 class JoinEngine {

@@ -546,6 +546,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     detail.total_chunks += lane_join[lane].total_chunks;
     detail.dup_cache_hits += lane_join[lane].dup_cache_hits;
     detail.dup_cache_misses += lane_join[lane].dup_cache_misses;
+    detail.staged_blocks += lane_join[lane].staged_blocks;
     out.stats.remote_probes += traffic[lane].remote_probes;
     out.stats.halo_bytes += traffic[lane].remote_lines * kTransactionBytes;
     out.stats.co_located_probes += traffic[lane].co_located_probes;

@@ -29,13 +29,15 @@ void WriteToGba(gpusim::Warp& w, std::span<const VertexId> values,
 }
 
 void FilterMembers(gpusim::Warp& w, std::span<const VertexId> input,
-                   const CandidateSet& cand, std::vector<VertexId>& members) {
+                   const CandidateSet& cand, bool staged,
+                   std::vector<VertexId>& members) {
   // The slice is consumed batch-wise from shared memory; each batch's
   // members are compacted back into shared memory in input order.
   for (size_t i = 0; i < input.size(); i += gpusim::kWarpSize) {
     const std::span<const VertexId> lanes = input.subspan(
         i, std::min<size_t>(gpusim::kWarpSize, input.size() - i));
-    const uint32_t hits = cand.ProbeBitset(w, lanes);
+    const uint32_t hits =
+        staged ? cand.ProbeStaged(w, lanes) : cand.ProbeBitset(w, lanes);
     for (size_t k = 0; k < lanes.size(); ++k) {
       if ((hits >> k) & 1u) members.push_back(lanes[k]);
     }

@@ -32,13 +32,17 @@ struct SetOpFlags {
 /// membership after the subtraction.
 ///
 /// Membership half: `members` (empty on entry) receives the members of C(u)
-/// in `input`, in input order. The slice is read from shared memory 32 lanes at a time and
-/// each batch probes the candidate bitset in one gather
-/// (CandidateSet::ProbeBitset). Within one join step the members of a slice
-/// are the same for every row that reads it, so a block probes each
-/// distinct slice once (BlockExtractionCache::GetMembers).
+/// in `input`, in input order. The slice is read from shared memory 32
+/// lanes at a time and each batch probes the candidate bitset: in one
+/// gather (CandidateSet::ProbeBitset), or, when `staged` (the warp's block
+/// staged the bitset with CandidateSet::StageBitset), with one shared
+/// access per lane (CandidateSet::ProbeStaged). Both give the same
+/// members. Within one join step the members of a slice are the same for
+/// every row that reads it, so a block probes each distinct slice once
+/// (BlockExtractionCache::GetMembers).
 void FilterMembers(gpusim::Warp& w, std::span<const VertexId> input,
-                   const CandidateSet& cand, std::vector<VertexId>& members);
+                   const CandidateSet& cand, bool staged,
+                   std::vector<VertexId>& members);
 
 /// Row half: `result` (empty on entry) receives `members` minus the
 /// partial match `row`, in order. If `gba` is non-null the survivors are

@@ -172,11 +172,14 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
     }
     pool->Wait();
     uint64_t rows_out = 0;
+    uint64_t staged_blocks = 0;
     for (size_t i = 0; i < slices.size(); ++i) {
       if (!tables[i]->ok()) return tables[i]->status();
       rows_out += tables[i]->value().table.rows();
+      staged_blocks += slice_join[i].staged_blocks;
     }
     step_span.AddAttr("rows_out", rows_out);
+    step_span.AddAttr("staged_blocks", staged_blocks);
 
     // The slices run concurrently, one per device: the step's makespan is
     // the slowest slice, and slice i's cost is device i's load.
@@ -191,6 +194,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
       detail.total_chunks += slice_join[i].total_chunks;
       detail.dup_cache_hits += slice_join[i].dup_cache_hits;
       detail.dup_cache_misses += slice_join[i].dup_cache_misses;
+      detail.staged_blocks += slice_join[i].staged_blocks;
     }
     detail.peak_rows = std::max(detail.peak_rows, step_peak_rows);
     makespan_ms += step_makespan;
@@ -262,6 +266,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   detail.total_chunks += serial_detail.total_chunks;
   detail.dup_cache_hits += serial_detail.dup_cache_hits;
   detail.dup_cache_misses += serial_detail.dup_cache_misses;
+  detail.staged_blocks += serial_detail.staged_blocks;
   detail.final_rows = manifest.rows();
 
   join_counters += serial_total;

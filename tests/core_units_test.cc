@@ -48,7 +48,7 @@ TEST(SetOps, FirstEdgeSubtractsRowAndFiltersCandidates) {
   std::vector<VertexId> members;
   std::vector<VertexId> result;
   WithWarp(dev, [&](gpusim::Warp& w) {
-    FilterMembers(w, input, cand, members);
+    FilterMembers(w, input, cand, /*staged=*/false, members);
     size_t n = SubtractRow(w, members, row, /*write_cache=*/true, &gba, 3,
                            result);
     EXPECT_EQ(n, 2u);
@@ -63,6 +63,40 @@ TEST(SetOps, FirstEdgeSubtractsRowAndFiltersCandidates) {
 // GPU-friendly mode tests membership first and subtracts the row from the
 // members. Rows bind vertices of C(u) that the slice holds, so the
 // subtraction removes members the membership test kept.
+// A block that staged C(u)'s bitset probes the shared copy: the same
+// members in the same order as the gather, no global load, and one shared
+// access more per element (its probe) at the same ALU work.
+TEST(SetOps, StagedFilterMembersMatchesTheGatherWithoutLoads) {
+  gpusim::Device dev;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const std::vector<VertexId> input =
+        SortedRandom(100 + 7 * seed, 3000, seed);
+    const CandidateSet cand = std::move(CandidateSet::Create(
+        dev, {SortedRandom(1500, 3000, seed + 10)}, 3000, true)[0]);
+    std::vector<VertexId> want;
+    for (VertexId x : input) {
+      if (cand.ContainsHost(x)) want.push_back(x);
+    }
+    std::vector<VertexId> members[2];  // unstaged, staged
+    gpusim::MemStats cost[2];
+    for (bool staged : {false, true}) {
+      WithWarp(dev, [&](gpusim::Warp& w) {
+        const gpusim::MemStats before = dev.stats();
+        FilterMembers(w, input, cand, staged, members[staged]);
+        cost[staged] = dev.stats() - before;
+      });
+    }
+    EXPECT_EQ(members[0], want) << "seed " << seed;
+    EXPECT_EQ(members[1], want) << "seed " << seed;
+    EXPECT_GT(cost[0].gld, 0u) << "seed " << seed;
+    EXPECT_EQ(cost[1].gld, 0u) << "seed " << seed;
+    EXPECT_EQ(cost[1].shared_accesses,
+              cost[0].shared_accesses + input.size())
+        << "seed " << seed;
+    EXPECT_EQ(cost[1].alu_ops, cost[0].alu_ops) << "seed " << seed;
+  }
+}
+
 TEST(SetOps, FirstEdgeNaiveMatchesBitsetSemantics) {
   gpusim::Device dev;
   auto members_then_subtract = [&](gpusim::Warp& w,
@@ -71,7 +105,7 @@ TEST(SetOps, FirstEdgeNaiveMatchesBitsetSemantics) {
                                    const CandidateSet& cand) {
     std::vector<VertexId> members;
     std::vector<VertexId> result;
-    FilterMembers(w, input, cand, members);
+    FilterMembers(w, input, cand, /*staged=*/false, members);
     SubtractRow(w, members, row, /*write_cache=*/true, nullptr, 0, result);
     return result;
   };

@@ -616,5 +616,43 @@ TEST(CandidateSetTest, WarpProbeCostsDistinctLines) {
   EXPECT_EQ(ProbeGld(far), 32u);
 }
 
+// Staging reserves the bitset's bytes in the block's arena, and the
+// block's warps take its 128B lines in turn: one load transaction and one
+// warp-wide shared store per line, charged per word. Probes of the staged
+// copy load nothing and answer what the gather answers.
+TEST(CandidateSetTest, StagedBitsetCostsOneLoadAndOneSharedStorePerLine) {
+  gpusim::Device dev;
+  // 5000 ids: 157 bitmap words, 628 B, 5 lines (the last one partial).
+  const CandidateSet c = std::move(
+      CandidateSet::Create(dev, {{3, 1024, 2047, 4999}}, 5000, true)[0]);
+  EXPECT_EQ(c.bitset_bytes(), 628u);
+  EXPECT_EQ(c.bitset_lines(), 5u);
+  dev.ResetStats();
+  gpusim::LaunchBlocks(dev, 1, [&](gpusim::Block& block) {
+    c.StageBitset(block);
+    EXPECT_EQ(block.shared().used_bytes(), 628u);
+    for (size_t i = 0; i < block.num_warps(); ++i) {
+      EXPECT_EQ(block.warp(i).cycles() > 0, i < 5) << "warp " << i;
+    }
+    const gpusim::MemStats staged = dev.stats();
+    EXPECT_EQ(staged.gld, 5u);
+    EXPECT_EQ(staged.shared_accesses, 157u);
+
+    VertexId far[kWarpSize];
+    for (size_t k = 0; k < kWarpSize; ++k) {
+      far[k] = static_cast<VertexId>((1023 + 31 * k) % 5000);
+    }
+    uint32_t want = 0;
+    for (size_t k = 0; k < kWarpSize; ++k) {
+      want |= static_cast<uint32_t>(c.ContainsHost(far[k])) << k;
+    }
+    EXPECT_EQ(c.ProbeStaged(block.warp(0), far), want);
+    EXPECT_EQ(c.ProbeBitset(block.warp(1), far), want);
+    const gpusim::MemStats probes = dev.stats() - staged;
+    EXPECT_EQ(probes.gld, 2u);  // the gather's lines only
+    EXPECT_EQ(probes.shared_accesses, static_cast<uint64_t>(kWarpSize));
+  });
+}
+
 }  // namespace
 }  // namespace gsi

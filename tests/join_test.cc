@@ -12,6 +12,7 @@
 #include "gsi/plan.h"
 #include "gsi/query_engine.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace gsi {
 namespace {
@@ -439,6 +440,82 @@ TEST(JoinDupRemoval, RemovalLowersJoinGldOnEveryStorage) {
       }
     }
     EXPECT_LT(gld[1], gld[0]) << "storage=" << static_cast<int>(storage);
+  }
+}
+
+// --------------------------------------------------- staged probe ---
+
+// A label-0 hub with `leaves` label-1 leaves, padded with isolated label-2
+// vertices to 8,192 vertices: every bitset is 256 words, 8 lines. The
+// one-edge query's one join step runs in one Pass A block whose slices
+// hold `leaves` elements (from the hub row, or one per leaf row).
+TEST(JoinStagedProbe, StagesOnlyWhenTheSlicesReachTheBitsetLines) {
+  for (size_t leaves : {7u, 8u}) {
+    GraphBuilder b;
+    const VertexId hub = b.AddVertex(0);
+    const VertexId first = b.AddVertices(leaves, 1);
+    for (size_t i = 0; i < leaves; ++i) {
+      b.AddEdge(hub, first + static_cast<VertexId>(i), 0);
+    }
+    b.AddVertices(8192 - 1 - leaves, 2);
+    Graph data = std::move(b).Build().value();
+    GraphBuilder qb;
+    qb.AddVertex(0);
+    qb.AddVertex(1);
+    qb.AddEdge(0, 1, 0);
+    Graph query = std::move(qb).Build().value();
+    for (const GsiOptions& options : {DefaultGsiOptions(), GsiOptOptions()}) {
+      GsiMatcher matcher(data, options);
+      Result<QueryResult> r = matcher.Find(query);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->num_matches(), leaves);
+      EXPECT_EQ(r->stats.join_detail.staged_blocks, leaves >= 8 ? 1u : 0u)
+          << "leaves=" << leaves
+          << " load_balance=" << options.join.load_balance;
+    }
+  }
+}
+
+// Three label-0 hubs, each adjacent to 2,000 of 100,000 label-1 vertices
+// drawn at random: a 32-lane probe of a hub's sorted list spans about
+// 1,600 ids, two or three lines of the 98-line bitset (3,126 words,
+// 12,504 B), so a hub's 63 probes load more lines than the bitset has.
+// 48 KB of shared memory holds that bitset beside the duplicate-removal
+// cache's 32 KB; a 12 KB block does not. The star query's one step runs
+// the hub rows, whose blocks stage the bitset at 48 KB and then probe
+// without loads, so the join (whose other kernels do not depend on the
+// shared-memory size) loads less, and its table equals the one of the
+// device that cannot stage.
+TEST(JoinStagedProbe, StagingLowersJoinGldAndKeepsTheTable) {
+  GraphBuilder b;
+  const VertexId leaves = b.AddVertices(100000, 1);
+  Rng rng(71);
+  for (int h = 0; h < 3; ++h) {
+    const VertexId hub = b.AddVertex(0);
+    for (int i = 0; i < 2000; ++i) {
+      b.AddEdge(hub, leaves + static_cast<VertexId>(rng.NextBounded(100000)),
+                0);
+    }
+  }
+  const Graph data = std::move(b).Build().value();
+  GraphBuilder qb;
+  qb.AddVertex(0);
+  qb.AddVertex(1);
+  qb.AddEdge(0, 1, 0);
+  const Graph query = std::move(qb).Build().value();
+  for (const GsiOptions& base : {DefaultGsiOptions(), GsiOptOptions()}) {
+    GsiOptions small = base;
+    small.device.shared_memory_bytes = 12 * 1024;
+    Result<QueryResult> got = GsiMatcher(data, base).Find(query);
+    Result<QueryResult> want = GsiMatcher(data, small).Find(query);
+    ASSERT_TRUE(got.ok() && want.ok());
+    const std::string context =
+        "load_balance=" + std::to_string(base.join.load_balance);
+    EXPECT_GE(want->num_matches(), 5000u) << context;
+    EXPECT_TRUE(got->TableEquals(*want)) << context;
+    EXPECT_GT(got->stats.join_detail.staged_blocks, 0u) << context;
+    EXPECT_EQ(want->stats.join_detail.staged_blocks, 0u) << context;
+    EXPECT_LT(got->stats.join.gld, want->stats.join.gld) << context;
   }
 }
 

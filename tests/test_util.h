@@ -123,6 +123,7 @@ inline void ExpectSameJoinStats(const JoinStats& a, const JoinStats& b,
   EXPECT_EQ(a.total_chunks, b.total_chunks) << context;
   EXPECT_EQ(a.dup_cache_hits, b.dup_cache_hits) << context;
   EXPECT_EQ(a.dup_cache_misses, b.dup_cache_misses) << context;
+  EXPECT_EQ(a.staged_blocks, b.staged_blocks) << context;
 }
 
 }  // namespace gsi::testing

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "gsi/partition.h"
@@ -523,6 +524,74 @@ std::map<uint64_t, StepValues> StepsOf(const std::vector<TraceSpan>& spans) {
                    std::stoull(AttrOf(s, "gba_entries"))};
   }
   return steps;
+}
+
+/// Sum of the `staged_blocks` attrs of every join step span.
+uint64_t StagedBlocksOf(const std::vector<TraceSpan>& spans) {
+  uint64_t sum = 0;
+  for (const TraceSpan& s : spans) {
+    if (!IsJoinStep(s)) continue;
+    const std::string staged = AttrOf(s, "staged_blocks");
+    if (staged.empty()) {
+      ADD_FAILURE() << s.name << " step " << AttrOf(s, "step")
+                    << " lacks staged_blocks";
+      continue;
+    }
+    sum += std::stoull(staged);
+  }
+  return sum;
+}
+
+// Every join step span says how many of its Pass A blocks staged C(u)'s
+// bitset, and the spans of one query sum to its
+// JoinStats::staged_blocks: on one device, over fanned-out steps, and over
+// the partitioned lanes. The 300-vertex graph's bitsets are one line, so
+// every block with first-edge work stages.
+TEST(TraceAttrs, StagedBlocksSumToTheJoinStats) {
+  Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  Graph query = testing::RandomQuery(data, 4, 102);
+  QueryEngine engine(data, GsiOptOptions());
+  std::vector<std::unique_ptr<gpusim::Device>> owned;
+  std::vector<gpusim::Device*> devs;
+  for (size_t i = 0; i < 4; ++i) {
+    owned.push_back(std::make_unique<gpusim::Device>(engine.options().device));
+    devs.push_back(owned.back().get());
+  }
+  Result<ReplicatedGraph> rg =
+      ReplicatedGraph::Build(devs, data, engine.options(),
+                             HashVertexPartitioner(), /*partitions=*/4,
+                             /*replicas=*/1);
+  ASSERT_TRUE(rg.ok());
+  const ReplicaSelection sel = CompactSelection(*rg);
+  ShardOptions so;
+  so.min_rows_per_shard = 1;
+
+  Tracer single;
+  Result<QueryResult> one = engine.Execute(
+      {.query = &query, .trace = TraceContext{&single, -1, kHostDevice}});
+  Tracer sharded;
+  Result<QueryResult> fanned =
+      engine.Execute({.query = &query,
+                      .devices = devs,
+                      .shard = so,
+                      .trace = TraceContext{&sharded, -1, kHostDevice}});
+  Tracer partitioned;
+  Result<QueryResult> lanes =
+      engine.Execute({.query = &query,
+                      .replicated = &*rg,
+                      .selection = &sel,
+                      .trace = TraceContext{&partitioned, -1, kHostDevice}});
+  ASSERT_TRUE(one.ok() && fanned.ok() && lanes.ok());
+  EXPECT_GE(CountSpans(sharded.Snapshot(), "join_step_distributed"), 1u);
+  for (const auto& [context, r, tracer] :
+       {std::tuple{"single", &*one, &single},
+        std::tuple{"sharded", &*fanned, &sharded},
+        std::tuple{"partitioned", &*lanes, &partitioned}}) {
+    EXPECT_GT(r->stats.join_detail.staged_blocks, 0u) << context;
+    EXPECT_EQ(StagedBlocksOf(tracer->Snapshot()),
+              r->stats.join_detail.staged_blocks)
+        << context;
+  }
 }
 
 // The GBA a step fills is sized by its rows' first-edge bounds, so its
