@@ -52,6 +52,15 @@ class DeviceBuffer {
   std::span<const T> span() const { return {data_.data(), data_.size()}; }
   std::span<T> span() { return {data_.data(), data_.size()}; }
 
+  /// Keeps the first n elements (n <= size()) and releases the rest of the
+  /// host storage. The base address stays, and it is 128B-aligned, so every
+  /// transaction on the kept elements counts as on an n-element buffer.
+  void Truncate(size_t n) {
+    GSI_CHECK(n <= data_.size());
+    data_.resize(n);
+    data_.shrink_to_fit();
+  }
+
   /// Virtual byte address of element i (for coalescing computations).
   uint64_t AddressOf(size_t i) const {
     GSI_CHECK(i <= data_.size());

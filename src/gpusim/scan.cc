@@ -45,6 +45,45 @@ uint64_t ExclusiveScan(Device& dev, const DeviceBuffer<uint32_t>& values,
   return acc;
 }
 
+namespace {
+
+template <typename T>
+uint64_t ScanTiles(Block& block, std::span<const T> vals,
+                   std::span<uint64_t> prefix) {
+  GSI_CHECK(prefix.size() >= vals.size());
+  const size_t n = vals.size();
+  const size_t tiles = (n + kWarpSize - 1) / kWarpSize;
+  uint64_t aggregate = 0;
+  for (size_t i = 0; i < n; ++i) {
+    prefix[i] = aggregate;
+    aggregate += vals[i];
+  }
+  // Warp t (mod the block's warps) scans tile t, warp 0 chains the tiles.
+  for (size_t t = 0; t < tiles; ++t) {
+    const uint64_t len = std::min<size_t>(kWarpSize, n - t * kWarpSize);
+    Warp& w = block.warp(t % block.num_warps());
+    w.SharedAccess(2 * len);
+    w.Alu(2 * len);
+  }
+  if (tiles > 1) {
+    block.warp(0).SharedAccess(2 * tiles);
+    block.warp(0).Alu(2 * tiles);
+  }
+  return aggregate;
+}
+
+}  // namespace
+
+uint64_t BlockScan(Block& block, std::span<const uint32_t> vals,
+                   std::span<uint64_t> prefix) {
+  return ScanTiles(block, vals, prefix);
+}
+
+uint64_t BlockScan(Block& block, std::span<const uint64_t> vals,
+                   std::span<uint64_t> prefix) {
+  return ScanTiles(block, vals, prefix);
+}
+
 LookbackScan::LookbackScan(Device& dev, size_t num_blocks)
     : descriptors_(dev.Alloc<uint64_t>(num_blocks)) {}
 
@@ -64,30 +103,13 @@ void LookbackScan::Scan(Block& block, std::span<const T> vals,
   const size_t b = block.id();
   GSI_CHECK_MSG(b == next_block_ && b < descriptors_.size(),
                 "LookbackScan blocks must scan once each, in block order");
-  GSI_CHECK(prefix.size() >= vals.size());
   const size_t n = vals.size();
-  const size_t tiles = (n + kWarpSize - 1) / kWarpSize;
-  GSI_CHECK(tiles <= block.num_warps());
+  GSI_CHECK((n + kWarpSize - 1) / kWarpSize <= block.num_warps());
   ++next_block_;
-
-  // Block-local scan: warp t scans tile t, warp 0 chains the tiles.
-  uint64_t aggregate = 0;
-  for (size_t i = 0; i < n; ++i) {
-    prefix[i] = aggregate;
-    aggregate += vals[i];
-  }
-  for (size_t t = 0; t < tiles; ++t) {
-    const uint64_t len = std::min<size_t>(kWarpSize, n - t * kWarpSize);
-    block.warp(t).SharedAccess(2 * len);
-    block.warp(t).Alu(2 * len);
-  }
-  Warp& w = block.warp(0);
-  if (tiles > 1) {
-    w.SharedAccess(2 * tiles);
-    w.Alu(2 * tiles);
-  }
+  const uint64_t aggregate = ScanTiles(block, vals, prefix);
 
   // Decoupled look-back (warp 0).
+  Warp& w = block.warp(0);
   uint64_t exclusive = 0;
   if (b > 0) {
     w.Store(descriptors_, b, kAggregateFlag | aggregate);

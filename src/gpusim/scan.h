@@ -18,10 +18,25 @@ namespace gsi::gpusim {
 uint64_t ExclusiveScan(Device& dev, const DeviceBuffer<uint32_t>& values,
                        DeviceBuffer<uint64_t>& out);
 
+/// Block-local exclusive scan of values one block staged in shared memory:
+/// prefix[i] = vals[0..i); returns the block's aggregate. Charges, with no
+/// global transaction and no kernel launch: the warp owning values
+/// [32t, 32t + 32) (warp t mod the block's warps) pays 2 shared accesses
+/// (stage, read back) and 2 ALU ops (up-sweep, down-sweep) per value; with
+/// more than one such tile, warp 0 pays the same per tile to chain the
+/// tiles. A kernel of one block scans this way and needs no look-back.
+uint64_t BlockScan(Block& block, std::span<const uint32_t> vals,
+                   std::span<uint64_t> prefix);
+uint64_t BlockScan(Block& block, std::span<const uint64_t> vals,
+                   std::span<uint64_t> prefix);
+
 /// Single-pass exclusive scan across the blocks of one block-cooperative
 /// kernel (decoupled look-back; Merrill & Garland, "Single-pass Parallel
 /// Prefix Scan with Decoupled Look-back", 2016). A kernel that produces
 /// values also prefix-sums them, so it needs no scan launch of its own.
+/// A kernel of one block has no block to look back to and calls BlockScan
+/// instead: the join's one-block step (JoinEngine::StepPrealloc) scans its
+/// chunks' survivor counts and bound sums that way, without descriptors.
 ///
 /// Each block stages its values in shared memory and calls ScanBlock once,
 /// in block order. The scan keeps one 8-byte descriptor per block in
@@ -30,10 +45,7 @@ uint64_t ExclusiveScan(Device& dev, const DeviceBuffer<uint32_t>& values,
 /// 2^32); both are charged alike.
 ///
 /// Charges, per block (and no kernel launch):
-///  - block-local scan: the warp owning values [32t, 32t + 32) (warp t)
-///    pays 2 shared accesses (stage, read back) and 2 ALU ops (up-sweep,
-///    down-sweep) per value; with more than one such tile, warp 0 pays the
-///    same per tile to chain the tiles;
+///  - block-local scan: BlockScan's charges;
 ///  - look-back, on warp 0: block 0 stores its inclusive prefix, one store
 ///    transaction. Every later block stores its aggregate, loads its
 ///    predecessor's descriptor and stores its inclusive prefix: one load

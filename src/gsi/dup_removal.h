@@ -31,7 +31,9 @@ class CandidateSet;
 /// copy.
 class BlockExtractionCache {
  public:
-  /// Shared-memory budget of a Pass A block's input buffers.
+  /// Largest shared-memory budget of a Pass A block's input buffers; a
+  /// block gives its cache the smaller of this and the shared memory it
+  /// has left beside its staged rows, buffers and staged bitset.
   static constexpr uint64_t kCapacityBytes = 32 * 1024;
 
   /// @param enabled  disabled instances always extract (the baseline).

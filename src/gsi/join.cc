@@ -94,19 +94,17 @@ class StagedRows {
 ///    reach the bitset's 128B line count, so that its probes, up to one
 ///    transaction per element, would load at least as many lines as
 ///    staging does; and
-///  - the bitset fits in the block's shared memory beside the
-///    duplicate-removal cache's budget and the block's staged rows.
+///  - the bitset fits in the block's shared memory beside the block's
+///    staged rows and its other shared buffers (a one-block step's link
+///    buffers). The duplicate-removal cache then takes what is left.
 /// The rule reads only the chunk plan, the bitset's size and the block's
-/// shared-memory capacity.
+/// shared memory.
 bool StagesBitset(const gpusim::SharedMemory& shared,
                   std::span<Chunk* const> chunks, const StagedRows& rows,
                   const LinkEdge& e0, const CandidateSet& cand,
                   bool duplicate_removal) {
-  const uint64_t cache_budget =
-      duplicate_removal ? BlockExtractionCache::kCapacityBytes : 0;
   if (cand.bitset_lines() == 0 ||
-      shared.used_bytes() + cache_budget + rows.bytes() +
-              cand.bitset_bytes() >
+      shared.used_bytes() + rows.bytes() + cand.bitset_bytes() >
           shared.capacity_bytes()) {
     return false;
   }
@@ -123,6 +121,42 @@ bool StagesBitset(const gpusim::SharedMemory& shared,
     elements += c->pos_end - c->pos_begin;
   }
   return elements >= cand.bitset_lines();
+}
+
+/// A link block's shared-memory buffers, one entry per chunk: its survivor
+/// count and first output row and, with a next step, its rows' bound sum
+/// and first GBA offset.
+struct LinkBuffers {
+  std::span<uint32_t> counts;
+  std::span<uint64_t> first_row;
+  std::span<uint64_t> sums;
+  std::span<uint64_t> first_offset;
+
+  static uint64_t Bytes(size_t chunks, bool next) {
+    return chunks * (sizeof(uint32_t) + sizeof(uint64_t) +
+                     (next ? 2 * sizeof(uint64_t) : 0));
+  }
+
+  static LinkBuffers Alloc(gpusim::SharedMemory& shared, size_t chunks,
+                           bool next) {
+    LinkBuffers b;
+    b.counts = shared.Alloc<uint32_t>(chunks);
+    b.first_row = shared.Alloc<uint64_t>(chunks);
+    if (next) {
+      b.sums = shared.Alloc<uint64_t>(chunks);
+      b.first_offset = shared.Alloc<uint64_t>(chunks);
+    }
+    return b;
+  }
+};
+
+/// Whether a chunk plan is one block: no Layer-1 row, and either at most
+/// `wpb` pooled chunks and no Layer-2 row, or one Layer-2 row alone. Its
+/// chunks (ChunkPlan::AllChunks) are then in slot order.
+bool IsOneBlock(const ChunkPlan& plan, size_t wpb) {
+  if (!plan.huge.empty()) return false;
+  if (plan.per_block.empty()) return plan.pooled.size() <= wpb;
+  return plan.per_block.size() == 1 && plan.pooled.empty();
 }
 
 /// Block-cooperative store of `vals` to b[begin ...], which the block
@@ -205,7 +239,8 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
 
   // --- Algorithm 4: the GBA holds every row's first-edge upper bound. The
   // host reads one scalar of the sizing, the GBA's size.
-  auto gba = dev_->Alloc<VertexId>(sizing.offsets[rows] - sizing.base);
+  const uint64_t gba_size = sizing.offsets[rows] - sizing.base;
+  auto gba = dev_->Alloc<VertexId>(gba_size);
 
   // --- Chunk placement: the 4-layer load-balance scheme or 1 chunk/row.
   ChunkPlan plan = PlanChunks(
@@ -215,38 +250,52 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
       static_cast<uint32_t>(wpb) * kWarpSize, options_.w3);
   const size_t num_chunks = plan.total_chunks();
   stats_.total_chunks += num_chunks;
+  std::vector<Chunk*> all_chunks = plan.AllChunks();
 
-  // --- Pass A: set operations into GBA (Algorithm 3, Lines 2-13). Each
-  // block reads its chunks' rows of M once, shares its first-edge reads
-  // and membership probes through its cache (Algorithm 5), stages its
-  // chunks' survivor counts in shared memory, stores them to their slots
-  // in coalesced 32-wide scatters, and adds their sum to the step's
-  // survivor counter (one atomic add, charged as one store). Under the
-  // GPU-friendly set op, a block whose first-edge slices hold at least as
-  // many elements as C(u)'s bitset has lines also stages the bitset in
-  // shared memory, and its probes read that copy (StagesBitset).
-  auto counts = dev_->Alloc<uint32_t>(num_chunks);
-  auto survivors = dev_->Alloc<uint64_t>(1);
+  // --- The one-block rule: a step whose chunk plan is one block, and
+  // whose GBA size is within max_rows, runs Pass A and link as one kernel
+  // of one block. Its M' and next sizing are allocated before the launch
+  // at the GBA size, which bounds the survivors (so the step cannot pass
+  // the row budget), and trimmed to the survivor count after it. The
+  // block's link buffers must also fit its shared memory, which only an
+  // extreme W1/W3 ratio (a Layer-2 row of thousands of chunks) breaks.
+  const bool one_block =
+      IsOneBlock(plan, wpb) && gba_size <= options_.max_rows &&
+      LinkBuffers::Bytes(num_chunks, next != nullptr) <=
+          dev_->config().shared_memory_bytes;
+
+  // --- Pass A's block body (Algorithm 3, Lines 2-13). The block reads its
+  // chunks' rows of M once, shares its first-edge reads and membership
+  // probes through its cache (Algorithm 5), and stages each chunk's
+  // survivor count in shared memory. Under the GPU-friendly set op, a
+  // block whose first-edge slices hold at least as many elements as C(u)'s
+  // bitset has lines also stages the bitset in shared memory, and its
+  // probes read that copy (StagesBitset). The cache takes at most its
+  // 32 KB of the shared memory the block has left. Returns the staged
+  // rows of M.
   std::vector<VertexId> scratch;
   const bool warp_friendly = options_.set_op == SetOpKind::kWarpFriendly;
-  auto run_block = [&](Block& block, std::span<Chunk* const> chunks) {
+  auto pass_a = [&](Block& block, std::span<Chunk* const> chunks) {
     std::vector<uint32_t> busy;  // rows with first-edge work
     for (const Chunk* c : chunks) {
       if (c->pos_begin < c->pos_end) busy.push_back(c->row);
     }
-    const StagedRows staged(block, m, std::move(busy));
+    StagedRows staged(block, m, std::move(busy));
+    gpusim::SharedMemory& shared = block.shared();
     const bool stage_bitset =
-        warp_friendly &&
-        StagesBitset(block.shared(), chunks, staged, step.links[0], cand,
-                     options_.duplicate_removal);
+        warp_friendly && StagesBitset(shared, chunks, staged, step.links[0],
+                                      cand, options_.duplicate_removal);
     if (stage_bitset) {
       cand.StageBitset(block);
       ++stats_.staged_blocks;
     }
-    BlockExtractionCache cache(options_.duplicate_removal,
-                               BlockExtractionCache::kCapacityBytes,
-                               stage_bitset);
-    uint64_t sum = 0;
+    const uint64_t taken = shared.used_bytes() + staged.bytes();
+    const uint64_t left = taken < shared.capacity_bytes()
+                              ? shared.capacity_bytes() - taken
+                              : 0;
+    BlockExtractionCache cache(
+        options_.duplicate_removal,
+        std::min(BlockExtractionCache::kCapacityBytes, left), stage_bitset);
     for (size_t i = 0; i < chunks.size(); ++i) {
       Chunk& chunk = *chunks[i];
       Warp& w = block.warp(i % block.num_warps());
@@ -256,10 +305,179 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
                      sizing.base, cache, scratch);
       }
       w.SharedAccess(1);
-      sum += chunk.count;
     }
     stats_.dup_cache_hits += cache.hits();
     stats_.dup_cache_misses += cache.misses();
+    return staged;
+  };
+
+  // --- Link's block body (Lines 16-21): writes the rows of M' of
+  // `chunks`, consecutive slots whose counts and first output rows `buf`
+  // holds, from `m_rows`, which holds every row of M they extend; M' has
+  // `new_rows` rows. Output rows are assigned in (row, position) order
+  // rather than the Pass A layer order, so the output row order depends
+  // only on the input rows, not on which load-balance layer each row
+  // landed in. The sharded engine relies on this: a run over any
+  // contiguous seed slice produces exactly the rows (and order) of that
+  // slice's portion of a whole run.
+  //
+  // With a next step, the block also sizes its rows of M' for it
+  // (Algorithm 4). A warp looks up its rows' next first-edge bounds
+  // |N(v, l0')| as it writes them: once per chunk when e0' binds an older
+  // column, which every row of the chunk shares, and once per row when it
+  // binds the new one. The block stages its chunks' 64-bit bound sums and
+  // scans them (chained to the blocks before it by `gba_scan`'s look-back
+  // in the link kernel), which gives every chunk its first GBA offset; the
+  // warp then stages its rows' offsets. A block's rows of M' are
+  // contiguous, so its warps store the staged bounds and offsets together,
+  // one 128B line per store.
+  MatchTable table;
+  StepBounds next_sizing;  // stays empty without a next step
+  // Whether every row of a chunk shares its e0' binding.
+  const bool shared_binding =
+      next != nullptr && next->links[0].prev_column < cols;
+  auto link = [&](Block& block, std::span<Chunk* const> chunks,
+                  const LinkBuffers& buf, const StagedRows& m_rows,
+                  uint64_t new_rows, gpusim::LookbackScan* gba_scan) {
+    const size_t n = chunks.size();
+    if (n == 0) return;
+    // The block's rows of M' are [block_first, block_end).
+    const uint64_t block_first = buf.first_row[0];
+    const uint64_t block_end = buf.first_row[n - 1] + buf.counts[n - 1];
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t count = buf.counts[i];
+      if (count == 0) continue;
+      Warp& w = block.warp(i % block.num_warps());
+      const Chunk& c = *chunks[i];
+      w.SharedAccess(1);
+      std::span<const VertexId> row = m_rows.Row(c.row);
+      std::span<const VertexId> out =
+          w.LoadRange(gba, c.gba_begin - sizing.base, count);
+      const uint64_t first = buf.first_row[i];
+      for (size_t k = 0; k < count; ++k) {
+        for (size_t j = 0; j < cols; ++j) table.Set(first + k, j, row[j]);
+        table.Set(first + k, cols, out[k]);
+      }
+      // The chunk's output region is contiguous: one coalesced streaming
+      // store for count * (cols+1) ids.
+      w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
+          table.data().AddressOf(first * (cols + 1)),
+          static_cast<uint64_t>(count) * (cols + 1) * sizeof(VertexId)));
+      w.SharedAccess(static_cast<uint64_t>(count) * (cols + 1));
+      if (next == nullptr) continue;
+
+      // The rows' bounds, staged in shared memory for the block's store.
+      const LinkEdge& e0 = next->links[0];
+      std::span<uint32_t> bounds(next_sizing.bounds.data() + first, count);
+      if (shared_binding) {
+        const uint32_t bound = static_cast<uint32_t>(
+            store_->NeighborCountUpperBound(w, row[e0.prev_column], e0.label));
+        std::fill(bounds.begin(), bounds.end(), bound);
+        buf.sums[i] = uint64_t{bound} * count;
+        w.Alu(1);
+      } else {
+        buf.sums[i] = 0;
+        for (size_t k = 0; k < count; ++k) {
+          bounds[k] = static_cast<uint32_t>(
+              store_->NeighborCountUpperBound(w, out[k], e0.label));
+          buf.sums[i] += bounds[k];
+        }
+      }
+      w.SharedAccess(uint64_t{count} + 1);
+    }
+    if (next == nullptr) return;
+
+    StoreLines(block, next_sizing.bounds, block_first,
+               std::span<const uint32_t>(
+                   next_sizing.bounds.data() + block_first,
+                   block_end - block_first));
+    if (gba_scan != nullptr) {
+      gba_scan->ScanBlock(block, buf.sums, buf.first_offset);
+    } else {
+      gpusim::BlockScan(block, buf.sums, buf.first_offset);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t count = buf.counts[i];
+      if (count == 0) continue;
+      Warp& w = block.warp(i % block.num_warps());
+      const uint64_t first = buf.first_row[i];
+      const uint32_t* bounds = next_sizing.bounds.data() + first;
+      uint64_t* offsets = next_sizing.offsets.data() + first;
+      uint64_t at = buf.first_offset[i];
+      for (size_t k = 0; k < count; ++k) {
+        offsets[k] = at;
+        at += bounds[k];
+      }
+      if (shared_binding) {
+        // first offset + k * the chunk's one bound, staged in shared memory
+        w.Alu(count);
+        w.SharedAccess(count);
+      } else {
+        // The warp scans its rows' bounds, staged in shared memory across
+        // the block's scan: LookbackScan's per-value charge.
+        w.SharedAccess(2 * static_cast<uint64_t>(count));
+        w.Alu(2 * static_cast<uint64_t>(count));
+      }
+      // The chunk holding M''s last row also stages the end of the GBA.
+      if (first + count == new_rows) offsets[count] = at;
+    }
+    // The block holding M''s last row also stores the end of the GBA.
+    const bool last = block_end > block_first && block_end == new_rows;
+    StoreLines(block, next_sizing.offsets, block_first,
+               std::span<const uint64_t>(
+                   next_sizing.offsets.data() + block_first,
+                   block_end - block_first + (last ? 1 : 0)));
+  };
+  auto alloc_output = [&](uint64_t out_rows) {
+    table = MatchTable::Alloc(*dev_, out_rows, cols + 1);
+    if (next != nullptr) {
+      next_sizing = StepBounds{dev_->Alloc<uint32_t>(out_rows),
+                               dev_->Alloc<uint64_t>(out_rows + 1), 0};
+    }
+  };
+  auto sized_table = [&]() {
+    if (next == nullptr) return SizedTable{std::move(table), std::nullopt};
+    return SizedTable{std::move(table), std::move(next_sizing)};
+  };
+  auto survivors = dev_->Alloc<uint64_t>(1);
+
+  if (one_block) {
+    // --- One kernel, one block: Pass A, then the block scans its chunks'
+    // survivor counts in shared memory (no look-back: no block precedes
+    // it) and stores their total for the host's one scalar read, and
+    // links M' and the next sizing from the rows of M it already staged.
+    ++stats_.fused_steps;
+    alloc_output(gba_size);
+    gpusim::LaunchBlocks(*dev_, 1, [&](Block& block) {
+      const LinkBuffers buf =
+          LinkBuffers::Alloc(block.shared(), num_chunks, next != nullptr);
+      const StagedRows staged = pass_a(block, all_chunks);
+      for (size_t i = 0; i < num_chunks; ++i) {
+        GSI_CHECK(all_chunks[i]->slot == i);
+        buf.counts[i] = all_chunks[i]->count;
+      }
+      const uint64_t total =
+          gpusim::BlockScan(block, buf.counts, buf.first_row);
+      block.warp(0).Store(survivors, 0, total);
+      link(block, all_chunks, buf, staged, total, nullptr);
+    });
+    const uint64_t new_rows = survivors[0];
+    table.Truncate(new_rows);
+    if (next != nullptr) {
+      next_sizing.bounds.Truncate(new_rows);
+      next_sizing.offsets.Truncate(new_rows + 1);
+    }
+    return sized_table();
+  }
+
+  // --- Pass A kernels: each block stores its chunks' counts to their
+  // slots in coalesced 32-wide scatters and adds their sum to the step's
+  // survivor counter (one atomic add, charged as one store).
+  auto counts = dev_->Alloc<uint32_t>(num_chunks);
+  auto run_block = [&](Block& block, std::span<Chunk* const> chunks) {
+    pass_a(block, chunks);
+    uint64_t sum = 0;
+    for (const Chunk* c : chunks) sum += c->count;
     Warp& w = block.warp(0);
     for (size_t b = 0; b < chunks.size(); b += kWarpSize) {
       const size_t lanes = std::min<size_t>(kWarpSize, chunks.size() - b);
@@ -323,148 +541,39 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
         "intermediate table exceeds max_rows: " + std::to_string(new_rows));
   }
 
-  // --- Lines 16-21: link M and the buffers into M', one warp per chunk.
-  // Output rows are assigned in (row, position) order rather than the
-  // Pass A layer order, so the output row order depends only on the input
-  // rows, not on which load-balance layer each row landed in. The sharded
-  // engine relies on this: a run over any contiguous seed slice produces
-  // exactly the rows (and order) of that slice's portion of a whole run.
-  // Warp 0 of each block stages the block's 32 counts in one coalesced
-  // read; the block scans them and chains to the blocks before it, which
-  // gives every chunk its first output row. The block then reads the rows
-  // of M its survivors extend once, for all of its warps.
-  //
-  // With a next step, the kernel also sizes M' for it (Algorithm 4). A
-  // warp looks up its rows' next first-edge bounds |N(v, l0')| as it
-  // writes them: once per chunk when e0' binds an older column, which
-  // every row of the chunk shares, and once per row when it binds the new
-  // one. The block stages its chunks' 64-bit bound sums and chains them to
-  // the blocks before it by a second look-back, which gives every chunk
-  // its first GBA offset; the warp then stages its rows' offsets. A
-  // block's rows of M' are contiguous, so its warps store the staged
-  // bounds and offsets together, one 128B line per store.
-  std::vector<const Chunk*> linked(num_chunks);
-  for (const Chunk* c : plan.AllChunks()) linked[c->slot] = c;
-  MatchTable table = MatchTable::Alloc(*dev_, new_rows, cols + 1);
-  StepBounds next_sizing;  // stays empty without a next step
-  if (next != nullptr) {
-    next_sizing = StepBounds{dev_->Alloc<uint32_t>(new_rows),
-                             dev_->Alloc<uint64_t>(new_rows + 1), 0};
-  }
-  // Whether every row of a chunk shares its e0' binding.
-  const bool shared_binding =
-      next != nullptr && next->links[0].prev_column < cols;
+  // --- The link kernel, one warp per chunk in slot order. Warp 0 of each
+  // block stages the block's 32 counts in one coalesced read; the block
+  // scans them and chains to the blocks before it by decoupled look-back,
+  // which gives every chunk its first output row, and reads the rows of M
+  // its survivors extend once, for all of its warps. The next sizing's
+  // bound sums chain by a second look-back.
+  std::vector<Chunk*> linked(num_chunks);
+  for (Chunk* c : all_chunks) linked[c->slot] = c;
+  alloc_output(new_rows);
   const size_t link_blocks = (num_chunks + wpb - 1) / wpb;
   gpusim::LookbackScan row_scan(*dev_, link_blocks);
   gpusim::LookbackScan gba_scan(*dev_, next != nullptr ? link_blocks : 0);
   gpusim::LaunchBlocks(*dev_, link_blocks, [&](Block& block) {
     const size_t begin = block.id() * wpb;
     const size_t n = std::min(wpb, num_chunks - begin);
-    std::span<uint32_t> staged = block.shared().Alloc<uint32_t>(n);
-    std::span<uint64_t> first_row = block.shared().Alloc<uint64_t>(n);
+    const LinkBuffers buf =
+        LinkBuffers::Alloc(block.shared(), n, next != nullptr);
     std::span<const uint32_t> loaded =
         block.warp(0).LoadRange(counts, begin, n);
-    std::copy(loaded.begin(), loaded.end(), staged.begin());
-    row_scan.ScanBlock(block, staged, first_row);
+    std::copy(loaded.begin(), loaded.end(), buf.counts.begin());
+    row_scan.ScanBlock(block, buf.counts, buf.first_row);
     std::vector<uint32_t> extended;  // rows of M with survivors
     for (size_t i = 0; i < n; ++i) {
-      if (staged[i] > 0) extended.push_back(linked[begin + i]->row);
+      if (buf.counts[i] > 0) extended.push_back(linked[begin + i]->row);
     }
     const StagedRows m_rows(block, m, std::move(extended));
-    // The block's rows of M' are [block_first, block_end).
-    const uint64_t block_first = first_row[0];
-    const uint64_t block_end = first_row[n - 1] + staged[n - 1];
-    // With a next step: each chunk's bound sum, then its first GBA offset.
-    std::span<uint64_t> sums;
-    std::span<uint64_t> first_offset;
-    if (next != nullptr) {
-      sums = block.shared().Alloc<uint64_t>(n);
-      first_offset = block.shared().Alloc<uint64_t>(n);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t count = staged[i];
-      if (count == 0) continue;
-      Warp& w = block.warp(i);
-      const Chunk& c = *linked[begin + i];
-      w.SharedAccess(1);
-      std::span<const VertexId> row = m_rows.Row(c.row);
-      std::span<const VertexId> buf =
-          w.LoadRange(gba, c.gba_begin - sizing.base, count);
-      const uint64_t first = first_row[i];
-      for (size_t k = 0; k < count; ++k) {
-        for (size_t j = 0; j < cols; ++j) table.Set(first + k, j, row[j]);
-        table.Set(first + k, cols, buf[k]);
-      }
-      // The chunk's output region is contiguous: one coalesced streaming
-      // store for count * (cols+1) ids.
-      w.ChargeStoreTransactions(gpusim::Device::RangeTransactions(
-          table.data().AddressOf(first * (cols + 1)),
-          static_cast<uint64_t>(count) * (cols + 1) * sizeof(VertexId)));
-      w.SharedAccess(static_cast<uint64_t>(count) * (cols + 1));
-      if (next == nullptr) continue;
-
-      // The rows' bounds, staged in shared memory for the block's store.
-      const LinkEdge& e0 = next->links[0];
-      std::span<uint32_t> bounds(next_sizing.bounds.data() + first, count);
-      if (shared_binding) {
-        const uint32_t bound = static_cast<uint32_t>(
-            store_->NeighborCountUpperBound(w, row[e0.prev_column], e0.label));
-        std::fill(bounds.begin(), bounds.end(), bound);
-        sums[i] = uint64_t{bound} * count;
-        w.Alu(1);
-      } else {
-        sums[i] = 0;
-        for (size_t k = 0; k < count; ++k) {
-          bounds[k] = static_cast<uint32_t>(
-              store_->NeighborCountUpperBound(w, buf[k], e0.label));
-          sums[i] += bounds[k];
-        }
-      }
-      w.SharedAccess(uint64_t{count} + 1);
-    }
-    if (next == nullptr) return;
-
-    StoreLines(block, next_sizing.bounds, block_first,
-               std::span<const uint32_t>(
-                   next_sizing.bounds.data() + block_first,
-                   block_end - block_first));
-    gba_scan.ScanBlock(block, sums, first_offset);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t count = staged[i];
-      if (count == 0) continue;
-      Warp& w = block.warp(i);
-      const uint64_t first = first_row[i];
-      const uint32_t* bounds = next_sizing.bounds.data() + first;
-      uint64_t* offsets = next_sizing.offsets.data() + first;
-      uint64_t at = first_offset[i];
-      for (size_t k = 0; k < count; ++k) {
-        offsets[k] = at;
-        at += bounds[k];
-      }
-      if (shared_binding) {
-        // first offset + k * the chunk's one bound, staged in shared memory
-        w.Alu(count);
-        w.SharedAccess(count);
-      } else {
-        // The warp scans its rows' bounds, staged in shared memory across
-        // the block's look-back: LookbackScan's per-value charge.
-        w.SharedAccess(2 * static_cast<uint64_t>(count));
-        w.Alu(2 * static_cast<uint64_t>(count));
-      }
-      // The chunk holding M''s last row also stages the end of the GBA.
-      if (first + count == new_rows) offsets[count] = at;
-    }
-    // The block holding M''s last row also stores the end of the GBA.
-    const bool last = block_end > block_first && block_end == new_rows;
-    StoreLines(block, next_sizing.offsets, block_first,
-               std::span<const uint64_t>(
-                   next_sizing.offsets.data() + block_first,
-                   block_end - block_first + (last ? 1 : 0)));
+    link(block, std::span<Chunk* const>(linked).subspan(begin, n), buf,
+         m_rows, new_rows, &gba_scan);
   });
   GSI_CHECK(row_scan.total() == new_rows);
-  if (next == nullptr) return SizedTable{std::move(table), std::nullopt};
-  GSI_CHECK(gba_scan.total() == next_sizing.offsets[new_rows]);
-  return SizedTable{std::move(table), std::move(next_sizing)};
+  GSI_CHECK(next == nullptr ||
+            gba_scan.total() == next_sizing.offsets[new_rows]);
+  return sized_table();
 }
 
 Result<JoinEngine::SizedTable> JoinEngine::StepTwoStep(
@@ -620,6 +729,7 @@ Result<JoinEngine::SizedTable> JoinEngine::RunSteps(
     const JoinStep* following =
         s + 1 < plan.steps.size() ? &plan.steps[s + 1] : nullptr;
     const size_t staged_before = stats_.staged_blocks;
+    const uint64_t launches_before = dev_->stats().kernel_launches;
     Result<SizedTable> next =
         prealloc ? StepPrealloc(m.table, step, following, candidates[step.u],
                                 *sizing)
@@ -632,6 +742,7 @@ Result<JoinEngine::SizedTable> JoinEngine::RunSteps(
     span.AddAttr("rows_out", static_cast<uint64_t>(m.table.rows()));
     span.AddAttr("staged_blocks",
                  static_cast<uint64_t>(stats_.staged_blocks - staged_before));
+    span.AddAttr("kernels", dev_->stats().kernel_launches - launches_before);
     ++stats_.iterations;
     stats_.peak_rows = std::max(stats_.peak_rows, m.table.rows());
     if (m.table.rows() == 0) {

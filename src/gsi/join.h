@@ -69,6 +69,10 @@ struct JoinStats {
   /// membership probes (see JoinEngine); summed over slices and lanes, as
   /// total_chunks is.
   size_t staged_blocks = 0;
+  /// Prealloc-Combine steps that ran Pass A and link as one kernel of one
+  /// block (see JoinEngine); summed over slices and lanes, as
+  /// staged_blocks is.
+  size_t fused_steps = 0;
 };
 
 /// The joining phase (Algorithm 2's loop body, Algorithms 3-5): joins the
@@ -76,17 +80,24 @@ struct JoinStats {
 /// device.
 ///
 /// A Prealloc-Combine step launches two kernels: Pass A (one launch for
-/// Layers 2-4, plus one per Layer-1 row) and link. Under the GPU-friendly
-/// set op, a Pass A block whose distinct first-edge slice elements reach
-/// the 128B line count of C(u)'s bitset, and whose shared memory holds the
-/// bitset beside its other buffers, loads the bitset into shared memory
-/// once and probes it there (JoinStats::staged_blocks counts them). The
-/// link kernel that writes M' also writes the next step's sizing
-/// (Algorithm 4: every new row's first-edge bound and GBA offset), so no
-/// step after the first launches a sizing kernel; step 0's sizing comes
-/// from the seed kernel, which also writes the seed column (Seed). A query
-/// of |V(Q)| vertices therefore launches 2|V(Q)| - 1 join kernels plus one
-/// per Layer-1 row.
+/// Layers 2-4, plus one per Layer-1 row) and link. A step whose chunk plan
+/// is one block (no Layer-1 row, and either at most warps_per_block pooled
+/// chunks and no Layer-2 row, or one Layer-2 row alone) and whose GBA size
+/// is within max_rows launches one kernel of one block instead, which runs
+/// Pass A and then links from the rows it staged (JoinStats::fused_steps
+/// counts them). Under the GPU-friendly set op, a Pass A block whose
+/// distinct first-edge slice elements reach the 128B line count of C(u)'s
+/// bitset, and whose shared memory holds the bitset beside its other
+/// buffers, loads the bitset into shared memory once and probes it there
+/// (JoinStats::staged_blocks counts them). The link that writes M' also
+/// writes the next step's sizing (Algorithm 4: every new row's first-edge
+/// bound and GBA offset), so no step after the first launches a sizing
+/// kernel; step 0's sizing comes from the seed kernel, which also writes
+/// the seed column (Seed). A query of |V(Q)| vertices therefore launches
+/// one seed kernel, and per step one kernel when it runs as one block and
+/// otherwise two plus one per Layer-1 row (the naive set op adds its
+/// per-operation launches). Each step's trace span carries them as
+/// `kernels`.
 /// kTwoStep runs the GpSM scheme's count, scan and write kernels, after a
 /// separate seed copy.
 class JoinEngine {
@@ -161,8 +172,12 @@ class JoinEngine {
   void set_trace(const obs::TraceContext& trace) { trace_ = trace; }
 
  private:
-  /// Pass A and link of one step. When `next` is set the link kernel also
-  /// writes the sizing of M' for `next`.
+  /// Pass A and link of one step: two kernels (Pass A's Layers 2-4 launch,
+  /// plus one per Layer-1 row, then link), or one kernel of one block when
+  /// the step's chunk plan is one block and its GBA size is within
+  /// max_rows; that block allocates M' at the GBA size, and the step trims
+  /// it to the survivors. When `next` is set the link also writes the
+  /// sizing of M' for `next`.
   Result<SizedTable> StepPrealloc(const MatchTable& m, const JoinStep& step,
                                   const JoinStep* next,
                                   const CandidateSet& cand,

@@ -24,6 +24,12 @@ MatchTable MatchTable::FromColumn(gpusim::Device& dev,
   return t;
 }
 
+void MatchTable::Truncate(size_t rows) {
+  GSI_CHECK(rows <= rows_);
+  rows_ = rows;
+  data_.Truncate(rows * cols_);
+}
+
 std::vector<VertexId> MatchTable::Row(size_t r) const {
   std::vector<VertexId> out(cols_);
   for (size_t c = 0; c < cols_; ++c) out[c] = At(r, c);

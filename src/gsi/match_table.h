@@ -33,6 +33,10 @@ class MatchTable {
   VertexId At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
   void Set(size_t r, size_t c, VertexId v) { data_[r * cols_ + c] = v; }
 
+  /// Keeps the first `rows` rows (at most rows()), for a table allocated
+  /// at an upper bound of its rows (DeviceBuffer::Truncate).
+  void Truncate(size_t rows);
+
   /// Copies row r to a host vector.
   std::vector<VertexId> Row(size_t r) const;
 

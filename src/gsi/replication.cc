@@ -547,6 +547,7 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     detail.dup_cache_hits += lane_join[lane].dup_cache_hits;
     detail.dup_cache_misses += lane_join[lane].dup_cache_misses;
     detail.staged_blocks += lane_join[lane].staged_blocks;
+    detail.fused_steps += lane_join[lane].fused_steps;
     out.stats.remote_probes += traffic[lane].remote_probes;
     out.stats.halo_bytes += traffic[lane].remote_lines * kTransactionBytes;
     out.stats.co_located_probes += traffic[lane].co_located_probes;

@@ -168,18 +168,22 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
                                   k, k + 1);
         slice_join[i] = join.stats();
         slice_mem[i] = dev.stats() - before;
+        slice_span.AddAttr("kernels", slice_mem[i].kernel_launches);
       });
     }
     pool->Wait();
     uint64_t rows_out = 0;
     uint64_t staged_blocks = 0;
+    uint64_t kernels = 0;
     for (size_t i = 0; i < slices.size(); ++i) {
       if (!tables[i]->ok()) return tables[i]->status();
       rows_out += tables[i]->value().table.rows();
       staged_blocks += slice_join[i].staged_blocks;
+      kernels += slice_mem[i].kernel_launches;
     }
     step_span.AddAttr("rows_out", rows_out);
     step_span.AddAttr("staged_blocks", staged_blocks);
+    step_span.AddAttr("kernels", kernels);
 
     // The slices run concurrently, one per device: the step's makespan is
     // the slowest slice, and slice i's cost is device i's load.
@@ -195,6 +199,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
       detail.dup_cache_hits += slice_join[i].dup_cache_hits;
       detail.dup_cache_misses += slice_join[i].dup_cache_misses;
       detail.staged_blocks += slice_join[i].staged_blocks;
+      detail.fused_steps += slice_join[i].fused_steps;
     }
     detail.peak_rows = std::max(detail.peak_rows, step_peak_rows);
     makespan_ms += step_makespan;
@@ -267,6 +272,7 @@ Result<PagedQueryResult> RunJoinStageShardedPaged(
   detail.dup_cache_hits += serial_detail.dup_cache_hits;
   detail.dup_cache_misses += serial_detail.dup_cache_misses;
   detail.staged_blocks += serial_detail.staged_blocks;
+  detail.fused_steps += serial_detail.fused_steps;
   detail.final_rows = manifest.rows();
 
   join_counters += serial_total;

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "baselines/oracle.h"
 #include "graph/graph_builder.h"
 #include "gsi/join.h"
+#include "gsi/load_balance.h"
 #include "gsi/matcher.h"
 #include "gsi/plan.h"
 #include "gsi/query_engine.h"
@@ -194,6 +198,39 @@ TEST(JoinLimits, RowCapReturnsResourceExhausted) {
   Result<QueryResult> r = matcher.Find(query);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+
+  // A hub with 20 leaves and the two-leaf star at it: each step reads at
+  // most 20 rows of first-edge bound at most 20, so every chunk plan is one
+  // block, and the last step writes the peak, 20 x 19 = 380 rows, into a
+  // GBA of 400. Below the GBA size that step runs the two kernels, so at
+  // max_rows = 379 Pass A's survivor count still fails it, and at 380 the
+  // table comes back with only the first step run as one block.
+  GraphBuilder b;
+  const VertexId hub = b.AddVertex(0);
+  const VertexId first = b.AddVertices(20, 1);
+  for (VertexId i = 0; i < 20; ++i) b.AddEdge(hub, first + i, 0);
+  const Graph star_data = std::move(b).Build().value();
+  GraphBuilder qb;
+  qb.AddVertex(0);
+  qb.AddVertices(2, 1);
+  qb.AddEdge(0, 1, 0);
+  qb.AddEdge(0, 2, 0);
+  const Graph star = std::move(qb).Build().value();
+  options = GsiOptions();
+  Result<QueryResult> full = GsiMatcher(star_data, options).Find(star);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const size_t peak = full->stats.join_detail.peak_rows;
+  ASSERT_EQ(peak, 380u);
+  EXPECT_EQ(full->stats.join_detail.fused_steps, 2u);
+  options.join.max_rows = peak - 1;
+  r = GsiMatcher(star_data, options).Find(star);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  options.join.max_rows = peak;
+  r = GsiMatcher(star_data, options).Find(star);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->TableEquals(*full));
+  EXPECT_EQ(r->stats.join_detail.fused_steps, 1u);
 }
 
 TEST(JoinEdgeCases, DisconnectedQueryRejected) {
@@ -273,13 +310,61 @@ uint64_t LaunchesOf(const QueryResult& r) {
   return r.stats.filter.kernel_launches + r.stats.join.kernel_launches;
 }
 
-// A Prealloc-Combine step launches Pass A and link, and the link kernel also
-// sizes the next step; step 0's sizing kernel seeds the table. The filter
-// launches its scan and the candidate-bitset build. Rows of these degrees
-// all stay in Layers 3/4, so a query launches 2 + 1 + 2 (|V(Q)| - 1) =
-// 2 |V(Q)| + 1 kernels.
+/// Filters `query` on a fresh device and runs its join one RunSteps call
+/// per step. Before step k runs, `visit(plan, k, m, fused)` sees its input
+/// m (the table and, under Prealloc-Combine, its sizing) and how many of
+/// the steps before it ran as one block. Returns the last table.
+JoinEngine::SizedTable RunStepwise(
+    const Graph& data, const Graph& query, const GsiOptions& options,
+    const std::function<void(const JoinPlan&, size_t,
+                             const JoinEngine::SizedTable&, size_t)>& visit) {
+  QueryEngine engine(data, options);
+  gpusim::Device dev(options.device);
+  QueryStats stats;
+  Result<FilterResult> filtered =
+      RunFilterStage(dev, engine.filter(), query, stats);
+  GSI_CHECK(filtered.ok() && !filtered->AnyEmpty());
+  const JoinPlan plan = MakeJoinPlan(query, data, filtered->candidates);
+  JoinEngine join(&dev, &engine.store(), options.join);
+  JoinEngine::SizedTable m =
+      join.Seed(plan, filtered->candidates[plan.order[0]].list());
+  for (size_t k = 0; k < plan.steps.size() && m.table.rows() > 0; ++k) {
+    visit(plan, k, m, join.stats().fused_steps);
+    Result<JoinEngine::SizedTable> next =
+        join.RunSteps(plan, filtered->candidates, std::move(m), k, k + 1);
+    GSI_CHECK(next.ok());
+    m = std::move(next.value());
+  }
+  return m;
+}
+
+/// Whether the chunk plan PlanChunks builds from `sizing` is one block: no
+/// Layer-1 row, and either at most warps_per_block pooled chunks and no
+/// Layer-2 row, or one Layer-2 row alone.
+bool PlanIsOneBlock(const JoinEngine::StepBounds& sizing,
+                    const GsiOptions& options) {
+  const size_t rows = sizing.bounds.size();
+  const size_t wpb = static_cast<size_t>(options.device.warps_per_block);
+  const ChunkPlan plan = PlanChunks(
+      std::span<const uint32_t>(sizing.bounds.data(), rows),
+      std::span<const uint64_t>(sizing.offsets.data(), rows + 1),
+      options.join.load_balance, options.join.w1,
+      static_cast<uint32_t>(wpb) * 32, options.join.w3);
+  if (!plan.huge.empty()) return false;
+  if (plan.per_block.empty()) return plan.pooled.size() <= wpb;
+  return plan.per_block.size() == 1 && plan.pooled.empty();
+}
+
+// A Prealloc-Combine step launches Pass A and link, and the link also
+// sizes the next step; step 0's sizing kernel seeds the table. A step
+// whose chunk plan is one block runs both as one kernel (its GBA, at most
+// 32 x W3 entries here, is far within max_rows). The filter launches its
+// scan and the candidate-bitset build. Rows of these degrees all stay in
+// Layers 3/4, so a query launches 2 + 1 + the sum over its steps of 1 for
+// a one-block plan and 2 otherwise, and the sweep sees both kinds.
 TEST(JoinLaunches, TwoPerStepWithoutHeavyRows) {
   Graph data = RandomGraph(300, 3, 3, 2, 41);
+  size_t kinds[2] = {0, 0};  // two-kernel, one-block steps
   for (size_t nq : {2u, 3u, 5u, 8u}) {
     Graph query = RandomQuery(data, nq, 40 + nq);
     GsiMatcher matcher(data, GsiOptOptions());
@@ -287,8 +372,21 @@ TEST(JoinLaunches, TwoPerStepWithoutHeavyRows) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_GE(r->num_matches(), 1u);  // every step ran
     EXPECT_EQ(r->stats.join_detail.iterations, nq - 1);
-    EXPECT_EQ(LaunchesOf(*r), 2 * nq + 1) << "nq=" << nq;
+    uint64_t launches = 2 + 1;
+    size_t one_block = 0;
+    RunStepwise(data, query, GsiOptOptions(),
+                [&](const JoinPlan&, size_t, const JoinEngine::SizedTable& m,
+                    size_t) {
+                  const bool fused = PlanIsOneBlock(*m.sizing, GsiOptOptions());
+                  launches += fused ? 1 : 2;
+                  one_block += fused;
+                  ++kinds[fused ? 1 : 0];
+                });
+    EXPECT_EQ(LaunchesOf(*r), launches) << "nq=" << nq;
+    EXPECT_EQ(r->stats.join_detail.fused_steps, one_block) << "nq=" << nq;
   }
+  EXPECT_GE(kinds[0], 1u);
+  EXPECT_GE(kinds[1], 1u);
 }
 
 // Hubs of 1100, 1500 and 2000 leaves, plus one light hub: the 2-vertex
@@ -339,8 +437,8 @@ struct HubCase {
   std::vector<Graph> queries;
 };
 
-HubCase MakeHubCase() {
-  Graph base = RandomGraph(2000, 2, 2, 1, 61);
+/// A builder holding `base`'s vertices and edges.
+GraphBuilder BuilderOf(const Graph& base) {
   GraphBuilder b;
   for (VertexId v = 0; v < base.num_vertices(); ++v) {
     b.AddVertex(base.vertex_label(v));
@@ -350,6 +448,12 @@ HubCase MakeHubCase() {
       if (v < n.v) b.AddEdge(v, n.v, n.elabel);
     }
   }
+  return b;
+}
+
+HubCase MakeHubCase() {
+  Graph base = RandomGraph(2000, 2, 2, 1, 61);
+  GraphBuilder b = BuilderOf(base);
   const VertexId hub_a = b.AddVertex(2);
   const VertexId hub_b = b.AddVertex(2);
   const VertexId hub_c = b.AddVertex(2);
@@ -379,21 +483,49 @@ HubCase MakeHubCase() {
   return c;
 }
 
+// Tables that stay within one block: a scale-free graph over 40 labels
+// (about 30 vertices each) and a label-40 hub adjacent to 1,100 of its
+// vertices. A star at the hub seeds one row of first-edge bound 1,100, a
+// Layer-2 row alone at W1 = 1200 (one pooled chunk without load
+// balance), and the random walks' candidate sets stay within 32 rows, so
+// their steps run as one block.
+HubCase MakeOneBlockCase() {
+  Graph base = RandomGraph(1200, 2, 40, 1, 67);
+  GraphBuilder b = BuilderOf(base);
+  const VertexId hub = b.AddVertex(40);
+  for (VertexId v = 0; v < 1100; ++v) b.AddEdge(hub, v, 0);
+  HubCase c{std::move(b).Build().value(), {}};
+  GraphBuilder star;  // label 0 - hub - label 1
+  star.AddVertex(40);
+  star.AddVertex(0);
+  star.AddVertex(1);
+  star.AddEdge(0, 1, 0);
+  star.AddEdge(0, 2, 0);
+  c.queries.push_back(std::move(star).Build().value());
+  for (size_t size : {3u, 4u}) {
+    for (Graph& q : RandomQuerySet(base, size, 2, 69 + size)) {
+      c.queries.push_back(std::move(q));
+    }
+  }
+  return c;
+}
+
 // Prealloc-Combine places each chunk's survivors at a scanned offset; a
 // wrong offset permutes rows without changing the match set, which the
 // sorted oracle comparisons above cannot see. kTwoStep writes row i's
-// results at the prefix sum of the counts before it, so its table is the
-// row order to match, for every storage kind and load-balance /
-// duplicate-removal setting.
+// results at the prefix sum of the counts before it, and never runs a step
+// as one block, so its table is the row order to match, for every storage
+// kind and load-balance / duplicate-removal setting: on the hub inputs,
+// whose wide steps run two kernels, and on inputs whose steps run as one.
 TEST(JoinRowOrder, PreallocCombineTableEqualsTwoStepRowForRow) {
   const HubCase hub = MakeHubCase();
+  const HubCase one_block = MakeOneBlockCase();
   for (StorageKind storage :
        {StorageKind::kCsr, StorageKind::kPcsr, StorageKind::kBasicRep,
         StorageKind::kCompressedRep}) {
     GsiOptions two_step;
     two_step.join.storage = storage;
     two_step.join.output_scheme = OutputScheme::kTwoStep;
-    GsiMatcher reference(hub.data, two_step);
     for (bool lb : {false, true}) {
       for (bool dr : {false, true}) {
         GsiOptions options;
@@ -402,15 +534,28 @@ TEST(JoinRowOrder, PreallocCombineTableEqualsTwoStepRowForRow) {
         options.join.duplicate_removal = dr;
         options.join.w1 = 1200;
         options.join.w3 = 32;
-        GsiMatcher matcher(hub.data, options);
-        for (size_t q = 0; q < hub.queries.size(); ++q) {
-          Result<QueryResult> want = reference.Find(hub.queries[q]);
-          Result<QueryResult> got = matcher.Find(hub.queries[q]);
-          ASSERT_TRUE(want.ok() && got.ok());
-          ASSERT_GE(want->num_matches(), 1u);
-          EXPECT_TRUE(got->TableEquals(*want))
-              << "storage=" << static_cast<int>(storage) << " lb=" << lb
-              << " dr=" << dr << " query=" << q;
+        for (const HubCase* c : {&hub, &one_block}) {
+          GsiMatcher reference(c->data, two_step);
+          GsiMatcher matcher(c->data, options);
+          for (size_t q = 0; q < c->queries.size(); ++q) {
+            const std::string context =
+                "storage=" + std::to_string(static_cast<int>(storage)) +
+                " lb=" + std::to_string(lb) + " dr=" + std::to_string(dr) +
+                (c == &hub ? " hub" : " one-block") +
+                " query=" + std::to_string(q);
+            Result<QueryResult> want = reference.Find(c->queries[q]);
+            Result<QueryResult> got = matcher.Find(c->queries[q]);
+            ASSERT_TRUE(want.ok() && got.ok()) << context;
+            ASSERT_GE(want->num_matches(), 1u) << context;
+            EXPECT_EQ(want->stats.join_detail.fused_steps, 0u) << context;
+            const JoinStats& detail = got->stats.join_detail;
+            if (c == &hub) {
+              EXPECT_LT(detail.fused_steps, detail.iterations) << context;
+            } else {
+              EXPECT_GT(detail.fused_steps, 0u) << context;
+            }
+            EXPECT_TRUE(got->TableEquals(*want)) << context;
+          }
         }
       }
     }
@@ -519,6 +664,43 @@ TEST(JoinStagedProbe, StagingLowersJoinGldAndKeepsTheTable) {
   }
 }
 
+// 150,000 label-1 vertices: a 4,688-word bitset of 18,752 B, which a
+// 48 KB block cannot hold beside the duplicate-removal cache's whole
+// 32 KB. Three label-0 hubs adjacent to 2,000 random label-1 vertices
+// each, and the one-edge query at a hub, as above: its Pass A blocks stage
+// the bitset with removal on too, and the cache takes the shared memory
+// the bitset leaves, so removal loads no more than running without it.
+TEST(JoinStagedProbe, StagesBesideTheDuplicateRemovalCache) {
+  GraphBuilder b;
+  const VertexId leaves = b.AddVertices(150000, 1);
+  Rng rng(73);
+  for (int h = 0; h < 3; ++h) {
+    const VertexId hub = b.AddVertex(0);
+    for (int i = 0; i < 2000; ++i) {
+      b.AddEdge(hub, leaves + static_cast<VertexId>(rng.NextBounded(150000)),
+                0);
+    }
+  }
+  const Graph data = std::move(b).Build().value();
+  GraphBuilder qb;
+  qb.AddVertex(0);
+  qb.AddVertex(1);
+  qb.AddEdge(0, 1, 0);
+  const Graph query = std::move(qb).Build().value();
+  std::optional<QueryResult> results[2];  // without, with removal
+  for (bool dr : {false, true}) {
+    GsiOptions options = GsiOptOptions();
+    options.join.duplicate_removal = dr;
+    Result<QueryResult> r = GsiMatcher(data, options).Find(query);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(r->stats.join_detail.staged_blocks, 0u) << "dr=" << dr;
+    results[dr ? 1 : 0] = std::move(r.value());
+  }
+  EXPECT_GE(results[0]->num_matches(), 5000u);
+  EXPECT_TRUE(results[1]->TableEquals(*results[0]));
+  EXPECT_LE(results[1]->stats.join.gld, results[0]->stats.join.gld);
+}
+
 // ------------------------------------------------------ step sizing ---
 
 // The sizing of `table` for `step`, recomputed on the host: every row's
@@ -545,25 +727,32 @@ void ExpectSizingOf(const Graph& data, StorageKind storage,
   EXPECT_EQ(sizing.offsets[table.rows()], offset) << context;
 }
 
-// Seed, then RunSteps one step at a time: every step's link kernel writes
-// the next step's sizing, which must equal the host recomputation from the
-// table it returns. MakeHubCase's hub-seeded queries put the link kernel's
-// input rows in Layers 1, 2 and 3/4 at W1 = 1200; a star at the hub makes
-// step 1's e0 bind the older hub column (one lookup per chunk), and the
-// path's binds the column step 0 wrote (one lookup per row).
+// Seed, then RunSteps one step at a time: every step's link writes the
+// next step's sizing, which must equal the host recomputation from the
+// table it returns, whether the step ran two kernels or one block.
+// MakeHubCase's hub-seeded queries put the link kernel's input rows in
+// Layers 1, 2 and 3/4 at W1 = 1200; a star at the hub makes step 1's e0
+// bind the older hub column (one lookup per chunk), and the path's binds
+// the column step 0 wrote (one lookup per row). MakeOneBlockCase's steps
+// run as one block.
 TEST(JoinSizing, LinkKernelWritesTheNextStepsSizing) {
-  HubCase hub = MakeHubCase();
-  GraphBuilder star;  // label 0 - hub - label 1
-  star.AddVertices(1, 2);
-  star.AddVertex(0);
-  star.AddVertex(1);
-  star.AddEdge(0, 1, 0);
-  star.AddEdge(0, 2, 0);
-  hub.queries.push_back(std::move(star).Build().value());
+  const HubCase hub = [] {
+    HubCase c = MakeHubCase();
+    GraphBuilder star;  // label 0 - hub - label 1
+    star.AddVertices(1, 2);
+    star.AddVertex(0);
+    star.AddVertex(1);
+    star.AddEdge(0, 1, 0);
+    star.AddEdge(0, 2, 0);
+    c.queries.push_back(std::move(star).Build().value());
+    return c;
+  }();
+  const HubCase one_block = MakeOneBlockCase();
 
   size_t new_column = 0;
   size_t older_column = 0;
   bool linked_layer[3] = {false, false, false};  // Layer 1, 2, 3/4
+  size_t checked[2] = {0, 0};  // sizings of two-kernel, one-block steps
   for (StorageKind storage :
        {StorageKind::kCsr, StorageKind::kPcsr, StorageKind::kBasicRep,
         StorageKind::kCompressedRep}) {
@@ -571,57 +760,53 @@ TEST(JoinSizing, LinkKernelWritesTheNextStepsSizing) {
     options.join.storage = storage;
     options.join.w1 = 1200;
     options.join.w3 = 32;
-    QueryEngine engine(hub.data, options);
-    for (size_t q = 0; q < hub.queries.size(); ++q) {
-      const Graph& query = hub.queries[q];
-      const std::string context = "storage=" +
-                                  std::to_string(static_cast<int>(storage)) +
-                                  " query=" + std::to_string(q);
-      gpusim::Device dev(options.device);
-      QueryStats stats;
-      Result<FilterResult> filtered =
-          RunFilterStage(dev, engine.filter(), query, stats);
-      ASSERT_TRUE(filtered.ok()) << context;
-      ASSERT_FALSE(filtered->AnyEmpty()) << context;
-      const JoinPlan plan =
-          MakeJoinPlan(query, hub.data, filtered->candidates);
-      JoinEngine join(&dev, &engine.store(), options.join);
-      JoinEngine::SizedTable m =
-          join.Seed(plan, filtered->candidates[plan.order[0]].list());
-      for (size_t k = 0; k < plan.steps.size(); ++k) {
-        const std::string at = context + " step=" + std::to_string(k);
-        ASSERT_TRUE(m.sizing.has_value()) << at;
-        ExpectSizingOf(hub.data, storage, m.table, plan.steps[k], *m.sizing,
-                       at);
-        if (k > 0) {
-          const bool on_new = plan.steps[k].links[0].prev_column == k;
-          (on_new ? new_column : older_column) += 1;
+    for (const HubCase* c : {&hub, &one_block}) {
+      for (size_t q = 0; q < c->queries.size(); ++q) {
+        const Graph& query = c->queries[q];
+        const std::string context =
+            "storage=" + std::to_string(static_cast<int>(storage)) +
+            (c == &hub ? " hub" : " one-block") +
+            " query=" + std::to_string(q);
+        size_t fused_before = 0;
+        JoinEngine::SizedTable m = RunStepwise(
+            c->data, query, options,
+            [&](const JoinPlan& plan, size_t k,
+                const JoinEngine::SizedTable& in, size_t fused) {
+              const std::string at = context + " step=" + std::to_string(k);
+              ASSERT_TRUE(in.sizing.has_value()) << at;
+              ExpectSizingOf(c->data, storage, in.table, plan.steps[k],
+                             *in.sizing, at);
+              if (k > 0) {
+                // Step k - 1's link wrote this sizing.
+                ++checked[fused > fused_before ? 1 : 0];
+                const bool on_new = plan.steps[k].links[0].prev_column == k;
+                (on_new ? new_column : older_column) += 1;
+              }
+              fused_before = fused;
+              if (k + 1 < plan.steps.size() && c == &hub) {
+                for (size_t r = 0; r < in.table.rows(); ++r) {
+                  const uint32_t bound = in.sizing->bounds[r];
+                  linked_layer[bound > 1200 ? 0 : bound > 1024 ? 1 : 2] =
+                      true;
+                }
+              }
+            });
+        // No step follows the last one (or an emptied table): no sizing.
+        EXPECT_FALSE(m.sizing.has_value()) << context;
+        Result<QueryResult> want = GsiMatcher(c->data, options).Find(query);
+        ASSERT_TRUE(want.ok()) << context;
+        EXPECT_EQ(m.table.rows(), want->table.rows()) << context;
+        for (size_t r = 0; r < want->table.rows(); ++r) {
+          ASSERT_EQ(m.table.Row(r), want->table.Row(r)) << context;
         }
-        if (k + 1 < plan.steps.size()) {
-          for (size_t r = 0; r < m.table.rows(); ++r) {
-            const uint32_t bound = m.sizing->bounds[r];
-            linked_layer[bound > 1200 ? 0 : bound > 1024 ? 1 : 2] = true;
-          }
-        }
-        Result<JoinEngine::SizedTable> next =
-            join.RunSteps(plan, filtered->candidates, std::move(m), k, k + 1);
-        ASSERT_TRUE(next.ok()) << at;
-        m = std::move(next.value());
-        if (m.table.rows() == 0) break;
-      }
-      // No step follows the last one (or an emptied table): no sizing.
-      EXPECT_FALSE(m.sizing.has_value()) << context;
-      Result<QueryResult> want = GsiMatcher(hub.data, options).Find(query);
-      ASSERT_TRUE(want.ok()) << context;
-      EXPECT_EQ(m.table.rows(), want->table.rows()) << context;
-      for (size_t r = 0; r < want->table.rows(); ++r) {
-        ASSERT_EQ(m.table.Row(r), want->table.Row(r)) << context;
       }
     }
   }
   EXPECT_GE(new_column, 1u);
   EXPECT_GE(older_column, 1u);
   EXPECT_TRUE(linked_layer[0] && linked_layer[1] && linked_layer[2]);
+  EXPECT_GE(checked[0], 1u);
+  EXPECT_GE(checked[1], 1u);
 }
 
 // Bigger query sizes across optimization combos.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -268,8 +269,10 @@ TEST(ShardedEngine, PrimaryLaunchesNothingAfterAGather) {
   // primary concatenates those sizings with the gathered table, so after a
   // distributed step the primary launches nothing before the next step's
   // Pass A: its clock does not move between the distributed step's span
-  // and the next step's, and its join launches are the seed plus Pass A
-  // and link of each step it ran (no row of this graph reaches Layer 1).
+  // and the next step's, and its join launches are the seed plus the
+  // `kernels` of each step it ran, serially (`join_step`) or as slice 0
+  // (`shard_slice` on device 0). No row of this graph reaches Layer 1, so
+  // each such step launched one kernel (one block) or two.
   Graph g = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
   Graph q = testing::RandomQuery(g, 4, 102);
   QueryEngine engine(g, GsiOptOptions());
@@ -297,7 +300,7 @@ TEST(ShardedEngine, PrimaryLaunchesNothingAfterAGather) {
 
   const std::vector<obs::TraceSpan> spans = tracer.Snapshot();
   std::vector<const obs::TraceSpan*> steps;  // by step index
-  uint64_t primary_steps = 0;
+  uint64_t primary_kernels = 0;
   for (const obs::TraceSpan& s : spans) {
     const bool serial = s.name == "join_step";
     if (serial || s.name == "join_step_distributed") {
@@ -306,7 +309,15 @@ TEST(ShardedEngine, PrimaryLaunchesNothingAfterAGather) {
       if (steps.size() <= step) steps.resize(step + 1, nullptr);
       steps[step] = &s;
     }
-    primary_steps += serial || (s.name == "shard_slice" && s.device == 0);
+    if (serial || (s.name == "shard_slice" && s.device == 0)) {
+      auto kernels = std::find_if(
+          s.attrs.begin(), s.attrs.end(),
+          [](const auto& attr) { return attr.first == "kernels"; });
+      ASSERT_NE(kernels, s.attrs.end()) << s.name;
+      const uint64_t launched = std::stoull(kernels->second);
+      EXPECT_TRUE(launched == 1 || launched == 2) << s.name << " " << launched;
+      primary_kernels += launched;
+    }
   }
   ASSERT_EQ(steps.size(), 3u);
   size_t gathers = 0;
@@ -319,7 +330,7 @@ TEST(ShardedEngine, PrimaryLaunchesNothingAfterAGather) {
   }
   EXPECT_GE(gathers, 1u);
   EXPECT_EQ(devs[0]->stats().kernel_launches - launches_before_join,
-            1 + 2 * primary_steps);
+            1 + primary_kernels);
 }
 
 TEST(ShardedEngine, InvalidQueriesStillFail) {

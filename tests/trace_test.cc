@@ -526,30 +526,35 @@ std::map<uint64_t, StepValues> StepsOf(const std::vector<TraceSpan>& spans) {
   return steps;
 }
 
-/// Sum of the `staged_blocks` attrs of every join step span.
-uint64_t StagedBlocksOf(const std::vector<TraceSpan>& spans) {
+/// Sum of the unsigned attr `key` of every join step span.
+uint64_t SumOfStepAttr(const std::vector<TraceSpan>& spans,
+                       const std::string& key) {
   uint64_t sum = 0;
   for (const TraceSpan& s : spans) {
     if (!IsJoinStep(s)) continue;
-    const std::string staged = AttrOf(s, "staged_blocks");
-    if (staged.empty()) {
-      ADD_FAILURE() << s.name << " step " << AttrOf(s, "step")
-                    << " lacks staged_blocks";
+    const std::string value = AttrOf(s, key);
+    if (value.empty()) {
+      ADD_FAILURE() << s.name << " step " << AttrOf(s, "step") << " lacks "
+                    << key;
       continue;
     }
-    sum += std::stoull(staged);
+    sum += std::stoull(value);
   }
   return sum;
 }
 
-// Every join step span says how many of its Pass A blocks staged C(u)'s
-// bitset, and the spans of one query sum to its
-// JoinStats::staged_blocks: on one device, over fanned-out steps, and over
-// the partitioned lanes. The 300-vertex graph's bitsets are one line, so
-// every block with first-edge work stages.
-TEST(TraceAttrs, StagedBlocksSumToTheJoinStats) {
-  Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
-  Graph query = testing::RandomQuery(data, 4, 102);
+/// One traced run of a query on each path: one device, four devices with
+/// every step that can fan out distributed, and a K = 4 partitioned graph.
+struct TracedPaths {
+  struct Run {
+    const char* path;
+    Result<QueryResult> result;
+    std::vector<TraceSpan> spans;
+  };
+  std::vector<Run> runs;
+};
+
+TracedPaths RunOnEveryPath(const Graph& data, const Graph& query) {
   QueryEngine engine(data, GsiOptOptions());
   std::vector<std::unique_ptr<gpusim::Device>> owned;
   std::vector<gpusim::Device*> devs;
@@ -561,37 +566,76 @@ TEST(TraceAttrs, StagedBlocksSumToTheJoinStats) {
       ReplicatedGraph::Build(devs, data, engine.options(),
                              HashVertexPartitioner(), /*partitions=*/4,
                              /*replicas=*/1);
-  ASSERT_TRUE(rg.ok());
+  GSI_CHECK(rg.ok());
   const ReplicaSelection sel = CompactSelection(*rg);
   ShardOptions so;
   so.min_rows_per_shard = 1;
+  TracedPaths out;
+  auto run = [&](const char* path, QueryEngine::ExecRequest request) {
+    Tracer tracer;
+    request.query = &query;
+    request.trace = TraceContext{&tracer, -1, kHostDevice};
+    Result<QueryResult> r = engine.Execute(request);
+    out.runs.push_back({path, std::move(r), tracer.Snapshot()});
+  };
+  run("single", {});
+  run("sharded", {.devices = devs, .shard = so});
+  run("partitioned", {.replicated = &*rg, .selection = &sel});
+  return out;
+}
 
-  Tracer single;
-  Result<QueryResult> one = engine.Execute(
-      {.query = &query, .trace = TraceContext{&single, -1, kHostDevice}});
-  Tracer sharded;
-  Result<QueryResult> fanned =
-      engine.Execute({.query = &query,
-                      .devices = devs,
-                      .shard = so,
-                      .trace = TraceContext{&sharded, -1, kHostDevice}});
-  Tracer partitioned;
-  Result<QueryResult> lanes =
-      engine.Execute({.query = &query,
-                      .replicated = &*rg,
-                      .selection = &sel,
-                      .trace = TraceContext{&partitioned, -1, kHostDevice}});
-  ASSERT_TRUE(one.ok() && fanned.ok() && lanes.ok());
-  EXPECT_GE(CountSpans(sharded.Snapshot(), "join_step_distributed"), 1u);
-  for (const auto& [context, r, tracer] :
-       {std::tuple{"single", &*one, &single},
-        std::tuple{"sharded", &*fanned, &sharded},
-        std::tuple{"partitioned", &*lanes, &partitioned}}) {
-    EXPECT_GT(r->stats.join_detail.staged_blocks, 0u) << context;
-    EXPECT_EQ(StagedBlocksOf(tracer->Snapshot()),
-              r->stats.join_detail.staged_blocks)
-        << context;
+// Every join step span says how many of its Pass A blocks staged C(u)'s
+// bitset, and the spans of one query sum to its
+// JoinStats::staged_blocks: on one device, over fanned-out steps, and over
+// the partitioned lanes. The 300-vertex graph's bitsets are one line, so
+// every block with first-edge work stages.
+TEST(TraceAttrs, StagedBlocksSumToTheJoinStats) {
+  Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  Graph query = testing::RandomQuery(data, 4, 102);
+  const TracedPaths paths = RunOnEveryPath(data, query);
+  ASSERT_EQ(paths.runs.size(), 3u);
+  EXPECT_GE(CountSpans(paths.runs[1].spans, "join_step_distributed"), 1u);
+  for (const TracedPaths::Run& run : paths.runs) {
+    ASSERT_TRUE(run.result.ok()) << run.path;
+    const JoinStats& detail = run.result->stats.join_detail;
+    EXPECT_GT(detail.staged_blocks, 0u) << run.path;
+    EXPECT_EQ(SumOfStepAttr(run.spans, "staged_blocks"), detail.staged_blocks)
+        << run.path;
   }
+}
+
+// Every join step span says how many kernels it launched on its device (a
+// distributed step, the sum over its slices), and those, plus one seed
+// kernel per engine run (one per lane on the partitioned path), are all of
+// a query's join launches on every path. Over four vertex labels the
+// query's steps include steps that run as one block, on every path, and
+// steps that do not.
+TEST(TraceAttrs, StepKernelsSumToTheJoinLaunches) {
+  Graph data = testing::RandomHubGraph(300, 3, 4, 2, 2, 5, 0.25);
+  Graph query = testing::RandomQuery(data, 4, 103);
+  const TracedPaths paths = RunOnEveryPath(data, query);
+  ASSERT_EQ(paths.runs.size(), 3u);
+  for (const TracedPaths::Run& run : paths.runs) {
+    ASSERT_TRUE(run.result.ok()) << run.path;
+    uint64_t engine_runs = 0;
+    for (const TraceSpan& s : run.spans) {
+      if (s.name == "lane" && AttrOf(s, "seed_rows") != "0") ++engine_runs;
+    }
+    if (std::string(run.path) != "partitioned") {
+      EXPECT_EQ(engine_runs, 0u) << run.path;
+      engine_runs = 1;
+    }
+    EXPECT_GE(engine_runs, 1u) << run.path;
+    const QueryStats& stats = run.result->stats;
+    EXPECT_GT(stats.join_detail.fused_steps, 0u) << run.path;
+    EXPECT_EQ(SumOfStepAttr(run.spans, "kernels") + engine_runs,
+              stats.join.kernel_launches)
+        << run.path;
+  }
+  EXPECT_GE(CountSpans(paths.runs[1].spans, "join_step_distributed"), 1u);
+  const TracedPaths::Run& single = paths.runs[0];
+  EXPECT_LT(single.result->stats.join_detail.fused_steps,
+            single.result->stats.join_detail.iterations);
 }
 
 // The GBA a step fills is sized by its rows' first-edge bounds, so its

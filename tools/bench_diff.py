@@ -20,12 +20,21 @@ benches appear and old configs retire as the repo grows. Baseline records
 with qps == 0 (or p50 == 0 for the growth check) are skipped — there is
 no meaningful ratio against zero.
 
+With --exact the comparison is equality instead, for records whose every
+field is simulated (the paper benches, BENCH_paper.json): every field of
+every (bench, config) record must equal the expected one, and a record or
+field present on one side only fails. Each mismatch prints the key, the
+field and both values. --bench limits both sides to one bench's records;
+an exact comparison of no records fails.
+
 Usage:
   tools/bench_diff.py <baseline> <current> [options]
       <baseline>/<current>: a .json report or a directory searched
       recursively for bench_*.json (a downloaded bench-json-<sha>
       artifact; other JSON there, such as the example trace export, is
       skipped).
+  tools/bench_diff.py --exact [--bench NAME] <expected> <current>
+      Exact gate (see above), e.g. BENCH_paper.json against a fresh run.
   tools/bench_diff.py --self-test
       Runs the embedded scenarios (registered with ctest as
       bench_diff_selftest).
@@ -110,6 +119,47 @@ def diff(baseline, current, max_qps_drop, max_p50_growth, warn_benches):
     return failures, warnings, lines
 
 
+def diff_exact(expected, current):
+    """Returns (failures, lines): the keys whose records differ in any field
+    (or exist on one side only), and one report line per key or field."""
+    failures, lines = [], []
+    for key in sorted(set(expected) | set(current)):
+        label = "%s / %s" % key
+        if key not in current:
+            failures.append(label)
+            lines.append("  FAIL:  %s: record missing" % label)
+            continue
+        if key not in expected:
+            failures.append(label)
+            lines.append("  FAIL:  %s: record not expected" % label)
+            continue
+        old, new = expected[key], current[key]
+        problems = []
+        for field in sorted(set(old) | set(new)):
+            if field not in new:
+                problems.append("%s: expected %r, missing" %
+                                (field, old[field]))
+            elif field not in old:
+                problems.append("%s: not expected, got %r" %
+                                (field, new[field]))
+            elif old[field] != new[field]:
+                problems.append("%s: expected %r, got %r" %
+                                (field, old[field], new[field]))
+        if problems:
+            failures.append(label)
+            lines.extend("  FAIL:  %s: %s" % (label, p) for p in problems)
+        else:
+            lines.append("  ok:    %s" % label)
+    return failures, lines
+
+
+def only_bench(records, bench):
+    """The records of `bench` (all of them when bench is None)."""
+    if bench is None:
+        return records
+    return {k: v for k, v in records.items() if k[0] == bench}
+
+
 def self_test():
     import tempfile
 
@@ -163,6 +213,36 @@ def self_test():
     f, _, _ = run([rec], [dict(rec, qps=200.0, p50=5.0)])
     check(f == [], "improvements pass")
 
+    exact = {("b", "c"): dict(rec, bench="b", config="c"),
+             ("d", "c"): dict(rec, bench="d", config="c")}
+    f, _ = diff_exact(exact, {k: dict(v) for k, v in exact.items()})
+    check(f == [], "exact: equal records pass")
+
+    f, lines = diff_exact(exact, {**exact, ("b", "c"): dict(
+        exact[("b", "c")], p50=10.000001)})
+    check(f == ["b / c"] and
+          any("b / c" in l and "p50" in l and "10.0" in l and
+              "10.000001" in l for l in lines),
+          "exact: one changed field fails and prints key, field, both values")
+
+    f, _ = diff_exact(exact, {**exact, ("b", "c"): dict(
+        exact[("b", "c")], extra=1)})
+    check(f == ["b / c"], "exact: a field on one side only fails")
+
+    f, _ = diff_exact(exact, {("b", "c"): exact[("b", "c")]})
+    check(f == ["d / c"], "exact: a record on one side only fails")
+
+    changed_d = {**exact, ("d", "c"): dict(exact[("d", "c")], p99=1.0)}
+    f, _ = diff_exact(only_bench(exact, "b"), only_bench(changed_d, "b"))
+    check(f == [], "exact: --bench compares that bench's records only")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write(tmp, "bench_a.json", [rec])
+        path = os.path.join(tmp, "bench_a.json")
+        check(main(["--exact", path, path]) == 0 and
+              main(["--exact", "--bench", "x", path, path]) == 1,
+              "exact: an exact comparison of no records fails")
+
     with tempfile.TemporaryDirectory() as tmp:
         write(tmp, "bench_a.json", [rec])
         write(tmp, "trace_query.json", {"traceEvents": []})
@@ -197,6 +277,12 @@ def main(argv):
     parser.add_argument("--warn-benches", default="service_throughput",
                         help="comma-separated bench names that only warn "
                         "(wall-clock-noisy)")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail unless every field of every record is "
+                        "equal (simulated records)")
+    parser.add_argument("--bench", default=None,
+                        help="with --exact, compare this bench's records "
+                        "only")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
 
@@ -215,6 +301,22 @@ def main(argv):
     except InputError as e:
         print("bench_diff: %s" % e, file=sys.stderr)
         return 2
+    if args.exact:
+        baseline = only_bench(baseline, args.bench)
+        current = only_bench(current, args.bench)
+        if not baseline and not current:
+            print("bench_diff: no records to compare exactly")
+            return 1
+        failures, lines = diff_exact(baseline, current)
+        print("bench_diff --exact: %d expected / %d current record(s)" %
+              (len(baseline), len(current)))
+        for line in lines:
+            print(line)
+        if failures:
+            print("\nbench_diff: %d record(s) differ" % len(failures))
+            return 1
+        print("\nbench_diff: %d record(s) equal" % len(baseline))
+        return 0
     if not baseline:
         print("bench_diff: baseline has no records — nothing to gate")
         return 0

@@ -6,13 +6,19 @@
 # file repeats exactly on any host; a change that moves a paper number
 # regenerates it in the same commit.
 #
-# Usage: tools/paper_records.sh [build-dir] [out]
-#        (defaults: build, BENCH_paper.json)
+# Usage: tools/paper_records.sh [build-dir] [out] [bench]
+#          (defaults: build, BENCH_paper.json, every bench); with a bench,
+#          writes only that bench's records.
+#        tools/paper_records.sh --list
+#          prints the bench names, one per line.
+#        tools/paper_records.sh --check <build-dir> <bench>
+#          runs one bench and compares its records exactly with its records
+#          in BENCH_paper.json (tools/bench_diff.py --exact); registered
+#          with ctest as paper_records_<bench>.
 
 set -euo pipefail
 
-BUILD_DIR="${1:-build}"
-OUT="${2:-BENCH_paper.json}"
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BENCHES=(
   table6_join_phase
   table7_write_cache
@@ -26,14 +32,47 @@ BENCHES=(
   fig15_query_size
 )
 
+if [[ "${1:-}" == "--list" ]]; then
+  printf '%s\n' "${BENCHES[@]}"
+  exit 0
+fi
+
+check=0
+if [[ "${1:-}" == "--check" ]]; then
+  [[ $# -eq 3 ]] || { echo "usage: $0 --check <build-dir> <bench>" >&2; exit 2; }
+  check=1
+  BUILD_DIR="$2"
+  selected=("$3")
+else
+  BUILD_DIR="${1:-build}"
+  OUT="${2:-BENCH_paper.json}"
+  if [[ $# -ge 3 ]]; then
+    selected=("$3")
+  else
+    selected=("${BENCHES[@]}")
+  fi
+fi
+for b in "${selected[@]}"; do
+  [[ " ${BENCHES[*]} " == *" $b "* ]] || {
+    echo "$0: $b is not a paper bench (see --list)" >&2
+    exit 2
+  }
+done
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 files=()
-for b in "${BENCHES[@]}"; do
+for b in "${selected[@]}"; do
   env GSI_BENCH_SCALE=1 GSI_BENCH_QUERIES=5 GSI_BENCH_QSIZE=8 \
     "$BUILD_DIR/bench/bench_$b" --json "$tmp/$b.json" > /dev/null
   files+=("$tmp/$b.json")
 done
+
+if [[ $check -eq 1 ]]; then
+  exec python3 "$ROOT/tools/bench_diff.py" --exact --bench "${selected[0]}" \
+    "$ROOT/BENCH_paper.json" "${files[0]}"
+fi
+
 python3 - "$OUT" "${files[@]}" <<'PYEOF'
 import json, sys
 records = []
