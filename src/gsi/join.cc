@@ -253,14 +253,21 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
   std::vector<Chunk*> all_chunks = plan.AllChunks();
 
   // --- The one-block rule: a step whose chunk plan is one block, and
-  // whose GBA size is within max_rows, runs Pass A and link as one kernel
-  // of one block. Its M' and next sizing are allocated before the launch
-  // at the GBA size, which bounds the survivors (so the step cannot pass
-  // the row budget), and trimmed to the survivor count after it. The
-  // block's link buffers must also fit its shared memory, which only an
-  // extreme W1/W3 ratio (a Layer-2 row of thousands of chunks) breaks.
+  // whose GBA size is within max_rows and within a block of W3-entry
+  // chunks (warps_per_block x W3), runs Pass A and link as one kernel of
+  // one block. Its M' and next sizing are allocated before the launch at
+  // the GBA size, which bounds the survivors (so the step cannot pass the
+  // row budget), and trimmed to the survivor count after it. The
+  // warps_per_block x W3 cap bounds that allocation: under load balancing
+  // a one-block plan's pooled chunks already hold at most W3 entries each,
+  // but without it every row is one chunk of any size, and a step of a
+  // few hub rows could otherwise size M' at up to max_rows. The block's
+  // link buffers must also fit its shared memory, which only an extreme
+  // W1/W3 ratio (a Layer-2 row of thousands of chunks) breaks.
   const bool one_block =
-      IsOneBlock(plan, wpb) && gba_size <= options_.max_rows &&
+      IsOneBlock(plan, wpb) &&
+      gba_size <= std::min<uint64_t>(options_.max_rows,
+                                     uint64_t{wpb} * options_.w3) &&
       LinkBuffers::Bytes(num_chunks, next != nullptr) <=
           dev_->config().shared_memory_bytes;
 

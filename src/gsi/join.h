@@ -83,12 +83,13 @@ struct JoinStats {
 /// Layers 2-4, plus one per Layer-1 row) and link. A step whose chunk plan
 /// is one block (no Layer-1 row, and either at most warps_per_block pooled
 /// chunks and no Layer-2 row, or one Layer-2 row alone) and whose GBA size
-/// is within max_rows launches one kernel of one block instead, which runs
-/// Pass A and then links from the rows it staged (JoinStats::fused_steps
-/// counts them). Under the GPU-friendly set op, a Pass A block whose
-/// distinct first-edge slice elements reach the 128B line count of C(u)'s
-/// bitset, and whose shared memory holds the bitset beside its other
-/// buffers, loads the bitset into shared memory once and probes it there
+/// is within max_rows and warps_per_block x W3 launches one kernel of one
+/// block instead, which runs Pass A and then links from the rows it staged
+/// (JoinStats::fused_steps counts them). Under the GPU-friendly set op, a
+/// Pass A block whose distinct first-edge slice elements reach the 128B
+/// line count of C(u)'s bitset, and whose shared memory holds the bitset
+/// beside its other buffers, loads the bitset into shared memory once and
+/// probes it there
 /// (JoinStats::staged_blocks counts them). The link that writes M' also
 /// writes the next step's sizing (Algorithm 4: every new row's first-edge
 /// bound and GBA offset), so no step after the first launches a sizing
@@ -175,8 +176,8 @@ class JoinEngine {
   /// Pass A and link of one step: two kernels (Pass A's Layers 2-4 launch,
   /// plus one per Layer-1 row, then link), or one kernel of one block when
   /// the step's chunk plan is one block and its GBA size is within
-  /// max_rows; that block allocates M' at the GBA size, and the step trims
-  /// it to the survivors. When `next` is set the link also writes the
+  /// max_rows and warps_per_block x W3; that block allocates M' at the GBA
+  /// size, and the step trims it to the survivors. When `next` is set the link also writes the
   /// sizing of M' for `next`.
   Result<SizedTable> StepPrealloc(const MatchTable& m, const JoinStep& step,
                                   const JoinStep* next,

@@ -358,7 +358,7 @@ bool PlanIsOneBlock(const JoinEngine::StepBounds& sizing,
 // A Prealloc-Combine step launches Pass A and link, and the link also
 // sizes the next step; step 0's sizing kernel seeds the table. A step
 // whose chunk plan is one block runs both as one kernel (its GBA, at most
-// 32 x W3 entries here, is far within max_rows). The filter launches its
+// 32 x W3 entries under load balance, is within both of the rule's caps). The filter launches its
 // scan and the candidate-bitset build. Rows of these degrees all stay in
 // Layers 3/4, so a query launches 2 + 1 + the sum over its steps of 1 for
 // a one-block plan and 2 otherwise, and the sweep sees both kinds.
@@ -423,6 +423,51 @@ TEST(JoinLaunches, OnePerLayerOneRowAndNoneForLayerTwo) {
   }
 }
 
+// A one-block step allocates M' and its next sizing at the GBA size before
+// its kernel, so the rule also caps the GBA at warps_per_block x W3 (8,192
+// entries by default). A hub of n leaves and the 2-vertex query: the seed
+// row is the hub, whose first-edge bound is n. Under load balance at
+// W1 = 4096, 2,000 leaves make a Layer-2 row alone, one block. Without
+// load balance every row is one pooled chunk, so the plan is one block
+// whatever n is, and only the cap sends 9,000 leaves, or 2,000 at W3 = 32,
+// to the two kernels.
+TEST(JoinLaunches, OneBlockRuleCapsTheGbaAtABlockOfW3Chunks) {
+  struct Case {
+    size_t leaves;
+    bool load_balance;
+    uint32_t w3;
+    bool one_block;
+  };
+  for (const Case& c : {Case{2000, true, 256, true},
+                        Case{2000, false, 256, true},
+                        Case{9000, false, 256, false},
+                        Case{2000, false, 32, false}}) {
+    GraphBuilder b;
+    const VertexId hub = b.AddVertex(0);
+    const VertexId first = b.AddVertices(c.leaves, 1);
+    for (size_t i = 0; i < c.leaves; ++i) {
+      b.AddEdge(hub, first + static_cast<VertexId>(i), 0);
+    }
+    const Graph data = std::move(b).Build().value();
+    GraphBuilder qb;
+    const VertexId u0 = qb.AddVertex(0);
+    qb.AddEdge(u0, qb.AddVertex(1), 0);
+    const Graph query = std::move(qb).Build().value();
+    GsiOptions options;
+    options.join.load_balance = c.load_balance;
+    options.join.w3 = c.w3;
+    const std::string context = "leaves=" + std::to_string(c.leaves) +
+                                " lb=" + std::to_string(c.load_balance) +
+                                " w3=" + std::to_string(c.w3);
+    Result<QueryResult> r = GsiMatcher(data, options).Find(query);
+    ASSERT_TRUE(r.ok()) << context << ": " << r.status().ToString();
+    EXPECT_EQ(r->num_matches(), c.leaves) << context;
+    EXPECT_EQ(r->stats.join_detail.fused_steps, c.one_block ? 1u : 0u)
+        << context;
+    EXPECT_EQ(LaunchesOf(*r), 2 + 1 + (c.one_block ? 1u : 2u)) << context;
+  }
+}
+
 // ------------------------------------------------------- row order ---
 
 // A scale-free graph over labels 0/1 plus three label-2 hubs adjacent to
@@ -484,16 +529,17 @@ HubCase MakeHubCase() {
 }
 
 // Tables that stay within one block: a scale-free graph over 40 labels
-// (about 30 vertices each) and a label-40 hub adjacent to 1,100 of its
-// vertices. A star at the hub seeds one row of first-edge bound 1,100, a
-// Layer-2 row alone at W1 = 1200 (one pooled chunk without load
-// balance), and the random walks' candidate sets stay within 32 rows, so
-// their steps run as one block.
+// (about 30 vertices each) and a label-40 hub adjacent to 1,000 of its
+// vertices. A star at the hub seeds one row of first-edge bound 1,000,
+// within the one-block GBA cap of 32 x W3 = 1,024 at W3 = 32: a Layer-3
+// row of 32 pooled chunks (one pooled chunk without load balance). The
+// random walks' candidate sets stay within 32 rows, so their steps run as
+// one block.
 HubCase MakeOneBlockCase() {
   Graph base = RandomGraph(1200, 2, 40, 1, 67);
   GraphBuilder b = BuilderOf(base);
   const VertexId hub = b.AddVertex(40);
-  for (VertexId v = 0; v < 1100; ++v) b.AddEdge(hub, v, 0);
+  for (VertexId v = 0; v < 1000; ++v) b.AddEdge(hub, v, 0);
   HubCase c{std::move(b).Build().value(), {}};
   GraphBuilder star;  // label 0 - hub - label 1
   star.AddVertex(40);

@@ -6,9 +6,8 @@
 # file repeats exactly on any host; a change that moves a paper number
 # regenerates it in the same commit.
 #
-# Usage: tools/paper_records.sh [build-dir] [out] [bench]
-#          (defaults: build, BENCH_paper.json, every bench); with a bench,
-#          writes only that bench's records.
+# Usage: tools/paper_records.sh [build-dir] [out]
+#          (defaults: build, BENCH_paper.json) writes every bench's records.
 #        tools/paper_records.sh --list
 #          prints the bench names, one per line.
 #        tools/paper_records.sh --check <build-dir> <bench>
@@ -40,24 +39,19 @@ fi
 check=0
 if [[ "${1:-}" == "--check" ]]; then
   [[ $# -eq 3 ]] || { echo "usage: $0 --check <build-dir> <bench>" >&2; exit 2; }
+  [[ " ${BENCHES[*]} " == *" $3 "* ]] || {
+    echo "$0: $3 is not a paper bench (see --list)" >&2
+    exit 2
+  }
   check=1
   BUILD_DIR="$2"
   selected=("$3")
 else
+  [[ $# -le 2 ]] || { echo "usage: $0 [build-dir] [out]" >&2; exit 2; }
   BUILD_DIR="${1:-build}"
   OUT="${2:-BENCH_paper.json}"
-  if [[ $# -ge 3 ]]; then
-    selected=("$3")
-  else
-    selected=("${BENCHES[@]}")
-  fi
+  selected=("${BENCHES[@]}")
 fi
-for b in "${selected[@]}"; do
-  [[ " ${BENCHES[*]} " == *" $b "* ]] || {
-    echo "$0: $b is not a paper bench (see --list)" >&2
-    exit 2
-  }
-done
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -69,8 +63,11 @@ for b in "${selected[@]}"; do
 done
 
 if [[ $check -eq 1 ]]; then
-  exec python3 "$ROOT/tools/bench_diff.py" --exact --bench "${selected[0]}" \
-    "$ROOT/BENCH_paper.json" "${files[0]}"
+  # Not exec: the EXIT trap must still remove $tmp.
+  status=0
+  python3 "$ROOT/tools/bench_diff.py" --exact --bench "${selected[0]}" \
+    "$ROOT/BENCH_paper.json" "${files[0]}" || status=$?
+  exit $status
 fi
 
 python3 - "$OUT" "${files[@]}" <<'PYEOF'
