@@ -82,7 +82,12 @@ void BM_Sharding(benchmark::State& state, size_t num_devices) {
               /*qps=*/stats.total_ms > 0 ? 1000.0 / stats.total_ms : 0,
               /*p50_ms=*/stats.total_ms,
               /*p99_ms=*/stats.total_ms,
-              /*extras=*/{}});
+              /*extras=*/
+              {{"shards", static_cast<double>(stats.shards_used)},
+               {"join_ms", stats.join_ms},
+               {"join_device_ms",
+                stats.join.SimulatedMs(EnronEngine().options().device)},
+               {"skew", stats.shard_skew}}});
 }
 
 void RegisterAll() {

@@ -178,10 +178,17 @@ print("paged smoke ok: %d pages, peak page %d B <= %d B budget, "
 PYEOF
       echo "::endgroup::"
       ;;
-    # 2-device fan-out exercises the device-pool path end-to-end.
+    # 2-device fan-out exercises the device-pool path end-to-end; the
+    # JSON assertion pins the heavy query's join actually spanning both.
     bench-sharding)
       run_bench bench_sharding_scalability bench_sharding.json \
         GSI_BENCH_DEVICES="1 2"
+      python3 - "$ARTIFACTS_DIR/bench_sharding.json" <<'PYEOF'
+import json, sys
+recs = {r["config"]: r for r in json.load(open(sys.argv[1]))}
+assert recs["devices=2"]["shards"] == 2, \
+    "2-device join did not fan out: %s" % recs["devices=2"]
+PYEOF
       ;;
     # The partitioned (K, R) grid in one run: K = 1, 2, 4 at R = 1
     # exercises the halo exchange and the memory-per-device accounting,
