@@ -184,13 +184,13 @@ void JoinEngine::ProcessChunk(Warp& w, Chunk& chunk,
                               std::span<const VertexId> row,
                               const JoinStep& step, const CandidateSet& cand,
                               gpusim::DeviceBuffer<VertexId>* gba,
-                              uint64_t gba_base, BlockExtractionCache& cache,
+                              BlockExtractionCache& cache,
                               std::vector<VertexId>& result) {
   result.clear();
   SetOpFlags flags;
   flags.naive = options_.set_op == SetOpKind::kNaive;
   flags.write_cache = options_.write_cache;
-  const uint64_t gba_at = chunk.gba_begin - gba_base;
+  const uint64_t gba_at = chunk.gba_begin;
 
   // --- First edge e0 (Algorithm 3, Lines 9-11). The GPU-friendly mode
   // tests membership before the row subtraction, so the block shares one
@@ -239,7 +239,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
 
   // --- Algorithm 4: the GBA holds every row's first-edge upper bound. The
   // host reads one scalar of the sizing, the GBA's size.
-  const uint64_t gba_size = sizing.offsets[rows] - sizing.base;
+  const uint64_t gba_size = sizing.offsets[rows];
   auto gba = dev_->Alloc<VertexId>(gba_size);
 
   // --- Chunk placement: the 4-layer load-balance scheme or 1 chunk/row.
@@ -309,7 +309,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
       chunk.count = 0;
       if (chunk.pos_begin < chunk.pos_end) {
         ProcessChunk(w, chunk, staged.Row(chunk.row), step, cand, &gba,
-                     sizing.base, cache, scratch);
+                     cache, scratch);
       }
       w.SharedAccess(1);
     }
@@ -324,9 +324,9 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
   // `new_rows` rows. Output rows are assigned in (row, position) order
   // rather than the Pass A layer order, so the output row order depends
   // only on the input rows, not on which load-balance layer each row
-  // landed in. The sharded engine relies on this: a run over any
-  // contiguous seed slice produces exactly the rows (and order) of that
-  // slice's portion of a whole run.
+  // landed in. The join lanes rely on this: a run over any subsequence of
+  // the seeds produces exactly the rows (and order) of that subsequence's
+  // portion of a whole run.
   //
   // With a next step, the block also sizes its rows of M' for it
   // (Algorithm 4). A warp looks up its rows' next first-edge bounds
@@ -358,8 +358,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
       const Chunk& c = *chunks[i];
       w.SharedAccess(1);
       std::span<const VertexId> row = m_rows.Row(c.row);
-      std::span<const VertexId> out =
-          w.LoadRange(gba, c.gba_begin - sizing.base, count);
+      std::span<const VertexId> out = w.LoadRange(gba, c.gba_begin, count);
       const uint64_t first = buf.first_row[i];
       for (size_t k = 0; k < count; ++k) {
         for (size_t j = 0; j < cols; ++j) table.Set(first + k, j, row[j]);
@@ -439,7 +438,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepPrealloc(
     table = MatchTable::Alloc(*dev_, out_rows, cols + 1);
     if (next != nullptr) {
       next_sizing = StepBounds{dev_->Alloc<uint32_t>(out_rows),
-                               dev_->Alloc<uint64_t>(out_rows + 1), 0};
+                               dev_->Alloc<uint64_t>(out_rows + 1)};
     }
   };
   auto sized_table = [&]() {
@@ -602,7 +601,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepTwoStep(
     size_t i = w.global_id();
     if (i >= rows) return;
     ProcessChunk(w, chunks[i], ReadRow(w, m, i), step, cand, /*gba=*/nullptr,
-                 0, no_cache, scratch);
+                 no_cache, scratch);
     w.Store(counts, i, chunks[i].count);
   });
 
@@ -620,7 +619,7 @@ Result<JoinEngine::SizedTable> JoinEngine::StepTwoStep(
     size_t i = w.global_id();
     if (i >= rows) return;
     const std::vector<VertexId> row = ReadRow(w, m, i);
-    ProcessChunk(w, chunks[i], row, step, cand, /*gba=*/nullptr, 0, no_cache,
+    ProcessChunk(w, chunks[i], row, step, cand, /*gba=*/nullptr, no_cache,
                  scratch);
     if (scratch.empty()) return;
     uint64_t out = out_offsets[i];
@@ -668,8 +667,7 @@ JoinEngine::SizedTable JoinEngine::Seed(
   const size_t block_rows =
       static_cast<size_t>(dev_->config().warps_per_block) * kWarpSize;
   const size_t num_blocks = (n + block_rows - 1) / block_rows;
-  StepBounds sizing{dev_->Alloc<uint32_t>(n), dev_->Alloc<uint64_t>(n + 1),
-                    0};
+  StepBounds sizing{dev_->Alloc<uint32_t>(n), dev_->Alloc<uint64_t>(n + 1)};
   gpusim::LookbackScan scan(*dev_, num_blocks);
   gpusim::LaunchBlocks(*dev_, num_blocks, [&](Block& block) {
     const size_t first = block.id() * block_rows;
@@ -731,7 +729,7 @@ Result<JoinEngine::SizedTable> JoinEngine::RunSteps(
     if (prealloc) {
       GSI_CHECK_MSG(sizing != nullptr && sizing->bounds.size() == rows,
                     "a Prealloc-Combine step needs its table's sizing");
-      span.AddAttr("gba_entries", sizing->offsets[rows] - sizing->base);
+      span.AddAttr("gba_entries", sizing->offsets[rows]);
     }
     const JoinStep* following =
         s + 1 < plan.steps.size() ? &plan.steps[s + 1] : nullptr;
@@ -761,15 +759,6 @@ Result<JoinEngine::SizedTable> JoinEngine::RunSteps(
   }
   stats_.final_rows = m.table.rows();
   return m;
-}
-
-Result<MatchTable> JoinEngine::Run(const JoinPlan& plan,
-                                   const std::vector<CandidateSet>& candidates,
-                                   const gpusim::DeviceBuffer<VertexId>& seed) {
-  Result<SizedTable> out =
-      RunSteps(plan, candidates, Seed(plan, seed), 0, plan.steps.size());
-  if (!out.ok()) return out.status();
-  return std::move(out->table);
 }
 
 }  // namespace gsi

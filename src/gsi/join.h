@@ -66,12 +66,11 @@ struct JoinStats {
   size_t dup_cache_hits = 0;
   size_t dup_cache_misses = 0;
   /// Pass A blocks that staged C(u)'s bitset in shared memory for their
-  /// membership probes (see JoinEngine); summed over slices and lanes, as
+  /// membership probes (see JoinEngine); summed over lanes, as
   /// total_chunks is.
   size_t staged_blocks = 0;
   /// Prealloc-Combine steps that ran Pass A and link as one kernel of one
-  /// block (see JoinEngine); summed over slices and lanes, as
-  /// staged_blocks is.
+  /// block (see JoinEngine); summed over lanes, as staged_blocks is.
   size_t fused_steps = 0;
 };
 
@@ -110,10 +109,6 @@ class JoinEngine {
     /// Exclusive prefix sum of the bounds, rows + 1 entries: row i's GBA
     /// offset, and the GBA's end last.
     gpusim::DeviceBuffer<uint64_t> offsets;
-    /// offsets[0] of a row slice cut from a whole table's sizing. Pass A
-    /// and link take it as a kernel argument and subtract it, so the
-    /// slice addresses its own GBA without rewriting the offsets.
-    uint64_t base = 0;
   };
 
   /// A match table and, under Prealloc-Combine when a step follows, that
@@ -129,36 +124,31 @@ class JoinEngine {
              const JoinOptions& options)
       : dev_(dev), store_(store), options_(options) {}
 
-  /// Runs the whole join from `seed`, which is C(order[0]) or a partition's
-  /// owned share of it; returns the final match table whose column j holds
-  /// the binding of plan.order[j]. Equivalent to Seed + RunSteps over every
-  /// step.
-  Result<MatchTable> Run(const JoinPlan& plan,
-                         const std::vector<CandidateSet>& candidates,
-                         const gpusim::DeviceBuffer<VertexId>& seed);
-
-  /// The join's one seed entry (Algorithm 2, Line 7): M = `seed`, and
-  /// resets the engine's stats. Under Prealloc-Combine (with at least one
-  /// step) this is step 0's bounds-and-offsets kernel, which also writes
-  /// the seed column, and step 0's sizing comes back with the table.
-  /// Otherwise it is one streaming copy kernel.
+  /// The join's one seed entry (Algorithm 2, Line 7): M = `seed`, which is
+  /// C(order[0]) or a lane's share of it, and resets the engine's stats.
+  /// Under Prealloc-Combine (with at least one step) this is step 0's
+  /// bounds-and-offsets kernel, which also writes the seed column, and
+  /// step 0's sizing comes back with the table. Otherwise it is one
+  /// streaming copy kernel.
   SizedTable Seed(const JoinPlan& plan,
                   const gpusim::DeviceBuffer<VertexId>& seed);
 
   /// Runs join iterations [first_step, last_step) of the plan on `m`
   /// (whose table must bind plan.order[0 .. first_step]), accumulating
-  /// into the engine's stats. Exposed so the sharded engine can run one
-  /// step at a time, on one device or over row slices of the intermediate
-  /// table: step output rows are emitted in input-row order, so running
-  /// any contiguous row slice yields exactly that slice's portion of the
-  /// whole run, in order.
+  /// into the engine's stats; Seed then RunSteps over every step is the
+  /// whole join, and the final table's column j binds plan.order[j]. Step
+  /// output rows are emitted in input-row order, so the join of any
+  /// subsequence of the seeds yields exactly that subsequence's rows of
+  /// the whole join, in order: a lane of a fanned-out join
+  /// (join_lanes.h) starts at step 0 from a seed run cut from the
+  /// primary's Seed, or seeds its own share.
   ///
   /// Under Prealloc-Combine `m.sizing` must be the sizing of m's table for
-  /// plan.steps[first_step] (Seed's, a previous RunSteps', or a row slice
-  /// of one); each step's link kernel writes the next step's, and the
-  /// sizing for plan.steps[last_step] comes back with the table (none
-  /// after the plan's last step, or once the table is empty). kTwoStep
-  /// ignores and returns no sizing.
+  /// plan.steps[first_step] (Seed's, a previous RunSteps', or a row run of
+  /// Seed's rebased to offset 0); each step's link kernel writes the next
+  /// step's, and the sizing for plan.steps[last_step] comes back with the
+  /// table (none after the plan's last step, or once the table is empty).
+  /// kTwoStep ignores and returns no sizing.
   Result<SizedTable> RunSteps(const JoinPlan& plan,
                               const std::vector<CandidateSet>& candidates,
                               SizedTable m, size_t first_step,
@@ -188,11 +178,11 @@ class JoinEngine {
 
   /// Executes the set operations of Algorithm 3 (Lines 5-13) for one chunk
   /// of `row`, its row of M. Survivors land in `result` (and, when `gba` is
-  /// non-null, in gba[chunk.gba_begin - gba_base ...]).
+  /// non-null, in gba[chunk.gba_begin ...]).
   void ProcessChunk(gpusim::Warp& w, Chunk& chunk,
                     std::span<const VertexId> row, const JoinStep& step,
                     const CandidateSet& cand,
-                    gpusim::DeviceBuffer<VertexId>* gba, uint64_t gba_base,
+                    gpusim::DeviceBuffer<VertexId>* gba,
                     BlockExtractionCache& cache,
                     std::vector<VertexId>& result);
 

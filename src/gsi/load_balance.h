@@ -66,8 +66,8 @@ struct ShardRange {
 /// Splits indices [0, weights.size()) into at most `max_shards` contiguous,
 /// non-empty ranges of near-equal total weight (greedy: each shard targets
 /// the mean of the remaining weight). The device-level analogue of
-/// PlanChunks: the sharded engine feeds it the same per-row first-edge
-/// upper bounds so one hot shard does not serialize the merge the way an
+/// PlanChunks: the sharded engine feeds it the seeds' first-edge upper
+/// bounds so one hot lane does not serialize the join the way an
 /// equal-candidate-count split would. Zero weights count as 1 so empty-ish
 /// rows still spread. Returns fewer than `max_shards` ranges when there are
 /// fewer items than shards; empty input yields no ranges.

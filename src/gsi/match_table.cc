@@ -46,40 +46,4 @@ void MatchTable::CopyRowsFrom(const MatchTable& src, size_t src_begin,
               data_.data() + dst_begin * cols_);
 }
 
-MatchTable MatchTable::ConcatRows(gpusim::Device& dev,
-                                  std::span<const MatchTable* const> parts) {
-  // The width comes from the non-empty parts (which must agree); empty
-  // parts contribute no rows and may be wider — a join slice that dies
-  // early hands back the full-width empty table.
-  size_t rows = 0;
-  size_t cols = 0;
-  for (const MatchTable* p : parts) {
-    rows += p->rows();
-    if (p->rows() == 0) continue;
-    if (cols == 0) {
-      cols = p->cols();
-    } else {
-      GSI_CHECK_MSG(p->cols() == cols, "concat of different widths");
-    }
-  }
-  if (rows == 0) {
-    for (const MatchTable* p : parts) cols = std::max(cols, p->cols());
-  }
-  MatchTable out = Alloc(dev, rows, cols);
-  uint64_t dst_row = 0;
-  for (const MatchTable* p : parts) {
-    if (p->rows() == 0) continue;
-    out.CopyRowsFrom(*p, 0, dst_row, p->rows());
-    dst_row += p->rows();
-  }
-  return out;
-}
-
-MatchTable MatchTable::CopySlice(gpusim::Device& dev, const MatchTable& src,
-                                 size_t src_begin, size_t count) {
-  MatchTable out = Alloc(dev, count, src.cols());
-  out.CopyRowsFrom(src, src_begin, 0, count);
-  return out;
-}
-
 }  // namespace gsi

@@ -1,7 +1,6 @@
 #ifndef GSI_GSI_MATCH_TABLE_H_
 #define GSI_GSI_MATCH_TABLE_H_
 
-#include <span>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -47,22 +46,6 @@ class MatchTable {
   /// gpusim convention for host <-> device movement).
   void CopyRowsFrom(const MatchTable& src, size_t src_begin, size_t dst_begin,
                     size_t count);
-
-  /// Concatenates `parts` (equal column counts among non-empty parts;
-  /// empty tables may be wider — a join slice that dies early hands back
-  /// the full-width empty table) into one table allocated on `dev`, in
-  /// order, as bulk row copies — the merge path of the sharded engine,
-  /// where per-element At/Set would dwarf the join it merges. Like every
-  /// host-mediated transfer in gpusim (Upload, host reads of results),
-  /// the movement itself is uncharged; only kernel work bills devices.
-  static MatchTable ConcatRows(gpusim::Device& dev,
-                               std::span<const MatchTable* const> parts);
-
-  /// Copies rows [src_begin, src_begin + count) of `src` into a fresh
-  /// table allocated on `dev` (one bulk row copy, host-mediated like
-  /// ConcatRows) — the partial-table scatter of the sharded engine.
-  static MatchTable CopySlice(gpusim::Device& dev, const MatchTable& src,
-                              size_t src_begin, size_t count);
 
  private:
   gpusim::DeviceBuffer<VertexId> data_;

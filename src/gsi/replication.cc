@@ -14,6 +14,7 @@
 #include "gsi/filter.h"
 #include "gsi/halo_cache.h"
 #include "gsi/join.h"
+#include "gsi/join_lanes.h"
 #include "gsi/partition_internal.h"
 #include "gsi/plan.h"
 #include "storage/signature.h"
@@ -52,16 +53,14 @@ Lanes LanesOf(const ReplicatedGraph& rg, const ReplicaSelection& sel) {
   return lanes;
 }
 
-/// Adds a lane's partition ids ("0,2") to its span as `partitions`.
-void AddPartitionsAttr(obs::ScopedSpan& span,
-                       std::span<const PartitionId> parts) {
-  if (!span.context().enabled()) return;
+/// A lane's partition ids ("0,2"), its spans' `partitions` attr.
+std::string PartitionsAttr(std::span<const PartitionId> parts) {
   std::string ids;
   for (PartitionId p : parts) {
     if (!ids.empty()) ids += ',';
     ids += std::to_string(p);
   }
-  span.AddAttr("partitions", ids);
+  return ids;
 }
 
 Status ValidateSelection(const ReplicatedGraph& rg,
@@ -327,7 +326,9 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
         const obs::DeviceCycleClock clock(dev);
         obs::ScopedSpan span(filter_span.context(), "lane_scan", clock,
                              static_cast<int32_t>(lanes.devices[lane]));
-        AddPartitionsAttr(span, parts);
+        if (span.context().enabled()) {
+          span.AddAttr("partitions", PartitionsAttr(parts));
+        }
         std::vector<const SignatureTable*> tables;
         for (PartitionId p : parts) {
           tables.push_back(&rg.signatures(p, sel.choice[p]));
@@ -443,7 +444,8 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
 
   // Split the seed list by lane (host-mediated read, like any seed
   // scatter): each lane joins, in one run, the subsequence of C(order[0])
-  // owned by its partitions.
+  // owned by its partitions, and seeds it with the join's own seed entry,
+  // so the lanes together pay what the replicated seed pays.
   const size_t num_lanes = lanes.devices.size();
   std::vector<std::vector<VertexId>> seed_cols(num_lanes);
   std::vector<uint8_t> owns_seed(k, 0);
@@ -452,108 +454,63 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     owns_seed[rg.OwnerOf(v)] = 1;
     seed_cols[lanes.lane_of[rg.OwnerOf(v)]].push_back(v);
   }
-
-  std::vector<std::optional<Result<MatchTable>>> parts(num_lanes);
-  std::vector<gpusim::MemStats> deltas(num_lanes);
-  std::vector<JoinStats> lane_join(num_lanes);
-  std::vector<internal::RoutedStoreView::Traffic> traffic(num_lanes);
-  std::vector<uint64_t> lane_evictions(num_lanes, 0);
-  {
-    ThreadPool pool(num_lanes);
-    for (size_t lane = 0; lane < num_lanes; ++lane) {
-      pool.Submit([&, lane] {
-        const size_t d = lanes.devices[lane];
-        gpusim::Device& dev = rg.device(d);
-        const obs::DeviceCycleClock clock(dev);
-        obs::ScopedSpan lane_span(join_span.context(), "lane", clock,
-                                  static_cast<int32_t>(d));
-        AddPartitionsAttr(lane_span, lanes.parts[lane]);
-        lane_span.AddAttr("seed_rows",
-                          static_cast<uint64_t>(seed_cols[lane].size()));
-        if (seed_cols[lane].empty()) {
-          parts[lane] = MatchTable::Alloc(dev, 0, plan.order.size());
-          return;
-        }
-        // One halo cache per lane per query: nothing outlives the query.
-        std::optional<HaloCache> halo;
-        if (options.halo_budget_bytes > 0) {
-          halo.emplace(options.halo_budget_bytes);
-        }
-        const internal::RoutedStoreView view =
-            MakeLaneView(rg, sel, d, halo ? &*halo : nullptr);
-        JoinEngine join(&dev, &view, options.join);
-        join.set_trace(lane_span.context());
-        const gpusim::MemStats before = dev.stats();
-        const uint64_t probes_start = clock.NowNanos();
-        // The lane's seed share is uploaded (host-mediated, uncharged) and
-        // seeded by the join's own seed entry, so the lanes together pay
-        // what the replicated seed pays.
-        parts[lane] =
-            join.Run(plan, filtered.candidates, dev.Upload(seed_cols[lane]));
-        deltas[lane] = dev.stats() - before;
-        lane_join[lane] = join.stats();
-        const internal::RoutedStoreView::Traffic& t = traffic[lane] =
-            view.traffic();
-        if (halo) lane_evictions[lane] = halo->stats().evictions;
-        // One batch span covering the remote probes this lane's join steps
-        // sent across the interconnect.
-        const obs::TraceContext ctx = lane_span.context();
-        if (ctx.enabled() && t.remote_probes > 0) {
-          const int32_t idx = ctx.tracer->RecordSpan(
-              "remote_probes", static_cast<int32_t>(d), probes_start,
-              clock.NowNanos(), ctx.parent);
-          ctx.tracer->AddAttr(idx, "probes", std::to_string(t.remote_probes));
-          ctx.tracer->AddAttr(idx, "lines", std::to_string(t.remote_lines));
-          ctx.tracer->AddAttr(idx, "co_located",
-                              std::to_string(t.co_located_probes));
-        }
-        // Halo-cache hits as their own span: remote lookups this lane
-        // answered locally (cycle-clock timed, so traced runs at a fixed
-        // budget stay byte-identical).
-        if (ctx.enabled() && t.halo_hits > 0) {
-          const int32_t idx = ctx.tracer->RecordSpan(
-              "halo_probe", static_cast<int32_t>(d), probes_start,
-              clock.NowNanos(), ctx.parent);
-          ctx.tracer->AddAttr(idx, "hits", std::to_string(t.halo_hits));
-          ctx.tracer->AddAttr(idx, "bytes", std::to_string(t.halo_hit_bytes));
-        }
-      });
+  // One halo cache per lane per query: nothing outlives the query.
+  std::vector<std::optional<HaloCache>> halos(num_lanes);
+  std::vector<internal::RoutedStoreView> views;
+  views.reserve(num_lanes);
+  std::vector<internal::JoinLane> join_lanes(num_lanes);
+  for (size_t lane = 0; lane < num_lanes; ++lane) {
+    const size_t d = lanes.devices[lane];
+    if (options.halo_budget_bytes > 0) {
+      halos[lane].emplace(options.halo_budget_bytes);
     }
-    pool.Wait();
+    views.push_back(MakeLaneView(rg, sel, d,
+                                 halos[lane] ? &*halos[lane] : nullptr));
+    internal::JoinLane& jl = join_lanes[lane];
+    jl.dev = &rg.device(d);
+    jl.store = &views[lane];
+    jl.track = static_cast<int32_t>(d);
+    jl.seeds.table = MatchTable::FromColumn(*jl.dev, seed_cols[lane]);
+    if (trace.enabled()) jl.partitions = PartitionsAttr(lanes.parts[lane]);
   }
+  // Each lane's remote probes and halo-cache hits, as spans over its join
+  // (cycle-clock timed, so traced runs at a fixed budget stay
+  // byte-identical).
+  auto traffic_spans = [&](size_t lane, const obs::TraceContext& ctx,
+                           uint64_t start_ns) {
+    if (!ctx.enabled()) return;
+    const int32_t d = static_cast<int32_t>(lanes.devices[lane]);
+    const uint64_t end_ns = obs::DeviceCycleClock(rg.device(d)).NowNanos();
+    const internal::RoutedStoreView::Traffic& t = views[lane].traffic();
+    if (t.remote_probes > 0) {
+      const int32_t idx = ctx.tracer->RecordSpan("remote_probes", d, start_ns,
+                                                 end_ns, ctx.parent);
+      ctx.tracer->AddAttr(idx, "probes", std::to_string(t.remote_probes));
+      ctx.tracer->AddAttr(idx, "lines", std::to_string(t.remote_lines));
+      ctx.tracer->AddAttr(idx, "co_located",
+                          std::to_string(t.co_located_probes));
+    }
+    if (t.halo_hits > 0) {
+      const int32_t idx = ctx.tracer->RecordSpan("halo_probe", d, start_ns,
+                                                 end_ns, ctx.parent);
+      ctx.tracer->AddAttr(idx, "hits", std::to_string(t.halo_hits));
+      ctx.tracer->AddAttr(idx, "bytes", std::to_string(t.halo_hit_bytes));
+    }
+  };
+  Result<internal::LaneResults> lane_out =
+      internal::RunJoinLanes(std::move(join_lanes), plan, filtered.candidates,
+                             options.join, join_span.context(), traffic_spans);
+  if (!lane_out.ok()) return lane_out.status();
   for (size_t lane = 0; lane < num_lanes; ++lane) {
-    if (!parts[lane]->ok()) return parts[lane]->status();
-  }
-
-  // --- Roll-up: counters sum total work; the time is the makespan of
-  // the concurrently-running lanes (each lane's join is a deterministic
-  // function of its seed subsequence, not of scheduling) plus the merge.
-  gpusim::MemStats join_counters;
-  JoinStats detail;
-  double sum_ms = 0;
-  double max_lane_ms = 0;
-  size_t active = 0;
-  for (size_t lane = 0; lane < num_lanes; ++lane) {
-    if (seed_cols[lane].empty()) continue;
-    join_counters += deltas[lane];
-    const double ms =
-        deltas[lane].SimulatedMs(rg.device(lanes.devices[lane]).config());
-    ++active;
-    sum_ms += ms;
-    max_lane_ms = std::max(max_lane_ms, ms);
-    detail.iterations = std::max(detail.iterations, lane_join[lane].iterations);
-    detail.peak_rows += lane_join[lane].peak_rows;  // concurrently resident
-    detail.total_chunks += lane_join[lane].total_chunks;
-    detail.dup_cache_hits += lane_join[lane].dup_cache_hits;
-    detail.dup_cache_misses += lane_join[lane].dup_cache_misses;
-    detail.staged_blocks += lane_join[lane].staged_blocks;
-    detail.fused_steps += lane_join[lane].fused_steps;
-    out.stats.remote_probes += traffic[lane].remote_probes;
-    out.stats.halo_bytes += traffic[lane].remote_lines * kTransactionBytes;
-    out.stats.co_located_probes += traffic[lane].co_located_probes;
-    out.stats.halo_cache_hits += traffic[lane].halo_hits;
-    out.stats.halo_cache_bytes += traffic[lane].halo_hit_bytes;
-    out.stats.halo_cache_evictions += lane_evictions[lane];
+    const internal::RoutedStoreView::Traffic& t = views[lane].traffic();
+    out.stats.remote_probes += t.remote_probes;
+    out.stats.halo_bytes += t.remote_lines * kTransactionBytes;
+    out.stats.co_located_probes += t.co_located_probes;
+    out.stats.halo_cache_hits += t.halo_hits;
+    out.stats.halo_cache_bytes += t.halo_hit_bytes;
+    if (halos[lane]) {
+      out.stats.halo_cache_evictions += halos[lane]->stats().evictions;
+    }
   }
 
   // --- Merge planning on the primary, in global seed order (see
@@ -566,10 +523,9 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   obs::ScopedSpan merge_span(join_span.context(), "result_merge",
                              primary_clock);
   const size_t cols_out = plan.order.size();
-  std::vector<const MatchTable*> tabs(num_lanes);
-  for (size_t lane = 0; lane < num_lanes; ++lane) {
-    tabs[lane] = &parts[lane]->value();
-  }
+  std::vector<MatchTable>& tables = lane_out->tables;
+  std::vector<const MatchTable*> tabs;
+  for (const MatchTable& t : tables) tabs.push_back(&t);
   std::vector<size_t> rows_from;
   const std::vector<ManifestSegment> runs =
       internal::PlanSeedRunMerge(tabs, rows_from);
@@ -580,38 +536,33 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
   const uint64_t merge_bytes = remote_rows * cols_out * sizeof(VertexId);
   primary.ChargeRemoteTransfer(merge_bytes);
   out.stats.halo_bytes += merge_bytes;
-  size_t total_rows = 0;
-  for (const MatchTable* t : tabs) total_rows += t->rows();
-  merge_span.AddAttr("rows", static_cast<uint64_t>(total_rows));
+  merge_span.AddAttr("rows",
+                     static_cast<uint64_t>(lane_out->detail.final_rows));
   merge_span.AddAttr("halo_bytes", merge_bytes);
   if (Status h = CheckDeviceHealthy(primary, "result_merge"); !h.ok()) {
     return h;
   }
   const gpusim::MemStats merge_mem = primary.stats() - before_merge;
-  join_counters += merge_mem;
 
-  detail.final_rows = total_rows;
-  detail.peak_rows = std::max(detail.peak_rows, total_rows);
   out.manifest.set_cols(cols_out);
   std::vector<size_t> part_index(num_lanes, SIZE_MAX);
   for (size_t lane = 0; lane < num_lanes; ++lane) {
-    if (parts[lane]->value().rows() == 0) continue;  // nothing to reference
-    part_index[lane] = out.manifest.AddPart(std::move(parts[lane]->value()),
+    if (tables[lane].rows() == 0) continue;  // nothing to reference
+    part_index[lane] = out.manifest.AddPart(std::move(tables[lane]),
                                             rg.device(lanes.devices[lane]));
   }
   for (const ManifestSegment& r : runs) {
     out.manifest.AddSegment(part_index[r.part], r.begin, r.count);
   }
   out.column_to_query = plan.order;
-  out.stats.join = join_counters;
-  out.stats.join_detail = detail;
+  out.stats.join = lane_out->counters;
+  out.stats.join += merge_mem;
+  out.stats.join_detail = lane_out->detail;
   out.stats.partitions_used = std::max<size_t>(
       1, static_cast<size_t>(std::ranges::count(owns_seed, 1)));
-  out.stats.partition_skew =
-      active > 0 && sum_ms > 0
-          ? max_lane_ms / (sum_ms / static_cast<double>(active))
-          : 0;
-  out.stats.join_ms = max_lane_ms + merge_mem.SimulatedMs(primary.config());
+  out.stats.partition_skew = lane_out->skew;
+  out.stats.join_ms =
+      lane_out->makespan_ms + merge_mem.SimulatedMs(primary.config());
   out.stats.total_ms = out.stats.filter_ms + out.stats.join_ms;
   out.stats.num_matches = out.manifest.rows();
   join_span.AddAttr("matches", static_cast<uint64_t>(out.stats.num_matches));

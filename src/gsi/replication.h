@@ -197,8 +197,10 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
                                                   {});
 
 /// Joining phase over the selected replicas. The seed list C(order[0]) is
-/// split by the lane of each seed's owner, and each lane joins its
-/// subsequence in one JoinEngine::Run over one RoutedStoreView. Probes of
+/// split by the lane of each seed's owner, and each lane seeds and joins
+/// its subsequence in one JoinEngine over one RoutedStoreView, through the
+/// lane runner the full-replica join shares (internal::RunJoinLanes; one
+/// `lane` span per lane, attrs `partitions` and `seed_rows`). Probes of
 /// vertices whose partition has a share on the lane's device are local
 /// reads; those served by a share that is not the partition's replica 0
 /// are counted in stats.co_located_probes (the traffic replication saves:

@@ -26,8 +26,9 @@ struct ManifestSegment {
 /// part, in which order, reproduce the merged table row for row.
 ///
 /// The segment orders are the deterministic merge orders of the
-/// multi-device engines: slice order for the sharded engine (every
-/// distributed step emits output rows in input-row order), ascending
+/// multi-device engines: lane order for the sharded engine (its lanes
+/// join contiguous seed runs, and every step emits output rows in
+/// input-row order), ascending
 /// column-0 seed runs for the partitioned engine (see
 /// internal::PlanSeedRunMerge). So `Materialize` — and any page-at-a-time
 /// walk by `Slice` — is bit-identical to single-device execution.

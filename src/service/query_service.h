@@ -49,10 +49,12 @@ struct ServiceOptions {
   /// fan-out never makes a light query wait behind a heavy one.
   int max_shards_per_query = 1;
   /// Heaviness gate: only queries whose smallest candidate set reaches this
-  /// size try to fan out (a cheap proxy for the seed list the sharded join
-  /// partitions; small seeds are not worth the merge).
+  /// size lease extra devices (a cheap proxy for the seed list the sharded
+  /// join splits across its lanes; a short seed list is not worth a second
+  /// device). The join itself decides, from its seed step's volume,
+  /// whether to use them (ShardOptions).
   size_t shard_min_candidates = 256;
-  /// Shard sizing for the fan-out path (see sharded_engine.h).
+  /// Fan-out volume floor of the sharded join (see sharded_engine.h).
   ShardOptions shard;
   /// Maximum admitted-but-not-started queries. Running queries do not
   /// count: the queue bounds waiting work, the workers bound running work.

@@ -590,59 +590,6 @@ TEST(MatchTableTest, CopyRowsFromBulk) {
   dst.CopyRowsFrom(src, 0, 0, 0);  // zero-count is a no-op
 }
 
-TEST(MatchTableTest, ConcatRowsPreservesOrder) {
-  gpusim::Device dev;
-  MatchTable a = FillTable(dev, 3, 2, 10);
-  MatchTable empty = MatchTable::Alloc(dev, 0, 2);
-  MatchTable b = FillTable(dev, 2, 2, 50);
-
-  gpusim::Device merge_dev;
-  const gpusim::MemStats before = merge_dev.stats();
-  std::vector<const MatchTable*> parts = {&a, &empty, &b};
-  MatchTable merged = MatchTable::ConcatRows(merge_dev, parts);
-  ASSERT_EQ(merged.rows(), 5u);
-  ASSERT_EQ(merged.cols(), 2u);
-  for (size_t r = 0; r < 3; ++r) EXPECT_EQ(merged.Row(r), a.Row(r));
-  for (size_t r = 0; r < 2; ++r) EXPECT_EQ(merged.Row(3 + r), b.Row(r));
-  // Host-mediated bulk movement: uncharged, like Upload.
-  gpusim::MemStats delta = merge_dev.stats() - before;
-  EXPECT_EQ(delta.gld, 0u);
-  EXPECT_EQ(delta.gst, 0u);
-  EXPECT_EQ(delta.kernel_launches, 0u);
-}
-
-TEST(MatchTableTest, ConcatRowsWidthFromNonEmptyParts) {
-  // A join slice that dies early returns the full-width empty table; the
-  // merge must take its width from the surviving parts.
-  gpusim::Device dev;
-  MatchTable wide_empty = MatchTable::Alloc(dev, 0, 9);
-  MatchTable b = FillTable(dev, 2, 3, 50);
-  std::vector<const MatchTable*> parts = {&wide_empty, &b};
-  MatchTable merged = MatchTable::ConcatRows(dev, parts);
-  EXPECT_EQ(merged.rows(), 2u);
-  EXPECT_EQ(merged.cols(), 3u);
-}
-
-TEST(MatchTableTest, ConcatRowsAllEmpty) {
-  gpusim::Device dev;
-  MatchTable a = MatchTable::Alloc(dev, 0, 4);
-  MatchTable b = MatchTable::Alloc(dev, 0, 4);
-  std::vector<const MatchTable*> parts = {&a, &b};
-  MatchTable merged = MatchTable::ConcatRows(dev, parts);
-  EXPECT_EQ(merged.rows(), 0u);
-  EXPECT_EQ(merged.cols(), 4u);
-}
-
-TEST(MatchTableTest, CopySliceExtractsRowRange) {
-  gpusim::Device dev;
-  MatchTable src = FillTable(dev, 6, 3, 100);
-  MatchTable slice = MatchTable::CopySlice(dev, src, /*src_begin=*/2,
-                                           /*count=*/3);
-  ASSERT_EQ(slice.rows(), 3u);
-  ASSERT_EQ(slice.cols(), 3u);
-  for (size_t r = 0; r < 3; ++r) EXPECT_EQ(slice.Row(r), src.Row(2 + r));
-}
-
 // ------------------------------------------------------- matcher API ---
 
 TEST(MatcherApi, NamedOptionPresetsDiffer) {

@@ -146,7 +146,10 @@ TEST(FaultInjection, ShardedExecutionDetectsAnyDeadDevice) {
     gpusim::FaultPlan plan;
     plan.fail_at_kernel_launch = 1;
     devs[victim]->InjectFault(plan);
-    const QueryEngine::ExecRequest req{.query = &query, .devices = devs};
+    ShardOptions so;
+    so.min_rows_per_shard = 1;  // the join fans out over both devices
+    const QueryEngine::ExecRequest req{
+        .query = &query, .devices = devs, .shard = so};
     Result<QueryResult> r = engine.Execute(req);
     ASSERT_FALSE(r.ok()) << "victim " << victim;
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);

@@ -759,7 +759,6 @@ void ExpectSizingOf(const Graph& data, StorageKind storage,
   const LinkEdge& e0 = step.links[0];
   ASSERT_EQ(sizing.bounds.size(), table.rows()) << context;
   ASSERT_EQ(sizing.offsets.size(), table.rows() + 1) << context;
-  EXPECT_EQ(sizing.base, 0u) << context;
   uint64_t offset = 0;
   for (size_t r = 0; r < table.rows(); ++r) {
     const VertexId v = table.At(r, e0.prev_column);

@@ -15,6 +15,7 @@
 #include "graph/query_generator.h"
 #include "gsi/load_balance.h"
 #include "gsi/matcher.h"
+#include "gsi/plan.h"
 #include "gsi/query_engine.h"
 #include "gsi/sharded_engine.h"
 #include "obs/trace.h"
@@ -120,8 +121,10 @@ TEST(ShardedEngine, SingleDeviceSpanIsPlainExecution) {
 }
 
 TEST(ShardedEngine, ShardStatsRollUp) {
+  // A query whose seed step clears the fan-out's volume test (690 bound
+  // entries over 94 seeds), so its join splits over the devices.
   Graph g = testing::RandomGraph(400, 4, 2, 2, 7);
-  Graph q = testing::RandomQuery(g, 4, 8);
+  Graph q = testing::RandomQuery(g, 4, 11);
   QueryEngine engine(g, GsiOptOptions());
   Result<QueryResult> single = engine.Execute({.query = &q});
   ASSERT_TRUE(single.ok());
@@ -141,15 +144,15 @@ TEST(ShardedEngine, ShardStatsRollUp) {
 }
 
 TEST(ShardedEngine, SerialStepsCostExactlyOneDevice) {
-  // Every full-replica entry point runs the one stepped join: over one
-  // device it is the whole one-device flow, and over two devices under the
-  // default volume floor no step of this query distributes, so the extra
-  // device runs nothing. Either way the join does exactly one device's
-  // kernels (the per-step bounds feed the fan-out decision AND the
-  // primary's step) and the makespan is one device's join time. The
-  // two-step scheme (GsiMinusOptions) sizes no step and runs each on the
-  // primary; a one-vertex query and an empty candidate set are answered
-  // without a join.
+  // Every full-replica entry point runs the one join: over one device it
+  // is the whole one-device flow, and over two devices under the default
+  // volume floor this query's join does not fan out, so the extra device
+  // runs nothing. Either way the join does exactly one device's kernels
+  // (the seed kernel's bounds feed the fan-out decision AND the primary's
+  // first step) and the makespan is one device's join time. The two-step
+  // scheme (GsiMinusOptions) sizes no step and runs each on the primary;
+  // a one-vertex query and an empty candidate set are answered without a
+  // join.
   Graph g = testing::RandomGraph(300, 3, 3, 2, 11);
   std::vector<Graph> queries;
   queries.push_back(testing::RandomQuery(g, 5, 13));
@@ -224,113 +227,133 @@ TEST(ShardedEngine, SerialStepsCostExactlyOneDevice) {
   }
 }
 
-TEST(ShardedEngine, DistributedSliceLaunchesOnlyPassAAndLink) {
-  // The primary filters and sizes every step (bounds and GBA offsets in
-  // one kernel) and hands each slice its share, so a slice's step is
-  // Pass A and link: 2 launches (no row of this graph reaches Layer 1).
-  // Devices 1-3 run nothing but slices.
-  Graph g = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
-  Graph q = testing::RandomQuery(g, 3, 102);
-  QueryEngine engine(g, GsiOptOptions());
-  std::vector<std::unique_ptr<gpusim::Device>> owned;
-  std::vector<gpusim::Device*> devs;
-  for (int i = 0; i < 4; ++i) {
-    owned.push_back(
-        std::make_unique<gpusim::Device>(engine.options().device));
-    owned.back()->set_ordinal(i);
-    devs.push_back(owned.back().get());
+/// The value of `span`'s attribute `key` ("" when absent).
+std::string AttrOf(const obs::TraceSpan& span, const std::string& key) {
+  for (const auto& [k, v] : span.attrs) {
+    if (k == key) return v;
   }
-  ShardOptions so;
-  so.min_rows_per_shard = 1;
-  QueryStats stats;
-  Result<FilterResult> filtered =
-      RunFilterStage(*devs[0], engine.filter(), q, stats);
-  ASSERT_TRUE(filtered.ok());
-  obs::Tracer tracer;
-  Result<PagedQueryResult> r = RunJoinStageShardedPaged(
-      devs, g, engine.store(), engine.options(), so, q,
-      std::move(filtered.value()), stats,
-      obs::TraceContext{&tracer, -1, obs::kHostDevice});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->stats.shards_used, 4u);
-  std::vector<uint64_t> slices(devs.size(), 0);
-  for (const obs::TraceSpan& s : tracer.Snapshot()) {
-    if (s.name == "shard_slice") ++slices[static_cast<size_t>(s.device)];
-  }
-  for (size_t d = 1; d < devs.size(); ++d) {
-    EXPECT_GE(slices[d], 1u) << "device " << d;
-    EXPECT_EQ(devs[d]->stats().kernel_launches, 2 * slices[d])
-        << "device " << d;
-  }
+  return "";
 }
 
-TEST(ShardedEngine, PrimaryLaunchesNothingAfterAGather) {
-  // The slices' link kernels size their rows for the next step, and the
-  // primary concatenates those sizings with the gathered table, so after a
-  // distributed step the primary launches nothing before the next step's
-  // Pass A: its clock does not move between the distributed step's span
-  // and the next step's, and its join launches are the seed plus the
-  // `kernels` of each step it ran, serially (`join_step`) or as slice 0
-  // (`shard_slice` on device 0). No row of this graph reaches Layer 1, so
-  // each such step launched one kernel (one block) or two.
-  Graph g = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
-  Graph q = testing::RandomQuery(g, 4, 102);
-  QueryEngine engine(g, GsiOptOptions());
-  std::vector<std::unique_ptr<gpusim::Device>> owned;
-  std::vector<gpusim::Device*> devs;
-  for (int i = 0; i < 4; ++i) {
-    owned.push_back(
-        std::make_unique<gpusim::Device>(engine.options().device));
-    owned.back()->set_ordinal(i);
-    devs.push_back(owned.back().get());
+TEST(ShardedEngine, FanOutSplitsTheSeedsOnce) {
+  // The join fans out once, from the seed kernel's sizing: each lane joins
+  // one contiguous run of C(order[0]) on its own device, every step, and
+  // keeps its table there. So the only kernel the primary launches beyond
+  // its lane's steps is that seed kernel, a device other than the primary
+  // launches only its own steps, and the join takes the seed plus the
+  // slowest lane.
+  struct Case {
+    std::string name;
+    Graph data;
+    std::vector<Graph> queries;
+  };
+  std::vector<Case> cases;
+  for (const char* name : {"enron", "gowalla", "watdiv"}) {
+    Result<Dataset> d = MakeDataset(name, /*scale=*/0.01);
+    ASSERT_TRUE(d.ok());
+    QueryGenConfig qc;
+    qc.num_vertices = 5;
+    std::vector<Graph> queries = GenerateQuerySet(d->graph, qc, 3, 77);
+    cases.push_back({name, std::move(d->graph), std::move(queries)});
   }
+  // The integration queries seed one or two rows, too few to split; these
+  // hub-graph queries fan out over both device counts.
+  Graph hub = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
+  std::vector<Graph> hub_queries = {testing::RandomQuery(hub, 4, 102),
+                                    testing::RandomQuery(hub, 6, 104)};
+  cases.push_back({"hub", std::move(hub), std::move(hub_queries)});
+
   ShardOptions so;
   so.min_rows_per_shard = 1;
-  QueryStats stats;
-  Result<FilterResult> filtered =
-      RunFilterStage(*devs[0], engine.filter(), q, stats);
-  ASSERT_TRUE(filtered.ok());
-  const uint64_t launches_before_join = devs[0]->stats().kernel_launches;
-  obs::Tracer tracer;
-  Result<PagedQueryResult> r = RunJoinStageShardedPaged(
-      devs, g, engine.store(), engine.options(), so, q,
-      std::move(filtered.value()), stats,
-      obs::TraceContext{&tracer, -1, obs::kHostDevice});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  size_t fanned = 0;
+  for (const Case& c : cases) {
+    QueryEngine engine(c.data, GsiOptOptions());
+    GsiMatcher matcher(c.data, GsiOptOptions());
+    for (size_t qi = 0; qi < c.queries.size(); ++qi) {
+      const Graph& q = c.queries[qi];
+      Result<QueryResult> want = matcher.Find(q);
+      ASSERT_TRUE(want.ok());
+      for (size_t devices : {2, 4}) {
+        const std::string context = c.name + " query " + std::to_string(qi) +
+                                    " devices " + std::to_string(devices);
+        std::vector<std::unique_ptr<gpusim::Device>> owned;
+        std::vector<gpusim::Device*> devs;
+        for (size_t i = 0; i < devices; ++i) {
+          owned.push_back(
+              std::make_unique<gpusim::Device>(engine.options().device));
+          owned.back()->set_ordinal(static_cast<int>(i));
+          devs.push_back(owned.back().get());
+        }
+        QueryStats stats;
+        Result<FilterResult> filtered =
+            RunFilterStage(*devs[0], engine.filter(), q, stats);
+        ASSERT_TRUE(filtered.ok()) << context;
+        const JoinPlan plan =
+            MakeJoinPlan(q, c.data, filtered->candidates);
+        const size_t seeds = filtered->candidates[plan.order[0]].size();
+        std::vector<uint64_t> launches_before;
+        for (gpusim::Device* d : devs) {
+          launches_before.push_back(d->stats().kernel_launches);
+        }
+        obs::Tracer tracer;
+        Result<PagedQueryResult> r = RunJoinStageShardedPaged(
+            devs, c.data, engine.store(), engine.options(), so, q,
+            std::move(filtered.value()), stats,
+            obs::TraceContext{&tracer, -1, obs::kHostDevice});
+        ASSERT_TRUE(r.ok()) << context << ": " << r.status().ToString();
+        const QueryResult got = ToQueryResult(std::move(r.value()), *devs[0]);
+        ExpectBitIdentical(got, *want, context);
 
-  const std::vector<obs::TraceSpan> spans = tracer.Snapshot();
-  std::vector<const obs::TraceSpan*> steps;  // by step index
-  uint64_t primary_kernels = 0;
-  for (const obs::TraceSpan& s : spans) {
-    const bool serial = s.name == "join_step";
-    if (serial || s.name == "join_step_distributed") {
-      const size_t step = std::stoull(s.attrs[0].second);
-      ASSERT_EQ(s.attrs[0].first, "step");
-      if (steps.size() <= step) steps.resize(step + 1, nullptr);
-      steps[step] = &s;
-    }
-    if (serial || (s.name == "shard_slice" && s.device == 0)) {
-      auto kernels = std::find_if(
-          s.attrs.begin(), s.attrs.end(),
-          [](const auto& attr) { return attr.first == "kernels"; });
-      ASSERT_NE(kernels, s.attrs.end()) << s.name;
-      const uint64_t launched = std::stoull(kernels->second);
-      EXPECT_TRUE(launched == 1 || launched == 2) << s.name << " " << launched;
-      primary_kernels += launched;
+        const std::vector<obs::TraceSpan> spans = tracer.Snapshot();
+        const obs::TraceSpan* join = nullptr;
+        std::vector<const obs::TraceSpan*> lanes(devices, nullptr);
+        std::vector<uint64_t> step_kernels(devices, 0);
+        size_t num_lanes = 0;
+        uint64_t seed_rows = 0;
+        for (const obs::TraceSpan& s : spans) {
+          const size_t d = static_cast<size_t>(s.device);
+          if (s.name == "join") join = &s;
+          if (s.name == "lane") {
+            ASSERT_EQ(lanes[d], nullptr) << context << " device " << d;
+            lanes[d] = &s;
+            ++num_lanes;
+            seed_rows += std::stoull(AttrOf(s, "seed_rows"));
+            EXPECT_EQ(AttrOf(s, "partitions"), "") << context;
+          }
+          if (s.name == "join_step") {
+            step_kernels[d] += std::stoull(AttrOf(s, "kernels"));
+          }
+        }
+        ASSERT_NE(join, nullptr) << context;
+        if (num_lanes == 0) {
+          EXPECT_EQ(got.stats.shards_used, 1u) << context;
+          continue;
+        }
+        ++fanned;
+        EXPECT_EQ(got.stats.shards_used, num_lanes) << context;
+        EXPECT_EQ(seed_rows, seeds) << context;
+        ASSERT_NE(lanes[0], nullptr) << context;
+        uint64_t slowest_lane_ns = 0;
+        for (size_t d = 0; d < devices; ++d) {
+          EXPECT_EQ(devs[d]->stats().kernel_launches - launches_before[d],
+                    step_kernels[d] + (d == 0 ? 1 : 0))
+              << context << " device " << d;
+          if (lanes[d] != nullptr) {
+            slowest_lane_ns = std::max(slowest_lane_ns,
+                                       lanes[d]->end_ns - lanes[d]->start_ns);
+          }
+        }
+        // The primary's seed kernel is all it runs before its lane starts.
+        const uint64_t seed_ns = lanes[0]->start_ns - join->start_ns;
+        EXPECT_GT(seed_ns, 0u) << context;
+        EXPECT_DOUBLE_EQ(got.stats.join_ms,
+                         static_cast<double>(seed_ns) / 1e6 +
+                             static_cast<double>(slowest_lane_ns) / 1e6)
+            << context;
+      }
     }
   }
-  ASSERT_EQ(steps.size(), 3u);
-  size_t gathers = 0;
-  for (size_t k = 0; k + 1 < steps.size(); ++k) {
-    ASSERT_NE(steps[k], nullptr);
-    ASSERT_NE(steps[k + 1], nullptr);
-    if (steps[k]->name != "join_step_distributed") continue;
-    ++gathers;
-    EXPECT_EQ(steps[k + 1]->start_ns, steps[k]->end_ns) << "step " << k;
-  }
-  EXPECT_GE(gathers, 1u);
-  EXPECT_EQ(devs[0]->stats().kernel_launches - launches_before_join,
-            1 + primary_kernels);
+  EXPECT_EQ(fanned, 4u);
 }
 
 TEST(ShardedEngine, InvalidQueriesStillFail) {

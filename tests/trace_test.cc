@@ -268,7 +268,7 @@ TEST(TraceDeterminism, HaloProbeSpanAppearsAndStaysByteIdentical) {
 }
 
 /// One traced sharded execution over four fresh devices with the pool
-/// ordinals 4-7, every step allowed to distribute. Returns the exported
+/// ordinals 4-7, the join allowed to fan out. Returns the exported
 /// JSON; `part_ordinals` receives the owning ordinal of each manifest part.
 std::string TraceShardedRun(const Graph& data, const Graph& query,
                             std::vector<int>& part_ordinals) {
@@ -307,12 +307,11 @@ TEST(TraceDeterminism, ShardedTraceIsByteIdenticalAcrossRuns) {
   Graph query = testing::RandomQuery(data, 3, 102);
   std::vector<int> parts;
   const std::string first = TraceShardedRun(data, query, parts);
-  EXPECT_NE(first.find("join_step_distributed"), std::string::npos);
-  EXPECT_NE(first.find("shard_slice"), std::string::npos);
-  // The final step distributes into four parts, and part i stays on the
-  // device that ran slice i.
+  EXPECT_NE(first.find("\"lane\""), std::string::npos);
+  // The join fans out into four lanes, and part i stays on the device that
+  // ran lane i.
   EXPECT_EQ(parts, (std::vector<int>{4, 5, 6, 7}));
-  // Slice i always runs on device i, so neither the spans nor the part
+  // Lane i always runs on device i, so neither the spans nor the part
   // owners follow host thread scheduling.
   for (int run = 1; run < 10; ++run) {
     std::vector<int> again;
@@ -489,9 +488,7 @@ struct StepValues {
   friend bool operator==(const StepValues&, const StepValues&) = default;
 };
 
-bool IsJoinStep(const TraceSpan& s) {
-  return s.name == "join_step" || s.name == "join_step_distributed";
-}
+bool IsJoinStep(const TraceSpan& s) { return s.name == "join_step"; }
 
 /// Every join step span's output rows fit the GBA its first-edge bounds
 /// sized; returns how many spans were checked.
@@ -512,16 +509,16 @@ size_t ExpectRowsWithinGba(const std::vector<TraceSpan>& spans,
   return checked;
 }
 
-/// The join step spans of one whole-table join, by `step`.
+/// The join step spans of one join, by `step`, each summed over the lanes
+/// that ran it.
 std::map<uint64_t, StepValues> StepsOf(const std::vector<TraceSpan>& spans) {
   std::map<uint64_t, StepValues> steps;
   for (const TraceSpan& s : spans) {
     if (!IsJoinStep(s)) continue;
-    const uint64_t step = std::stoull(AttrOf(s, "step"));
-    EXPECT_EQ(steps.count(step), 0u) << "step " << step;
-    steps[step] = {std::stoull(AttrOf(s, "rows_in")),
-                   std::stoull(AttrOf(s, "rows_out")),
-                   std::stoull(AttrOf(s, "gba_entries"))};
+    StepValues& step = steps[std::stoull(AttrOf(s, "step"))];
+    step.rows_in += std::stoull(AttrOf(s, "rows_in"));
+    step.rows_out += std::stoull(AttrOf(s, "rows_out"));
+    step.gba_entries += std::stoull(AttrOf(s, "gba_entries"));
   }
   return steps;
 }
@@ -544,7 +541,7 @@ uint64_t SumOfStepAttr(const std::vector<TraceSpan>& spans,
 }
 
 /// One traced run of a query on each path: one device, four devices with
-/// every step that can fan out distributed, and a K = 4 partitioned graph.
+/// the join allowed to fan out, and a K = 4 partitioned graph.
 struct TracedPaths {
   struct Run {
     const char* path;
@@ -586,15 +583,15 @@ TracedPaths RunOnEveryPath(const Graph& data, const Graph& query) {
 
 // Every join step span says how many of its Pass A blocks staged C(u)'s
 // bitset, and the spans of one query sum to its
-// JoinStats::staged_blocks: on one device, over fanned-out steps, and over
-// the partitioned lanes. The 300-vertex graph's bitsets are one line, so
+// JoinStats::staged_blocks: on one device, over the sharded lanes, and
+// over the partitioned lanes. The 300-vertex graph's bitsets are one line, so
 // every block with first-edge work stages.
 TEST(TraceAttrs, StagedBlocksSumToTheJoinStats) {
   Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
   Graph query = testing::RandomQuery(data, 4, 102);
   const TracedPaths paths = RunOnEveryPath(data, query);
   ASSERT_EQ(paths.runs.size(), 3u);
-  EXPECT_GE(CountSpans(paths.runs[1].spans, "join_step_distributed"), 1u);
+  EXPECT_GE(CountSpans(paths.runs[1].spans, "lane"), 2u);
   for (const TracedPaths::Run& run : paths.runs) {
     ASSERT_TRUE(run.result.ok()) << run.path;
     const JoinStats& detail = run.result->stats.join_detail;
@@ -604,10 +601,10 @@ TEST(TraceAttrs, StagedBlocksSumToTheJoinStats) {
   }
 }
 
-// Every join step span says how many kernels it launched on its device (a
-// distributed step, the sum over its slices), and those, plus one seed
-// kernel per engine run (one per lane on the partitioned path), are all of
-// a query's join launches on every path. Over four vertex labels the
+// Every join step span says how many kernels it launched on its device,
+// and those, plus one seed kernel per engine that seeded (one per lane on
+// the partitioned path, the primary's alone on the others), are all of a
+// query's join launches on every path. Over four vertex labels the
 // query's steps include steps that run as one block, on every path, and
 // steps that do not.
 TEST(TraceAttrs, StepKernelsSumToTheJoinLaunches) {
@@ -617,13 +614,12 @@ TEST(TraceAttrs, StepKernelsSumToTheJoinLaunches) {
   ASSERT_EQ(paths.runs.size(), 3u);
   for (const TracedPaths::Run& run : paths.runs) {
     ASSERT_TRUE(run.result.ok()) << run.path;
-    uint64_t engine_runs = 0;
-    for (const TraceSpan& s : run.spans) {
-      if (s.name == "lane" && AttrOf(s, "seed_rows") != "0") ++engine_runs;
-    }
-    if (std::string(run.path) != "partitioned") {
-      EXPECT_EQ(engine_runs, 0u) << run.path;
-      engine_runs = 1;
+    uint64_t engine_runs = 1;
+    if (std::string(run.path) == "partitioned") {
+      engine_runs = 0;
+      for (const TraceSpan& s : run.spans) {
+        if (s.name == "lane" && AttrOf(s, "seed_rows") != "0") ++engine_runs;
+      }
     }
     EXPECT_GE(engine_runs, 1u) << run.path;
     const QueryStats& stats = run.result->stats;
@@ -632,15 +628,15 @@ TEST(TraceAttrs, StepKernelsSumToTheJoinLaunches) {
               stats.join.kernel_launches)
         << run.path;
   }
-  EXPECT_GE(CountSpans(paths.runs[1].spans, "join_step_distributed"), 1u);
+  EXPECT_GE(CountSpans(paths.runs[1].spans, "lane"), 2u);
   const TracedPaths::Run& single = paths.runs[0];
   EXPECT_LT(single.result->stats.join_detail.fused_steps,
             single.result->stats.join_detail.iterations);
 }
 
 // The GBA a step fills is sized by its rows' first-edge bounds, so its
-// output never exceeds it, on every path; and a sharded run's steps, serial
-// or distributed, report what one device's do.
+// output never exceeds it, on every path; and a sharded run's steps,
+// summed over its lanes when it fans out, report what one device's do.
 TEST(TraceAttrs, JoinStepRowsStayWithinTheirGba) {
   Graph data = testing::RandomHubGraph(300, 3, 2, 2, 2, 5, 0.25);
   Graph query = testing::RandomQuery(data, 4, 102);
@@ -657,11 +653,11 @@ TEST(TraceAttrs, JoinStepRowsStayWithinTheirGba) {
   const std::map<uint64_t, StepValues> want = StepsOf(single);
   ASSERT_EQ(want.size(), 3u);
 
-  // Steps distribute at min_rows_per_shard = 1; the default volume floor
-  // keeps some on the primary.
+  // The join fans out at min_rows_per_shard = 1; a volume floor above its
+  // seed step's 932 bound entries keeps it on the primary.
   size_t serial = 0;
-  size_t distributed = 0;
-  for (size_t min_rows : {1, 64}) {
+  size_t fanned = 0;
+  for (size_t min_rows : {1, 256}) {
     std::vector<std::unique_ptr<gpusim::Device>> owned;
     std::vector<gpusim::Device*> devs;
     for (int i = 0; i < 4; ++i) {
@@ -681,13 +677,14 @@ TEST(TraceAttrs, JoinStepRowsStayWithinTheirGba) {
                     .ok());
     const std::vector<TraceSpan> spans = tracer.Snapshot();
     const std::string context = "sharded min_rows=" + std::to_string(min_rows);
-    EXPECT_EQ(ExpectRowsWithinGba(spans, context), 3u);
+    const size_t lanes = CountSpans(spans, "lane");
+    EXPECT_EQ(ExpectRowsWithinGba(spans, context), lanes > 0 ? 3 * lanes : 3)
+        << context;
     EXPECT_EQ(StepsOf(spans), want) << context;
-    serial += CountSpans(spans, "join_step");
-    distributed += CountSpans(spans, "join_step_distributed");
+    (lanes > 0 ? fanned : serial) += 1;
   }
-  EXPECT_GE(serial, 1u);
-  EXPECT_GE(distributed, 1u);
+  EXPECT_EQ(serial, 1u);
+  EXPECT_EQ(fanned, 1u);
 
   // Partitioned at R = 1: each partition's join steps over its seed share.
   std::vector<std::unique_ptr<gpusim::Device>> owned;
@@ -760,7 +757,7 @@ TEST(TraceAttrs, EveryJoinSpanCarriesTheMatchCount) {
                              .shard = so,
                              .trace = TraceContext{&tracer, -1, kHostDevice}});
     ASSERT_TRUE(r.ok());
-    // The final step distributed: its partial tables stayed on the slices.
+    // The join fanned out: its lanes' tables stayed on their devices.
     ASSERT_GT(r->manifest.num_parts(), 1u);
     const std::vector<TraceSpan> spans = tracer.Snapshot();
     ExpectJoinMatches(spans, r->num_matches(), "sharded");
