@@ -1,6 +1,11 @@
 // Table IV — "Performance of different filtering strategies": minimum
 // candidate-set size and filtering time for the GpSM, GunrockSM and GSI
 // filters on every dataset.
+//
+// `--json <path>` writes one record per dataset and strategy (config
+// "dataset=<name>,strategy=<GpSM|GunrockSM|GSI>"): p50 and p99 both hold
+// the mean simulated filter ms per query; extras min_c (the mean minimum
+// candidate-set size) and filter_ms.
 
 #include "bench_common.h"
 #include "gsi/filter.h"
@@ -59,6 +64,12 @@ void BM_Filtering(benchmark::State& state, const std::string& dataset,
                   TablePrinter::FormatCount(
                       static_cast<uint64_t>(avg_min_c + 0.5)),
                   TablePrinter::FormatMs(avg_ms)});
+  RecordJson({"table4_filtering",
+              "dataset=" + dataset + ",strategy=" + sc.name,
+              /*qps=*/0,
+              /*p50_ms=*/avg_ms,
+              /*p99_ms=*/avg_ms,
+              /*extras=*/{{"min_c", avg_min_c}, {"filter_ms", avg_ms}}});
 }
 
 void RegisterAll() {

@@ -35,6 +35,7 @@ ALL_SMOKES=(
   bench-partition
   bench-dup-removal
   bench-join-phase
+  bench-filtering
 )
 
 # The sanitizer subset now carries every system bench smoke (ROADMAP: bench
@@ -262,6 +263,36 @@ for dataset, by_config in sorted(rows.items()):
     print("join-phase smoke ok: %s: gld %s, join ms %s"
           % (dataset, " > ".join(str(int(r["join_gld"])) for r in chain),
              " > ".join("%.4f" % r["join_ms"] for r in chain)))
+PYEOF
+      ;;
+    # Table IV's conclusion: on every dataset the GSI signature filter
+    # leaves the smallest minimum candidate set and takes the least
+    # simulated filter time of the three strategies.
+    bench-filtering)
+      run_bench bench_table4_filtering bench_filtering.json
+      python3 - "$ARTIFACTS_DIR/bench_filtering.json" <<'PYEOF'
+import json, sys
+rows = {}
+for r in json.load(open(sys.argv[1])):
+    fields = dict(kv.split("=", 1) for kv in r["config"].split(","))
+    rows.setdefault(fields["dataset"], {})[fields["strategy"]] = r
+assert rows, "no table4 record in --json output"
+for dataset, by_strategy in sorted(rows.items()):
+    assert sorted(by_strategy) == ["GSI", "GpSM", "GunrockSM"], \
+        "%s: strategies %s" % (dataset, sorted(by_strategy))
+    gsi = by_strategy["GSI"]
+    for name in ("GpSM", "GunrockSM"):
+        other = by_strategy[name]
+        assert gsi["min_c"] < other["min_c"], \
+            "%s: GSI min |C(u)| not below %s: %s" % (dataset, name, by_strategy)
+        assert gsi["filter_ms"] < other["filter_ms"], \
+            "%s: GSI filter ms not below %s: %s" % (dataset, name, by_strategy)
+    print("filtering smoke ok: %s: min |C(u)| GSI %.1f, GpSM %.1f, "
+          "GunrockSM %.1f; filter ms %.4f, %.4f, %.4f"
+          % (dataset, gsi["min_c"], by_strategy["GpSM"]["min_c"],
+             by_strategy["GunrockSM"]["min_c"], gsi["filter_ms"],
+             by_strategy["GpSM"]["filter_ms"],
+             by_strategy["GunrockSM"]["filter_ms"]))
 PYEOF
       ;;
     *)

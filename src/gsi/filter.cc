@@ -188,16 +188,13 @@ std::vector<VertexId> FilterContext::LabelDegreeCandidates(
         w.ChargeLoadTransactions(2 * gpusim::Device::RangeTransactions(
             0, nbrs.size() * sizeof(VertexId)));
         w.Alu(nbrs.size());
-        std::unordered_map<Label, uint32_t> have;
-        for (const Neighbor& nb : nbrs) ++have[nb.elabel];
         bool ok = true;
         // Order-safe: a pure conjunction over all entries — the verdict
         // (and the charged work, all outside the loop) is the same in any
         // order.
         // NOLINTNEXTLINE(determinism:unordered-iteration)
         for (const auto& [l, need] : requirements) {
-          auto it = have.find(l);
-          if (it == have.end() || it->second < need) {
+          if (g.NeighborsWithLabel(v, l).size() < need) {
             ok = false;
             break;
           }

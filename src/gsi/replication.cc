@@ -81,22 +81,20 @@ Status ValidateSelection(const ReplicatedGraph& rg,
   return Status::Ok();
 }
 
-/// The routing table of the lane on device d: probes of partition o are
-/// served by o's share on d when d holds one, else by the selected replica
-/// of o (a device this query holds, so concurrent queries never touch each
-/// other's devices). A share on d that is not o's replica 0 is co-located.
-internal::RoutedStoreView MakeLaneView(const ReplicatedGraph& rg,
-                                       const ReplicaSelection& sel, size_t d,
+/// The routing table of the lane on device d: every probe of partition o
+/// reads o's one share, priced by where o is placed. A partition placed on
+/// d is local (co-located when d is not o's replica 0); any other is read
+/// remotely, from the replica this query selected (a device it holds, so
+/// concurrent queries never touch each other's devices).
+internal::RoutedStoreView MakeLaneView(const ReplicatedGraph& rg, size_t d,
                                        HaloCache* halo) {
   using Route = internal::RoutedStoreView::Route;
   const size_t k = rg.num_partitions();
   std::vector<const PcsrStore*> serving(k);
   std::vector<Route> route(k, Route::kRemote);
   for (PartitionId o = 0; o < k; ++o) {
-    serving[o] = rg.StoreOn(d, o);
-    if (serving[o] == nullptr) {
-      serving[o] = &rg.store(o, sel.choice[o]);
-    } else {
+    serving[o] = &rg.store(o);
+    if (rg.placement().Hosts(d, o)) {
       route[o] = rg.placement().device_of[o][0] == d ? Route::kLocal
                                                      : Route::kCoLocated;
     }
@@ -158,14 +156,6 @@ uint64_t ReplicationBuildStats::max_resident_bytes() const {
   return worst;
 }
 
-const PcsrStore* ReplicatedGraph::StoreOn(size_t d, PartitionId p) const {
-  const std::vector<size_t>& devs = placement_.device_of[p];
-  for (size_t j = 0; j < devs.size(); ++j) {
-    if (devs[j] == d) return stores_[p][j].get();
-  }
-  return nullptr;
-}
-
 Result<ReplicatedGraph> ReplicatedGraph::Build(
     std::span<gpusim::Device* const> devs, const Graph& data,
     const GsiOptions& options, const GraphPartitioner& partitioner,
@@ -192,8 +182,8 @@ Result<ReplicatedGraph> ReplicatedGraph::Build(
   const size_t k = partitions;
   std::vector<PartitionId> owner = partitioner.Assign(data, k);
   if (owner.size() != data.num_vertices()) {
-    return Status::Internal(partitioner.name() +
-                            " returned an assignment of the wrong size");
+    return Status::InvalidArgument(
+        partitioner.name() + " returned an assignment of the wrong size");
   }
   for (PartitionId p : owner) {
     if (p >= k) {
@@ -214,25 +204,24 @@ Result<ReplicatedGraph> ReplicatedGraph::Build(
     rg.owned_[rg.owner_[v]].push_back(v);
   }
 
+  // One share per partition, built on its replica-0 device; every replica
+  // device reads it and is charged its bytes.
   ReplicationBuildStats& bs = rg.build_stats_;
   bs.resident_bytes.assign(devs.size(), 0);
-  rg.stores_.resize(k);
-  rg.signatures_.resize(k);
   for (PartitionId p = 0; p < k; ++p) {
-    uint64_t share_bytes = 0;
-    for (size_t j = 0; j < replicas; ++j) {
-      gpusim::Device& dev = *rg.devs_[rg.placement_.device_of[p][j]];
-      rg.stores_[p].push_back(PcsrStore::BuildSubset(dev, data, rg.owned_[p],
-                                                     options.join.gpn));
-      rg.signatures_[p].push_back(SignatureTable::BuildSubset(
-          dev, data, rg.owned_[p], options.filter.signature_bits,
-          options.filter.layout));
-      share_bytes = rg.stores_[p][j]->device_bytes() +
-                    rg.signatures_[p][j].device_bytes();
-      bs.resident_bytes[rg.placement_.device_of[p][j]] += share_bytes;
-      bs.total_bytes += share_bytes;
+    gpusim::Device& dev = *rg.devs_[rg.placement_.device_of[p][0]];
+    rg.stores_.push_back(
+        PcsrStore::BuildSubset(dev, data, rg.owned_[p], options.join.gpn));
+    rg.signatures_.push_back(SignatureTable::BuildSubset(
+        dev, data, rg.owned_[p], options.filter.signature_bits,
+        options.filter.layout));
+    const uint64_t share_bytes =
+        rg.stores_[p]->device_bytes() + rg.signatures_[p].device_bytes();
+    for (size_t d : rg.placement_.device_of[p]) {
+      bs.resident_bytes[d] += share_bytes;
     }
-    bs.replicated_bytes += share_bytes;  // one copy of every share
+    bs.replicated_bytes += share_bytes;
+    bs.total_bytes += replicas * share_bytes;
   }
   // The halo budget is a reserved slice of each pool device's resident
   // memory (not of replicated/total bytes, which measure share storage): a
@@ -330,9 +319,7 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
           span.AddAttr("partitions", PartitionsAttr(parts));
         }
         std::vector<const SignatureTable*> tables;
-        for (PartitionId p : parts) {
-          tables.push_back(&rg.signatures(p, sel.choice[p]));
-        }
+        for (PartitionId p : parts) tables.push_back(&rg.signatures(p));
         const gpusim::MemStats before = dev.stats();
         std::vector<CandidateScan> scans =
             ScanSignatures(dev, tables, qsigs, ScanTiles(tables, qsigs));
@@ -464,8 +451,8 @@ Result<PagedQueryResult> RunJoinStageReplicatedPaged(
     if (options.halo_budget_bytes > 0) {
       halos[lane].emplace(options.halo_budget_bytes);
     }
-    views.push_back(MakeLaneView(rg, sel, d,
-                                 halos[lane] ? &*halos[lane] : nullptr));
+    views.push_back(
+        MakeLaneView(rg, d, halos[lane] ? &*halos[lane] : nullptr));
     internal::JoinLane& jl = join_lanes[lane];
     jl.dev = &rg.device(d);
     jl.store = &views[lane];

@@ -61,7 +61,7 @@ struct ReplicationBuildStats {
   /// table for the whole graph, one copy).
   uint64_t replicated_bytes = 0;
   /// Sum over devices (== replicas * replicated_bytes: every partition is
-  /// stored replicas times).
+  /// resident on `replicas` devices, though the host builds it once).
   uint64_t total_bytes = 0;
   /// Undirected edges whose endpoints live on different partitions (each
   /// parallel edge counted once, like Graph::num_edges).
@@ -70,9 +70,11 @@ struct ReplicationBuildStats {
   uint64_t max_resident_bytes() const;
 };
 
-/// One query's choice of serving replica per partition: choice[p] indexes
-/// placement.device_of[p]. Obtained from CompactSelection (standalone use)
-/// or SelectionFromDevices (mapping the devices AcquireOneOfEach picked).
+/// One query's lane device per partition: choice[p] indexes
+/// placement.device_of[p], the device that scans p's rows and joins the
+/// seeds p owns (every replica reads p's one share). Obtained from
+/// CompactSelection (standalone use) or SelectionFromDevices (mapping the
+/// devices AcquireOneOfEach picked).
 struct ReplicaSelection {
   std::vector<uint32_t> choice;
 
@@ -82,12 +84,20 @@ struct ReplicaSelection {
 };
 
 /// The data graph partitioned K ways across device memories, with every
-/// partition stored on R devices — the memory-capacity half of the paper's
+/// partition placed on R devices — the memory-capacity half of the paper's
 /// Section VIII scaling discussion plus the replication/concurrency trade.
 /// At R = 1 (one partition per device) each device holds ~1/K of the
 /// replicated footprint and a query needs every device; at R > 1 a query
 /// needs just one replica of each partition, so up to R partitioned queries
 /// run concurrently, at an ~R/K-of-replica resident cost per device.
+///
+/// A replica is a placement, not a copy: each partition's PCSR share and
+/// signature table are built once, on its replica-0 device, and every
+/// device in placement().device_of[p] reads them. build_stats() still
+/// charges each replica device the share's bytes, and a probe is priced by
+/// its route and by offsets into 128B-aligned buffers, never by which
+/// device allocated them — R copies' simulated costs at one copy's host
+/// memory.
 ///
 ///   std::vector<gpusim::Device*> devs = ...;        // N devices
 ///   auto rg = ReplicatedGraph::Build(devs, data, GsiOptOptions(),
@@ -104,11 +114,12 @@ struct ReplicaSelection {
 /// Immutable after Build and safe to share between threads; concurrent
 /// queries are safe as long as their selections map onto disjoint device
 /// sets — exactly what DevicePool::AcquireOneOfEach guarantees the serving
-/// layer. The data graph and the devices must outlive the instance; devices
-/// are borrowed, not owned. The match table is bit-identical to
-/// GsiMatcher::Find for *every* selection: replicas of a partition hold
-/// identical shares, each lane's join is a deterministic function of its
-/// seed subsequence (not of the device that runs it), and the merge
+/// layer (disjoint lanes read the shares concurrently; reads never
+/// mutate). The data graph and the devices must outlive the instance;
+/// devices are borrowed, not owned. The match table is bit-identical to
+/// GsiMatcher::Find for *every* selection: every replica of a partition
+/// reads its one share, each lane's join is a deterministic function of
+/// its seed subsequence (not of the device that runs it), and the merge
 /// reassembles the lanes' tables in global seed order (see
 /// docs/ARCHITECTURE.md).
 class ReplicatedGraph {
@@ -132,18 +143,14 @@ class ReplicatedGraph {
   std::span<const VertexId> owned(PartitionId p) const { return owned_[p]; }
 
   gpusim::Device& device(size_t d) const { return *devs_[d]; }
-  /// Replica j of partition p's PCSR share (resident on
-  /// placement().device_of[p][j]).
-  const PcsrStore& store(PartitionId p, size_t j) const {
-    return *stores_[p][j];
+  /// Partition p's PCSR share, read by every device in
+  /// placement().device_of[p].
+  const PcsrStore& store(PartitionId p) const { return *stores_[p]; }
+  /// Partition p's signature rows, one per owned(p) vertex, bucketed by
+  /// label (SignatureTable::BuildSubset).
+  const SignatureTable& signatures(PartitionId p) const {
+    return signatures_[p];
   }
-  /// Replica j of partition p's signature rows; row i is owned(p)[i].
-  const SignatureTable& signatures(PartitionId p, size_t j) const {
-    return signatures_[p][j];
-  }
-  /// The share of partition p resident on device d, or null when d hosts
-  /// no replica of p.
-  const PcsrStore* StoreOn(size_t d, PartitionId p) const;
 
   const Graph& data() const { return *data_; }
   const GsiOptions& options() const { return options_; }
@@ -160,8 +167,8 @@ class ReplicatedGraph {
   ReplicaPlacement placement_;
   std::vector<PartitionId> owner_;            // indexed by vertex id
   std::vector<std::vector<VertexId>> owned_;  // indexed by partition
-  std::vector<std::vector<std::unique_ptr<PcsrStore>>> stores_;  // [p][j]
-  std::vector<std::vector<SignatureTable>> signatures_;          // [p][j]
+  std::vector<std::unique_ptr<PcsrStore>> stores_;  // indexed by partition
+  std::vector<SignatureTable> signatures_;          // indexed by partition
   ReplicationBuildStats build_stats_;
 };
 
@@ -200,12 +207,13 @@ Result<FilterResult> RunFilterStageReplicated(const ReplicatedGraph& rg,
 /// split by the lane of each seed's owner, and each lane seeds and joins
 /// its subsequence in one JoinEngine over one RoutedStoreView, through the
 /// lane runner the full-replica join shares (internal::RunJoinLanes; one
-/// `lane` span per lane, attrs `partitions` and `seed_rows`). Probes of
-/// vertices whose partition has a share on the lane's device are local
-/// reads; those served by a share that is not the partition's replica 0
-/// are counted in stats.co_located_probes (the traffic replication saves:
-/// R = 1 would send them across the interconnect). The rest go to the
-/// selected replica of the owner, charged at the interconnect premium
+/// `lane` span per lane, attrs `partitions` and `seed_rows`). Every probe
+/// reads the owner partition's one share; its route sets the price. Probes
+/// of vertices whose partition is placed on the lane's device are local
+/// reads; those of a partition whose replica 0 sits elsewhere are counted
+/// in stats.co_located_probes (the traffic replication saves: R = 1 would
+/// send them across the interconnect). The rest are remote reads, charged
+/// to the probing lane's device at the interconnect premium
 /// (stats.remote_probes / halo_bytes). With options().halo_budget_bytes >
 /// 0, each lane makes one HaloCache for this query and tries it before
 /// every remote probe (gsi/halo_cache.h; stats.halo_cache_hits,

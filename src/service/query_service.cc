@@ -103,8 +103,9 @@ QueryService::QueryService(const Graph& data, GsiOptions gsi_options,
   devices_ = std::make_unique<DevicePool>(num_devices, gsi_options_.device);
   if (options_.partition_data_graph) {
     // Workers have not started, so the pool is idle: take every device (in
-    // index order) and build its share(s) on it. The leases drop at scope
-    // exit; queries re-acquire what they need per execution.
+    // index order) and build each partition's one share on its replica-0
+    // device. The leases drop at scope exit; queries re-acquire what they
+    // need per execution.
     Result<std::vector<DevicePool::Lease>> leases_or = devices_->AcquireAll();
     if (!leases_or.ok()) {  // unreachable on a fresh pool, but be explicit
       init_status_ = leases_or.status();

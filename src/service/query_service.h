@@ -88,14 +88,16 @@ struct ServiceOptions {
   /// whole pool. With R > 1 every partition lives on R pool devices
   /// (staggered placement), a query's lease picks the least-loaded replica
   /// of each and packs onto ~pool/R devices, and up to R partitioned queries
-  /// run concurrently — at R times the per-device resident bytes. R should
-  /// divide the pool size: a query's lease packs onto ceil(pool/R) devices,
-  /// so a non-divisor R buys only floor(pool / ceil(pool/R)) concurrent
-  /// lanes (R=3 on a 4-device pool yields the 2 lanes of R=2 at 3x the
-  /// memory — its only edge over R=2 is a few more co-resident replicas
-  /// absorbing remote probes). Remote probes are served by a co-resident
-  /// replica when the probing device holds one, else routed to the replica
-  /// the query leased. Must be in [1, pool size]; values above 1 need
+  /// run concurrently — at R times the simulated per-device resident bytes
+  /// (host memory does not grow: every replica reads the partition's one
+  /// share, built once). R should divide the pool size: a query's lease
+  /// packs onto ceil(pool/R) devices, so a non-divisor R buys only
+  /// floor(pool / ceil(pool/R)) concurrent lanes (R=3 on a 4-device pool
+  /// yields the 2 lanes of R=2 at 3x the memory — its only edge over R=2 is
+  /// a few more co-resident replicas absorbing remote probes). A probe of a
+  /// partition placed on the probing device is local (co-resident);
+  /// others are remote reads through the replica the query leased. Must
+  /// be in [1, pool size]; values above 1 need
   /// partition_data_graph. Match results stay bit-identical to
   /// GsiMatcher::Find for every replica choice.
   int partition_replicas = 1;
@@ -347,10 +349,10 @@ class QueryTicket {
 /// still bit-identical, still cache-compatible (memoized candidate lists
 /// are global either way). At partition_replicas = 1 each device holds
 /// 1/K of the data and every query takes the whole pool; raising it to
-/// R > 1 stores every partition on R pool devices, so a query's lease
+/// R > 1 places every partition on R pool devices, so a query's lease
 /// packs onto ~K/R devices, up to R partitioned queries run concurrently,
 /// remote probes are served by co-resident replicas when possible, and
-/// per-device residency grows to ~R/K of the replica — the
+/// simulated per-device residency grows to ~R/K of the replica — the
 /// replication/concurrency trade the ServiceStats replica counters observe.
 ///
 /// Thread-safe. The data graph must outlive the service. Results handed

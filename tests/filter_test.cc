@@ -315,7 +315,7 @@ TEST_P(SignatureScanSuite, OwnedScansMergeToTheWholeLists) {
       const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());
       std::vector<std::vector<std::vector<VertexId>>> partial;
       for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
-        const SignatureTable* const share[] = {&pg->signatures(p, 0)};
+        const SignatureTable* const share[] = {&pg->signatures(p)};
         partial.push_back(ScanSignatures(pg->device(p), share, qsigs,
                                          ScanTiles(share, qsigs))[0]
                               .lists);
@@ -348,7 +348,7 @@ TEST_P(SignatureScanSuite, OneLaunchOverManyTablesEqualsOneLaunchPerTable) {
     ASSERT_TRUE(pg.ok());
     std::vector<const SignatureTable*> tables;
     for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
-      tables.push_back(&pg->signatures(p, 0));
+      tables.push_back(&pg->signatures(p));
     }
     for (const Graph& q : in.queries) {
       const std::vector<Signature> qsigs = Signature::EncodeAll(q, nbits());

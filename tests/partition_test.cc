@@ -144,7 +144,7 @@ TEST(PartitionedGraphBuild, EveryAdjacencyRowStoredExactlyOnce) {
     for (Label l : g.edge_labels()) {
       const size_t expect = g.NeighborsWithLabel(v, l).size();
       for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
-        const PcsrPartition* part = pg->store(p, 0).partition(l);
+        const PcsrPartition* part = pg->store(p).partition(l);
         ASSERT_NE(part, nullptr);
         PcsrPartition::LookupInfo info = part->HostLookup(v);
         if (p == owner && expect > 0) {
@@ -164,7 +164,7 @@ TEST(PartitionedGraphBuild, EveryAdjacencyRowStoredExactlyOnce) {
     for (VertexId v : pg->owned(p)) {
       for (Label l : g.edge_labels()) {
         PcsrPartition::LookupInfo info =
-            pg->store(p, 0).partition(l)->HostLookup(v);
+            pg->store(p).partition(l)->HostLookup(v);
         if (info.found) stored += info.count;
       }
     }
@@ -183,7 +183,7 @@ TEST(PartitionedGraphBuild, SignatureOwnershipMatchesVertexOwnership) {
   const int nbits = pg->options().filter.signature_bits;
   for (PartitionId p = 0; p < pg->num_partitions(); ++p) {
     std::span<const VertexId> owned = pg->owned(p);
-    const SignatureTable& table = pg->signatures(p, 0);
+    const SignatureTable& table = pg->signatures(p);
     ASSERT_EQ(table.num_vertices(), owned.size());
     // The row map reaches every owned vertex exactly once, and each row
     // holds its vertex's signature.

@@ -63,6 +63,22 @@ Result<ReplicatedGraph> BuildReplicated(const DeviceSet& ds, const Graph& g,
                                 /*partitions=*/ds.ptrs.size(), replicas);
 }
 
+/// A caller-supplied ownership policy (ServiceOptions::partitioner) whose
+/// assignment is `fn(g, k)`, right or wrong.
+class FnPartitioner final : public GraphPartitioner {
+ public:
+  using Fn = std::vector<PartitionId> (*)(const Graph&, size_t);
+  FnPartitioner(std::string name, Fn fn) : name_(std::move(name)), fn_(fn) {}
+  std::vector<PartitionId> Assign(const Graph& g, size_t k) const override {
+    return fn_(g, k);
+  }
+  std::string name() const override { return name_; }
+
+ private:
+  std::string name_;
+  Fn fn_;
+};
+
 /// The selection that serves every partition from replica j (a maximally
 /// spread choice for j == 0: partition p on device p).
 ReplicaSelection UniformSelection(const ReplicatedGraph& rg, uint32_t j) {
@@ -149,32 +165,39 @@ TEST(ReplicatedGraphBuild, ResidentBytesScaleWithReplicas) {
   }
 }
 
-TEST(ReplicatedGraphBuild, ShareContentIsIdenticalAcrossReplicas) {
+TEST(ReplicatedGraphBuild, EveryReplicaHostsThePartitionsOneShare) {
   Graph g = testing::RandomGraph(200, 3, 3, 2, 29);
   DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
   Result<ReplicatedGraph> rg = BuildReplicated(ds, g, GsiOptOptions(), 2);
   ASSERT_TRUE(rg.ok());
+  const ReplicaPlacement& pl = rg->placement();
   for (PartitionId p = 0; p < rg->num_partitions(); ++p) {
-    // Same bytes and same signature words on every replica.
-    EXPECT_EQ(rg->store(p, 0).device_bytes(), rg->store(p, 1).device_bytes());
-    const SignatureTable& a = rg->signatures(p, 0);
-    const SignatureTable& b = rg->signatures(p, 1);
-    ASSERT_EQ(a.num_vertices(), b.num_vertices());
-    ASSERT_EQ(a.num_vertices(), rg->owned(p).size());
-    for (size_t r = 0; r < a.num_vertices(); ++r) {
-      ASSERT_EQ(a.VertexAt(r), b.VertexAt(r))
-          << "partition " << p << " row " << r;
-      EXPECT_EQ(rg->OwnerOf(a.VertexAt(r)), p);
-      for (int w = 0; w < a.words_per_sig(); ++w) {
-        ASSERT_EQ(a.WordAt(r, w), b.WordAt(r, w))
-            << "partition " << p << " vertex " << a.VertexAt(r) << " word "
-            << w;
-      }
+    // R distinct devices host p, and each lists p among its shares.
+    ASSERT_EQ(pl.device_of[p].size(), rg->num_replicas());
+    EXPECT_EQ(std::set<size_t>(pl.device_of[p].begin(), pl.device_of[p].end())
+                  .size(),
+              rg->num_replicas());
+    for (size_t d : pl.device_of[p]) {
+      EXPECT_TRUE(pl.Hosts(d, p)) << "device " << d << " partition " << p;
+      EXPECT_TRUE(std::ranges::binary_search(pl.shares_of[d], p));
     }
-    // StoreOn resolves each placement entry to its resident share.
-    for (size_t j = 0; j < rg->num_replicas(); ++j) {
-      EXPECT_EQ(rg->StoreOn(rg->placement().device_of[p][j], p),
-                &rg->store(p, j));
+    // The one share's signature rows are exactly owned(p)...
+    const SignatureTable& sigs = rg->signatures(p);
+    std::vector<VertexId> rows;
+    for (size_t r = 0; r < sigs.num_vertices(); ++r) {
+      rows.push_back(sigs.VertexAt(r));
+    }
+    std::ranges::sort(rows);
+    EXPECT_TRUE(std::ranges::equal(rows, rg->owned(p))) << "partition " << p;
+    // ...and so are its PCSR rows: a list is stored iff p owns its vertex.
+    for (Label l : g.edge_labels()) {
+      const PcsrPartition* part = rg->store(p).partition(l);
+      ASSERT_NE(part, nullptr);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        EXPECT_EQ(part->HostLookup(v).found,
+                  rg->OwnerOf(v) == p && !g.NeighborsWithLabel(v, l).empty())
+            << "partition " << p << " vertex " << v << " label " << l;
+      }
     }
   }
 }
@@ -685,6 +708,79 @@ TEST(ReplicatedService, StaysBitIdenticalUnderConcurrentLoad) {
     EXPECT_GE(stats.pool.group_acquires, stats.completed_ok);
     EXPECT_GE(stats.replica_pick_skew, 1.0);
     EXPECT_EQ(stats.pool.in_use, 0u);
+  }
+}
+
+TEST(ReplicatedService, RejectsBadPartitionersAndServesLopsidedOnes) {
+  Graph data = testing::RandomGraph(300, 3, 4, 3, 700);
+  std::vector<Graph> queries;
+  for (uint64_t q = 0; q < 8; ++q) {
+    queries.push_back(testing::RandomQuery(data, 5, 7000 + q));
+  }
+  ServiceOptions so;
+  so.num_workers = 2;
+  so.num_devices = 4;
+  so.partition_data_graph = true;
+  so.partition_replicas = 2;
+
+  // A wrong assignment is the caller's bad input on every entry point.
+  const std::shared_ptr<const GraphPartitioner> bad[] = {
+      std::make_shared<FnPartitioner>(
+          "short",
+          [](const Graph& g, size_t) {
+            return std::vector<PartitionId>(g.num_vertices() - 1, 0);
+          }),
+      std::make_shared<FnPartitioner>(
+          "out-of-range", [](const Graph& g, size_t k) {
+            return std::vector<PartitionId>(g.num_vertices(),
+                                            static_cast<PartitionId>(k));
+          })};
+  for (const std::shared_ptr<const GraphPartitioner>& partitioner : bad) {
+    const std::string ctx = partitioner->name();
+    DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
+    EXPECT_EQ(ReplicatedGraph::Build(ds.ptrs, data, GsiOptOptions(),
+                                     *partitioner, 4, 2)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << ctx;
+    so.partitioner = partitioner;
+    QueryService service(data, GsiOptOptions(), so);
+    EXPECT_EQ(service.init_status().code(), StatusCode::kInvalidArgument)
+        << ctx;
+    EXPECT_EQ(service.Submit(queries[0]).status().code(),
+              StatusCode::kInvalidArgument)
+        << ctx;
+  }
+
+  // Every vertex in partition 0 leaves partitions 1-3 empty; the answers
+  // stay bit-identical to one device's.
+  so.partitioner = std::make_shared<FnPartitioner>(
+      "all-in-0", [](const Graph& g, size_t) {
+        return std::vector<PartitionId>(g.num_vertices(), 0);
+      });
+  DeviceSet ds = MakeDevices(4, gpusim::DeviceConfig());
+  Result<ReplicatedGraph> rg = ReplicatedGraph::Build(
+      ds.ptrs, data, GsiOptOptions(), *so.partitioner, 4, 2);
+  ASSERT_TRUE(rg.ok()) << rg.status().ToString();
+  for (PartitionId p = 1; p < rg->num_partitions(); ++p) {
+    EXPECT_TRUE(rg->owned(p).empty()) << "partition " << p;
+  }
+  QueryService service(data, GsiOptOptions(), so);
+  ASSERT_TRUE(service.init_status().ok()) << service.init_status().ToString();
+  GsiMatcher sequential(data, GsiOptOptions());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string ctx = "all-in-0 query " + std::to_string(i);
+    Result<QueryResult> expected = sequential.Find(queries[i]);
+    ASSERT_TRUE(expected.ok()) << ctx;
+    Result<QueryResult> direct = testing::ExecuteReplicated(*rg, queries[i]);
+    ASSERT_TRUE(direct.ok()) << ctx << ": " << direct.status().ToString();
+    ExpectBitIdentical(*direct, *expected, ctx + " direct");
+    Result<QueryTicket> t = service.Submit(queries[i]);
+    ASSERT_TRUE(t.ok()) << ctx;
+    Result<QueryResult> served = service.Wait(*t);
+    ASSERT_TRUE(served.ok()) << ctx << ": " << served.status().ToString();
+    ExpectBitIdentical(*served, *expected, ctx + " service");
   }
 }
 

@@ -14,6 +14,7 @@
 #include "baselines/oracle.h"
 #include "gpusim/launch.h"
 #include "graph/graph_builder.h"
+#include "gsi/filter.h"
 #include "gsi/matcher.h"
 #include "storage/basic_rep.h"
 #include "storage/compressed_rep.h"
@@ -372,6 +373,96 @@ TEST(SignatureTable, ColumnMajorCoalescesRowMajorDoesNot) {
 
   EXPECT_EQ(col_gld, 1u);    // 32 adjacent words = one 128B transaction
   EXPECT_EQ(row_gld, 16u);   // 64B stride: 32 lanes span 16 lines
+}
+
+// ------------------------------------------------------- shared shares ---
+
+// A partitioned graph builds each partition's share once, on its replica-0
+// device, and every replica device reads it (gsi/replication.h). That holds
+// only if a warp is charged by the offsets it reads and never by which
+// device allocated the buffer: device B's warps must pay for device A's
+// share exactly what they pay for B's own copy.
+TEST(SharedShare, ReadsChargeWhatTheReadersOwnCopyCharges) {
+  Graph g = RandomGraph(400, 4, 4, 3, 87);
+  std::vector<VertexId> share;
+  for (VertexId v = 1; v < g.num_vertices(); v += 3) share.push_back(v);
+  constexpr int kGpn = 16;
+  constexpr int kBits = 512;
+
+  gpusim::Device a;
+  // Unrelated allocations first, so A's share sits at other addresses than
+  // B's copy.
+  const gpusim::DeviceBuffer<uint32_t> pad_words = a.Alloc<uint32_t>(1000);
+  const gpusim::DeviceBuffer<uint8_t> pad_bytes = a.Alloc<uint8_t>(77);
+  const auto store_a = PcsrStore::BuildSubset(a, g, share, kGpn);
+  const SignatureTable table_a =
+      SignatureTable::BuildSubset(a, g, share, kBits);
+
+  gpusim::Device b;
+  const auto store_b = PcsrStore::BuildSubset(b, g, share, kGpn);
+  const SignatureTable table_b =
+      SignatureTable::BuildSubset(b, g, share, kBits);
+
+  using Probe = void (*)(gpusim::Warp&, const PcsrStore&, VertexId, Label,
+                         std::vector<VertexId>&);
+  const std::pair<const char*, Probe> probes[] = {
+      {"NeighborCountUpperBound",
+       [](gpusim::Warp& w, const PcsrStore& s, VertexId v, Label l,
+          std::vector<VertexId>& out) {
+         out.push_back(
+             static_cast<VertexId>(s.NeighborCountUpperBound(w, v, l)));
+       }},
+      {"ExtractSlice",
+       [](gpusim::Warp& w, const PcsrStore& s, VertexId v, Label l,
+          std::vector<VertexId>& out) {
+         s.ExtractSlice(w, v, l, 3, 37, out);
+       }},
+      {"ExtractValueRange",
+       [](gpusim::Warp& w, const PcsrStore& s, VertexId v, Label l,
+          std::vector<VertexId>& out) {
+         s.ExtractValueRange(w, v, l, v / 2, v + 150, out);
+       }},
+  };
+  // Runs `probe` from one warp of B over every share vertex and edge label.
+  auto read_on_b = [&](const PcsrStore& s, Probe probe,
+                       std::vector<VertexId>& out) {
+    const gpusim::MemStats before = b.stats();
+    WithWarp(b, [&](gpusim::Warp& w) {
+      for (VertexId v : share) {
+        for (Label l : g.edge_labels()) probe(w, s, v, l, out);
+      }
+    });
+    return b.stats() - before;
+  };
+  for (const auto& [name, probe] : probes) {
+    std::vector<VertexId> from_a;
+    std::vector<VertexId> from_b;
+    const gpusim::MemStats shared = read_on_b(*store_a, probe, from_a);
+    const gpusim::MemStats own = read_on_b(*store_b, probe, from_b);
+    EXPECT_EQ(from_a, from_b) << name;
+    EXPECT_GT(own.gld, 0u) << name;
+    testing::ExpectSameCounters(shared, own, name);
+  }
+
+  // One signature scan pass on B over A's table and over B's copy.
+  const Graph q = testing::RandomQuery(g, 5, 88);
+  const std::vector<Signature> qsigs = Signature::EncodeAll(q, kBits);
+  auto scan_on_b = [&](const SignatureTable& t,
+                       std::vector<CandidateScan>& out) {
+    const SignatureTable* const tables[] = {&t};
+    const gpusim::MemStats before = b.stats();
+    out = ScanSignatures(b, tables, qsigs, ScanTiles(tables, qsigs));
+    return b.stats() - before;
+  };
+  std::vector<CandidateScan> scan_a;
+  std::vector<CandidateScan> scan_b;
+  const gpusim::MemStats shared = scan_on_b(table_a, scan_a);
+  const gpusim::MemStats own = scan_on_b(table_b, scan_b);
+  ASSERT_EQ(scan_a.size(), 1u);
+  ASSERT_EQ(scan_b.size(), 1u);
+  EXPECT_EQ(scan_a[0].lists, scan_b[0].lists);
+  EXPECT_GT(own.gld, 0u);
+  testing::ExpectSameCounters(shared, own, "ScanSignatures");
 }
 
 // --------------------------------------------------------- partitions ---

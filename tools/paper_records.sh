@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_paper.json: the --json records of the paper benches
-# whose simulated columns the join moves (Tables VI-XI, Figs. 12-15), run
-# at GSI_BENCH_SCALE=1 with the default query count and size, merged into
-# one JSON array in bench order. Every recorded field is simulated, so the
-# file repeats exactly on any host; a change that moves a paper number
-# regenerates it in the same commit.
+# (Tables IV-XI, Figs. 12-15), run at GSI_BENCH_SCALE=1 with the default
+# query count and size, merged into one JSON array in bench order. Every
+# recorded field is simulated, so the file repeats exactly on any host; a
+# change that moves a paper number regenerates it in the same commit.
 #
 # Usage: tools/paper_records.sh [build-dir] [out]
 #          (defaults: build, BENCH_paper.json) writes every bench's records.
@@ -19,6 +18,8 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BENCHES=(
+  table4_filtering
+  table5_tune_n
   table6_join_phase
   table7_write_cache
   table8_optimizations
